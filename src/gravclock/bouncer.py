@@ -15,10 +15,10 @@ Projecting the two-height initial superposition on this basis gives
 time-independent coefficients, so the long-time QFI for g grows only as
 dt^2 times the variance of dE/dg over the level distribution.
 
-The Airy engine is self-contained: Maclaurin series near the origin,
-large-|y| asymptotic expansions, and a Chebyshev bridge in between built
-once by marching the Airy ODE with extended-precision Taylor steps (a
-bare series/asymptotic split cannot reach 1e-12 in the handoff band).
+The Airy engine is self-contained: one float64 piecewise-Chebyshev table
+of Ai and Ai' on [-15, 12], built once from extended-precision series and
+ODE marching, the DLMF 9.7 asymptotic expansions outside it, and
+evaluation in cache-sized blocks (see ``AiryEngine``).
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -46,6 +46,17 @@ AI_ZERO = _LD("0.355028053887817239260063186004183176397979174199177240583326510
 AIP_ZERO = _LD("-0.25881940379280679840518356018920396347909113835536239261196040809129874")
 
 _SQRT_PI = math.sqrt(math.pi)
+_LOG_2_SQRT_PI = math.log(2.0 * _SQRT_PI)
+
+# Ai(y) and Ai'(y) underflow double precision past this argument (Ai(108)
+# ~ 3e-326), so these points are set to exactly 0 without evaluation.
+_UNDERFLOW_Y = 108.0
+# Points per evaluation block: each temporary is at most 128 kB.
+_BLOCK = 1 << 14
+# Table intervals and Chebyshev degree: degree 13 already reaches rounding
+# error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
+_TABLE_WIDTH = 0.5
+_TABLE_DEGREE = 14
 
 
 class AiryConvergenceError(RuntimeError):
@@ -64,29 +75,57 @@ def _u_coefficients(count: int) -> np.ndarray:
 _U_COEFFS = _u_coefficients(15)
 _V_COEFFS = _U_COEFFS * np.array(
     [(6 * k + 1) / (1.0 - 6 * k) if k else 1.0 for k in range(15)])
+_ALT = (-1.0) ** np.arange(15)
+# DLMF 9.7.5-6: sum_k (-1)^k {u,v}_k zeta^-k for y > 0, indexed by derivative.
+_POS_SERIES = (_ALT * _U_COEFFS, _ALT * _V_COEFFS)
+# DLMF 9.7.9-10: even and odd halves, sum_k (-1)^k {u,v}_{2k(+1)} zeta^-2k.
+# Twelve terms reach 1e-16 relative from zeta(15) = 38.7 on.
+_NEG_EVEN = (_ALT[:6] * _U_COEFFS[0:12:2], _ALT[:6] * _V_COEFFS[0:12:2])
+_NEG_ODD = (_ALT[:6] * _U_COEFFS[1:12:2], _ALT[:6] * _V_COEFFS[1:12:2])
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k."""
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
 class AiryEngine:
-    """Ai and Ai' to ~1e-12 absolute accuracy on the real line.
+    """Ai and Ai' on the real line from one table and two asymptotic sums.
 
-    Regions: Maclaurin series for |y| <= series_cutoff, asymptotic
-    expansions beyond +-(pos/neg)_cutoff, and Chebyshev interpolants in
-    the two bridge bands, built from extended-precision Taylor marching
-    of the ODE (leftward on the negative axis; inward from the
-    asymptotic seed on the positive axis, which is the stable direction).
+    One float64 table of piecewise Chebyshev interpolants (degree 14 on
+    width-1/2 intervals) covers [-neg_cutoff, pos_cutoff] for both Ai and
+    Ai'.  It is built once, on first use, from extended-precision values
+    at its nodes: the Maclaurin series on |y| <= series_cutoff, and Taylor
+    marching of the Airy ODE beyond it (leftward from the series on the
+    negative axis; inward from the asymptotic seed on the positive axis,
+    which is the stable direction).  A bare series/asymptotic split cannot
+    reach 1e-12 in that band.  The coefficients come from one DCT-I of the
+    node values, and all points are summed by one gather-Clenshaw.
+
+    Outside the table the DLMF 9.7 asymptotic expansions apply, each
+    computing only the function asked for, and Ai and Ai' are exactly 0
+    past y = 108.  Arguments are evaluated in fixed blocks of 2^14 points,
+    so temporaries stay cache-sized whatever the call size.  NaN gives NaN.
+
+    Against mpmath over [-170, 40] the absolute error is below 6e-14 for
+    Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
+    on the table and grows on the negative axis with the rounding of the
+    phase zeta = (2/3) |y|^1.5.
     """
 
-    def __init__(self, accuracy: float = 1e-12, series_cutoff: float = 4.5,
-                 neg_cutoff: float = 15.0, pos_cutoff: float = 12.0) -> None:
-        self.accuracy = accuracy
-        self.series_cutoff = series_cutoff
-        self.neg_cutoff = neg_cutoff
-        self.pos_cutoff = pos_cutoff
-        self._neg_table = None
-        self._pos_table = None
+    series_cutoff = 4.5
+    neg_cutoff = 15.0
+    pos_cutoff = 12.0
+
+    def __init__(self) -> None:
+        self._coeffs = None        # (Ai, Ai') tables, (degree + 1, intervals)
         self._table_lock = threading.Lock()
 
-    # -- series ------------------------------------------------------------
+    # -- extended-precision node values -------------------------------------
 
     @staticmethod
     def _series(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,66 +153,12 @@ class AiryEngine:
             aip = aip + dterm_a + dterm_b
         return ai, aip
 
-    # -- asymptotic expansions ----------------------------------------------
-
     @staticmethod
-    def _asym_pos(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Ai(110) ~ e^-769 underflows double precision outright.
-        deep = y > 108.0
-        if np.any(deep):
-            ai = np.zeros_like(y)
-            aip = np.zeros_like(y)
-            if np.any(~deep):
-                ai[~deep], aip[~deep] = AiryEngine._asym_pos(y[~deep])
-            return ai, aip
-        zeta = (2.0 / 3.0) * y ** 1.5
-        s_ai = np.zeros_like(y)
-        s_aip = np.zeros_like(y)
-        power = np.ones_like(y)
-        for k in range(len(_U_COEFFS)):
-            sign = -1.0 if k % 2 else 1.0
-            s_ai = s_ai + sign * _U_COEFFS[k] * power
-            s_aip = s_aip + sign * _V_COEFFS[k] * power
-            power = power / zeta
-        pref = np.exp(-zeta) / (2.0 * _SQRT_PI * y**0.25)
-        return pref * s_ai, -(y**0.25) * np.exp(-zeta) / (2.0 * _SQRT_PI) * s_aip
+    def _taylor_step(y0, f, fp, h, n_terms: int = 40):
+        """Advance (Ai, Ai') from y0 to y0 + h via the ODE's Taylor series.
 
-    @staticmethod
-    def _asym_neg(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        far = y < -60.0
-        if np.any(far) and np.any(~far):
-            ai = np.empty_like(y)
-            aip = np.empty_like(y)
-            ai[far], aip[far] = AiryEngine._asym_neg(y[far])
-            ai[~far], aip[~far] = AiryEngine._asym_neg(y[~far])
-            return ai, aip
-        n_terms = 6 if (y.size and y[0] < -60.0) else len(_U_COEFFS)
-        t = -y
-        zeta = (2.0 / 3.0) * t ** 1.5
-        theta = zeta - 0.25 * math.pi
-        even_ai = np.zeros_like(t)
-        odd_ai = np.zeros_like(t)
-        even_aip = np.zeros_like(t)
-        odd_aip = np.zeros_like(t)
-        power = np.ones_like(t)
-        for k in range(n_terms):
-            sign = -1.0 if (k // 2) % 2 else 1.0
-            if k % 2 == 0:
-                even_ai = even_ai + sign * _U_COEFFS[k] * power
-                even_aip = even_aip + sign * _V_COEFFS[k] * power
-            else:
-                odd_ai = odd_ai + sign * _U_COEFFS[k] * power
-                odd_aip = odd_aip + sign * _V_COEFFS[k] * power
-            power = power / zeta
-        ai = (np.cos(theta) * even_ai + np.sin(theta) * odd_ai) / (_SQRT_PI * t**0.25)
-        aip = (np.sin(theta) * even_aip - np.cos(theta) * odd_aip) * t**0.25 / _SQRT_PI
-        return ai, aip
-
-    # -- Chebyshev bridges ---------------------------------------------------
-
-    @staticmethod
-    def _taylor_step(y0: _LD, f: _LD, fp: _LD, h: _LD, n_terms: int = 40):
-        """Advance (Ai, Ai') from y0 to y0 + h via the ODE's Taylor series."""
+        Works elementwise on arrays as well as on scalars.
+        """
         coeffs = [f, fp, y0 * f / 2]
         for n in range(1, n_terms - 2):
             coeffs.append((y0 * coeffs[n] + coeffs[n - 1]) / ((n + 1) * (n + 2)))
@@ -198,113 +183,131 @@ class AiryEngine:
             knots.append((y, f, fp))
         return knots
 
-    def _build_table(self, lo: float, hi: float, knots, n_intervals: int, degree: int = 30):
-        edges = np.linspace(lo, hi, n_intervals + 1)
-        knot_y = np.array([float(k[0]) for k in knots])
-        coeff_ai = []
-        coeff_aip = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            # Chebyshev nodes of the interval, values via local Taylor steps.
-            j = np.arange(degree + 1)
-            nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / degree)
-            vals, ders = [], []
-            for x in nodes:
-                idx = int(np.argmin(np.abs(knot_y - x)))
-                y0, f, fp = knots[idx]
-                v, d = self._taylor_step(y0, f, fp, _LD(x) - y0)
-                vals.append(float(v))
-                ders.append(float(d))
-            scaled = (nodes - 0.5 * (a + b)) / (0.5 * (b - a))
-            coeff_ai.append(np.polynomial.chebyshev.chebfit(scaled, vals, degree))
-            coeff_aip.append(np.polynomial.chebyshev.chebfit(scaled, ders, degree))
-        return edges, np.array(coeff_ai), np.array(coeff_aip)
-
-    def _tables(self):
-        # Built once under a lock: threaded sweeps share the engine.
-        with self._table_lock:
-            if self._neg_table is None:
-                f, fp = self._series(np.array([-self.series_cutoff]))
-                knots = self._march(-self.series_cutoff, -self.neg_cutoff - 0.5,
-                                    f[0], fp[0])
-                n_iv = int(math.ceil(self.neg_cutoff - self.series_cutoff))
-                neg = self._build_table(
-                    -self.neg_cutoff, -self.series_cutoff, knots, n_iv)
-                seed_y = self.pos_cutoff + 0.5
-                ai0, aip0 = self._asym_pos(np.array([seed_y]))
-                knots = self._march(seed_y, self.series_cutoff - 0.5,
-                                    _LD(ai0[0]), _LD(aip0[0]))
-                n_iv = int(math.ceil(self.pos_cutoff - self.series_cutoff))
-                pos = self._build_table(
-                    self.series_cutoff, self.pos_cutoff, knots, n_iv)
-                self._pos_table = pos
-                self._neg_table = neg
-            return self._neg_table, self._pos_table
+    # -- asymptotic expansions ----------------------------------------------
 
     @staticmethod
-    def _eval_table(table, y: np.ndarray, derivative: bool) -> np.ndarray:
-        edges, coeff_ai, coeff_aip = table
-        coeffs = coeff_aip if derivative else coeff_ai
-        idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, len(coeffs) - 1)
-        out = np.empty_like(y)
-        for block in np.unique(idx):
-            sel = idx == block
-            a, b = edges[block], edges[block + 1]
-            scaled = (y[sel] - 0.5 * (a + b)) / (0.5 * (b - a))
-            out[sel] = np.polynomial.chebyshev.chebval(scaled, coeffs[block])
-        return out
+    def _asym_pos(y: np.ndarray, derivative: bool, log: bool = False) -> np.ndarray:
+        """Ai(y) (or Ai'(y)) for y > pos_cutoff; with log=True, log|Ai(y)|
+        (or log|Ai'(y)|), which stays finite where the value underflows."""
+        zeta = (2.0 / 3.0) * y * np.sqrt(y)
+        ln = (np.log(_horner(_POS_SERIES[derivative], 1.0 / zeta)) - zeta - _LOG_2_SQRT_PI
+              + (0.25 if derivative else -0.25) * np.log(y))
+        if log:
+            return ln
+        return -np.exp(ln) if derivative else np.exp(ln)
+
+    @staticmethod
+    def _asym_neg(y: np.ndarray, derivative: bool) -> np.ndarray:
+        """Ai(y) (or Ai'(y)) for y < -neg_cutoff."""
+        t = -y
+        root = np.sqrt(t)
+        zeta = (2.0 / 3.0) * t * root
+        inv = 1.0 / zeta
+        inv2 = inv * inv
+        even = _horner(_NEG_EVEN[derivative], inv2)
+        odd = _horner(_NEG_ODD[derivative], inv2)
+        odd *= inv
+        theta = zeta - 0.25 * math.pi
+        cos, sin = np.cos(theta), np.sin(theta)
+        quarter = np.sqrt(root)
+        if derivative:
+            return (sin * even - cos * odd) * (quarter / _SQRT_PI)
+        return (cos * even + sin * odd) / (_SQRT_PI * quarter)
+
+    # -- the table ----------------------------------------------------------
+
+    def _table(self):
+        # Built once under a lock: threaded sweeps share the engine.
+        with self._table_lock:
+            if self._coeffs is None:
+                self._coeffs = self._chebyshev_coefficients()
+            return self._coeffs
+
+    def _chebyshev_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chebyshev coefficients of Ai and Ai', (degree + 1, intervals) each."""
+        # Knots every 0.25, with extended-precision (Ai, Ai') at each.
+        ys = np.arange(-self.series_cutoff, self.series_cutoff + 0.125, 0.25)
+        f, fp = self._series(ys)
+        knots = list(zip(ys.astype(_LD), f, fp))
+        knots += self._march(-self.series_cutoff, -self.neg_cutoff - 0.5, f[0], fp[0])
+        seed_y = self.pos_cutoff + 0.5
+        seed = np.array([seed_y])
+        ai0, aip0 = (_LD(self._asym_pos(seed, derivative)[0]) for derivative in (False, True))
+        knots += self._march(seed_y, self.series_cutoff, ai0, aip0)
+        knot_y, knot_f, knot_fp = (np.array(col) for col in zip(*knots))
+
+        # Chebyshev extreme points of every interval, one column each.
+        n_iv = round((self.pos_cutoff + self.neg_cutoff) / _TABLE_WIDTH)
+        d = _TABLE_DEGREE
+        j = np.arange(d + 1)
+        cheb_x = np.cos(np.pi * j / d)
+        centers = -self.neg_cutoff + _TABLE_WIDTH * (np.arange(n_iv) + 0.5)
+        nodes = centers.astype(_LD) + _LD(0.5 * _TABLE_WIDTH) * cheb_x.astype(_LD)[:, None]
+        near = np.abs(knot_y.astype(float)[:, None, None] - nodes.astype(float)).argmin(axis=0)
+        values = self._taylor_step(knot_y[near], knot_f[near], knot_fp[near],
+                                   nodes - knot_y[near])
+
+        # DCT-I: interpolant coefficients from values at the extreme points.
+        weights = np.ones(d + 1)
+        weights[[0, d]] = 0.5
+        dct = (2.0 / d) * np.cos(np.pi * np.outer(j, j) / d)
+        dct *= weights[:, None] * weights[None, :]
+        return tuple((dct.astype(_LD) @ v).astype(float) for v in values)
+
+    def _chebyshev(self, y: np.ndarray, derivative: bool) -> np.ndarray:
+        """Gather-Clenshaw: each point sums the series of its own interval."""
+        coeffs = self._table()[derivative]
+        u = (y + self.neg_cutoff) / _TABLE_WIDTH
+        idx = np.minimum(u.astype(np.intp), coeffs.shape[1] - 1)
+        s = 2.0 * (u - idx) - 1.0
+        two_s = 2.0 * s
+        b1 = coeffs[-1].take(idx)
+        b2 = np.zeros_like(s)
+        for row in coeffs[-2:0:-1]:
+            # b_k = c_k + 2 s b_{k+1} - b_{k+2}, written over b_{k+2}.
+            b2 -= two_s * b1
+            np.subtract(row.take(idx), b2, out=b2)
+            b1, b2 = b2, b1
+        return coeffs[0].take(idx) + s * b1 - b2
 
     # -- public evaluation ----------------------------------------------------
 
-    def _eval(self, y: np.ndarray, derivative: bool) -> np.ndarray:
+    def _eval(self, y, derivatives: tuple[bool, ...] = (False,)) -> list[np.ndarray]:
+        """Ai (False) and/or Ai' (True) of y, one array per entry of derivatives."""
         y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        neg_table, pos_table = self._tables()
-        series = np.abs(y) <= self.series_cutoff
-        neg_asym = y < -self.neg_cutoff
-        pos_asym = y > self.pos_cutoff
-        neg_bridge = (~series) & (~neg_asym) & (y < 0)
-        pos_bridge = (~series) & (~pos_asym) & (y > 0)
-        if np.any(series):
-            ai, aip = self._series(y[series])
-            out[series] = (aip if derivative else ai).astype(float)
-        if np.any(neg_asym):
-            ai, aip = self._asym_neg(y[neg_asym])
-            out[neg_asym] = aip if derivative else ai
-        if np.any(pos_asym):
-            ai, aip = self._asym_pos(y[pos_asym])
-            out[pos_asym] = aip if derivative else ai
-        if np.any(neg_bridge):
-            out[neg_bridge] = self._eval_table(neg_table, y[neg_bridge], derivative)
-        if np.any(pos_bridge):
-            out[pos_bridge] = self._eval_table(pos_table, y[pos_bridge], derivative)
-        return out
+        flat = y.ravel()
+        outs = [np.empty_like(flat) for _ in derivatives]
+        branches = (self._asym_neg, self._chebyshev, self._asym_pos)
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start:start + _BLOCK]
+            masks = (block < -self.neg_cutoff,
+                     (block >= -self.neg_cutoff) & (block <= self.pos_cutoff),
+                     (block > self.pos_cutoff) & (block <= _UNDERFLOW_Y))
+            for derivative, out in zip(derivatives, outs):
+                part = out[start:start + _BLOCK]
+                part.fill(np.nan)            # NaN lies in no region
+                part[block > _UNDERFLOW_Y] = 0.0
+                for mask, branch in zip(masks, branches):
+                    if mask.any():
+                        part[mask] = branch(block[mask], derivative)
+        return [out.reshape(y.shape) for out in outs]
 
     def ai(self, y) -> np.ndarray | float:
-        out = self._eval(np.atleast_1d(y), derivative=False)
-        return float(out[0]) if np.ndim(y) == 0 else out
+        out = self._eval(y)[0]
+        return float(out) if np.ndim(y) == 0 else out
 
     def ai_prime(self, y) -> np.ndarray | float:
-        out = self._eval(np.atleast_1d(y), derivative=True)
-        return float(out[0]) if np.ndim(y) == 0 else out
+        out = self._eval(y, (True,))[0]
+        return float(out) if np.ndim(y) == 0 else out
 
     def ai_log(self, y) -> np.ndarray:
         """log|Ai(y)| for y >= 0, usable far beyond the overflow range."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.empty_like(y)
         small = y <= self.pos_cutoff
-        if np.any(small):
-            with np.errstate(divide="ignore"):
-                out[small] = np.log(np.abs(self._eval(y[small], derivative=False)))
-        if np.any(~small):
-            yy = y[~small]
-            zeta = (2.0 / 3.0) * yy ** 1.5
-            s_ai = np.zeros_like(yy)
-            power = np.ones_like(yy)
-            for k in range(len(_U_COEFFS)):
-                s_ai = s_ai + (-1.0 if k % 2 else 1.0) * _U_COEFFS[k] * power
-                power = power / zeta
-            out[~small] = -zeta - 0.25 * np.log(yy) - math.log(2.0 * _SQRT_PI) \
-                + np.log(s_ai)
+        with np.errstate(divide="ignore"):
+            out[small] = np.log(np.abs(self._eval(y[small])[0]))
+        out[~small] = self._asym_pos(y[~small], False, log=True)
         return out
 
     # -- zeros ------------------------------------------------------------------
@@ -317,8 +320,7 @@ class AiryEngine:
         z = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / t2**2
                                    + 77125.0 / 82944.0 / t2**3)
         for iteration in range(100):
-            f = self._eval(z, derivative=False)
-            fp = self._eval(z, derivative=True)
+            f, fp = self._eval(z, (False, True))
             step = f / fp
             step = np.clip(step, -0.5, 0.5)
             z = z - step
@@ -341,14 +343,14 @@ def default_engine() -> AiryEngine:
 
 def airy_ai(y):
     """Ai(y) to 1e-12 absolute for |y| < 1e3."""
-    if np.max(np.abs(y)) >= 1e3:
+    if np.any(np.abs(y) >= 1e3):
         raise ValueError("airy_ai supports |y| < 1e3; use the spectral helpers beyond")
     return default_engine().ai(y)
 
 
 def airy_ai_prime(y):
     """Ai'(y) to ~1e-12 absolute for |y| < 1e3."""
-    if np.max(np.abs(y)) >= 1e3:
+    if np.any(np.abs(y) >= 1e3):
         raise ValueError("airy_ai_prime supports |y| < 1e3")
     return default_engine().ai_prime(y)
 
@@ -621,7 +623,13 @@ def render_spectral(params: PhysicalParams, projection: BouncerProjection,
             phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
             coeff = (projection.coefficients[i, sel] * np.exp(1j * phases)
                      * spectrum.norms[i, sel])
-            channels[i] += coeff @ basis
+            # Real and imaginary rows times the real basis: the basis is never
+            # copied to complex.  einsum keeps the product on this thread;
+            # BLAS worker threads would spin between chunks, costing more CPU
+            # than they save.
+            re, im = np.einsum("cm,mn->cn", np.stack([coeff.real, coeff.imag]), basis)
+            channels[i].real += re
+            channels[i].imag += im
     return GridWavefunction(grid, channels)
 
 

@@ -109,10 +109,40 @@ def test_airy_zero_ordering_and_range_guard():
 
 
 def test_engine_accuracy_against_mpmath_grid():
-    ys = np.concatenate([np.linspace(-30, -0.5, 40), np.linspace(0.0, 14.0, 20)])
-    for y in ys:
-        assert bc.airy_ai(float(y)) == pytest.approx(float(mp.airyai(y)), abs=1e-12)
-        assert bc.airy_ai_prime(float(y)) == pytest.approx(float(mp.airyai(y, 1)), abs=2e-11)
+    """Over [-170, 40] (rendered arguments reach -170; past 40, Ai < 1e-40):
+    a dense grid, every table-interval edge, and +-1e-12 around each cutoff."""
+    eng = bc.AiryEngine
+    cutoffs = np.array([-eng.neg_cutoff, -eng.series_cutoff, eng.series_cutoff,
+                        eng.pos_cutoff, bc._UNDERFLOW_Y])
+    edges = np.arange(-eng.neg_cutoff, eng.pos_cutoff + 1e-9, bc._TABLE_WIDTH)
+    ys = np.concatenate([np.linspace(-170.0, 40.0, 401), edges,
+                         cutoffs - 1e-12, cutoffs + 1e-12])
+    for y, ai, aip in zip(ys, bc.airy_ai(ys), bc.airy_ai_prime(ys)):
+        assert ai == pytest.approx(float(mp.airyai(float(y))), abs=1e-12)
+        assert aip == pytest.approx(float(mp.airyai(float(y), 1)), abs=2e-11)
+
+
+def test_engine_against_scipy_dense_and_exact_underflow():
+    special = pytest.importorskip("scipy.special")
+    ys = np.linspace(-170.0, 40.0, 1 << 17)
+    ai_ref, aip_ref, _, _ = special.airy(ys)
+    assert np.max(np.abs(bc.airy_ai(ys) - ai_ref)) < 1e-12
+    assert np.max(np.abs(bc.airy_ai_prime(ys) - aip_ref)) < 2e-11
+    deep = np.linspace(np.nextafter(bc._UNDERFLOW_Y, np.inf), 170.0, 1001)
+    assert np.all(bc.airy_ai(deep) == 0.0)
+    assert np.all(bc.airy_ai_prime(deep) == 0.0)
+
+
+def test_nan_gives_nan_and_empty_gives_empty():
+    engine = bc.AiryEngine()
+    engine.ai(np.linspace(-50.0, 50.0, 100_000))   # leaves freed memory behind
+    y = np.tile([np.nan, 3.0], 5000)
+    for evaluate in (engine.ai, engine.ai_prime):
+        out = evaluate(y)
+        assert np.all(np.isnan(out[0::2]))
+        assert np.all(out[1::2] == evaluate(3.0))
+    for evaluate in (bc.airy_ai, bc.airy_ai_prime):
+        assert evaluate(np.array([])).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +259,34 @@ def test_spectral_norm_constant_in_time(bouncer_params):
     norms = [bc.render_spectral(p, proj, t, grid).norm_sq()
              for t in (0.0, 0.05, 0.31, 1.7)]
     assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-6
+
+
+def test_render_spectral_against_mpmath_sum(bouncer_params):
+    """The rendered state against sum_n c_n e^{-i E_n t / hbar} N_n Ai(x / l + z_n),
+    summed with mpmath Ai on the same float64 arguments.
+
+    The sample packet's weight sits hundreds of levels up, so its own
+    first 20 coefficients are nearly zero; equal-weight coefficients with
+    spread phases make every level count instead.
+    """
+    p = bouncer_params
+    spec = bc.bouncer_spectrum(p, 20)
+    flat = np.exp(0.7j * np.arange(2 * spec.n_max)).reshape(2, -1) / math.sqrt(2 * spec.n_max)
+    unused = np.zeros((2, spec.n_max))
+    proj = bc.BouncerProjection(spec, unused, unused, flat, 0.0, 1.0)
+    grid = orc.Grid(0.0, max(spec.lengths) * (abs(spec.zeros[-1]) + 12.0), 256)
+    ref = bc.spectral_phase_ref(p, proj)
+    rendered = bc.render_spectral(p, proj, p.dt, grid, ref).channels
+    expected = np.zeros_like(rendered)
+    with mp.workdps(20):
+        for i in (0, 1):
+            for n in range(spec.n_max):
+                rel_energy = float(spec.band[i, n] - ref.band_ref[i])
+                phase = -mp.mpf(rel_energy) * mp.mpf(p.dt) / mp.mpf(p.hbar)
+                amp = complex(mp.expj(phase)) * flat[i, n] * spec.norms[i, n]
+                args = grid.xs() / spec.lengths[i] + spec.zeros[n]
+                expected[i] += amp * np.array([float(mp.airyai(float(y))) for y in args])
+    assert np.max(np.abs(rendered - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.filterwarnings("ignore:coefficient truncation")
