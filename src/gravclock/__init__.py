@@ -28,6 +28,7 @@ from .gaussian import (
     EvolutionError,
     GaussianBranch,
     PhaseLedger,
+    PrecisionError,
     evolve_freefall_approx,
     evolve_freefall_full,
     evolve_mz,

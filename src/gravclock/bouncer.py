@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import PhysicalParams
 from .gaussian import wrap_angle
-from .oracle import Grid, GridWavefunction, bures_qfi, fidelity, tune_bures_delta
+from .oracle import Grid, GridWavefunction, fidelity, richardson_bures_qfi
 
 _LD = np.longdouble
 
@@ -654,13 +654,10 @@ def bouncer_qfi_numeric(params: PhysicalParams, t: float | None = None,
     def fid(v_lo: float, v_hi: float) -> float:
         return fidelity(state_at(v_lo), state_at(v_hi))
 
-    d, miss, resolved = tune_bures_delta(fid, params.g, delta)
+    qfi, resolved = richardson_bures_qfi(fid, params.g, delta)
     if not resolved:
         warnings.warn("bouncer QFI below fidelity resolution", stacklevel=2)
-        return bures_qfi(miss, d)
-    g_full = bures_qfi(miss, d)
-    g_half = bures_qfi(1.0 - fid(params.g - 0.25 * d, params.g + 0.25 * d), 0.5 * d)
-    return (4.0 * g_half - g_full) / 3.0
+    return qfi
 
 
 def spectrum_to_csv(projection: BouncerProjection, path) -> None:

@@ -62,6 +62,8 @@ class SweepSpec:
     def values(self) -> np.ndarray:
         if self.points < 2:
             raise ConfigError("sweep needs at least 2 points")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep needs finite start and stop")
         if not self.start < self.stop:
             raise ConfigError("sweep needs start < stop")
         if self.log:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,6 +92,10 @@ class PhysicalParams:
         object.__setattr__(self, "z0", self.e0 / (self.m * self.c**2))
         object.__setattr__(self, "z1", self.e1 / (self.m * self.c**2))
         problems = []
+        values = _float_fields(self)
+        if not all(map(math.isfinite, values)):
+            names = (name for name, v in zip(_FLOAT_FIELDS, values) if not math.isfinite(v))
+            problems.append(f"values must be finite: {', '.join(names)}")
         if not self.m > 0:
             problems.append("m must be positive")
         if not self.sigma > 0:
@@ -216,6 +221,10 @@ class PhysicalParams:
 
     def replace(self, **changes) -> "PhysicalParams":
         return dataclasses.replace(self, **changes)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(PhysicalParams) if f.type == "float")
+_float_fields = operator.attrgetter(*_FLOAT_FIELDS)
 
 
 def build_params(
@@ -424,9 +433,11 @@ def load_config(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key not in _STRING_KEYS:
             try:
-                float(value)
+                number = float(value)
             except ValueError:
                 raise ConfigError(f"line {lineno}: key {key!r} needs a number, got {value!r}") from None
+            if not math.isfinite(number):
+                raise ConfigError(f"line {lineno}: key {key!r} needs a finite number, got {value!r}")
         out[key] = value
     return out
 

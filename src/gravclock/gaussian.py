@@ -44,6 +44,30 @@ class EvolutionError(ValueError):
     """Raised when an evolution map's preconditions are violated."""
 
 
+class PrecisionError(RuntimeError):
+    """Raised where numpy's longdouble is too short for the phase ledger."""
+
+
+def check_extended_precision(eps: float | None = None) -> None:
+    """Refuse to reduce ledger phases without a 64-bit longdouble mantissa.
+
+    Ledger phases reach 1e15-1e16 rad, so reducing them mod 2 pi keeps
+    ~1e-4 rad only with the x87 80-bit format (eps = 2^-63) or better.
+    Where ``longdouble`` is plain float64 (eps = 2^-52) the reduced phase
+    would be noise; this raises instead.  ``eps`` defaults to the
+    platform's ``np.finfo(np.longdouble).eps``.  Run once at import.
+    """
+    if eps is None:
+        eps = float(np.finfo(_LD).eps)
+    if eps > 2.0**-63:
+        raise PrecisionError(
+            f"numpy longdouble has eps {eps:.3g} > 2^-63; the extended-precision "
+            "phase ledger needs the 80-bit x87 format or wider")
+
+
+check_extended_precision()
+
+
 def wrap_angle(value) -> np.ndarray | float:
     """Reduce an extended-precision phase to (-pi, pi] in float64."""
     reduced = np.mod(np.asarray(value, dtype=_LD) + PI_LD, TWO_PI_LD) - PI_LD

@@ -4,8 +4,30 @@ Every Gaussian-algebra result in this package can be recomputed here the
 dumb way: sample the wavefunction on a uniform grid, take trapezoid
 inner products, and get the QFI from the fidelity drop between two
 nearby parameter values (the Bures expansion ``1 - F ~ G d^2 / 4``).
-Nothing in this module reuses the closed-form overlap or QFI paths, so
-agreement is evidence, not tautology.
+Nothing in this module reuses the closed-form overlap or QFI paths
+(``PairMoments``, ``overlap``), so agreement is evidence, not tautology.
+
+Rendering samples each branch on the grid lattice x_k = x_min + k dx.
+The extended-precision phase ledger is evaluated only twice per branch:
+its phase at the grid's first point, phi0 = L(x_min), and the per-step
+increment theta = b dx, both wrapped to (-pi, pi].  Per point the phase
+phi0 + k theta + q (x_k - X)^2 is then formed in float64 (error about
+k ulp, ~1e-10 rad at 2^16 points).  Every branch shares that anchor at
+k = 0, whatever its window: branches with equal ledgers (the two paths of
+one level) get bit-identical phi0, so their relative phase carries none
+of the ~1e-4 rad longdouble rounding of a 1e15 rad lever arm.  Anchoring
+each window at its own first point would give each branch its own such
+rounding (at dt = 30 s, oracle vs closed 2e-4 instead of 3e-5).  Only
+the points within +-8.5 widths of a branch centre are evaluated; the
+envelope there is e^(-8.5^2/4) ~ 1.4e-8 of its peak, and the rest of
+the grid stays exactly zero.  ``gaussian.wavefunction_values`` stays the arbitrary-x
+reference sampler; the renderer does not use it.
+
+The fidelity |<a|b>|^2 / (<a|a><b|b>) comes from three trapezoid sums
+over both level channels, with no normalized copies.  The QFI takes an
+auto-tuned offset d, checks that halving it quarters the fidelity drop
+(the Bures scaling; a drop taken past a fidelity revival fails the check
+and the offset shrinks), and Richardson-combines the d and d/2 estimates.
 """
 
 from __future__ import annotations
@@ -19,9 +41,20 @@ import numpy as np
 
 from .core import PhysicalParams
 from .estimation import Scenario
-from .gaussian import ClockState, evolve_state, make_initial_state, wavefunction_values
+from .gaussian import (
+    ClockState,
+    GaussianBranch,
+    evolve_state,
+    make_initial_state,
+    wrap_angle,
+)
 
+_LD = np.longdouble
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+# Half-width of a branch's evaluation window, in widths (see the module
+# docstring); grid_for_states pads by the same amount.
+WINDOW_SIGMAS = 8.5
 
 
 class GridError(ValueError):
@@ -53,7 +86,7 @@ class Grid:
 
 
 def grid_for_states(*states: ClockState, n_points: int = 2**16,
-                    pad_sigmas: float = 8.5) -> Grid:
+                    pad_sigmas: float = WINDOW_SIGMAS) -> Grid:
     """Smallest grid covering every branch of every state to +-pad_sigmas."""
     lo = math.inf
     hi = -math.inf
@@ -80,17 +113,41 @@ class GridWavefunction:
     channels: np.ndarray      # complex, shape (2, n_points)
 
     def norm_sq(self) -> float:
-        dens = np.abs(self.channels) ** 2
-        return float(sum(_trapz(dens[i], dx=self.grid.spacing) for i in range(2)))
-
-    def normalized(self) -> "GridWavefunction":
-        return GridWavefunction(self.grid, self.channels / math.sqrt(self.norm_sq()))
+        return self.inner(self).real
 
     def inner(self, other: "GridWavefunction") -> complex:
+        """Trapezoid <self|other>, summed over both level channels."""
         if self.grid != other.grid:
             raise GridError("inner product requires a common grid")
         prod = np.conj(self.channels) * other.channels
-        return complex(sum(_trapz(prod[i], dx=self.grid.spacing) for i in range(2)))
+        ends = prod[:, 0].sum() + prod[:, -1].sum()
+        return complex(self.grid.spacing * (prod.sum() - 0.5 * ends))
+
+
+def _branch_window(branch: GaussianBranch, grid: Grid) -> tuple[slice, np.ndarray]:
+    """The unit-norm branch wavefunction on the lattice points within
+    +-WINDOW_SIGMAS widths of its centre: (slice of the grid, values).
+
+    The phase is the lattice phase of the module docstring, anchored at
+    the grid's first point whatever the window.
+    """
+    step = grid.spacing
+    s = math.sqrt(branch.var_x)
+    lo = (branch.mean_x - WINDOW_SIGMAS * s - grid.x_min) / step
+    hi = (branch.mean_x + WINDOW_SIGMAS * s - grid.x_min) / step
+    k_lo = 0 if lo <= 0 else math.ceil(lo)
+    k_hi = grid.n_points - 1 if hi >= grid.n_points - 1 else math.floor(hi)
+    ledger = branch.ledger
+    slope = _LD(ledger.slope)
+    phi0 = wrap_angle(ledger.constant_wrapped()
+                      + slope * (_LD(grid.x_min) - _LD(ledger.x_ref)))
+    theta = wrap_angle(slope * _LD(step))
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
+    dx = (grid.x_min - branch.mean_x) + k * step
+    dx2 = dx * dx
+    phase = phi0 + k * theta + branch.chirp * dx2
+    envelope = (2.0 * math.pi * branch.var_x) ** -0.25 * np.exp(-dx2 / (4.0 * branch.var_x))
+    return slice(k_lo, k_hi + 1), envelope * np.exp(1j * phase)
 
 
 def render(state: ClockState, grid: Grid) -> GridWavefunction:
@@ -109,18 +166,16 @@ def render(state: ClockState, grid: Grid) -> GridWavefunction:
         if grid.spacing >= s / 16.0:
             raise GridError(
                 f"grid spacing {grid.spacing:g} too coarse; need < {s / 16.0:g}")
-    xs = grid.xs()
     channels = np.zeros((2, grid.n_points), dtype=complex)
     for b in state.components:
-        channels[b.internal_level] += b.amplitude * wavefunction_values(b, xs)
+        window, values = _branch_window(b, grid)
+        channels[b.internal_level, window] += b.amplitude * values
     return GridWavefunction(grid, channels)
 
 
 def fidelity(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
-    """|<a|b>|^2 of the normalized states (channel sum inside the bracket)."""
-    a = psi_a.normalized()
-    b = psi_b.normalized()
-    return abs(a.inner(b)) ** 2
+    """|<a|b>|^2 / (<a|a> <b|b>), channel sum inside each bracket."""
+    return abs(psi_a.inner(psi_b)) ** 2 / (psi_a.norm_sq() * psi_b.norm_sq())
 
 
 def bures_qfi(one_minus_f: float, delta: float) -> float:
@@ -135,13 +190,16 @@ def bures_qfi(one_minus_f: float, delta: float) -> float:
 
 def tune_bures_delta(fidelity_fn, value: float, delta: float | None = None,
                      lo: float = 1e-6, hi: float = 1e-2,
-                     max_iterations: int = 40) -> tuple[float, float, bool]:
+                     max_iterations: int = 40,
+                     too_big: float | None = None) -> tuple[float, float, bool]:
     """Find a parameter offset with 1 - F inside [lo, hi].
 
     Geometric bisection on the offset; returns (delta, 1-F, resolved).
     ``resolved`` is False when even the largest sensible offset leaves
     1 - F below the window (a parameter the state barely depends on); the
     caller then reports the below-resolution estimate instead of failing.
+    ``too_big`` is an offset already known to be unusable: the search
+    treats it as lying above the window and stays below it.
     """
     # Weakly coupled parameters legitimately need huge offsets to produce
     # a resolvable fidelity drop (their phases stay tiny, so the Bures
@@ -150,7 +208,7 @@ def tune_bures_delta(fidelity_fn, value: float, delta: float | None = None,
     delta_cap = 1e8 * max(abs(value), 1.0)
     d = min(delta if delta is not None else 1e-6 * max(abs(value), 1.0), delta_cap)
     d_small = None   # largest offset known to sit below the window
-    d_big = None     # smallest offset known to sit above the window
+    d_big = too_big  # smallest offset known to sit above the window
     last = None
     for _ in range(max_iterations):
         miss = 1.0 - fidelity_fn(value - 0.5 * d, value + 0.5 * d)
@@ -170,13 +228,41 @@ def tune_bures_delta(fidelity_fn, value: float, delta: float | None = None,
         f"bisections; last offset {last[0]:g} gave 1-F = {last[1]:g}")
 
 
+def richardson_bures_qfi(fidelity_fn, value: float,
+                         delta: float | None = None) -> tuple[float, bool]:
+    """Bures QFI at ``value`` from ``fidelity_fn(v_lo, v_hi)``: (QFI, resolved).
+
+    The offset d comes from :func:`tune_bures_delta`.  The drop at d/2 is
+    then taken as well; a pure Bures drop scales as d^2, so it must be a
+    quarter of the drop at d (accepted in [0.2, 0.3]).  Otherwise d lies
+    past the quadratic regime, typically on a fidelity revival, and the
+    search is repeated below it.  An accepted pair gives the Richardson
+    combination (4 G(d/2) - G(d)) / 3.  Unresolved offsets return the
+    below-window estimate with ``resolved`` False.
+    """
+    d = delta
+    too_big = None
+    for _ in range(20):
+        d, miss, resolved = tune_bures_delta(fidelity_fn, value, d, too_big=too_big)
+        if not resolved:
+            return bures_qfi(miss, d), False
+        miss_half = 1.0 - fidelity_fn(value - 0.25 * d, value + 0.25 * d)
+        if 0.2 <= miss_half / miss <= 0.3:
+            g_full = bures_qfi(miss, d)
+            g_half = bures_qfi(miss_half, 0.5 * d)
+            return (4.0 * g_half - g_full) / 3.0, True
+        too_big = d
+        d = 0.5 * d
+    raise OracleError(f"no offset below {too_big:g} shows the Bures d^2 scaling")
+
+
 def qfi_numeric(scenario: Scenario, value: float | None = None,
                 delta: float | None = None, n_points: int = 2**16) -> float:
     """Fidelity-based QFI: G = 8 (1 - F(v - d/2, v + d/2)) / d^2.
 
-    The offset is auto-tuned so the fidelity drop sits inside the Bures
-    window, then Richardson-refined with a second offset d/2.  Each
-    fidelity evaluation renders both perturbed states on one shared grid.
+    The offset is auto-tuned and checked by :func:`richardson_bures_qfi`.
+    Each fidelity evaluation renders both perturbed states on one shared
+    grid.
     """
     v0 = scenario.value() if value is None else value
 
@@ -186,14 +272,11 @@ def qfi_numeric(scenario: Scenario, value: float | None = None,
         grid = grid_for_states(s_lo, s_hi, n_points=n_points)
         return fidelity(render(s_lo, grid), render(s_hi, grid))
 
-    d, miss, resolved = tune_bures_delta(fid, v0, delta)
+    qfi, resolved = richardson_bures_qfi(fid, v0, delta)
     if not resolved:
         warnings.warn("parameter sensitivity below fidelity resolution; "
                       "returning the below-window Bures estimate", stacklevel=2)
-        return bures_qfi(miss, d)
-    g_full = bures_qfi(miss, d)
-    g_half = bures_qfi(1.0 - fid(v0 - 0.25 * d, v0 + 0.25 * d), 0.5 * d)
-    return (4.0 * g_half - g_full) / 3.0
+    return qfi
 
 
 def detector_wavefunctions(params: PhysicalParams, scenario: str,
@@ -201,9 +284,11 @@ def detector_wavefunctions(params: PhysicalParams, scenario: str,
     """Path-space detector states: clock-free evolved branches interfered."""
     ref_params = params.replace(e0=0.0, e1=0.0)
     ref = evolve_state(make_initial_state(ref_params.replace(phi=0.0)), ref_params, scenario)
-    xs = grid.xs()
-    plus = wavefunction_values(ref.branch("plus", 0), xs)
-    minus = wavefunction_values(ref.branch("minus", 0), xs)
+    plus = np.zeros(grid.n_points, dtype=complex)
+    minus = np.zeros(grid.n_points, dtype=complex)
+    for out, path in ((plus, "plus"), (minus, "minus")):
+        window, values = _branch_window(ref.branch(path, 0), grid)
+        out[window] = values
     d_plus = (plus + minus) / math.sqrt(2.0)
     d_minus = (plus - minus) / math.sqrt(2.0)
     return d_plus, d_minus

@@ -132,6 +132,24 @@ def test_bad_config_exit_2(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("line", ["time.dt_s = nan", "physics.g = inf"])
+def test_non_finite_config_exit_2(tmp_path, capsys, line):
+    """Rejected at parse time, not blamed on a method at exit 3."""
+    cfg = tmp_path / "nf.cfg"
+    cfg.write_text(f"scenario.name = free_fall\n{line}\n")
+    rc = cli.main(["run", "--config", str(cfg), "--methods", "closed,parametric,fi"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_sweep_bound_exit_2(tmp_path, capsys):
+    cfg = _write_ff_config(tmp_path)
+    rc = cli.main(["sweep", "--config", str(cfg), "--var", "dt", "--from", "1",
+                   "--to", "inf", "--points", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_bad_method_and_target_exit_2(tmp_path):
     cfg = _write_ff_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--methods", "magic"]) == 2

@@ -156,3 +156,19 @@ def test_config_bad_number(tmp_path):
     path.write_text("time.dt_s = ten\n")
     with pytest.raises(core.ConfigError, match="line 1"):
         core.load_config(path)
+
+
+@pytest.mark.parametrize("line", ["time.dt_s = nan", "physics.g = inf",
+                                  "geometry.sigma_m = -inf"])
+def test_config_non_finite_number(tmp_path, line):
+    path = tmp_path / "c.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(core.ConfigError, match="line 1.*finite"):
+        core.load_config(path)
+
+
+def test_params_reject_non_finite(sr88_10s):
+    with pytest.raises(core.ParamsError, match="finite: dt"):
+        sr88_10s.replace(dt=math.nan)
+    with pytest.raises(core.ParamsError, match="finite: g$"):
+        sr88_10s.replace(g=math.inf)

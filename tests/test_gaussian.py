@@ -371,3 +371,15 @@ def test_unitarity_of_evolution_maps(sr88_10s, crosscheck_params):
         for scenario in ("free_fall", "free_fall_approx", "mach_zehnder"):
             evolved = ga.evolve_state(initial, p, scenario)
             assert ga.state_norm_sq(evolved) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_extended_precision_guard(monkeypatch):
+    ga.check_extended_precision(2.0**-63)
+    ga.check_extended_precision(2.0**-112)
+    with pytest.raises(ga.PrecisionError, match="2\\^-63"):
+        ga.check_extended_precision(2.0**-52)
+    if np.finfo(np.longdouble).eps <= 2.0**-63:
+        ga.check_extended_precision()
+    monkeypatch.setattr(ga, "_LD", np.float64)
+    with pytest.raises(ga.PrecisionError):
+        ga.check_extended_precision()

@@ -123,6 +123,64 @@ def test_pair_moments_match_grid_quadrature():
 
 
 # ---------------------------------------------------------------------------
+# Windowed lattice-phase kernel
+# ---------------------------------------------------------------------------
+
+def _full_lattice(monkeypatch, branch, grid):
+    with monkeypatch.context() as m:
+        m.setattr(orc, "WINDOW_SIGMAS", math.inf)
+        return orc._branch_window(branch, grid)
+
+
+def test_window_matches_full_lattice(sr88_10s, monkeypatch):
+    """Outside its +-8.5 sigma window a branch is only the Gaussian tail."""
+    p = sr88_10s
+    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    grid = orc.grid_for_states(state)
+    tail = math.exp(-8.5**2 / 4.0)
+    for b in state.components:
+        window, values = orc._branch_window(b, grid)
+        full_window, full = _full_lattice(monkeypatch, b, grid)
+        assert full_window == slice(0, grid.n_points)
+        assert window.stop - window.start < grid.n_points // 4
+        windowed = np.zeros(grid.n_points, dtype=complex)
+        windowed[window] = values
+        assert np.array_equal(windowed[window], full[window])
+        peak = (2.0 * math.pi * b.var_x) ** -0.25
+        assert np.max(np.abs(windowed - full)) <= tail * peak
+
+
+def test_kernel_matches_reference_sampler(monkeypatch):
+    """On short lever arms the lattice phase equals the per-point ledger."""
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        b = _random_branch(rng)
+        grid = orc.grid_for_states(ga.ClockState((b,)), n_points=2**12)
+        _window, values = _full_lattice(monkeypatch, b, grid)
+        ref = ga.wavefunction_values(b, grid.xs())
+        assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_render_and_detector_share_kernel(sr88_10s):
+    """With time dilation ablated the detector pair spans the evolved state,
+    so P+ + P- = 1; sampling the two on different phase lattices loses ~1e-6."""
+    p = sr88_10s.replace(phi=0.8, ablate_time_dilation=True)
+    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    psi = orc.render(state, orc.grid_for_states(state))
+    p_plus, p_minus = orc.probabilities_numeric(psi, p, "free_fall")
+    assert p_plus + p_minus == pytest.approx(1.0, abs=1e-8)
+
+
+def test_oracle_vs_closed_at_30s_anchor(crosscheck_params):
+    """Branches ~4.6 km down: the ledger phase has ~1e15 rad lever arms, and
+    a per-branch phase anchor would leave ~1e-4 rad of rounding in each."""
+    p = crosscheck_params[9]
+    closed = est.qfi_ff_closed(p)
+    got = orc.qfi_numeric(est.Scenario("free_fall", p, "g"), n_points=2**16)
+    assert abs(got - closed) / closed <= 1e-4
+
+
+# ---------------------------------------------------------------------------
 # Fidelity
 # ---------------------------------------------------------------------------
 
@@ -190,6 +248,47 @@ def test_qfi_numeric_vs_parametric(sr88_10s, crosscheck_params):
         sc = est.Scenario("free_fall", p, "g")
         assert orc.qfi_numeric(sc) == pytest.approx(
             est.qfi_pure_parametric(sc), rel=1e-2)
+
+
+# Regime-valid free-fall sets on which the offset search once accepted a
+# drop taken past a fidelity revival (1 - F ~ 1e-2 at d, ~1 at d/2), and
+# oracle vs closed missed by 1.1e-2 and 8.1e-2.  The first is the
+# benchmark's fixed Bures-edge set, the second its seed-7 range draw.
+BURES_EDGE = dict(m=1.0308e-25, e0=0.3154 * core.EV, e1=2.4670 * core.EV, g=9.81745,
+                  x_plus=0.514458, x_minus=0.5, x0=0.503667, x_plus0=0.514496,
+                  x_minus0=0.500119, sigma=1.22955e-4, dt=23.7591, phi=0.364531)
+RANGE_SEED7 = dict(m=1.3219440946348222e-25, e0=0.072450116485804517 * core.EV,
+                   e1=3.9476190056214064 * core.EV, g=9.5420156083697201,
+                   g_plus=9.5420155936255835, g_minus=9.5420156231138566,
+                   x_plus=0.51001258623187484, x_minus=0.5, x0=0.50215012233364853,
+                   x_plus0=0.50987154348754438, x_minus0=0.50002719879742974,
+                   sigma=0.00012249359726128066, dt=26.805912821170633,
+                   phi=0.35309007095671407)
+
+
+@pytest.mark.parametrize("kw", [BURES_EDGE, RANGE_SEED7], ids=["bures_edge", "range_seed7"])
+def test_qfi_numeric_past_fidelity_revival(kw):
+    p = core.build_params(**kw)
+    assert core.check_regime(p).satisfied
+    closed = est.qfi_ff_closed(p)
+    got = orc.qfi_numeric(est.Scenario("free_fall", p, "g"))
+    assert abs(got - closed) / closed <= 1e-3
+
+
+def test_richardson_rejects_fidelity_revival():
+    """F = cos^2(k d) has G = 4 k^2; the first offset tried, 1e-6, sits just
+    past the revival at k d = pi, where 1 - F = 3.6e-3 is inside the window."""
+    k = (math.pi + 0.06) / 1e-6
+    calls = []
+
+    def fid(v_lo, v_hi):
+        calls.append(v_hi - v_lo)
+        return math.cos(k * (v_hi - v_lo)) ** 2
+
+    qfi, resolved = orc.richardson_bures_qfi(fid, 0.0)
+    assert resolved
+    assert qfi == pytest.approx(4.0 * k * k, rel=1e-6)
+    assert max(calls[2:]) < 1e-6
 
 
 def test_grid_refinement_convergence(sr88_10s):
