@@ -30,7 +30,6 @@ evaluated in log space because the two factors overflow separately.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -123,7 +122,6 @@ class AiryEngine:
 
     def __init__(self) -> None:
         self._coeffs = None        # (Ai, Ai') tables, (degree + 1, intervals)
-        self._table_lock = threading.Lock()
 
     # -- extended-precision node values -------------------------------------
 
@@ -217,11 +215,9 @@ class AiryEngine:
     # -- the table ----------------------------------------------------------
 
     def _table(self):
-        # Built once under a lock: threaded sweeps share the engine.
-        with self._table_lock:
-            if self._coeffs is None:
-                self._coeffs = self._chebyshev_coefficients()
-            return self._coeffs
+        if self._coeffs is None:
+            self._coeffs = self._chebyshev_coefficients()
+        return self._coeffs
 
     def _chebyshev_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Chebyshev coefficients of Ai and Ai', (degree + 1, intervals) each."""

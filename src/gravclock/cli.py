@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,6 +98,12 @@ class ScenarioConfig:
             bad = set(self.methods) - {"closed", "oracle"}
             if bad:
                 raise ConfigError(f"bouncer supports methods closed, oracle (got {sorted(bad)})")
+        if self.scenario == "mach_zehnder" and self.sweep is not None \
+                and self.sweep.variable == "g":
+            raise ConfigError(
+                "sweep --var g would write identical mach_zehnder rows: the MZ potential "
+                "uses the slopes physics.g_plus/physics.g_minus (targets delta_g/bar_g), "
+                "which g does not change")
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +145,7 @@ def _run_method(out: dict, column: str, method: str, thunk) -> None:
 
 def run_single(cfg: ScenarioConfig) -> est.EstimationReport:
     values = _evaluate_methods(cfg, cfg.params)
+    regime = check_regime(cfg.params)
     report = est.EstimationReport(
         parameter_name=cfg.target,
         qfi_closed=values["qfi_closed"],
@@ -154,8 +160,8 @@ def run_single(cfg: ScenarioConfig) -> est.EstimationReport:
             "ablate_time_dilation": cfg.ablate,
             "fd_rel_step": 1e-5,
             "bouncer_n_max": cfg.n_max if cfg.scenario == "bouncer" else None,
-            "regime_ok": check_regime(cfg.params).satisfied,
-            "regime_failing": list(check_regime(cfg.params).failing()),
+            "regime_ok": regime.satisfied,
+            "regime_failing": list(regime.failing()),
         },
     ).finalize()
     return report
@@ -169,18 +175,14 @@ class SweepRow:
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
+    """Evaluate the sweep points in order, one row each, on this thread."""
     assert cfg.sweep is not None
     field = _SWEEP_VARS[cfg.sweep.variable]
-    points = [float(v) for v in cfg.sweep.values()]
-
-    def one(value: float) -> SweepRow:
+    rows = []
+    for value in cfg.sweep.values().tolist():
         params = cfg.params.replace(**{field: value})
-        return SweepRow(value, _evaluate_methods(cfg, params),
-                        check_regime(params).satisfied)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-        rows = list(pool.map(one, points))
-    rows.sort(key=lambda r: r.swept_value)
+        rows.append(SweepRow(value, _evaluate_methods(cfg, params),
+                             check_regime(params).satisfied))
     return rows
 
 
@@ -206,12 +208,20 @@ def read_table(path: Path) -> dict[str, list]:
         raise ConfigError(f"empty table {path}")
     header = lines[0].split(",")
     columns: dict[str, list] = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path} line {lineno}: {len(cells)} cells "
+                              f"for {len(header)} columns")
+        for name, cell in zip(header, cells):
             if name == "regime_ok":
                 columns[name].append(cell == "true")
-            else:
+                continue
+            try:
                 columns[name].append(float(cell) if cell else None)
+            except ValueError:
+                raise ConfigError(f"{path} line {lineno}: column {name!r} needs a number, "
+                                  f"got {cell!r}") from None
     return columns
 
 
@@ -336,15 +346,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit(args) -> int:
     table = read_table(Path(args.table))
-    if args.column not in table:
-        raise ConfigError(f"column {args.column!r} not in table "
-                          f"(have: {', '.join(table)})")
-    xs, ys = [], []
-    for x, y in zip(table["swept_value"], table[args.column]):
-        if y is None:
-            raise ConfigError(f"column {args.column!r} has empty cells")
-        xs.append(x)
-        ys.append(y)
+    for name in ("swept_value", args.column):
+        if name not in table:
+            raise ConfigError(f"column {name!r} not in table (have: {', '.join(table)})")
+        if None in table[name]:
+            raise ConfigError(f"column {name!r} has empty cells")
+    xs, ys = table["swept_value"], table[args.column]
     try:
         if args.tail:
             slope, stderr, start = tail_window_fit(xs, ys)
@@ -352,9 +359,15 @@ def _cmd_fit(args) -> int:
                   f"(tail window from row {start})")
         else:
             slope, stderr = fit_scaling(xs, ys)
+            start = 0
             print(f"slope = {slope:.6f} +/- {stderr:.2e}")
     except ValueError as exc:
         raise NumericalFailure("fit_scaling", exc) from exc
+    flags = table.get("regime_ok", [])[start:]
+    off = flags.count(False)
+    if off:
+        print(f"note: {off} of {len(flags)} rows have regime_ok=false",
+              file=sys.stderr)
     return 0
 
 

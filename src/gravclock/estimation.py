@@ -96,7 +96,7 @@ class Scenario:
         else:
             delta = p.delta_g
             new = p.replace(g_plus=value - 0.5 * delta, g_minus=value + 0.5 * delta)
-        return dataclasses.replace(self, params=new)
+        return Scenario(self.kind, new, self.target)
 
     def make_state(self, value: float | None = None) -> ClockState:
         sc = self if value is None else self.with_value(value)
@@ -271,41 +271,30 @@ def _fd_step(value: float, rel_step: float) -> float:
     return step
 
 
-def _branch_fields(state: ClockState):
-    comps = _ordered_components(state)
-    return comps
-
-
-def _parametric_qfi_at(scenario: Scenario, v0: float, step: float) -> float:
-    lo = scenario.make_state(v0 - step)
-    hi = scenario.make_state(v0 + step)
-    mid = scenario.make_state(v0)
-    two_h = _LD((v0 + step) - (v0 - step))
-
-    comps = _branch_fields(mid)
-    comps_lo = _branch_fields(lo)
-    comps_hi = _branch_fields(hi)
+def _parametric_qfi_at(scenario: Scenario, v0: float, step: float,
+                       comps: tuple[GaussianBranch, ...]) -> float:
+    """Unextrapolated QFI at ``v0`` from central differences of width
+    ``step``; ``comps`` are the ordered components of the state at v0."""
+    comps_lo = _ordered_components(scenario.make_state(v0 - step))
+    comps_hi = _ordered_components(scenario.make_state(v0 + step))
+    two_h_f = (v0 + step) - (v0 - step)
+    two_h = _LD(two_h_f)
 
     damp, dmean, dvar, dchirp, dslope, dconst = [], [], [], [], [], []
-    for b_lo, b_hi, b in zip(comps_lo, comps_hi, comps):
-        damp.append((b_hi.amplitude - b_lo.amplitude) / float(two_h))
-        dmean.append((b_hi.mean_x - b_lo.mean_x) / float(two_h))
-        dvar.append((b_hi.var_x - b_lo.var_x) / float(two_h))
-        dchirp.append((b_hi.chirp - b_lo.chirp) / float(two_h))
-        dslope.append((_LD(b_hi.ledger.slope) - _LD(b_lo.ledger.slope)) / two_h)
-        names = set(b_hi.ledger.term_names()) | set(b_lo.ledger.term_names())
-        t_hi, t_lo = dict(b_hi.ledger.terms), dict(b_lo.ledger.terms)
-        total = _LD(0.0)
-        for name in sorted(names):
-            total = total + (_LD(t_hi.get(name, 0.0)) - _LD(t_lo.get(name, 0.0)))
-        dconst.append(total / two_h)
+    for b_lo, b_hi in zip(comps_lo, comps_hi):
+        damp.append((b_hi.amplitude - b_lo.amplitude) / two_h_f)
+        dmean.append((b_hi.mean_x - b_lo.mean_x) / two_h_f)
+        dvar.append((b_hi.var_x - b_lo.var_x) / two_h_f)
+        dchirp.append((b_hi.chirp - b_lo.chirp) / two_h_f)
+        dslope.append((b_hi.ledger.slope - b_lo.ledger.slope) / two_h)
+        dconst.append(b_hi.ledger.diff_constant(b_lo.ledger) / two_h)
 
     # Constant phase derivative per component, including the slope pivot.
-    phase0 = [dc + ds * (_LD(b.mean_x) - _LD(b.ledger.x_ref))
+    phase0 = [dc + ds * (_LD(b.mean_x) - b.ledger.x_ref)
               for dc, ds, b in zip(dconst, dslope, comps)]
     weights = [abs(b.amplitude) ** 2 for b in comps]
     wsum = sum(weights)
-    gauge = sum((_LD(w) * p0 for w, p0 in zip(weights, phase0)), _LD(0.0)) / _LD(wsum)
+    gauge = sum((w * p0 for w, p0 in zip(weights, phase0)), _LD(0.0)) / wsum
 
     polys = []
     for k, b in enumerate(comps):
@@ -338,11 +327,13 @@ def qfi_pure_parametric(scenario: Scenario, value: float | None = None,
     (extended precision for the phase coefficients), Richardson
     extrapolated over steps h and h/2.  The controllable phase enters as
     a parameter-independent amplitude, so the result is invariant in it.
+    Both steps share the centre state.
     """
     v0 = scenario.value() if value is None else value
     step = _fd_step(v0, rel_step)
-    g_full = _parametric_qfi_at(scenario, v0, step)
-    g_half = _parametric_qfi_at(scenario, v0, 0.5 * step)
+    comps = _ordered_components(scenario.make_state(v0))
+    g_full = _parametric_qfi_at(scenario, v0, step, comps)
+    g_half = _parametric_qfi_at(scenario, v0, 0.5 * step, comps)
     return (4.0 * g_half - g_full) / 3.0
 
 
@@ -515,7 +506,11 @@ def detection_probabilities(state: ClockState, params: PhysicalParams,
     reference evolution; P_plus + P_minus = 1 exactly by construction.
     """
     ref_params = params.replace(e0=0.0, e1=0.0)
-    ref_state = evolve_state(make_initial_state(ref_params), ref_params, scenario)
+    initial = make_initial_state(ref_params)
+    # Only the level-0 reference branches are read.
+    ref_state = evolve_state(
+        ClockState((initial.branch("plus", 0), initial.branch("minus", 0))),
+        ref_params, scenario)
     if scenario == "free_fall":
         drop = 0.5 * _LD(params.g) * _LD(params.dt) ** 2
     else:
@@ -534,15 +529,18 @@ def detection_probabilities(state: ClockState, params: PhysicalParams,
     return p_plus, 1.0 - p_plus
 
 
-def _fi_at(prob_fn, value: float, step: float) -> float:
-    p_c = np.asarray(prob_fn(value), dtype=float)
-    p_hi = np.asarray(prob_fn(value + step), dtype=float)
-    p_lo = np.asarray(prob_fn(value - step), dtype=float)
-    for arr in (p_c, p_hi, p_lo):
-        if np.any(arr < 0):
-            raise ValueError("probability function returned a negative probability")
-        if abs(arr.sum() - 1.0) > 1e-8:
-            raise ValueError("outcome distribution does not sum to 1")
+def _probabilities(prob_fn, value: float) -> np.ndarray:
+    p = np.asarray(prob_fn(value), dtype=float)
+    if np.any(p < 0):
+        raise ValueError("probability function returned a negative probability")
+    if abs(p.sum() - 1.0) > 1e-8:
+        raise ValueError("outcome distribution does not sum to 1")
+    return p
+
+
+def _fi_at(prob_fn, value: float, step: float, p_c: np.ndarray) -> float:
+    p_hi = _probabilities(prob_fn, value + step)
+    p_lo = _probabilities(prob_fn, value - step)
     two_h = (value + step) - (value - step)
     dp = (p_hi - p_lo) / two_h
     keep = p_c >= 1e-15
@@ -559,13 +557,15 @@ def classical_fi(prob_fn, value: float, rel_step: float = 1e-5,
 
     ``step`` overrides the relative-step policy with an absolute one
     (needed when the distribution varies on a scale unrelated to |value|).
+    Both steps share the centre probabilities.
     """
     if step is None:
         step = _fd_step(value, rel_step)
     elif value + step == value or not math.isfinite(step):
         raise StepUnderflowError(f"absolute step {step:g} unusable at value {value:g}")
-    f_full = _fi_at(prob_fn, value, step)
-    f_half = _fi_at(prob_fn, value, 0.5 * step)
+    p_c = _probabilities(prob_fn, value)
+    f_full = _fi_at(prob_fn, value, step, p_c)
+    f_half = _fi_at(prob_fn, value, 0.5 * step, p_c)
     return (4.0 * f_half - f_full) / 3.0
 
 

@@ -27,6 +27,7 @@ is no time stepping anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,6 +37,10 @@ import numpy as np
 from .core import PhysicalParams, check_regime
 
 _LD = np.longdouble
+# Multiplying a float by _LD_ONE promotes it to longdouble exactly, in a
+# tenth of the time of the np.longdouble constructor.
+_LD_ONE = _LD(1.0)
+_LD_ZERO = _LD(0.0)
 TWO_PI_LD = _LD("6.283185307179586476925286766559005768")
 PI_LD = _LD("3.141592653589793238462643383279502884")
 
@@ -70,6 +75,8 @@ check_extended_precision()
 
 def wrap_angle(value) -> np.ndarray | float:
     """Reduce an extended-precision phase to (-pi, pi] in float64."""
+    if isinstance(value, (float, _LD)):
+        return float((value + PI_LD) % TWO_PI_LD - PI_LD)
     reduced = np.mod(np.asarray(value, dtype=_LD) + PI_LD, TWO_PI_LD) - PI_LD
     out = np.asarray(reduced, dtype=float)
     return float(out) if out.ndim == 0 else out
@@ -85,27 +92,27 @@ class PhaseLedger:
 
     @staticmethod
     def make(terms: dict[str, object], slope, x_ref: float) -> "PhaseLedger":
-        items = tuple((name, _LD(value)) for name, value in terms.items())
-        return PhaseLedger(items, _LD(slope), float(x_ref))
+        items = tuple((name, _ld(value)) for name, value in terms.items())
+        return PhaseLedger(items, _ld(slope), float(x_ref))
 
     def term_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
     def constant(self) -> np.longdouble:
-        total = _LD(0.0)
+        total = _LD_ZERO
         for _, value in self.terms:
-            total = total + _LD(value)
+            total = total + value
         return total
 
     def constant_wrapped(self) -> np.longdouble:
         """Sum of the terms, each reduced mod 2 pi before summation."""
-        total = _LD(0.0)
+        total = _LD_ZERO
         for _, value in self.terms:
-            total = total + np.mod(_LD(value), TWO_PI_LD)
+            total = total + value % TWO_PI_LD
         return total
 
     def value_at(self, x: float) -> np.longdouble:
-        return self.constant() + _LD(self.slope) * (_LD(x) - _LD(self.x_ref))
+        return self.constant() + self.slope * (_ld(x) - self.x_ref)
 
     def diff_constant(self, other: "PhaseLedger") -> np.longdouble:
         """Term-by-term difference of the constants (exact where terms match)."""
@@ -113,9 +120,9 @@ class PhaseLedger:
             raise ValueError("ledger difference requires identical x_ref")
         mine = dict(self.terms)
         theirs = dict(other.terms)
-        total = _LD(0.0)
-        for name in sorted(set(mine) | set(theirs)):
-            total = total + (_LD(mine.get(name, 0.0)) - _LD(theirs.get(name, 0.0)))
+        total = _LD_ZERO
+        for name in sorted(mine.keys() | theirs.keys()):
+            total = total + (mine.get(name, _LD_ZERO) - theirs.get(name, _LD_ZERO))
         return total
 
     def diff_at(self, x_self: float, other: "PhaseLedger", x_other: float) -> np.longdouble:
@@ -127,10 +134,15 @@ class PhaseLedger:
         phase difference instead of the absolute phases.
         """
         out = self.diff_constant(other)
-        slope_diff = _LD(self.slope) - _LD(other.slope)
-        out = out + _LD(other.slope) * (_LD(x_self) - _LD(x_other))
-        out = out + slope_diff * (_LD(x_self) - _LD(self.x_ref))
+        x_self = _ld(x_self)
+        out = out + other.slope * (x_self - _ld(x_other))
+        out = out + (self.slope - other.slope) * (x_self - self.x_ref)
         return out
+
+
+def _ld(value) -> np.longdouble:
+    """``value`` as a longdouble, converting only what is not one already."""
+    return value if type(value) is _LD else _LD(value)
 
 
 _EMPTY_LEDGER_CACHE: dict[float, PhaseLedger] = {}
@@ -197,17 +209,25 @@ def make_initial_state(params: PhysicalParams) -> ClockState:
     exponentially small in the validated regime (the exact norm is
     always available through :func:`state_norm_sq`).
     """
+    return _initial_state(params.x_plus, params.x_minus, params.x0, params.sigma, params.phi)
+
+
+@functools.lru_cache(maxsize=64)
+def _initial_state(x_plus: float, x_minus: float, x0: float, sigma: float,
+                   phi: float) -> ClockState:
+    # Cached: the state is immutable, and every finite-difference stencil
+    # and detector reference of a sweep row starts from the same geometry.
     metadata: tuple[str, ...] = ()
-    if params.sigma >= params.h:
+    if sigma >= x_plus - x_minus:
         metadata = ("sigma exceeds branch separation; branches overlap strongly",)
-    ledger = empty_ledger(params.x0)
-    minus_amp = 0.5 * complex(math.cos(params.phi), math.sin(params.phi))
+    ledger = empty_ledger(x0)
+    minus_amp = 0.5 * complex(math.cos(phi), math.sin(phi))
     components = []
-    for path, x_c, amp in (("plus", params.x_plus, 0.5 + 0.0j), ("minus", params.x_minus, minus_amp)):
+    for path, x_c, amp in (("plus", x_plus, 0.5 + 0.0j), ("minus", x_minus, minus_amp)):
         for level in (0, 1):
             components.append(GaussianBranch(
                 amplitude=amp, ledger=ledger, mean_x=x_c, mean_p=0.0,
-                var_x=params.sigma**2, chirp=0.0,
+                var_x=sigma**2, chirp=0.0,
                 internal_level=level, path_label=path,
             ))
     return ClockState(tuple(components), metadata)
@@ -255,35 +275,7 @@ def evolve_freefall_full(branch: GaussianBranch, params: PhysicalParams) -> Gaus
     _require_pre_evolution(branch, params)
     if params.dt == 0.0:
         return branch
-    z = params.z_eff(branch.internal_level)
-    m, g, dt, hb = params.m, params.g, params.dt, params.hbar
-    var, chirp = _spreading(params, z)
-    zl = _LD(z)
-    dt_l, m_l, g_l, hb_l = _LD(dt), _LD(m), _LD(g), _LD(hb)
-    e_i = params.e1 if branch.internal_level == 1 else params.e0
-    # z-orders are stored as separate ledger terms: the clock corrections
-    # sit ~10 decades below the leading coefficients, so folding them into
-    # one number would push them under the extended-precision ulp.
-    pot = -dt_l * m_l * _LD(params.v0) / hb_l
-    cubic = -(m_l * g_l * g_l * dt_l**3 / (6 * hb_l))
-    terms = {
-        "rest_internal": -dt_l * _LD(e_i) / hb_l,
-        "potential_const": pot,
-        "potential_const_z": pot * zl,
-        "cubic": cubic,
-        "cubic_z": cubic * (zl - zl * zl),
-    }
-    slope = -m_l * g_l * (1 + zl) * dt_l / hb_l
-    return GaussianBranch(
-        amplitude=branch.amplitude,
-        ledger=PhaseLedger.make(terms, slope, params.x0),
-        mean_x=branch.mean_x - 0.5 * g * dt * dt * (1.0 - z * z),
-        mean_p=-m * g * dt * (1.0 + z),
-        var_x=var,
-        chirp=chirp,
-        internal_level=branch.internal_level,
-        path_label=branch.path_label,
-    )
+    return _fallen(branch, _freefall_level(params, branch.internal_level, exact=True))
 
 
 def evolve_freefall_approx(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
@@ -301,27 +293,48 @@ def evolve_freefall_approx(branch: GaussianBranch, params: PhysicalParams) -> Ga
         if not report.entry(name).satisfied:
             warnings.warn(f"approximate free-fall map outside its regime: {name}",
                           stacklevel=2)
-    z = params.z_eff(branch.internal_level)
+    return _fallen(branch, _freefall_level(params, branch.internal_level, exact=False))
+
+
+def _freefall_level(params: PhysicalParams, level: int, exact: bool) -> tuple:
+    """(ledger, fall distance, mean_p, var_x, chirp) of an evolved level.
+
+    None of these depend on the path, so both paths of a level share them.
+    ``exact=False`` is the first-order truncation of evolve_freefall_approx.
+    Ledger terms promote each float to longdouble exactly inside the
+    arithmetic instead of calling the (slow) longdouble constructor.
+    """
+    z = params.z_eff(level)
     m, g, dt, hb = params.m, params.g, params.dt, params.hbar
-    var, chirp = _spreading(params, 0.0)
-    zl = _LD(z)
-    dt_l, m_l, g_l, hb_l = _LD(dt), _LD(m), _LD(g), _LD(hb)
-    e_i = params.e1 if branch.internal_level == 1 else params.e0
-    pot = -dt_l * m_l * _LD(params.v0) / hb_l
-    cubic = -(m_l * g_l * g_l * dt_l**3 / (6 * hb_l))
+    var, chirp = _spreading(params, z if exact else 0.0)
+    zl, dt_l, g_l, hb_l = _LD_ONE * z, _LD_ONE * dt, _LD_ONE * g, _LD_ONE * hb
+    e_i = params.e1 if level == 1 else params.e0
+    # z-orders are stored as separate ledger terms: the clock corrections
+    # sit ~10 decades below the leading coefficients, so folding them into
+    # one number would push them under the extended-precision ulp.
+    pot = -dt_l * m * params.v0 / hb_l
+    cubic = -(m * g_l * g_l * dt_l**3 / (6 * hb_l))
     terms = {
-        "rest_internal": -dt_l * _LD(e_i) / hb_l,
+        "rest_internal": -dt_l * e_i / hb_l,
         "potential_const": pot,
         "potential_const_z": pot * zl,
         "cubic": cubic,
-        "cubic_z": cubic * zl,
+        "cubic_z": cubic * (zl - zl * zl) if exact else cubic * zl,
     }
-    slope = -m_l * g_l * (1 + zl) * dt_l / hb_l
+    slope = -m * g_l * (1 + zl) * dt_l / hb_l
+    ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
+    if exact:
+        return ledger, 0.5 * g * dt * dt * (1.0 - z * z), -m * g * dt * (1.0 + z), var, chirp
+    return ledger, 0.5 * g * dt * dt, -m * g * dt, var, chirp
+
+
+def _fallen(branch: GaussianBranch, level: tuple) -> GaussianBranch:
+    ledger, fall, mean_p, var, chirp = level
     return GaussianBranch(
         amplitude=branch.amplitude,
-        ledger=PhaseLedger.make(terms, slope, params.x0),
-        mean_x=branch.mean_x - 0.5 * g * dt * dt,
-        mean_p=-m * g * dt,
+        ledger=ledger,
+        mean_x=branch.mean_x - fall,
+        mean_p=mean_p,
         var_x=var,
         chirp=chirp,
         internal_level=branch.internal_level,
@@ -366,23 +379,24 @@ def evolve_mz(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
     else:
         g_side, x_side0, vn_side = params.g_minus, params.x_minus0, params.vn_minus0
     z = params.z_eff(branch.internal_level)
-    zl = _LD(z)
-    dt_l, m_l, hb_l = _LD(params.dt), _LD(params.m), _LD(params.hbar)
+    dt_l, hb_l = _LD_ONE * params.dt, _LD_ONE * params.hbar
+    m = params.m
     e_i = params.e1 if branch.internal_level == 1 else params.e0
     # V_MZ(x) = g_side (x - x_side0) + vn_side, re-anchored at x_ref = x0.
     # The fixed anchor and the slope-dependent constant live in separate
     # ledger terms so parameter differentiation never subtracts a tiny
-    # g-dependent piece from a huge constant.
+    # g-dependent piece from a huge constant.  Floats are promoted to
+    # longdouble exactly inside the arithmetic, as in _freefall_level.
     terms = {
-        "rest_internal": -dt_l * _LD(e_i) / hb_l,
-        "potential_anchor": -dt_l * m_l * zl * _LD(vn_side) / hb_l,
-        "potential_slope_const": -dt_l * m_l * zl * _LD(g_side)
-        * (_LD(params.x0) - _LD(x_side0)) / hb_l,
+        "rest_internal": -dt_l * e_i / hb_l,
+        "potential_anchor": -dt_l * m * z * vn_side / hb_l,
+        "potential_slope_const": -dt_l * m * z * g_side
+        * (_LD_ONE * params.x0 - x_side0) / hb_l,
     }
-    slope = -dt_l * m_l * zl * _LD(g_side) / hb_l
+    slope = -dt_l * m * z * g_side / hb_l
     return GaussianBranch(
         amplitude=branch.amplitude,
-        ledger=PhaseLedger.make(terms, slope, params.x0),
+        ledger=PhaseLedger(tuple(terms.items()), slope, float(params.x0)),
         mean_x=branch.mean_x,
         mean_p=params.hbar * float(slope),
         var_x=var,
@@ -401,15 +415,28 @@ _SCENARIO_MAPS = {
 
 def evolve_state(state: ClockState, params: PhysicalParams,
                  scenario: str = "free_fall") -> ClockState:
-    """Apply the scenario's branch map to every component."""
+    """Apply the scenario's branch map to every component.
+
+    In free fall the two paths of a level share everything but their
+    centre, so that part of the map is computed once per level.
+    """
     try:
         branch_map = _SCENARIO_MAPS[scenario]
     except KeyError:
         raise ValueError(f"unknown scenario {scenario!r}") from None
-    return ClockState(
-        tuple(branch_map(c, params) for c in state.components),
-        state.metadata,
-    )
+    if scenario != "free_fall" or params.dt == 0.0:
+        return ClockState(
+            tuple(branch_map(c, params) for c in state.components),
+            state.metadata,
+        )
+    levels: dict[int, tuple] = {}
+    components = []
+    for c in state.components:
+        _require_pre_evolution(c, params)
+        if c.internal_level not in levels:
+            levels[c.internal_level] = _freefall_level(params, c.internal_level, exact=True)
+        components.append(_fallen(c, levels[c.internal_level]))
+    return ClockState(tuple(components), state.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +472,14 @@ class PairMoments:
         inv4a = 1.0 / (4.0 * a.var_x)
         inv4b = 1.0 / (4.0 * b.var_x)
         alpha = (inv4a + inv4b) + 1j * (a.chirp - b.chirp)
-        db = float(_LD(b.ledger.slope) - _LD(a.ledger.slope))
+        dslope = b.ledger.slope - a.ledger.slope
+        db = float(dslope)
         beta = d * (inv4b - inv4a) + 1j * (db - (a.chirp + b.chirp) * d)
         gamma_re = -0.25 * d * d * (inv4a + inv4b)
         gamma_im_small = 0.25 * d * d * (b.chirp - a.chirp)
         # Term-by-term ledger difference in extended precision.
         big_phase = b.ledger.diff_constant(a.ledger) \
-            + (_LD(b.ledger.slope) - _LD(a.ledger.slope)) * (_LD(x_mid) - _LD(a.ledger.x_ref))
+            + dslope * (_LD_ONE * x_mid - a.ledger.x_ref)
         lam = wrap_angle(big_phase)
         norm_a = (2.0 * math.pi * a.var_x) ** -0.25
         norm_b = (2.0 * math.pi * b.var_x) ** -0.25
@@ -494,15 +522,18 @@ class PairMoments:
         """
         if self.orthogonal:
             return 0.0j
-        pa = _shift_poly([np.conj(c) for c in poly_a], self.off_a)
-        pb = _shift_poly(list(poly_b), self.off_b)
-        prod = np.convolve(pa, pb)
+        pa = _shift_poly([c.conjugate() for c in poly_a], self.off_a)
+        pb = _shift_poly(poly_b, self.off_b)
+        prod = [0j] * (len(pa) + len(pb) - 1)
+        for i, ca in enumerate(pa):
+            for j, cb in enumerate(pb):
+                prod[i + j] += ca * cb
         return self.expect_u(prod)
 
 
-def _shift_poly(coeffs: list[complex], off: float) -> np.ndarray:
+def _shift_poly(coeffs, off: float) -> list[complex]:
     """Re-expand sum c_j t^j with t = u + off as a polynomial in u."""
-    out = np.zeros(len(coeffs), dtype=complex)
+    out = [0j] * len(coeffs)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue

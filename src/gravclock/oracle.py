@@ -308,8 +308,11 @@ def probabilities_numeric(psi: GridWavefunction, params: PhysicalParams,
 
 
 def dump_csv(psi: GridWavefunction, path: str | Path) -> None:
-    """Write the sampled state as x_m, re0, im0, re1, im1 rows."""
-    xs = psi.grid.xs()
+    """Write the sampled state as x_m, re0, im0, re1, im1 rows.
+
+    x is the lattice point x_min + k dx that the renderer sampled.
+    """
+    xs = psi.grid.x_min + np.arange(psi.grid.n_points) * psi.grid.spacing
     with open(path, "w") as fh:
         fh.write("x_m,re0,im0,re1,im1\n")
         for k in range(psi.grid.n_points):

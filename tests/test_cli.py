@@ -119,6 +119,54 @@ def test_fit_nonpositive_rows_exit_3(tmp_path, capsys):
     assert "offending rows: [1]" in capsys.readouterr().err
 
 
+def test_fit_ragged_row_exit_2(tmp_path, capsys):
+    """A row with fewer cells than the header is an error, not truncated."""
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed\n1,1\n2\n3,27\n")
+    rc = cli.main(["fit", "--table", str(path), "--column", "qfi_closed"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "1 cells" in err and "2 columns" in err
+
+
+@pytest.mark.parametrize("row,why", [("1,1,5", "3 cells for 2 columns"),
+                                     ("1,abc", "needs a number")])
+def test_read_table_rejects_bad_row(tmp_path, row, why):
+    path = tmp_path / "t.csv"
+    path.write_text(f"swept_value,qfi_closed\n1,1\n{row}\n")
+    with pytest.raises(core.ConfigError, match=f"line 3: .*{why}"):
+        cli.read_table(path)
+
+
+def test_fit_reports_regime_failing_rows_on_stderr(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    rows = ["swept_value,qfi_closed,regime_ok"]
+    rows += [f"{x:.17g},{x**3:.17g},{'false' if x > 5 else 'true'}"
+             for x in np.geomspace(1.0, 30.0, 12)]
+    path.write_text("\n".join(rows) + "\n")
+    rc = cli.main(["fit", "--table", str(path), "--column", "qfi_closed"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("slope = 3.000000")
+    assert "6 of 12 rows have regime_ok=false" in captured.err
+
+
+def test_fit_all_regime_rows_stay_quiet(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed,regime_ok\n1,1,true\n2,8,true\n")
+    assert cli.main(["fit", "--table", str(path), "--column", "qfi_closed"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text", ["x,qfi_closed\n1,1\n2,8\n",
+                                  "swept_value,qfi_closed\n1,1\n,8\n3,27\n"])
+def test_fit_needs_complete_swept_value_column_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert cli.main(["fit", "--table", str(path), "--column", "qfi_closed"]) == 2
+    assert "swept_value" in capsys.readouterr().err
+
+
 def test_fit_missing_column_exit_2(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("swept_value,qfi_closed\n1,1\n")
@@ -156,6 +204,35 @@ def test_bad_method_and_target_exit_2(tmp_path):
     cfg2 = tmp_path / "mz.cfg"
     cfg2.write_text("scenario.name = free_fall\nscenario.target = delta_g\n")
     assert cli.main(["run", "--config", str(cfg2)]) == 2
+
+
+def test_mz_sweep_over_g_exit_2(tmp_path, capsys):
+    """g does not move the Mach-Zehnder slopes, so the rows would be identical."""
+    rc = cli.main(["sweep", "--config", str(CONFIGS / "sr88_mz.cfg"), "--var", "g",
+                   "--from", "9", "--to", "11", "--points", "3",
+                   "--out", str(tmp_path / "mz")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "physics.g_plus" in err and "physics.g_minus" in err
+    assert "delta_g" in err and "bar_g" in err
+    assert not (tmp_path / "mz").exists()
+
+
+def test_sweep_over_g_moves_free_fall_rows(tmp_path):
+    out = tmp_path / "ff"
+    assert cli.main(["sweep", "--config", str(CONFIGS / "sr88_freefall.cfg"), "--var", "g",
+                     "--from", "9", "--to", "11", "--points", "3", "--out", str(out)]) == 0
+    closed = cli.read_table(out / "sweep.csv")["qfi_closed"]
+    assert len(set(closed)) == 3
+
+
+def test_sweep_rows_in_point_order(tmp_path):
+    """Rows come out in sweep order, one per point, without re-sorting."""
+    cfg = cli._build_scenario_config(cli._parser().parse_args(
+        ["sweep", "--config", str(CONFIGS / "sr88_mz.cfg"), "--var", "dt", "--from", "5",
+         "--to", "30", "--points", "4", "--log", "--methods", "closed,parametric"]))
+    rows = cli.run_sweep(cfg)
+    assert [r.swept_value for r in rows] == cfg.sweep.values().tolist()
 
 
 def test_bouncer_methods_restricted(tmp_path):

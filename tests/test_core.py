@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -172,3 +173,15 @@ def test_params_reject_non_finite(sr88_10s):
         sr88_10s.replace(dt=math.nan)
     with pytest.raises(core.ParamsError, match="finite: g$"):
         sr88_10s.replace(g=math.inf)
+
+
+def test_replace_matches_dataclasses_replace(sr88_10s):
+    changes = dict(dt=12.5, e0=0.1 * core.EV, ablate_time_dilation=True)
+    got = sr88_10s.replace(**changes)
+    assert got == dataclasses.replace(sr88_10s, **changes)
+    assert vars(got) == vars(dataclasses.replace(sr88_10s, **changes))
+    assert sr88_10s.dt == 10.0        # the original is untouched
+    with pytest.raises(TypeError, match="z0"):
+        sr88_10s.replace(z0=1e-9)     # derived, recomputed from e0
+    with pytest.raises(core.ParamsError, match="x_plus must exceed"):
+        sr88_10s.replace(x_plus=0.4)

@@ -7,6 +7,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import CONFIG_DIR, _variant
+from hypothesis import assume, given, settings, strategies as st
 
 from gravclock import core, estimation as est, gaussian as ga
 
@@ -417,3 +419,69 @@ def test_report_json_field_names(sr88_10s):
                  "method_metadata"):
         assert f'"{name}"' in payload
     assert report.crb_single_shot == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Regression pins and properties
+# ---------------------------------------------------------------------------
+
+# qfi_pure_parametric and fi_numeric on the sample configs at three drop
+# times, recorded before the sweep-speed rewrite of the parametric engine,
+# the free-fall maps and the pair algebra (which left them bit-identical).
+_PINS = {
+    ("sr88_freefall", "g", 5.0): (2248870189588709.8, 2.800157543305524e-06),
+    ("sr88_freefall", "g", 10.0): (8995668258334919.0, 1.1198366019479223e-05),
+    ("sr88_freefall", "g", 30.0): (8.097901433301368e+16, 0.00010056774281011873),
+    ("sr88_mz", "delta_g", 5.0): (6.145323628518829e-10, 2.800157554725474e-10),
+    ("sr88_mz", "delta_g", 10.0): (2.6917017161905185e-09, 1.1198365931997214e-09),
+    ("sr88_mz", "delta_g", 30.0): (4.664825310700623e-08, 1.005677512273938e-08),
+    ("sr88_mz", "bar_g", 5.0): (2.0381005062706746e-09, 2.800157554725474e-10),
+    ("sr88_mz", "bar_g", 10.0): (9.086699781968392e-09, 1.1198365931997214e-09),
+    ("sr88_mz", "bar_g", 30.0): (1.7147288269871286e-07, 1.005677512273938e-08),
+}
+
+
+@pytest.mark.parametrize("config,target,dt", sorted(_PINS))
+def test_parametric_and_fi_numeric_pinned(config, target, dt):
+    params = core.params_from_config(core.load_config(CONFIG_DIR / f"{config}.cfg"))
+    kind = "free_fall" if target == "g" else "mach_zehnder"
+    sc = est.Scenario(kind, params.replace(dt=dt), target)
+    qfi, fi = _PINS[(config, target, dt)]
+    assert est.qfi_pure_parametric(sc) == pytest.approx(qfi, rel=1e-13)
+    assert est.fi_numeric(sc) == pytest.approx(fi, rel=1e-13)
+
+
+@st.composite
+def _regime_valid_sets(draw):
+    """Parameter sets spanning the cross-check matrix ranges."""
+    x_plus = draw(st.floats(0.508, 0.520))
+    params = _variant(
+        m=draw(st.floats(0.8e-25, 1.5e-25)),
+        e0=draw(st.floats(0.0, 0.4)) * core.EV,
+        e1=draw(st.floats(1.8, 4.0)) * core.EV,
+        g=draw(st.floats(9.5, 10.2)),
+        x_plus=x_plus,
+        x0=0.5 + draw(st.floats(0.2, 0.6)) * (x_plus - 0.5),
+        x_plus0=x_plus - draw(st.floats(1e-4, 2e-4)),
+        x_minus0=0.5 + draw(st.floats(-2e-4, 1e-4)),
+        sigma=draw(st.floats(0.6e-4, 3e-4)),
+        dt=draw(st.floats(5.0, 30.0)),
+        phi=draw(st.floats(0.0, 1.3)),
+    )
+    assume(core.check_regime(params).satisfied)
+    return params
+
+
+@settings(max_examples=30, deadline=None)
+@given(_regime_valid_sets())
+def test_information_chain_and_parametric_property(params):
+    for kind, target in (("free_fall", "g"), ("mach_zehnder", "delta_g"),
+                         ("mach_zehnder", "bar_g")):
+        sc = est.Scenario(kind, params, target)
+        fi = est.closed_fi(sc)
+        red = est.closed_reduced_qfi(sc)
+        full = est.closed_qfi(sc)
+        assert fi <= red * (1 + 1e-6)
+        assert red <= full * (1 + 1e-6)
+        assert est.qfi_pure_parametric(sc) == pytest.approx(full, rel=1e-2)
+        assert ga.state_norm_sq(sc.make_state()) == pytest.approx(1.0, abs=1e-9)

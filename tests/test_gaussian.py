@@ -111,6 +111,16 @@ def test_freefall_dt_zero_identity(sr88_10s):
         assert ga.evolve_mz(b, p) is b
 
 
+def test_evolve_state_level_sharing_bit_identical(sr88_10s, crosscheck_params):
+    """evolve_state computes the free-fall map once per level; it must give
+    exactly what the per-branch map gives."""
+    for p in [sr88_10s, sr88_10s.replace(ablate_time_dilation=True), *crosscheck_params]:
+        initial = ga.make_initial_state(p)
+        state = ga.evolve_state(initial, p, "free_fall")
+        assert state.components == tuple(ga.evolve_freefall_full(b, p)
+                                         for b in initial.components)
+
+
 def test_freefall_textbook_at_zero_internal_energy():
     p = core.build_params(m=1e-25, e0=0.0, e1=0.0, g=9.81, x_plus=0.51,
                           x_minus=0.50, x0=0.505, sigma=1e-4, dt=1.0)
@@ -327,6 +337,45 @@ def _random_branch(rng, level=0, x_ref=0.0):
         internal_level=level,
         path_label="plus",
     )
+
+
+def _braket_reference(pm, poly_a, poly_b):
+    """<P_a psi_a|P_b psi_b> re-expanded and multiplied with numpy arrays."""
+    def shifted(coeffs, off):
+        out = np.zeros(len(coeffs), dtype=complex)
+        for j, c in enumerate(coeffs):
+            for k in range(j + 1):
+                out[k] += c * math.comb(j, k) * off ** (j - k)
+        return out
+    pa = shifted(np.conj(poly_a), pm.off_a)
+    pb = shifted(poly_b, pm.off_b)
+    return pm.expect_u(np.convolve(pa, pb))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_braket_matches_numpy_reference(seed):
+    rng = np.random.default_rng(seed)
+    a, b = _random_branch(rng), _random_branch(rng)
+    pm = ga.PairMoments(a, b)
+    scale = 1.0 / math.sqrt(a.var_x)
+    for na, nb in ((3, 3), (1, 3), (3, 1), (2, 3)):
+        pa = [complex(*rng.standard_normal(2)) * scale**j for j in range(na)]
+        pb = [complex(*rng.standard_normal(2)) * scale**j for j in range(nb)]
+        got = pm.braket(pa, pb)
+        ref = _braket_reference(pm, pa, pb)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(pm.overlap))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-1e17, 1e17, allow_nan=False))
+def test_wrap_angle_scalar_path_matches_array_path(x):
+    for value in (x, _LD(x) * _LD("1.0000000001")):
+        fast = ga.wrap_angle(value)
+        via_array = float(ga.wrap_angle(np.array([value], dtype=_LD))[0])
+        assert type(fast) is float
+        assert math.copysign(1.0, fast) == math.copysign(1.0, via_array)
+        assert fast == via_array
 
 
 def test_overlap_self_is_one(sr88_10s):

@@ -351,3 +351,7 @@ def test_dump_csv(tmp_path, sr88_10s):
     lines = path.read_text().splitlines()
     assert lines[0] == "x_m,re0,im0,re1,im1"
     assert len(lines) == psi.grid.n_points + 1
+    # The x column is the render lattice x_min + k dx, exactly.
+    grid = psi.grid
+    xs = [float(line.split(",", 1)[0]) for line in lines[1:]]
+    assert xs == [grid.x_min + k * grid.spacing for k in range(grid.n_points)]
