@@ -6,11 +6,18 @@ Subcommands (exit codes: 0 ok, 2 config error, 3 numerical error):
     gravclock sweep --config cfg --var dt --from 1 --to 100 --points 20 --log [...]
     gravclock fit   --table sweep.csv --column qfi_closed [--tail]
 
+``ROUTES`` is the one table of the methods each scenario supports (free
+fall and Mach-Zehnder: closed, parametric, oracle, reduced, fi; bouncer:
+closed, oracle) and of the columns they fill; ``--methods`` checking and
+help, the CSV columns and the report fields derive from it.
+
 Sweep CSV columns are fixed (swept_value, qfi_closed, qfi_parametric,
 qfi_oracle, qfi_reduced, fi_closed, fi_numeric, regime_ok) so scaling
 plots are reproducible by any external tool; unrequested methods leave
-their cells empty, and every row carries its regime flag.  Identical
-configs produce byte-identical output.
+their cells empty, and every row carries its regime flag.  Every sweep
+point's parameters are built before the first is evaluated, so a value
+that makes an invalid set is a config error (exit 2) and writes no CSV.
+Identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,18 +35,42 @@ from . import estimation as est
 from . import oracle as oracle_mod
 from .core import (
     ConfigError,
+    ParamsError,
     PhysicalParams,
     check_regime,
     load_config,
     params_from_config,
 )
 
-CSV_COLUMNS = ("swept_value", "qfi_closed", "qfi_parametric", "qfi_oracle",
-               "qfi_reduced", "fi_closed", "fi_numeric", "regime_ok")
+# ROUTES[scenario][method] -> ((column, route), ...), methods in evaluation
+# order.  A route maps (estimation.Scenario, n_max) to a value; it looks its
+# function up through the module at call time, so patched or traced
+# module attributes are honoured.
+_INTERFEROMETER_ROUTES = {
+    "closed": (("qfi_closed", lambda sc, n_max: est.closed_qfi(sc)),),
+    "parametric": (("qfi_parametric", lambda sc, n_max: est.qfi_pure_parametric(sc)),),
+    "oracle": (("qfi_oracle", lambda sc, n_max: oracle_mod.qfi_numeric(sc)),),
+    "reduced": (("qfi_reduced", lambda sc, n_max: est.closed_reduced_qfi(sc)),),
+    "fi": (("fi_closed", lambda sc, n_max: est.closed_fi(sc)),
+           ("fi_numeric", lambda sc, n_max: est.fi_numeric(sc))),
+}
+ROUTES = {
+    "free_fall": _INTERFEROMETER_ROUTES,
+    "mach_zehnder": _INTERFEROMETER_ROUTES,
+    "bouncer": {
+        "closed": (("qfi_closed",
+                    lambda sc, n_max: bouncer_mod.bouncer_qfi_longtime(sc.params, n_max)),),
+        "oracle": (("qfi_oracle",
+                    lambda sc, n_max: bouncer_mod.bouncer_qfi_numeric(sc.params, n_max=n_max)),),
+    },
+}
 
-_ALL_METHODS = ("closed", "parametric", "oracle", "reduced", "fi")
-_SCENARIOS = ("free_fall", "mach_zehnder", "bouncer")
-_SWEEP_VARS = {"dt": "dt", "sigma": "sigma", "g": "g"}
+CSV_COLUMNS = ("swept_value",
+               *dict.fromkeys(column for routes in ROUTES.values()
+                              for pairs in routes.values() for column, _ in pairs),
+               "regime_ok")
+
+_SWEEP_VARS = ("dt", "sigma", "g")
 
 
 class NumericalFailure(RuntimeError):
@@ -80,24 +111,19 @@ class ScenarioConfig:
     methods: tuple[str, ...]
     sweep: SweepSpec | None = None
     out_dir: Path | None = None
-    ablate: bool = False
     n_max: int | None = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in _SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r} (use: {', '.join(_SCENARIOS)})")
-        if self.scenario == "mach_zehnder":
-            if self.target not in ("delta_g", "bar_g"):
-                raise ConfigError("mach_zehnder estimates delta_g or bar_g")
-        elif self.target != "g":
-            raise ConfigError(f"{self.scenario} estimates g only")
-        for m in self.methods:
-            if m not in _ALL_METHODS:
-                raise ConfigError(f"unknown method {m!r} (use: {', '.join(_ALL_METHODS)})")
-        if self.scenario == "bouncer":
-            bad = set(self.methods) - {"closed", "oracle"}
-            if bad:
-                raise ConfigError(f"bouncer supports methods closed, oracle (got {sorted(bad)})")
+        if self.scenario not in ROUTES:
+            raise ConfigError(f"unknown scenario {self.scenario!r} (use: {', '.join(ROUTES)})")
+        targets = est.TARGETS[self.scenario]
+        if self.target not in targets:
+            raise ConfigError(f"{self.scenario} estimates {' or '.join(targets)}")
+        routes = ROUTES[self.scenario]
+        bad = set(self.methods) - set(routes)
+        if bad:
+            raise ConfigError(f"{self.scenario} supports methods {', '.join(routes)} "
+                              f"(got {sorted(bad)})")
         if self.scenario == "mach_zehnder" and self.sweep is not None \
                 and self.sweep.variable == "g":
             raise ConfigError(
@@ -111,60 +137,35 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _evaluate_methods(cfg: ScenarioConfig, params: PhysicalParams) -> dict[str, float | None]:
-    out: dict[str, float | None] = {name: None for name in CSV_COLUMNS[1:-1]}
-    if cfg.scenario == "bouncer":
-        if "closed" in cfg.methods:
-            _run_method(out, "qfi_closed", "closed",
-                        lambda: bouncer_mod.bouncer_qfi_longtime(params, cfg.n_max))
-        if "oracle" in cfg.methods:
-            _run_method(out, "qfi_oracle", "oracle",
-                        lambda: bouncer_mod.bouncer_qfi_numeric(params, n_max=cfg.n_max))
-        return out
+    out: dict[str, float | None] = dict.fromkeys(CSV_COLUMNS[1:-1])
     scenario = est.Scenario(cfg.scenario, params, cfg.target)
-    if "closed" in cfg.methods:
-        _run_method(out, "qfi_closed", "closed", lambda: est.closed_qfi(scenario))
-    if "parametric" in cfg.methods:
-        _run_method(out, "qfi_parametric", "parametric",
-                    lambda: est.qfi_pure_parametric(scenario))
-    if "oracle" in cfg.methods:
-        _run_method(out, "qfi_oracle", "oracle", lambda: oracle_mod.qfi_numeric(scenario))
-    if "reduced" in cfg.methods:
-        _run_method(out, "qfi_reduced", "reduced", lambda: est.closed_reduced_qfi(scenario))
-    if "fi" in cfg.methods:
-        _run_method(out, "fi_closed", "fi", lambda: est.closed_fi(scenario))
-        _run_method(out, "fi_numeric", "fi", lambda: est.fi_numeric(scenario))
+    for method, pairs in ROUTES[cfg.scenario].items():
+        if method not in cfg.methods:
+            continue
+        for column, route in pairs:
+            try:
+                out[column] = route(scenario, cfg.n_max)
+            except Exception as exc:
+                raise NumericalFailure(method, exc) from exc
     return out
-
-
-def _run_method(out: dict, column: str, method: str, thunk) -> None:
-    try:
-        out[column] = thunk()
-    except Exception as exc:
-        raise NumericalFailure(method, exc) from exc
 
 
 def run_single(cfg: ScenarioConfig) -> est.EstimationReport:
     values = _evaluate_methods(cfg, cfg.params)
     regime = check_regime(cfg.params)
-    report = est.EstimationReport(
+    return est.EstimationReport(
         parameter_name=cfg.target,
-        qfi_closed=values["qfi_closed"],
-        qfi_parametric=values["qfi_parametric"],
-        qfi_oracle=values["qfi_oracle"],
-        qfi_reduced=values["qfi_reduced"],
-        fi_closed=values["fi_closed"],
-        fi_numeric=values["fi_numeric"],
+        **values,
         method_metadata={
             "scenario": cfg.scenario,
             "methods": list(cfg.methods),
-            "ablate_time_dilation": cfg.ablate,
+            "ablate_time_dilation": cfg.params.ablate_time_dilation,
             "fd_rel_step": 1e-5,
             "bouncer_n_max": cfg.n_max if cfg.scenario == "bouncer" else None,
             "regime_ok": regime.satisfied,
             "regime_failing": list(regime.failing()),
         },
     ).finalize()
-    return report
 
 
 @dataclass(frozen=True)
@@ -175,15 +176,19 @@ class SweepRow:
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
-    """Evaluate the sweep points in order, one row each, on this thread."""
+    """Evaluate the sweep points in order, one row each, on this thread; every
+    point's parameters are built first, so an invalid one fails before any numerics."""
     assert cfg.sweep is not None
-    field = _SWEEP_VARS[cfg.sweep.variable]
-    rows = []
+    var = cfg.sweep.variable
+    points = []
     for value in cfg.sweep.values().tolist():
-        params = cfg.params.replace(**{field: value})
-        rows.append(SweepRow(value, _evaluate_methods(cfg, params),
-                             check_regime(params).satisfied))
-    return rows
+        try:
+            points.append((value, cfg.params.replace(**{var: value})))
+        except ParamsError as exc:
+            raise ConfigError(f"sweep --var {var} = {value!r} gives invalid parameters: "
+                              f"{exc}") from exc
+    return [SweepRow(value, _evaluate_methods(cfg, params), check_regime(params).satisfied)
+            for value, params in points]
 
 
 def _fmt(value: float | None) -> str:
@@ -304,8 +309,8 @@ def _build_scenario_config(args) -> ScenarioConfig:
     cfg_map = load_config(args.config)
     params = params_from_config(cfg_map, ablate_time_dilation=args.ablate_time_dilation)
     scenario = cfg_map.get("scenario.name", "free_fall")
-    default_target = "delta_g" if scenario == "mach_zehnder" else "g"
-    target = cfg_map.get("scenario.target", default_target)
+    # ScenarioConfig rejects an unknown scenario before it reads the target.
+    target = cfg_map.get("scenario.target", est.TARGETS.get(scenario, (None,))[0])
     methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods else ("closed",)
     sweep = None
     if getattr(args, "var", None) is not None:
@@ -315,8 +320,7 @@ def _build_scenario_config(args) -> ScenarioConfig:
     n_max = int(float(cfg_map["bouncer.n_max"])) if "bouncer.n_max" in cfg_map else None
     return ScenarioConfig(
         scenario=scenario, target=target, params=params, methods=methods,
-        sweep=sweep, out_dir=Path(args.out) if args.out else None,
-        ablate=args.ablate_time_dilation, n_max=n_max,
+        sweep=sweep, out_dir=Path(args.out) if args.out else None, n_max=n_max,
     )
 
 
@@ -381,7 +385,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--methods", default="closed",
-                       help="comma list of closed,parametric,oracle,reduced,fi")
+                       help="comma list of methods; " + "; ".join(
+                           f"{name}: {','.join(routes)}" for name, routes in ROUTES.items()))
         p.add_argument("--ablate-time-dilation", action="store_true",
                        help="zero the clock-gravity coupling (counterfactual)")
 
@@ -390,7 +395,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
     common(p_sweep)
-    p_sweep.add_argument("--var", required=True, help="swept variable: dt, sigma, g")
+    p_sweep.add_argument("--var", required=True,
+                         help=f"swept variable: {', '.join(_SWEEP_VARS)}")
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
@@ -416,10 +422,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except (est.StepUnderflowError, est.NotIdentifiableError,
-            oracle_mod.OracleError, bouncer_mod.AiryConvergenceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

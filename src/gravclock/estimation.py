@@ -57,9 +57,11 @@ class NotIdentifiableError(ValueError):
 # Scenarios
 # ---------------------------------------------------------------------------
 
-_TARGETS = {
+# Targets each scenario can estimate; the first is the default.
+TARGETS = {
     "free_fall": ("g",),
     "mach_zehnder": ("delta_g", "bar_g"),
+    "bouncer": ("g",),
 }
 
 
@@ -72,19 +74,15 @@ class Scenario:
     target: str = "g"
 
     def __post_init__(self) -> None:
-        if self.kind not in _TARGETS:
+        if self.kind not in TARGETS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.target not in _TARGETS[self.kind]:
-            allowed = ", ".join(_TARGETS[self.kind])
+        if self.target not in TARGETS[self.kind]:
+            allowed = ", ".join(TARGETS[self.kind])
             raise ValueError(
                 f"target {self.target!r} not available for {self.kind!r} (use: {allowed})")
 
     def value(self) -> float:
-        if self.target == "g":
-            return self.params.g
-        if self.target == "delta_g":
-            return self.params.delta_g
-        return self.params.bar_g
+        return getattr(self.params, self.target)
 
     def with_value(self, value: float) -> "Scenario":
         p = self.params
@@ -240,22 +238,24 @@ def cramer_rao(fisher: float, n_measurements: int = 1) -> float:
     return 1.0 / (n_measurements * fisher)
 
 
-def closed_qfi(scenario: Scenario) -> float:
+def _closed(scenario: Scenario, free_fall, mach_zehnder) -> float:
     if scenario.kind == "free_fall":
-        return qfi_ff_closed(scenario.params)
-    return qfi_mz_closed(scenario.params, scenario.target)
+        return free_fall(scenario.params)
+    if scenario.kind == "mach_zehnder":
+        return mach_zehnder(scenario.params, scenario.target)
+    raise ValueError(f"no interferometer closed form for {scenario.kind!r}")
+
+
+def closed_qfi(scenario: Scenario) -> float:
+    return _closed(scenario, qfi_ff_closed, qfi_mz_closed)
 
 
 def closed_reduced_qfi(scenario: Scenario) -> float:
-    if scenario.kind == "free_fall":
-        return qfi_ff_reduced_closed(scenario.params)
-    return qfi_mz_reduced_closed(scenario.params, scenario.target)
+    return _closed(scenario, qfi_ff_reduced_closed, qfi_mz_reduced_closed)
 
 
 def closed_fi(scenario: Scenario) -> float:
-    if scenario.kind == "free_fall":
-        return fi_ff_closed(scenario.params)
-    return fi_mz_closed(scenario.params, scenario.target)
+    return _closed(scenario, fi_ff_closed, fi_mz_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +359,27 @@ class QubitModel:
         return out
 
 
+def _eval_points(params: PhysicalParams, scenario: str) -> tuple[np.longdouble, np.longdouble]:
+    """The z-free trajectory centres (x_plus, x_minus) at the end, in extended
+    precision: the fall distance dwarfs the branch separation, so forming
+    x_s - g dt^2/2 in float64 would lose the digits the path difference lives in."""
+    drop = 0.5 * _LD(params.g) * _LD(params.dt) ** 2 if scenario == "free_fall" else _LD(0.0)
+    return _LD(params.x_plus) - drop, _LD(params.x_minus) - drop
+
+
 def reduce_to_qubit(state: ClockState, params: PhysicalParams,
                     scenario: str = "free_fall") -> QubitModel:
     """Collapse each branch to a phase at the z-free trajectory center."""
     if len(state.components) != 4:
         raise ValueError("qubit reduction expects the 4-component interferometer state")
-    # Evaluation points in extended precision: the fall distance dwarfs the
-    # branch separation, so forming x_s - g dt^2/2 in float64 would lose
-    # the very digits the path difference lives in.
-    if scenario == "free_fall":
-        drop = 0.5 * _LD(params.g) * _LD(params.dt) ** 2
-    else:
-        drop = _LD(0.0)
-    x_plus_eval = _LD(params.x_plus) - drop
-    x_minus_eval = _LD(params.x_minus) - drop
+    x_p, x_m = _eval_points(params, scenario)
     gammas = []
     for level in (0, 1):
         bp = state.branch("plus", level)
         bm = state.branch("minus", level)
-        rel = bm.ledger.diff_at(x_minus_eval, bp.ledger, x_plus_eval)
-        rel = rel + _LD(bm.chirp) * (_LD(x_minus_eval) - _LD(bm.mean_x)) ** 2
-        rel = rel - _LD(bp.chirp) * (_LD(x_plus_eval) - _LD(bp.mean_x)) ** 2
+        rel = bm.ledger.diff_at(x_m, bp.ledger, x_p)
+        rel = rel + _LD(bm.chirp) * (x_m - _LD(bm.mean_x)) ** 2
+        rel = rel - _LD(bp.chirp) * (x_p - _LD(bp.mean_x)) ** 2
         amp_phase = cmath.phase(bm.amplitude) - cmath.phase(bp.amplitude)
         gammas.append(wrap_angle(rel + _LD(amp_phase)))
     return QubitModel((gammas[0], gammas[1]))
@@ -511,11 +511,7 @@ def detection_probabilities(state: ClockState, params: PhysicalParams,
     ref_state = evolve_state(
         ClockState((initial.branch("plus", 0), initial.branch("minus", 0))),
         ref_params, scenario)
-    if scenario == "free_fall":
-        drop = 0.5 * _LD(params.g) * _LD(params.dt) ** 2
-    else:
-        drop = _LD(0.0)
-    x_p, x_m = _LD(params.x_plus) - drop, _LD(params.x_minus) - drop
+    x_p, x_m = _eval_points(params, scenario)
     ref_rel = ref_state.branch("minus", 0).ledger.diff_at(
         x_m, ref_state.branch("plus", 0).ledger, x_p)
     cos_sum = 0.0
@@ -544,9 +540,12 @@ def _fi_at(prob_fn, value: float, step: float, p_c: np.ndarray) -> float:
     two_h = (value + step) - (value - step)
     dp = (p_hi - p_lo) / two_h
     keep = p_c >= 1e-15
-    if not np.all(keep):
+    # An outcome that is exactly impossible here and nearby carries no
+    # information (P- under ablation); only the other exclusions are reported.
+    reported = ~keep & ((p_c != 0.0) | (dp != 0.0))
+    if np.any(reported):
         warnings.warn(
-            f"classical FI excluded outcomes below 1e-15: {np.where(~keep)[0].tolist()}",
+            f"classical FI excluded outcomes below 1e-15: {np.where(reported)[0].tolist()}",
             stacklevel=3)
     return float(np.sum(dp[keep] ** 2 / p_c[keep]))
 
@@ -614,15 +613,4 @@ class EstimationReport:
         return self
 
     def to_json(self) -> str:
-        payload = {
-            "parameter_name": self.parameter_name,
-            "qfi_closed": self.qfi_closed,
-            "qfi_parametric": self.qfi_parametric,
-            "qfi_oracle": self.qfi_oracle,
-            "qfi_reduced": self.qfi_reduced,
-            "fi_closed": self.fi_closed,
-            "fi_numeric": self.fi_numeric,
-            "crb_single_shot": self.crb_single_shot,
-            "method_metadata": self.method_metadata,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)

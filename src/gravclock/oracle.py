@@ -283,7 +283,10 @@ def detector_wavefunctions(params: PhysicalParams, scenario: str,
                            grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Path-space detector states: clock-free evolved branches interfered."""
     ref_params = params.replace(e0=0.0, e1=0.0)
-    ref = evolve_state(make_initial_state(ref_params.replace(phi=0.0)), ref_params, scenario)
+    initial = make_initial_state(ref_params.replace(phi=0.0))
+    # Only the level-0 reference branches are read.
+    ref = evolve_state(ClockState((initial.branch("plus", 0), initial.branch("minus", 0))),
+                       ref_params, scenario)
     plus = np.zeros(grid.n_points, dtype=complex)
     minus = np.zeros(grid.n_points, dtype=complex)
     for out, path in ((plus, "plus"), (minus, "minus")):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -235,9 +236,36 @@ def test_sweep_rows_in_point_order(tmp_path):
     assert [r.swept_value for r in rows] == cfg.sweep.values().tolist()
 
 
-def test_bouncer_methods_restricted(tmp_path):
+@pytest.mark.parametrize("method", ["parametric", "reduced", "fi"])
+def test_bouncer_methods_restricted(method, capsys):
     assert cli.main(["run", "--config", str(CONFIGS / "bouncer.cfg"),
-                     "--methods", "parametric"]) == 2
+                     "--methods", method]) == 2
+    assert "bouncer supports methods closed, oracle" in capsys.readouterr().err
+
+
+def test_route_table_owns_scenarios_and_columns():
+    """Every scenario has targets, and every route column is a report field
+    and a CSV column."""
+    assert set(cli.ROUTES) == set(est.TARGETS)
+    fields = {f.name for f in dataclasses.fields(est.EstimationReport)}
+    for routes in cli.ROUTES.values():
+        for pairs in routes.values():
+            for column, _route in pairs:
+                assert column in fields
+                assert column in cli.CSV_COLUMNS
+
+
+@pytest.mark.parametrize("var,start,stop", [("dt", "-5", "5"), ("sigma", "-1e-4", "1e-4")])
+def test_sweep_invalid_point_exit_2(tmp_path, capsys, var, start, stop):
+    """A sweep value that makes an invalid parameter set is a config error
+    naming the variable and the value, and no CSV is written."""
+    out = tmp_path / "sw"
+    rc = cli.main(["sweep", "--config", str(CONFIGS / "sr88_freefall.cfg"), "--var", var,
+                   f"--from={start}", f"--to={stop}", "--points", "3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--var {var} = {float(start)!r}" in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_bouncer_sweep_cross_method(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from conftest import CONFIG_DIR, _variant
 from hypothesis import assume, given, settings, strategies as st
 
-from gravclock import core, estimation as est, gaussian as ga
+from gravclock import core, estimation as est, gaussian as ga, oracle
 
 mp.mp.dps = 40
 
@@ -485,3 +486,27 @@ def test_information_chain_and_parametric_property(params):
         assert red <= full * (1 + 1e-6)
         assert est.qfi_pure_parametric(sc) == pytest.approx(full, rel=1e-2)
         assert ga.state_norm_sq(sc.make_state()) == pytest.approx(1.0, abs=1e-9)
+        p_plus, p_minus = est.detection_probabilities(sc.make_state(), params, kind)
+        assert p_plus + p_minus == 1.0
+
+
+@pytest.mark.parametrize("config", ["sr88_freefall", "sr88_mz"])
+def test_fi_numeric_ablated_is_silent(config):
+    """Under ablation P- is exactly 0 at and around the point: no warning."""
+    cfg = core.load_config(CONFIG_DIR / f"{config}.cfg")
+    params = core.params_from_config(cfg, ablate_time_dilation=True)
+    sc = est.Scenario(cfg["scenario.name"], params, cfg["scenario.target"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert est.fi_numeric(sc) == 0.0
+
+
+def test_bouncer_scenario_has_no_interferometer_routes():
+    """The bouncer is a valid Scenario, but the Gaussian routes refuse it."""
+    sc = est.Scenario("bouncer", core.params_from_config(
+        core.load_config(CONFIG_DIR / "bouncer.cfg")))
+    assert sc.value() == sc.params.g
+    for route in (est.closed_qfi, est.closed_reduced_qfi, est.closed_fi,
+                  est.qfi_pure_parametric, est.fi_numeric, oracle.qfi_numeric):
+        with pytest.raises(ValueError):
+            route(sc)
