@@ -18,7 +18,9 @@ dt^2 times the variance of dE/dg over the level distribution.
 The Airy engine is self-contained: one float64 piecewise-Chebyshev table
 of Ai and Ai' on [-15, 12], built once from extended-precision series and
 ODE marching, the DLMF 9.7 asymptotic expansions outside it, and
-evaluation in cache-sized blocks (see ``AiryEngine``).
+evaluation in cache-sized sorted blocks cut into one slice per region
+(see ``AiryEngine``).  The grid render evaluates each basis row only up
+to a decay cut, past which Ai is below 1e-39 (see ``render_spectral``).
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -52,6 +54,10 @@ _LOG_2_SQRT_PI = math.log(2.0 * _SQRT_PI)
 _UNDERFLOW_Y = 108.0
 # Points per evaluation block: each temporary is at most 128 kB.
 _BLOCK = 1 << 14
+# Rendered basis rows stop here: Ai(26) ~ 1e-39, so the rest of a row is 0.
+_RENDER_CUT_Y = 26.0
+# Basis rows per render chunk: 64 rows of 2^14 points take 8 MB.
+_RENDER_ROWS = 64
 # Table intervals and Chebyshev degree: degree 13 already reaches rounding
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
 _TABLE_WIDTH = 0.5
@@ -84,9 +90,10 @@ _NEG_ODD = (_ALT[:6] * _U_COEFFS[1:12:2], _ALT[:6] * _V_COEFFS[1:12:2])
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] x^k."""
-    acc = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
+    """sum_k coeffs[k] x^k, for at least two coefficients."""
+    acc = coeffs[-1] * x
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
         acc *= x
         acc += c
     return acc
@@ -103,12 +110,17 @@ class AiryEngine:
     negative axis; inward from the asymptotic seed on the positive axis,
     which is the stable direction).  A bare series/asymptotic split cannot
     reach 1e-12 in that band.  The coefficients come from one DCT-I of the
-    node values, and all points are summed by one gather-Clenshaw.
+    node values, and the points of a sorted slice are summed by one
+    Clenshaw pass, each coefficient row spread over them by ``repeat``.
 
     Outside the table the DLMF 9.7 asymptotic expansions apply, each
-    computing only the function asked for, and Ai and Ai' are exactly 0
-    past y = 108.  Arguments are evaluated in fixed blocks of 2^14 points,
-    so temporaries stay cache-sized whatever the call size.  NaN gives NaN.
+    computing only the function asked for; on the negative axis the cosine
+    and sine of the phase come from one half-angle tangent.  Ai and Ai' are
+    exactly 0 past y = 108.  Arguments are evaluated in fixed blocks of 2^14
+    points, so temporaries stay cache-sized whatever the call size.  Each
+    block is put in ascending order (a view when it is already monotone,
+    as every production argument array is; an argsort otherwise) and cut
+    by ``searchsorted`` into one slice per region.  NaN gives NaN.
 
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
@@ -196,21 +208,50 @@ class AiryEngine:
 
     @staticmethod
     def _asym_neg(y: np.ndarray, derivative: bool) -> np.ndarray:
-        """Ai(y) (or Ai'(y)) for y < -neg_cutoff."""
+        """Ai(y) (or Ai'(y)) for y < -neg_cutoff.
+
+        cos and sin of the phase theta = zeta - pi/4 come from one tangent,
+        tau = tan(theta / 2): cos = (1 - tau^2) / (1 + tau^2) and
+        sin = 2 tau / (1 + tau^2).  numpy's float64 tan is vectorised where
+        cos and sin may fall back to scalar libm, and both identities are
+        well conditioned in tau, up to |tau| ~ 1e16 at the poles.  Each
+        temporary is reused in place once its value is spent.
+        """
         t = -y
         root = np.sqrt(t)
-        zeta = (2.0 / 3.0) * t * root
+        zeta = (2.0 / 3.0) * t
+        zeta *= root
         inv = 1.0 / zeta
         inv2 = inv * inv
         even = _horner(_NEG_EVEN[derivative], inv2)
         odd = _horner(_NEG_ODD[derivative], inv2)
         odd *= inv
-        theta = zeta - 0.25 * math.pi
-        cos, sin = np.cos(theta), np.sin(theta)
-        quarter = np.sqrt(root)
+        tau = np.subtract(zeta, 0.25 * math.pi, out=zeta)
+        tau *= 0.5
+        np.tan(tau, out=tau)
+        tau2 = np.multiply(tau, tau, out=inv2)
+        scale = np.add(1.0, tau2, out=inv)
+        np.divide(1.0, scale, out=scale)
+        cos = np.subtract(1.0, tau2, out=tau2)
+        cos *= scale
+        sin = np.multiply(2.0, tau, out=tau)
+        sin *= scale
+        quarter = np.sqrt(root, out=root)
         if derivative:
-            return (sin * even - cos * odd) * (quarter / _SQRT_PI)
-        return (cos * even + sin * odd) / (_SQRT_PI * quarter)
+            # (sin even - cos odd) quarter / sqrt(pi)
+            sin *= even
+            cos *= odd
+            sin -= cos
+            quarter /= _SQRT_PI
+            sin *= quarter
+            return sin
+        # (cos even + sin odd) / (sqrt(pi) quarter)
+        cos *= even
+        sin *= odd
+        cos += sin
+        quarter *= _SQRT_PI
+        cos /= quarter
+        return cos
 
     # -- the table ----------------------------------------------------------
 
@@ -251,20 +292,26 @@ class AiryEngine:
         return tuple((dct.astype(_LD) @ v).astype(float) for v in values)
 
     def _chebyshev(self, y: np.ndarray, derivative: bool) -> np.ndarray:
-        """Gather-Clenshaw: each point sums the series of its own interval."""
+        """Clenshaw sum of each point's own interval series, for ascending y.
+
+        The points of an interval are contiguous, so each coefficient row
+        reaches its points by one ``repeat`` over the interval counts.
+        """
         coeffs = self._table()[derivative]
+        n_iv = coeffs.shape[1]
         u = (y + self.neg_cutoff) / _TABLE_WIDTH
-        idx = np.minimum(u.astype(np.intp), coeffs.shape[1] - 1)
+        idx = np.minimum(u.astype(np.intp), n_iv - 1)
+        counts = np.diff(np.searchsorted(idx, np.arange(n_iv + 1)))
         s = 2.0 * (u - idx) - 1.0
         two_s = 2.0 * s
-        b1 = coeffs[-1].take(idx)
+        b1 = coeffs[-1].repeat(counts)
         b2 = np.zeros_like(s)
         for row in coeffs[-2:0:-1]:
             # b_k = c_k + 2 s b_{k+1} - b_{k+2}, written over b_{k+2}.
             b2 -= two_s * b1
-            np.subtract(row.take(idx), b2, out=b2)
+            np.subtract(row.repeat(counts), b2, out=b2)
             b1, b2 = b2, b1
-        return coeffs[0].take(idx) + s * b1 - b2
+        return coeffs[0].repeat(counts) + s * b1 - b2
 
     # -- public evaluation ----------------------------------------------------
 
@@ -273,19 +320,33 @@ class AiryEngine:
         y = np.asarray(y, dtype=float)
         flat = y.ravel()
         outs = [np.empty_like(flat) for _ in derivatives]
+        # Upper ends of the regions for searchsorted(side="right"): y < -neg_cutoff
+        # is y <= the float below it.  Past 108 the value is 0; NaN sorts last.
+        cuts = np.array([np.nextafter(-self.neg_cutoff, -np.inf), self.pos_cutoff,
+                         _UNDERFLOW_Y, np.inf])
         branches = (self._asym_neg, self._chebyshev, self._asym_pos)
         for start in range(0, flat.size, _BLOCK):
             block = flat[start:start + _BLOCK]
-            masks = (block < -self.neg_cutoff,
-                     (block >= -self.neg_cutoff) & (block <= self.pos_cutoff),
-                     (block > self.pos_cutoff) & (block <= _UNDERFLOW_Y))
-            for derivative, out in zip(derivatives, outs):
-                part = out[start:start + _BLOCK]
-                part.fill(np.nan)            # NaN lies in no region
-                part[block > _UNDERFLOW_Y] = 0.0
-                for mask, branch in zip(masks, branches):
-                    if mask.any():
-                        part[mask] = branch(block[mask], derivative)
+            parts = [out[start:start + _BLOCK] for out in outs]
+            order = None
+            if block[0] <= block[-1] and np.all(block[:-1] <= block[1:]):
+                ys, views = block, parts
+            elif block[0] > block[-1] and np.all(block[:-1] >= block[1:]):
+                ys, views = block[::-1], [part[::-1] for part in parts]
+            else:                            # unsorted or NaN-laden
+                order = np.argsort(block)
+                ys = block[order]
+                views = [np.empty_like(ys) for _ in parts]
+            ends = np.searchsorted(ys, cuts, side="right").tolist()
+            for derivative, view in zip(derivatives, views):
+                for branch, lo, hi in zip(branches, [0, *ends], ends):
+                    if hi > lo:
+                        view[lo:hi] = branch(ys[lo:hi], derivative)
+                view[ends[2]:ends[3]] = 0.0
+                view[ends[3]:] = np.nan
+            if order is not None:
+                for part, view in zip(parts, views):
+                    part[order] = view
         return [out.reshape(y.shape) for out in outs]
 
     def ai(self, y) -> np.ndarray | float:
@@ -590,14 +651,18 @@ def spectral_phase_ref(params: PhysicalParams,
 
 
 def render_spectral(params: PhysicalParams, projection: BouncerProjection,
-                    t: float, grid: Grid, ref: SpectralPhaseRef | None = None,
-                    chunk: int = 256) -> GridWavefunction:
+                    t: float, grid: Grid, ref: SpectralPhaseRef | None = None) -> GridWavefunction:
     """Sample sum_n c_{i,n} e^{-i E_{i,n} t / hbar} psi_{i,n}(x).
 
     Phases are taken relative to ``ref`` (per-level constants and band
     mean), which callers comparing two states must share; the remaining
     per-level constant is physically irrelevant only within a level, so
     its g-variation is restored exactly via the analytic x0 term.
+
+    Each basis row Ai(x / l_i + z_n) is ascending in its argument and is
+    evaluated only up to the decay cut y = 26 (Ai(26) ~ 1e-39); past it
+    the row is exactly 0.  Rows go into 64-row bases, and a chunk's sum
+    stops at the cut of its highest level, which reaches furthest in x.
     """
     engine = default_engine()
     spectrum = projection.spectrum
@@ -611,10 +676,18 @@ def render_spectral(params: PhysicalParams, projection: BouncerProjection,
         l_i = spectrum.lengths[i]
         z_i = params.z_eff(i)
         const_shift = -params.m * params.x0 * (1.0 + z_i) * (params.g - ref.g_ref)
-        for start in range(0, len(keep), chunk):
-            sel = keep[start:start + chunk]
-            args = xs[None, :] / l_i + spectrum.zeros[sel, None]
-            basis = engine.ai(args.ravel()).reshape(args.shape)
+        scaled = xs / l_i
+        # Row n is evaluated on scaled[:ends[n]]; past it y > _RENDER_CUT_Y.
+        ends = np.searchsorted(scaled, _RENDER_CUT_Y - spectrum.zeros[keep], side="right")
+        basis = np.empty((min(_RENDER_ROWS, len(keep)), grid.n_points))
+        for start in range(0, len(keep), _RENDER_ROWS):
+            sel = keep[start:start + _RENDER_ROWS]
+            sel_ends = ends[start:start + _RENDER_ROWS]
+            width = int(sel_ends.max())
+            rows = basis[:len(sel), :width]
+            for row, z_n, end in zip(rows, spectrum.zeros[sel], sel_ends):
+                row[:end] = engine.ai(scaled[:end] + z_n)
+                row[end:] = 0.0
             rel_energy = (spectrum.band[i, sel] - ref.band_ref[i]) + const_shift
             phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
             coeff = (projection.coefficients[i, sel] * np.exp(1j * phases)
@@ -623,9 +696,9 @@ def render_spectral(params: PhysicalParams, projection: BouncerProjection,
             # copied to complex.  einsum keeps the product on this thread;
             # BLAS worker threads would spin between chunks, costing more CPU
             # than they save.
-            re, im = np.einsum("cm,mn->cn", np.stack([coeff.real, coeff.imag]), basis)
-            channels[i].real += re
-            channels[i].imag += im
+            re, im = np.einsum("cm,mn->cn", np.stack([coeff.real, coeff.imag]), rows)
+            channels[i, :width].real += re
+            channels[i, :width].imag += im
     return GridWavefunction(grid, channels)
 
 
@@ -655,15 +728,3 @@ def bouncer_qfi_numeric(params: PhysicalParams, t: float | None = None,
         warnings.warn("bouncer QFI below fidelity resolution", stacklevel=2)
     return qfi
 
-
-def spectrum_to_csv(projection: BouncerProjection, path) -> None:
-    """Export rows of i, n, z_n, E_J, c_re, c_im."""
-    spectrum = projection.spectrum
-    with open(path, "w") as fh:
-        fh.write("i,n,z_n,E_J,c_re,c_im\n")
-        for i in (0, 1):
-            for n in range(spectrum.n_max):
-                c = projection.coefficients[i, n]
-                fh.write(f"{i},{n + 1},{spectrum.zeros[n]:.17g},"
-                         f"{spectrum.energies[i, n]:.17g},"
-                         f"{c.real:.17g},{c.imag:.17g}\n")

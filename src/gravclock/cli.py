@@ -124,6 +124,12 @@ class ScenarioConfig:
         if bad:
             raise ConfigError(f"{self.scenario} supports methods {', '.join(routes)} "
                               f"(got {sorted(bad)})")
+        if self.n_max is not None:
+            if self.scenario != "bouncer":
+                raise ConfigError(f"bouncer.n_max applies only to the bouncer scenario, "
+                                  f"not {self.scenario}")
+            if self.n_max < 1:
+                raise ConfigError(f"bouncer.n_max needs an integer >= 1, got {self.n_max}")
         if self.scenario == "mach_zehnder" and self.sweep is not None \
                 and self.sweep.variable == "g":
             raise ConfigError(
@@ -317,7 +323,13 @@ def _build_scenario_config(args) -> ScenarioConfig:
         if args.var not in _SWEEP_VARS:
             raise ConfigError(f"unknown sweep variable {args.var!r} (use: {', '.join(_SWEEP_VARS)})")
         sweep = SweepSpec(args.var, args.start, args.stop, args.points, args.log)
-    n_max = int(float(cfg_map["bouncer.n_max"])) if "bouncer.n_max" in cfg_map else None
+    n_max = None
+    if "bouncer.n_max" in cfg_map:
+        number = float(cfg_map["bouncer.n_max"])
+        if not number.is_integer():
+            raise ConfigError(f"bouncer.n_max needs an integer >= 1, "
+                              f"got {cfg_map['bouncer.n_max']!r}")
+        n_max = int(number)
     return ScenarioConfig(
         scenario=scenario, target=target, params=params, methods=methods,
         sweep=sweep, out_dir=Path(args.out) if args.out else None, n_max=n_max,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gravclock import bouncer as bc, core, oracle as orc
+from gravclock.gaussian import wrap_angle
 
 mp.mp.dps = 40
 
@@ -143,6 +144,80 @@ def test_nan_gives_nan_and_empty_gives_empty():
         assert np.all(out[1::2] == evaluate(3.0))
     for evaluate in (bc.airy_ai, bc.airy_ai_prime):
         assert evaluate(np.array([])).shape == (0,)
+
+
+def _region_reference(engine, y, derivative):
+    """Each region's branch on that region's points, ascending, scattered back."""
+    y = np.asarray(y, dtype=float).ravel()
+    out = np.full_like(y, np.nan)
+    out[y > bc._UNDERFLOW_Y] = 0.0
+    regions = ((y < -engine.neg_cutoff, engine._asym_neg),
+               ((y >= -engine.neg_cutoff) & (y <= engine.pos_cutoff), engine._chebyshev),
+               ((y > engine.pos_cutoff) & (y <= bc._UNDERFLOW_Y), engine._asym_pos))
+    for mask, branch in regions:
+        where = np.flatnonzero(mask)
+        where = where[np.argsort(y[where], kind="stable")]
+        if where.size:
+            out[where] = branch(y[where], derivative)
+    return out
+
+
+def _eval_inputs():
+    rng = np.random.default_rng(6)
+    ascending = np.linspace(-180.0, 120.0, 5000)
+    laden = rng.permutation(np.concatenate([ascending, [np.nan] * 7, [np.inf, -np.inf] * 3]))
+    blocks = np.linspace(-170.0, 40.0, 3 * bc._BLOCK + 5)
+    return {
+        "ascending": ascending,
+        "descending": ascending[::-1],
+        "shuffled": rng.permutation(ascending),
+        "nan_inf_laden": laden,
+        "multi_block": blocks,
+        "multi_block_descending": blocks[::-1].copy(),
+        "multi_block_shuffled": rng.permutation(blocks),
+    }
+
+
+@pytest.mark.parametrize("name", list(_eval_inputs()))
+def test_eval_equals_region_by_region_reference(name):
+    """Sorted-slice evaluation is bit-for-bit the per-region evaluation,
+    whatever the input order, across blocks, and with NaN and +-inf."""
+    y = _eval_inputs()[name]
+    engine = bc.default_engine()
+    with np.errstate(invalid="ignore"):          # -inf has no phase
+        ai, aip = engine._eval(y, (False, True))
+        ref = [_region_reference(engine, y, d) for d in (False, True)]
+        np.testing.assert_array_equal(engine.ai(y), ref[0])
+    np.testing.assert_array_equal(ai, ref[0])
+    np.testing.assert_array_equal(aip, ref[1])
+    assert np.all(np.isnan(ai[np.isnan(y)]))
+    assert np.all(ai[y == np.inf] == 0.0)
+
+
+def _half_angle_poles() -> np.ndarray:
+    """y in [-170, -15] where (zeta - pi/4) / 2 is an odd multiple of pi/2,
+    so tan blows up, with the floats one ulp either side."""
+    zeta_range = [(2.0 / 3.0) * mp.mpf(t) ** 1.5 for t in (15, 170)]
+    k_lo = int(mp.ceil((zeta_range[0] - mp.pi / 4) / mp.pi))
+    k_hi = int(mp.floor((zeta_range[1] - mp.pi / 4) / mp.pi))
+    ys = []
+    for k in range(k_lo, k_hi + 1):
+        if k % 2 == 0:
+            continue
+        zeta = mp.pi / 4 + k * mp.pi
+        y = -float((mp.mpf(3) / 2 * zeta) ** (mp.mpf(2) / 3))
+        ys += [np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)]
+    return np.array(ys)
+
+
+def test_asymptotic_phase_at_tangent_poles_against_mpmath():
+    ys = _half_angle_poles()
+    assert ys.min() >= -170.0 and ys.max() <= -bc.AiryEngine.neg_cutoff
+    ai, aip = bc.airy_ai(ys), bc.airy_ai_prime(ys)
+    assert np.all(np.isfinite(ai)) and np.all(np.isfinite(aip))
+    for y, a, ap in zip(ys, ai, aip):
+        assert a == pytest.approx(float(mp.airyai(float(y))), abs=1e-12)
+        assert ap == pytest.approx(float(mp.airyai(float(y), 1)), abs=2e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +364,49 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
     assert np.max(np.abs(rendered - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def _unwindowed_render(p, proj, t, grid, ref):
+    """render_spectral without the decay cut: every kept row in full, summed
+    by the same 64-row contraction, so the window is the only difference."""
+    engine = bc.default_engine()
+    spec = proj.spectrum
+    xs = grid.xs()
+    channels = np.zeros((2, grid.n_points), dtype=complex)
+    for i in (0, 1):
+        weights = np.abs(proj.coefficients[i])
+        keep = np.flatnonzero(weights > 1e-14 * weights.max())
+        const_shift = -p.m * p.x0 * (1.0 + p.z_eff(i)) * (p.g - ref.g_ref)
+        rel_energy = (spec.band[i, keep] - ref.band_ref[i]) + const_shift
+        ld = np.longdouble
+        phases = wrap_angle(-rel_energy.astype(ld) * ld(t) / ld(p.hbar))
+        coeff = proj.coefficients[i, keep] * np.exp(1j * phases) * spec.norms[i, keep]
+        for start in range(0, len(keep), bc._RENDER_ROWS):
+            rows = slice(start, start + bc._RENDER_ROWS)
+            basis = engine.ai(xs[None, :] / spec.lengths[i] + spec.zeros[keep[rows], None])
+            re, im = np.einsum("cm,mn->cn", np.stack([coeff[rows].real, coeff[rows].imag]), basis)
+            channels[i].real += re
+            channels[i].imag += im
+    return channels
+
+
+def test_windowed_render_matches_unwindowed_reference(bouncer_params):
+    """Cutting each basis row at y = 26 changes the state by nothing visible."""
+    p = bouncer_params
+    center = bc.bouncer_coefficients(p)
+    grid = bc.bouncer_grid(p, center, n_points=2**13)
+    ref = bc.spectral_phase_ref(p, center)
+    shifted = p.replace(g=p.g * (1.0 + 1e-9))
+    for params, proj in ((p, center),
+                         (shifted, bc.bouncer_coefficients(shifted, center.spectrum.n_max))):
+        rendered = bc.render_spectral(params, proj, p.dt, grid, ref).channels
+        expected = _unwindowed_render(params, proj, p.dt, grid, ref)
+        assert np.max(np.abs(rendered - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_bouncer_oracle_regression_pin(bouncer_params):
+    """The grid-fidelity oracle on configs/bouncer.cfg, pinned to 1e-10."""
+    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.175490357, rel=1e-10)
+
+
 @pytest.mark.filterwarnings("ignore:coefficient truncation")
 def test_qfi_longtime_degenerate_distribution(bouncer_params):
     proj = bc.bouncer_coefficients(bouncer_params, n_max=50)
@@ -321,12 +439,3 @@ def test_qfi_longtime_anchor_derivative_switch(bouncer_params):
     q1 = bc.bouncer_qfi_longtime(p, dv0_dg=-0.5)
     assert q1 == pytest.approx(q0, rel=1e-3)
 
-
-@pytest.mark.filterwarnings("ignore:coefficient truncation")
-def test_spectrum_export_csv(tmp_path, bouncer_params):
-    proj = bc.bouncer_coefficients(bouncer_params, n_max=40)
-    path = tmp_path / "spectrum.csv"
-    bc.spectrum_to_csv(proj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,n,z_n,E_J,c_re,c_im"
-    assert len(lines) == 1 + 2 * 40

@@ -243,6 +243,29 @@ def test_bouncer_methods_restricted(method, capsys):
     assert "bouncer supports methods closed, oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["2.7", "0", "-3", "1e-3"])
+def test_bouncer_n_max_must_be_positive_integer(tmp_path, capsys, value):
+    """A fractional or non-positive n_max is a config error, not a silently
+    truncated level count (2.7 ran as 2) or a numerical failure (0 exited 3)."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + f"bouncer.n_max = {value}\n")
+    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
+    assert "bouncer.n_max" in capsys.readouterr().err
+
+
+def test_bouncer_n_max_integral_float_accepted(tmp_path):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + "bouncer.n_max = 5e2\n")
+    args = cli._parser().parse_args(["run", "--config", str(cfg)])
+    assert cli._build_scenario_config(args).n_max == 500
+
+
+def test_bouncer_key_on_other_scenario_exit_2(tmp_path, capsys):
+    cfg = _write_ff_config(tmp_path, **{"bouncer.n_max": 5})
+    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
+    assert "bouncer.n_max" in capsys.readouterr().err
+
+
 def test_route_table_owns_scenarios_and_columns():
     """Every scenario has targets, and every route column is a report field
     and a CSV column."""
