@@ -31,6 +31,7 @@ evaluated in log space because the two factors overflow separately.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -357,15 +358,20 @@ class AiryEngine:
         out = self._eval(y, (True,))[0]
         return float(out) if np.ndim(y) == 0 else out
 
-    def ai_log(self, y) -> np.ndarray:
-        """log|Ai(y)| for y >= 0, usable far beyond the overflow range."""
+    def ai_log(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """(sign of Ai(y), log|Ai(y)|): from ``ai`` up to pos_cutoff, beyond
+        it from the asymptotic sum, finite far past where Ai underflows."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
+        sign = np.ones_like(y)
         out = np.empty_like(y)
         small = y <= self.pos_cutoff
-        with np.errstate(divide="ignore"):
-            out[small] = np.log(np.abs(self._eval(y[small])[0]))
+        if np.any(small):
+            vals = self.ai(y[small])
+            sign[small] = np.sign(vals)
+            with np.errstate(divide="ignore"):
+                out[small] = np.log(np.abs(vals))
         out[~small] = self._asym_pos(y[~small], False, log=True)
-        return out
+        return sign, out
 
     # -- zeros ------------------------------------------------------------------
 
@@ -388,14 +394,9 @@ class AiryEngine:
         return z
 
 
-_DEFAULT_ENGINE: AiryEngine | None = None
-
-
+@functools.cache
 def default_engine() -> AiryEngine:
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = AiryEngine()
-    return _DEFAULT_ENGINE
+    return AiryEngine()
 
 
 def airy_ai(y):
@@ -486,39 +487,24 @@ class BouncerProjection:
 
 
 def _path_projection(params: PhysicalParams, spectrum: BouncerSpectrum,
-                     level: int, x_center: float, mode: str) -> np.ndarray:
-    engine = default_engine()
+                     level: int, x_center: float) -> np.ndarray:
+    """<psi_{level,n} | Gaussian at x_center> from the Laplace-transform
+    closed form of the module docstring, in log space."""
     l_i = spectrum.lengths[level]
     s = params.sigma / l_i
     w = spectrum.zeros + x_center / l_i
     base = l_i * np.abs(spectrum.norms[level]) * (2.0 * math.pi * params.sigma**2) ** -0.25
-    sign_n = np.sign(spectrum.norms[level])
-    if mode == "gaussian_approx":
-        if s < 1.0:
-            warnings.warn("gaussian_approx expects sigma >~ l_i", stacklevel=3)
-        return sign_n * base * np.exp(-(w / (2.0 * s)) ** 2)
-    if mode != "exact":
-        raise ValueError(f"unknown coefficient mode {mode!r}")
-    arg = w + s**4
-    ai_sign = np.ones_like(arg)
-    ln_ai = np.empty_like(arg)
-    below = arg <= engine.pos_cutoff
-    with np.errstate(divide="ignore"):
-        if np.any(below):
-            vals = engine.ai(arg[below])
-            ai_sign[below] = np.sign(vals)
-            ln_ai[below] = np.log(np.abs(vals))
-        if np.any(~below):
-            ln_ai[~below] = engine.ai_log(arg[~below])
+    ai_sign, ln_ai = default_engine().ai_log(w + s**4)
     ln_c = np.log(2.0 * _SQRT_PI * s * base) + s * s * w + (2.0 / 3.0) * s**6 + ln_ai
     with np.errstate(over="ignore"):
         mag = np.exp(ln_c)
-    return sign_n * ai_sign * mag
+    return np.sign(spectrum.norms[level]) * ai_sign * mag
 
 
-def _auto_n_max(params: PhysicalParams, cap: int = 10**4) -> int:
-    """Smallest n past the peak where both paths' coefficients die to 1e-8."""
+def _auto_n_max(params: PhysicalParams) -> int:
+    """Smallest n past the peak where both paths' coefficients die to 1e-8, at most 1e4."""
     engine = default_engine()
+    cap = 10**4
     best = 0.0
     n_lo = 1
     block_size = 512
@@ -544,15 +530,14 @@ def _auto_n_max(params: PhysicalParams, cap: int = 10**4) -> int:
     return cap
 
 
-def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None,
-                         mode: str = "exact") -> BouncerProjection:
+def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> BouncerProjection:
     """Projection of the two-height superposition on the bouncer basis.
 
-    Exact mode evaluates the Laplace-transform closed form in log space;
-    gaussian_approx uses the smooth envelope valid for sigma >~ l_i.  The
-    combined coefficients (c+ + e^{i phi} c-)/2 are renormalized to unit
-    total mass (the printed combination ignores branch overlap) and the
-    renormalization factor is reported.
+    Each path's coefficients come from the Laplace-transform closed form
+    in log space; a basis missing more than 1e-3 of either path's mass
+    raises ValueError rather than renormalize the rest to a wrong number.
+    The combined coefficients (c+ + e^{i phi} c-)/2 are renormalized to
+    unit total mass (ignoring branch overlap); the factor is reported.
     """
     if n_max is None:
         n_max = _auto_n_max(params)
@@ -560,15 +545,15 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None,
     c_plus = np.empty((2, n_max))
     c_minus = np.empty((2, n_max))
     for i in (0, 1):
-        c_plus[i] = _path_projection(params, spectrum, i, params.x_plus, mode)
-        c_minus[i] = _path_projection(params, spectrum, i, params.x_minus, mode)
+        c_plus[i] = _path_projection(params, spectrum, i, params.x_plus)
+        c_minus[i] = _path_projection(params, spectrum, i, params.x_minus)
     phase = complex(math.cos(params.phi), math.sin(params.phi))
     combined = 0.5 * (c_plus + phase * c_minus)
     masses = [float(np.sum(c * c)) for c in (c_plus[0], c_plus[1], c_minus[0], c_minus[1])]
     tail = max(0.0, 1.0 - min(masses))
     if tail > 1e-3:
-        warnings.warn(f"coefficient truncation mass {tail:.2e} > 1e-3; raise n_max",
-                      stacklevel=2)
+        raise ValueError(f"coefficient truncation mass {tail:.2e} > 1e-3 at n_max = {n_max}; "
+                         "raise n_max or leave it unset")
     total = float(np.sum(np.abs(combined) ** 2))
     renorm = math.sqrt(total)
     if renorm < 1e-6:
@@ -580,29 +565,27 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None,
     return BouncerProjection(spectrum, c_plus, c_minus, combined / renorm, tail, renorm)
 
 
-def denergy_dg(params: PhysicalParams, spectrum: BouncerSpectrum,
-               dv0_dg: float = 0.0) -> np.ndarray:
-    """Analytic dE_{i,n}/dg with the anchor V(x0) fixed by default.
+def denergy_dg(params: PhysicalParams, spectrum: BouncerSpectrum) -> np.ndarray:
+    """Analytic dE_{i,n}/dg with the anchor V(x0) held fixed.
 
     d l_i / d g = -l_i / (3 g), so the zero-point term contributes with a
-    2/3 factor; ``dv0_dg`` optionally ties the anchor to the profile.
+    2/3 factor.
     """
     out = np.empty_like(spectrum.energies)
     for i in (0, 1):
         z_i = params.z_eff(i)
         l_i = spectrum.lengths[i]
         out[i] = params.m * (-(2.0 / 3.0) * spectrum.zeros * l_i
-                             - params.x0 + dv0_dg) * (1.0 + z_i)
+                             - params.x0) * (1.0 + z_i)
     return out
 
 
 def bouncer_qfi_longtime(params: PhysicalParams, n_max: int | None = None,
-                         dv0_dg: float = 0.0,
                          projection: BouncerProjection | None = None) -> float:
     """Long-time QFI for g: (4 dt^2 / hbar^2) Var(dE/dg) over |c_{i,n}|^2."""
     proj = projection if projection is not None else bouncer_coefficients(params, n_max)
     weights = np.abs(proj.coefficients) ** 2
-    de = denergy_dg(params, proj.spectrum, dv0_dg)
+    de = denergy_dg(params, proj.spectrum)
     mean = float(np.sum(weights * de))
     var = float(np.sum(weights * de * de)) - mean * mean
     return 4.0 * params.dt**2 / params.hbar**2 * max(var, 0.0)
@@ -702,28 +685,22 @@ def render_spectral(params: PhysicalParams, projection: BouncerProjection,
     return GridWavefunction(grid, channels)
 
 
-def bouncer_qfi_numeric(params: PhysicalParams, t: float | None = None,
-                        n_max: int | None = None, delta: float | None = None,
-                        n_points: int = 2**14) -> float:
-    """Fidelity QFI of the rendered spectral state (the dt^2 oracle)."""
-    t = params.dt if t is None else t
+def bouncer_qfi_numeric(params: PhysicalParams, n_max: int | None = None) -> float:
+    """Fidelity QFI of the state rendered at t = dt (the dt^2 oracle)."""
     center = bouncer_coefficients(params, n_max)
     n_fixed = center.spectrum.n_max
-    grid = bouncer_grid(params, center, n_points)
+    grid = bouncer_grid(params, center)
     ref = spectral_phase_ref(params, center)
-    if delta is None:
-        guess = bouncer_qfi_longtime(params.replace(dt=t), projection=center)
-        if guess > 0:
-            delta = 2.0 * math.sqrt(2e-4 / guess)
+    # Start the offset search where the long-time QFI puts 1 - F near 1e-4.
+    guess = bouncer_qfi_longtime(params, projection=center)
+    delta = 2.0 * math.sqrt(2e-4 / guess) if guess > 0 else None
 
     def state_at(g_value: float) -> GridWavefunction:
         proj = bouncer_coefficients(params.replace(g=g_value), n_fixed)
-        return render_spectral(params.replace(g=g_value), proj, t, grid, ref)
+        return render_spectral(params.replace(g=g_value), proj, params.dt, grid, ref)
 
-    def fid(v_lo: float, v_hi: float) -> float:
-        return fidelity(state_at(v_lo), state_at(v_hi))
-
-    qfi, resolved = richardson_bures_qfi(fid, params.g, delta)
+    qfi, resolved = richardson_bures_qfi(lambda lo, hi: fidelity(state_at(lo), state_at(hi)),
+                                         params.g, delta)
     if not resolved:
         warnings.warn("bouncer QFI below fidelity resolution", stacklevel=2)
     return qfi

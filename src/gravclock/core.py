@@ -1,4 +1,4 @@
-"""Scenario parameters, weak-field redshift formulas, and regime checks.
+"""Scenario parameters, regime checks, presets and configuration.
 
 Everything is SI. The clock is a two-level system with internal energies
 ``E0 <= E1`` riding on an atom of mass ``m``; the dimensionless ratios
@@ -114,22 +114,6 @@ class PhysicalParams:
             raise ParamsError("; ".join(problems))
 
     # -- internal-energy ratios ------------------------------------------
-
-    @property
-    def delta_e(self) -> float:
-        return self.e1 - self.e0
-
-    @property
-    def e_bar(self) -> float:
-        return 0.5 * (self.e0 + self.e1)
-
-    @property
-    def delta_z(self) -> float:
-        return self.z1 - self.z0
-
-    @property
-    def z_bar(self) -> float:
-        return 0.5 * (self.z0 + self.z1)
 
     def z_eff(self, level: int) -> float:
         """Time-dilation coupling of internal level ``level`` (0 if ablated)."""
@@ -294,25 +278,6 @@ def build_params(
 
 
 # ---------------------------------------------------------------------------
-# Redshift formulas
-# ---------------------------------------------------------------------------
-
-def proper_time_rate(v_pot: float, p: float, params: PhysicalParams) -> float:
-    """Rate d(tau)/dt at which the atom's proper time flows.
-
-    ``1 + V/c^2 - p^2/(2 m^2 c^2)``: the gravitational term raises the
-    rate with potential, the kinetic term lowers it with speed.
-    """
-    c2 = params.c**2
-    return 1.0 + v_pot / c2 - p * p / (2.0 * params.m**2 * c2)
-
-
-def shifted_frequency(omega: float, v_pot: float, p: float, params: PhysicalParams) -> float:
-    """Clock transition frequency seen in the laboratory frame."""
-    return omega * proper_time_rate(v_pot, p, params)
-
-
-# ---------------------------------------------------------------------------
 # Regime checker
 # ---------------------------------------------------------------------------
 
@@ -341,14 +306,15 @@ class RegimeReport:
         return tuple(e.name for e in self.entries if not e.satisfied)
 
 
-def check_regime(params: PhysicalParams, ratio_threshold: float | None = None) -> RegimeReport:
+def check_regime(params: PhysicalParams) -> RegimeReport:
     """Evaluate every separation-of-scales inequality behind the closed forms.
 
-    "a << b" is operationalized as ``a/b <= ratio_threshold`` (default 0.1).
-    Unsatisfied entries are reported, never raised; the z-dependent entries
-    use the raw (un-ablated) ratios since they describe the physics.
+    "a << b" is operationalized as ``a/b <= params.ratio_threshold``
+    (default 0.1).  Unsatisfied entries are reported, never raised; the
+    z-dependent entries use the raw (un-ablated) ratios since they
+    describe the physics.
     """
-    thr = params.ratio_threshold if ratio_threshold is None else ratio_threshold
+    thr = params.ratio_threshold
     m, g, dt, sigma, hbar = params.m, params.g, params.dt, params.sigma, params.hbar
     z_max = max(params.z0, params.z1)
     big_sigma = params.spread_width

@@ -14,6 +14,10 @@ checked against each other:
   reduced density operator within the span of the ensemble states and
   evaluates the spectral-decomposition QFI formula.
 
+These two and the classical FI (``classical_fi``) share one step rule,
+``_fd_step``, and one Richardson combination of the steps h and h/2,
+``_richardson``; each evaluates its centre once.
+
 Parameter conventions for the two interferometers:
 
 * free fall estimates ``g`` (the slope of the linearized potential);
@@ -47,10 +51,6 @@ _LD = np.longdouble
 
 class StepUnderflowError(ValueError):
     """Finite-difference step vanished in floating point."""
-
-
-class NotIdentifiableError(ValueError):
-    """The Fisher information is zero: no Cramer-Rao bound exists."""
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +227,6 @@ def fi_mz_closed(params: PhysicalParams, target: str) -> float:
     raise ValueError(f"unknown MZ target {target!r}")
 
 
-def cramer_rao(fisher: float, n_measurements: int = 1) -> float:
-    """Single- or multi-shot Cramer-Rao variance bound, 1/(M F)."""
-    if n_measurements < 1:
-        raise ValueError("n_measurements must be at least 1")
-    if fisher < 0:
-        raise ValueError("Fisher information cannot be negative")
-    if fisher == 0:
-        raise NotIdentifiableError("parameter not identifiable: zero Fisher information")
-    return 1.0 / (n_measurements * fisher)
-
-
 def _closed(scenario: Scenario, free_fall, mach_zehnder) -> float:
     if scenario.kind == "free_fall":
         return free_fall(scenario.params)
@@ -259,17 +248,28 @@ def closed_fi(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parametric pure-state QFI
+# Finite differences shared by the three numeric engines
 # ---------------------------------------------------------------------------
 
-def _fd_step(value: float, rel_step: float) -> float:
-    step = max(rel_step * abs(value), 1e-9)
-    if value + step == value or value - step == value:
-        raise StepUnderflowError(
-            f"relative step {rel_step:g} underflows at value {value:g}; "
-            "pass an absolute step via rel_step = step/|value|")
+def _fd_step(value: float, phase_scale: float = 0.0) -> float:
+    """Central-difference step: 0.01 rad of phase when ``phase_scale`` (rad
+    per parameter unit) is positive, since amplitudes oscillate on the
+    phase's scale, not on |value|'s; else max(1e-5 |value|, 1e-9)."""
+    step = 1e-2 / phase_scale if phase_scale > 0 else max(1e-5 * abs(value), 1e-9)
+    if not math.isfinite(step) or value + step == value or value - step == value:
+        raise StepUnderflowError(f"finite-difference step {step:g} vanishes at value {value:g}")
     return step
 
+
+def _richardson(at, step: float) -> float:
+    """(4 at(h/2) - at(h)) / 3: cancels the O(h^2) error of central differences."""
+    full = at(step)
+    return (4.0 * at(0.5 * step) - full) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# Parametric pure-state QFI
+# ---------------------------------------------------------------------------
 
 def _parametric_qfi_at(scenario: Scenario, v0: float, step: float,
                        comps: tuple[GaussianBranch, ...]) -> float:
@@ -319,8 +319,7 @@ def _parametric_qfi_at(scenario: Scenario, v0: float, step: float,
     return 4.0 * (s_dd.real - abs(s_pd) ** 2)
 
 
-def qfi_pure_parametric(scenario: Scenario, value: float | None = None,
-                        rel_step: float = 1e-5) -> float:
+def qfi_pure_parametric(scenario: Scenario, value: float | None = None) -> float:
     """Pure-state QFI of the scenario family by parameter differentiation.
 
     Central differences of every Gaussian parameter and ledger term
@@ -330,34 +329,14 @@ def qfi_pure_parametric(scenario: Scenario, value: float | None = None,
     Both steps share the centre state.
     """
     v0 = scenario.value() if value is None else value
-    step = _fd_step(v0, rel_step)
+    step = _fd_step(v0)
     comps = _ordered_components(scenario.make_state(v0))
-    g_full = _parametric_qfi_at(scenario, v0, step, comps)
-    g_half = _parametric_qfi_at(scenario, v0, 0.5 * step, comps)
-    return (4.0 * g_half - g_full) / 3.0
+    return _richardson(lambda h: _parametric_qfi_at(scenario, v0, h, comps), step)
 
 
 # ---------------------------------------------------------------------------
 # Qubit reduction and the mixed-state (spectral) QFI
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QubitModel:
-    """Semiclassical two-path model: each branch reduced to a pure phase.
-
-    gamma[i] is the minus-vs-plus relative phase of level i evaluated at
-    the clock-free trajectory centers (global per-level phases dropped);
-    widths and position dependence are discarded.
-    """
-
-    gammas: tuple[float, float]
-
-    def vectors(self) -> np.ndarray:
-        out = np.empty((2, 2), dtype=complex)
-        for i, gamma in enumerate(self.gammas):
-            out[i] = (1.0 / math.sqrt(2.0), cmath.exp(1j * gamma) / math.sqrt(2.0))
-        return out
-
 
 def _eval_points(params: PhysicalParams, scenario: str) -> tuple[np.longdouble, np.longdouble]:
     """The z-free trajectory centres (x_plus, x_minus) at the end, in extended
@@ -368,8 +347,10 @@ def _eval_points(params: PhysicalParams, scenario: str) -> tuple[np.longdouble, 
 
 
 def reduce_to_qubit(state: ClockState, params: PhysicalParams,
-                    scenario: str = "free_fall") -> QubitModel:
-    """Collapse each branch to a phase at the z-free trajectory center."""
+                    scenario: str = "free_fall") -> tuple[float, float]:
+    """Semiclassical two-path model (gamma_0, gamma_1): gamma_i is level i's
+    minus-vs-plus relative phase at the z-free trajectory centres (global
+    per-level phases, widths and position dependence are dropped)."""
     if len(state.components) != 4:
         raise ValueError("qubit reduction expects the 4-component interferometer state")
     x_p, x_m = _eval_points(params, scenario)
@@ -382,20 +363,25 @@ def reduce_to_qubit(state: ClockState, params: PhysicalParams,
         rel = rel - _LD(bp.chirp) * (x_p - _LD(bp.mean_x)) ** 2
         amp_phase = cmath.phase(bm.amplitude) - cmath.phase(bp.amplitude)
         gammas.append(wrap_angle(rel + _LD(amp_phase)))
-    return QubitModel((gammas[0], gammas[1]))
+    return gammas[0], gammas[1]
 
 
 def reduced_qubit_ensemble(scenario: Scenario):
-    """Ensemble function v -> [(1/2, |phi_0>), (1/2, |phi_1>)] as qubit vectors."""
+    """Ensemble function v -> [(1/2, |phi_0>), (1/2, |phi_1>)] as qubit
+    vectors (1, e^{i gamma_i}) / sqrt(2)."""
     def at(value: float):
         sc = scenario.with_value(value)
-        qm = reduce_to_qubit(sc.make_state(), sc.params, sc.kind)
-        vec = qm.vectors()
-        return ((0.5, vec[0]), (0.5, vec[1]))
+        gammas = reduce_to_qubit(sc.make_state(), sc.params, sc.kind)
+        return tuple((0.5, np.array([1.0, cmath.exp(1j * gamma)]) / math.sqrt(2.0))
+                     for gamma in gammas)
     return at
 
 
-def _aligned_eigh(rho: np.ndarray, ref: np.ndarray | None, cluster_tol: float = 1e-8):
+_CLUSTER_TOL = 1e-8    # eigenvalues this close are aligned as one block
+_EIGEN_FLOOR = 1e-12   # eigenvalues (and pair sums) below it are left out
+
+
+def _aligned_eigh(rho: np.ndarray, ref: np.ndarray | None):
     w, v = np.linalg.eigh(rho)
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
@@ -403,7 +389,7 @@ def _aligned_eigh(rho: np.ndarray, ref: np.ndarray | None, cluster_tol: float = 
         start = 0
         while start < len(w):
             stop = start + 1
-            while stop < len(w) and abs(w[stop - 1] - w[stop]) < cluster_tol:
+            while stop < len(w) and abs(w[stop - 1] - w[stop]) < _CLUSTER_TOL:
                 stop += 1
             block = slice(start, stop)
             a = v[:, block].conj().T @ ref[:, block]
@@ -413,78 +399,64 @@ def _aligned_eigh(rho: np.ndarray, ref: np.ndarray | None, cluster_tol: float = 
     return w, v
 
 
-def _gram_qfi_at(ensemble_fn, v0: float, step: float, eigen_floor: float) -> float:
-    def rho_of(value: float):
-        members = ensemble_fn(value)
-        dim = len(members[0][1])
-        rho = np.zeros((dim, dim), dtype=complex)
-        for p_i, vec in members:
-            vec = np.asarray(vec, dtype=complex)
-            rho += p_i * np.outer(vec, vec.conj())
-        return rho
+def _density(ensemble_fn, value: float) -> np.ndarray:
+    members = ensemble_fn(value)
+    dim = len(members[0][1])
+    rho = np.zeros((dim, dim), dtype=complex)
+    for p_i, vec in members:
+        vec = np.asarray(vec, dtype=complex)
+        rho += p_i * np.outer(vec, vec.conj())
+    return rho
 
-    w_c, e_c = _aligned_eigh(rho_of(v0), None)
-    w_p, e_p = _aligned_eigh(rho_of(v0 + step), e_c)
-    w_m, e_m = _aligned_eigh(rho_of(v0 - step), e_c)
+
+def _gram_qfi_at(ensemble_fn, v0: float, step: float, w_c, e_c) -> float:
+    """Unextrapolated spectral QFI at ``v0`` from central differences of
+    width ``step``; (w_c, e_c) is the eigensystem of the density at v0."""
+    w_p, e_p = _aligned_eigh(_density(ensemble_fn, v0 + step), e_c)
+    w_m, e_m = _aligned_eigh(_density(ensemble_fn, v0 - step), e_c)
     two_h = (v0 + step) - (v0 - step)
     dw = (w_p - w_m) / two_h
     de = (e_p - e_m) / two_h
 
-    dropped = []
     total = 0.0
     for k, wk in enumerate(w_c):
-        if wk < eigen_floor:
-            dropped.append(k)
+        if wk < _EIGEN_FLOOR:
             continue
         total += dw[k] ** 2 / wk
         total += 4.0 * wk * float(np.vdot(de[:, k], de[:, k]).real)
     for k, wk in enumerate(w_c):
         for l, wl in enumerate(w_c):
-            if wk + wl < eigen_floor:
+            if wk + wl < _EIGEN_FLOOR:
                 continue
             ov = np.vdot(de[:, k], e_c[:, l])
             total -= 8.0 * wk * wl / (wk + wl) * abs(ov) ** 2
-    if dropped:
-        warnings.warn(f"gram QFI dropped eigenvalues below {eigen_floor:g}: {dropped}",
-                      stacklevel=3)
     return total
 
 
-def qfi_mixed_gram(ensemble_fn, value: float, rel_step: float = 1e-5,
-                   phase_scale: float | None = None,
-                   eigen_floor: float = 1e-12) -> float:
+def qfi_mixed_gram(ensemble_fn, value: float, phase_scale: float = 0.0) -> float:
     """Mixed-state QFI of an ensemble v -> [(p_i, |psi_i(v)>)].
 
     The density operator is diagonalized within the span of the ensemble
     (the members need not be orthogonal), eigenvectors are gauge- and
     degeneracy-aligned to the central ones, and the three spectral sums
     of the mixed-state QFI are evaluated with central differences,
-    Richardson extrapolated.
-
-    Amplitude-level differentiation needs phase-aware steps: when
-    ``phase_scale`` (rad per parameter unit) is given, the step targets a
-    ~0.01 rad rotation regardless of |value|, since interference phases
-    oscillate on their own scale, not on the parameter's magnitude.
+    Richardson extrapolated.  Amplitude-level differentiation needs the
+    phase-aware step of ``_fd_step``, so pass ``phase_scale`` (rad per
+    parameter unit) where it is known.
     """
-    if phase_scale is not None and phase_scale > 0:
-        step = 1e-2 / phase_scale
-        if value + step == value or not math.isfinite(step):
-            raise StepUnderflowError("phase-targeted step unusable; check phase_scale")
-    else:
-        step = _fd_step(value, rel_step)
-    g_full = _gram_qfi_at(ensemble_fn, value, step, eigen_floor)
-    g_half = _gram_qfi_at(ensemble_fn, value, 0.5 * step, eigen_floor)
-    return (4.0 * g_half - g_full) / 3.0
+    step = _fd_step(value, phase_scale)
+    w_c, e_c = _aligned_eigh(_density(ensemble_fn, value), None)
+    dropped = np.flatnonzero(w_c < _EIGEN_FLOOR).tolist()
+    if dropped:
+        warnings.warn(f"gram QFI dropped eigenvalues below {_EIGEN_FLOOR:g}: {dropped}",
+                      stacklevel=2)
+    return _richardson(lambda h: _gram_qfi_at(ensemble_fn, value, h, w_c, e_c), step)
 
 
-def reduced_qfi_gram(scenario: Scenario, rel_step: float = 1e-5) -> float:
+def reduced_qfi_gram(scenario: Scenario) -> float:
     """Mixed-state QFI of the clock-traced interferometer state."""
-    return qfi_mixed_gram(
-        reduced_qubit_ensemble(scenario),
-        scenario.value(),
-        rel_step=rel_step,
-        phase_scale=scenario.phase_scale(),
-    )
+    return qfi_mixed_gram(reduced_qubit_ensemble(scenario), scenario.value(),
+                          scenario.phase_scale())
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +507,8 @@ def _probabilities(prob_fn, value: float) -> np.ndarray:
 
 
 def _fi_at(prob_fn, value: float, step: float, p_c: np.ndarray) -> float:
+    """Unextrapolated FI at ``value`` from central differences of width
+    ``step``; ``p_c`` are the probabilities at ``value``."""
     p_hi = _probabilities(prob_fn, value + step)
     p_lo = _probabilities(prob_fn, value - step)
     two_h = (value + step) - (value - step)
@@ -546,36 +520,28 @@ def _fi_at(prob_fn, value: float, step: float, p_c: np.ndarray) -> float:
     if np.any(reported):
         warnings.warn(
             f"classical FI excluded outcomes below 1e-15: {np.where(reported)[0].tolist()}",
-            stacklevel=3)
+            stacklevel=4)
     return float(np.sum(dp[keep] ** 2 / p_c[keep]))
 
 
-def classical_fi(prob_fn, value: float, rel_step: float = 1e-5,
-                 step: float | None = None) -> float:
+def classical_fi(prob_fn, value: float, phase_scale: float = 0.0) -> float:
     """FI of a finite outcome distribution by central differences.
 
-    ``step`` overrides the relative-step policy with an absolute one
-    (needed when the distribution varies on a scale unrelated to |value|).
+    The step follows ``_fd_step``: pass ``phase_scale`` (rad per parameter
+    unit) when the distribution varies on a scale unrelated to |value|.
     Both steps share the centre probabilities.
     """
-    if step is None:
-        step = _fd_step(value, rel_step)
-    elif value + step == value or not math.isfinite(step):
-        raise StepUnderflowError(f"absolute step {step:g} unusable at value {value:g}")
+    step = _fd_step(value, phase_scale)
     p_c = _probabilities(prob_fn, value)
-    f_full = _fi_at(prob_fn, value, step, p_c)
-    f_half = _fi_at(prob_fn, value, 0.5 * step, p_c)
-    return (4.0 * f_half - f_full) / 3.0
+    return _richardson(lambda h: _fi_at(prob_fn, value, h, p_c), step)
 
 
-def fi_numeric(scenario: Scenario, rel_step: float = 1e-5) -> float:
+def fi_numeric(scenario: Scenario) -> float:
     """Numeric FI of the detection probabilities for the scenario target."""
     def prob_fn(value: float):
         sc = scenario.with_value(value)
         return detection_probabilities(sc.make_state(), sc.params, sc.kind)
-    dps = scenario.detector_phase_scale()
-    step = 1e-2 / dps if dps > 0 else None
-    return classical_fi(prob_fn, scenario.value(), rel_step=rel_step, step=step)
+    return classical_fi(prob_fn, scenario.value(), scenario.detector_phase_scale())
 
 
 def quadrature_phi(params: PhysicalParams, scenario: str = "free_fall") -> float:

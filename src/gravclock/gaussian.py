@@ -20,21 +20,21 @@ freely falling branch acquires negative mean momentum ``-m g dt (1+z)``
 (the ledger slope times hbar).  Quoted magnitudes elsewhere refer to
 |mean momentum|.
 
-The evolution maps act on pre-evolution branches (width sigma, zero
-momentum, empty ledger) and return the closed-form evolved branch; there
-is no time stepping anywhere in this module.
+The two evolution maps, exact free fall in the linearized potential and
+the trapped Mach-Zehnder arm, act on pre-evolution branches (width sigma,
+zero momentum, empty ledger) and return the closed-form evolved branch;
+there is no time stepping anywhere in this module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, check_regime
+from .core import PhysicalParams
 
 _LD = np.longdouble
 # Multiplying a float by _LD_ONE promotes it to longdouble exactly, in a
@@ -95,24 +95,12 @@ class PhaseLedger:
         items = tuple((name, _ld(value)) for name, value in terms.items())
         return PhaseLedger(items, _ld(slope), float(x_ref))
 
-    def term_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.terms)
-
-    def constant(self) -> np.longdouble:
-        total = _LD_ZERO
-        for _, value in self.terms:
-            total = total + value
-        return total
-
     def constant_wrapped(self) -> np.longdouble:
         """Sum of the terms, each reduced mod 2 pi before summation."""
         total = _LD_ZERO
         for _, value in self.terms:
             total = total + value % TWO_PI_LD
         return total
-
-    def value_at(self, x: float) -> np.longdouble:
-        return self.constant() + self.slope * (_ld(x) - self.x_ref)
 
     def diff_constant(self, other: "PhaseLedger") -> np.longdouble:
         """Term-by-term difference of the constants (exact where terms match)."""
@@ -275,38 +263,19 @@ def evolve_freefall_full(branch: GaussianBranch, params: PhysicalParams) -> Gaus
     _require_pre_evolution(branch, params)
     if params.dt == 0.0:
         return branch
-    return _fallen(branch, _freefall_level(params, branch.internal_level, exact=True))
+    return _fallen(branch, _freefall_level(params, branch.internal_level))
 
 
-def evolve_freefall_approx(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
-    """Free-fall map truncated to first order in z_i.
-
-    The trajectory, momentum and width lose their z dependence entirely;
-    the ledger keeps (1+z_i) on the potential and cubic terms.  Warns if
-    the separation-of-scales inequalities behind the truncation fail.
-    """
-    _require_pre_evolution(branch, params)
-    if params.dt == 0.0:
-        return branch
-    report = check_regime(params)
-    for name in ("momentum_shift_small", "position_shift_small", "width_shift_small"):
-        if not report.entry(name).satisfied:
-            warnings.warn(f"approximate free-fall map outside its regime: {name}",
-                          stacklevel=2)
-    return _fallen(branch, _freefall_level(params, branch.internal_level, exact=False))
-
-
-def _freefall_level(params: PhysicalParams, level: int, exact: bool) -> tuple:
+def _freefall_level(params: PhysicalParams, level: int) -> tuple:
     """(ledger, fall distance, mean_p, var_x, chirp) of an evolved level.
 
     None of these depend on the path, so both paths of a level share them.
-    ``exact=False`` is the first-order truncation of evolve_freefall_approx.
     Ledger terms promote each float to longdouble exactly inside the
     arithmetic instead of calling the (slow) longdouble constructor.
     """
     z = params.z_eff(level)
     m, g, dt, hb = params.m, params.g, params.dt, params.hbar
-    var, chirp = _spreading(params, z if exact else 0.0)
+    var, chirp = _spreading(params, z)
     zl, dt_l, g_l, hb_l = _LD_ONE * z, _LD_ONE * dt, _LD_ONE * g, _LD_ONE * hb
     e_i = params.e1 if level == 1 else params.e0
     # z-orders are stored as separate ledger terms: the clock corrections
@@ -319,13 +288,11 @@ def _freefall_level(params: PhysicalParams, level: int, exact: bool) -> tuple:
         "potential_const": pot,
         "potential_const_z": pot * zl,
         "cubic": cubic,
-        "cubic_z": cubic * (zl - zl * zl) if exact else cubic * zl,
+        "cubic_z": cubic * (zl - zl * zl),
     }
     slope = -m * g_l * (1 + zl) * dt_l / hb_l
     ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
-    if exact:
-        return ledger, 0.5 * g * dt * dt * (1.0 - z * z), -m * g * dt * (1.0 + z), var, chirp
-    return ledger, 0.5 * g * dt * dt, -m * g * dt, var, chirp
+    return ledger, 0.5 * g * dt * dt * (1.0 - z * z), -m * g * dt * (1.0 + z), var, chirp
 
 
 def _fallen(branch: GaussianBranch, level: tuple) -> GaussianBranch:
@@ -340,20 +307,6 @@ def _fallen(branch: GaussianBranch, level: tuple) -> GaussianBranch:
         internal_level=branch.internal_level,
         path_label=branch.path_label,
     )
-
-
-def piecewise_potential(x: float, params: PhysicalParams) -> float:
-    """Piecewise-linear potential with the kink at x0 (upper piece at x0)."""
-    if x >= params.x0:
-        return params.g_plus * (x - params.x_plus0) + params.vn_plus0
-    return params.g_minus * (x - params.x_minus0) + params.vn_minus0
-
-
-def piecewise_continuity_gap(params: PhysicalParams) -> float:
-    """|upper(x0) - lower(x0)|; zero when the anchors are chosen consistently."""
-    upper = params.g_plus * (params.x0 - params.x_plus0) + params.vn_plus0
-    lower = params.g_minus * (params.x0 - params.x_minus0) + params.vn_minus0
-    return abs(upper - lower)
 
 
 def evolve_mz(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
@@ -406,13 +359,6 @@ def evolve_mz(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
     )
 
 
-_SCENARIO_MAPS = {
-    "free_fall": evolve_freefall_full,
-    "free_fall_approx": evolve_freefall_approx,
-    "mach_zehnder": evolve_mz,
-}
-
-
 def evolve_state(state: ClockState, params: PhysicalParams,
                  scenario: str = "free_fall") -> ClockState:
     """Apply the scenario's branch map to every component.
@@ -420,21 +366,17 @@ def evolve_state(state: ClockState, params: PhysicalParams,
     In free fall the two paths of a level share everything but their
     centre, so that part of the map is computed once per level.
     """
-    try:
-        branch_map = _SCENARIO_MAPS[scenario]
-    except KeyError:
-        raise ValueError(f"unknown scenario {scenario!r}") from None
-    if scenario != "free_fall" or params.dt == 0.0:
-        return ClockState(
-            tuple(branch_map(c, params) for c in state.components),
-            state.metadata,
-        )
+    if scenario not in ("free_fall", "mach_zehnder"):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario == "mach_zehnder" or params.dt == 0.0:
+        branch_map = evolve_mz if scenario == "mach_zehnder" else evolve_freefall_full
+        return ClockState(tuple(branch_map(c, params) for c in state.components), state.metadata)
     levels: dict[int, tuple] = {}
     components = []
     for c in state.components:
         _require_pre_evolution(c, params)
         if c.internal_level not in levels:
-            levels[c.internal_level] = _freefall_level(params, c.internal_level, exact=True)
+            levels[c.internal_level] = _freefall_level(params, c.internal_level)
         components.append(_fallen(c, levels[c.internal_level]))
     return ClockState(tuple(components), state.metadata)
 

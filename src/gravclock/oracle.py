@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -85,17 +84,16 @@ class Grid:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
-def grid_for_states(*states: ClockState, n_points: int = 2**16,
-                    pad_sigmas: float = WINDOW_SIGMAS) -> Grid:
-    """Smallest grid covering every branch of every state to +-pad_sigmas."""
+def grid_for_states(*states: ClockState, n_points: int = 2**16) -> Grid:
+    """Smallest grid covering every branch of every state to +-WINDOW_SIGMAS."""
     lo = math.inf
     hi = -math.inf
     sigma_min = math.inf
     for state in states:
         for b in state.components:
             s = math.sqrt(b.var_x)
-            lo = min(lo, b.mean_x - pad_sigmas * s)
-            hi = max(hi, b.mean_x + pad_sigmas * s)
+            lo = min(lo, b.mean_x - WINDOW_SIGMAS * s)
+            hi = max(hi, b.mean_x + WINDOW_SIGMAS * s)
             sigma_min = min(sigma_min, s)
     n_resolve = int(math.ceil((hi - lo) / (sigma_min / 16.0))) + 1
     if n_resolve > 2**22:
@@ -189,10 +187,8 @@ def bures_qfi(one_minus_f: float, delta: float) -> float:
 
 
 def tune_bures_delta(fidelity_fn, value: float, delta: float | None = None,
-                     lo: float = 1e-6, hi: float = 1e-2,
-                     max_iterations: int = 40,
                      too_big: float | None = None) -> tuple[float, float, bool]:
-    """Find a parameter offset with 1 - F inside [lo, hi].
+    """Find a parameter offset with 1 - F inside [1e-6, 1e-2].
 
     Geometric bisection on the offset; returns (delta, 1-F, resolved).
     ``resolved`` is False when even the largest sensible offset leaves
@@ -205,12 +201,13 @@ def tune_bures_delta(fidelity_fn, value: float, delta: float | None = None,
     # a resolvable fidelity drop (their phases stay tiny, so the Bures
     # quadratic regime extends); only a truly parameter-independent state
     # exhausts the cap.
+    lo, hi = 1e-6, 1e-2
     delta_cap = 1e8 * max(abs(value), 1.0)
     d = min(delta if delta is not None else 1e-6 * max(abs(value), 1.0), delta_cap)
     d_small = None   # largest offset known to sit below the window
     d_big = too_big  # smallest offset known to sit above the window
     last = None
-    for _ in range(max_iterations):
+    for _ in range(40):
         miss = 1.0 - fidelity_fn(value - 0.5 * d, value + 0.5 * d)
         last = (d, miss)
         if lo <= miss <= hi:
@@ -224,8 +221,8 @@ def tune_bures_delta(fidelity_fn, value: float, delta: float | None = None,
             d_big = d
             d = d / 8.0 if d_small is None else math.sqrt(d * d_small)
     raise OracleError(
-        f"could not place 1-F in [{lo:g}, {hi:g}] after {max_iterations} "
-        f"bisections; last offset {last[0]:g} gave 1-F = {last[1]:g}")
+        f"could not place 1-F in [{lo:g}, {hi:g}] after 40 bisections; "
+        f"last offset {last[0]:g} gave 1-F = {last[1]:g}")
 
 
 def richardson_bures_qfi(fidelity_fn, value: float,
@@ -309,16 +306,3 @@ def probabilities_numeric(psi: GridWavefunction, params: PhysicalParams,
             p[idx] += abs(amp) ** 2
     return p[0], p[1]
 
-
-def dump_csv(psi: GridWavefunction, path: str | Path) -> None:
-    """Write the sampled state as x_m, re0, im0, re1, im1 rows.
-
-    x is the lattice point x_min + k dx that the renderer sampled.
-    """
-    xs = psi.grid.x_min + np.arange(psi.grid.n_points) * psi.grid.spacing
-    with open(path, "w") as fh:
-        fh.write("x_m,re0,im0,re1,im1\n")
-        for k in range(psi.grid.n_points):
-            c0, c1 = psi.channels[0, k], psi.channels[1, k]
-            fh.write(f"{xs[k]:.17g},{c0.real:.17g},{c0.imag:.17g},"
-                     f"{c1.real:.17g},{c1.imag:.17g}\n")

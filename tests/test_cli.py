@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,26 @@ def test_bouncer_n_max_integral_float_accepted(tmp_path):
     cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + "bouncer.n_max = 5e2\n")
     args = cli._parser().parse_args(["run", "--config", str(cfg)])
     assert cli._build_scenario_config(args).n_max == 500
+
+
+@pytest.mark.parametrize("n_max", [2, 120])
+def test_bouncer_truncating_n_max_exit_3(tmp_path, capsys, n_max):
+    """An explicit n_max that truncates the projection is a numerical error
+    naming the truncation mass, with no report: it used to print a wrong
+    qfi_closed and exit 0 (3.5e-19 at n_max = 2, with a warning blaming a
+    destructive phase; 6.77e4 at 120, where the value is 9.34e5)."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + f"bouncer.n_max = {n_max}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", "--config", str(cfg), "--methods", "closed", "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "truncation mass" in captured.err
+    assert captured.out == ""
+    assert not (out / "report.json").exists()
+    assert not [w for w in caught if "destructive" in str(w.message)]
 
 
 def test_bouncer_key_on_other_scenario_exit_2(tmp_path, capsys):

@@ -1,60 +1,13 @@
-"""Parameters, redshift formulas, regime checker, presets, config."""
+"""Parameters, regime checker, presets, config."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
 
-import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
 
 from gravclock import core
-
-mp.mp.dps = 40
-
-
-def test_rate_flat_spacetime_at_rest(sr88_10s):
-    assert core.proper_time_rate(0.0, 0.0, sr88_10s) == 1.0
-
-
-def test_rate_direct_substitution(sr88_10s):
-    got = core.proper_time_rate(-9.81, 0.0, sr88_10s)
-    assert got == 1.0 - 9.81 / sr88_10s.c**2
-
-
-def test_rate_extended_precision_oracle(sr88_10s):
-    p = sr88_10s
-    v = 9.81 * 1.0
-    mom = p.m * 1.0
-    got = core.proper_time_rate(v, mom, p)
-    ref = 1 + mp.mpf(v) / mp.mpf(p.c) ** 2 \
-        - mp.mpf(mom) ** 2 / (2 * mp.mpf(p.m) ** 2 * mp.mpf(p.c) ** 2)
-    assert abs(got - float(ref)) < 1e-15
-
-
-def test_shifted_frequency_trivial(sr88_10s):
-    p = sr88_10s
-    assert core.shifted_frequency(1.0, 0.0, 0.0, p) == 1.0
-    omega = p.delta_e / p.hbar
-    assert core.shifted_frequency(omega, 0.0, 0.0, p) == omega
-
-
-def test_shifted_frequency_earth_surface_12_digits(sr88_10s):
-    p = sr88_10s
-    got = core.shifted_frequency(1e15, -6.25e7, 0.0, p)
-    ref = mp.mpf("1e15") * (1 + mp.mpf("-6.25e7") / mp.mpf(p.c) ** 2)
-    assert abs(got - float(ref)) < abs(float(ref)) * 1e-12
-
-
-@given(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8),
-       st.floats(0, 1e-22), st.floats(0, 1e-22))
-def test_rate_monotone(v1, v2, p1, p2):
-    params = core.preset("sr88_10s")
-    if v1 <= v2:
-        assert core.proper_time_rate(v1, 0.0, params) <= core.proper_time_rate(v2, 0.0, params)
-    if p1 <= p2:
-        assert core.proper_time_rate(0.0, p1, params) >= core.proper_time_rate(0.0, p2, params)
 
 
 def test_z_ratios_two_ways(sr88_10s, sr88_100s):
@@ -97,7 +50,7 @@ def test_regime_sigma_equal_h_fails_exactly_that_entry(sr88_10s):
 
 def test_regime_threshold_configurable(sr88_10s):
     # Tightening the threshold far enough fails the sigma/h entry (1e-2).
-    report = core.check_regime(sr88_10s, ratio_threshold=5e-3)
+    report = core.check_regime(sr88_10s.replace(ratio_threshold=5e-3))
     assert not report.entry("sigma_below_separation").satisfied
 
 
@@ -124,7 +77,7 @@ def test_ablation_zeroes_coupling_only(sr88_10s):
     p = sr88_10s.replace(ablate_time_dilation=True)
     assert p.z1_eff == 0.0 and p.z0_eff == 0.0
     assert p.z1 == sr88_10s.z1          # raw ratio untouched
-    assert p.delta_e == sr88_10s.delta_e
+    assert p.e1 - p.e0 == sr88_10s.e1 - sr88_10s.e0
 
 
 def test_config_roundtrip(tmp_path):

@@ -1,0 +1,36 @@
+"""Byte-for-byte CLI outputs against files recorded in tests/golden/.
+
+The analytic methods (closed, parametric, reduced, fi) and the bouncer's
+closed form are deterministic to the last bit, so any change to their
+output bytes is a change in behaviour.  The grid oracles are left out:
+their float noise floor sits near 1e-12 relative, far above one ulp.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from gravclock import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+ANALYTIC = "closed,parametric,reduced,fi"
+
+
+@pytest.mark.parametrize("argv,output,golden", [
+    (["run", "--config", "configs/sr88_freefall.cfg", "--methods", ANALYTIC],
+     "report.json", "sr88_freefall_report.json"),
+    (["run", "--config", "configs/sr88_mz.cfg", "--methods", ANALYTIC],
+     "report.json", "sr88_mz_report.json"),
+    (["run", "--config", "configs/bouncer.cfg", "--methods", "closed"],
+     "report.json", "bouncer_report.json"),
+    (["sweep", "--config", "configs/sr88_freefall.cfg", "--var", "dt", "--from", "5",
+      "--to", "30", "--points", "20", "--log", "--methods", ANALYTIC],
+     "sweep.csv", "sr88_freefall_dt_sweep.csv"),
+], ids=["freefall-run", "mz-run", "bouncer-run", "freefall-dt-sweep"])
+def test_cli_output_matches_golden_bytes(tmp_path, monkeypatch, argv, output, golden):
+    monkeypatch.chdir(ROOT)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / output).read_bytes() == (GOLDEN / golden).read_bytes()

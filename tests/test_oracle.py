@@ -341,17 +341,3 @@ def test_probabilities_evolved_state_vs_closed(sr88_10s):
     assert grid_p[1] == pytest.approx(closed_p[1], abs=1e-6)
     assert grid_p[0] + grid_p[1] <= 1.0 + 1e-8
     assert grid_p[0] + grid_p[1] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_dump_csv(tmp_path, sr88_10s):
-    state = ga.make_initial_state(sr88_10s)
-    psi = orc.render(state, orc.grid_for_states(state, n_points=2**11))
-    path = tmp_path / "wf.csv"
-    orc.dump_csv(psi, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x_m,re0,im0,re1,im1"
-    assert len(lines) == psi.grid.n_points + 1
-    # The x column is the render lattice x_min + k dx, exactly.
-    grid = psi.grid
-    xs = [float(line.split(",", 1)[0]) for line in lines[1:]]
-    assert xs == [grid.x_min + k * grid.spacing for k in range(grid.n_points)]
