@@ -19,8 +19,10 @@ The Airy engine is self-contained: one float64 piecewise-Chebyshev table
 of Ai and Ai' on [-15, 12], built once from extended-precision series and
 ODE marching, the DLMF 9.7 asymptotic expansions outside it, and
 evaluation in cache-sized sorted blocks cut into one slice per region
-(see ``AiryEngine``).  The grid render evaluates each basis row only up
-to a decay cut, past which Ai is below 1e-39 (see ``render_spectral``).
+(see ``AiryEngine``).  The Airy zeros are solved once per count and
+shared read-only, so a sweep solves each level count once.  The grid
+render evaluates each basis row only up to a decay cut, past which Ai is
+below 1e-39 (see ``render_spectral``).
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams
+from .core import BOUNCER_N_MAX_CAP, PhysicalParams
 from .gaussian import wrap_angle
 from .oracle import Grid, GridWavefunction, fidelity, richardson_bures_qfi
 
@@ -375,8 +377,16 @@ class AiryEngine:
 
     # -- zeros ------------------------------------------------------------------
 
+    @functools.lru_cache(maxsize=64)
     def zeros(self, n_max: int) -> np.ndarray:
-        """First n_max negative zeros of Ai via safeguarded Newton."""
+        """First n_max negative zeros of Ai via safeguarded Newton.
+
+        The zeros depend on the count alone, so each count is solved once
+        per engine and the read-only array is shared.  A count is never
+        served by slicing a longer solve: Newton stops on a criterion over
+        the whole array, so ``zeros(m)[:n]`` and ``zeros(n)`` can differ in
+        their last bits.
+        """
         n = np.arange(1, n_max + 1, dtype=float)
         t = 3.0 * math.pi * (4.0 * n - 1.0) / 8.0
         t2 = t * t
@@ -391,6 +401,7 @@ class AiryEngine:
                 break
         else:
             raise AiryConvergenceError("Airy zero Newton did not converge in 100 iterations")
+        z.flags.writeable = False
         return z
 
 
@@ -415,8 +426,8 @@ def airy_ai_prime(y):
 
 def airy_zero(n: int) -> float:
     """n-th negative zero of Ai, 1 <= n <= 1e4, to 1e-10."""
-    if not 1 <= n <= 10**4:
-        raise ValueError("airy_zero supports 1 <= n <= 1e4")
+    if not 1 <= n <= BOUNCER_N_MAX_CAP:
+        raise ValueError(f"airy_zero supports 1 <= n <= {BOUNCER_N_MAX_CAP}")
     return float(default_engine().zeros(int(n))[-1])
 
 
@@ -502,32 +513,29 @@ def _path_projection(params: PhysicalParams, spectrum: BouncerSpectrum,
 
 
 def _auto_n_max(params: PhysicalParams) -> int:
-    """Smallest n past the peak where both paths' coefficients die to 1e-8, at most 1e4."""
+    """Smallest n past the peak where both paths' coefficients die to 1e-8, at most 1e4.
+
+    Levels are scanned in blocks of 512 zeros, each block in one pass: the
+    running peak (carried across blocks) includes level n itself, and the
+    first level below 1e-8 of it is the answer.
+    """
     engine = default_engine()
-    cap = 10**4
+    l0 = gravitational_length(params, 0)
+    s = params.sigma / l0
     best = 0.0
-    n_lo = 1
     block_size = 512
-    while n_lo <= cap:
-        n_hi = min(n_lo + block_size - 1, cap)
+    for n_lo in range(1, BOUNCER_N_MAX_CAP + 1, block_size):
+        n_hi = min(n_lo + block_size - 1, BOUNCER_N_MAX_CAP)
         zeros = engine.zeros(n_hi)[n_lo - 1:]
-        l0 = gravitational_length(params, 0)
-        s = params.sigma / l0
-        done_n = None
-        for n_idx, z_n in zip(range(n_lo, n_hi + 1), zeros):
-            mag = max(
-                math.exp(-((z_n + params.x_plus / l0) / (2.0 * s)) ** 2),
-                math.exp(-((z_n + params.x_minus / l0) / (2.0 * s)) ** 2),
-            )
-            best = max(best, mag)
-            if best > 0 and mag < 1e-8 * best:
-                done_n = n_idx
-                break
-        if done_n is not None:
-            return done_n
-        n_lo = n_hi + 1
+        mag = np.maximum(np.exp(-((zeros + params.x_plus / l0) / (2.0 * s)) ** 2),
+                         np.exp(-((zeros + params.x_minus / l0) / (2.0 * s)) ** 2))
+        peak = np.maximum(np.maximum.accumulate(mag), best)
+        done = np.flatnonzero((peak > 0) & (mag < 1e-8 * peak))
+        if done.size:
+            return n_lo + int(done[0])
+        best = float(peak[-1])
     warnings.warn("coefficient auto-selection hit the n_max cap of 1e4", stacklevel=3)
-    return cap
+    return BOUNCER_N_MAX_CAP
 
 
 def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> BouncerProjection:

@@ -18,22 +18,34 @@ their cells empty, and every row carries its regime flag.  Every sweep
 point's parameters are built before the first is evaluated, so a value
 that makes an invalid set is a config error (exit 2) and writes no CSV.
 Identical configs produce byte-identical output.
+
+A CLI process runs numpy's OpenBLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is set, and imports ``oracle`` and ``bouncer``
+only when a route that needs them runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+# numpy's OpenBLAS starts a worker thread per extra core at import, which
+# spins before it sleeps (~0.06-0.09 s of CPU on two cores).  The CLI never
+# gains from it: its only BLAS calls (fit_scaling's np.dot, the weights @
+# band of bouncer.spectral_phase_ref) are a few hundred elements long.  So
+# one thread is asked for before numpy loads; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
-from . import bouncer as bouncer_mod
 from . import estimation as est
-from . import oracle as oracle_mod
 from .core import (
+    BOUNCER_N_MAX_CAP,
     ConfigError,
     ParamsError,
     PhysicalParams,
@@ -42,14 +54,21 @@ from .core import (
     params_from_config,
 )
 
+
+def _module(name: str):
+    """The gravclock submodule ``name``, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 # ROUTES[scenario][method] -> ((column, route), ...), methods in evaluation
 # order.  A route maps (estimation.Scenario, n_max) to a value; it looks its
 # function up through the module at call time, so patched or traced
-# module attributes are honoured.
+# module attributes are honoured, and ``oracle`` and ``bouncer`` are
+# imported only by the routes that use them.
 _INTERFEROMETER_ROUTES = {
     "closed": (("qfi_closed", lambda sc, n_max: est.closed_qfi(sc)),),
     "parametric": (("qfi_parametric", lambda sc, n_max: est.qfi_pure_parametric(sc)),),
-    "oracle": (("qfi_oracle", lambda sc, n_max: oracle_mod.qfi_numeric(sc)),),
+    "oracle": (("qfi_oracle", lambda sc, n_max: _module("oracle").qfi_numeric(sc)),),
     "reduced": (("qfi_reduced", lambda sc, n_max: est.closed_reduced_qfi(sc)),),
     "fi": (("fi_closed", lambda sc, n_max: est.closed_fi(sc)),
            ("fi_numeric", lambda sc, n_max: est.fi_numeric(sc))),
@@ -58,10 +77,10 @@ ROUTES = {
     "free_fall": _INTERFEROMETER_ROUTES,
     "mach_zehnder": _INTERFEROMETER_ROUTES,
     "bouncer": {
-        "closed": (("qfi_closed",
-                    lambda sc, n_max: bouncer_mod.bouncer_qfi_longtime(sc.params, n_max)),),
-        "oracle": (("qfi_oracle",
-                    lambda sc, n_max: bouncer_mod.bouncer_qfi_numeric(sc.params, n_max=n_max)),),
+        "closed": (("qfi_closed", lambda sc, n_max:
+                    _module("bouncer").bouncer_qfi_longtime(sc.params, n_max)),),
+        "oracle": (("qfi_oracle", lambda sc, n_max:
+                    _module("bouncer").bouncer_qfi_numeric(sc.params, n_max=n_max)),),
     },
 }
 
@@ -128,8 +147,9 @@ class ScenarioConfig:
             if self.scenario != "bouncer":
                 raise ConfigError(f"bouncer.n_max applies only to the bouncer scenario, "
                                   f"not {self.scenario}")
-            if self.n_max < 1:
-                raise ConfigError(f"bouncer.n_max needs an integer >= 1, got {self.n_max}")
+            if not 1 <= self.n_max <= BOUNCER_N_MAX_CAP:
+                raise ConfigError(f"bouncer.n_max needs an integer in [1, {BOUNCER_N_MAX_CAP}], "
+                                  f"got {self.n_max}")
         if self.scenario == "mach_zehnder" and self.sweep is not None \
                 and self.sweep.variable == "g":
             raise ConfigError(
@@ -166,7 +186,6 @@ def run_single(cfg: ScenarioConfig) -> est.EstimationReport:
             "scenario": cfg.scenario,
             "methods": list(cfg.methods),
             "ablate_time_dilation": cfg.params.ablate_time_dilation,
-            "fd_rel_step": 1e-5,
             "bouncer_n_max": cfg.n_max if cfg.scenario == "bouncer" else None,
             "regime_ok": regime.satisfied,
             "regime_failing": list(regime.failing()),
@@ -240,16 +259,20 @@ def read_table(path: Path) -> dict[str, list]:
 # Scaling fits
 # ---------------------------------------------------------------------------
 
+def _log_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """log(x) and log(y), after checking both are positive and finite."""
+    for what, values in (("swept values", xs), ("values", ys)):
+        bad = [i for i, v in enumerate(values) if not (v > 0 and math.isfinite(v))]
+        if bad:
+            raise ValueError(f"scaling fit needs positive finite {what}; offending rows: {bad}")
+    return np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
+
+
 def fit_scaling(xs, ys) -> tuple[float, float]:
     """Least-squares slope of log(y) vs log(x) with its standard error."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     if len(xs) < 2:
         raise ValueError("scaling fit needs at least 2 rows")
-    bad = [i for i, y in enumerate(ys) if not (y > 0 and math.isfinite(y))]
-    if bad:
-        raise ValueError(f"scaling fit needs positive values; offending rows: {bad}")
-    lx, ly = np.log(xs), np.log(ys)
+    lx, ly = _log_rows(xs, ys)
     dx = lx - lx.mean()
     slope = float(np.dot(dx, ly - ly.mean()) / np.dot(dx, dx))
     resid = ly - ly.mean() - slope * dx
@@ -269,7 +292,8 @@ def tail_window_fit(xs, ys, var_tol: float = 0.05) -> tuple[float, float, int]:
     n = len(xs)
     if n < 5:
         raise ValueError("tail-window fit needs at least 5 rows")
-    local = np.diff(np.log(ys)) / np.diff(np.log(xs))
+    lx, ly = _log_rows(xs, ys)
+    local = np.diff(ly) / np.diff(lx)
     for start in range(0, n - 4):
         window = local[start:]
         if window.max() - window.min() < var_tol:

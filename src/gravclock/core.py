@@ -38,6 +38,10 @@ EV = 1.602_176_634e-19             # J  (exact)
 EARTH_SURFACE_POTENTIAL = -6.25e7  # m^2/s^2, -G M / R at the surface
 EARTH_RADIUS = 6.371e6             # m
 
+# Most bouncer levels (Airy zeros) the program solves for: the cap of the
+# auto-selected n_max, of an explicit bouncer.n_max and of airy_zero.
+BOUNCER_N_MAX_CAP = 10**4
+
 # Slack on the "much less than" comparisons so a ratio that lands exactly
 # on the threshold (the 100 s preset has sigma/h = 0.1) does not fail on
 # the last ulp of a decimal-literal division.

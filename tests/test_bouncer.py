@@ -7,6 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravclock import bouncer as bc, core, oracle as orc
 from gravclock.gaussian import wrap_angle
@@ -107,6 +108,70 @@ def test_airy_zero_ordering_and_range_guard():
         bc.airy_zero(0)
     with pytest.raises(ValueError):
         bc.airy_zero(10**4 + 1)
+
+
+@pytest.mark.parametrize("count", [1, 2, 17, 454, 512, 1024, 3000])
+def test_zeros_memoised_read_only_and_bit_equal_to_fresh_engine(count):
+    engine = bc.default_engine()
+    zeros = engine.zeros(count)
+    assert engine.zeros(count) is zeros
+    assert not zeros.flags.writeable
+    with pytest.raises(ValueError):
+        zeros[0] = 0.0
+    fresh = bc.AiryEngine().zeros(count)
+    assert fresh is not zeros
+    assert np.array_equal(fresh.view(np.int64), zeros.view(np.int64))
+
+
+def _auto_n_max_scalar(params):
+    """The per-level loop that _auto_n_max replaced, kept as its reference."""
+    engine = bc.default_engine()
+    cap = core.BOUNCER_N_MAX_CAP
+    best = 0.0
+    n_lo = 1
+    while n_lo <= cap:
+        n_hi = min(n_lo + 511, cap)
+        zeros = engine.zeros(n_hi)[n_lo - 1:]
+        l0 = bc.gravitational_length(params, 0)
+        s = params.sigma / l0
+        for n_idx, z_n in zip(range(n_lo, n_hi + 1), zeros):
+            mag = max(
+                math.exp(-((z_n + params.x_plus / l0) / (2.0 * s)) ** 2),
+                math.exp(-((z_n + params.x_minus / l0) / (2.0 * s)) ** 2),
+            )
+            best = max(best, mag)
+            if best > 0 and mag < 1e-8 * best:
+                return n_idx
+        n_lo = n_hi + 1
+    return cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(x_minus=st.floats(5e-6, 8e-5), gap=st.floats(1e-7, 3e-5),
+       sigma=st.floats(5e-7, 6e-6), g=st.floats(9.0, 10.5), m=st.floats(0.5e-25, 2e-25))
+def test_auto_n_max_equals_scalar_reference(bouncer_params, x_minus, gap, sigma, g, m):
+    params = bouncer_params.replace(x_minus=x_minus, x_plus=x_minus + gap, sigma=sigma,
+                                    g=g, m=m)
+    assert bc._auto_n_max(params) == _auto_n_max_scalar(params)
+
+
+@pytest.mark.parametrize("x_plus,x_minus,blocks", [(3.8e-5, 3.2e-5, 1), (6e-5, 5.4e-5, 2),
+                                                   (1.2e-4, 1.14e-4, 4)])
+def test_auto_n_max_equals_scalar_reference_across_blocks(bouncer_params, x_plus, x_minus,
+                                                          blocks):
+    """The sample geometry (454 levels) and two whose cut lies in a later
+    block of 512 zeros, so the running peak must carry across blocks."""
+    params = bouncer_params.replace(x_plus=x_plus, x_minus=x_minus)
+    n_max = bc._auto_n_max(params)
+    assert n_max == _auto_n_max_scalar(params)
+    assert (n_max - 1) // 512 + 1 == blocks
+
+
+def test_auto_n_max_warns_at_the_cap(bouncer_params):
+    params = bouncer_params.replace(x_plus=8e-4, x_minus=7.9e-4)
+    with pytest.warns(UserWarning, match="n_max cap"):
+        assert bc._auto_n_max(params) == core.BOUNCER_N_MAX_CAP
+    assert _auto_n_max_scalar(params) == core.BOUNCER_N_MAX_CAP
 
 
 def test_engine_accuracy_against_mpmath_grid():

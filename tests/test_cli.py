@@ -121,6 +121,29 @@ def test_fit_nonpositive_rows_exit_3(tmp_path, capsys):
     assert "offending rows: [1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("xs,bad", [("0,1,2", "[0]"), ("-1,1,2", "[0]"),
+                                     ("1,nan,4", "[1]"), ("1,2,inf", "[2]")])
+@pytest.mark.parametrize("tail", [False, True])
+def test_fit_bad_swept_value_exit_3(tmp_path, capsys, xs, bad, tail):
+    """A swept_value <= 0 or non-finite is rejected like a bad y, naming the
+    rows: it used to print "slope = nan +/- nan" and numpy RuntimeWarnings
+    and exit 0."""
+    ys = (1, 2, 4, 8, 16)
+    xs = xs.split(",") + ["8", "16"]
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed\n"
+                    + "".join(f"{x},{y}\n" for x, y in zip(xs, ys)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["fit", "--table", str(path), "--column", "qfi_closed",
+                       *(["--tail"] if tail else [])])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"offending rows: {bad}" in captured.err
+    assert "swept" in captured.err
+
+
 def test_fit_ragged_row_exit_2(tmp_path, capsys):
     """A row with fewer cells than the header is an error, not truncated."""
     path = tmp_path / "t.csv"
@@ -252,6 +275,18 @@ def test_bouncer_n_max_must_be_positive_integer(tmp_path, capsys, value):
     cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + f"bouncer.n_max = {value}\n")
     assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
     assert "bouncer.n_max" in capsys.readouterr().err
+
+
+def test_bouncer_n_max_above_cap_exit_2(tmp_path, capsys):
+    """An n_max above the 1e4 cap of the auto-selection and of airy_zero is
+    a config error before any numerics; 10001 used to run and exit 0, and
+    larger values allocated arrays of that length."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + "bouncer.n_max = 10001\n")
+    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bouncer.n_max" in captured.err and "10000" in captured.err
 
 
 def test_bouncer_n_max_integral_float_accepted(tmp_path):
