@@ -18,11 +18,13 @@ dt^2 times the variance of dE/dg over the level distribution.
 The Airy engine is self-contained: one float64 piecewise-Chebyshev table
 of Ai and Ai' on [-15, 12], built once from extended-precision series and
 ODE marching, the DLMF 9.7 asymptotic expansions outside it, and
-evaluation in cache-sized sorted blocks cut into one slice per region
-(see ``AiryEngine``).  The Airy zeros are solved once per count and
-shared read-only, so a sweep solves each level count once.  The grid
-render evaluates each basis row only up to a decay cut, past which Ai is
-below 1e-39 (see ``render_spectral``).
+evaluation in cache-sized blocks, each taken whole when it lies in one
+region and cut into one sorted slice per region otherwise (see
+``AiryEngine``).  The Airy zeros are solved once per count and shared
+read-only, so a sweep solves each level count once.  The grid render
+evaluates each basis row only up to a decay cut, past which Ai is below
+1e-39, and gathers the rows' points region by region into full blocks
+(see ``render_spectral`` and ``AiryEngine.ai_rows``).
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -113,17 +115,23 @@ class AiryEngine:
     negative axis; inward from the asymptotic seed on the positive axis,
     which is the stable direction).  A bare series/asymptotic split cannot
     reach 1e-12 in that band.  The coefficients come from one DCT-I of the
-    node values, and the points of a sorted slice are summed by one
-    Clenshaw pass, each coefficient row spread over them by ``repeat``.
+    node values, and the points are summed by one Clenshaw pass, each
+    coefficient row spread by ``repeat`` over the runs of points that share
+    an interval, so the points need not be sorted.
 
     Outside the table the DLMF 9.7 asymptotic expansions apply, each
     computing only the function asked for; on the negative axis the cosine
     and sine of the phase come from one half-angle tangent.  Ai and Ai' are
     exactly 0 past y = 108.  Arguments are evaluated in fixed blocks of 2^14
-    points, so temporaries stay cache-sized whatever the call size.  Each
-    block is put in ascending order (a view when it is already monotone,
-    as every production argument array is; an argsort otherwise) and cut
-    by ``searchsorted`` into one slice per region.  NaN gives NaN.
+    points, so temporaries stay cache-sized whatever the call size.  A
+    block whose points all lie in one region goes to that region's formula
+    as it stands, in any order.  Any other block is put in ascending order
+    (a view when it is monotone, as the zeros and the Laplace arguments
+    are; an argsort otherwise) and cut by ``searchsorted`` into one slice
+    per region.  Every formula is elementwise, so a point's value does not
+    depend on the block it came in.  NaN gives NaN.  ``ai_rows`` fills many
+    shifted rows of one ascending base at once, gathering their points
+    region by region into full single-region blocks.
 
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
@@ -295,48 +303,71 @@ class AiryEngine:
         return tuple((dct.astype(_LD) @ v).astype(float) for v in values)
 
     def _chebyshev(self, y: np.ndarray, derivative: bool) -> np.ndarray:
-        """Clenshaw sum of each point's own interval series, for ascending y.
+        """Clenshaw sum of each point's own interval series, in any order.
 
-        The points of an interval are contiguous, so each coefficient row
-        reaches its points by one ``repeat`` over the interval counts.
+        Each coefficient row reaches its points by one ``repeat`` over the
+        runs of equal interval index: one run per interval for ascending
+        input, a few per row for ascending rows laid end to end.
         """
         coeffs = self._table()[derivative]
-        n_iv = coeffs.shape[1]
         u = (y + self.neg_cutoff) / _TABLE_WIDTH
-        idx = np.minimum(u.astype(np.intp), n_iv - 1)
-        counts = np.diff(np.searchsorted(idx, np.arange(n_iv + 1)))
+        idx = np.minimum(u.astype(np.intp), coeffs.shape[1] - 1)
         s = 2.0 * (u - idx) - 1.0
+        edges = np.flatnonzero(idx[1:] != idx[:-1]) + 1
+        bounds = np.concatenate(([0], edges, [idx.size]))
+        counts = bounds[1:] - bounds[:-1]
+        runs = coeffs[:, idx[bounds[:-1]]]       # one column per run
         two_s = 2.0 * s
-        b1 = coeffs[-1].repeat(counts)
+        b1 = runs[-1].repeat(counts)
         b2 = np.zeros_like(s)
-        for row in coeffs[-2:0:-1]:
+        for row in runs[-2:0:-1]:
             # b_k = c_k + 2 s b_{k+1} - b_{k+2}, written over b_{k+2}.
             b2 -= two_s * b1
             np.subtract(row.repeat(counts), b2, out=b2)
             b1, b2 = b2, b1
-        return coeffs[0].repeat(counts) + s * b1 - b2
+        return runs[0].repeat(counts) + s * b1 - b2
 
     # -- public evaluation ----------------------------------------------------
 
+    def _region_ends(self) -> np.ndarray:
+        """Upper ends of the evaluation regions, for searchsorted(side="right").
+
+        y < -neg_cutoff is y <= the float below it; the table runs to
+        pos_cutoff, the positive sum to 108, past which the value is 0;
+        NaN sorts after inf.
+        """
+        return np.array([np.nextafter(-self.neg_cutoff, -np.inf), self.pos_cutoff,
+                         _UNDERFLOW_Y, np.inf])
+
     def _eval(self, y, derivatives: tuple[bool, ...] = (False,)) -> list[np.ndarray]:
-        """Ai (False) and/or Ai' (True) of y, one array per entry of derivatives."""
+        """Ai (False) and/or Ai' (True) of y, one array per entry of derivatives.
+
+        A block whose minimum and maximum lie in one region is evaluated as
+        it stands, in any order.  Any other block (several regions, or NaN)
+        is put in ascending order, a view when it is monotone and an argsort
+        otherwise, and cut by ``searchsorted`` into one slice per region.
+        """
         y = np.asarray(y, dtype=float)
         flat = y.ravel()
         outs = [np.empty_like(flat) for _ in derivatives]
-        # Upper ends of the regions for searchsorted(side="right"): y < -neg_cutoff
-        # is y <= the float below it.  Past 108 the value is 0; NaN sorts last.
-        cuts = np.array([np.nextafter(-self.neg_cutoff, -np.inf), self.pos_cutoff,
-                         _UNDERFLOW_Y, np.inf])
+        cuts = self._region_ends()
         branches = (self._asym_neg, self._chebyshev, self._asym_pos)
         for start in range(0, flat.size, _BLOCK):
             block = flat[start:start + _BLOCK]
             parts = [out[start:start + _BLOCK] for out in outs]
+            # Region of the extremes: 0 negative sum, 1 table, 2 positive
+            # sum, 3 zero, 4 NaN (min and max are NaN if any point is).
+            lo, hi = np.searchsorted(cuts, [block.min(), block.max()]).tolist()
+            if lo == hi < 4:
+                for derivative, part in zip(derivatives, parts):
+                    part[:] = branches[lo](block, derivative) if lo < 3 else 0.0
+                continue
             order = None
             if block[0] <= block[-1] and np.all(block[:-1] <= block[1:]):
                 ys, views = block, parts
             elif block[0] > block[-1] and np.all(block[:-1] >= block[1:]):
                 ys, views = block[::-1], [part[::-1] for part in parts]
-            else:                            # unsorted or NaN-laden
+            else:
                 order = np.argsort(block)
                 ys = block[order]
                 views = [np.empty_like(ys) for _ in parts]
@@ -355,6 +386,42 @@ class AiryEngine:
     def ai(self, y) -> np.ndarray | float:
         out = self._eval(y)[0]
         return float(out) if np.ndim(y) == 0 else out
+
+    def ai_rows(self, base: np.ndarray, offsets: np.ndarray, ends: np.ndarray,
+                out: np.ndarray) -> None:
+        """Fill out[j, :ends[j]] with Ai(base[:ends[j]] + offsets[j]) and the
+        rest of row j with 0.
+
+        base must be ascending, so every row is.  Each row's arguments are
+        written into ``out`` and cut by ``searchsorted`` into regions.  Then,
+        region by region, the points of all rows are copied into one reused
+        buffer of 2^14 points, and each filled buffer goes through ``ai`` as
+        a single-region block; the values are copied back over the
+        arguments.  Every point gets the value one ``ai`` call on its own
+        row would give it, in a few full blocks instead of one call per row.
+        """
+        cuts = self._region_ends()
+        bounds = []
+        for row, offset, end in zip(out, offsets, ends):
+            np.add(base[:end], offset, out=row[:end])
+            row[end:] = 0.0
+            bounds.append([0, *np.searchsorted(row[:end], cuts, side="right").tolist()])
+        buf = np.empty(_BLOCK)
+        for region in range(len(cuts)):
+            targets, fill = [], 0            # views of out copied into buf, in order
+            for row, bound in zip(out, bounds):
+                lo, hi = bound[region], bound[region + 1]
+                while lo < hi:
+                    n = min(hi - lo, _BLOCK - fill)
+                    targets.append(row[lo:lo + n])
+                    buf[fill:fill + n] = targets[-1]
+                    fill += n
+                    lo += n
+                    if fill == _BLOCK:
+                        _scatter(self.ai(buf), targets)
+                        targets, fill = [], 0
+            if fill:
+                _scatter(self.ai(buf[:fill]), targets)
 
     def ai_prime(self, y) -> np.ndarray | float:
         out = self._eval(y, (True,))[0]
@@ -403,6 +470,14 @@ class AiryEngine:
             raise AiryConvergenceError("Airy zero Newton did not converge in 100 iterations")
         z.flags.writeable = False
         return z
+
+
+def _scatter(values: np.ndarray, targets: list[np.ndarray]) -> None:
+    """Copy consecutive pieces of values into the targets, in order."""
+    pos = 0
+    for target in targets:
+        target[:] = values[pos:pos + target.size]
+        pos += target.size
 
 
 @functools.cache
@@ -513,15 +588,18 @@ def _path_projection(params: PhysicalParams, spectrum: BouncerSpectrum,
 
 
 def _auto_n_max(params: PhysicalParams) -> int:
-    """Smallest n past the peak where both paths' coefficients die to 1e-8, at most 1e4.
+    """Smallest n past both paths' peaks where their coefficients die to 1e-8, at most 1e4.
 
     Levels are scanned in blocks of 512 zeros, each block in one pass: the
     running peak (carried across blocks) includes level n itself, and the
-    first level below 1e-8 of it is the answer.
+    first level below 1e-8 of it that also lies past the upper path's peak,
+    z_n < -max(x+, x-) / l0, is the answer.  Without that second condition
+    two well-separated paths stop the scan in the gap between their peaks.
     """
     engine = default_engine()
     l0 = gravitational_length(params, 0)
     s = params.sigma / l0
+    z_top = -max(params.x_plus, params.x_minus) / l0
     best = 0.0
     block_size = 512
     for n_lo in range(1, BOUNCER_N_MAX_CAP + 1, block_size):
@@ -530,7 +608,7 @@ def _auto_n_max(params: PhysicalParams) -> int:
         mag = np.maximum(np.exp(-((zeros + params.x_plus / l0) / (2.0 * s)) ** 2),
                          np.exp(-((zeros + params.x_minus / l0) / (2.0 * s)) ** 2))
         peak = np.maximum(np.maximum.accumulate(mag), best)
-        done = np.flatnonzero((peak > 0) & (mag < 1e-8 * peak))
+        done = np.flatnonzero((peak > 0) & (mag < 1e-8 * peak) & (zeros < z_top))
         if done.size:
             return n_lo + int(done[0])
         best = float(peak[-1])
@@ -652,8 +730,11 @@ def render_spectral(params: PhysicalParams, projection: BouncerProjection,
 
     Each basis row Ai(x / l_i + z_n) is ascending in its argument and is
     evaluated only up to the decay cut y = 26 (Ai(26) ~ 1e-39); past it
-    the row is exactly 0.  Rows go into 64-row bases, and a chunk's sum
-    stops at the cut of its highest level, which reaches furthest in x.
+    the row is exactly 0.  Rows go into 64-row bases, filled by one
+    ``AiryEngine.ai_rows`` call per chunk, which evaluates the chunk's
+    points region by region in full 2^14-point blocks; each value is bit
+    for bit what one ``ai`` call per row gives.  A chunk's sum stops at
+    the cut of its highest level, which reaches furthest in x.
     """
     engine = default_engine()
     spectrum = projection.spectrum
@@ -676,9 +757,7 @@ def render_spectral(params: PhysicalParams, projection: BouncerProjection,
             sel_ends = ends[start:start + _RENDER_ROWS]
             width = int(sel_ends.max())
             rows = basis[:len(sel), :width]
-            for row, z_n, end in zip(rows, spectrum.zeros[sel], sel_ends):
-                row[:end] = engine.ai(scaled[:end] + z_n)
-                row[end:] = 0.0
+            engine.ai_rows(scaled, spectrum.zeros[sel], sel_ends, rows)
             rel_energy = (spectrum.band[i, sel] - ref.band_ref[i]) + const_shift
             phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
             coeff = (projection.coefficients[i, sel] * np.exp(1j * phases)

@@ -316,6 +316,26 @@ def test_bouncer_truncating_n_max_exit_3(tmp_path, capsys, n_max):
     assert not [w for w in caught if "destructive" in str(w.message)]
 
 
+def test_bouncer_separated_path_peaks_auto_n_max(tmp_path, capsys):
+    """Paths 88 um apart peak ~1000 levels apart (n ~ 160 and ~1170).  The
+    automatic n_max used to stop in the gap after the lower path's peak
+    (392 levels) and the run exited 3 with truncation mass 1.00, although
+    n_max was left unset."""
+    text = (CONFIGS / "bouncer.cfg").read_text().replace(
+        "geometry.x_plus_m = 3.8e-5", "geometry.x_plus_m = 1.2e-4")
+    reports = []
+    for name, extra in (("auto", ""), ("fixed", "bouncer.n_max = 1400\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + extra)
+        out = tmp_path / name
+        rc = cli.main(["run", "--config", str(cfg), "--methods", "closed", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        reports.append(json.loads((out / "report.json").read_text()))
+    auto, fixed = reports
+    assert auto["qfi_closed"] == pytest.approx(fixed["qfi_closed"], rel=1e-7)
+
+
 def test_bouncer_key_on_other_scenario_exit_2(tmp_path, capsys):
     cfg = _write_ff_config(tmp_path, **{"bouncer.n_max": 5})
     assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
