@@ -19,7 +19,7 @@ The Airy engine is self-contained: one float64 piecewise-Chebyshev table
 of Ai and Ai' on [-15, 12], built once from extended-precision series and
 ODE marching, the DLMF 9.7 asymptotic expansions outside it, and
 evaluation in cache-sized blocks, each taken whole when it lies in one
-region and cut into one sorted slice per region otherwise (see
+region and split by one boolean mask per region otherwise (see
 ``AiryEngine``).  The Airy zeros are solved once per count and shared
 read-only, so a sweep solves each level count once.  The grid render
 evaluates each basis row only up to a decay cut, past which Ai is below
@@ -125,13 +125,13 @@ class AiryEngine:
     exactly 0 past y = 108.  Arguments are evaluated in fixed blocks of 2^14
     points, so temporaries stay cache-sized whatever the call size.  A
     block whose points all lie in one region goes to that region's formula
-    as it stands, in any order.  Any other block is put in ascending order
-    (a view when it is monotone, as the zeros and the Laplace arguments
-    are; an argsort otherwise) and cut by ``searchsorted`` into one slice
-    per region.  Every formula is elementwise, so a point's value does not
-    depend on the block it came in.  NaN gives NaN.  ``ai_rows`` fills many
-    shifted rows of one ascending base at once, gathering their points
-    region by region into full single-region blocks.
+    as it stands, in any order.  Any other block (the zeros and the
+    Laplace arguments span several) sends each region's points to that
+    region's formula through one boolean mask per region.  Every formula
+    is elementwise, so a point's value does not depend on the block it
+    came in.  NaN gives NaN.  ``ai_rows`` fills many shifted rows of one
+    ascending base at once, gathering their points region by region into
+    full single-region blocks.
 
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
@@ -330,11 +330,13 @@ class AiryEngine:
     # -- public evaluation ----------------------------------------------------
 
     def _region_ends(self) -> np.ndarray:
-        """Upper ends of the evaluation regions, for searchsorted(side="right").
+        """Upper ends of the evaluation regions, for ``searchsorted``.
 
         y < -neg_cutoff is y <= the float below it; the table runs to
         pos_cutoff, the positive sum to 108, past which the value is 0;
-        NaN sorts after inf.
+        NaN sorts after inf.  With side="left", ``searchsorted`` gives a
+        point's region: 0 negative sum, 1 table, 2 positive sum, 3 zero,
+        4 NaN.
         """
         return np.array([np.nextafter(-self.neg_cutoff, -np.inf), self.pos_cutoff,
                          _UNDERFLOW_Y, np.inf])
@@ -343,44 +345,32 @@ class AiryEngine:
         """Ai (False) and/or Ai' (True) of y, one array per entry of derivatives.
 
         A block whose minimum and maximum lie in one region is evaluated as
-        it stands, in any order.  Any other block (several regions, or NaN)
-        is put in ascending order, a view when it is monotone and an argsort
-        otherwise, and cut by ``searchsorted`` into one slice per region.
+        it stands.  Any other block (several regions, or NaN) sends the
+        points of each region present to that region's formula through one
+        boolean mask per region.
         """
         y = np.asarray(y, dtype=float)
         flat = y.ravel()
         outs = [np.empty_like(flat) for _ in derivatives]
         cuts = self._region_ends()
-        branches = (self._asym_neg, self._chebyshev, self._asym_pos)
+        branches = (self._asym_neg, self._chebyshev, self._asym_pos,
+                    lambda ys, derivative: 0.0, lambda ys, derivative: np.nan)
         for start in range(0, flat.size, _BLOCK):
             block = flat[start:start + _BLOCK]
             parts = [out[start:start + _BLOCK] for out in outs]
-            # Region of the extremes: 0 negative sum, 1 table, 2 positive
-            # sum, 3 zero, 4 NaN (min and max are NaN if any point is).
+            # min and max are NaN if any point is.
             lo, hi = np.searchsorted(cuts, [block.min(), block.max()]).tolist()
             if lo == hi < 4:
                 for derivative, part in zip(derivatives, parts):
-                    part[:] = branches[lo](block, derivative) if lo < 3 else 0.0
+                    part[:] = branches[lo](block, derivative)
                 continue
-            order = None
-            if block[0] <= block[-1] and np.all(block[:-1] <= block[1:]):
-                ys, views = block, parts
-            elif block[0] > block[-1] and np.all(block[:-1] >= block[1:]):
-                ys, views = block[::-1], [part[::-1] for part in parts]
-            else:
-                order = np.argsort(block)
-                ys = block[order]
-                views = [np.empty_like(ys) for _ in parts]
-            ends = np.searchsorted(ys, cuts, side="right").tolist()
-            for derivative, view in zip(derivatives, views):
-                for branch, lo, hi in zip(branches, [0, *ends], ends):
-                    if hi > lo:
-                        view[lo:hi] = branch(ys[lo:hi], derivative)
-                view[ends[2]:ends[3]] = 0.0
-                view[ends[3]:] = np.nan
-            if order is not None:
-                for part, view in zip(parts, views):
-                    part[order] = view
+            regions = np.searchsorted(cuts, block)
+            for region, branch in enumerate(branches):
+                mask = regions == region
+                if mask.any():
+                    ys = block[mask]
+                    for derivative, part in zip(derivatives, parts):
+                        part[mask] = branch(ys, derivative)
         return [out.reshape(y.shape) for out in outs]
 
     def ai(self, y) -> np.ndarray | float:

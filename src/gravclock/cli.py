@@ -31,7 +31,7 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 # numpy's OpenBLAS starts a worker thread per extra core at import, which
@@ -150,6 +150,9 @@ class ScenarioConfig:
             if not 1 <= self.n_max <= BOUNCER_N_MAX_CAP:
                 raise ConfigError(f"bouncer.n_max needs an integer in [1, {BOUNCER_N_MAX_CAP}], "
                                   f"got {self.n_max}")
+        if self.scenario == "bouncer" and not self.params.g > 0:
+            raise ConfigError("the bouncer needs physics.g > 0: a floor under a potential that "
+                              f"does not rise holds no bound states (got {self.params.g!r})")
         if self.scenario == "mach_zehnder" and self.sweep is not None \
                 and self.sweep.variable == "g":
             raise ConfigError(
@@ -202,16 +205,19 @@ class SweepRow:
 
 def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
     """Evaluate the sweep points in order, one row each, on this thread; every
-    point's parameters are built first, so an invalid one fails before any numerics."""
+    point's parameters are built and checked first, so an invalid one fails
+    before any numerics."""
     assert cfg.sweep is not None
     var = cfg.sweep.variable
     points = []
     for value in cfg.sweep.values().tolist():
         try:
-            points.append((value, cfg.params.replace(**{var: value})))
-        except ParamsError as exc:
+            params = cfg.params.replace(**{var: value})
+            replace(cfg, params=params)     # the scenario's own checks
+        except (ParamsError, ConfigError) as exc:
             raise ConfigError(f"sweep --var {var} = {value!r} gives invalid parameters: "
                               f"{exc}") from exc
+        points.append((value, params))
     return [SweepRow(value, _evaluate_methods(cfg, params), check_regime(params).satisfied)
             for value, params in points]
 

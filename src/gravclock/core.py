@@ -114,6 +114,8 @@ class PhysicalParams:
             problems.append("z_i = E_i/(m c^2) must stay below 1e-6")
         if not self.x_plus > self.x_minus:
             problems.append("x_plus must exceed x_minus")
+        if not self.ratio_threshold > 0:
+            problems.append("ratio_threshold must be positive")
         if problems:
             raise ParamsError("; ".join(problems))
 
@@ -386,14 +388,18 @@ def preset(name: str) -> PhysicalParams:
     return builder()
 
 
-# Exact config keys: the core physics set plus scenario/bouncer extras.
-_CONFIG_KEYS = {
-    "physics.m_kg", "physics.E0_eV", "physics.E1_eV", "physics.g",
-    "physics.g_plus", "physics.g_minus", "physics.V0_m2s2",
-    "geometry.x_plus_m", "geometry.x_minus_m", "geometry.x0_m",
-    "geometry.x_plus0_m", "geometry.x_minus0_m", "geometry.sigma_m",
-    "time.dt_s", "phase.phi_rad", "regime.ratio_threshold",
-    "scenario.name", "scenario.target", "bouncer.n_max",
+# Config keys.  A numeric key maps to its build_params keyword and unit
+# (bouncer.n_max, which the CLI reads, to None); the string keys name the
+# scenario and its target.
+_NUMERIC_KEYS = {
+    "physics.m_kg": ("m", 1.0), "physics.E0_eV": ("e0", EV), "physics.E1_eV": ("e1", EV),
+    "physics.g": ("g", 1.0), "physics.g_plus": ("g_plus", 1.0),
+    "physics.g_minus": ("g_minus", 1.0), "physics.V0_m2s2": ("v0", 1.0),
+    "geometry.x_plus_m": ("x_plus", 1.0), "geometry.x_minus_m": ("x_minus", 1.0),
+    "geometry.x0_m": ("x0", 1.0), "geometry.x_plus0_m": ("x_plus0", 1.0),
+    "geometry.x_minus0_m": ("x_minus0", 1.0), "geometry.sigma_m": ("sigma", 1.0),
+    "time.dt_s": ("dt", 1.0), "phase.phi_rad": ("phi", 1.0),
+    "regime.ratio_threshold": ("ratio_threshold", 1.0), "bouncer.n_max": (None, 1.0),
 }
 _STRING_KEYS = {"scenario.name", "scenario.target"}
 
@@ -409,11 +415,11 @@ def load_config(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _NUMERIC_KEYS and key not in _STRING_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _STRING_KEYS:
+        if key in _NUMERIC_KEYS:
             try:
                 number = float(value)
             except ValueError:
@@ -425,31 +431,16 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def params_from_config(cfg: dict[str, str], *, ablate_time_dilation: bool = False) -> PhysicalParams:
-    """Build parameters from config values over the sr88_10s baseline."""
+    """Build parameters from config values over the sr88_10s baseline.
+
+    Each keyword of ``_NUMERIC_KEYS`` takes its key's value times the key's
+    unit; a missing key takes the baseline's value, divided by the unit and
+    multiplied back.
+    """
     base = preset("sr88_10s")
-
-    def num(key: str, default: float) -> float:
-        return float(cfg[key]) if key in cfg else default
-
+    values = {name: (float(cfg[key]) if key in cfg else getattr(base, name) / unit) * unit
+              for key, (name, unit) in _NUMERIC_KEYS.items() if name is not None}
     try:
-        return build_params(
-            m=num("physics.m_kg", base.m),
-            e0=num("physics.E0_eV", base.e0 / EV) * EV,
-            e1=num("physics.E1_eV", base.e1 / EV) * EV,
-            g=num("physics.g", base.g),
-            g_plus=num("physics.g_plus", base.g_plus),
-            g_minus=num("physics.g_minus", base.g_minus),
-            x_plus=num("geometry.x_plus_m", base.x_plus),
-            x_minus=num("geometry.x_minus_m", base.x_minus),
-            x0=num("geometry.x0_m", base.x0),
-            x_plus0=num("geometry.x_plus0_m", base.x_plus0),
-            x_minus0=num("geometry.x_minus0_m", base.x_minus0),
-            v0=num("physics.V0_m2s2", base.v0),
-            sigma=num("geometry.sigma_m", base.sigma),
-            dt=num("time.dt_s", base.dt),
-            phi=num("phase.phi_rad", base.phi),
-            ratio_threshold=num("regime.ratio_threshold", base.ratio_threshold),
-            ablate_time_dilation=ablate_time_dilation,
-        )
+        return build_params(**values, ablate_time_dilation=ablate_time_dilation)
     except ParamsError as exc:
         raise ConfigError(f"invalid parameter values: {exc}") from exc

@@ -20,10 +20,11 @@ freely falling branch acquires negative mean momentum ``-m g dt (1+z)``
 (the ledger slope times hbar).  Quoted magnitudes elsewhere refer to
 |mean momentum|.
 
-The two evolution maps, exact free fall in the linearized potential and
-the trapped Mach-Zehnder arm, act on pre-evolution branches (width sigma,
-zero momentum, empty ledger) and return the closed-form evolved branch;
-there is no time stepping anywhere in this module.
+``evolve_state`` applies either closed-form map, exact free fall in the
+linearized potential or the trapped Mach-Zehnder arm (``evolve_mz``, one
+branch at a time), to pre-evolution branches (width sigma, zero
+momentum, empty ledger); there is no time stepping anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -237,35 +238,6 @@ def _spreading(params: PhysicalParams, z: float) -> tuple[float, float]:
     return var, chirp
 
 
-def evolve_freefall_full(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
-    """Exact evolution in the linearized potential V_F = g (x - x0) + V0.
-
-    Internal level i feels effective mass m/(1-z_i) and potential
-    m (1+z_i) V_F, so over a time dt:
-
-        mean_x -> x_c - (g dt^2 / 2)(1 - z_i^2)
-        mean_p -> -m g dt (1 + z_i)
-        S_i^2  -> sigma^2 + (hbar dt (1 - z_i) / (2 m sigma))^2
-
-    and the phase ledger gains
-
-        rest_internal   = -dt E_i / hbar
-        potential_const = -dt m (1+z_i) V0 / hbar
-        cubic           = -(m g^2 dt^3 / 6 hbar)(1 + z_i - z_i^2)
-        slope           = -m g (1+z_i) dt / hbar
-
-    all with x_ref = x0.  The cubic constant is the bracketed classical
-    action term; dimensional analysis fixes its prefactor to g^2/6 (the
-    g/3 form sometimes quoted is a misprint).  The exact bracket is
-    (1+z)^2(1-z); the z^3 difference from the truncated form used here
-    is far below double precision for any physical z.
-    """
-    _require_pre_evolution(branch, params)
-    if params.dt == 0.0:
-        return branch
-    return _fallen(branch, _freefall_level(params, branch.internal_level))
-
-
 def _freefall_level(params: PhysicalParams, level: int) -> tuple:
     """(ledger, fall distance, mean_p, var_x, chirp) of an evolved level.
 
@@ -295,20 +267,6 @@ def _freefall_level(params: PhysicalParams, level: int) -> tuple:
     return ledger, 0.5 * g * dt * dt * (1.0 - z * z), -m * g * dt * (1.0 + z), var, chirp
 
 
-def _fallen(branch: GaussianBranch, level: tuple) -> GaussianBranch:
-    ledger, fall, mean_p, var, chirp = level
-    return GaussianBranch(
-        amplitude=branch.amplitude,
-        ledger=ledger,
-        mean_x=branch.mean_x - fall,
-        mean_p=mean_p,
-        var_x=var,
-        chirp=chirp,
-        internal_level=branch.internal_level,
-        path_label=branch.path_label,
-    )
-
-
 def evolve_mz(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
     """Trapped-arm evolution: the potential couples only through time dilation.
 
@@ -320,6 +278,8 @@ def evolve_mz(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
     on its own side of the kink.  The tiny momentum implied by the phase
     slope (-dt E_i g_side / c^2, many orders below the momentum width) is
     stored for consistency; it is the quoted <p> = 0 at the working order.
+    This maps one branch; ``evolve_state`` applies it to every branch of a
+    Mach-Zehnder state.  At dt = 0 the branch is returned as it is.
     """
     _require_pre_evolution(branch, params)
     if params.dt == 0.0:
@@ -361,23 +321,48 @@ def evolve_mz(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
 
 def evolve_state(state: ClockState, params: PhysicalParams,
                  scenario: str = "free_fall") -> ClockState:
-    """Apply the scenario's branch map to every component.
+    """Apply the scenario's closed-form map to every component.
 
-    In free fall the two paths of a level share everything but their
-    centre, so that part of the map is computed once per level.
+    Mach-Zehnder applies :func:`evolve_mz` branch by branch.  Free fall is
+    exact evolution in the linearized potential V_F = g (x - x0) + V0:
+    internal level i feels effective mass m/(1-z_i) and potential
+    m (1+z_i) V_F, so over a time dt
+
+        mean_x -> x_c - (g dt^2 / 2)(1 - z_i^2)
+        mean_p -> -m g dt (1 + z_i)
+        S_i^2  -> sigma^2 + (hbar dt (1 - z_i) / (2 m sigma))^2
+
+    and the phase ledger gains
+
+        rest_internal   = -dt E_i / hbar
+        potential_const = -dt m (1+z_i) V0 / hbar
+        cubic           = -(m g^2 dt^3 / 6 hbar)(1 + z_i - z_i^2)
+        slope           = -m g (1+z_i) dt / hbar
+
+    all with x_ref = x0.  The cubic constant is the bracketed classical
+    action term; dimensional analysis fixes its prefactor to g^2/6 (the
+    g/3 form sometimes quoted is a misprint).  The exact bracket is
+    (1+z)^2(1-z); the z^3 difference from the truncated form used here
+    is far below double precision for any physical z.  The two paths of a
+    level share everything but their centre, so that part of the map is
+    computed once per level.  At dt = 0 the state is returned as it is.
     """
-    if scenario not in ("free_fall", "mach_zehnder"):
+    if scenario == "mach_zehnder":
+        return ClockState(tuple(evolve_mz(c, params) for c in state.components), state.metadata)
+    if scenario != "free_fall":
         raise ValueError(f"unknown scenario {scenario!r}")
-    if scenario == "mach_zehnder" or params.dt == 0.0:
-        branch_map = evolve_mz if scenario == "mach_zehnder" else evolve_freefall_full
-        return ClockState(tuple(branch_map(c, params) for c in state.components), state.metadata)
+    for c in state.components:
+        _require_pre_evolution(c, params)
+    if params.dt == 0.0:
+        return state
     levels: dict[int, tuple] = {}
     components = []
     for c in state.components:
-        _require_pre_evolution(c, params)
         if c.internal_level not in levels:
             levels[c.internal_level] = _freefall_level(params, c.internal_level)
-        components.append(_fallen(c, levels[c.internal_level]))
+        ledger, fall, mean_p, var, chirp = levels[c.internal_level]
+        components.append(GaussianBranch(c.amplitude, ledger, c.mean_x - fall, mean_p,
+                                         var, chirp, c.internal_level, c.path_label))
     return ClockState(tuple(components), state.metadata)
 
 

@@ -24,10 +24,11 @@ the grid stays exactly zero.  ``gaussian.wavefunction_values`` stays the arbitra
 reference sampler; the renderer does not use it.
 
 The fidelity |<a|b>|^2 / (<a|a><b|b>) comes from three trapezoid sums
-over both level channels, with no normalized copies.  The QFI takes an
-auto-tuned offset d, checks that halving it quarters the fidelity drop
-(the Bures scaling; a drop taken past a fidelity revival fails the check
-and the offset shrinks), and Richardson-combines the d and d/2 estimates.
+over both level channels, with no normalized copies.  The QFI comes from
+one bisection on the offset d: it accepts the first d whose drop lies in
+the Bures window and quarters when d is halved (a drop taken past a
+fidelity revival fails that check and bounds the search from above), and
+Richardson-combines the d and d/2 estimates.
 """
 
 from __future__ import annotations
@@ -186,71 +187,47 @@ def bures_qfi(one_minus_f: float, delta: float) -> float:
     return 8.0 * amp_miss / (delta * delta)
 
 
-def tune_bures_delta(fidelity_fn, value: float, delta: float | None = None,
-                     too_big: float | None = None) -> tuple[float, float, bool]:
-    """Find a parameter offset with 1 - F inside [1e-6, 1e-2].
+def richardson_bures_qfi(fidelity_fn, value: float,
+                         delta: float | None = None) -> tuple[float, bool]:
+    """Bures QFI at ``value`` from ``fidelity_fn(v_lo, v_hi)``: (QFI, resolved).
 
-    Geometric bisection on the offset; returns (delta, 1-F, resolved).
-    ``resolved`` is False when even the largest sensible offset leaves
-    1 - F below the window (a parameter the state barely depends on); the
-    caller then reports the below-resolution estimate instead of failing.
-    ``too_big`` is an offset already known to be unusable: the search
-    treats it as lying above the window and stays below it.
+    One geometric bisection on the offset d, starting at ``delta`` (default
+    1e-6 relative), looks for a drop 1 - F inside [1e-6, 1e-2] that also
+    shows the Bures scaling: a pure Bures drop scales as d^2, so the drop
+    at d/2 must be a quarter of the drop at d (accepted in [0.2, 0.3]).
+    An offset whose drop fails that check lies past the quadratic regime,
+    typically on a fidelity revival; it becomes the upper bracket, and the
+    search restarts from d/2 below it.  An accepted pair gives the
+    Richardson combination (4 G(d/2) - G(d)) / 3.  Weakly coupled
+    parameters legitimately need huge offsets to produce a resolvable
+    drop (their phases stay tiny, so the Bures quadratic regime extends);
+    only a truly parameter-independent state exhausts the offset cap, and
+    then the below-window estimate is returned with ``resolved`` False.
     """
-    # Weakly coupled parameters legitimately need huge offsets to produce
-    # a resolvable fidelity drop (their phases stay tiny, so the Bures
-    # quadratic regime extends); only a truly parameter-independent state
-    # exhausts the cap.
     lo, hi = 1e-6, 1e-2
     delta_cap = 1e8 * max(abs(value), 1.0)
     d = min(delta if delta is not None else 1e-6 * max(abs(value), 1.0), delta_cap)
     d_small = None   # largest offset known to sit below the window
-    d_big = too_big  # smallest offset known to sit above the window
-    last = None
-    for _ in range(40):
+    d_big = None     # smallest offset known to sit above it or to fail the check
+    for _ in range(60):
         miss = 1.0 - fidelity_fn(value - 0.5 * d, value + 0.5 * d)
-        last = (d, miss)
         if lo <= miss <= hi:
-            return d, miss, True
-        if miss < lo:
+            miss_half = 1.0 - fidelity_fn(value - 0.25 * d, value + 0.25 * d)
+            if 0.2 <= miss_half / miss <= 0.3:
+                g_full = bures_qfi(miss, d)
+                g_half = bures_qfi(miss_half, 0.5 * d)
+                return (4.0 * g_half - g_full) / 3.0, True
+            d_big, d_small, d = d, None, 0.5 * d
+        elif miss < lo:
             if d >= delta_cap:
-                return d, miss, False
+                return bures_qfi(miss, d), False
             d_small = d
             d = min(d * 8.0 if d_big is None else math.sqrt(d * d_big), delta_cap)
         else:
             d_big = d
             d = d / 8.0 if d_small is None else math.sqrt(d * d_small)
-    raise OracleError(
-        f"could not place 1-F in [{lo:g}, {hi:g}] after 40 bisections; "
-        f"last offset {last[0]:g} gave 1-F = {last[1]:g}")
-
-
-def richardson_bures_qfi(fidelity_fn, value: float,
-                         delta: float | None = None) -> tuple[float, bool]:
-    """Bures QFI at ``value`` from ``fidelity_fn(v_lo, v_hi)``: (QFI, resolved).
-
-    The offset d comes from :func:`tune_bures_delta`.  The drop at d/2 is
-    then taken as well; a pure Bures drop scales as d^2, so it must be a
-    quarter of the drop at d (accepted in [0.2, 0.3]).  Otherwise d lies
-    past the quadratic regime, typically on a fidelity revival, and the
-    search is repeated below it.  An accepted pair gives the Richardson
-    combination (4 G(d/2) - G(d)) / 3.  Unresolved offsets return the
-    below-window estimate with ``resolved`` False.
-    """
-    d = delta
-    too_big = None
-    for _ in range(20):
-        d, miss, resolved = tune_bures_delta(fidelity_fn, value, d, too_big=too_big)
-        if not resolved:
-            return bures_qfi(miss, d), False
-        miss_half = 1.0 - fidelity_fn(value - 0.25 * d, value + 0.25 * d)
-        if 0.2 <= miss_half / miss <= 0.3:
-            g_full = bures_qfi(miss, d)
-            g_half = bures_qfi(miss_half, 0.5 * d)
-            return (4.0 * g_half - g_full) / 3.0, True
-        too_big = d
-        d = 0.5 * d
-    raise OracleError(f"no offset below {too_big:g} shows the Bures d^2 scaling")
+    raise OracleError(f"no offset among 60 put 1-F in [{lo:g}, {hi:g}] with the Bures "
+                      f"d^2 scaling; the last gave 1-F = {miss:g}")
 
 
 def qfi_numeric(scenario: Scenario, value: float | None = None,

@@ -254,13 +254,18 @@ def _eval_inputs():
         "multi_block": blocks,
         "multi_block_descending": blocks[::-1].copy(),
         "multi_block_shuffled": rng.permutation(blocks),
+        # Two regions with no table point between them: the empty table
+        # region must be skipped, not passed to _chebyshev.
+        "no_table_points": rng.permutation(np.concatenate(
+            [np.linspace(-170.0, -15.5, 300), np.linspace(12.5, 108.0, 300)])),
+        "all_nan": np.full(700, np.nan),
     }
 
 
 @pytest.mark.parametrize("name", list(_eval_inputs()))
 def test_eval_equals_region_by_region_reference(name):
-    """Sorted-slice evaluation is bit-for-bit the per-region evaluation,
-    whatever the input order, across blocks, and with NaN and +-inf."""
+    """Masked evaluation is bit-for-bit the per-region evaluation, whatever
+    the input order, across blocks, and with NaN and +-inf."""
     y = _eval_inputs()[name]
     engine = bc.default_engine()
     with np.errstate(invalid="ignore"):          # -inf has no phase
@@ -288,7 +293,7 @@ _SINGLE_REGIONS = {
 @pytest.mark.parametrize("region", [*_SINGLE_REGIONS, "mixed"])
 def test_ai_shuffled_block_bit_equal_to_sorted(region):
     """A block within one region is evaluated as it stands, unsorted, and a
-    mixed block (here with NaN and y > 108) through its sorted slices; in
+    mixed block (here with NaN and y > 108) through its region masks; in
     both, each point gets bit for bit the value of the region-by-region
     reference, which runs each region's formula on its points in ascending
     order."""

@@ -336,6 +336,60 @@ def test_bouncer_separated_path_peaks_auto_n_max(tmp_path, capsys):
     assert auto["qfi_closed"] == pytest.approx(fixed["qfi_closed"], rel=1e-7)
 
 
+@pytest.mark.parametrize("g", ["-9.81", "0"])
+def test_bouncer_nonpositive_g_exit_2(tmp_path, capsys, g):
+    """A floor under a potential that does not rise holds no bound states,
+    so a bouncer with g <= 0 is a config error naming physics.g.  It used
+    to exit 3: -9.81 on a complex Airy length (with a ComplexWarning on
+    stderr), 0 on a division by zero."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text((CONFIGS / "bouncer.cfg").read_text().replace(
+        "physics.g = 9.81", f"physics.g = {g}"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["run", "--config", str(cfg), "--methods", "closed,oracle",
+                       "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "physics.g" in captured.err
+    assert not out.exists()
+
+
+def test_bouncer_sweep_nonpositive_g_exit_2(tmp_path, capsys, monkeypatch):
+    """Every point of a bouncer g sweep is checked before any numerics run."""
+    calls = []
+    monkeypatch.setattr(cli, "_evaluate_methods", lambda *args: calls.append(args))
+    out = tmp_path / "bn"
+    rc = cli.main(["sweep", "--config", str(CONFIGS / "bouncer.cfg"), "--var", "g",
+                   "--from=-1", "--to", "10", "--points", "3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--var g = -1.0" in err and "physics.g" in err
+    assert not calls
+    assert not (out / "sweep.csv").exists()
+
+
+def test_free_fall_accepts_nonpositive_g(tmp_path):
+    """Only the bouncer needs g > 0; free fall and Mach-Zehnder take any finite g."""
+    for name in ("sr88_freefall.cfg", "sr88_mz.cfg"):
+        cfg = tmp_path / name
+        cfg.write_text((CONFIGS / name).read_text().replace("physics.g = 9.81", "physics.g = 0"))
+        args = cli._parser().parse_args(["run", "--config", str(cfg)])
+        assert cli._build_scenario_config(args).params.g == 0.0
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_ratio_threshold_exit_2(tmp_path, capsys, value):
+    """regime.ratio_threshold = -1 used to exit 0 with every regime entry failing."""
+    cfg = _write_ff_config(tmp_path, **{"regime.ratio_threshold": value})
+    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ratio_threshold" in captured.err
+
+
 def test_bouncer_key_on_other_scenario_exit_2(tmp_path, capsys):
     cfg = _write_ff_config(tmp_path, **{"bouncer.n_max": 5})
     assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2

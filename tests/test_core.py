@@ -128,6 +128,12 @@ def test_params_reject_non_finite(sr88_10s):
         sr88_10s.replace(g=math.inf)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_params_reject_nonpositive_ratio_threshold(sr88_10s, value):
+    with pytest.raises(core.ParamsError, match="ratio_threshold must be positive"):
+        sr88_10s.replace(ratio_threshold=value)
+
+
 def test_replace_matches_dataclasses_replace(sr88_10s):
     changes = dict(dt=12.5, e0=0.1 * core.EV, ablate_time_dilation=True)
     got = sr88_10s.replace(**changes)

@@ -96,22 +96,17 @@ def test_initial_state_warns_in_metadata_when_overlapping():
 # Free-fall evolution
 # ---------------------------------------------------------------------------
 
+def _fall(branch, params):
+    """Free-fall evolution of one branch, through a one-branch state."""
+    return ga.evolve_state(ga.ClockState((branch,)), params, "free_fall").components[0]
+
+
 def test_freefall_dt_zero_identity(sr88_10s):
     p = sr88_10s.replace(dt=0.0)
     state = ga.make_initial_state(p)
     for b in state.components:
-        assert ga.evolve_freefall_full(b, p) is b
+        assert _fall(b, p) is b
         assert ga.evolve_mz(b, p) is b
-
-
-def test_evolve_state_level_sharing_bit_identical(sr88_10s, crosscheck_params):
-    """evolve_state computes the free-fall map once per level; it must give
-    exactly what the per-branch map gives."""
-    for p in [sr88_10s, sr88_10s.replace(ablate_time_dilation=True), *crosscheck_params]:
-        initial = ga.make_initial_state(p)
-        state = ga.evolve_state(initial, p, "free_fall")
-        assert state.components == tuple(ga.evolve_freefall_full(b, p)
-                                         for b in initial.components)
 
 
 def test_freefall_textbook_at_zero_internal_energy():
@@ -173,7 +168,7 @@ def _propagator_reference(p, branch, xs):
 def test_freefall_full_map_vs_propagator_quadrature(z1):
     p = _toy_params(z1=z1)
     branch = ga.make_initial_state(p).branch("plus", 1)
-    evolved = ga.evolve_freefall_full(branch, p)
+    evolved = _fall(branch, p)
     xs = evolved.mean_x + np.array([-1.2, -0.4, 0.0, 0.7, 1.5])
     got = ga.wavefunction_values(evolved, xs)
     ref = _propagator_reference(p, branch, xs)
@@ -189,7 +184,7 @@ def test_freefall_full_map_gouy_phase_value():
     # The dropped constant equals -arctan(eps)/2 with eps = hbar t / (2 m* sigma^2).
     p = _toy_params(z1=0.0)
     branch = ga.make_initial_state(p).branch("plus", 0)
-    evolved = ga.evolve_freefall_full(branch, p)
+    evolved = _fall(branch, p)
     xs = np.array([evolved.mean_x + 0.3])
     ratio = _propagator_reference(p, branch, xs)[0] / ga.wavefunction_values(evolved, xs)[0]
     eps = p.hbar * p.dt / (2 * p.m * p.sigma**2)
@@ -200,7 +195,7 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
     """What the full map keeps beyond first order in z: the O(z) momentum
     boost, and the z^2 piece of the cubic action (against mpmath)."""
     p = sr88_10s
-    full = ga.evolve_freefall_full(ga.make_initial_state(p).branch("plus", 1), p)
+    full = _fall(ga.make_initial_state(p).branch("plus", 1), p)
     z = p.z1
     assert full.mean_p - (-p.m * p.g * p.dt) == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6)
     # The ledger keeps z orders as separate terms, so the z^2 piece of
@@ -214,9 +209,9 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
 
 def test_evolution_requires_pre_evolution_branch(sr88_10s):
     p = sr88_10s
-    evolved = ga.evolve_freefall_full(ga.make_initial_state(p).branch("plus", 0), p)
+    evolved = _fall(ga.make_initial_state(p).branch("plus", 0), p)
     with pytest.raises(ga.EvolutionError):
-        ga.evolve_freefall_full(evolved, p)
+        _fall(evolved, p)
 
 
 # ---------------------------------------------------------------------------

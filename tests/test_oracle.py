@@ -291,6 +291,95 @@ def test_richardson_rejects_fidelity_revival():
     assert max(calls[2:]) < 1e-6
 
 
+def _two_stage_bures_reference(fidelity_fn, value, delta=None):
+    """The earlier two-stage offset search, kept as a reference: an inner
+    bisection for a drop inside [1e-6, 1e-2], then the d/2 scaling check,
+    re-searching below every offset that fails it."""
+
+    def tune(d, too_big):
+        lo, hi = 1e-6, 1e-2
+        delta_cap = 1e8 * max(abs(value), 1.0)
+        d = min(d if d is not None else 1e-6 * max(abs(value), 1.0), delta_cap)
+        d_small, d_big = None, too_big
+        for _ in range(40):
+            miss = 1.0 - fidelity_fn(value - 0.5 * d, value + 0.5 * d)
+            if lo <= miss <= hi:
+                return d, miss, True
+            if miss < lo:
+                if d >= delta_cap:
+                    return d, miss, False
+                d_small = d
+                d = min(d * 8.0 if d_big is None else math.sqrt(d * d_big), delta_cap)
+            else:
+                d_big = d
+                d = d / 8.0 if d_small is None else math.sqrt(d * d_small)
+        raise orc.OracleError("inner search exhausted")
+
+    d, too_big = delta, None
+    for _ in range(20):
+        d, miss, resolved = tune(d, too_big)
+        if not resolved:
+            return orc.bures_qfi(miss, d), False
+        miss_half = 1.0 - fidelity_fn(value - 0.25 * d, value + 0.25 * d)
+        if 0.2 <= miss_half / miss <= 0.3:
+            g_full = orc.bures_qfi(miss, d)
+            g_half = orc.bures_qfi(miss_half, 0.5 * d)
+            return (4.0 * g_half - g_full) / 3.0, True
+        too_big, d = d, 0.5 * d
+    raise orc.OracleError("outer search exhausted")
+
+
+def _cos2(k):
+    return lambda v_lo, v_hi: math.cos(k * (v_hi - v_lo)) ** 2
+
+
+def _grown_into_revival(v_lo, v_hi):
+    """1 - F = 4e5 d^2 up to d = 3e-6, 0.5 up to 6e-6, then a revival at
+    5e-3.  From 1e-6 (below the window) the search grows to 8e-6, whose
+    drop fails the d^2 check; the re-search below it starts above the
+    window at 4e-6 and must not bisect towards the stale lower offset 1e-6."""
+    d = v_hi - v_lo
+    return 1.0 - (4e5 * d * d if d <= 3e-6 else 0.5 if d <= 6e-6 else 5e-3)
+
+
+# (fidelity, value, start delta): F = cos^2(k d) has G = 4 k^2.  The
+# revival cases put the first offset just past k d = pi, where 1 - F =
+# 3.6e-3 is inside the window but fails the d^2 check.
+_BURES_CASES = {
+    "smooth": (_cos2(40.0), 0.0, None),
+    "smooth_start": (_cos2(40.0), 9.81, 3e-2),
+    "revival": (_cos2((math.pi + 0.06) / 1e-6), 0.0, None),
+    "revival_start": (_cos2((math.pi + 0.06) / 4e-4), 9.81, 4e-4),
+    "revival_after_growth": (_grown_into_revival, 0.0, None),
+    "constant": (lambda v_lo, v_hi: 1.0, 0.0, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_BURES_CASES))
+def test_richardson_asks_for_the_two_stage_offsets(name):
+    """The one-loop search returns what the two-stage search returned and
+    asks the fidelity for the same offsets, in the same order."""
+    fid, value, delta = _BURES_CASES[name]
+    asked = {"new": [], "ref": []}
+
+    def recording(key):
+        def fn(v_lo, v_hi):
+            asked[key].append((v_lo, v_hi))
+            return fid(v_lo, v_hi)
+        return fn
+
+    got = orc.richardson_bures_qfi(recording("new"), value, delta)
+    ref = _two_stage_bures_reference(recording("ref"), value, delta)
+    assert got == ref
+    assert asked["new"] == asked["ref"]
+    assert got[1] is (name != "constant")
+
+
+def test_richardson_unplaceable_drop_raises():
+    with pytest.raises(orc.OracleError, match="no offset"):
+        orc.richardson_bures_qfi(lambda v_lo, v_hi: math.nan, 1.0)
+
+
 def test_grid_refinement_convergence(sr88_10s):
     """Halving the spacing moves the reported fidelity by < 1e-6 relative."""
     sc = est.Scenario("free_fall", sr88_10s, "g")
