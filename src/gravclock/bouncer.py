@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNCER_N_MAX_CAP, PhysicalParams
+from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g
 from .gaussian import wrap_angle
 from .oracle import Grid, GridWavefunction, fidelity, richardson_bures_qfi
 
@@ -142,9 +142,6 @@ class AiryEngine:
     series_cutoff = 4.5
     neg_cutoff = 15.0
     pos_cutoff = 12.0
-
-    def __init__(self) -> None:
-        self._coeffs = None        # (Ai, Ai') tables, (degree + 1, intervals)
 
     # -- extended-precision node values -------------------------------------
 
@@ -266,12 +263,8 @@ class AiryEngine:
 
     # -- the table ----------------------------------------------------------
 
-    def _table(self):
-        if self._coeffs is None:
-            self._coeffs = self._chebyshev_coefficients()
-        return self._coeffs
-
-    def _chebyshev_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """Chebyshev coefficients of Ai and Ai', (degree + 1, intervals) each."""
         # Knots every 0.25, with extended-precision (Ai, Ai') at each.
         ys = np.arange(-self.series_cutoff, self.series_cutoff + 0.125, 0.25)
@@ -309,7 +302,7 @@ class AiryEngine:
         runs of equal interval index: one run per interval for ascending
         input, a few per row for ascending rows laid end to end.
         """
-        coeffs = self._table()[derivative]
+        coeffs = self._table[derivative]
         u = (y + self.neg_cutoff) / _TABLE_WIDTH
         idx = np.minimum(u.astype(np.intp), coeffs.shape[1] - 1)
         s = 2.0 * (u - idx) - 1.0
@@ -501,7 +494,8 @@ def airy_zero(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def gravitational_length(params: PhysicalParams, level: int) -> float:
-    """Characteristic Airy length of internal level i."""
+    """Characteristic Airy length of internal level i; refuses g <= 0."""
+    require_bouncer_g(params.g)
     z = params.z_eff(level)
     return (params.hbar**2 / (2.0 * params.m**2 * params.g * (1.0 + z))) ** (1.0 / 3.0)
 
@@ -710,7 +704,7 @@ def spectral_phase_ref(params: PhysicalParams,
 
 
 def render_spectral(params: PhysicalParams, projection: BouncerProjection,
-                    t: float, grid: Grid, ref: SpectralPhaseRef | None = None) -> GridWavefunction:
+                    t: float, grid: Grid, ref: SpectralPhaseRef) -> GridWavefunction:
     """Sample sum_n c_{i,n} e^{-i E_{i,n} t / hbar} psi_{i,n}(x).
 
     Phases are taken relative to ``ref`` (per-level constants and band
@@ -730,8 +724,6 @@ def render_spectral(params: PhysicalParams, projection: BouncerProjection,
     spectrum = projection.spectrum
     xs = grid.xs()
     channels = np.zeros((2, grid.n_points), dtype=complex)
-    if ref is None:
-        ref = spectral_phase_ref(params, projection)
     for i in (0, 1):
         weights = np.abs(projection.coefficients[i])
         keep = np.where(weights > 1e-14 * weights.max())[0]

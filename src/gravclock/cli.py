@@ -52,6 +52,7 @@ from .core import (
     check_regime,
     load_config,
     params_from_config,
+    require_bouncer_g,
 )
 
 
@@ -150,9 +151,11 @@ class ScenarioConfig:
             if not 1 <= self.n_max <= BOUNCER_N_MAX_CAP:
                 raise ConfigError(f"bouncer.n_max needs an integer in [1, {BOUNCER_N_MAX_CAP}], "
                                   f"got {self.n_max}")
-        if self.scenario == "bouncer" and not self.params.g > 0:
-            raise ConfigError("the bouncer needs physics.g > 0: a floor under a potential that "
-                              f"does not rise holds no bound states (got {self.params.g!r})")
+        if self.scenario == "bouncer":
+            try:
+                require_bouncer_g(self.params.g)
+            except ParamsError as exc:
+                raise ConfigError(f"physics.g: {exc}") from None
         if self.scenario == "mach_zehnder" and self.sweep is not None \
                 and self.sweep.variable == "g":
             raise ConfigError(

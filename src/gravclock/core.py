@@ -1,4 +1,4 @@
-"""Scenario parameters, regime checks, presets and configuration.
+"""Scenario parameters, regime checks, the Sr-88 baseline and configuration.
 
 Everything is SI. The clock is a two-level system with internal energies
 ``E0 <= E1`` riding on an atom of mass ``m``; the dimensionless ratios
@@ -43,17 +43,13 @@ EARTH_RADIUS = 6.371e6             # m
 BOUNCER_N_MAX_CAP = 10**4
 
 # Slack on the "much less than" comparisons so a ratio that lands exactly
-# on the threshold (the 100 s preset has sigma/h = 0.1) does not fail on
-# the last ulp of a decimal-literal division.
+# on the threshold (a 1 mm packet on the 1 cm branch separation has
+# sigma/h = 0.1) does not fail on the last ulp of a decimal-literal division.
 _RATIO_GRACE = 1.0 + 1e-9
 
 
 class ParamsError(ValueError):
     """Raised when a parameter set violates its invariants."""
-
-
-class UnknownPresetError(KeyError):
-    """Raised for an unrecognized preset name."""
 
 
 class ConfigError(ValueError):
@@ -64,8 +60,8 @@ class ConfigError(ValueError):
 class PhysicalParams:
     """All scenario constants in SI, with derived ratios precomputed.
 
-    Use :func:`build_params` or :func:`preset` instead of the raw
-    constructor; they fill in the potential anchors and validate.
+    Use :func:`build_params` instead of the raw constructor; it fills in
+    the potential anchors and validates.
     """
 
     m: float                 # atom mass, kg
@@ -93,8 +89,10 @@ class PhysicalParams:
     z1: float = dataclasses.field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "z0", self.e0 / (self.m * self.c**2))
-        object.__setattr__(self, "z1", self.e1 / (self.m * self.c**2))
+        # z_i is derived only from a usable m c^2; the checks below name a bad m.
+        mc2 = self.m * self.c**2
+        object.__setattr__(self, "z0", self.e0 / mc2 if mc2 > 0 else 0.0)
+        object.__setattr__(self, "z1", self.e1 / mc2 if mc2 > 0 else 0.0)
         problems = []
         values = _float_fields(self)
         if not all(map(math.isfinite, values)):
@@ -283,6 +281,14 @@ def build_params(
     )
 
 
+def require_bouncer_g(g: float) -> None:
+    """Refuse a bouncer with g <= 0: a floor under a potential that does not
+    rise holds no bound states, and the Airy length would be complex or infinite."""
+    if not g > 0:
+        raise ParamsError("the bouncer needs g > 0: a floor under a potential that "
+                          f"does not rise holds no bound states (got {g!r})")
+
+
 # ---------------------------------------------------------------------------
 # Regime checker
 # ---------------------------------------------------------------------------
@@ -300,7 +306,6 @@ class RegimeEntry:
 class RegimeReport:
     entries: tuple[RegimeEntry, ...]
     satisfied: bool
-    ratio_threshold: float
 
     def entry(self, name: str) -> RegimeEntry:
         for e in self.entries:
@@ -339,53 +344,31 @@ def check_regime(params: PhysicalParams) -> RegimeReport:
     for name, lhs, rhs in pairs:
         ratio = lhs / rhs if rhs > 0 else math.inf
         entries.append(RegimeEntry(name, lhs, rhs, ratio, ratio <= thr * _RATIO_GRACE))
-    return RegimeReport(tuple(entries), all(e.satisfied for e in entries), thr)
+    return RegimeReport(tuple(entries), all(e.satisfied for e in entries))
 
 
 # ---------------------------------------------------------------------------
-# Presets and configuration
+# The Sr-88 baseline and configuration
 # ---------------------------------------------------------------------------
 
-def _sr88(dt: float, sigma: float) -> PhysicalParams:
-    # Sr-88 lattice-clock numbers: m ~ 1e-25 kg, transition 2.8 eV.
-    # Geometry: 1 cm branch separation half a meter above the reference
-    # floor, kink/reference centered between the arms, Taylor offsets of
-    # 1.5e-4 / 0.5e-4 m, local gradient from a -GM/r profile.
-    return build_params(
-        m=1e-25,
-        e0=0.0,
-        e1=2.8 * EV,
-        g=9.81,
-        x_plus=0.51,
-        x_minus=0.50,
-        x0=0.505,
-        x_plus0=0.51 - 1.5e-4,
-        x_minus0=0.50 - 0.5e-4,
-        sigma=sigma,
-        dt=dt,
-    )
-
-
-_PRESET_BUILDERS = {
-    "sr88_10s": lambda: _sr88(dt=10.0, sigma=1e-4),
-    "sr88_100s": lambda: _sr88(dt=100.0, sigma=1e-3),
-}
-
-
-def preset(name: str) -> PhysicalParams:
-    """Return a named parameter preset.
-
-    Raises :class:`UnknownPresetError` naming the available presets for
-    anything else; fully custom sets go through :func:`params_from_config`.
-    """
-    try:
-        builder = _PRESET_BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PRESET_BUILDERS))
-        raise UnknownPresetError(
-            f"unknown preset {name!r}; available presets: {known}"
-        ) from None
-    return builder()
+# The Sr-88 ten-second set, the baseline of every config.  Sr-88
+# lattice-clock numbers: m ~ 1e-25 kg, transition 2.8 eV.  Geometry: 1 cm
+# branch separation half a meter above the reference floor, kink/reference
+# centered between the arms, Taylor offsets of 1.5e-4 / 0.5e-4 m, local
+# gradient from a -GM/r profile.
+SR88_10S = build_params(
+    m=1e-25,
+    e0=0.0,
+    e1=2.8 * EV,
+    g=9.81,
+    x_plus=0.51,
+    x_minus=0.50,
+    x0=0.505,
+    x_plus0=0.51 - 1.5e-4,
+    x_minus0=0.50 - 0.5e-4,
+    sigma=1e-4,
+    dt=10.0,
+)
 
 
 # Config keys.  A numeric key maps to its build_params keyword and unit
@@ -431,14 +414,13 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def params_from_config(cfg: dict[str, str], *, ablate_time_dilation: bool = False) -> PhysicalParams:
-    """Build parameters from config values over the sr88_10s baseline.
+    """Build parameters from config values over the ``SR88_10S`` baseline.
 
     Each keyword of ``_NUMERIC_KEYS`` takes its key's value times the key's
     unit; a missing key takes the baseline's value, divided by the unit and
     multiplied back.
     """
-    base = preset("sr88_10s")
-    values = {name: (float(cfg[key]) if key in cfg else getattr(base, name) / unit) * unit
+    values = {name: (float(cfg[key]) if key in cfg else getattr(SR88_10S, name) / unit) * unit
               for key, (name, unit) in _NUMERIC_KEYS.items() if name is not None}
     try:
         return build_params(**values, ablate_time_dilation=ablate_time_dilation)

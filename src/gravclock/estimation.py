@@ -319,7 +319,7 @@ def _parametric_qfi_at(scenario: Scenario, v0: float, step: float,
     return 4.0 * (s_dd.real - abs(s_pd) ** 2)
 
 
-def qfi_pure_parametric(scenario: Scenario, value: float | None = None) -> float:
+def qfi_pure_parametric(scenario: Scenario) -> float:
     """Pure-state QFI of the scenario family by parameter differentiation.
 
     Central differences of every Gaussian parameter and ledger term
@@ -328,7 +328,7 @@ def qfi_pure_parametric(scenario: Scenario, value: float | None = None) -> float
     a parameter-independent amplitude, so the result is invariant in it.
     Both steps share the centre state.
     """
-    v0 = scenario.value() if value is None else value
+    v0 = scenario.value()
     step = _fd_step(v0)
     comps = _ordered_components(scenario.make_state(v0))
     return _richardson(lambda h: _parametric_qfi_at(scenario, v0, h, comps), step)

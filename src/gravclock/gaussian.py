@@ -21,10 +21,9 @@ freely falling branch acquires negative mean momentum ``-m g dt (1+z)``
 |mean momentum|.
 
 ``evolve_state`` applies either closed-form map, exact free fall in the
-linearized potential or the trapped Mach-Zehnder arm (``evolve_mz``, one
-branch at a time), to pre-evolution branches (width sigma, zero
-momentum, empty ledger); there is no time stepping anywhere in this
-module.
+linearized potential or the trapped Mach-Zehnder arm, to pre-evolution
+branches (width sigma, zero momentum, empty ledger); there is no time
+stepping anywhere in this module.
 """
 
 from __future__ import annotations
@@ -134,13 +133,8 @@ def _ld(value) -> np.longdouble:
     return value if type(value) is _LD else _LD(value)
 
 
-_EMPTY_LEDGER_CACHE: dict[float, PhaseLedger] = {}
-
-
 def empty_ledger(x_ref: float) -> PhaseLedger:
-    if x_ref not in _EMPTY_LEDGER_CACHE:
-        _EMPTY_LEDGER_CACHE[x_ref] = PhaseLedger.make({}, 0.0, x_ref)
-    return _EMPTY_LEDGER_CACHE[x_ref]
+    return PhaseLedger.make({}, 0.0, x_ref)
 
 
 @dataclass(frozen=True)
@@ -177,7 +171,6 @@ class ClockState:
     """Superposition of Gaussian branches over the two internal levels."""
 
     components: tuple[GaussianBranch, ...]
-    metadata: tuple[str, ...] = ()
 
     def branch(self, path: str, level: int) -> GaussianBranch:
         for b in self.components:
@@ -206,9 +199,6 @@ def _initial_state(x_plus: float, x_minus: float, x0: float, sigma: float,
                    phi: float) -> ClockState:
     # Cached: the state is immutable, and every finite-difference stencil
     # and detector reference of a sweep row starts from the same geometry.
-    metadata: tuple[str, ...] = ()
-    if sigma >= x_plus - x_minus:
-        metadata = ("sigma exceeds branch separation; branches overlap strongly",)
     ledger = empty_ledger(x0)
     minus_amp = 0.5 * complex(math.cos(phi), math.sin(phi))
     components = []
@@ -219,7 +209,7 @@ def _initial_state(x_plus: float, x_minus: float, x0: float, sigma: float,
                 var_x=sigma**2, chirp=0.0,
                 internal_level=level, path_label=path,
             ))
-    return ClockState(tuple(components), metadata)
+    return ClockState(tuple(components))
 
 
 def _require_pre_evolution(branch: GaussianBranch, params: PhysicalParams) -> None:
@@ -238,25 +228,48 @@ def _spreading(params: PhysicalParams, z: float) -> tuple[float, float]:
     return var, chirp
 
 
-def _freefall_level(params: PhysicalParams, level: int) -> tuple:
-    """(ledger, fall distance, mean_p, var_x, chirp) of an evolved level.
+def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
+                        above_kink: bool) -> tuple:
+    """(ledger, fall distance, mean_p, var_x, chirp) of an evolved branch.
 
-    None of these depend on the path, so both paths of a level share them.
+    They depend only on the branch's level and, on the Mach-Zehnder, on
+    its side of the kink, so branches that share those share the map.
     Ledger terms promote each float to longdouble exactly inside the
     arithmetic instead of calling the (slow) longdouble constructor.
     """
     z = params.z_eff(level)
     m, g, dt, hb = params.m, params.g, params.dt, params.hbar
-    var, chirp = _spreading(params, z)
-    zl, dt_l, g_l, hb_l = _LD_ONE * z, _LD_ONE * dt, _LD_ONE * g, _LD_ONE * hb
+    dt_l, hb_l = _LD_ONE * dt, _LD_ONE * hb
     e_i = params.e1 if level == 1 else params.e0
+    rest_internal = -dt_l * e_i / hb_l
+    if scenario == "mach_zehnder":
+        var, chirp = _spreading(params, 0.0)
+        if above_kink:
+            g_side, x_side0, vn_side = params.g_plus, params.x_plus0, params.vn_plus0
+        else:
+            g_side, x_side0, vn_side = params.g_minus, params.x_minus0, params.vn_minus0
+        # V_MZ(x) = g_side (x - x_side0) + vn_side, re-anchored at x_ref = x0.
+        # The fixed anchor and the slope-dependent constant live in separate
+        # ledger terms so parameter differentiation never subtracts a tiny
+        # g-dependent piece from a huge constant.
+        terms = {
+            "rest_internal": rest_internal,
+            "potential_anchor": -dt_l * m * z * vn_side / hb_l,
+            "potential_slope_const": -dt_l * m * z * g_side
+            * (_LD_ONE * params.x0 - x_side0) / hb_l,
+        }
+        slope = -dt_l * m * z * g_side / hb_l
+        ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
+        return ledger, 0.0, hb * float(slope), var, chirp
+    var, chirp = _spreading(params, z)
+    zl, g_l = _LD_ONE * z, _LD_ONE * g
     # z-orders are stored as separate ledger terms: the clock corrections
     # sit ~10 decades below the leading coefficients, so folding them into
     # one number would push them under the extended-precision ulp.
     pot = -dt_l * m * params.v0 / hb_l
     cubic = -(m * g_l * g_l * dt_l**3 / (6 * hb_l))
     terms = {
-        "rest_internal": -dt_l * e_i / hb_l,
+        "rest_internal": rest_internal,
         "potential_const": pot,
         "potential_const_z": pot * zl,
         "cubic": cubic,
@@ -267,66 +280,13 @@ def _freefall_level(params: PhysicalParams, level: int) -> tuple:
     return ledger, 0.5 * g * dt * dt * (1.0 - z * z), -m * g * dt * (1.0 + z), var, chirp
 
 
-def evolve_mz(branch: GaussianBranch, params: PhysicalParams) -> GaussianBranch:
-    """Trapped-arm evolution: the potential couples only through time dilation.
-
-    The trap cancels the gravitational force on the center of mass, so the
-    branch stays put and spreads freely; level i only accumulates
-
-        L(x) = -dt E_i / hbar - dt m z_i V_MZ(x) / hbar
-
-    on its own side of the kink.  The tiny momentum implied by the phase
-    slope (-dt E_i g_side / c^2, many orders below the momentum width) is
-    stored for consistency; it is the quoted <p> = 0 at the working order.
-    This maps one branch; ``evolve_state`` applies it to every branch of a
-    Mach-Zehnder state.  At dt = 0 the branch is returned as it is.
-    """
-    _require_pre_evolution(branch, params)
-    if params.dt == 0.0:
-        return branch
-    var, chirp = _spreading(params, 0.0)
-    if abs(branch.mean_x - params.x0) <= 5.0 * math.sqrt(var):
-        raise EvolutionError("branch straddles potential kink")
-    if branch.mean_x > params.x0:
-        g_side, x_side0, vn_side = params.g_plus, params.x_plus0, params.vn_plus0
-    else:
-        g_side, x_side0, vn_side = params.g_minus, params.x_minus0, params.vn_minus0
-    z = params.z_eff(branch.internal_level)
-    dt_l, hb_l = _LD_ONE * params.dt, _LD_ONE * params.hbar
-    m = params.m
-    e_i = params.e1 if branch.internal_level == 1 else params.e0
-    # V_MZ(x) = g_side (x - x_side0) + vn_side, re-anchored at x_ref = x0.
-    # The fixed anchor and the slope-dependent constant live in separate
-    # ledger terms so parameter differentiation never subtracts a tiny
-    # g-dependent piece from a huge constant.  Floats are promoted to
-    # longdouble exactly inside the arithmetic, as in _freefall_level.
-    terms = {
-        "rest_internal": -dt_l * e_i / hb_l,
-        "potential_anchor": -dt_l * m * z * vn_side / hb_l,
-        "potential_slope_const": -dt_l * m * z * g_side
-        * (_LD_ONE * params.x0 - x_side0) / hb_l,
-    }
-    slope = -dt_l * m * z * g_side / hb_l
-    return GaussianBranch(
-        amplitude=branch.amplitude,
-        ledger=PhaseLedger(tuple(terms.items()), slope, float(params.x0)),
-        mean_x=branch.mean_x,
-        mean_p=params.hbar * float(slope),
-        var_x=var,
-        chirp=chirp,
-        internal_level=branch.internal_level,
-        path_label=branch.path_label,
-    )
-
-
 def evolve_state(state: ClockState, params: PhysicalParams,
                  scenario: str = "free_fall") -> ClockState:
     """Apply the scenario's closed-form map to every component.
 
-    Mach-Zehnder applies :func:`evolve_mz` branch by branch.  Free fall is
-    exact evolution in the linearized potential V_F = g (x - x0) + V0:
-    internal level i feels effective mass m/(1-z_i) and potential
-    m (1+z_i) V_F, so over a time dt
+    Free fall is exact evolution in the linearized potential
+    V_F = g (x - x0) + V0: internal level i feels effective mass
+    m/(1-z_i) and potential m (1+z_i) V_F, so over a time dt
 
         mean_x -> x_c - (g dt^2 / 2)(1 - z_i^2)
         mean_p -> -m g dt (1 + z_i)
@@ -343,27 +303,43 @@ def evolve_state(state: ClockState, params: PhysicalParams,
     action term; dimensional analysis fixes its prefactor to g^2/6 (the
     g/3 form sometimes quoted is a misprint).  The exact bracket is
     (1+z)^2(1-z); the z^3 difference from the truncated form used here
-    is far below double precision for any physical z.  The two paths of a
-    level share everything but their centre, so that part of the map is
-    computed once per level.  At dt = 0 the state is returned as it is.
+    is far below double precision for any physical z.
+
+    On the trapped Mach-Zehnder arm the potential couples only through
+    time dilation.  The trap cancels the gravitational force on the
+    center of mass, so each branch stays put and spreads freely; level i
+    only accumulates
+
+        L(x) = -dt E_i / hbar - dt m z_i V_MZ(x) / hbar
+
+    on its own side of the kink, and a branch within five widths of the
+    kink is refused.  The tiny momentum implied by the phase slope
+    (-dt E_i g_side / c^2, many orders below the momentum width) is
+    stored for consistency; it is the quoted <p> = 0 at the working order.
+
+    The map is computed once per level (and kink side), since branches
+    differ in nothing else but their centre.  At dt = 0 the state is
+    returned as it is.
     """
-    if scenario == "mach_zehnder":
-        return ClockState(tuple(evolve_mz(c, params) for c in state.components), state.metadata)
-    if scenario != "free_fall":
+    if scenario not in ("free_fall", "mach_zehnder"):
         raise ValueError(f"unknown scenario {scenario!r}")
     for c in state.components:
         _require_pre_evolution(c, params)
     if params.dt == 0.0:
         return state
-    levels: dict[int, tuple] = {}
+    trapped = scenario == "mach_zehnder"
+    maps: dict[tuple, tuple] = {}
     components = []
     for c in state.components:
-        if c.internal_level not in levels:
-            levels[c.internal_level] = _freefall_level(params, c.internal_level)
-        ledger, fall, mean_p, var, chirp = levels[c.internal_level]
+        key = (c.internal_level, trapped and c.mean_x > params.x0)
+        if key not in maps:
+            maps[key] = _evolved_branch_map(params, scenario, *key)
+        ledger, fall, mean_p, var, chirp = maps[key]
+        if trapped and abs(c.mean_x - params.x0) <= 5.0 * math.sqrt(var):
+            raise EvolutionError("branch straddles potential kink")
         components.append(GaussianBranch(c.amplitude, ledger, c.mean_x - fall, mean_p,
                                          var, chirp, c.internal_level, c.path_label))
-    return ClockState(tuple(components), state.metadata)
+    return ClockState(tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -230,23 +230,21 @@ def richardson_bures_qfi(fidelity_fn, value: float,
                       f"d^2 scaling; the last gave 1-F = {miss:g}")
 
 
-def qfi_numeric(scenario: Scenario, value: float | None = None,
-                delta: float | None = None, n_points: int = 2**16) -> float:
+def qfi_numeric(scenario: Scenario, delta: float | None = None,
+                n_points: int = 2**16) -> float:
     """Fidelity-based QFI: G = 8 (1 - F(v - d/2, v + d/2)) / d^2.
 
     The offset is auto-tuned and checked by :func:`richardson_bures_qfi`.
     Each fidelity evaluation renders both perturbed states on one shared
     grid.
     """
-    v0 = scenario.value() if value is None else value
-
     def fid(v_lo: float, v_hi: float) -> float:
         s_lo = scenario.make_state(v_lo)
         s_hi = scenario.make_state(v_hi)
         grid = grid_for_states(s_lo, s_hi, n_points=n_points)
         return fidelity(render(s_lo, grid), render(s_hi, grid))
 
-    qfi, resolved = richardson_bures_qfi(fid, v0, delta)
+    qfi, resolved = richardson_bures_qfi(fid, scenario.value(), delta)
     if not resolved:
         warnings.warn("parameter sensitivity below fidelity resolution; "
                       "returning the below-window Bures estimate", stacklevel=2)

@@ -1,4 +1,4 @@
-"""Shared fixtures: presets, the bouncer geometry, and the cross-check matrix."""
+"""Shared fixtures: the Sr-88 sets, the bouncer geometry, and the cross-check matrix."""
 
 from __future__ import annotations
 
@@ -13,12 +13,14 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.fixture(scope="session")
 def sr88_10s():
-    return core.preset("sr88_10s")
+    return core.SR88_10S
 
 
 @pytest.fixture(scope="session")
 def sr88_100s():
-    return core.preset("sr88_100s")
+    # No derived field depends on dt or sigma, so this equals a set built
+    # with them from the start, bit for bit.
+    return core.SR88_10S.replace(dt=100.0, sigma=1e-3)
 
 
 @pytest.fixture(scope="session")

@@ -77,10 +77,10 @@ def test_criterion_3_closed_vs_oracle(crosscheck_params):
                f"(worst ff {worst_ff:.2e}, mz {worst_mz:.2e}, {elapsed:.0f}s)", ok)
 
 
-def test_criterion_4_reduced_state_collapse(sr88_10s):
+def test_criterion_4_reduced_state_collapse(sr88_10s, sr88_100s):
     # Gram-method mixed QFI against the reduced closed form.
     worst = 0.0
-    for p in (sr88_10s, core.preset("sr88_100s")):
+    for p in (sr88_10s, sr88_100s):
         sc = est.Scenario("free_fall", p, "g")
         closed = est.qfi_ff_reduced_closed(p)
         worst = max(worst, abs(est.reduced_qfi_gram(sc) - closed) / closed)
@@ -145,9 +145,9 @@ def test_criterion_6_mz_null(sr88_10s):
                f"numeric {numeric_null:.2e} vs scale {scale:.2e})", ok)
 
 
-def test_criterion_7_information_monotonicity(sr88_10s, crosscheck_params):
+def test_criterion_7_information_monotonicity(sr88_10s, sr88_100s, crosscheck_params):
     ok = True
-    for p in [sr88_10s, core.preset("sr88_100s"), *crosscheck_params]:
+    for p in [sr88_10s, sr88_100s, *crosscheck_params]:
         sc = est.Scenario("free_fall", p, "g")
         fi = est.fi_ff_closed(p)
         red_closed = est.qfi_ff_reduced_closed(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -383,6 +384,21 @@ def test_gravitational_length(bouncer_params):
     assert 1e-7 < l0 < 1e-6        # micrometer scale for a Sr-mass atom
 
 
+@pytest.mark.parametrize("g", [-9.81, 0.0])
+def test_library_refuses_nonpositive_g(bouncer_params, g):
+    """Both bouncer paths go through gravitational_length, which names g.
+    They used to fail late: a ComplexWarning and a TypeError for g < 0,
+    a ZeroDivisionError for g = 0."""
+    p = bouncer_params.replace(g=g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: bc.gravitational_length(p, 0),
+                     lambda: bc.bouncer_spectrum(p, 10),
+                     lambda: bc.bouncer_qfi_longtime(p)):
+            with pytest.raises(ValueError, match=r"g > 0"):
+                call()
+
+
 def test_spectrum_warns_without_floor_clearance(bouncer_params):
     squeezed = bouncer_params.replace(sigma=bouncer_params.x_minus)
     with pytest.warns(UserWarning, match="floor clearance"):
@@ -469,7 +485,8 @@ def test_spectral_norm_constant_in_time(bouncer_params):
     p = bouncer_params
     proj = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, proj, n_points=2**13)
-    norms = [bc.render_spectral(p, proj, t, grid).norm_sq()
+    ref = bc.spectral_phase_ref(p, proj)
+    norms = [bc.render_spectral(p, proj, t, grid, ref).norm_sq()
              for t in (0.0, 0.05, 0.31, 1.7)]
     assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-6
 

@@ -371,6 +371,18 @@ def test_bouncer_sweep_nonpositive_g_exit_2(tmp_path, capsys, monkeypatch):
     assert not (out / "sweep.csv").exists()
 
 
+def test_zero_mass_exit_2(tmp_path, capsys):
+    """physics.m_kg = 0 used to escape as a ZeroDivisionError traceback (exit 1):
+    z_i = E_i/(m c^2) was derived before m was validated."""
+    cfg = tmp_path / "m0.cfg"
+    cfg.write_text((CONFIGS / "sr88_freefall.cfg").read_text().replace(
+        "physics.m_kg = 1e-25", "physics.m_kg = 0"))
+    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m must be positive" in captured.err
+
+
 def test_free_fall_accepts_nonpositive_g(tmp_path):
     """Only the bouncer needs g > 0; free fall and Mach-Zehnder take any finite g."""
     for name in ("sr88_freefall.cfg", "sr88_mz.cfg"):

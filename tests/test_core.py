@@ -1,4 +1,4 @@
-"""Parameters, regime checker, presets, config."""
+"""Parameters, regime checker, the Sr-88 sets, config."""
 
 from __future__ import annotations
 
@@ -34,6 +34,12 @@ def test_params_validation():
                           x_plus=1.0, x_minus=0.5, x0=0.7, sigma=1e-4, dt=1.0)
 
 
+@pytest.mark.parametrize("m", [0.0, -0.0])
+def test_params_reject_zero_mass_before_deriving(sr88_10s, m):
+    with pytest.raises(core.ParamsError, match="m must be positive"):
+        sr88_10s.replace(m=m)
+
+
 def test_regime_both_presets_pass(sr88_10s, sr88_100s):
     assert core.check_regime(sr88_10s).satisfied
     assert core.check_regime(sr88_100s).satisfied
@@ -65,12 +71,6 @@ def test_preset_values(sr88_10s, sr88_100s):
     assert sr88_10s.dt == 10.0 and sr88_10s.sigma == 1e-4
     assert sr88_10s.h == pytest.approx(1e-2)
     assert sr88_100s.dt == 100.0 and sr88_100s.sigma == 1e-3
-
-
-def test_preset_unknown_name_lists_available():
-    with pytest.raises(core.UnknownPresetError, match="sr88_10s") as err:
-        core.preset("nope")
-    assert "sr88_100s" in str(err.value)
 
 
 def test_ablation_zeroes_coupling_only(sr88_10s):

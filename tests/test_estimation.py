@@ -143,12 +143,12 @@ class FrozenFamily(QubitPhaseFamily):
 
 def test_parametric_qubit_family_unit_qfi(sr88_10s):
     fam = QubitPhaseFamily(sr88_10s)
-    assert est.qfi_pure_parametric(fam, value=0.9) == pytest.approx(1.0, abs=1e-9)
+    assert est.qfi_pure_parametric(fam) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_parametric_parameter_independent_zero(sr88_10s):
     fam = FrozenFamily(sr88_10s)
-    assert est.qfi_pure_parametric(fam, value=0.9) == pytest.approx(0.0, abs=1e-12)
+    assert est.qfi_pure_parametric(fam) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parametric_vs_closed_free_fall(sr88_10s, crosscheck_params):
@@ -311,7 +311,7 @@ def test_probabilities_mz_form_and_grid(sr88_10s):
 
 
 def test_scenario_validation():
-    p = core.preset("sr88_10s")
+    p = core.SR88_10S
     with pytest.raises(ValueError, match="not available"):
         est.Scenario("free_fall", p, "delta_g")
     with pytest.raises(ValueError, match="unknown scenario"):

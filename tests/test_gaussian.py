@@ -86,27 +86,21 @@ def test_initial_norm_includes_overlap(sr88_10s):
     assert ga.state_norm_sq(ga.make_initial_state(p)) == pytest.approx(expected, rel=1e-12)
 
 
-def test_initial_state_warns_in_metadata_when_overlapping():
-    p = _toy_params(x_plus=1.0, x_minus=0.5, sigma=0.8)
-    state = ga.make_initial_state(p)
-    assert state.metadata and "overlap" in state.metadata[0]
-
-
 # ---------------------------------------------------------------------------
 # Free-fall evolution
 # ---------------------------------------------------------------------------
 
-def _fall(branch, params):
-    """Free-fall evolution of one branch, through a one-branch state."""
-    return ga.evolve_state(ga.ClockState((branch,)), params, "free_fall").components[0]
+def _evolve(branch, params, scenario="free_fall"):
+    """Evolution of one branch, through a one-branch state."""
+    return ga.evolve_state(ga.ClockState((branch,)), params, scenario).components[0]
 
 
 def test_freefall_dt_zero_identity(sr88_10s):
     p = sr88_10s.replace(dt=0.0)
     state = ga.make_initial_state(p)
     for b in state.components:
-        assert _fall(b, p) is b
-        assert ga.evolve_mz(b, p) is b
+        assert _evolve(b, p) is b
+        assert _evolve(b, p, "mach_zehnder") is b
 
 
 def test_freefall_textbook_at_zero_internal_energy():
@@ -168,7 +162,7 @@ def _propagator_reference(p, branch, xs):
 def test_freefall_full_map_vs_propagator_quadrature(z1):
     p = _toy_params(z1=z1)
     branch = ga.make_initial_state(p).branch("plus", 1)
-    evolved = _fall(branch, p)
+    evolved = _evolve(branch, p)
     xs = evolved.mean_x + np.array([-1.2, -0.4, 0.0, 0.7, 1.5])
     got = ga.wavefunction_values(evolved, xs)
     ref = _propagator_reference(p, branch, xs)
@@ -184,7 +178,7 @@ def test_freefall_full_map_gouy_phase_value():
     # The dropped constant equals -arctan(eps)/2 with eps = hbar t / (2 m* sigma^2).
     p = _toy_params(z1=0.0)
     branch = ga.make_initial_state(p).branch("plus", 0)
-    evolved = _fall(branch, p)
+    evolved = _evolve(branch, p)
     xs = np.array([evolved.mean_x + 0.3])
     ratio = _propagator_reference(p, branch, xs)[0] / ga.wavefunction_values(evolved, xs)[0]
     eps = p.hbar * p.dt / (2 * p.m * p.sigma**2)
@@ -195,7 +189,7 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
     """What the full map keeps beyond first order in z: the O(z) momentum
     boost, and the z^2 piece of the cubic action (against mpmath)."""
     p = sr88_10s
-    full = _fall(ga.make_initial_state(p).branch("plus", 1), p)
+    full = _evolve(ga.make_initial_state(p).branch("plus", 1), p)
     z = p.z1
     assert full.mean_p - (-p.m * p.g * p.dt) == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6)
     # The ledger keeps z orders as separate terms, so the z^2 piece of
@@ -209,9 +203,9 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
 
 def test_evolution_requires_pre_evolution_branch(sr88_10s):
     p = sr88_10s
-    evolved = _fall(ga.make_initial_state(p).branch("plus", 0), p)
+    evolved = _evolve(ga.make_initial_state(p).branch("plus", 0), p)
     with pytest.raises(ga.EvolutionError):
-        _fall(evolved, p)
+        _evolve(evolved, p)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +216,7 @@ def test_mz_zero_energy_is_pure_spreading():
     p = _toy_params(z1=0.0, m=10.0, x_minus=0.5, x_plus=3.0, x0=1.4,
                     sigma=0.05, dt=0.05)
     branch = ga.make_initial_state(p).branch("plus", 1)
-    out = ga.evolve_mz(branch, p)
+    out = _evolve(branch, p, "mach_zehnder")
     assert out.mean_x == branch.mean_x
     assert float(out.ledger.slope) == 0.0
     assert all(float(value) == 0.0 for _, value in out.ledger.terms)
@@ -233,7 +227,7 @@ def test_mz_straddle_error(sr88_10s):
     p = sr88_10s.replace(x0=sr88_10s.x_minus + 1e-5)
     branch = ga.make_initial_state(p).branch("minus", 0)
     with pytest.raises(ga.EvolutionError, match="straddles"):
-        ga.evolve_mz(branch, p)
+        _evolve(branch, p, "mach_zehnder")
 
 
 def test_mz_path_phase_difference_extended_precision(sr88_10s):

@@ -29,7 +29,14 @@ ANALYTIC = "closed,parametric,reduced,fi"
     (["sweep", "--config", "configs/sr88_freefall.cfg", "--var", "dt", "--from", "5",
       "--to", "30", "--points", "20", "--log", "--methods", ANALYTIC],
      "sweep.csv", "sr88_freefall_dt_sweep.csv"),
-], ids=["freefall-run", "mz-run", "bouncer-run", "freefall-dt-sweep"])
+    (["sweep", "--config", "configs/sr88_mz.cfg", "--var", "dt", "--from", "5",
+      "--to", "30", "--points", "30", "--log", "--methods", ANALYTIC],
+     "sweep.csv", "sr88_mz_dt_sweep.csv"),
+    (["sweep", "--config", "configs/bouncer.cfg", "--var", "g", "--from", "9",
+      "--to", "10.5", "--points", "20", "--methods", "closed"],
+     "sweep.csv", "bouncer_g_sweep.csv"),
+], ids=["freefall-run", "mz-run", "bouncer-run", "freefall-dt-sweep", "mz-dt-sweep",
+        "bouncer-g-sweep"])
 def test_cli_output_matches_golden_bytes(tmp_path, monkeypatch, argv, output, golden):
     monkeypatch.chdir(ROOT)
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0

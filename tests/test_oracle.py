@@ -226,14 +226,14 @@ def test_bures_expansion_against_closed_qfi(sr88_10s):
 
 def test_qfi_numeric_phase_family(sr88_10s):
     fam = PhaseFamily(sr88_10s.replace(phi=0.4))
-    got = orc.qfi_numeric(fam, value=0.4, n_points=2**12)
+    got = orc.qfi_numeric(fam, n_points=2**12)
     assert got == pytest.approx(1.0, abs=1e-4)
 
 
 def test_qfi_numeric_parameter_independent(sr88_10s):
     fam = ConstantFamily(sr88_10s)
     with pytest.warns(UserWarning, match="below fidelity resolution"):
-        got = orc.qfi_numeric(fam, value=0.4, n_points=2**11)
+        got = orc.qfi_numeric(fam, n_points=2**11)
     assert abs(got) < 1e-6
 
 
