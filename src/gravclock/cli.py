@@ -1,6 +1,6 @@
 """Batch front end: scenario runs, parameter sweeps, scaling fits.
 
-Subcommands (exit codes: 0 ok, 2 config error, 3 numerical error):
+Subcommands (exit codes: 0 ok, 2 config error, 3 numerical error or non-finite value):
 
     gravclock run   --config cfg [--out dir] [--methods closed,oracle] [--ablate-time-dilation]
     gravclock sweep --config cfg --var dt --from 1 --to 100 --points 20 --log [...]
@@ -176,9 +176,13 @@ def _evaluate_methods(cfg: ScenarioConfig, params: PhysicalParams) -> dict[str, 
             continue
         for column, route in pairs:
             try:
-                out[column] = route(scenario, cfg.n_max)
+                value = route(scenario, cfg.n_max)
             except Exception as exc:
                 raise NumericalFailure(method, exc) from exc
+            if not math.isfinite(value):
+                raise NumericalFailure(method, ValueError(
+                    f"column {column!r} is {value}, not a finite number"))
+            out[column] = value
     return out
 
 
@@ -290,11 +294,15 @@ def fit_scaling(xs, ys) -> tuple[float, float]:
     return slope, stderr
 
 
-def tail_window_fit(xs, ys, var_tol: float = 0.05) -> tuple[float, float, int]:
-    """Fit over the largest trailing sub-window with stable local slope.
+_SLOPE_VAR_TOL = 0.05        # a window is flat when its local slopes vary less
+_SLOPE_CONVERGE_TOL = 1e-3   # asymptotic_dt_slope stops when its slope moves less
+_WINDOW_POINTS, _MAX_EXPANSIONS = 20, 40    # dt values per decade, decades tried
 
-    Returns (slope, stderr, start_index).  Local slopes between adjacent
-    rows must vary by less than ``var_tol`` across the chosen window.
+
+def tail_window_fit(xs, ys) -> tuple[float, float, int]:
+    """Fit over the largest trailing sub-window with a flat local slope.
+
+    Returns (slope, stderr, start_index).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -305,35 +313,31 @@ def tail_window_fit(xs, ys, var_tol: float = 0.05) -> tuple[float, float, int]:
     local = np.diff(ly) / np.diff(lx)
     for start in range(0, n - 4):
         window = local[start:]
-        if window.max() - window.min() < var_tol:
+        if window.max() - window.min() < _SLOPE_VAR_TOL:
             slope, stderr = fit_scaling(xs[start:], ys[start:])
             return slope, stderr, start
-    raise ValueError(f"no trailing window with slope variation < {var_tol}")
+    raise ValueError(f"no trailing window with slope variation < {_SLOPE_VAR_TOL}")
 
 
-def asymptotic_dt_slope(params: PhysicalParams, quantity,
-                        t_lo: float = 10.0, t_hi: float = 100.0,
-                        points: int = 20, var_tol: float = 0.05,
-                        converge_tol: float = 1e-3,
-                        max_expansions: int = 40) -> tuple[float, float, tuple[float, float]]:
+def asymptotic_dt_slope(params: PhysicalParams,
+                        quantity) -> tuple[float, float, tuple[float, float]]:
     """Slope of log(quantity) vs log(dt) in the self-detected asymptotic window.
 
-    Starting from [t_lo, t_hi], the trailing decade is pushed to larger
-    dt until the local slope is flat (variation < var_tol) and stops
-    drifting between expansions (change < converge_tol).  Values far
-    outside the validated regime are used knowingly; this probes the
-    closed form's terminal power law, and callers see the regime flags
-    through the sweep interface.
+    The dt decade is pushed up from [10, 100] s until the local slope is
+    flat and stops drifting between expansions.  Values far outside the
+    validated regime are used knowingly; this probes the closed form's
+    terminal power law, and callers see the regime flags through the
+    sweep interface.
     """
-    hi = t_hi
+    hi = 100.0
     prev_slope = None
-    for _ in range(max_expansions):
-        ts = np.geomspace(hi / (t_hi / t_lo), hi, points)
+    for _ in range(_MAX_EXPANSIONS):
+        ts = np.geomspace(hi / 10.0, hi, _WINDOW_POINTS)
         ys = [quantity(params.replace(dt=float(t))) for t in ts]
         slope, stderr = fit_scaling(ts, ys)
         local = np.diff(np.log(ys)) / np.diff(np.log(ts))
-        stable = local.max() - local.min() < var_tol
-        if stable and prev_slope is not None and abs(slope - prev_slope) < converge_tol:
+        stable = local.max() - local.min() < _SLOPE_VAR_TOL
+        if stable and prev_slope is not None and abs(slope - prev_slope) < _SLOPE_CONVERGE_TOL:
             return slope, stderr, (float(ts[0]), float(ts[-1]))
         prev_slope = slope
         hi *= 10.0

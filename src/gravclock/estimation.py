@@ -10,9 +10,9 @@ checked against each other:
   by central finite differences and assembles
   ``G = 4 (<d psi|d psi> - |<psi|d psi>|^2)`` from closed-form pair
   moments -- no grids, no wrapped-phase differentiation;
-* a mixed-state engine (``qfi_mixed_gram``) that diagonalizes the
-  reduced density operator within the span of the ensemble states and
-  evaluates the spectral-decomposition QFI formula.
+* a qubit engine (``qubit_qfi``) for the clock-traced state, a path
+  qubit by construction: |dr|^2 + (r.dr)^2 / (1 - |r|^2) from central
+  differences of its Bloch vector r (``reduced_qfi_bloch``).
 
 These two and the classical FI (``classical_fi``) share one step rule,
 ``_fd_step``, and one Richardson combination of the steps h and h/2,
@@ -335,7 +335,7 @@ def qfi_pure_parametric(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Qubit reduction and the mixed-state (spectral) QFI
+# Qubit reduction and the qubit (Bloch-vector) QFI
 # ---------------------------------------------------------------------------
 
 def _eval_points(params: PhysicalParams, scenario: str) -> tuple[np.longdouble, np.longdouble]:
@@ -366,97 +366,42 @@ def reduce_to_qubit(state: ClockState, params: PhysicalParams,
     return gammas[0], gammas[1]
 
 
-def reduced_qubit_ensemble(scenario: Scenario):
-    """Ensemble function v -> [(1/2, |phi_0>), (1/2, |phi_1>)] as qubit
-    vectors (1, e^{i gamma_i}) / sqrt(2)."""
-    def at(value: float):
+def reduced_bloch_vector(scenario: Scenario):
+    """Bloch-vector function v -> r of the clock-traced state, the equal mixture
+    of (1, e^{i gamma_i}) / sqrt(2): r = (cos g0 + cos g1, sin g0 + sin g1) / 2."""
+    def at(value: float) -> np.ndarray:
         sc = scenario.with_value(value)
-        gammas = reduce_to_qubit(sc.make_state(), sc.params, sc.kind)
-        return tuple((0.5, np.array([1.0, cmath.exp(1j * gamma)]) / math.sqrt(2.0))
-                     for gamma in gammas)
+        g0, g1 = reduce_to_qubit(sc.make_state(), sc.params, sc.kind)
+        return 0.5 * np.array([math.cos(g0) + math.cos(g1), math.sin(g0) + math.sin(g1)])
     return at
 
 
-_CLUSTER_TOL = 1e-8    # eigenvalues this close are aligned as one block
-_EIGEN_FLOOR = 1e-12   # eigenvalues (and pair sums) below it are left out
+_PURE_FLOOR = 1e-12    # a state with 1 - |r|^2 below it is taken as pure
 
 
-def _aligned_eigh(rho: np.ndarray, ref: np.ndarray | None):
-    w, v = np.linalg.eigh(rho)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    if ref is not None:
-        start = 0
-        while start < len(w):
-            stop = start + 1
-            while stop < len(w) and abs(w[stop - 1] - w[stop]) < _CLUSTER_TOL:
-                stop += 1
-            block = slice(start, stop)
-            a = v[:, block].conj().T @ ref[:, block]
-            u, _, vh = np.linalg.svd(a)
-            v[:, block] = v[:, block] @ (u @ vh)
-            start = stop
-    return w, v
-
-
-def _density(ensemble_fn, value: float) -> np.ndarray:
-    members = ensemble_fn(value)
-    dim = len(members[0][1])
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p_i, vec in members:
-        vec = np.asarray(vec, dtype=complex)
-        rho += p_i * np.outer(vec, vec.conj())
-    return rho
-
-
-def _gram_qfi_at(ensemble_fn, v0: float, step: float, w_c, e_c) -> float:
-    """Unextrapolated spectral QFI at ``v0`` from central differences of
-    width ``step``; (w_c, e_c) is the eigensystem of the density at v0."""
-    w_p, e_p = _aligned_eigh(_density(ensemble_fn, v0 + step), e_c)
-    w_m, e_m = _aligned_eigh(_density(ensemble_fn, v0 - step), e_c)
-    two_h = (v0 + step) - (v0 - step)
-    dw = (w_p - w_m) / two_h
-    de = (e_p - e_m) / two_h
-
-    total = 0.0
-    for k, wk in enumerate(w_c):
-        if wk < _EIGEN_FLOOR:
-            continue
-        total += dw[k] ** 2 / wk
-        total += 4.0 * wk * float(np.vdot(de[:, k], de[:, k]).real)
-    for k, wk in enumerate(w_c):
-        for l, wl in enumerate(w_c):
-            if wk + wl < _EIGEN_FLOOR:
-                continue
-            ov = np.vdot(de[:, k], e_c[:, l])
-            total -= 8.0 * wk * wl / (wk + wl) * abs(ov) ** 2
-    return total
-
-
-def qfi_mixed_gram(ensemble_fn, value: float, phase_scale: float = 0.0) -> float:
-    """Mixed-state QFI of an ensemble v -> [(p_i, |psi_i(v)>)].
-
-    The density operator is diagonalized within the span of the ensemble
-    (the members need not be orthogonal), eigenvectors are gauge- and
-    degeneracy-aligned to the central ones, and the three spectral sums
-    of the mixed-state QFI are evaluated with central differences,
-    Richardson extrapolated.  Amplitude-level differentiation needs the
-    phase-aware step of ``_fd_step``, so pass ``phase_scale`` (rad per
-    parameter unit) where it is known.
+def qubit_qfi(bloch_fn, value: float, phase_scale: float = 0.0) -> float:
+    """QFI of a qubit family (I + r(v).sigma)/2: |dr|^2 + (r.dr)^2 / (1 - |r|^2)
+    (Zhong et al., PRA 87, 022337 (2013)), dr by central differences with the
+    ``_fd_step`` rule, Richardson extrapolated.  Below ``_PURE_FLOOR`` the
+    state is taken as pure and the second term is dropped, with a warning.
     """
     step = _fd_step(value, phase_scale)
-    w_c, e_c = _aligned_eigh(_density(ensemble_fn, value), None)
-    dropped = np.flatnonzero(w_c < _EIGEN_FLOOR).tolist()
-    if dropped:
-        warnings.warn(f"gram QFI dropped eigenvalues below {_EIGEN_FLOOR:g}: {dropped}",
-                      stacklevel=2)
-    return _richardson(lambda h: _gram_qfi_at(ensemble_fn, value, h, w_c, e_c), step)
+    r_c = np.asarray(bloch_fn(value), dtype=float)
+    mixedness = 1.0 - float(r_c @ r_c)
+    if mixedness < _PURE_FLOOR:
+        warnings.warn(f"qubit QFI: 1 - |r|^2 = {mixedness:.3g} is below {_PURE_FLOOR:g}; "
+                      f"the state is taken as pure", stacklevel=2)
+        mixedness = math.inf    # (r.dr)^2 / inf drops the mixed-state term
+
+    def at(h: float) -> float:
+        dr = (bloch_fn(value + h) - bloch_fn(value - h)) / ((value + h) - (value - h))
+        return float(dr @ dr) + float(r_c @ dr) ** 2 / mixedness
+    return _richardson(at, step)
 
 
-def reduced_qfi_gram(scenario: Scenario) -> float:
-    """Mixed-state QFI of the clock-traced interferometer state."""
-    return qfi_mixed_gram(reduced_qubit_ensemble(scenario), scenario.value(),
-                          scenario.phase_scale())
+def reduced_qfi_bloch(scenario: Scenario) -> float:
+    """QFI of the clock-traced interferometer state, as a path qubit's."""
+    return qubit_qfi(reduced_bloch_vector(scenario), scenario.value(), scenario.phase_scale())
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,7 @@ class GaussianBranch:
 
     amplitude: complex
     ledger: PhaseLedger
-    mean_x: float           # m
-    mean_p: float           # kg m/s  (= hbar * ledger.slope)
+    mean_x: float           # m  (the mean momentum is hbar * ledger.slope)
     var_x: float            # m^2
     chirp: float            # rad/m^2, quadratic phase about mean_x
     internal_level: int     # 0 | 1
@@ -205,7 +204,7 @@ def _initial_state(x_plus: float, x_minus: float, x0: float, sigma: float,
     for path, x_c, amp in (("plus", x_plus, 0.5 + 0.0j), ("minus", x_minus, minus_amp)):
         for level in (0, 1):
             components.append(GaussianBranch(
-                amplitude=amp, ledger=ledger, mean_x=x_c, mean_p=0.0,
+                amplitude=amp, ledger=ledger, mean_x=x_c,
                 var_x=sigma**2, chirp=0.0,
                 internal_level=level, path_label=path,
             ))
@@ -214,7 +213,7 @@ def _initial_state(x_plus: float, x_minus: float, x0: float, sigma: float,
 
 def _require_pre_evolution(branch: GaussianBranch, params: PhysicalParams) -> None:
     if abs(branch.var_x - params.sigma**2) > 1e-12 * params.sigma**2 \
-            or branch.chirp != 0.0 or branch.mean_p != 0.0 or branch.ledger.terms:
+            or branch.chirp != 0.0 or branch.ledger.slope != 0 or branch.ledger.terms:
         raise EvolutionError("evolution maps act on pre-evolution branches "
                              "(width sigma, zero momentum, empty ledger)")
 
@@ -230,7 +229,7 @@ def _spreading(params: PhysicalParams, z: float) -> tuple[float, float]:
 
 def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
                         above_kink: bool) -> tuple:
-    """(ledger, fall distance, mean_p, var_x, chirp) of an evolved branch.
+    """(ledger, fall distance, var_x, chirp) of an evolved branch.
 
     They depend only on the branch's level and, on the Mach-Zehnder, on
     its side of the kink, so branches that share those share the map.
@@ -260,7 +259,7 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
         }
         slope = -dt_l * m * z * g_side / hb_l
         ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
-        return ledger, 0.0, hb * float(slope), var, chirp
+        return ledger, 0.0, var, chirp
     var, chirp = _spreading(params, z)
     zl, g_l = _LD_ONE * z, _LD_ONE * g
     # z-orders are stored as separate ledger terms: the clock corrections
@@ -277,7 +276,7 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
     }
     slope = -m * g_l * (1 + zl) * dt_l / hb_l
     ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
-    return ledger, 0.5 * g * dt * dt * (1.0 - z * z), -m * g * dt * (1.0 + z), var, chirp
+    return ledger, 0.5 * g * dt * dt * (1.0 - z * z), var, chirp
 
 
 def evolve_state(state: ClockState, params: PhysicalParams,
@@ -289,7 +288,6 @@ def evolve_state(state: ClockState, params: PhysicalParams,
     m/(1-z_i) and potential m (1+z_i) V_F, so over a time dt
 
         mean_x -> x_c - (g dt^2 / 2)(1 - z_i^2)
-        mean_p -> -m g dt (1 + z_i)
         S_i^2  -> sigma^2 + (hbar dt (1 - z_i) / (2 m sigma))^2
 
     and the phase ledger gains
@@ -299,11 +297,12 @@ def evolve_state(state: ClockState, params: PhysicalParams,
         cubic           = -(m g^2 dt^3 / 6 hbar)(1 + z_i - z_i^2)
         slope           = -m g (1+z_i) dt / hbar
 
-    all with x_ref = x0.  The cubic constant is the bracketed classical
-    action term; dimensional analysis fixes its prefactor to g^2/6 (the
-    g/3 form sometimes quoted is a misprint).  The exact bracket is
-    (1+z)^2(1-z); the z^3 difference from the truncated form used here
-    is far below double precision for any physical z.
+    all with x_ref = x0; hbar * slope is the mean momentum.  The cubic
+    constant is the bracketed classical action term; dimensional analysis
+    fixes its prefactor to g^2/6 (the g/3 form sometimes quoted is a
+    misprint).  The exact bracket is (1+z)^2(1-z); the z^3 difference from
+    the truncated form used here is far below double precision for any
+    physical z.
 
     On the trapped Mach-Zehnder arm the potential couples only through
     time dilation.  The trap cancels the gravitational force on the
@@ -314,8 +313,8 @@ def evolve_state(state: ClockState, params: PhysicalParams,
 
     on its own side of the kink, and a branch within five widths of the
     kink is refused.  The tiny momentum implied by the phase slope
-    (-dt E_i g_side / c^2, many orders below the momentum width) is
-    stored for consistency; it is the quoted <p> = 0 at the working order.
+    (-dt E_i g_side / c^2, many orders below the momentum width) is the
+    quoted <p> = 0 at the working order.
 
     The map is computed once per level (and kink side), since branches
     differ in nothing else but their centre.  At dt = 0 the state is
@@ -334,11 +333,11 @@ def evolve_state(state: ClockState, params: PhysicalParams,
         key = (c.internal_level, trapped and c.mean_x > params.x0)
         if key not in maps:
             maps[key] = _evolved_branch_map(params, scenario, *key)
-        ledger, fall, mean_p, var, chirp = maps[key]
+        ledger, fall, var, chirp = maps[key]
         if trapped and abs(c.mean_x - params.x0) <= 5.0 * math.sqrt(var):
             raise EvolutionError("branch straddles potential kink")
-        components.append(GaussianBranch(c.amplitude, ledger, c.mean_x - fall, mean_p,
-                                         var, chirp, c.internal_level, c.path_label))
+        components.append(GaussianBranch(c.amplitude, ledger, c.mean_x - fall, var, chirp,
+                                         c.internal_level, c.path_label))
     return ClockState(tuple(components))
 
 

@@ -78,12 +78,12 @@ def test_criterion_3_closed_vs_oracle(crosscheck_params):
 
 
 def test_criterion_4_reduced_state_collapse(sr88_10s, sr88_100s):
-    # Gram-method mixed QFI against the reduced closed form.
+    # Bloch-vector (qubit) QFI against the reduced closed form.
     worst = 0.0
     for p in (sr88_10s, sr88_100s):
         sc = est.Scenario("free_fall", p, "g")
         closed = est.qfi_ff_reduced_closed(p)
-        worst = max(worst, abs(est.reduced_qfi_gram(sc) - closed) / closed)
+        worst = max(worst, abs(est.reduced_qfi_bloch(sc) - closed) / closed)
     # Slope contrast needs a window where the dt^4 spread term leads the
     # full QFI while the reduced beat still sits on its cos^2 plateau:
     # small separation, tight packets, hours-long drops (out of regime,
@@ -96,11 +96,11 @@ def test_criterion_4_reduced_state_collapse(sr88_10s, sr88_100s):
     full = [est.qfi_ff_closed(p4.replace(dt=float(t))) for t in ts]
     slope_red, _e1 = cli.fit_scaling(ts, reduced)
     slope_full, _e2 = cli.fit_scaling(ts, full)
-    gram_mid = est.reduced_qfi_gram(est.Scenario("free_fall", p4.replace(dt=3e4), "g"))
+    bloch_mid = est.reduced_qfi_bloch(est.Scenario("free_fall", p4.replace(dt=3e4), "g"))
     closed_mid = est.qfi_ff_reduced_closed(p4.replace(dt=3e4))
-    worst = max(worst, abs(gram_mid - closed_mid) / closed_mid)
+    worst = max(worst, abs(bloch_mid - closed_mid) / closed_mid)
     ok = worst < 1e-2 and abs(slope_red - 2.0) < 0.1 and slope_full >= 4.0
-    _report(4, f"reduced-state collapse (gram worst {worst:.2e}, reduced slope "
+    _report(4, f"reduced-state collapse (bloch worst {worst:.2e}, reduced slope "
                f"{slope_red:.3f}, full slope {slope_full:.5f})", ok)
 
 
@@ -151,10 +151,10 @@ def test_criterion_7_information_monotonicity(sr88_10s, sr88_100s, crosscheck_pa
         sc = est.Scenario("free_fall", p, "g")
         fi = est.fi_ff_closed(p)
         red_closed = est.qfi_ff_reduced_closed(p)
-        gram = est.reduced_qfi_gram(sc)
+        bloch = est.reduced_qfi_bloch(sc)
         full = est.qfi_pure_parametric(sc)
         ok &= fi <= red_closed * (1 + 1e-6)
-        ok &= gram <= full * (1 + 1e-2)
+        ok &= bloch <= full * (1 + 1e-2)
         for target in ("delta_g", "bar_g"):
             fi_mz = est.fi_mz_closed(p, target)
             red_mz = est.qfi_mz_reduced_closed(p, target)

@@ -469,6 +469,95 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
+_EDGE_VALUES = ("0", "-0.0", "-1", "1e-30", "1e30", "-1e30", "5e-324", "1e300", "1e-300",
+                "2.5", "1e4", "10001")
+
+
+def _config_with(name, key, value):
+    """The text of sample config ``name`` with ``key`` set to ``value``."""
+    lines = [line for line in (CONFIGS / name).read_text().splitlines()
+             if line.split("=", 1)[0].strip() != key]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
+def _strict_json(text):
+    """Parse JSON that may not hold NaN or Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_edge_value_sweep_exits_cleanly(tmp_path, capsys):
+    """Every numeric key of each sample config, set to each edge value, run in
+    process with analytic methods: the exit is 0, 2 or 3 with no uncaught
+    exception, and an exit 0 reports only finite numbers.  Four settings
+    used to exit 0 with NaN or Infinity in the report: sr88_freefall
+    physics.m_kg = 1e300, sr88_mz geometry.x0_m = 1e300, and bouncer
+    physics.m_kg = 10001 or geometry.x0_m = 1e300."""
+    bad = []
+    cfg = tmp_path / "edge.cfg"
+    for name in ("sr88_freefall.cfg", "sr88_mz.cfg", "bouncer.cfg"):
+        methods = "closed" if name == "bouncer.cfg" else "closed,parametric,reduced,fi"
+        for key in core._NUMERIC_KEYS:
+            for value in _EDGE_VALUES:
+                cfg.write_text(_config_with(name, key, value))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    rc = cli.main(["run", "--config", str(cfg), "--methods", methods])
+                out = capsys.readouterr().out
+                case = (name, key, value, rc)
+                if rc not in (0, 2, 3):
+                    bad.append(case)
+                elif rc == 0:
+                    try:
+                        report = _strict_json(out)
+                    except ValueError as exc:
+                        bad.append((*case, str(exc)))
+                        continue
+                    numbers = [v for v in report.values() if isinstance(v, float)]
+                    if not all(math.isfinite(v) for v in numbers):
+                        bad.append((*case, "non-finite value"))
+    assert bad == []
+
+
+@pytest.mark.parametrize("name,key,value,column", [
+    ("sr88_freefall.cfg", "physics.m_kg", "1e300", "qfi_closed"),
+    ("sr88_mz.cfg", "geometry.x0_m", "1e300", "qfi_parametric"),
+    ("bouncer.cfg", "physics.m_kg", "10001", "qfi_closed"),
+    ("bouncer.cfg", "geometry.x0_m", "1e300", "qfi_closed"),
+])
+def test_non_finite_method_value_exit_3(tmp_path, capsys, name, key, value, column):
+    """A method value that is not finite is a numerical error naming the
+    method and its column; these runs used to exit 0 with NaN in the report."""
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(_config_with(name, key, value))
+    methods = "closed" if name == "bouncer.cfg" else "closed,parametric,reduced,fi"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["run", "--config", str(cfg), "--methods", methods,
+                       "--out", str(tmp_path / "out")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(column) in captured.err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_sweep_with_non_finite_point_exit_3_writes_no_csv(tmp_path, capsys):
+    """A sweep point whose value is not finite fails the sweep; it used to
+    write nan cells."""
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(_config_with("sr88_freefall.cfg", "physics.m_kg", "1e300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["sweep", "--config", str(cfg), "--var", "dt", "--from", "5",
+                       "--to", "30", "--points", "3", "--methods", "closed",
+                       "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "'qfi_closed'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_tail_window_fit_picks_stable_tail():
     xs = np.geomspace(1.0, 1e4, 40)
     ys = xs**3 + 50.0 * xs       # slope 1 head, slope 3 tail

@@ -1,4 +1,4 @@
-"""Closed forms, the parametric and Gram QFI engines, probabilities, FI."""
+"""Closed forms, the parametric and qubit QFI engines, probabilities, FI."""
 
 from __future__ import annotations
 
@@ -129,9 +129,9 @@ class QubitPhaseFamily:
         ledger = ga.empty_ledger(p.x0)
         amp = complex(math.cos(value), math.sin(value)) / math.sqrt(2.0)
         return ga.ClockState((
-            ga.GaussianBranch(1 / math.sqrt(2), ledger, p.x_plus, 0.0,
+            ga.GaussianBranch(1 / math.sqrt(2), ledger, p.x_plus,
                               p.sigma**2, 0.0, 0, "plus"),
-            ga.GaussianBranch(amp, ledger, p.x_minus, 0.0,
+            ga.GaussianBranch(amp, ledger, p.x_minus,
                               p.sigma**2, 0.0, 0, "minus"),
         ))
 
@@ -182,17 +182,15 @@ def test_parametric_step_underflow():
 
 
 # ---------------------------------------------------------------------------
-# Qubit reduction and the Gram engine
+# Qubit reduction and the qubit (Bloch-vector) engine
 # ---------------------------------------------------------------------------
 
 def test_reduce_to_qubit_dt_zero(sr88_10s):
     p = sr88_10s.replace(dt=0.0)
     assert est.reduce_to_qubit(ga.make_initial_state(p), p) == (0.0, 0.0)
     sc = est.Scenario("free_fall", p, "g")
-    for weight, vec in est.reduced_qubit_ensemble(sc)(p.g):
-        assert weight == 0.5
-        assert np.allclose(vec, 1 / math.sqrt(2))
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    # Both levels in phase: the path qubit is the pure state r = (1, 0).
+    assert est.reduced_bloch_vector(sc)(p.g).tolist() == [1.0, 0.0]
 
 
 def test_reduce_to_qubit_global_phase_invariance(sr88_10s):
@@ -204,7 +202,7 @@ def test_reduce_to_qubit_global_phase_invariance(sr88_10s):
             b.amplitude,
             ga.PhaseLedger.make(dict(b.ledger.terms) | {"common": 137.5},
                                 b.ledger.slope, b.ledger.x_ref),
-            b.mean_x, b.mean_p, b.var_x, b.chirp, b.internal_level, b.path_label)
+            b.mean_x, b.var_x, b.chirp, b.internal_level, b.path_label)
         for b in state.components))
     q0 = est.reduce_to_qubit(state, p)
     q1 = est.reduce_to_qubit(shifted, p)
@@ -228,33 +226,31 @@ def test_reduce_to_qubit_interference_phase_extended_precision(sr88_10s):
         assert abs(delta) < 1e-10
 
 
-def test_gram_parameter_independent_zero():
-    def ens(_v):
-        return ((0.5, np.array([1.0, 0.0])), (0.5, np.array([0.0, 1.0])))
-    assert est.qfi_mixed_gram(ens, 1.0) == pytest.approx(0.0, abs=1e-12)
+def test_qubit_parameter_independent_zero():
+    def bloch(_v):
+        return np.array([0.3, -0.2, 0.1])
+    assert est.qubit_qfi(bloch, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_gram_orthogonal_blocks_reduce_to_pure():
-    """Two orthogonal subspaces rotating identically: mixed QFI = pure QFI = 1."""
-    def ens(v):
-        a = np.array([1.0, np.exp(1j * v), 0.0, 0.0]) / math.sqrt(2)
-        b = np.array([0.0, 0.0, 1.0, np.exp(1j * v)]) / math.sqrt(2)
-        return ((0.5, a), (0.5, b))
-    # Half the spectrum is empty; the zero eigenvalues are dropped and reported.
-    with pytest.warns(UserWarning, match="dropped eigenvalues"):
-        got = est.qfi_mixed_gram(ens, 0.7)
+def test_qubit_pure_rotation_unit_rate():
+    """A pure qubit rotating at unit rate about z: QFI = |dr/dv|^2 = 1."""
+    def bloch(v):
+        return np.array([math.cos(v), math.sin(v), 0.0])
+    # |r| = 1: the mixed-state term is dropped and reported.
+    with pytest.warns(UserWarning, match="taken as pure"):
+        got = est.qubit_qfi(bloch, 0.7)
     assert got == pytest.approx(1.0, rel=1e-8)
 
 
-def test_gram_vs_reduced_closed(sr88_10s, crosscheck_params):
+def test_bloch_vs_reduced_closed(sr88_10s, crosscheck_params):
     for p in [sr88_10s, crosscheck_params[4]]:
         sc = est.Scenario("free_fall", p, "g")
         closed = est.qfi_ff_reduced_closed(p)
-        assert est.reduced_qfi_gram(sc) == pytest.approx(closed, rel=1e-2)
+        assert est.reduced_qfi_bloch(sc) == pytest.approx(closed, rel=1e-2)
     for target in ("delta_g", "bar_g"):
         sc = est.Scenario("mach_zehnder", sr88_10s, target)
         closed = est.qfi_mz_reduced_closed(sr88_10s, target)
-        assert est.reduced_qfi_gram(sc) == pytest.approx(closed, rel=1e-2)
+        assert est.reduced_qfi_bloch(sc) == pytest.approx(closed, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +366,10 @@ def test_information_chain_free_fall(sr88_10s, crosscheck_params):
         sc = est.Scenario("free_fall", p, "g")
         fi = est.fi_ff_closed(p)
         red = est.qfi_ff_reduced_closed(p)
-        gram = est.reduced_qfi_gram(sc)
+        bloch = est.reduced_qfi_bloch(sc)
         full = est.qfi_pure_parametric(sc)
         assert fi <= red * (1 + 1e-6)
-        assert gram <= full * (1 + 1e-2)
+        assert bloch <= full * (1 + 1e-2)
         assert red <= full * (1 + 1e-6)
 
 

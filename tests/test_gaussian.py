@@ -68,7 +68,7 @@ def test_initial_amplitudes_phi_zero(sr88_10s):
     assert len(state.components) == 4
     for b in state.components:
         assert b.amplitude == pytest.approx(0.5)
-        assert b.mean_p == 0.0 and b.var_x == sr88_10s.sigma**2
+        assert b.ledger.slope == 0.0 and b.var_x == sr88_10s.sigma**2
 
 
 def test_initial_amplitudes_phi_pi(sr88_10s):
@@ -108,7 +108,7 @@ def test_freefall_textbook_at_zero_internal_energy():
                           x_minus=0.50, x0=0.505, sigma=1e-4, dt=1.0)
     state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
     b = state.branch("plus", 0)
-    assert abs(b.mean_p) == pytest.approx(9.81e-25, rel=1e-12)
+    assert abs(p.hbar * float(b.ledger.slope)) == pytest.approx(9.81e-25, rel=1e-12)
     assert b.mean_x == pytest.approx(0.51 - 4.905, rel=1e-12)
     assert b.var_x == pytest.approx(1e-8 + (p.hbar / (2e-25 * 1e-4)) ** 2, rel=1e-12)
 
@@ -116,7 +116,7 @@ def test_freefall_textbook_at_zero_internal_energy():
 def test_freefall_momentum_ratio_extended_precision(sr88_10s):
     p = sr88_10s
     state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
-    ratio = state.branch("plus", 1).mean_p / state.branch("plus", 0).mean_p
+    ratio = float(state.branch("plus", 1).ledger.slope / state.branch("plus", 0).ledger.slope)
     ref = float(1 + mp.mpf(p.e1) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2))
     assert ratio == pytest.approx(ref, rel=1e-13)
 
@@ -191,7 +191,8 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
     p = sr88_10s
     full = _evolve(ga.make_initial_state(p).branch("plus", 1), p)
     z = p.z1
-    assert full.mean_p - (-p.m * p.g * p.dt) == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6)
+    boost = float(p.hbar * full.ledger.slope - _LD(-p.m * p.g * p.dt))
+    assert boost == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6)
     # The ledger keeps z orders as separate terms, so the z^2 piece of
     # cubic_z = cubic (z - z^2) is isolated in extended precision.
     terms = dict(full.ledger.terms)
@@ -256,7 +257,6 @@ def _random_branch(rng, level=0, x_ref=0.0):
             {"t1": rng.uniform(-3, 3), "t2": rng.uniform(-3, 3)},
             slope=rng.uniform(-5e3, 5e3), x_ref=x_ref),
         mean_x=rng.uniform(-2e-4, 2e-4),
-        mean_p=0.0,
         var_x=sigma**2,
         chirp=rng.uniform(-1e7, 1e7),
         internal_level=level,
@@ -314,10 +314,10 @@ def test_overlap_standard_separation():
     a = _random_branch(rng)
     sep = 1.7e-4
     b = ga.GaussianBranch(
-        amplitude=1.0, ledger=a.ledger, mean_x=a.mean_x + sep, mean_p=0.0,
+        amplitude=1.0, ledger=a.ledger, mean_x=a.mean_x + sep,
         var_x=a.var_x, chirp=0.0, internal_level=0, path_label="minus")
     a0 = ga.GaussianBranch(
-        amplitude=1.0, ledger=a.ledger, mean_x=a.mean_x, mean_p=0.0,
+        amplitude=1.0, ledger=a.ledger, mean_x=a.mean_x,
         var_x=a.var_x, chirp=0.0, internal_level=0, path_label="plus")
     got = ga.overlap(a0, b)
     assert got == pytest.approx(math.exp(-sep**2 / (8 * a.var_x)), rel=1e-12)

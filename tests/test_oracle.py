@@ -19,7 +19,6 @@ def _random_branch(rng, level=0, path="plus"):
         ledger=ga.PhaseLedger.make(
             {"t1": rng.uniform(-3, 3)}, slope=rng.uniform(-4e3, 4e3), x_ref=0.0),
         mean_x=rng.uniform(-2e-4, 2e-4),
-        mean_p=0.0,
         var_x=sigma**2,
         chirp=rng.uniform(-1e7, 1e7),
         internal_level=level,
@@ -41,9 +40,9 @@ class PhaseFamily:
         ledger = ga.empty_ledger(p.x0)
         amp = complex(math.cos(value), math.sin(value)) / math.sqrt(2.0)
         return ga.ClockState((
-            ga.GaussianBranch(1.0 / math.sqrt(2.0), ledger, p.x_plus, 0.0,
+            ga.GaussianBranch(1.0 / math.sqrt(2.0), ledger, p.x_plus,
                               p.sigma**2, 0.0, 0, "plus"),
-            ga.GaussianBranch(amp, ledger, p.x_minus, 0.0,
+            ga.GaussianBranch(amp, ledger, p.x_minus,
                               p.sigma**2, 0.0, 0, "minus"),
         ))
 
@@ -60,7 +59,7 @@ class ConstantFamily(PhaseFamily):
 def test_render_single_branch_norm(sr88_10s):
     p = sr88_10s
     state = ga.ClockState((ga.GaussianBranch(
-        1.0, ga.empty_ledger(p.x0), p.x_plus, 0.0, p.sigma**2, 0.0, 0, "plus"),))
+        1.0, ga.empty_ledger(p.x0), p.x_plus, p.sigma**2, 0.0, 0, "plus"),))
     psi = orc.render(state, orc.grid_for_states(state, n_points=2**12))
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
@@ -192,9 +191,9 @@ def test_fidelity_self_unity(sr88_10s):
 
 def test_fidelity_disjoint_channels_zero(sr88_10s):
     p = sr88_10s
-    b0 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus, 0.0,
+    b0 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus,
                            p.sigma**2, 0.0, 0, "plus")
-    b1 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus, 0.0,
+    b1 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus,
                            p.sigma**2, 0.0, 1, "plus")
     s0, s1 = ga.ClockState((b0,)), ga.ClockState((b1,))
     grid = orc.grid_for_states(s0, s1, n_points=2**12)
@@ -403,9 +402,9 @@ def _detector_state(params, sign):
     bm = state.branch("minus", 0)
     amp = sign / math.sqrt(2.0)
     return ga.ClockState((
-        ga.GaussianBranch(1 / math.sqrt(2), bp.ledger, bp.mean_x, bp.mean_p,
+        ga.GaussianBranch(1 / math.sqrt(2), bp.ledger, bp.mean_x,
                           bp.var_x, bp.chirp, 0, "plus"),
-        ga.GaussianBranch(amp, bm.ledger, bm.mean_x, bm.mean_p,
+        ga.GaussianBranch(amp, bm.ledger, bm.mean_x,
                           bm.var_x, bm.chirp, 0, "minus"),
     ))
 
