@@ -22,9 +22,11 @@ evaluation in cache-sized blocks, each taken whole when it lies in one
 region and split by one boolean mask per region otherwise (see
 ``AiryEngine``).  The Airy zeros are solved once per count and shared
 read-only, so a sweep solves each level count once.  The grid render
-evaluates each basis row only up to a decay cut, past which Ai is below
-1e-39, and gathers the rows' points region by region into full blocks
-(see ``render_spectral`` and ``AiryEngine.ai_rows``).
+draws a family of states (the oracle's Bures stencil) from one basis, Ai
+and Ai' of x / l_0 + z_n up to a decay cut past which Ai is below 1e-39;
+each state and level is a Taylor shift of its argument by the Airy ODE
+to the first order whose remainder bound is below 1e-16 (at most 4, else
+families of one; see ``render_spectral`` and ``AiryEngine.ai_rows``).
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -61,8 +63,9 @@ _UNDERFLOW_Y = 108.0
 _BLOCK = 1 << 14
 # Rendered basis rows stop here: Ai(26) ~ 1e-39, so the rest of a row is 0.
 _RENDER_CUT_Y = 26.0
-# Basis rows per render chunk: 64 rows of 2^14 points take 8 MB.
-_RENDER_ROWS = 64
+# Render chunks: Ai and four derivatives on 12 rows of 2^14 points take 7.9 MB,
+# a 4-state family's sums over 2048 points 1.3 MB; Taylor orders up to 4.
+_RENDER_ROWS, _RENDER_COLS, _TAYLOR_MAX = 12, 2048, 4
 # Table intervals and Chebyshev degree: degree 13 already reaches rounding
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
 _TABLE_WIDTH = 0.5
@@ -136,7 +139,7 @@ class AiryEngine:
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
     on the table and grows on the negative axis with the rounding of the
-    phase zeta = (2/3) |y|^1.5.
+    phase zeta = (2/3) |y|^1.5: to 4e-13 for Ai and 1.3e-11 for Ai' at -1e3.
     """
 
     series_cutoff = 4.5
@@ -371,40 +374,45 @@ class AiryEngine:
         return float(out) if np.ndim(y) == 0 else out
 
     def ai_rows(self, base: np.ndarray, offsets: np.ndarray, ends: np.ndarray,
-                out: np.ndarray) -> None:
-        """Fill out[j, :ends[j]] with Ai(base[:ends[j]] + offsets[j]) and the
-        rest of row j with 0.
+                out: np.ndarray, out_prime: np.ndarray) -> None:
+        """Fill out[j, :ends[j]] with Ai(base[:ends[j]] + offsets[j]), out_prime
+        likewise with Ai', and the rest of both rows with 0.
 
-        base must be ascending, so every row is.  Each row's arguments are
-        written into ``out`` and cut by ``searchsorted`` into regions.  Then,
-        region by region, the points of all rows are copied into one reused
-        buffer of 2^14 points, and each filled buffer goes through ``ai`` as
-        a single-region block; the values are copied back over the
-        arguments.  Every point gets the value one ``ai`` call on its own
-        row would give it, in a few full blocks instead of one call per row.
+        base must be ascending, so every row is.  The rows' points are cut
+        into regions by ``searchsorted`` and, region by region, copied into
+        one reused 2^14-point buffer; each filled buffer goes through ``ai``
+        and ``ai_prime`` as a single-region block and is copied back, bit for
+        bit what one call per row gives.
         """
         cuts = self._region_ends()
         bounds = []
-        for row, offset, end in zip(out, offsets, ends):
+        for row, prime, offset, end in zip(out, out_prime, offsets, ends):
             np.add(base[:end], offset, out=row[:end])
-            row[end:] = 0.0
+            row[end:] = prime[end:] = 0.0
             bounds.append([0, *np.searchsorted(row[:end], cuts, side="right").tolist()])
         buf = np.empty(_BLOCK)
         for region in range(len(cuts)):
-            targets, fill = [], 0            # views of out copied into buf, in order
-            for row, bound in zip(out, bounds):
+            targets, fill = [], 0            # (out, out_prime) views copied into buf, in order
+            for row, prime, bound in zip(out, out_prime, bounds):
                 lo, hi = bound[region], bound[region + 1]
                 while lo < hi:
                     n = min(hi - lo, _BLOCK - fill)
-                    targets.append(row[lo:lo + n])
-                    buf[fill:fill + n] = targets[-1]
+                    targets.append((row[lo:lo + n], prime[lo:lo + n]))
+                    buf[fill:fill + n] = targets[-1][0]
                     fill += n
                     lo += n
                     if fill == _BLOCK:
-                        _scatter(self.ai(buf), targets)
+                        self._scatter(buf, targets)
                         targets, fill = [], 0
             if fill:
-                _scatter(self.ai(buf[:fill]), targets)
+                self._scatter(buf[:fill], targets)
+
+    def _scatter(self, args: np.ndarray, targets: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Ai and Ai' of args, copied in consecutive pieces into the (Ai, Ai') targets."""
+        cuts = np.cumsum([target.size for target, _ in targets])[:-1]
+        for (target, prime), value, slope in zip(targets, np.split(self.ai(args), cuts),
+                                                 np.split(self.ai_prime(args), cuts)):
+            target[:], prime[:] = value, slope
 
     def ai_prime(self, y) -> np.ndarray | float:
         out = self._eval(y, (True,))[0]
@@ -455,14 +463,6 @@ class AiryEngine:
         return z
 
 
-def _scatter(values: np.ndarray, targets: list[np.ndarray]) -> None:
-    """Copy consecutive pieces of values into the targets, in order."""
-    pos = 0
-    for target in targets:
-        target[:] = values[pos:pos + target.size]
-        pos += target.size
-
-
 @functools.cache
 def default_engine() -> AiryEngine:
     return AiryEngine()
@@ -476,7 +476,7 @@ def airy_ai(y):
 
 
 def airy_ai_prime(y):
-    """Ai'(y) to ~1e-12 absolute for |y| < 1e3."""
+    """Ai'(y) to 1e-12 absolute for -170 <= y < 1e3 and 2e-11 for -1e3 < y < -170."""
     if np.any(np.abs(y) >= 1e3):
         raise ValueError("airy_ai_prime supports |y| < 1e3")
     return default_engine().ai_prime(y)
@@ -703,74 +703,112 @@ def spectral_phase_ref(params: PhysicalParams,
     return SpectralPhaseRef(params.g, band_ref)
 
 
-def render_spectral(params: PhysicalParams, projection: BouncerProjection,
-                    t: float, grid: Grid, ref: SpectralPhaseRef) -> GridWavefunction:
-    """Sample sum_n c_{i,n} e^{-i E_{i,n} t / hbar} psi_{i,n}(x).
+def _airy_derivatives(stack: np.ndarray, y: np.ndarray) -> None:
+    """Fill stack[2:5] with Ai'' = y Ai, Ai''' = Ai + y Ai' and Ai'''' = y^2 Ai + 2 Ai'
+    (Airy ODE, DLMF 9.2.1) from Ai in stack[0] and Ai' in stack[1]; y may be stack[4]."""
+    np.multiply(y, stack[1], out=stack[3])
+    stack[3] += stack[0]
+    np.multiply(y, stack[0], out=stack[2])
+    np.multiply(y, stack[2], out=stack[4])
+    stack[4] += stack[1]
+    stack[4] += stack[1]
 
-    Phases are taken relative to ``ref`` (per-level constants and band
-    mean), which callers comparing two states must share; the remaining
-    per-level constant is physically irrelevant only within a level, so
-    its g-variation is restored exactly via the analytic x0 term.
 
-    Each basis row Ai(x / l_i + z_n) is ascending in its argument and is
-    evaluated only up to the decay cut y = 26 (Ai(26) ~ 1e-39); past it
-    the row is exactly 0.  Rows go into 64-row bases, filled by one
-    ``AiryEngine.ai_rows`` call per chunk, which evaluates the chunk's
-    points region by region in full 2^14-point blocks; each value is bit
-    for bit what one ``ai`` call per row gives.  A chunk's sum stops at
-    the cut of its highest level, which reaches furthest in x.
+def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerProjection]],
+                    t: float, grid: Grid, ref: SpectralPhaseRef) -> list[GridWavefunction]:
+    """Sample sum_n c_{i,n} e^{-i E_{i,n} t / hbar} psi_{i,n}(x) for each state of
+    ``family``, a sequence of (g, projection at that g) on one level count.
+
+    Phases are relative to ``ref`` (per-level constants and band mean), shared
+    by the states compared; the constants' g-variation is restored exactly
+    via the analytic x0 term.  One basis serves every state and level: Ai and
+    Ai' of y = x / l_0 + z_n (l_0 the level-0 length at ``params.g``) up to
+    the decay cut y = 26 (Ai(26) ~ 1e-39), one ``AiryEngine.ai_rows`` call
+    per 12-row chunk.  State s, level i is the Taylor sum of Ai(y + Delta),
+    Delta = x (1 / l_{s,i} - 1 / l_0), up to the first order J whose bound
+    (max|Delta| sqrt(1 + max|y|))^(J+1) / (J+1)! is below 1e-16 (J = 4 at the
+    oracle's offsets; Delta = 0 is exact).  Past J = 4 a family is split into
+    families of one, each from its own level 0, and a state into its levels.
+    Per column block, one einsum contracts the coefficient rows (re, im) of
+    every state and level with the chunk's Ai^(j)(y), summed in powers of
+    each one's Delta.  Kept rows: any state and level above 1e-14 of its largest.
     """
-    engine = default_engine()
-    spectrum = projection.spectrum
     xs = grid.xs()
-    channels = np.zeros((2, grid.n_points), dtype=complex)
-    for i in (0, 1):
-        weights = np.abs(projection.coefficients[i])
-        keep = np.where(weights > 1e-14 * weights.max())[0]
-        l_i = spectrum.lengths[i]
-        z_i = params.z_eff(i)
-        const_shift = -params.m * params.x0 * (1.0 + z_i) * (params.g - ref.g_ref)
-        scaled = xs / l_i
-        # Row n is evaluated on scaled[:ends[n]]; past it y > _RENDER_CUT_Y.
-        ends = np.searchsorted(scaled, _RENDER_CUT_Y - spectrum.zeros[keep], side="right")
-        basis = np.empty((min(_RENDER_ROWS, len(keep)), grid.n_points))
-        for start in range(0, len(keep), _RENDER_ROWS):
-            sel = keep[start:start + _RENDER_ROWS]
-            sel_ends = ends[start:start + _RENDER_ROWS]
-            width = int(sel_ends.max())
-            rows = basis[:len(sel), :width]
-            engine.ai_rows(scaled, spectrum.zeros[sel], sel_ends, rows)
-            rel_energy = (spectrum.band[i, sel] - ref.band_ref[i]) + const_shift
-            phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
-            coeff = (projection.coefficients[i, sel] * np.exp(1j * phases)
-                     * spectrum.norms[i, sel])
-            # Real and imaginary rows times the real basis: the basis is never
-            # copied to complex.  einsum keeps the product on this thread;
-            # BLAS worker threads would spin between chunks, costing more CPU
-            # than they save.
-            re, im = np.einsum("cm,mn->cn", np.stack([coeff.real, coeff.imag]), rows)
-            channels[i, :width].real += re
-            channels[i, :width].imag += im
-    return GridWavefunction(grid, channels)
+    zeros = family[0][1].spectrum.zeros
+    weights = np.abs(np.array([proj.coefficients for _, proj in family]))
+    rows = np.flatnonzero((weights > 1e-14 * weights.max(axis=2, keepdims=True)).any(axis=(0, 1)))
+    lengths = np.array([proj.spectrum.lengths for _, proj in family])
+    coeff = np.empty((len(family), 2, 2, rows.size))      # state, level, (re, im), row
+    one_plus_z = 1.0 + np.array([[params.z_eff(0)], [params.z_eff(1)]])
+    for s, (g_value, proj) in enumerate(family):
+        const_shift = -params.m * params.x0 * one_plus_z * (g_value - ref.g_ref)
+        rel_energy = (proj.spectrum.band[:, rows] - ref.band_ref[:, None]) + const_shift
+        phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
+        c = proj.coefficients[:, rows] * np.exp(1j * phases) * proj.spectrum.norms[:, rows]
+        coeff[s] = np.stack([c.real, c.imag], axis=1)
+    y_max = max(_RENDER_CUT_Y, -float(zeros[rows].min(initial=0.0)))
+    channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
+    basis = np.empty((_TAYLOR_MAX + 1, min(_RENDER_ROWS, rows.size), grid.n_points))
+    groups = [(gravitational_length(params, 0), [(s, i) for s in range(len(family)) for i in (0, 1)])]
+    while groups:
+        l_base, members = groups.pop()
+        s_idx, i_idx = np.array(members).T
+        kappa = 1.0 / lengths[s_idx, i_idx] - 1.0 / l_base
+        a = float(np.max(np.abs(kappa))) * grid.x_max * math.sqrt(1.0 + y_max)
+        order = next((j for j in range(_TAYLOR_MAX + 1)        # remainder bound below 1e-16
+                      if a ** (j + 1) / math.factorial(j + 1) < 1e-16), None)
+        if order is None:        # split a family into states, a state into levels
+            states = set(s_idx.tolist())
+            groups += ([(lengths[s, 0], [(s, 0), (s, 1)]) for s in states] if len(states) > 1
+                       else [(lengths[s, i], [(s, i)]) for s, i in members])
+            continue
+        cmat = coeff[s_idx, i_idx]
+        scaled = xs / l_base
+        ends = np.searchsorted(scaled, _RENDER_CUT_Y - zeros[rows], side="right")
+        for start in range(0, rows.size, _RENDER_ROWS):
+            sel = slice(start, start + _RENDER_ROWS)
+            width = int(ends[sel].max())
+            stack = basis[:, :len(ends[sel]), :width]
+            default_engine().ai_rows(scaled, zeros[rows[sel]], ends[sel], stack[0], stack[1])
+            _airy_derivatives(stack, np.add(scaled[:width], zeros[rows[sel], None], out=stack[4]))
+            # Real coefficients times the real basis, never copied to complex; einsum
+            # keeps the product on this thread, where BLAS threads would spin.
+            for lo in range(0, width, _RENDER_COLS):
+                cols = slice(lo, min(lo + _RENDER_COLS, width))
+                sums = np.einsum("mcr,jrn->jmcn", cmat[:, :, sel], stack[:order + 1, :, cols])
+                delta = (kappa[:, None] * xs[cols])[:, None, :]
+                for j in range(order, 0, -1):    # Horner: sums[0] += sum_j delta^j / j! sums[j]
+                    sums[j - 1] += delta / j * sums[j]
+                for (s, i), (re, im) in zip(members, sums[0]):
+                    channels[s, i, cols] += re + 1j * im
+    return [GridWavefunction(grid, ch) for ch in channels]
 
 
 def bouncer_qfi_numeric(params: PhysicalParams, n_max: int | None = None) -> float:
-    """Fidelity QFI of the state rendered at t = dt (the dt^2 oracle)."""
+    """Fidelity QFI of the state rendered at t = dt (the dt^2 oracle).
+
+    An offset d renders the stencil g -+ d/2, g -+ d/4 as one family (see
+    ``render_spectral``); its g -+ d/4 pair answers the d/2 call that follows,
+    at the same g values since 0.5 d is exact.
+    """
     center = bouncer_coefficients(params, n_max)
-    n_fixed = center.spectrum.n_max
     grid = bouncer_grid(params, center)
     ref = spectral_phase_ref(params, center)
-    # Start the offset search where the long-time QFI puts 1 - F near 1e-4.
+    # Start the offset search where the long-time QFI puts 1 - F at 2e-4.
     guess = bouncer_qfi_longtime(params, projection=center)
     delta = 2.0 * math.sqrt(2e-4 / guess) if guess > 0 else None
+    pairs = {}       # offset -> its two states, from the last family rendered
 
-    def state_at(g_value: float) -> GridWavefunction:
-        proj = bouncer_coefficients(params.replace(g=g_value), n_fixed)
-        return render_spectral(params.replace(g=g_value), proj, params.dt, grid, ref)
+    def fidelity_at(d: float) -> float:
+        if d not in pairs:
+            family = [(g, bouncer_coefficients(params.replace(g=g), center.spectrum.n_max))
+                      for g in (params.g + d * np.array([-0.5, 0.5, -0.25, 0.25])).tolist()]
+            states = render_spectral(params, family, params.dt, grid, ref)
+            pairs.clear()
+            pairs.update({d: states[:2], 0.5 * d: states[2:]})
+        return fidelity(*pairs[d])
 
-    qfi, resolved = richardson_bures_qfi(lambda lo, hi: fidelity(state_at(lo), state_at(hi)),
-                                         params.g, delta)
+    qfi, resolved = richardson_bures_qfi(fidelity_at, params.g, delta)
     if not resolved:
         warnings.warn("bouncer QFI below fidelity resolution", stacklevel=2)
     return qfi
-

@@ -187,14 +187,14 @@ def bures_qfi(one_minus_f: float, delta: float) -> float:
     return 8.0 * amp_miss / (delta * delta)
 
 
-def richardson_bures_qfi(fidelity_fn, value: float,
+def richardson_bures_qfi(fidelity_at, value: float,
                          delta: float | None = None) -> tuple[float, bool]:
-    """Bures QFI at ``value`` from ``fidelity_fn(v_lo, v_hi)``: (QFI, resolved).
+    """Bures QFI at ``value`` from ``fidelity_at(d)`` = F(value - d/2, value + d/2).
 
     One geometric bisection on the offset d, starting at ``delta`` (default
     1e-6 relative), looks for a drop 1 - F inside [1e-6, 1e-2] that also
-    shows the Bures scaling: a pure Bures drop scales as d^2, so the drop
-    at d/2 must be a quarter of the drop at d (accepted in [0.2, 0.3]).
+    shows the Bures scaling: the drop at d/2, asked for right after d (a caller
+    may render both stencils at once), must be a quarter of it (0.2 to 0.3).
     An offset whose drop fails that check lies past the quadratic regime,
     typically on a fidelity revival; it becomes the upper bracket, and the
     search restarts from d/2 below it.  An accepted pair gives the
@@ -210,9 +210,9 @@ def richardson_bures_qfi(fidelity_fn, value: float,
     d_small = None   # largest offset known to sit below the window
     d_big = None     # smallest offset known to sit above it or to fail the check
     for _ in range(60):
-        miss = 1.0 - fidelity_fn(value - 0.5 * d, value + 0.5 * d)
+        miss = 1.0 - fidelity_at(d)
         if lo <= miss <= hi:
-            miss_half = 1.0 - fidelity_fn(value - 0.25 * d, value + 0.25 * d)
+            miss_half = 1.0 - fidelity_at(0.5 * d)
             if 0.2 <= miss_half / miss <= 0.3:
                 g_full = bures_qfi(miss, d)
                 g_half = bures_qfi(miss_half, 0.5 * d)
@@ -238,13 +238,15 @@ def qfi_numeric(scenario: Scenario, delta: float | None = None,
     Each fidelity evaluation renders both perturbed states on one shared
     grid.
     """
-    def fid(v_lo: float, v_hi: float) -> float:
-        s_lo = scenario.make_state(v_lo)
-        s_hi = scenario.make_state(v_hi)
+    value = scenario.value()
+
+    def fidelity_at(d: float) -> float:
+        s_lo = scenario.make_state(value - 0.5 * d)
+        s_hi = scenario.make_state(value + 0.5 * d)
         grid = grid_for_states(s_lo, s_hi, n_points=n_points)
         return fidelity(render(s_lo, grid), render(s_hi, grid))
 
-    qfi, resolved = richardson_bures_qfi(fid, scenario.value(), delta)
+    qfi, resolved = richardson_bures_qfi(fidelity_at, value, delta)
     if not resolved:
         warnings.warn("parameter sensitivity below fidelity resolution; "
                       "returning the below-window Bures estimate", stacklevel=2)

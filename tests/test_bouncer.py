@@ -327,18 +327,75 @@ def test_chebyshev_on_concatenated_rows_equals_per_row():
 
 
 def test_ai_rows_equals_per_row_ai():
-    """ai_rows against one ai call per row, bit for bit: rows reaching every
-    region (and past y = 108), an empty row, and one running to the end."""
+    """ai_rows against one ai and one ai_prime call per row, bit for bit: rows
+    reaching every region (and past y = 108), an empty row, and one running
+    to the end."""
     engine = bc.default_engine()
     base = np.linspace(0.0, 300.0, 20_001)
     offsets = -np.linspace(0.5, 180.0, 70)
     ends = np.searchsorted(base, 130.0 - offsets, side="right")
     ends[3], ends[-1] = 0, base.size
     out = np.full((offsets.size, base.size), np.nan)
-    engine.ai_rows(base, offsets, ends, out)
-    for row, offset, end in zip(out, offsets, ends):
-        assert np.array_equal(_bits(row[:end]), _bits(engine.ai(base[:end] + offset)))
-        assert np.all(row[end:] == 0.0)
+    out_prime = np.full_like(out, np.nan)
+    engine.ai_rows(base, offsets, ends, out, out_prime)
+    for row, prime, offset, end in zip(out, out_prime, offsets, ends):
+        y = base[:end] + offset
+        assert np.array_equal(_bits(row[:end]), _bits(engine.ai(y)))
+        assert np.array_equal(_bits(prime[:end]), _bits(engine.ai_prime(y)))
+        assert np.all(row[end:] == 0.0) and np.all(prime[end:] == 0.0)
+
+
+def test_public_airy_contract_past_170_against_mpmath():
+    """airy_ai holds 1e-12 and airy_ai_prime 2e-11 on (-1e3, -170), where the
+    rounding of the phase zeta = (2/3) |y|^1.5 grows the error of Ai' to
+    ~1.3e-11 near -1e3; 200 seeded points per band."""
+    rng = np.random.default_rng(13)
+    ys = np.concatenate([rng.uniform(-1000.0, -500.0, 200), rng.uniform(-500.0, -170.0, 200)])
+    with mp.workdps(25):
+        ai_ref = np.array([float(mp.airyai(float(y))) for y in ys])
+        aip_ref = np.array([float(mp.airyai(float(y), 1)) for y in ys])
+    assert np.max(np.abs(bc.airy_ai(ys) - ai_ref)) <= 1e-12
+    assert np.max(np.abs(bc.airy_ai_prime(ys) - aip_ref)) <= 2e-11
+
+
+def _taylor_order(shift, y_max):
+    """The render's order rule: the first J <= 4 whose remainder bound
+    (shift sqrt(1 + y_max))^(J+1) / (J+1)! is below 1e-16, else None (split)."""
+    a = shift * math.sqrt(1.0 + y_max)
+    return next((j for j in range(bc._TAYLOR_MAX + 1)
+                 if a ** (j + 1) / math.factorial(j + 1) < 1e-16), None)
+
+
+def test_taylor_shift_against_mpmath():
+    """The render's shift kernel on rows with |y| up to 170.  Each derivative
+    row is within 1e-13 (1 + |y|)^(j/2) of Ai^(j) = p_j(y) Ai + q_j(y) Ai'
+    built from mpmath Ai and Ai' by the recurrence p_{j+1} = p_j' + y q_j,
+    q_{j+1} = p_j + q_j', and the rows' Taylor sum at the largest shift the
+    order-4 bound admits is within 1e-13 of mpmath Ai(y + delta) on the same
+    float arguments, for both signs of delta."""
+    engine = bc.default_engine()
+    y_max = 170.0
+    delta = (1e-16 * math.factorial(5)) ** 0.2 / math.sqrt(1.0 + y_max) * (1.0 - 1e-9)
+    assert _taylor_order(delta, y_max) == bc._TAYLOR_MAX
+    assert _taylor_order(1.001 * delta, y_max) is None
+    y = np.linspace(-y_max, bc._RENDER_CUT_Y, 197)
+    stack = np.empty((bc._TAYLOR_MAX + 1, y.size))
+    stack[0], stack[1] = engine.ai(y), engine.ai_prime(y)
+    bc._airy_derivatives(stack, y)
+    with mp.workdps(25):
+        ai_aip = [(mp.airyai(float(v)), mp.airyai(float(v), 1)) for v in y]
+    poly = np.polynomial.Polynomial
+    p_j, q_j = poly([1.0]), poly([0.0])
+    for j, row in enumerate(stack):
+        expected = np.array([float(mp.mpf(p_j(v)) * a + mp.mpf(q_j(v)) * b)
+                             for v, (a, b) in zip(y, ai_aip)])
+        assert np.all(np.abs(row - expected) <= 1e-13 * (1.0 + np.abs(y)) ** (j / 2)), j
+        p_j, q_j = p_j.deriv() + poly([0.0, 1.0]) * q_j, p_j + q_j.deriv()
+    for shift in (delta, -delta):
+        with mp.workdps(25):
+            expected = np.array([float(mp.airyai(mp.mpf(float(v)) + mp.mpf(shift))) for v in y])
+        shifted = sum(shift**j / math.factorial(j) * stack[j] for j in range(bc._TAYLOR_MAX + 1))
+        assert np.max(np.abs(shifted - expected)) <= 1e-13
 
 
 def _half_angle_poles() -> np.ndarray:
@@ -486,7 +543,7 @@ def test_spectral_norm_constant_in_time(bouncer_params):
     proj = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, proj, n_points=2**13)
     ref = bc.spectral_phase_ref(p, proj)
-    norms = [bc.render_spectral(p, proj, t, grid, ref).norm_sq()
+    norms = [bc.render_spectral(p, [(p.g, proj)], t, grid, ref)[0].norm_sq()
              for t in (0.0, 0.05, 0.31, 1.7)]
     assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-6
 
@@ -506,7 +563,7 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
     proj = bc.BouncerProjection(spec, unused, unused, flat, 0.0, 1.0)
     grid = orc.Grid(0.0, max(spec.lengths) * (abs(spec.zeros[-1]) + 12.0), 256)
     ref = bc.spectral_phase_ref(p, proj)
-    rendered = bc.render_spectral(p, proj, p.dt, grid, ref).channels
+    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, ref)[0].channels
     expected = np.zeros_like(rendered)
     with mp.workdps(20):
         for i in (0, 1):
@@ -519,98 +576,216 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
     assert np.max(np.abs(rendered - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _unwindowed_render(p, proj, t, grid, ref):
-    """render_spectral without the decay cut: every kept row in full, summed
-    by the same 64-row contraction, so the window is the only difference."""
+def _stencil(p, center, offsets):
+    """(g, projection) at p.g + each offset, on the center's level count."""
+    n_max = center.spectrum.n_max
+    return [(g, bc.bouncer_coefficients(p.replace(g=g), n_max)) for g in (p.g + o for o in offsets)]
+
+
+def _oracle_offset(p, center):
+    """The first offset the bouncer oracle asks for."""
+    return 2.0 * math.sqrt(2e-4 / bc.bouncer_qfi_longtime(p, projection=center))
+
+
+def _render_layout(p, family, t, ref):
+    """The rows render_spectral keeps (any state and level above 1e-14 of its
+    largest weight) and the coefficient row of every state and level."""
+    weights = np.abs(np.array([proj.coefficients for _, proj in family]))
+    rows = np.flatnonzero(np.any(weights > 1e-14 * weights.max(axis=2, keepdims=True),
+                                 axis=(0, 1)))
+    coeff = np.empty((len(family), 2, rows.size), dtype=complex)
+    ld = np.longdouble
+    for s, (g, proj) in enumerate(family):
+        spec = proj.spectrum
+        for i in (0, 1):
+            const_shift = -p.m * p.x0 * (1.0 + p.z_eff(i)) * (g - ref.g_ref)
+            rel_energy = (spec.band[i, rows] - ref.band_ref[i]) + const_shift
+            phases = wrap_angle(-rel_energy.astype(ld) * ld(t) / ld(p.hbar))
+            coeff[s, i] = proj.coefficients[i, rows] * np.exp(1j * phases) * spec.norms[i, rows]
+    return rows, coeff
+
+
+def _unwindowed_render(p, family, t, grid, ref):
+    """render_spectral without the decay cut: Ai and Ai' on every kept row in
+    full, the same Taylor shift from the family's base and the same 12-row
+    contraction, so the window is the only difference."""
     engine = bc.default_engine()
-    spec = proj.spectrum
     xs = grid.xs()
-    channels = np.zeros((2, grid.n_points), dtype=complex)
-    for i in (0, 1):
-        weights = np.abs(proj.coefficients[i])
-        keep = np.flatnonzero(weights > 1e-14 * weights.max())
-        const_shift = -p.m * p.x0 * (1.0 + p.z_eff(i)) * (p.g - ref.g_ref)
-        rel_energy = (spec.band[i, keep] - ref.band_ref[i]) + const_shift
-        ld = np.longdouble
-        phases = wrap_angle(-rel_energy.astype(ld) * ld(t) / ld(p.hbar))
-        coeff = proj.coefficients[i, keep] * np.exp(1j * phases) * spec.norms[i, keep]
-        for start in range(0, len(keep), bc._RENDER_ROWS):
-            rows = slice(start, start + bc._RENDER_ROWS)
-            basis = engine.ai(xs[None, :] / spec.lengths[i] + spec.zeros[keep[rows], None])
-            re, im = np.einsum("cm,mn->cn", np.stack([coeff[rows].real, coeff[rows].imag]), basis)
-            channels[i].real += re
-            channels[i].imag += im
+    zeros = family[0][1].spectrum.zeros
+    rows, coeff = _render_layout(p, family, t, ref)
+    l_base = bc.gravitational_length(p, 0)
+    kappa = 1.0 / np.array([proj.spectrum.lengths for _, proj in family]) - 1.0 / l_base
+    order = _taylor_order(np.max(np.abs(kappa)) * grid.x_max,
+                             max(bc._RENDER_CUT_Y, -zeros[rows].min()))
+    channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
+    for start in range(0, rows.size, bc._RENDER_ROWS):
+        sel = slice(start, start + bc._RENDER_ROWS)
+        y = xs / l_base + zeros[rows[sel], None]
+        stack = np.empty((bc._TAYLOR_MAX + 1, *y.shape))
+        stack[0], stack[1] = engine.ai(y), engine.ai_prime(y)
+        bc._airy_derivatives(stack, y)
+        for s in range(len(family)):
+            for i in (0, 1):
+                c = coeff[s, i, sel]
+                sums = np.einsum("cm,jmn->jcn", np.stack([c.real, c.imag]), stack[:order + 1])
+                for j in range(order, 0, -1):
+                    sums[j - 1] += kappa[s, i] * xs / j * sums[j]
+                re, im = sums[0]
+                channels[s, i].real += re
+                channels[s, i].imag += im
     return channels
 
 
 def test_windowed_render_matches_unwindowed_reference(bouncer_params):
-    """Cutting each basis row at y = 26 changes the state by nothing visible."""
+    """Cutting each basis row at y = 26 changes the state by nothing visible,
+    for the base g and the oracle's stencil g -+ d/2 rendered as one family."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center, n_points=2**13)
     ref = bc.spectral_phase_ref(p, center)
-    shifted = p.replace(g=p.g * (1.0 + 1e-9))
-    for params, proj in ((p, center),
-                         (shifted, bc.bouncer_coefficients(shifted, center.spectrum.n_max))):
-        rendered = bc.render_spectral(params, proj, p.dt, grid, ref).channels
-        expected = _unwindowed_render(params, proj, p.dt, grid, ref)
-        assert np.max(np.abs(rendered - expected)) <= 1e-15 * np.max(np.abs(expected))
+    d = _oracle_offset(p, center)
+    family = [(p.g, center), *_stencil(p, center, (-0.5 * d, 0.5 * d))]
+    rendered = [psi.channels for psi in bc.render_spectral(p, family, p.dt, grid, ref)]
+    expected = _unwindowed_render(p, family, p.dt, grid, ref)
+    for got, want in zip(rendered, expected):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def _per_row_render(p, proj, t, grid, ref):
-    """render_spectral with one engine.ai call per basis row: the same
-    decay cut, phases and 64-row contraction, row by row."""
+def _per_row_render(p, family, t, grid, ref, bases):
+    """render_spectral with no Taylor shift: every row of every state and
+    level evaluated directly at that state and level's own length, one
+    engine.ai call per row, and summed by one einsum per 12-row chunk.
+    Rows (s, i) stop at the decay cut of the length bases[s, i]: the
+    family's base, or the base a split renders them from."""
     engine = bc.default_engine()
-    spec = proj.spectrum
-    channels = np.zeros((2, grid.n_points), dtype=complex)
-    for i in (0, 1):
-        weights = np.abs(proj.coefficients[i])
-        keep = np.where(weights > 1e-14 * weights.max())[0]
-        const_shift = -p.m * p.x0 * (1.0 + p.z_eff(i)) * (p.g - ref.g_ref)
-        scaled = grid.xs() / spec.lengths[i]
-        ends = np.searchsorted(scaled, bc._RENDER_CUT_Y - spec.zeros[keep], side="right")
-        for start in range(0, len(keep), bc._RENDER_ROWS):
-            sel = keep[start:start + bc._RENDER_ROWS]
-            sel_ends = ends[start:start + bc._RENDER_ROWS]
-            width = int(sel_ends.max())
-            rows = np.zeros((len(sel), width))
-            for row, z_n, end in zip(rows, spec.zeros[sel], sel_ends):
-                row[:end] = engine.ai(scaled[:end] + z_n)
-            rel_energy = (spec.band[i, sel] - ref.band_ref[i]) + const_shift
-            ld = np.longdouble
-            phases = wrap_angle(-rel_energy.astype(ld) * ld(t) / ld(p.hbar))
-            coeff = proj.coefficients[i, sel] * np.exp(1j * phases) * spec.norms[i, sel]
-            re, im = np.einsum("cm,mn->cn", np.stack([coeff.real, coeff.imag]), rows)
-            channels[i, :width].real += re
-            channels[i, :width].imag += im
+    xs = grid.xs()
+    zeros = family[0][1].spectrum.zeros
+    rows, coeff = _render_layout(p, family, t, ref)
+    channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
+    for s, (_, proj) in enumerate(family):
+        for i in (0, 1):
+            ends = np.searchsorted(xs / bases[s, i], bc._RENDER_CUT_Y - zeros[rows], side="right")
+            for start in range(0, rows.size, bc._RENDER_ROWS):
+                sel = slice(start, start + bc._RENDER_ROWS)
+                width = int(ends[sel].max())
+                basis = np.zeros((len(ends[sel]), width))
+                for row, z_n, end in zip(basis, zeros[rows[sel]], ends[sel]):
+                    row[:end] = engine.ai(xs[:end] / proj.spectrum.lengths[i] + z_n)
+                c = coeff[s, i, sel]
+                re, im = np.einsum("cm,mn->cn", np.stack([c.real, c.imag]), basis)
+                channels[s, i, :width].real += re
+                channels[s, i, :width].imag += im
     return channels
 
 
+def _assert_matches_per_row(rendered, expected, exact):
+    """Bit for bit on the (state, level) pairs in exact, within 5e-13 of the
+    largest value on the others."""
+    for s, i in np.ndindex(expected.shape[:2]):
+        got, want = rendered[s].channels[i], expected[s, i]
+        if (s, i) in exact:
+            assert np.array_equal(_bits(got), _bits(want)), (s, i)
+        else:
+            assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want)), (s, i)
+
+
 def test_render_spectral_bit_identical_to_per_row_reference(bouncer_params):
-    """The region-by-region render on the oracle's grid, at g and at the
-    g (1 + 1e-9) it is compared with, equals the per-row render bit for bit."""
+    """On the oracle's grid, the base g and the oracle's stencil g -+ d/2 as
+    one family: level 0 at the base (no shift) equals the per-row render bit
+    for bit, and every shifted state and level is within 5e-13 of it."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center)
     ref = bc.spectral_phase_ref(p, center)
-    shifted = p.replace(g=p.g * (1.0 + 1e-9))
-    for params, proj in ((p, center),
-                         (shifted, bc.bouncer_coefficients(shifted, center.spectrum.n_max))):
-        rendered = bc.render_spectral(params, proj, p.dt, grid, ref).channels
-        expected = _per_row_render(params, proj, p.dt, grid, ref)
-        assert np.array_equal(_bits(rendered), _bits(expected))
+    d = _oracle_offset(p, center)
+    family = [(p.g, center), *_stencil(p, center, (-0.5 * d, 0.5 * d))]
+    rendered = bc.render_spectral(p, family, p.dt, grid, ref)
+    bases = np.full((len(family), 2), bc.gravitational_length(p, 0))
+    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, ref, bases),
+                            exact={(0, 0)})
+
+
+def test_render_splits_family_past_taylor_bound(bouncer_params):
+    """At d = 1e-2 g the shifts fail the order-4 bound, so the family is
+    rendered as families of one, each from its own level 0: level 0 bit for
+    bit, level 1 (shifted from level 0) within 5e-13."""
+    p = bouncer_params
+    center = bc.bouncer_coefficients(p)
+    grid = bc.bouncer_grid(p, center, n_points=2**13)
+    ref = bc.spectral_phase_ref(p, center)
+    d = 1e-2 * p.g
+    family = _stencil(p, center, (-0.5 * d, 0.5 * d))
+    lengths = np.array([proj.spectrum.lengths for _, proj in family])
+    shift = np.max(np.abs(1.0 / lengths - 1.0 / bc.gravitational_length(p, 0))) * grid.x_max
+    assert _taylor_order(shift, bc._RENDER_CUT_Y) is None
+    rendered = bc.render_spectral(p, family, p.dt, grid, ref)
+    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, ref, lengths[:, [0, 0]]),
+                            exact={(0, 0), (1, 0)})
+
+
+def test_render_splits_state_whose_levels_fail_taylor_bound(bouncer_params):
+    """A clock at z_1 = 9e-7 on a grid reaching 2000 Airy lengths: the two
+    levels' shift fails the bound even in a family of one, so each level is
+    rendered from its own length, both bit for bit the per-row render.
+    Twenty equal-weight levels keep the rows short."""
+    p = bouncer_params.replace(e1=9e-7 * bouncer_params.m * core.C_LIGHT**2)
+    spec = bc.bouncer_spectrum(p, 20)
+    flat = np.exp(0.7j * np.arange(2 * spec.n_max)).reshape(2, -1) / math.sqrt(2 * spec.n_max)
+    unused = np.zeros((2, spec.n_max))
+    proj = bc.BouncerProjection(spec, unused, unused, flat, 0.0, 1.0)
+    grid = orc.Grid(0.0, 2000.0 * max(spec.lengths), 2**13)
+    ref = bc.spectral_phase_ref(p, proj)
+    lengths = np.array([spec.lengths])
+    assert _taylor_order(abs(1.0 / lengths[0, 1] - 1.0 / lengths[0, 0]) * grid.x_max,
+                            bc._RENDER_CUT_Y) is None
+    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, ref)
+    _assert_matches_per_row(rendered, _per_row_render(p, [(p.g, proj)], p.dt, grid, ref, lengths),
+                            exact={(0, 0), (0, 1)})
 
 
 def test_bouncer_oracle_regression_pin(bouncer_params):
     """The grid-fidelity oracle on configs/bouncer.cfg, pinned to 1e-10.
 
     Not pinned exactly: the oracle's float noise floor is ~1e-12 relative.
-    The Bures offset puts 1 - F near 1e-4, so rounding in F is amplified by
-    1 / (1 - F): merely summing the render in 256-row chunks instead of 64
-    moves the value by 3.7e-13 relative.  The render itself is held bit
-    for bit by test_render_spectral_bit_identical_to_per_row_reference.
+    The first Bures offset puts 1 - F at 2e-4, so rounding in F is
+    amplified by 1 / (1 - F): rendering the stencil from one Taylor-shifted
+    basis instead of one direct basis per state and level moved the value
+    by 5.2e-12 relative.  The render is held to the per-row render by
+    test_render_spectral_bit_identical_to_per_row_reference.
     """
     assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.175490357, rel=1e-10)
+
+
+def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
+    """One oracle run on configs/bouncer.cfg renders the stencil g -+ d/2,
+    g -+ d/4 as one family, fills it with one ai_rows call per 12-row chunk
+    of the kept rows, and asks the fidelity for exactly d, then d/2."""
+    families, offsets, chunks = [], [], []
+    render, ai_rows, richardson = bc.render_spectral, bc.AiryEngine.ai_rows, bc.richardson_bures_qfi
+
+    def counting_render(params, family, *args):
+        families.append(family)
+        return render(params, family, *args)
+
+    def counting_ai_rows(self, *args):
+        chunks.append(args[1].size)
+        return ai_rows(self, *args)
+
+    def recording_richardson(fidelity_at, value, delta):
+        return richardson(lambda d: offsets.append(d) or fidelity_at(d), value, delta)
+
+    monkeypatch.setattr(bc, "render_spectral", counting_render)
+    monkeypatch.setattr(bc.AiryEngine, "ai_rows", counting_ai_rows)
+    monkeypatch.setattr(bc, "richardson_bures_qfi", recording_richardson)
+    p = bouncer_params
+    bc.bouncer_qfi_numeric(p)
+    (family,) = families
+    d = offsets[0]
+    assert offsets == [d, 0.5 * d]
+    assert [g for g, _ in family] == [p.g - 0.5 * d, p.g + 0.5 * d, p.g - 0.25 * d, p.g + 0.25 * d]
+    kept, _ = _render_layout(p, family, p.dt, bc.spectral_phase_ref(p, bc.bouncer_coefficients(p)))
+    assert len(chunks) == math.ceil(kept.size / bc._RENDER_ROWS)
+    assert sum(chunks) == kept.size
 
 
 def test_qfi_longtime_degenerate_distribution(bouncer_params):

@@ -280,9 +280,9 @@ def test_richardson_rejects_fidelity_revival():
     k = (math.pi + 0.06) / 1e-6
     calls = []
 
-    def fid(v_lo, v_hi):
-        calls.append(v_hi - v_lo)
-        return math.cos(k * (v_hi - v_lo)) ** 2
+    def fid(d):
+        calls.append(d)
+        return math.cos(k * d) ** 2
 
     qfi, resolved = orc.richardson_bures_qfi(fid, 0.0)
     assert resolved
@@ -290,7 +290,7 @@ def test_richardson_rejects_fidelity_revival():
     assert max(calls[2:]) < 1e-6
 
 
-def _two_stage_bures_reference(fidelity_fn, value, delta=None):
+def _two_stage_bures_reference(fidelity_at, value, delta=None):
     """The earlier two-stage offset search, kept as a reference: an inner
     bisection for a drop inside [1e-6, 1e-2], then the d/2 scaling check,
     re-searching below every offset that fails it."""
@@ -301,7 +301,7 @@ def _two_stage_bures_reference(fidelity_fn, value, delta=None):
         d = min(d if d is not None else 1e-6 * max(abs(value), 1.0), delta_cap)
         d_small, d_big = None, too_big
         for _ in range(40):
-            miss = 1.0 - fidelity_fn(value - 0.5 * d, value + 0.5 * d)
+            miss = 1.0 - fidelity_at(d)
             if lo <= miss <= hi:
                 return d, miss, True
             if miss < lo:
@@ -319,7 +319,7 @@ def _two_stage_bures_reference(fidelity_fn, value, delta=None):
         d, miss, resolved = tune(d, too_big)
         if not resolved:
             return orc.bures_qfi(miss, d), False
-        miss_half = 1.0 - fidelity_fn(value - 0.25 * d, value + 0.25 * d)
+        miss_half = 1.0 - fidelity_at(0.5 * d)
         if 0.2 <= miss_half / miss <= 0.3:
             g_full = orc.bures_qfi(miss, d)
             g_half = orc.bures_qfi(miss_half, 0.5 * d)
@@ -329,15 +329,14 @@ def _two_stage_bures_reference(fidelity_fn, value, delta=None):
 
 
 def _cos2(k):
-    return lambda v_lo, v_hi: math.cos(k * (v_hi - v_lo)) ** 2
+    return lambda d: math.cos(k * d) ** 2
 
 
-def _grown_into_revival(v_lo, v_hi):
+def _grown_into_revival(d):
     """1 - F = 4e5 d^2 up to d = 3e-6, 0.5 up to 6e-6, then a revival at
     5e-3.  From 1e-6 (below the window) the search grows to 8e-6, whose
     drop fails the d^2 check; the re-search below it starts above the
     window at 4e-6 and must not bisect towards the stale lower offset 1e-6."""
-    d = v_hi - v_lo
     return 1.0 - (4e5 * d * d if d <= 3e-6 else 0.5 if d <= 6e-6 else 5e-3)
 
 
@@ -350,7 +349,7 @@ _BURES_CASES = {
     "revival": (_cos2((math.pi + 0.06) / 1e-6), 0.0, None),
     "revival_start": (_cos2((math.pi + 0.06) / 4e-4), 9.81, 4e-4),
     "revival_after_growth": (_grown_into_revival, 0.0, None),
-    "constant": (lambda v_lo, v_hi: 1.0, 0.0, None),
+    "constant": (lambda d: 1.0, 0.0, None),
 }
 
 
@@ -362,9 +361,9 @@ def test_richardson_asks_for_the_two_stage_offsets(name):
     asked = {"new": [], "ref": []}
 
     def recording(key):
-        def fn(v_lo, v_hi):
-            asked[key].append((v_lo, v_hi))
-            return fid(v_lo, v_hi)
+        def fn(d):
+            asked[key].append(d)
+            return fid(d)
         return fn
 
     got = orc.richardson_bures_qfi(recording("new"), value, delta)
@@ -376,7 +375,7 @@ def test_richardson_asks_for_the_two_stage_offsets(name):
 
 def test_richardson_unplaceable_drop_raises():
     with pytest.raises(orc.OracleError, match="no offset"):
-        orc.richardson_bures_qfi(lambda v_lo, v_hi: math.nan, 1.0)
+        orc.richardson_bures_qfi(lambda d: math.nan, 1.0)
 
 
 def test_grid_refinement_convergence(sr88_10s):
