@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g
 from .gaussian import wrap_angle
-from .oracle import Grid, GridWavefunction, fidelity, richardson_bures_qfi
+from .oracle import Grid, GridWavefunction, bures_miss, richardson_bures_qfi
 
 _LD = np.longdouble
 
@@ -662,7 +662,7 @@ def bouncer_qfi_longtime(params: PhysicalParams, n_max: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Grid rendering of the spectral state (for the fidelity oracle)
+# Grid rendering of the spectral state (for the Bures oracle)
 # ---------------------------------------------------------------------------
 
 def bouncer_grid(params: PhysicalParams, projection: BouncerProjection,
@@ -785,7 +785,7 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
 
 
 def bouncer_qfi_numeric(params: PhysicalParams, n_max: int | None = None) -> float:
-    """Fidelity QFI of the state rendered at t = dt (the dt^2 oracle).
+    """Bures QFI (``oracle.bures_miss``) of the state rendered at t = dt (the dt^2 oracle).
 
     An offset d renders the stencil g -+ d/2, g -+ d/4 as one family (see
     ``render_spectral``); its g -+ d/4 pair answers the d/2 call that follows,
@@ -799,16 +799,16 @@ def bouncer_qfi_numeric(params: PhysicalParams, n_max: int | None = None) -> flo
     delta = 2.0 * math.sqrt(2e-4 / guess) if guess > 0 else None
     pairs = {}       # offset -> its two states, from the last family rendered
 
-    def fidelity_at(d: float) -> float:
+    def miss_at(d: float) -> float:
         if d not in pairs:
             family = [(g, bouncer_coefficients(params.replace(g=g), center.spectrum.n_max))
                       for g in (params.g + d * np.array([-0.5, 0.5, -0.25, 0.25])).tolist()]
             states = render_spectral(params, family, params.dt, grid, ref)
             pairs.clear()
             pairs.update({d: states[:2], 0.5 * d: states[2:]})
-        return fidelity(*pairs[d])
+        return bures_miss(*pairs[d])
 
-    qfi, resolved = richardson_bures_qfi(fidelity_at, params.g, delta)
+    qfi, resolved = richardson_bures_qfi(miss_at, params.g, delta)
     if not resolved:
         warnings.warn("bouncer QFI below fidelity resolution", stacklevel=2)
     return qfi

@@ -1,6 +1,6 @@
 """Batch front end: scenario runs, parameter sweeps, scaling fits.
 
-Subcommands (exit codes: 0 ok, 2 config error, 3 numerical error or non-finite value):
+Subcommands (exit codes: 0 ok, 2 config error or bad path, 3 numerical error or non-finite value):
 
     gravclock run   --config cfg [--out dir] [--methods closed,oracle] [--ablate-time-dilation]
     gravclock sweep --config cfg --var dt --from 1 --to 100 --points 20 --log [...]
@@ -52,6 +52,7 @@ from .core import (
     check_regime,
     load_config,
     params_from_config,
+    read_text,
     require_bouncer_g,
 )
 
@@ -246,7 +247,7 @@ def write_sweep_csv(rows: list[SweepRow], path: Path) -> None:
 
 
 def read_table(path: Path) -> dict[str, list]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ConfigError(f"empty table {path}")
     header = lines[0].split(",")
@@ -367,10 +368,13 @@ def _build_scenario_config(args) -> ScenarioConfig:
             raise ConfigError(f"bouncer.n_max needs an integer >= 1, "
                               f"got {cfg_map['bouncer.n_max']!r}")
         n_max = int(number)
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         scenario=scenario, target=target, params=params, methods=methods,
         sweep=sweep, out_dir=Path(args.out) if args.out else None, n_max=n_max,
     )
+    if cfg.out_dir is not None:     # an unusable path fails here, before any numerics
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg
 
 
 def _cmd_run(args) -> int:
@@ -378,7 +382,6 @@ def _cmd_run(args) -> int:
     report = run_single(cfg)
     text = report.to_json()
     if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         (cfg.out_dir / "report.json").write_text(text + "\n")
     print(text)
     return 0
@@ -386,12 +389,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_scenario_config(args)
-    if cfg.sweep is None:
-        raise ConfigError("sweep requires --var/--from/--to/--points")
     rows = run_sweep(cfg)
-    out_dir = cfg.out_dir if cfg.out_dir is not None else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "sweep.csv"
+    path = (cfg.out_dir if cfg.out_dir is not None else Path(".")) / "sweep.csv"
     write_sweep_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -467,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_fit(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:     # an OSError names its path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -387,11 +387,18 @@ _NUMERIC_KEYS = {
 _STRING_KEYS = {"scenario.name", "scenario.target"}
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; text that is not UTF-8 is a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file ('#' starts a comment)."""
-    text = Path(path).read_text()
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

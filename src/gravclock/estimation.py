@@ -311,9 +311,9 @@ def _parametric_qfi_at(scenario: Scenario, v0: float, step: float,
     s_pd = 0.0j
     for j, bj in enumerate(comps):
         for k, bk in enumerate(comps):
-            pm = PairMoments(bj, bk)
-            if pm.orthogonal:
+            if bj.internal_level != bk.internal_level:
                 continue
+            pm = PairMoments(bj, bk)
             s_dd += pm.braket(polys[j], polys[k])
             s_pd += pm.braket([bj.amplitude], polys[k])
     return 4.0 * (s_dd.real - abs(s_pd) ** 2)

@@ -346,7 +346,7 @@ def evolve_state(state: ClockState, params: PhysicalParams,
 # ---------------------------------------------------------------------------
 
 class PairMoments:
-    """Closed-form integrals over a pair of branches.
+    """Closed-form integrals over a pair of branches of one internal level.
 
     conj(psi_a) psi_b = C exp(-alpha u^2 + beta u) in the shifted
     coordinate u = x - (X_a + X_b)/2, so any <P_a psi_a | P_b psi_b> with
@@ -355,20 +355,11 @@ class PairMoments:
     computed in extended precision and wrapped once.
     """
 
-    __slots__ = ("overlap", "_mu", "_s2", "off_a", "off_b", "orthogonal")
+    __slots__ = ("overlap", "_mu", "_s2", "off_a", "off_b")
 
     def __init__(self, a: GaussianBranch, b: GaussianBranch) -> None:
-        if a.internal_level != b.internal_level:
-            self.orthogonal = True
-            self.overlap = 0.0j
-            self._mu = 0.0j
-            self._s2 = 0.0j
-            self.off_a = 0.0
-            self.off_b = 0.0
-            return
-        self.orthogonal = False
-        if a.ledger.x_ref != b.ledger.x_ref:
-            raise ValueError("pair moments require a common ledger x_ref")
+        if a.internal_level != b.internal_level or a.ledger.x_ref != b.ledger.x_ref:
+            raise ValueError("pair moments require one internal level and a common ledger x_ref")
         d = b.mean_x - a.mean_x
         x_mid = 0.5 * (a.mean_x + b.mean_x)
         inv4a = 1.0 / (4.0 * a.var_x)
@@ -398,8 +389,6 @@ class PairMoments:
 
     def expect_u(self, coeffs) -> complex:
         """overlap * E[poly(u)] for poly given by ascending coeffs in u."""
-        if self.orthogonal:
-            return 0.0j
         mu, s2 = self._mu, self._s2
         # E[u^k] for the shifted complex Gaussian, k = 0..4.
         moments = (
@@ -422,8 +411,6 @@ class PairMoments:
         ``poly_a``/``poly_b`` are ascending coefficients in (x - X_a) and
         (x - X_b); conjugation of P_a is applied here.
         """
-        if self.orthogonal:
-            return 0.0j
         pa = _shift_poly([c.conjugate() for c in poly_a], self.off_a)
         pb = _shift_poly(poly_b, self.off_b)
         prod = [0j] * (len(pa) + len(pb) - 1)
@@ -450,7 +437,7 @@ def overlap(a: GaussianBranch, b: GaussianBranch) -> complex:
     Zero across internal levels; includes envelope separation, linear
     and quadratic phases, and the extended-precision ledger difference.
     """
-    return PairMoments(a, b).overlap
+    return PairMoments(a, b).overlap if a.internal_level == b.internal_level else 0j
 
 
 def state_norm_sq(state: ClockState) -> float:
@@ -460,8 +447,6 @@ def state_norm_sq(state: ClockState) -> float:
     for j, a in enumerate(comps):
         total += abs(a.amplitude) ** 2
         for b in comps[j + 1:]:
-            if a.internal_level != b.internal_level:
-                continue
             total += 2.0 * (np.conj(a.amplitude) * b.amplitude * overlap(a, b)).real
     return float(total.real)
 

@@ -2,8 +2,8 @@
 
 Every Gaussian-algebra result in this package can be recomputed here the
 dumb way: sample the wavefunction on a uniform grid, take trapezoid
-inner products, and get the QFI from the fidelity drop between two
-nearby parameter values (the Bures expansion ``1 - F ~ G d^2 / 4``).
+inner products, and get the QFI from the Bures amplitude miss between
+two nearby parameter values (1 - |<a|b>| ~ G d^2 / 8 for unit states).
 Nothing in this module reuses the closed-form overlap or QFI paths
 (``PairMoments``, ``overlap``), so agreement is evidence, not tautology.
 
@@ -23,8 +23,8 @@ envelope there is e^(-8.5^2/4) ~ 1.4e-8 of its peak, and the rest of
 the grid stays exactly zero.  ``gaussian.wavefunction_values`` stays the arbitrary-x
 reference sampler; the renderer does not use it.
 
-The fidelity |<a|b>|^2 / (<a|a><b|b>) comes from three trapezoid sums
-over both level channels, with no normalized copies.  The QFI comes from
+The amplitude miss 1 - |<a|b>| / (|a| |b|) is a trapezoid sum of squares
+over both level channels, never a subtraction from 1.  The QFI comes from
 one bisection on the offset d: it accepts the first d whose drop lies in
 the Bures window and quarters when d is halved (a drop taken past a
 fidelity revival fails that check and bounds the search from above), and
@@ -50,7 +50,6 @@ from .gaussian import (
 )
 
 _LD = np.longdouble
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 # Half-width of a branch's evaluation window, in widths (see the module
 # docstring); grid_for_states pads by the same amount.
@@ -112,15 +111,24 @@ class GridWavefunction:
     channels: np.ndarray      # complex, shape (2, n_points)
 
     def norm_sq(self) -> float:
-        return self.inner(self).real
+        f = self.channels.view(float).reshape(2, -1, 2)
+        return self.grid.spacing * _trapezoid(f, f)
 
     def inner(self, other: "GridWavefunction") -> complex:
-        """Trapezoid <self|other>, summed over both level channels."""
+        """Trapezoid <self|other> over both level channels, as float sums: <a|a> is real."""
         if self.grid != other.grid:
             raise GridError("inner product requires a common grid")
-        prod = np.conj(self.channels) * other.channels
-        ends = prod[:, 0].sum() + prod[:, -1].sum()
-        return complex(self.grid.spacing * (prod.sum() - 0.5 * ends))
+        a, b = (w.channels.view(float).reshape(2, -1, 2) for w in (self, other))
+        im = _trapezoid(a[..., :1], b[..., 1:]) - _trapezoid(a[..., 1:], b[..., :1])
+        return self.grid.spacing * complex(_trapezoid(a, b), im)
+
+
+def _trapezoid(u: np.ndarray, v: np.ndarray) -> float:
+    """Unit-spacing trapezoid sum of u v along axis 1 of (level, point, part)
+    float arrays: fused np.einsum sums, never a BLAS reduction."""
+    ends = slice(None, None, u.shape[1] - 1)
+    total, edges = (np.einsum("lkc,lkc->", p, q) for p, q in ((u, v), (u[:, ends], v[:, ends])))
+    return float(total - 0.5 * edges)
 
 
 def _branch_window(branch: GaussianBranch, grid: Grid) -> tuple[slice, np.ndarray]:
@@ -172,33 +180,27 @@ def render(state: ClockState, grid: Grid) -> GridWavefunction:
     return GridWavefunction(grid, channels)
 
 
-def fidelity(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
-    """|<a|b>|^2 / (<a|a> <b|b>), channel sum inside each bracket."""
-    return abs(psi_a.inner(psi_b)) ** 2 / (psi_a.norm_sq() * psi_b.norm_sq())
+def bures_miss(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
+    """Bures amplitude miss 1 - |<a|b>| / (|a| |b|) as (1/2) |a^ - e^(-i arg<a|b>) b^|^2 of the
+    normalized states: a sum of squares, never negative and exactly 0 for a state against itself."""
+    # |a^ - u b^|^2 = |a - u (|a| / |b|) b|^2 / |a|^2, u = e^(-i arg<a|b>): one scaled copy of b.
+    norm_sq_a, unit = psi_a.norm_sq(), np.exp(-1j * np.angle(psi_a.inner(psi_b)))
+    diff = psi_b.channels * (-unit * math.sqrt(norm_sq_a / psi_b.norm_sq())) + psi_a.channels
+    return 0.5 * GridWavefunction(psi_a.grid, diff).norm_sq() / norm_sq_a
 
 
-def bures_qfi(one_minus_f: float, delta: float) -> float:
-    """QFI estimate from a fidelity drop over a parameter offset delta.
-
-    Bures relation for pure states: 1 - |<a|b>| = G d^2 / 8, so with the
-    squared fidelity F = |<a|b>|^2 the estimator is 8 (1 - sqrt(F)) / d^2.
-    """
-    amp_miss = 1.0 - math.sqrt(max(1.0 - one_minus_f, 0.0))
-    return 8.0 * amp_miss / (delta * delta)
-
-
-def richardson_bures_qfi(fidelity_at, value: float,
+def richardson_bures_qfi(miss_at, value: float,
                          delta: float | None = None) -> tuple[float, bool]:
-    """Bures QFI at ``value`` from ``fidelity_at(d)`` = F(value - d/2, value + d/2).
+    """Bures QFI at ``value`` from ``miss_at(d)``, the :func:`bures_miss` m at value -+ d/2.
 
     One geometric bisection on the offset d, starting at ``delta`` (default
-    1e-6 relative), looks for a drop 1 - F inside [1e-6, 1e-2] that also
+    1e-6 relative), looks for a drop 1 - F = m (2 - m) in [1e-6, 1e-2] that also
     shows the Bures scaling: the drop at d/2, asked for right after d (a caller
     may render both stencils at once), must be a quarter of it (0.2 to 0.3).
     An offset whose drop fails that check lies past the quadratic regime,
     typically on a fidelity revival; it becomes the upper bracket, and the
-    search restarts from d/2 below it.  An accepted pair gives the
-    Richardson combination (4 G(d/2) - G(d)) / 3.  Weakly coupled
+    search restarts from d/2 below it.  An accepted pair gives the Richardson
+    combination (4 G(d/2) - G(d)) / 3 of G = 8 m / d^2.  Weakly coupled
     parameters legitimately need huge offsets to produce a resolvable
     drop (their phases stay tiny, so the Bures quadratic regime extends);
     only a truly parameter-independent state exhausts the offset cap, and
@@ -210,43 +212,42 @@ def richardson_bures_qfi(fidelity_at, value: float,
     d_small = None   # largest offset known to sit below the window
     d_big = None     # smallest offset known to sit above it or to fail the check
     for _ in range(60):
-        miss = 1.0 - fidelity_at(d)
-        if lo <= miss <= hi:
-            miss_half = 1.0 - fidelity_at(0.5 * d)
-            if 0.2 <= miss_half / miss <= 0.3:
-                g_full = bures_qfi(miss, d)
-                g_half = bures_qfi(miss_half, 0.5 * d)
-                return (4.0 * g_half - g_full) / 3.0, True
+        miss = miss_at(d)
+        drop = miss * (2.0 - miss)
+        if lo <= drop <= hi:
+            miss_half = miss_at(0.5 * d)
+            if 0.2 <= miss_half * (2.0 - miss_half) / drop <= 0.3:
+                return 8.0 * (16.0 * miss_half - miss) / (3.0 * d * d), True
             d_big, d_small, d = d, None, 0.5 * d
-        elif miss < lo:
+        elif drop < lo:
             if d >= delta_cap:
-                return bures_qfi(miss, d), False
+                return 8.0 * miss / (d * d), False
             d_small = d
             d = min(d * 8.0 if d_big is None else math.sqrt(d * d_big), delta_cap)
         else:
             d_big = d
             d = d / 8.0 if d_small is None else math.sqrt(d * d_small)
     raise OracleError(f"no offset among 60 put 1-F in [{lo:g}, {hi:g}] with the Bures "
-                      f"d^2 scaling; the last gave 1-F = {miss:g}")
+                      f"d^2 scaling; the last gave 1-F = {drop:g}")
 
 
 def qfi_numeric(scenario: Scenario, delta: float | None = None,
                 n_points: int = 2**16) -> float:
-    """Fidelity-based QFI: G = 8 (1 - F(v - d/2, v + d/2)) / d^2.
+    """Bures QFI from the grid: G = 8 m / d^2, m = 1 - |<psi(v - d/2)|psi(v + d/2)>|.
 
     The offset is auto-tuned and checked by :func:`richardson_bures_qfi`.
-    Each fidelity evaluation renders both perturbed states on one shared
-    grid.
+    Each miss evaluation (:func:`bures_miss`) renders both perturbed states
+    on one shared grid.
     """
     value = scenario.value()
 
-    def fidelity_at(d: float) -> float:
+    def miss_at(d: float) -> float:
         s_lo = scenario.make_state(value - 0.5 * d)
         s_hi = scenario.make_state(value + 0.5 * d)
         grid = grid_for_states(s_lo, s_hi, n_points=n_points)
-        return fidelity(render(s_lo, grid), render(s_hi, grid))
+        return bures_miss(render(s_lo, grid), render(s_hi, grid))
 
-    qfi, resolved = richardson_bures_qfi(fidelity_at, value, delta)
+    qfi, resolved = richardson_bures_qfi(miss_at, value, delta)
     if not resolved:
         warnings.warn("parameter sensitivity below fidelity resolution; "
                       "returning the below-window Bures estimate", stacklevel=2)
@@ -273,13 +274,9 @@ def detector_wavefunctions(params: PhysicalParams, scenario: str,
 
 def probabilities_numeric(psi: GridWavefunction, params: PhysicalParams,
                           scenario: str = "free_fall") -> tuple[float, float]:
-    """Detector probabilities by quadrature projection, per level channel."""
-    d_plus, d_minus = detector_wavefunctions(params, scenario, psi.grid)
-    dx = psi.grid.spacing
-    p = [0.0, 0.0]
-    for idx, det in enumerate((d_plus, d_minus)):
-        for level in range(2):
-            amp = complex(_trapz(np.conj(det) * psi.channels[level], dx=dx))
-            p[idx] += abs(amp) ** 2
-    return p[0], p[1]
+    """Detector probabilities by quadrature projection (``inner``), per level channel."""
+    zero = np.zeros(psi.grid.n_points, dtype=complex)
+    return tuple(sum(abs(GridWavefunction(psi.grid, np.stack(rows)).inner(psi)) ** 2
+                     for rows in ((det, zero), (zero, det)))
+                 for det in detector_wavefunctions(params, scenario, psi.grid))
 

@@ -193,7 +193,7 @@ def test_criterion_8_bouncer_suite(bouncer_params):
     # Free fall on the same parameters scales strictly faster.
     ff_slope, _e = cli.fit_scaling(
         ts, [est.qfi_ff_closed(p.replace(dt=float(t))) for t in ts])
-    # Grid-fidelity QFI against the spectral closed form.
+    # Grid Bures QFI against the spectral closed form.
     closed = bc.bouncer_qfi_longtime(p)
     numeric = bc.bouncer_qfi_numeric(p)
     rel = abs(numeric - closed) / closed

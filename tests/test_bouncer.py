@@ -744,22 +744,23 @@ def test_render_splits_state_whose_levels_fail_taylor_bound(bouncer_params):
 
 
 def test_bouncer_oracle_regression_pin(bouncer_params):
-    """The grid-fidelity oracle on configs/bouncer.cfg, pinned to 1e-10.
+    """The grid Bures oracle on configs/bouncer.cfg, pinned to 1e-13.
 
-    Not pinned exactly: the oracle's float noise floor is ~1e-12 relative.
-    The first Bures offset puts 1 - F at 2e-4, so rounding in F is
-    amplified by 1 / (1 - F): rendering the stencil from one Taylor-shifted
-    basis instead of one direct basis per state and level moved the value
-    by 5.2e-12 relative.  The render is held to the per-row render by
+    The amplitude miss is a sum of squares, so rounding in the rendered
+    channels is not amplified: a 1-ulp relative perturbation of every
+    channel moves the value ~1e-15 (test_oracle_rounding_noise_floor).
+    Computed from the fidelity F, the floor was ~1e-12 and the pin 1e-10;
+    the miss form moved the value from 933959.1754951946 (9.1e-12).
+    The render is held to the per-row render by
     test_render_spectral_bit_identical_to_per_row_reference.
     """
-    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.175490357, rel=1e-10)
+    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1754866797, rel=1e-13)
 
 
 def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
     """One oracle run on configs/bouncer.cfg renders the stencil g -+ d/2,
     g -+ d/4 as one family, fills it with one ai_rows call per 12-row chunk
-    of the kept rows, and asks the fidelity for exactly d, then d/2."""
+    of the kept rows, and asks the miss for exactly d, then d/2."""
     families, offsets, chunks = [], [], []
     render, ai_rows, richardson = bc.render_spectral, bc.AiryEngine.ai_rows, bc.richardson_bures_qfi
 
@@ -771,8 +772,8 @@ def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
         chunks.append(args[1].size)
         return ai_rows(self, *args)
 
-    def recording_richardson(fidelity_at, value, delta):
-        return richardson(lambda d: offsets.append(d) or fidelity_at(d), value, delta)
+    def recording_richardson(miss_at, value, delta):
+        return richardson(lambda d: offsets.append(d) or miss_at(d), value, delta)
 
     monkeypatch.setattr(bc, "render_spectral", counting_render)
     monkeypatch.setattr(bc.AiryEngine, "ai_rows", counting_ai_rows)

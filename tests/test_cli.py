@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import warnings
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravclock import cli, core, estimation as est
 
@@ -203,6 +206,39 @@ def test_bad_config_exit_2(tmp_path):
     cfg.write_text("physics.unknown = 3\n")
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_unreadable_input_path_exit_2(tmp_path, capsys, command, kind):
+    """A --config or --table that is a directory or not UTF-8 text is a
+    config error naming the path; it used to escape as IsADirectoryError or
+    UnicodeDecodeError (exit 1)."""
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"scenario.name = free_fall  # caf\xe9\n")
+    argv = (["run", "--config", str(path)] if command == "run"
+            else ["fit", "--table", str(path), "--column", "qfi_closed"])
+    assert cli.main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_path_is_a_file_exit_2_before_numerics(tmp_path, capsys, monkeypatch, command):
+    """An --out that names an existing file is a config error found before any
+    method runs; it used to raise FileExistsError (exit 1) after all of them."""
+    out = tmp_path / "taken"
+    out.write_text("")
+    evaluated = []
+    monkeypatch.setattr(cli, "_evaluate_methods", lambda *args: evaluated.append(args))
+    argv = [command, "--config", str(_write_ff_config(tmp_path)), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--var", "dt", "--from", "5", "--to", "10", "--points", "2"]
+    assert cli.main(argv) == 2
+    assert evaluated == []
+    assert str(out) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["time.dt_s = nan", "physics.g = inf"])
@@ -473,11 +509,12 @@ _EDGE_VALUES = ("0", "-0.0", "-1", "1e-30", "1e30", "-1e30", "5e-324", "1e300", 
                 "2.5", "1e4", "10001")
 
 
-def _config_with(name, key, value):
-    """The text of sample config ``name`` with ``key`` set to ``value``."""
+def _config_with(name, *settings):
+    """The text of sample config ``name`` with each (key, value) of ``settings`` set."""
+    keys = {key for key, _ in settings}
     lines = [line for line in (CONFIGS / name).read_text().splitlines()
-             if line.split("=", 1)[0].strip() != key]
-    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+             if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join([*lines, *(f"{key} = {value}" for key, value in settings)]) + "\n"
 
 
 def _strict_json(text):
@@ -500,7 +537,7 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, capsys):
         methods = "closed" if name == "bouncer.cfg" else "closed,parametric,reduced,fi"
         for key in core._NUMERIC_KEYS:
             for value in _EDGE_VALUES:
-                cfg.write_text(_config_with(name, key, value))
+                cfg.write_text(_config_with(name, (key, value)))
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     rc = cli.main(["run", "--config", str(cfg), "--methods", methods])
@@ -520,6 +557,55 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, capsys):
     assert bad == []
 
 
+_SAMPLE_CONFIGS = ("sr88_freefall.cfg", "sr88_mz.cfg", "bouncer.cfg")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(_SAMPLE_CONFIGS),
+       keys=st.lists(st.sampled_from(sorted(core._NUMERIC_KEYS)), min_size=2, max_size=2,
+                     unique=True),
+       values=st.lists(st.sampled_from(_EDGE_VALUES), min_size=2, max_size=2),
+       sweep=st.none() | st.tuples(
+           st.sampled_from(cli._SWEEP_VARS),
+           st.lists(st.sampled_from(_EDGE_VALUES), min_size=2, max_size=2,
+                    unique_by=float).map(lambda ends: sorted(ends, key=float)),
+           st.integers(2, 3), st.booleans()))
+def test_two_key_fuzz_exits_cleanly(tmp_path_factory, name, keys, values, sweep):
+    """Two numeric keys of a sample config set to edge values, run or swept in
+    process with analytic methods: the exit is 0, 2 or 3 with no uncaught
+    exception; exit 2 comes before any method runs; exit 0 reports only
+    finite numbers."""
+    base = tmp_path_factory.getbasetemp() / "fuzz"
+    base.mkdir(exist_ok=True)
+    (base / "fuzz.cfg").write_text(_config_with(name, *zip(keys, values)))
+    methods = "closed" if name == "bouncer.cfg" else "closed,parametric,reduced,fi"
+    argv = ["--config", str(base / "fuzz.cfg"), "--methods", methods, "--out", str(base / "out")]
+    if sweep is None:
+        argv = ["run", *argv]
+    else:
+        var, (start, stop), points, log = sweep
+        argv = ["sweep", *argv, "--var", var, f"--from={start}", f"--to={stop}",
+                "--points", str(points), *(["--log"] if log else [])]
+    evaluated = []
+    evaluate = cli._evaluate_methods
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        mp.setattr(cli, "_evaluate_methods", lambda *args: evaluated.append(args) or evaluate(*args))
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        assert evaluated == []
+    if rc == 0 and sweep is None:
+        report = _strict_json(out.getvalue())
+        assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+    elif rc == 0:
+        rows = (base / "out" / "sweep.csv").read_text().splitlines()[1:]
+        cells = [cell for row in rows for cell in row.split(",")[:-1] if cell]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+
+
 @pytest.mark.parametrize("name,key,value,column", [
     ("sr88_freefall.cfg", "physics.m_kg", "1e300", "qfi_closed"),
     ("sr88_mz.cfg", "geometry.x0_m", "1e300", "qfi_parametric"),
@@ -530,7 +616,7 @@ def test_non_finite_method_value_exit_3(tmp_path, capsys, name, key, value, colu
     """A method value that is not finite is a numerical error naming the
     method and its column; these runs used to exit 0 with NaN in the report."""
     cfg = tmp_path / "nan.cfg"
-    cfg.write_text(_config_with(name, key, value))
+    cfg.write_text(_config_with(name, (key, value)))
     methods = "closed" if name == "bouncer.cfg" else "closed,parametric,reduced,fi"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -547,7 +633,7 @@ def test_sweep_with_non_finite_point_exit_3_writes_no_csv(tmp_path, capsys):
     """A sweep point whose value is not finite fails the sweep; it used to
     write nan cells."""
     cfg = tmp_path / "nan.cfg"
-    cfg.write_text(_config_with("sr88_freefall.cfg", "physics.m_kg", "1e300"))
+    cfg.write_text(_config_with("sr88_freefall.cfg", ("physics.m_kg", "1e300")))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rc = cli.main(["sweep", "--config", str(cfg), "--var", "dt", "--from", "5",

@@ -328,6 +328,14 @@ def test_overlap_levels_orthogonal(sr88_10s):
     assert ga.overlap(state.branch("plus", 0), state.branch("plus", 1)) == 0.0
 
 
+def test_pair_moments_refuse_cross_level_pair(sr88_10s):
+    """Branches of different levels are orthogonal: callers skip the pair, and
+    building its moments raises, as a mismatched ledger x_ref does."""
+    state = ga.evolve_state(ga.make_initial_state(sr88_10s), sr88_10s, "free_fall")
+    with pytest.raises(ValueError, match="one internal level"):
+        ga.PairMoments(state.branch("plus", 0), state.branch("plus", 1))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_overlap_conjugate_symmetry(seed):

@@ -1,4 +1,4 @@
-"""Grid rendering, quadrature overlaps, fidelity QFI, projected probabilities."""
+"""Grid rendering, quadrature overlaps, Bures miss and QFI, projected probabilities."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from gravclock import core, estimation as est, gaussian as ga, oracle as orc
+from gravclock import bouncer as bc, cli, core, estimation as est, gaussian as ga, oracle as orc
+
+from conftest import CONFIG_DIR
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -180,16 +182,18 @@ def test_oracle_vs_closed_at_30s_anchor(crosscheck_params):
 
 
 # ---------------------------------------------------------------------------
-# Fidelity
+# Bures miss
 # ---------------------------------------------------------------------------
 
 def test_fidelity_self_unity(sr88_10s):
+    """A state against itself misses by exactly 0 (F = 1)."""
     state = ga.make_initial_state(sr88_10s)
     psi = orc.render(state, orc.grid_for_states(state, n_points=2**12))
-    assert orc.fidelity(psi, psi) == pytest.approx(1.0, abs=1e-10)
+    assert orc.bures_miss(psi, psi) == 0.0
 
 
 def test_fidelity_disjoint_channels_zero(sr88_10s):
+    """Orthogonal level channels: |<a|b>| = 0 (F = 0), so the miss is 1."""
     p = sr88_10s
     b0 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus,
                            p.sigma**2, 0.0, 0, "plus")
@@ -197,7 +201,7 @@ def test_fidelity_disjoint_channels_zero(sr88_10s):
                            p.sigma**2, 0.0, 1, "plus")
     s0, s1 = ga.ClockState((b0,)), ga.ClockState((b1,))
     grid = orc.grid_for_states(s0, s1, n_points=2**12)
-    assert orc.fidelity(orc.render(s0, grid), orc.render(s1, grid)) == pytest.approx(0.0, abs=1e-10)
+    assert orc.bures_miss(orc.render(s0, grid), orc.render(s1, grid)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_grid_mismatch_error(sr88_10s):
@@ -209,18 +213,18 @@ def test_fidelity_grid_mismatch_error(sr88_10s):
 
 
 def test_bures_expansion_against_closed_qfi(sr88_10s):
-    """1 - sqrt(F) tracks G d^2 / 8 for a small parameter offset."""
+    """The amplitude miss 1 - |<a|b>| tracks G d^2 / 8 for a small parameter offset."""
     sc = est.Scenario("free_fall", sr88_10s, "g")
     g_closed = est.qfi_ff_closed(sr88_10s)
     d = 2.0e-10
     s_lo, s_hi = sc.make_state(sr88_10s.g - d / 2), sc.make_state(sr88_10s.g + d / 2)
     grid = orc.grid_for_states(s_lo, s_hi)
-    f = orc.fidelity(orc.render(s_lo, grid), orc.render(s_hi, grid))
-    assert 1.0 - math.sqrt(f) == pytest.approx(g_closed * d * d / 8.0, rel=1e-3)
+    miss = orc.bures_miss(orc.render(s_lo, grid), orc.render(s_hi, grid))
+    assert miss == pytest.approx(g_closed * d * d / 8.0, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
-# Fidelity QFI
+# Bures QFI
 # ---------------------------------------------------------------------------
 
 def test_qfi_numeric_phase_family(sr88_10s):
@@ -275,25 +279,26 @@ def test_qfi_numeric_past_fidelity_revival(kw):
 
 
 def test_richardson_rejects_fidelity_revival():
-    """F = cos^2(k d) has G = 4 k^2; the first offset tried, 1e-6, sits just
+    """|<a|b>| = |cos(k d)| has G = 4 k^2; the first offset tried, 1e-6, sits just
     past the revival at k d = pi, where 1 - F = 3.6e-3 is inside the window."""
     k = (math.pi + 0.06) / 1e-6
     calls = []
 
-    def fid(d):
+    def miss(d):
         calls.append(d)
-        return math.cos(k * d) ** 2
+        return 1.0 - abs(math.cos(k * d))
 
-    qfi, resolved = orc.richardson_bures_qfi(fid, 0.0)
+    qfi, resolved = orc.richardson_bures_qfi(miss, 0.0)
     assert resolved
     assert qfi == pytest.approx(4.0 * k * k, rel=1e-6)
     assert max(calls[2:]) < 1e-6
 
 
-def _two_stage_bures_reference(fidelity_at, value, delta=None):
+def _two_stage_bures_reference(miss_at, value, delta=None):
     """The earlier two-stage offset search, kept as a reference: an inner
-    bisection for a drop inside [1e-6, 1e-2], then the d/2 scaling check,
-    re-searching below every offset that fails it."""
+    bisection for a drop 1 - F = m (2 - m) inside [1e-6, 1e-2], then the d/2
+    scaling check, re-searching below every offset that fails it; each
+    amplitude miss m gives G = 8 m / d^2."""
 
     def tune(d, too_big):
         lo, hi = 1e-6, 1e-2
@@ -301,10 +306,11 @@ def _two_stage_bures_reference(fidelity_at, value, delta=None):
         d = min(d if d is not None else 1e-6 * max(abs(value), 1.0), delta_cap)
         d_small, d_big = None, too_big
         for _ in range(40):
-            miss = 1.0 - fidelity_at(d)
-            if lo <= miss <= hi:
+            miss = miss_at(d)
+            drop = miss * (2.0 - miss)
+            if lo <= drop <= hi:
                 return d, miss, True
-            if miss < lo:
+            if drop < lo:
                 if d >= delta_cap:
                     return d, miss, False
                 d_small = d
@@ -318,29 +324,28 @@ def _two_stage_bures_reference(fidelity_at, value, delta=None):
     for _ in range(20):
         d, miss, resolved = tune(d, too_big)
         if not resolved:
-            return orc.bures_qfi(miss, d), False
-        miss_half = 1.0 - fidelity_at(0.5 * d)
-        if 0.2 <= miss_half / miss <= 0.3:
-            g_full = orc.bures_qfi(miss, d)
-            g_half = orc.bures_qfi(miss_half, 0.5 * d)
-            return (4.0 * g_half - g_full) / 3.0, True
+            return 8.0 * miss / (d * d), False
+        miss_half = miss_at(0.5 * d)
+        if 0.2 <= miss_half * (2.0 - miss_half) / (miss * (2.0 - miss)) <= 0.3:
+            return 8.0 * (16.0 * miss_half - miss) / (3.0 * d * d), True
         too_big, d = d, 0.5 * d
     raise orc.OracleError("outer search exhausted")
 
 
 def _cos2(k):
-    return lambda d: math.cos(k * d) ** 2
+    """The miss of F = cos^2(k d): m = 1 - |cos(k d)|."""
+    return lambda d: 1.0 - abs(math.cos(k * d))
 
 
 def _grown_into_revival(d):
-    """1 - F = 4e5 d^2 up to d = 3e-6, 0.5 up to 6e-6, then a revival at
-    5e-3.  From 1e-6 (below the window) the search grows to 8e-6, whose
-    drop fails the d^2 check; the re-search below it starts above the
+    """The miss of 1 - F = 4e5 d^2 up to d = 3e-6, 0.5 up to 6e-6, then a
+    revival at 5e-3.  From 1e-6 (below the window) the search grows to 8e-6,
+    whose drop fails the d^2 check; the re-search below it starts above the
     window at 4e-6 and must not bisect towards the stale lower offset 1e-6."""
-    return 1.0 - (4e5 * d * d if d <= 3e-6 else 0.5 if d <= 6e-6 else 5e-3)
+    return 1.0 - math.sqrt(1.0 - (4e5 * d * d if d <= 3e-6 else 0.5 if d <= 6e-6 else 5e-3))
 
 
-# (fidelity, value, start delta): F = cos^2(k d) has G = 4 k^2.  The
+# (miss, value, start delta): F = cos^2(k d) has G = 4 k^2.  The
 # revival cases put the first offset just past k d = pi, where 1 - F =
 # 3.6e-3 is inside the window but fails the d^2 check.
 _BURES_CASES = {
@@ -349,21 +354,21 @@ _BURES_CASES = {
     "revival": (_cos2((math.pi + 0.06) / 1e-6), 0.0, None),
     "revival_start": (_cos2((math.pi + 0.06) / 4e-4), 9.81, 4e-4),
     "revival_after_growth": (_grown_into_revival, 0.0, None),
-    "constant": (lambda d: 1.0, 0.0, None),
+    "constant": (lambda d: 0.0, 0.0, None),
 }
 
 
 @pytest.mark.parametrize("name", list(_BURES_CASES))
 def test_richardson_asks_for_the_two_stage_offsets(name):
     """The one-loop search returns what the two-stage search returned and
-    asks the fidelity for the same offsets, in the same order."""
-    fid, value, delta = _BURES_CASES[name]
+    asks the miss for the same offsets, in the same order."""
+    miss, value, delta = _BURES_CASES[name]
     asked = {"new": [], "ref": []}
 
     def recording(key):
         def fn(d):
             asked[key].append(d)
-            return fid(d)
+            return miss(d)
         return fn
 
     got = orc.richardson_bures_qfi(recording("new"), value, delta)
@@ -379,15 +384,75 @@ def test_richardson_unplaceable_drop_raises():
 
 
 def test_grid_refinement_convergence(sr88_10s):
-    """Halving the spacing moves the reported fidelity by < 1e-6 relative."""
+    """Halving the spacing moves the amplitude miss by < 1e-6 relative."""
     sc = est.Scenario("free_fall", sr88_10s, "g")
     d = 3.0e-10
     vals = []
     for n in (2**15, 2**16):
         s_lo, s_hi = sc.make_state(sr88_10s.g - d / 2), sc.make_state(sr88_10s.g + d / 2)
         grid = orc.grid_for_states(s_lo, s_hi, n_points=n)
-        vals.append(orc.fidelity(orc.render(s_lo, grid), orc.render(s_hi, grid)))
+        vals.append(orc.bures_miss(orc.render(s_lo, grid), orc.render(s_hi, grid)))
     assert abs(vals[1] - vals[0]) / vals[1] < 1e-6
+
+
+# Sample configs for the whole-oracle checks: (config, overrides, the miss
+# evaluations its offset search makes, as when the oracle computed F).
+_SAMPLE_ORACLES = {
+    "sr88_freefall": ("sr88_freefall.cfg", {}, 7),
+    "sr88_mz": ("sr88_mz.cfg", {}, 11),
+    "bouncer_dt_0.1": ("bouncer.cfg", {"time.dt_s": "0.1"}, 2),
+}
+
+
+def _sample_scenario(name, overrides=None):
+    cfg = {**core.load_config(CONFIG_DIR / name), **(overrides or {})}
+    return est.Scenario(cfg["scenario.name"], core.params_from_config(cfg), cfg["scenario.target"])
+
+
+@pytest.mark.parametrize("case", list(_SAMPLE_ORACLES))
+def test_oracle_rounding_noise_floor(case, monkeypatch):
+    """Multiplying every rendered channel by 1 + 2e-16 N(0, 1) moves qfi_oracle
+    by at most 1e-14 relative (4 seeds): the miss is a sum of squares, with no
+    subtraction from 1.  Computed from F, the free-fall and bouncer values
+    moved ~6e-12.  The oracle runs once, recording the states behind every
+    offset it asks for; each seed replays the same search on perturbed copies."""
+    name, overrides, n_asked = _SAMPLE_ORACLES[case]
+    scenario = _sample_scenario(name, overrides)
+    search, miss = orc.richardson_bures_qfi, orc.bures_miss
+    asked, pairs, args = [], {}, []
+
+    def recording_search(miss_at, value, delta):
+        args.extend((value, delta))
+        return search(lambda d: asked.append(d) or miss_at(d), value, delta)
+
+    def recording_miss(psi_a, psi_b):
+        pairs[asked[-1]] = (psi_a, psi_b)
+        return miss(psi_a, psi_b)
+
+    for module in (orc, bc):
+        monkeypatch.setattr(module, "richardson_bures_qfi", recording_search)
+        monkeypatch.setattr(module, "bures_miss", recording_miss)
+    qfi = cli.ROUTES[scenario.kind]["oracle"][0][1](scenario, None)
+    assert len(asked) == n_asked
+    assert search(lambda d: miss(*pairs[d]), *args) == (qfi, True)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+
+        def noisy(psi):
+            scale = 1.0 + 2e-16 * rng.standard_normal(psi.channels.shape)
+            return orc.GridWavefunction(psi.grid, psi.channels * scale)
+
+        got, resolved = search(lambda d: miss(*map(noisy, pairs[d])), *args)
+        assert resolved
+        assert abs(got - qfi) <= 1e-14 * abs(qfi)
+
+
+def test_mz_oracle_matches_closed_form():
+    """On configs/sr88_mz.cfg the states differ only in phase; the miss puts
+    the oracle within 1e-11 of the closed form (1.3e-10 when computed from F)."""
+    scenario = _sample_scenario("sr88_mz.cfg")
+    closed = est.closed_qfi(scenario)
+    assert abs(orc.qfi_numeric(scenario) - closed) <= 1e-11 * closed
 
 
 # ---------------------------------------------------------------------------
