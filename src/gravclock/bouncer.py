@@ -729,9 +729,9 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     (max|Delta| sqrt(1 + max|y|))^(J+1) / (J+1)! is below 1e-16 (J = 4 at the
     oracle's offsets; Delta = 0 is exact).  Past J = 4 a family is split into
     families of one, each from its own level 0, and a state into its levels.
-    Per column block, one einsum contracts the coefficient rows (re, im) of
-    every state and level with the chunk's Ai^(j)(y), summed in powers of
-    each one's Delta.  Kept rows: any state and level above 1e-14 of its largest.
+    Per column block, one matrix product per order j contracts the rows (re,
+    im) of every state and level with the chunk's Ai^(j)(y), summed in powers
+    of each one's Delta.  Kept rows: any state and level above 1e-14 of its largest.
     """
     xs = grid.xs()
     zeros = family[0][1].spectrum.zeros
@@ -762,7 +762,7 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
             groups += ([(lengths[s, 0], [(s, 0), (s, 1)]) for s in states] if len(states) > 1
                        else [(lengths[s, i], [(s, i)]) for s, i in members])
             continue
-        cmat = coeff[s_idx, i_idx]
+        cmat = coeff[s_idx, i_idx].reshape(-1, rows.size)       # (member, re/im) x row
         scaled = xs / l_base
         ends = np.searchsorted(scaled, _RENDER_CUT_Y - zeros[rows], side="right")
         for start in range(0, rows.size, _RENDER_ROWS):
@@ -771,16 +771,16 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
             stack = basis[:, :len(ends[sel]), :width]
             default_engine().ai_rows(scaled, zeros[rows[sel]], ends[sel], stack[0], stack[1])
             _airy_derivatives(stack, np.add(scaled[:width], zeros[rows[sel], None], out=stack[4]))
-            # Real coefficients times the real basis, never copied to complex; einsum
-            # keeps the product on this thread, where BLAS threads would spin.
+            # Real coefficients times the real basis, never copied to complex.
             for lo in range(0, width, _RENDER_COLS):
                 cols = slice(lo, min(lo + _RENDER_COLS, width))
-                sums = np.einsum("mcr,jrn->jmcn", cmat[:, :, sel], stack[:order + 1, :, cols])
+                sums = (cmat[:, sel] @ stack[:order + 1, :, cols]).reshape(order + 1, kappa.size, 2, -1)
                 delta = (kappa[:, None] * xs[cols])[:, None, :]
                 for j in range(order, 0, -1):    # Horner: sums[0] += sum_j delta^j / j! sums[j]
                     sums[j - 1] += delta / j * sums[j]
                 for (s, i), (re, im) in zip(members, sums[0]):
-                    channels[s, i, cols] += re + 1j * im
+                    channels[s, i, cols].real += re
+                    channels[s, i, cols].imag += im
     return [GridWavefunction(grid, ch) for ch in channels]
 
 

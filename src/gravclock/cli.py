@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 # numpy's OpenBLAS starts a worker thread per extra core at import, which
-# spins before it sleeps (~0.06-0.09 s of CPU on two cores).  The CLI never
-# gains from it: its only BLAS calls (fit_scaling's np.dot, the weights @
-# band of bouncer.spectral_phase_ref) are a few hundred elements long.  So
-# one thread is asked for before numpy loads; a value the user set wins.
+# spins before it sleeps (~0.06-0.09 s of CPU on two cores).  The CLI's BLAS
+# calls are small: a few hundred elements (fit_scaling, spectral_phase_ref)
+# or the bouncer render's (16 x 12)(12 x 2048) products.  So one thread is
+# asked for before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

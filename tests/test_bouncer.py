@@ -679,20 +679,19 @@ def _per_row_render(p, family, t, grid, ref, bases):
 
 
 def _assert_matches_per_row(rendered, expected, exact):
-    """Bit for bit on the (state, level) pairs in exact, within 5e-13 of the
-    largest value on the others."""
+    """Within 2e-15 of the largest value on the (state, level) pairs in exact
+    (unshifted: the same basis, summed by a matrix product in another order;
+    measured <= 4.9e-16), within 5e-13 on the others (Taylor-shifted)."""
     for s, i in np.ndindex(expected.shape[:2]):
         got, want = rendered[s].channels[i], expected[s, i]
-        if (s, i) in exact:
-            assert np.array_equal(_bits(got), _bits(want)), (s, i)
-        else:
-            assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want)), (s, i)
+        tol = 2e-15 if (s, i) in exact else 5e-13
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (s, i)
 
 
-def test_render_spectral_bit_identical_to_per_row_reference(bouncer_params):
+def test_render_spectral_matches_per_row_reference(bouncer_params):
     """On the oracle's grid, the base g and the oracle's stencil g -+ d/2 as
-    one family: level 0 at the base (no shift) equals the per-row render bit
-    for bit, and every shifted state and level is within 5e-13 of it."""
+    one family: level 0 at the base (no shift) is within 2e-15 of the per-row
+    render, and every shifted state and level within 5e-13 of it."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center)
@@ -707,8 +706,8 @@ def test_render_spectral_bit_identical_to_per_row_reference(bouncer_params):
 
 def test_render_splits_family_past_taylor_bound(bouncer_params):
     """At d = 1e-2 g the shifts fail the order-4 bound, so the family is
-    rendered as families of one, each from its own level 0: level 0 bit for
-    bit, level 1 (shifted from level 0) within 5e-13."""
+    rendered as families of one, each from its own level 0: level 0 within
+    2e-15, level 1 (shifted from level 0) within 5e-13."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center, n_points=2**13)
@@ -726,7 +725,7 @@ def test_render_splits_family_past_taylor_bound(bouncer_params):
 def test_render_splits_state_whose_levels_fail_taylor_bound(bouncer_params):
     """A clock at z_1 = 9e-7 on a grid reaching 2000 Airy lengths: the two
     levels' shift fails the bound even in a family of one, so each level is
-    rendered from its own length, both bit for bit the per-row render.
+    rendered from its own length, both within 2e-15 of the per-row render.
     Twenty equal-weight levels keep the rows short."""
     p = bouncer_params.replace(e1=9e-7 * bouncer_params.m * core.C_LIGHT**2)
     spec = bc.bouncer_spectrum(p, 20)
@@ -752,7 +751,7 @@ def test_bouncer_oracle_regression_pin(bouncer_params):
     Computed from the fidelity F, the floor was ~1e-12 and the pin 1e-10;
     the miss form moved the value from 933959.1754951946 (9.1e-12).
     The render is held to the per-row render by
-    test_render_spectral_bit_identical_to_per_row_reference.
+    test_render_spectral_matches_per_row_reference.
     """
     assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1754866797, rel=1e-13)
 

@@ -1,4 +1,5 @@
-"""What a fresh process pays to start: modules loaded and threads started.
+"""What a fresh process pays to start (modules loaded, threads started),
+and that the BLAS thread count it starts with changes no output.
 
 Each check runs in its own interpreter, since this one has long since
 imported numpy and every gravclock module.
@@ -73,3 +74,16 @@ def test_cli_keeps_the_users_blas_threads():
 def test_library_import_sets_no_blas_threads():
     code = "import os, gravclock; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _run(code, OPENBLAS_NUM_THREADS=None).split() == ["None"]
+
+
+def test_bouncer_oracle_report_independent_of_blas_threads(tmp_path):
+    """The bouncer oracle's render contracts its Airy basis by BLAS matrix
+    products; its report must be the same bytes on one BLAS thread or two."""
+    reports = []
+    for threads in ("1", "2"):
+        argv = ["run", "--config", "configs/bouncer.cfg", "--methods", "closed,oracle",
+                "--out", str(tmp_path / threads)]
+        _run(f"import sys\nfrom gravclock import cli\nsys.exit(cli.main({argv!r}))",
+             OPENBLAS_NUM_THREADS=threads)
+        reports.append((tmp_path / threads / "report.json").read_bytes())
+    assert reports[0] == reports[1]
