@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g
+from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g, require_floor_clearance
 from .gaussian import wrap_angle
 from .oracle import Grid, GridWavefunction, bures_miss, richardson_bures_qfi
 
@@ -526,9 +526,7 @@ def bouncer_spectrum(params: PhysicalParams, n_max: int) -> BouncerSpectrum:
     """Discrete eigensystem of the floored linear potential."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if min(params.x_plus, params.x_minus) < 3.0 * params.sigma:
-        warnings.warn("floor clearance x_pm >> sigma is violated; the Gaussian "
-                      "tail touches the floor", stacklevel=2)
+    require_floor_clearance(params)
     engine = default_engine()
     zeros = engine.zeros(n_max)
     aip = engine.ai_prime(zeros)
@@ -552,7 +550,7 @@ class BouncerProjection:
     c_plus: np.ndarray         # real, shape (2, n_max): <psi_{i,n}|psi_+>
     c_minus: np.ndarray
     coefficients: np.ndarray   # complex, shape (2, n_max): renormalized c_{i,n}
-    tail: float                # worst truncation mass over (level, path)
+    tail: float                # worst |1 - mass| over (level, path)
     renorm: float              # norm of the raw coefficient vector
 
 
@@ -620,10 +618,13 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> Bo
     phase = complex(math.cos(params.phi), math.sin(params.phi))
     combined = 0.5 * (c_plus + phase * c_minus)
     masses = [float(np.sum(c * c)) for c in (c_plus[0], c_plus[1], c_minus[0], c_minus[1])]
-    tail = max(0.0, 1.0 - min(masses))
-    if tail > 1e-3:
-        raise ValueError(f"coefficient truncation mass {tail:.2e} > 1e-3 at n_max = {n_max}; "
-                         "raise n_max or leave it unset")
+    # Two-sided: a mass above 1 (infinite, at the level cap) is no better than one below.
+    tail = max(abs(1.0 - mass) for mass in masses)
+    if not tail <= 1e-3:
+        advice = ("no level count up to the cap holds this packet" if n_max == BOUNCER_N_MAX_CAP
+                  else "raise n_max or leave it unset")
+        raise ValueError(f"coefficient truncation mass |1 - mass| = {tail:.2e} > 1e-3 at "
+                         f"n_max = {n_max}; {advice}")
     total = float(np.sum(np.abs(combined) ** 2))
     renorm = math.sqrt(total)
     if renorm < 1e-6:

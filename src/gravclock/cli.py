@@ -54,6 +54,7 @@ from .core import (
     params_from_config,
     read_text,
     require_bouncer_g,
+    require_floor_clearance,
 )
 
 
@@ -155,8 +156,9 @@ class ScenarioConfig:
         if self.scenario == "bouncer":
             try:
                 require_bouncer_g(self.params.g)
+                require_floor_clearance(self.params)
             except ParamsError as exc:
-                raise ConfigError(f"physics.g: {exc}") from None
+                raise ConfigError(str(exc)) from None
         if self.scenario == "mach_zehnder" and self.sweep is not None \
                 and self.sweep.variable == "g":
             raise ConfigError(
@@ -179,7 +181,7 @@ def _evaluate_methods(cfg: ScenarioConfig, params: PhysicalParams) -> dict[str, 
             try:
                 value = route(scenario, cfg.n_max)
             except Exception as exc:
-                raise NumericalFailure(method, exc) from exc
+                raise NumericalFailure(method, ValueError(f"column {column!r}: {exc}")) from exc
             if not math.isfinite(value):
                 raise NumericalFailure(method, ValueError(
                     f"column {column!r} is {value}, not a finite number"))

@@ -285,8 +285,17 @@ def require_bouncer_g(g: float) -> None:
     """Refuse a bouncer with g <= 0: a floor under a potential that does not
     rise holds no bound states, and the Airy length would be complex or infinite."""
     if not g > 0:
-        raise ParamsError("the bouncer needs g > 0: a floor under a potential that "
-                          f"does not rise holds no bound states (got {g!r})")
+        raise ParamsError("physics.g: the bouncer needs g > 0: a floor under a potential "
+                          f"that does not rise holds no bound states (got {g!r})")
+
+
+def require_floor_clearance(params: PhysicalParams) -> None:
+    """Refuse a bouncer packet within 3 widths of the floor, x_pm < 3 sigma:
+    no level count holds it."""
+    if min(params.x_plus, params.x_minus) < 3.0 * params.sigma:
+        raise ParamsError("geometry.x_plus_m, geometry.x_minus_m, geometry.sigma_m: floor "
+                          f"clearance x_pm >= 3 sigma is violated (x_plus = {params.x_plus!r}, "
+                          f"x_minus = {params.x_minus!r}, sigma = {params.sigma!r})")
 
 
 # ---------------------------------------------------------------------------

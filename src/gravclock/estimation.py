@@ -5,18 +5,18 @@ checked against each other:
 
 * closed forms (``qfi_ff_closed`` & friends), transcribed once from the
   analytic results and never tuned;
-* a parametric pure-state engine (``qfi_pure_parametric``) that
-  differentiates the Gaussian branch parameters and ledger coefficients
-  by central finite differences and assembles
-  ``G = 4 (<d psi|d psi> - |<psi|d psi>|^2)`` from closed-form pair
-  moments -- no grids, no wrapped-phase differentiation;
+* a parametric pure-state engine (``qfi_pure_parametric``) that takes the
+  exact derivatives of the Gaussian branch means and ledger coefficients
+  and assembles ``G = 4 (<d psi|d psi> - |<psi|d psi>|^2)`` from
+  closed-form pair moments -- no grids, no wrapped-phase differentiation;
 * a qubit engine (``qubit_qfi``) for the clock-traced state, a path
-  qubit by construction: |dr|^2 + (r.dr)^2 / (1 - |r|^2) from central
-  differences of its Bloch vector r (``reduced_qfi_bloch``).
+  qubit by construction: |dr|^2 + (r.dr)^2 / (1 - |r|^2) from its Bloch
+  vector r and derivative dr (``reduced_qfi_bloch``).
 
-These two and the classical FI (``classical_fi``) share one step rule,
-``_fd_step``, and one Richardson combination of the steps h and h/2,
-``_richardson``; each evaluates its centre once.
+These two and the classical FI (``classical_fi``) evaluate one state, made
+on ``Scenario.tangent()``: its slopes are jets (``gaussian.Jet``), so every
+derivative comes from the evolution maps' own arithmetic.  A phase longdouble
+cannot resolve raises ValueError instead of being wrapped to noise.
 
 Parameter conventions for the two interferometers:
 
@@ -40,17 +40,18 @@ from .core import PhysicalParams
 from .gaussian import (
     ClockState,
     GaussianBranch,
+    Jet,
     PairMoments,
+    PhaseLedger,
     evolve_state,
     make_initial_state,
+    split,
     wrap_angle,
 )
 
 _LD = np.longdouble
-
-
-class StepUnderflowError(ValueError):
-    """Finite-difference step vanished in floating point."""
+_LD_ONE = _LD(1.0)
+_LD_EPS = float(np.finfo(_LD).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,9 @@ TARGETS = {
     "mach_zehnder": ("delta_g", "bar_g"),
     "bouncer": ("g",),
 }
+
+# d(g, g_plus, g_minus) / d(target): with_value's g_pm = bar_g -+ delta_g / 2.
+_DIRECTIONS = {"g": (1.0, 0.0, 0.0), "delta_g": (0.0, -0.5, 0.5), "bar_g": (0.0, 1.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -100,26 +104,13 @@ class Scenario:
         sc = self if value is None else self.with_value(value)
         return evolve_state(make_initial_state(sc.params), sc.params, sc.kind)
 
-    def phase_scale(self) -> float:
-        """Estimate of |d(interference phase)/d(target)|, rad per unit."""
+    def tangent(self) -> "Scenario":
+        """This scenario with g, g_plus and g_minus as jets along the target:
+        the states it makes carry their derivatives with respect to it."""
         p = self.params
-        if self.kind == "free_fall":
-            return 2.0 * p.m * p.dt * p.h / p.hbar
-        lever = abs(p.h_bar_mz) + abs(p.delta_h)
-        return p.m * max(p.z0, p.z1) * p.dt * lever / p.hbar
-
-    def detector_phase_scale(self) -> float:
-        """Like phase_scale but for the detector-frame (clock-beat) phases."""
-        p = self.params
-        if self.kind == "free_fall":
-            return 2.0 * p.m * max(p.z0, p.z1) * p.dt * p.h / p.hbar
-        return self.phase_scale()
-
-
-def _ordered_components(state: ClockState) -> tuple[GaussianBranch, ...]:
-    """Deterministic component order, stable across parameter perturbations."""
-    return tuple(sorted(state.components,
-                        key=lambda b: (b.path_label, b.internal_level)))
+        slopes = {name: Jet(getattr(p, name), d)
+                  for name, d in zip(("g", "g_plus", "g_minus"), _DIRECTIONS[self.target])}
+        return Scenario(self.kind, p.replace(**slopes), self.target)
 
 
 # ---------------------------------------------------------------------------
@@ -199,32 +190,26 @@ def qfi_mz_reduced_closed(params: PhysicalParams, target: str) -> float:
     e0, e1 = _mz_energies(p)
     de, e_bar = e1 - e0, 0.5 * (e0 + e1)
     hc2 = p.hbar * p.c**2
-    if target == "delta_g":
-        lever = p.h_bar_mz
-    elif target == "bar_g":
-        lever = p.delta_h
-    else:
-        raise ValueError(f"unknown MZ target {target!r}")
+    lever = _mz_lever(p, target)
     arg = de * p.delta_v_mz * p.dt / (2.0 * hc2)
     return (de * lever * p.dt / (2.0 * hc2)) ** 2 \
         + (e_bar * lever * p.dt / hc2) ** 2 * math.cos(arg) ** 2
 
 
-def fi_mz_closed(params: PhysicalParams, target: str) -> float:
-    """Measurement FI for the Mach-Zehnder: note the crossed levers.
+def _mz_lever(params: PhysicalParams, target: str) -> float:
+    """The crossed levers: delta_g is read through the mean offset h_bar_mz,
+    bar_g through the offset difference delta_h."""
+    if target not in ("delta_g", "bar_g"):
+        raise ValueError(f"unknown MZ target {target!r}")
+    return params.h_bar_mz if target == "delta_g" else params.delta_h
 
-    delta_g is read through the mean offset h_bar_mz, bar_g through the
-    offset difference delta_h.
-    """
+
+def fi_mz_closed(params: PhysicalParams, target: str) -> float:
+    """Measurement FI for the Mach-Zehnder: note the crossed levers (``_mz_lever``)."""
     p = params
     e0, e1 = _mz_energies(p)
-    de = e1 - e0
     hc2 = p.hbar * p.c**2
-    if target == "delta_g":
-        return (de * p.h_bar_mz * p.dt / (2.0 * hc2)) ** 2
-    if target == "bar_g":
-        return (de * p.delta_h * p.dt / (2.0 * hc2)) ** 2
-    raise ValueError(f"unknown MZ target {target!r}")
+    return ((e1 - e0) * _mz_lever(p, target) * p.dt / (2.0 * hc2)) ** 2
 
 
 def _closed(scenario: Scenario, free_fall, mach_zehnder) -> float:
@@ -248,64 +233,37 @@ def closed_fi(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Finite differences shared by the three numeric engines
-# ---------------------------------------------------------------------------
-
-def _fd_step(value: float, phase_scale: float = 0.0) -> float:
-    """Central-difference step: 0.01 rad of phase when ``phase_scale`` (rad
-    per parameter unit) is positive, since amplitudes oscillate on the
-    phase's scale, not on |value|'s; else max(1e-5 |value|, 1e-9)."""
-    step = 1e-2 / phase_scale if phase_scale > 0 else max(1e-5 * abs(value), 1e-9)
-    if not math.isfinite(step) or value + step == value or value - step == value:
-        raise StepUnderflowError(f"finite-difference step {step:g} vanishes at value {value:g}")
-    return step
-
-
-def _richardson(at, step: float) -> float:
-    """(4 at(h/2) - at(h)) / 3: cancels the O(h^2) error of central differences."""
-    full = at(step)
-    return (4.0 * at(0.5 * step) - full) / 3.0
-
-
-# ---------------------------------------------------------------------------
 # Parametric pure-state QFI
 # ---------------------------------------------------------------------------
 
-def _parametric_qfi_at(scenario: Scenario, v0: float, step: float,
-                       comps: tuple[GaussianBranch, ...]) -> float:
-    """Unextrapolated QFI at ``v0`` from central differences of width
-    ``step``; ``comps`` are the ordered components of the state at v0."""
-    comps_lo = _ordered_components(scenario.make_state(v0 - step))
-    comps_hi = _ordered_components(scenario.make_state(v0 + step))
-    two_h_f = (v0 + step) - (v0 - step)
-    two_h = _LD(two_h_f)
+def qfi_pure_parametric(scenario: Scenario) -> float:
+    """Pure-state QFI of the scenario family by parameter differentiation.
 
-    damp, dmean, dvar, dchirp, dslope, dconst = [], [], [], [], [], []
-    for b_lo, b_hi in zip(comps_lo, comps_hi):
-        damp.append((b_hi.amplitude - b_lo.amplitude) / two_h_f)
-        dmean.append((b_hi.mean_x - b_lo.mean_x) / two_h_f)
-        dvar.append((b_hi.var_x - b_lo.var_x) / two_h_f)
-        dchirp.append((b_hi.chirp - b_lo.chirp) / two_h_f)
-        dslope.append((b_hi.ledger.slope - b_lo.ledger.slope) / two_h)
-        dconst.append(b_hi.ledger.diff_constant(b_lo.ledger) / two_h)
-
-    # Constant phase derivative per component, including the slope pivot.
-    phase0 = [dc + ds * (_LD(b.mean_x) - b.ledger.x_ref)
-              for dc, ds, b in zip(dconst, dslope, comps)]
+    One state is made on ``scenario.tangent()``: each branch's mean and
+    ledger carry their exact derivatives (amplitudes, widths and chirps are
+    parameter-free).  The controllable phase enters as a parameter-independent
+    amplitude, so the result is invariant in it.  A branch's phase derivative
+    is a longdouble sum; its addends' rounding over one Cramer-Rao width
+    1/sqrt(G) of the target must be a resolvable phase.
+    """
+    comps, c1s, phase0, sizes = [], [], [], []
+    for jet in scenario.tangent().make_state().components:
+        mean, dmean = split(jet.mean_x)
+        slope, dslope = split(jet.ledger.slope)
+        terms = [(name, *split(t)) for name, t in jet.ledger.terms]
+        ledger = PhaseLedger(tuple((name, v) for name, v, _ in terms), slope, jet.ledger.x_ref)
+        b = GaussianBranch(jet.amplitude, ledger, mean, jet.var_x, jet.chirp,
+                           jet.internal_level, jet.path_label)
+        comps.append(b)
+        c1s.append(b.amplitude * (dmean * (1.0 / (2.0 * b.var_x) - 2j * b.chirp)
+                                  + 1j * float(dslope)))
+        # Constant phase derivative, including the slope pivot about the centre.
+        addends = [d for *_, d in terms] + [dslope * (_LD(mean) - ledger.x_ref)]
+        phase0.append(sum(addends, _LD(0.0)))
+        sizes.append(float(sum(map(abs, addends), _LD(0.0))))
     weights = [abs(b.amplitude) ** 2 for b in comps]
-    wsum = sum(weights)
-    gauge = sum((w * p0 for w, p0 in zip(weights, phase0)), _LD(0.0)) / wsum
-
-    polys = []
-    for k, b in enumerate(comps):
-        c0 = -dvar[k] / (4.0 * b.var_x) + 1j * float(phase0[k] - gauge)
-        c1 = dmean[k] * (1.0 / (2.0 * b.var_x) - 2j * b.chirp) + 1j * float(dslope[k])
-        c2 = dvar[k] / (4.0 * b.var_x**2) + 1j * dchirp[k]
-        polys.append((
-            damp[k] + b.amplitude * c0,
-            b.amplitude * c1,
-            b.amplitude * c2,
-        ))
+    gauge = sum((w * p0 for w, p0 in zip(weights, phase0)), _LD(0.0)) / sum(weights)
+    polys = [(b.amplitude * 1j * float(p0 - gauge), c1) for b, p0, c1 in zip(comps, phase0, c1s)]
 
     s_dd = 0.0j
     s_pd = 0.0j
@@ -316,92 +274,98 @@ def _parametric_qfi_at(scenario: Scenario, v0: float, step: float,
             pm = PairMoments(bj, bk)
             s_dd += pm.braket(polys[j], polys[k])
             s_pd += pm.braket([bj.amplitude], polys[k])
-    return 4.0 * (s_dd.real - abs(s_pd) ** 2)
-
-
-def qfi_pure_parametric(scenario: Scenario) -> float:
-    """Pure-state QFI of the scenario family by parameter differentiation.
-
-    Central differences of every Gaussian parameter and ledger term
-    (extended precision for the phase coefficients), Richardson
-    extrapolated over steps h and h/2.  The controllable phase enters as
-    a parameter-independent amplitude, so the result is invariant in it.
-    Both steps share the centre state.
-    """
-    v0 = scenario.value()
-    step = _fd_step(v0)
-    comps = _ordered_components(scenario.make_state(v0))
-    return _richardson(lambda h: _parametric_qfi_at(scenario, v0, h, comps), step)
+    qfi = 4.0 * (s_dd.real - abs(s_pd) ** 2)
+    if qfi > 0:
+        _require_resolved(max(sizes) / math.sqrt(qfi), "phase-derivative addends per CR width")
+    return qfi
 
 
 # ---------------------------------------------------------------------------
 # Qubit reduction and the qubit (Bloch-vector) QFI
 # ---------------------------------------------------------------------------
 
-def _eval_points(params: PhysicalParams, scenario: str) -> tuple[np.longdouble, np.longdouble]:
-    """The z-free trajectory centres (x_plus, x_minus) at the end, in extended
-    precision: the fall distance dwarfs the branch separation, so forming
-    x_s - g dt^2/2 in float64 would lose the digits the path difference lives in."""
-    drop = 0.5 * _LD(params.g) * _LD(params.dt) ** 2 if scenario == "free_fall" else _LD(0.0)
-    return _LD(params.x_plus) - drop, _LD(params.x_minus) - drop
+def _level_phase(state: ClockState, level: int, params: PhysicalParams, scenario: str,
+                 ref=_LD(0.0)):
+    """Level ``level``'s minus-vs-plus phase at the z-free trajectory centres from
+    the ledgers, less ``ref`` (a ledger phase of that size), plus the amplitudes'.
+
+    The centres are the starts less the common fall g dt^2/2 (none on the
+    Mach-Zehnder), which dwarfs the separation at long times: so the ledgers
+    are compared at the starts and the fall enters through the slope
+    difference alone.  A ValueError where longdouble cannot resolve the phase.
+    """
+    bp, bm = state.branch("plus", level), state.branch("minus", level)
+    fall = 0.5 * (_LD_ONE * params.g) * _LD(params.dt) ** 2 if scenario == "free_fall" else 0.0
+    phase = bm.ledger.diff_at(params.x_minus, bp.ledger, params.x_plus) \
+        - (bm.ledger.slope - bp.ledger.slope) * fall
+    _require_resolved(split(phase)[0], "level-relative phase")
+    return phase - ref + _LD(cmath.phase(bm.amplitude) - cmath.phase(bp.amplitude))
+
+
+_PHASE_ULP_MAX = 1e-3    # rad: the coarsest longdouble ulp a phase may have
+
+
+def _require_resolved(phase, what: str) -> None:
+    """ValueError where the longdouble ulp of ``phase`` (rad) exceeds _PHASE_ULP_MAX."""
+    if abs(phase) * _LD_EPS > _PHASE_ULP_MAX:
+        raise ValueError(f"{what} {float(phase):.3g} rad is beyond longdouble resolution "
+                         f"(ulp {abs(float(phase)) * _LD_EPS:.3g} rad > {_PHASE_ULP_MAX:g} rad)")
+
+
+def _cos_sin(phase) -> tuple:
+    """(cos, sin) of a float, or of a jet with their derivatives."""
+    value, d = split(phase)
+    c, s = math.cos(value), math.sin(value)
+    return (Jet(c, -s * d), Jet(s, c * d)) if isinstance(phase, Jet) else (c, s)
 
 
 def reduce_to_qubit(state: ClockState, params: PhysicalParams,
                     scenario: str = "free_fall") -> tuple[float, float]:
     """Semiclassical two-path model (gamma_0, gamma_1): gamma_i is level i's
     minus-vs-plus relative phase at the z-free trajectory centres (global
-    per-level phases, widths and position dependence are dropped)."""
+    per-level phases, widths and position dependence are dropped).  On a
+    state and parameters that carry jets, the gammas are jets."""
     if len(state.components) != 4:
         raise ValueError("qubit reduction expects the 4-component interferometer state")
-    x_p, x_m = _eval_points(params, scenario)
-    gammas = []
-    for level in (0, 1):
-        bp = state.branch("plus", level)
-        bm = state.branch("minus", level)
-        rel = bm.ledger.diff_at(x_m, bp.ledger, x_p)
-        rel = rel + _LD(bm.chirp) * (x_m - _LD(bm.mean_x)) ** 2
-        rel = rel - _LD(bp.chirp) * (x_p - _LD(bp.mean_x)) ** 2
-        amp_phase = cmath.phase(bm.amplitude) - cmath.phase(bp.amplitude)
-        gammas.append(wrap_angle(rel + _LD(amp_phase)))
-    return gammas[0], gammas[1]
+    return tuple(wrap_angle(_level_phase(state, level, params, scenario)) for level in (0, 1))
+
+
+def _bloch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vector r of the clock-traced state, the equal mixture of
+    (1, e^{i gamma_i}) / sqrt(2), and its derivative dr along the target:
+    r = (cos g0 + cos g1, sin g0 + sin g1) / 2."""
+    jet = scenario.tangent()
+    (c0, s0), (c1, s1) = map(_cos_sin, reduce_to_qubit(jet.make_state(), jet.params, jet.kind))
+    r, dr = zip(split(0.5 * (c0 + c1)), split(0.5 * (s0 + s1)))
+    return np.array(r), np.array(dr)
 
 
 def reduced_bloch_vector(scenario: Scenario):
-    """Bloch-vector function v -> r of the clock-traced state, the equal mixture
-    of (1, e^{i gamma_i}) / sqrt(2): r = (cos g0 + cos g1, sin g0 + sin g1) / 2."""
-    def at(value: float) -> np.ndarray:
-        sc = scenario.with_value(value)
-        g0, g1 = reduce_to_qubit(sc.make_state(), sc.params, sc.kind)
-        return 0.5 * np.array([math.cos(g0) + math.cos(g1), math.sin(g0) + math.sin(g1)])
-    return at
+    """Bloch-vector function v -> r of the clock-traced state (see ``_bloch``)."""
+    return lambda value: _bloch(scenario.with_value(value))[0]
 
 
 _PURE_FLOOR = 1e-12    # a state with 1 - |r|^2 below it is taken as pure
 
 
-def qubit_qfi(bloch_fn, value: float, phase_scale: float = 0.0) -> float:
-    """QFI of a qubit family (I + r(v).sigma)/2: |dr|^2 + (r.dr)^2 / (1 - |r|^2)
-    (Zhong et al., PRA 87, 022337 (2013)), dr by central differences with the
-    ``_fd_step`` rule, Richardson extrapolated.  Below ``_PURE_FLOOR`` the
-    state is taken as pure and the second term is dropped, with a warning.
+def qubit_qfi(r, dr) -> float:
+    """QFI of a qubit family (I + r(v).sigma)/2 at a point with Bloch vector r
+    and derivative dr: |dr|^2 + (r.dr)^2 / (1 - |r|^2) (Zhong et al., PRA 87,
+    022337 (2013)).  Below ``_PURE_FLOOR`` the state is taken as pure and the
+    second term is dropped, with a warning.
     """
-    step = _fd_step(value, phase_scale)
-    r_c = np.asarray(bloch_fn(value), dtype=float)
-    mixedness = 1.0 - float(r_c @ r_c)
+    r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
+    mixedness = 1.0 - float(r @ r)
     if mixedness < _PURE_FLOOR:
         warnings.warn(f"qubit QFI: 1 - |r|^2 = {mixedness:.3g} is below {_PURE_FLOOR:g}; "
                       f"the state is taken as pure", stacklevel=2)
         mixedness = math.inf    # (r.dr)^2 / inf drops the mixed-state term
-
-    def at(h: float) -> float:
-        dr = (bloch_fn(value + h) - bloch_fn(value - h)) / ((value + h) - (value - h))
-        return float(dr @ dr) + float(r_c @ dr) ** 2 / mixedness
-    return _richardson(at, step)
+    return float(dr @ dr) + float(r @ dr) ** 2 / mixedness
 
 
 def reduced_qfi_bloch(scenario: Scenario) -> float:
     """QFI of the clock-traced interferometer state, as a path qubit's."""
-    return qubit_qfi(reduced_bloch_vector(scenario), scenario.value(), scenario.phase_scale())
+    return qubit_qfi(*_bloch(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -420,73 +384,45 @@ def detection_probabilities(state: ClockState, params: PhysicalParams,
         P_pm = 1/2 +- (cos g0 + cos g1) / 4.
 
     Computed by term-by-term ledger subtraction against a clock-free
-    reference evolution; P_plus + P_minus = 1 exactly by construction.
+    reference evolution; P_plus + P_minus = 1 exactly by construction.  On
+    a state and parameters that carry jets, the probabilities are jets.
     """
-    ref_params = params.replace(e0=0.0, e1=0.0)
+    ref_params = params.replace(e0=0.0, e1=0.0, phi=0.0)
     initial = make_initial_state(ref_params)
     # Only the level-0 reference branches are read.
     ref_state = evolve_state(
         ClockState((initial.branch("plus", 0), initial.branch("minus", 0))),
         ref_params, scenario)
-    x_p, x_m = _eval_points(params, scenario)
-    ref_rel = ref_state.branch("minus", 0).ledger.diff_at(
-        x_m, ref_state.branch("plus", 0).ledger, x_p)
-    cos_sum = 0.0
-    for level in (0, 1):
-        bp = state.branch("plus", level)
-        bm = state.branch("minus", level)
-        rel = bm.ledger.diff_at(x_m, bp.ledger, x_p)
-        amp_phase = cmath.phase(bm.amplitude) - cmath.phase(bp.amplitude)
-        cos_sum += math.cos(wrap_angle(rel - ref_rel + _LD(amp_phase)))
+    ref = _level_phase(ref_state, 0, params, scenario)
+    cos_sum = sum((_cos_sin(wrap_angle(_level_phase(state, level, params, scenario, ref)))[0]
+                   for level in (0, 1)), 0.0)
     p_plus = 0.5 + 0.25 * cos_sum
     return p_plus, 1.0 - p_plus
 
 
-def _probabilities(prob_fn, value: float) -> np.ndarray:
-    p = np.asarray(prob_fn(value), dtype=float)
+def classical_fi(p, dp) -> float:
+    """FI sum_k dp_k^2 / p_k of a finite outcome distribution p with
+    derivative dp.  Outcomes below 1e-15 are excluded, with a warning unless
+    they are exactly impossible and stay so (P- under ablation)."""
+    p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
     if np.any(p < 0):
-        raise ValueError("probability function returned a negative probability")
+        raise ValueError("outcome distribution has a negative probability")
     if abs(p.sum() - 1.0) > 1e-8:
         raise ValueError("outcome distribution does not sum to 1")
-    return p
-
-
-def _fi_at(prob_fn, value: float, step: float, p_c: np.ndarray) -> float:
-    """Unextrapolated FI at ``value`` from central differences of width
-    ``step``; ``p_c`` are the probabilities at ``value``."""
-    p_hi = _probabilities(prob_fn, value + step)
-    p_lo = _probabilities(prob_fn, value - step)
-    two_h = (value + step) - (value - step)
-    dp = (p_hi - p_lo) / two_h
-    keep = p_c >= 1e-15
-    # An outcome that is exactly impossible here and nearby carries no
-    # information (P- under ablation); only the other exclusions are reported.
-    reported = ~keep & ((p_c != 0.0) | (dp != 0.0))
+    keep = p >= 1e-15
+    reported = ~keep & ((p != 0.0) | (dp != 0.0))
     if np.any(reported):
         warnings.warn(
             f"classical FI excluded outcomes below 1e-15: {np.where(reported)[0].tolist()}",
-            stacklevel=4)
-    return float(np.sum(dp[keep] ** 2 / p_c[keep]))
-
-
-def classical_fi(prob_fn, value: float, phase_scale: float = 0.0) -> float:
-    """FI of a finite outcome distribution by central differences.
-
-    The step follows ``_fd_step``: pass ``phase_scale`` (rad per parameter
-    unit) when the distribution varies on a scale unrelated to |value|.
-    Both steps share the centre probabilities.
-    """
-    step = _fd_step(value, phase_scale)
-    p_c = _probabilities(prob_fn, value)
-    return _richardson(lambda h: _fi_at(prob_fn, value, h, p_c), step)
+            stacklevel=2)
+    return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
 def fi_numeric(scenario: Scenario) -> float:
     """Numeric FI of the detection probabilities for the scenario target."""
-    def prob_fn(value: float):
-        sc = scenario.with_value(value)
-        return detection_probabilities(sc.make_state(), sc.params, sc.kind)
-    return classical_fi(prob_fn, scenario.value(), scenario.detector_phase_scale())
+    jet = scenario.tangent()
+    p_plus, p_minus = detection_probabilities(jet.make_state(), jet.params, jet.kind)
+    return classical_fi(*zip(split(p_plus), split(p_minus)))
 
 
 def quadrature_phi(params: PhysicalParams, scenario: str = "free_fall") -> float:

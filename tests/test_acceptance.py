@@ -123,10 +123,8 @@ def test_criterion_5_probabilities_and_fi(sr88_10s, crosscheck_params):
         alpha = rng.uniform(0.5, 12.0)
         lam = rng.uniform(0.15, 2.9)
 
-        def prob_fn(v, a=alpha):
-            return (0.5 * (1 + math.cos(a * v)), 0.5 * (1 - math.cos(a * v)))
-
-        got = est.classical_fi(prob_fn, lam)
+        c, s = math.cos(alpha * lam), math.sin(alpha * lam)
+        got = est.classical_fi((0.5 * (1 + c), 0.5 * (1 - c)), (-0.5 * alpha * s, 0.5 * alpha * s))
         worst_fi = max(worst_fi, abs(got - alpha**2) / alpha**2)
     ok = all(sums_exact) and worst_grid < 1e-6 and worst_fi < 1e-6
     _report(5, f"probability normalization and FI (grid {worst_grid:.2e}, "

@@ -456,10 +456,14 @@ def test_library_refuses_nonpositive_g(bouncer_params, g):
                 call()
 
 
-def test_spectrum_warns_without_floor_clearance(bouncer_params):
+def test_library_refuses_without_floor_clearance(bouncer_params):
+    """A packet within 3 widths of the floor (x_pm < 3 sigma) is refused,
+    naming floor clearance; the spectrum used to warn and go on."""
     squeezed = bouncer_params.replace(sigma=bouncer_params.x_minus)
-    with pytest.warns(UserWarning, match="floor clearance"):
-        bc.bouncer_spectrum(squeezed, 10)
+    for call in (lambda: bc.bouncer_spectrum(squeezed, 10),
+                 lambda: bc.bouncer_coefficients(squeezed)):
+        with pytest.raises(core.ParamsError, match="floor clearance"):
+            call()
 
 
 def test_eigenfunctions_vanish_at_floor(bouncer_params):
@@ -524,6 +528,17 @@ def test_destructive_combination_phi_pi(bouncer_params):
         proj = bc.bouncer_coefficients(p, n_max=300)
     assert proj.renorm < 1e-6
     assert np.max(np.abs(proj.coefficients)) < 1e-7
+
+
+def test_coefficients_raise_on_mass_above_one(bouncer_params):
+    """The mass check is two-sided: a wide packet clear of the floor gets
+    infinite coefficient masses from the closed form at the 1e4 level cap,
+    which the one-sided check read as no truncation at all."""
+    p = bouncer_params.replace(sigma=1e-3, x_plus=1.2e-2, x_minus=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the n_max cap warning
+        with pytest.raises(ValueError, match="truncation mass"):
+            bc.bouncer_coefficients(p)
 
 
 def test_coefficients_raise_on_truncation(bouncer_params):

@@ -352,6 +352,27 @@ def test_bouncer_truncating_n_max_exit_3(tmp_path, capsys, n_max):
     assert not [w for w in caught if "destructive" in str(w.message)]
 
 
+def test_bouncer_without_floor_clearance_exit_2(tmp_path, capsys, monkeypatch):
+    """A packet within 3 widths of the floor (x_pm < 3 sigma) is a config
+    error naming the cause, found before any numerics.  sigma = 1e30 or
+    10001 used to exit 0 with qfi_closed 1101168362.1136463 whatever sigma
+    was (each path's mass was 1e4 at the level cap and the one-sided mass
+    check passed it); x_minus <= 1e-30 exited 3 advising a larger n_max."""
+    calls = []
+    monkeypatch.setattr(cli, "_evaluate_methods", lambda *args: calls.append(args))
+    cfg = tmp_path / "b.cfg"
+    for key, value in (("geometry.sigma_m", "1e30"), ("geometry.sigma_m", "10001"),
+                       ("geometry.x_minus_m", "0"), ("geometry.x_minus_m", "1e-30"),
+                       ("geometry.x_minus_m", "-1"), ("geometry.x_minus_m", "8.9e-6")):
+        cfg.write_text(_config_with("bouncer.cfg", (key, value)))
+        rc = cli.main(["run", "--config", str(cfg), "--methods", "closed,oracle"])
+        captured = capsys.readouterr()
+        assert (key, value, rc) == (key, value, 2)
+        assert "floor clearance" in captured.err
+        assert captured.out == ""
+    assert calls == []
+
+
 def test_bouncer_separated_path_peaks_auto_n_max(tmp_path, capsys):
     """Paths 88 um apart peak ~1000 levels apart (n ~ 160 and ~1170).  The
     automatic n_max used to stop in the gap after the lower path's peak
@@ -498,7 +519,7 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch):
     cfg = _write_ff_config(tmp_path)
 
     def boom(*args, **kwargs):
-        raise est.StepUnderflowError("forced failure")
+        raise ValueError("forced failure")
 
     monkeypatch.setattr(cli.est, "qfi_pure_parametric", boom)
     rc = cli.main(["run", "--config", str(cfg), "--methods", "parametric"])
@@ -555,6 +576,31 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, capsys):
                     if not all(math.isfinite(v) for v in numbers):
                         bad.append((*case, "non-finite value"))
     assert bad == []
+
+
+@pytest.mark.parametrize("name,key,value", [
+    *(("sr88_freefall.cfg", "physics.g", v) for v in ("1e30", "-1e30")),
+    ("sr88_freefall.cfg", "geometry.x_plus_m", "1e30"),
+    ("sr88_freefall.cfg", "geometry.x_minus_m", "-1e30"),
+    ("sr88_freefall.cfg", "time.dt_s", "1e30"),
+    *(("sr88_mz.cfg", k, v) for k in ("physics.g_plus", "physics.g_minus")
+      for v in ("1e30", "-1e30")),
+    ("sr88_mz.cfg", "geometry.x_plus_m", "1e30"),
+    ("sr88_mz.cfg", "geometry.x_minus_m", "-1e30"),
+    *(("sr88_mz.cfg", k, v) for k in ("geometry.x_plus0_m", "geometry.x_minus0_m")
+      for v in ("1e30", "-1e30")),
+])
+def test_unresolvable_phase_exit_3(tmp_path, capsys, name, key, value):
+    """A phase longdouble cannot resolve is a numerical error naming the cause.
+    These 15 runs exited 3 only because a finite-difference step vanished;
+    the tangents have no step, and would have printed a meaningless FI."""
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text(_config_with(name, (key, value)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["run", "--config", str(cfg), "--methods", "closed,parametric,reduced,fi"])
+    assert rc == 3
+    assert "beyond longdouble resolution" in capsys.readouterr().err
 
 
 _SAMPLE_CONFIGS = ("sr88_freefall.cfg", "sr88_mz.cfg", "bouncer.cfg")

@@ -116,29 +116,31 @@ def test_fi_mz_crossed_levers(sr88_10s):
 # ---------------------------------------------------------------------------
 
 class QubitPhaseFamily:
-    """(|x+> + e^{i v}|x->)/sqrt(2) on well-separated packets: QFI = 1."""
+    """(|x+> + e^{i v}|x->)/sqrt(2) on well-separated packets: QFI = 1.  It
+    supplies its own tangent: the phase v = 0.9 is a ledger jet (v, 1)."""
 
     def __init__(self, params):
         self.params = params
 
-    def value(self):
-        return 0.9
+    def tangent(self):
+        return self
 
-    def make_state(self, value):
+    def phase(self):
+        return ga.Jet(np.longdouble(0.9), np.longdouble(1.0))
+
+    def make_state(self):
         p = self.params
-        ledger = ga.empty_ledger(p.x0)
-        amp = complex(math.cos(value), math.sin(value)) / math.sqrt(2.0)
         return ga.ClockState((
-            ga.GaussianBranch(1 / math.sqrt(2), ledger, p.x_plus,
+            ga.GaussianBranch(1 / math.sqrt(2), ga.empty_ledger(p.x0), p.x_plus,
                               p.sigma**2, 0.0, 0, "plus"),
-            ga.GaussianBranch(amp, ledger, p.x_minus,
-                              p.sigma**2, 0.0, 0, "minus"),
+            ga.GaussianBranch(1 / math.sqrt(2), ga.PhaseLedger.make({"v": self.phase()}, 0.0, p.x0),
+                              p.x_minus, p.sigma**2, 0.0, 0, "minus"),
         ))
 
 
 class FrozenFamily(QubitPhaseFamily):
-    def make_state(self, value):
-        return super().make_state(0.25)
+    def phase(self):
+        return 0.25
 
 
 def test_parametric_qubit_family_unit_qfi(sr88_10s):
@@ -172,13 +174,61 @@ def test_parametric_invariant_under_phase_shifter(sr88_10s):
     assert a == pytest.approx(b, rel=1e-8)
 
 
-def test_parametric_step_underflow():
-    """A phase step too small to move the value raises instead of dividing
-    by a zero-width difference (a 1e-5 relative step cannot underflow)."""
-    def prob_fn(v):
-        return (0.5 * (1 + math.cos(v)), 0.5 * (1 - math.cos(v)))
-    with pytest.raises(est.StepUnderflowError, match="vanishes"):
-        est.classical_fi(prob_fn, 1.0, phase_scale=1e20)
+@pytest.mark.parametrize("target,dt", [(t, dt) for t in ("delta_g", "bar_g")
+                                       for dt in (5.0, 10.0, 30.0)])
+def test_parametric_vs_closed_mz_sample_exact(target, dt):
+    """On sr88_mz.cfg the tangents meet the closed form to rounding.  The
+    central-difference stencil was 9.35e-6 off on delta_g: with_value forms
+    g_pm = bar_g -+ delta_g / 2 in float64, so the step the map saw was
+    3.5e-6 shorter than the one the stencil divided by."""
+    params = core.params_from_config(core.load_config(CONFIG_DIR / "sr88_mz.cfg"))
+    sc = est.Scenario("mach_zehnder", params.replace(dt=dt), target)
+    assert est.qfi_pure_parametric(sc) == pytest.approx(est.closed_qfi(sc), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dt", [1e3, 1e4, 3e4, 1e5])
+def test_parametric_vs_closed_free_fall_long_dt(dt):
+    """Free fall far past the sample sweep: the stencil's gap grew to 1.1e-3
+    at 1e5 s; the tangents stay within 1e-6."""
+    params = core.params_from_config(core.load_config(CONFIG_DIR / "sr88_freefall.cfg"))
+    sc = est.Scenario("free_fall", params.replace(dt=dt), "g")
+    assert est.qfi_pure_parametric(sc) == pytest.approx(est.closed_qfi(sc), rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("dt", [1e3, 1e4, 3e4, 1e5])
+def test_fi_numeric_vs_closed_at_quadrature_long_dt(dt):
+    """The stencil's FI was 5.9e-6 off fi_closed at 1e3 and 1e4 s, 5.6e-5 at
+    3e4 s and 7.0e-4 at 1e5 s."""
+    params = core.params_from_config(core.load_config(CONFIG_DIR / "sr88_freefall.cfg"))
+    p = params.replace(dt=dt)
+    sc = est.Scenario("free_fall", p.replace(phi=est.quadrature_phi(p)), "g")
+    assert est.fi_numeric(sc) == pytest.approx(est.closed_fi(sc), rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("engine", [est.qfi_pure_parametric, est.reduced_qfi_bloch,
+                                    est.fi_numeric])
+@pytest.mark.parametrize("kind,target", [("free_fall", "g"), ("mach_zehnder", "delta_g"),
+                                         ("mach_zehnder", "bar_g")])
+def test_engines_evolve_at_most_twice_per_point(sr88_10s, monkeypatch, engine, kind, target):
+    """Each engine evaluates one point: the stencils evolved 5 states per
+    parametric point and 10 per FI point (the state and its detector
+    reference at the centre and at +-h, +-h/2)."""
+    calls = []
+    evolve = ga.evolve_state
+    monkeypatch.setattr(est, "evolve_state", lambda *args: calls.append(args) or evolve(*args))
+    engine(est.Scenario(kind, sr88_10s, target))
+    assert 1 <= len(calls) <= 2
+
+
+def test_jet_evolution_keeps_the_plain_values(sr88_10s):
+    """The tangent run computes every value exactly as the plain one."""
+    for kind, target in (("free_fall", "g"), ("mach_zehnder", "delta_g")):
+        sc = est.Scenario(kind, sr88_10s, target)
+        for plain, jet in zip(sc.make_state().components, sc.tangent().make_state().components):
+            assert ga.split(jet.mean_x)[0] == plain.mean_x
+            assert ga.split(jet.ledger.slope)[0] == plain.ledger.slope
+            assert [ga.split(t)[0] for _, t in jet.ledger.terms] \
+                == [t for _, t in plain.ledger.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +277,16 @@ def test_reduce_to_qubit_interference_phase_extended_precision(sr88_10s):
 
 
 def test_qubit_parameter_independent_zero():
-    def bloch(_v):
-        return np.array([0.3, -0.2, 0.1])
-    assert est.qubit_qfi(bloch, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert est.qubit_qfi([0.3, -0.2, 0.1], [0.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_qubit_pure_rotation_unit_rate():
     """A pure qubit rotating at unit rate about z: QFI = |dr/dv|^2 = 1."""
-    def bloch(v):
-        return np.array([math.cos(v), math.sin(v), 0.0])
+    v = 0.7
+    r, dr = [math.cos(v), math.sin(v), 0.0], [-math.sin(v), math.cos(v), 0.0]
     # |r| = 1: the mixed-state term is dropped and reported.
     with pytest.warns(UserWarning, match="taken as pure"):
-        got = est.qubit_qfi(bloch, 0.7)
+        got = est.qubit_qfi(r, dr)
     assert got == pytest.approx(1.0, rel=1e-8)
 
 
@@ -316,26 +364,26 @@ def test_scenario_validation():
 
 def test_classical_fi_analytic_family():
     alpha, lam = 3.7, 1.1
-    def prob_fn(v):
-        return (0.5 * (1 + math.cos(alpha * v)), 0.5 * (1 - math.cos(alpha * v)))
-    assert est.classical_fi(prob_fn, lam) == pytest.approx(alpha**2, rel=1e-9)
+    c, s = math.cos(alpha * lam), math.sin(alpha * lam)
+    p, dp = (0.5 * (1 + c), 0.5 * (1 - c)), (-0.5 * alpha * s, 0.5 * alpha * s)
+    assert est.classical_fi(p, dp) == pytest.approx(alpha**2, rel=1e-9)
 
 
 def test_classical_fi_constant_distribution():
-    assert est.classical_fi(lambda v: (0.25, 0.75), 1.0) == 0.0
+    assert est.classical_fi((0.25, 0.75), (0.0, 0.0)) == 0.0
 
 
 def test_classical_fi_negative_probability_error():
     with pytest.raises(ValueError, match="negative"):
-        est.classical_fi(lambda v: (-0.1, 1.1), 1.0)
+        est.classical_fi((-0.1, 1.1), (0.0, 0.0))
 
 
 def test_classical_fi_excludes_tiny_outcomes():
-    def prob_fn(v):
-        tiny = 1e-17
-        return (tiny, 0.5 * (1 - tiny) * (1 + math.cos(v)), 0.5 * (1 - tiny) * (1 - math.cos(v)))
+    tiny, v = 1e-17, 0.8
+    p = (tiny, 0.5 * (1 - tiny) * (1 + math.cos(v)), 0.5 * (1 - tiny) * (1 - math.cos(v)))
+    dp = (0.0, -0.5 * (1 - tiny) * math.sin(v), 0.5 * (1 - tiny) * math.sin(v))
     with pytest.warns(UserWarning, match="excluded"):
-        got = est.classical_fi(prob_fn, 0.8)
+        got = est.classical_fi(p, dp)
     assert got == pytest.approx(1.0, rel=1e-6)
 
 
@@ -418,18 +466,19 @@ def test_report_json_field_names(sr88_10s):
 # ---------------------------------------------------------------------------
 
 # qfi_pure_parametric and fi_numeric on the sample configs at three drop
-# times, recorded before the sweep-speed rewrite of the parametric engine,
-# the free-fall maps and the pair algebra (which left them bit-identical).
+# times, re-recorded when forward-mode tangents replaced the central-difference
+# stencils (MZ delta_g parametric moved 9.35e-6, free-fall FI up to 8.3e-8, the
+# rest less than 1e-9; see CHANGES.md).
 _PINS = {
-    ("sr88_freefall", "g", 5.0): (2248870189588709.8, 2.800157543305524e-06),
-    ("sr88_freefall", "g", 10.0): (8995668258334919.0, 1.1198366019479223e-05),
-    ("sr88_freefall", "g", 30.0): (8.097901433301368e+16, 0.00010056774281011873),
-    ("sr88_mz", "delta_g", 5.0): (6.145323628518829e-10, 2.800157554725474e-10),
-    ("sr88_mz", "delta_g", 10.0): (2.6917017161905185e-09, 1.1198365931997214e-09),
-    ("sr88_mz", "delta_g", 30.0): (4.664825310700623e-08, 1.005677512273938e-08),
-    ("sr88_mz", "bar_g", 5.0): (2.0381005062706746e-09, 2.800157554725474e-10),
-    ("sr88_mz", "bar_g", 10.0): (9.086699781968392e-09, 1.1198365931997214e-09),
-    ("sr88_mz", "bar_g", 30.0): (1.7147288269871286e-07, 1.005677512273938e-08),
+    ('sr88_freefall', 'g', 5.0): (2248870189588729.5, 2.8001575557381958e-06),
+    ('sr88_freefall', 'g', 10.0): (8995668258334950.0, 1.1198365935888806e-05),
+    ('sr88_freefall', 'g', 30.0): (8.097901433300605e+16, 0.00010056775114163433),
+    ('sr88_mz', 'delta_g', 5.0): (6.145381101315497e-10, 2.8001575547477266e-10),
+    ('sr88_mz', 'delta_g', 10.0): (2.691726879747621e-09, 1.1198365932097141e-09),
+    ('sr88_mz', 'delta_g', 30.0): (4.664868808298509e-08, 1.0056775122814111e-08),
+    ('sr88_mz', 'bar_g', 5.0): (2.0381005062699384e-09, 2.8001575547477266e-10),
+    ('sr88_mz', 'bar_g', 10.0): (9.086699781965442e-09, 1.1198365932097141e-09),
+    ('sr88_mz', 'bar_g', 30.0): (1.7147288269871495e-07, 1.0056775122814111e-08),
 }
 
 
