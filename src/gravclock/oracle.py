@@ -7,21 +7,23 @@ two nearby parameter values (1 - |<a|b>| ~ G d^2 / 8 for unit states).
 Nothing in this module reuses the closed-form overlap or QFI paths
 (``PairMoments``, ``overlap``), so agreement is evidence, not tautology.
 
-Rendering samples each branch on the grid lattice x_k = x_min + k dx.
-The extended-precision phase ledger is evaluated only twice per branch:
-its phase at the grid's first point, phi0 = L(x_min), and the per-step
-increment theta = b dx, both wrapped to (-pi, pi].  Per point the phase
-phi0 + k theta + q (x_k - X)^2 is then formed in float64 (error about
-k ulp, ~1e-10 rad at 2^16 points).  Every branch shares that anchor at
-k = 0, whatever its window: branches with equal ledgers (the two paths of
-one level) get bit-identical phi0, so their relative phase carries none
-of the ~1e-4 rad longdouble rounding of a 1e15 rad lever arm.  Anchoring
-each window at its own first point would give each branch its own such
-rounding (at dt = 30 s, oracle vs closed 2e-4 instead of 3e-5).  Only
-the points within +-8.5 widths of a branch centre are evaluated; the
-envelope there is e^(-8.5^2/4) ~ 1.4e-8 of its peak, and the rest of
-the grid stays exactly zero.  ``gaussian.wavefunction_values`` stays the arbitrary-x
-reference sampler; the renderer does not use it.
+Rendering samples each branch on the grid lattice x_k = x_min + k dx, of
+the fewest points (a power of two, at least 2^10) that resolve the
+narrowest width with 16 (``grid_for_states``).  The extended-precision
+phase ledger is evaluated only twice per branch: its phase at the grid's
+first point, phi0 = L(x_min), and the per-step increment theta = b dx,
+both wrapped to (-pi, pi].  Per point the phase phi0 + k theta +
+q (x_k - X)^2 is then formed in float64 (error about k ulp, ~2e-12 rad at
+2^12 points, the most a cross-check set needs).  Every branch shares that
+anchor at k = 0, whatever its window: branches with equal ledgers (the two
+paths of one level) get bit-identical phi0, so their relative phase
+carries none of the ~1e-4 rad longdouble rounding of a 1e15 rad lever arm.
+Anchoring each window at its own first point would give each branch its
+own such rounding (at dt = 30 s, oracle vs closed 2e-4 instead of 3e-5).
+Only the points within +-8.5 widths of a branch centre are evaluated; the
+envelope there is e^(-8.5^2/4) ~ 1.4e-8 of its peak, and the rest of the
+grid stays exactly zero.  ``gaussian.wavefunction_values`` stays the
+arbitrary-x reference sampler; the renderer does not use it.
 
 The amplitude miss 1 - |<a|b>| / (|a| |b|) is a trapezoid sum of squares
 over both level channels, never a subtraction from 1.  The QFI comes from
@@ -84,23 +86,23 @@ class Grid:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
-def grid_for_states(*states: ClockState, n_points: int = 2**16) -> Grid:
-    """Smallest grid covering every branch of every state to +-WINDOW_SIGMAS."""
-    lo = math.inf
-    hi = -math.inf
-    sigma_min = math.inf
+def grid_for_states(*states: ClockState) -> Grid:
+    """Grid covering every branch of every state to +-WINDOW_SIGMAS, on the smallest power of
+    two of points, at least 2^10, whose spacing is below sigma_min / 16 (what ``render`` checks)."""
+    lo, hi, sigma_min = math.inf, -math.inf, math.inf
     for state in states:
         for b in state.components:
             s = math.sqrt(b.var_x)
             lo = min(lo, b.mean_x - WINDOW_SIGMAS * s)
             hi = max(hi, b.mean_x + WINDOW_SIGMAS * s)
             sigma_min = min(sigma_min, s)
-    n_resolve = int(math.ceil((hi - lo) / (sigma_min / 16.0))) + 1
-    if n_resolve > 2**22:
-        raise GridError(
-            f"states span {hi - lo:g} m against a {sigma_min:g} m width; "
-            "rendering them on one grid is not feasible")
-    return Grid(lo, hi, max(n_points, 1 << max(10, n_resolve.bit_length())))
+    n = 1 << 10
+    while not (hi - lo) / (n - 1) < sigma_min / 16.0:    # Grid.spacing; NaN reaches the cap
+        n *= 2
+        if n > 2**22:
+            raise GridError(f"states span {hi - lo:g} m against a {sigma_min:g} m width; "
+                            "rendering them on one grid is not feasible")
+    return Grid(lo, hi, n)
 
 
 @dataclass(frozen=True)
@@ -199,25 +201,26 @@ def richardson_bures_qfi(miss_at, value: float,
     may render both stencils at once), must be a quarter of it (0.2 to 0.3).
     An offset whose drop fails that check lies past the quadratic regime,
     typically on a fidelity revival; it becomes the upper bracket, and the
-    search restarts from d/2 below it.  An accepted pair gives the Richardson
-    combination (4 G(d/2) - G(d)) / 3 of G = 8 m / d^2.  Weakly coupled
-    parameters legitimately need huge offsets to produce a resolvable
-    drop (their phases stay tiny, so the Bures quadratic regime extends);
-    only a truly parameter-independent state exhausts the offset cap, and
-    then the below-window estimate is returned with ``resolved`` False.
+    search restarts from d/2 below it, whose miss it already has.  An accepted
+    pair gives the Richardson combination (4 G(d/2) - G(d)) / 3 of G = 8 m / d^2.
+    Weakly coupled parameters legitimately need huge offsets to produce a
+    resolvable drop (their phases stay tiny, so the Bures quadratic regime
+    extends); only a truly parameter-independent state exhausts the offset
+    cap, and then the below-window estimate is returned with ``resolved`` False.
     """
     lo, hi = 1e-6, 1e-2
     delta_cap = 1e8 * max(abs(value), 1.0)
     d = min(delta if delta is not None else 1e-6 * max(abs(value), 1.0), delta_cap)
     d_small = None   # largest offset known to sit below the window
     d_big = None     # smallest offset known to sit above it or to fail the check
+    known = None     # the miss at d when a failed pair already asked for it
     for _ in range(60):
-        miss = miss_at(d)
+        miss, known = (miss_at(d) if known is None else known), None
         drop = miss * (2.0 - miss)
         if lo <= drop <= hi:
-            miss_half = miss_at(0.5 * d)
-            if 0.2 <= miss_half * (2.0 - miss_half) / drop <= 0.3:
-                return 8.0 * (16.0 * miss_half - miss) / (3.0 * d * d), True
+            known = miss_at(0.5 * d)
+            if 0.2 <= known * (2.0 - known) / drop <= 0.3:
+                return 8.0 * (16.0 * known - miss) / (3.0 * d * d), True
             d_big, d_small, d = d, None, 0.5 * d
         elif drop < lo:
             if d >= delta_cap:
@@ -231,8 +234,7 @@ def richardson_bures_qfi(miss_at, value: float,
                       f"d^2 scaling; the last gave 1-F = {drop:g}")
 
 
-def qfi_numeric(scenario: Scenario, delta: float | None = None,
-                n_points: int = 2**16) -> float:
+def qfi_numeric(scenario: Scenario, delta: float | None = None) -> float:
     """Bures QFI from the grid: G = 8 m / d^2, m = 1 - |<psi(v - d/2)|psi(v + d/2)>|.
 
     The offset is auto-tuned and checked by :func:`richardson_bures_qfi`.
@@ -244,7 +246,7 @@ def qfi_numeric(scenario: Scenario, delta: float | None = None,
     def miss_at(d: float) -> float:
         s_lo = scenario.make_state(value - 0.5 * d)
         s_hi = scenario.make_state(value + 0.5 * d)
-        grid = grid_for_states(s_lo, s_hi, n_points=n_points)
+        grid = grid_for_states(s_lo, s_hi)
         return bures_miss(render(s_lo, grid), render(s_hi, grid))
 
     qfi, resolved = richardson_bures_qfi(miss_at, value, delta)

@@ -63,13 +63,13 @@ def test_criterion_3_closed_vs_oracle(crosscheck_params):
     worst_ff = 0.0
     for p in crosscheck_params:
         closed = est.qfi_ff_closed(p)
-        got = orc.qfi_numeric(est.Scenario("free_fall", p, "g"), n_points=2**16)
+        got = orc.qfi_numeric(est.Scenario("free_fall", p, "g"))
         worst_ff = max(worst_ff, abs(got - closed) / closed)
     worst_mz = 0.0
     for i, p in enumerate(crosscheck_params):
         target = "delta_g" if i % 2 == 0 else "bar_g"
         closed = est.qfi_mz_closed(p, target)
-        got = orc.qfi_numeric(est.Scenario("mach_zehnder", p, target), n_points=2**16)
+        got = orc.qfi_numeric(est.Scenario("mach_zehnder", p, target))
         worst_mz = max(worst_mz, abs(got - closed) / closed)
     elapsed = time.perf_counter() - start
     ok = worst_ff < 1e-2 and worst_mz < 1e-2 and elapsed < 300.0
@@ -112,7 +112,7 @@ def test_criterion_5_probabilities_and_fi(sr88_10s, crosscheck_params):
         state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
         p_plus, p_minus = est.detection_probabilities(state, p)
         sums_exact.append(p_plus + p_minus == 1.0)
-        psi = orc.render(state, orc.grid_for_states(state, n_points=2**16))
+        psi = orc.render(state, orc.grid_for_states(state))
         grid_probs = orc.probabilities_numeric(psi, p, "free_fall")
         worst_grid = max(worst_grid, abs(grid_probs[0] - p_plus),
                          abs(grid_probs[1] - p_minus))
@@ -137,7 +137,7 @@ def test_criterion_6_mz_null(sr88_10s):
     scale = est.qfi_mz_closed(sr88_10s, "bar_g")
     with pytest.warns(UserWarning, match="below fidelity resolution"):
         numeric_null = orc.qfi_numeric(
-            est.Scenario("mach_zehnder", p_null, "bar_g"), n_points=2**14)
+            est.Scenario("mach_zehnder", p_null, "bar_g"))
     ok = closed_null == 0.0 and abs(numeric_null) < 1e-6 * scale
     _report(6, f"MZ null without internal energies (closed {closed_null}, "
                f"numeric {numeric_null:.2e} vs scale {scale:.2e})", ok)

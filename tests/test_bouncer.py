@@ -432,12 +432,12 @@ def test_gravitational_length(bouncer_params):
     p = bouncer_params
     l0 = bc.gravitational_length(p, 0)
     direct = (p.hbar**2 / (2 * p.m**2 * p.g)) ** (1 / 3)
-    assert l0 == pytest.approx(direct, rel=1e-12)      # E0 = 0 here
+    assert l0 == pytest.approx(direct, rel=1e-12, abs=0)      # E0 = 0 here
     l1 = bc.gravitational_length(p, 1)
-    assert l1 / l0 == pytest.approx(((1 + p.z0) / (1 + p.z1)) ** (1 / 3), rel=1e-14)
+    assert l1 / l0 == pytest.approx(((1 + p.z0) / (1 + p.z1)) ** (1 / 3), rel=1e-14, abs=0)
     ref = float((mp.mpf(p.hbar) ** 2 / (2 * mp.mpf(p.m) ** 2 * mp.mpf(p.g)
                                         * (1 + mp.mpf(p.z1)))) ** mp.mpf("1/3"))
-    assert l1 == pytest.approx(ref, rel=1e-13)
+    assert l1 == pytest.approx(ref, rel=1e-13, abs=0)
     assert 1e-7 < l0 < 1e-6        # micrometer scale for a Sr-mass atom
 
 
@@ -556,7 +556,7 @@ def test_coefficients_raise_on_truncation(bouncer_params):
 def test_spectral_norm_constant_in_time(bouncer_params):
     p = bouncer_params
     proj = bc.bouncer_coefficients(p)
-    grid = bc.bouncer_grid(p, proj, n_points=2**13)
+    grid = bc.bouncer_grid(p, proj)
     ref = bc.spectral_phase_ref(p, proj)
     norms = [bc.render_spectral(p, [(p.g, proj)], t, grid, ref)[0].norm_sq()
              for t in (0.0, 0.05, 0.31, 1.7)]
@@ -656,7 +656,7 @@ def test_windowed_render_matches_unwindowed_reference(bouncer_params):
     for the base g and the oracle's stencil g -+ d/2 rendered as one family."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
-    grid = bc.bouncer_grid(p, center, n_points=2**13)
+    grid = bc.bouncer_grid(p, center)
     ref = bc.spectral_phase_ref(p, center)
     d = _oracle_offset(p, center)
     family = [(p.g, center), *_stencil(p, center, (-0.5 * d, 0.5 * d))]
@@ -725,7 +725,7 @@ def test_render_splits_family_past_taylor_bound(bouncer_params):
     2e-15, level 1 (shifted from level 0) within 5e-13."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
-    grid = bc.bouncer_grid(p, center, n_points=2**13)
+    grid = bc.bouncer_grid(p, center)
     ref = bc.spectral_phase_ref(p, center)
     d = 1e-2 * p.g
     family = _stencil(p, center, (-0.5 * d, 0.5 * d))
@@ -769,6 +769,41 @@ def test_bouncer_oracle_regression_pin(bouncer_params):
     test_render_spectral_matches_per_row_reference.
     """
     assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1754866797, rel=1e-13)
+
+
+@pytest.mark.parametrize("refine", [2, 4])
+def test_bouncer_oracle_converged_on_rule_grid(bouncer_params, monkeypatch, refine):
+    """On configs/bouncer.cfg, lattices 2x and 4x finer than bouncer_grid's on the
+    same span move qfi_oracle by < 1e-12 relative: the rule-sized grid is converged."""
+    p = bouncer_params
+    rule = bc.bouncer_grid
+    expected = bc.bouncer_qfi_numeric(p)
+
+    def finer(*args):
+        grid = rule(*args)
+        return orc.Grid(0.0, grid.x_max, refine * (grid.n_points - 1) + 1)
+
+    monkeypatch.setattr(bc, "bouncer_grid", finer)
+    assert abs(bc.bouncer_qfi_numeric(p) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("x_plus", [None, 1.2e-4], ids=["bouncer_cfg", "separated"])
+def test_bouncer_grid_is_smallest_power_of_two_resolving_airy(bouncer_params, x_plus):
+    """bouncer_grid spans the floor to 12 Airy lengths past the highest turning
+    point kept (weight above 1e-16 of the largest) on the smallest power of two of
+    points whose spacing is at most 1/16 of the shortest Airy wavelength there."""
+    p = bouncer_params if x_plus is None else bouncer_params.replace(x_plus=x_plus)
+    proj = bc.bouncer_coefficients(p)
+    grid = bc.bouncer_grid(p, proj)
+    weights = np.abs(proj.coefficients) ** 2
+    z_top = -proj.spectrum.zeros[np.flatnonzero((weights > 1e-16 * weights.max()).any(axis=0))[-1]]
+    assert grid.x_min == 0.0
+    assert grid.x_max == pytest.approx(max(proj.spectrum.lengths) * (z_top + 12.0), rel=1e-15, abs=0)
+    step = 2.0 * math.pi * min(proj.spectrum.lengths) / math.sqrt(z_top) / 16.0
+    n = grid.n_points
+    assert n & (n - 1) == 0
+    assert grid.spacing <= step * (1.0 + 1e-12)
+    assert orc.Grid(0.0, grid.x_max, n // 2).spacing > step * (1.0 - 1e-12)
 
 
 def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):

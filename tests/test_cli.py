@@ -42,7 +42,7 @@ def test_run_emits_report_json(tmp_path, capsys):
     payload = json.loads((out / "report.json").read_text())
     assert payload["parameter_name"] == "g"
     assert payload["qfi_closed"] > 0
-    assert payload["crb_single_shot"] == pytest.approx(1.0 / payload["qfi_closed"])
+    assert payload["crb_single_shot"] == pytest.approx(1.0 / payload["qfi_closed"], rel=1e-6, abs=0)
     assert payload["qfi_parametric"] is None
     assert payload["method_metadata"]["regime_ok"] is True
     assert json.loads(capsys.readouterr().out) == payload

@@ -14,12 +14,12 @@ def test_z_ratios_two_ways(sr88_10s, sr88_100s):
     for p in (sr88_10s, sr88_100s):
         for stored, e in ((p.z0, p.e0), (p.z1, p.e1)):
             direct = e / (p.m * p.c**2)
-            assert stored == pytest.approx(direct, rel=1e-14)
+            assert stored == pytest.approx(direct, rel=1e-14, abs=0)
 
 
 def test_z1_value(sr88_10s):
     # 2.8 eV over the Sr-88 rest energy.
-    assert sr88_10s.z1 == pytest.approx(4.99e-11, rel=2e-3)
+    assert sr88_10s.z1 == pytest.approx(4.99e-11, rel=2e-3, abs=0)
 
 
 def test_params_validation():
@@ -67,7 +67,7 @@ def test_regime_ratios_positive_finite(sr88_10s):
 
 def test_preset_values(sr88_10s, sr88_100s):
     assert sr88_10s.m == 1e-25
-    assert sr88_10s.e1 == pytest.approx(4.486094575e-19, rel=1e-9)
+    assert sr88_10s.e1 == pytest.approx(4.486094575e-19, rel=1e-9, abs=0)
     assert sr88_10s.dt == 10.0 and sr88_10s.sigma == 1e-4
     assert sr88_10s.h == pytest.approx(1e-2)
     assert sr88_100s.dt == 100.0 and sr88_100s.sigma == 1e-3
@@ -93,7 +93,7 @@ def test_config_roundtrip(tmp_path):
     )
     p = core.params_from_config(core.load_config(path))
     assert p.m == 2e-25
-    assert p.e1 == pytest.approx(1.4 * core.EV)
+    assert p.e1 == pytest.approx(1.4 * core.EV, rel=1e-6, abs=0)
     assert p.sigma == 2e-4 and p.dt == 3.0 and p.phi == 0.5
     assert p.ratio_threshold == 0.2
 

@@ -47,7 +47,7 @@ def test_qfi_ff_asymptotic_trivials(sr88_10s):
     assert est.qfi_ff_asymptotic(p.replace(e0=0.0, e1=0.0)) == 0.0
     assert est.qfi_ff_asymptotic(p.replace(g=0.0)) == 0.0
     ratio = est.qfi_ff_asymptotic(p.replace(dt=2 * p.dt)) / est.qfi_ff_asymptotic(p)
-    assert ratio == pytest.approx(64.0, rel=1e-14)
+    assert ratio == pytest.approx(64.0, rel=1e-14, abs=0)
 
 
 def test_qfi_ff_reduced_structure(sr88_10s):
@@ -83,7 +83,7 @@ def test_qfi_mz_closed_delta_h_zero_structure(sr88_10s):
     e1 = p.z1_eff * p.m * p.c**2
     expected = (p.dt / (4 * p.hbar * p.c**2)) ** 2 * (p.e0**2 + e1**2) * 8.0 \
         * (p.spread_width**2 + p.h_bar_mz**2)
-    assert est.qfi_mz_closed(p, "delta_g") == pytest.approx(expected, rel=1e-12)
+    assert est.qfi_mz_closed(p, "delta_g") == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_qfi_mz_reduced_quarter_beat_structure(sr88_10s):
@@ -93,7 +93,7 @@ def test_qfi_mz_reduced_quarter_beat_structure(sr88_10s):
     pq = p.replace(dt=dt_quarter)
     for target, lever in (("delta_g", pq.h_bar_mz), ("bar_g", pq.delta_h)):
         first = ((pq.e1 - pq.e0) * lever * pq.dt / (2 * pq.hbar * pq.c**2)) ** 2
-        assert est.qfi_mz_reduced_closed(pq, target) == pytest.approx(first, rel=1e-9)
+        assert est.qfi_mz_reduced_closed(pq, target) == pytest.approx(first, rel=1e-9, abs=0)
 
 
 def test_fi_mz_crossed_levers(sr88_10s):
@@ -102,12 +102,12 @@ def test_fi_mz_crossed_levers(sr88_10s):
     # Shift both Taylor offsets together: h_bar changes, delta_h fixed.
     p2 = p1.replace(x_plus0=p1.x_plus0 - 5e-5, x_minus0=p1.x_minus0 - 5e-5)
     assert p2.delta_h == pytest.approx(p1.delta_h)
-    assert est.fi_mz_closed(p2, "bar_g") == pytest.approx(est.fi_mz_closed(p1, "bar_g"), rel=1e-9)
+    assert est.fi_mz_closed(p2, "bar_g") == pytest.approx(est.fi_mz_closed(p1, "bar_g"), rel=1e-9, abs=0)
     assert est.fi_mz_closed(p2, "delta_g") != pytest.approx(est.fi_mz_closed(p1, "delta_g"), rel=1e-3)
     # And the transposed move: delta_h changes, h_bar fixed.
     p3 = p1.replace(x_plus0=p1.x_plus0 - 5e-5, x_minus0=p1.x_minus0 + 5e-5)
     assert p3.h_bar_mz == pytest.approx(p1.h_bar_mz)
-    assert est.fi_mz_closed(p3, "delta_g") == pytest.approx(est.fi_mz_closed(p1, "delta_g"), rel=1e-9)
+    assert est.fi_mz_closed(p3, "delta_g") == pytest.approx(est.fi_mz_closed(p1, "delta_g"), rel=1e-9, abs=0)
     assert est.fi_mz_closed(p3, "bar_g") != pytest.approx(est.fi_mz_closed(p1, "bar_g"), rel=1e-3)
 
 
@@ -488,8 +488,8 @@ def test_parametric_and_fi_numeric_pinned(config, target, dt):
     kind = "free_fall" if target == "g" else "mach_zehnder"
     sc = est.Scenario(kind, params.replace(dt=dt), target)
     qfi, fi = _PINS[(config, target, dt)]
-    assert est.qfi_pure_parametric(sc) == pytest.approx(qfi, rel=1e-13)
-    assert est.fi_numeric(sc) == pytest.approx(fi, rel=1e-13)
+    assert est.qfi_pure_parametric(sc) == pytest.approx(qfi, rel=1e-13, abs=0)
+    assert est.fi_numeric(sc) == pytest.approx(fi, rel=1e-13, abs=0)
 
 
 @st.composite

@@ -108,9 +108,9 @@ def test_freefall_textbook_at_zero_internal_energy():
                           x_minus=0.50, x0=0.505, sigma=1e-4, dt=1.0)
     state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
     b = state.branch("plus", 0)
-    assert abs(p.hbar * float(b.ledger.slope)) == pytest.approx(9.81e-25, rel=1e-12)
+    assert abs(p.hbar * float(b.ledger.slope)) == pytest.approx(9.81e-25, rel=1e-12, abs=0)
     assert b.mean_x == pytest.approx(0.51 - 4.905, rel=1e-12)
-    assert b.var_x == pytest.approx(1e-8 + (p.hbar / (2e-25 * 1e-4)) ** 2, rel=1e-12)
+    assert b.var_x == pytest.approx(1e-8 + (p.hbar / (2e-25 * 1e-4)) ** 2, rel=1e-12, abs=0)
 
 
 def test_freefall_momentum_ratio_extended_precision(sr88_10s):
@@ -118,7 +118,7 @@ def test_freefall_momentum_ratio_extended_precision(sr88_10s):
     state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
     ratio = float(state.branch("plus", 1).ledger.slope / state.branch("plus", 0).ledger.slope)
     ref = float(1 + mp.mpf(p.e1) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2))
-    assert ratio == pytest.approx(ref, rel=1e-13)
+    assert ratio == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def _propagator_reference(p, branch, xs):
@@ -191,15 +191,15 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
     p = sr88_10s
     full = _evolve(ga.make_initial_state(p).branch("plus", 1), p)
     z = p.z1
-    boost = float(p.hbar * full.ledger.slope - _LD(-p.m * p.g * p.dt))
-    assert boost == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6)
+    boost = float(p.hbar * full.ledger.slope + _LD(p.m) * p.g * p.dt)
+    assert boost == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6, abs=0)
     # The ledger keeps z orders as separate terms, so the z^2 piece of
     # cubic_z = cubic (z - z^2) is isolated in extended precision.
     terms = dict(full.ledger.terms)
     z2_piece = float(terms["cubic_z"] - terms["cubic"] * _LD(z))
     ref = float(mp.mpf(p.m) * mp.mpf(p.g) ** 2 * mp.mpf(p.dt) ** 3
                 / (6 * mp.mpf(p.hbar)) * mp.mpf(z) ** 2)
-    assert z2_piece == pytest.approx(ref, rel=1e-9)
+    assert z2_piece == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 def test_evolution_requires_pre_evolution_branch(sr88_10s):
@@ -320,7 +320,7 @@ def test_overlap_standard_separation():
         amplitude=1.0, ledger=a.ledger, mean_x=a.mean_x,
         var_x=a.var_x, chirp=0.0, internal_level=0, path_label="plus")
     got = ga.overlap(a0, b)
-    assert got == pytest.approx(math.exp(-sep**2 / (8 * a.var_x)), rel=1e-12)
+    assert got == pytest.approx(math.exp(-sep**2 / (8 * a.var_x)), rel=1e-12, abs=0)
 
 
 def test_overlap_levels_orthogonal(sr88_10s):

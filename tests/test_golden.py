@@ -53,4 +53,4 @@ def test_oracle_qfi_matches_golden(tmp_path, monkeypatch, name):
     assert cli.main(argv) == 0
     got = json.loads((tmp_path / "report.json").read_text())["qfi_oracle"]
     want = json.loads((GOLDEN / "oracle_qfi.json").read_text())[name]
-    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)

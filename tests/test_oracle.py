@@ -62,13 +62,13 @@ def test_render_single_branch_norm(sr88_10s):
     p = sr88_10s
     state = ga.ClockState((ga.GaussianBranch(
         1.0, ga.empty_ledger(p.x0), p.x_plus, p.sigma**2, 0.0, 0, "plus"),))
-    psi = orc.render(state, orc.grid_for_states(state, n_points=2**12))
+    psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_render_two_separated_branches_norm(sr88_10s):
     state = ga.make_initial_state(sr88_10s)
-    psi = orc.render(state, orc.grid_for_states(state, n_points=2**13))
+    psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -78,7 +78,7 @@ def test_render_norm_matches_closed_form_with_overlap():
                           x_minus=0.5, x0=1.0, sigma=0.8, dt=0.0, phi=0.6)
     p = p.replace(c=100.0, hbar=1.0)
     state = ga.make_initial_state(p)
-    psi = orc.render(state, orc.grid_for_states(state, n_points=2**12))
+    psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(ga.state_norm_sq(state), abs=1e-8)
 
 
@@ -97,7 +97,7 @@ def test_overlap_matches_grid_quadrature():
     for _ in range(12):
         a, b = _random_branch(rng), _random_branch(rng)
         state = ga.ClockState((a, b))
-        grid = orc.grid_for_states(state, n_points=2**12)
+        grid = orc.grid_for_states(state)
         xs = grid.xs()
         va = ga.wavefunction_values(a, xs)
         vb = ga.wavefunction_values(b, xs)
@@ -114,7 +114,7 @@ def test_pair_moments_match_grid_quadrature():
         pa = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
         pb = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
         state = ga.ClockState((a, b))
-        grid = orc.grid_for_states(state, n_points=2**13)
+        grid = orc.grid_for_states(state)
         xs = grid.xs()
         va = ga.wavefunction_values(a, xs) * np.polyval(pa[::-1], xs - a.mean_x)
         vb = ga.wavefunction_values(b, xs) * np.polyval(pb[::-1], xs - b.mean_x)
@@ -156,7 +156,7 @@ def test_kernel_matches_reference_sampler(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(6):
         b = _random_branch(rng)
-        grid = orc.grid_for_states(ga.ClockState((b,)), n_points=2**12)
+        grid = orc.grid_for_states(ga.ClockState((b,)))
         _window, values = _full_lattice(monkeypatch, b, grid)
         ref = ga.wavefunction_values(b, grid.xs())
         assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -177,7 +177,7 @@ def test_oracle_vs_closed_at_30s_anchor(crosscheck_params):
     a per-branch phase anchor would leave ~1e-4 rad of rounding in each."""
     p = crosscheck_params[9]
     closed = est.qfi_ff_closed(p)
-    got = orc.qfi_numeric(est.Scenario("free_fall", p, "g"), n_points=2**16)
+    got = orc.qfi_numeric(est.Scenario("free_fall", p, "g"))
     assert abs(got - closed) / closed <= 1e-4
 
 
@@ -188,7 +188,7 @@ def test_oracle_vs_closed_at_30s_anchor(crosscheck_params):
 def test_fidelity_self_unity(sr88_10s):
     """A state against itself misses by exactly 0 (F = 1)."""
     state = ga.make_initial_state(sr88_10s)
-    psi = orc.render(state, orc.grid_for_states(state, n_points=2**12))
+    psi = orc.render(state, orc.grid_for_states(state))
     assert orc.bures_miss(psi, psi) == 0.0
 
 
@@ -200,13 +200,13 @@ def test_fidelity_disjoint_channels_zero(sr88_10s):
     b1 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus,
                            p.sigma**2, 0.0, 1, "plus")
     s0, s1 = ga.ClockState((b0,)), ga.ClockState((b1,))
-    grid = orc.grid_for_states(s0, s1, n_points=2**12)
+    grid = orc.grid_for_states(s0, s1)
     assert orc.bures_miss(orc.render(s0, grid), orc.render(s1, grid)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_grid_mismatch_error(sr88_10s):
     state = ga.make_initial_state(sr88_10s)
-    g1 = orc.grid_for_states(state, n_points=2**12)
+    g1 = orc.grid_for_states(state)
     g2 = orc.Grid(g1.x_min, g1.x_max, g1.n_points + 8)
     with pytest.raises(orc.GridError, match="common grid"):
         orc.render(state, g1).inner(orc.render(state, g2))
@@ -229,14 +229,14 @@ def test_bures_expansion_against_closed_qfi(sr88_10s):
 
 def test_qfi_numeric_phase_family(sr88_10s):
     fam = PhaseFamily(sr88_10s.replace(phi=0.4))
-    got = orc.qfi_numeric(fam, n_points=2**12)
+    got = orc.qfi_numeric(fam)
     assert got == pytest.approx(1.0, abs=1e-4)
 
 
 def test_qfi_numeric_parameter_independent(sr88_10s):
     fam = ConstantFamily(sr88_10s)
     with pytest.warns(UserWarning, match="below fidelity resolution"):
-        got = orc.qfi_numeric(fam, n_points=2**11)
+        got = orc.qfi_numeric(fam)
     assert abs(got) < 1e-6
 
 
@@ -361,7 +361,9 @@ _BURES_CASES = {
 @pytest.mark.parametrize("name", list(_BURES_CASES))
 def test_richardson_asks_for_the_two_stage_offsets(name):
     """The one-loop search returns what the two-stage search returned and
-    asks the miss for the same offsets, in the same order."""
+    asks the miss for the same offsets, in the same order, but never twice
+    for one: after a pair fails the d^2 check, the two-stage search asked
+    again for the d/2 it had just asked for (the revival cases)."""
     miss, value, delta = _BURES_CASES[name]
     asked = {"new": [], "ref": []}
 
@@ -374,7 +376,10 @@ def test_richardson_asks_for_the_two_stage_offsets(name):
     got = orc.richardson_bures_qfi(recording("new"), value, delta)
     ref = _two_stage_bures_reference(recording("ref"), value, delta)
     assert got == ref
-    assert asked["new"] == asked["ref"]
+    repeats = [i for i in range(1, len(asked["ref"])) if asked["ref"][i] == asked["ref"][i - 1]]
+    assert asked["new"] == [d for i, d in enumerate(asked["ref"]) if i not in repeats]
+    assert len(set(asked["new"])) == len(asked["new"])
+    assert bool(repeats) is name.startswith("revival")
     assert got[1] is (name != "constant")
 
 
@@ -383,16 +388,59 @@ def test_richardson_unplaceable_drop_raises():
         orc.richardson_bures_qfi(lambda d: math.nan, 1.0)
 
 
-def test_grid_refinement_convergence(sr88_10s):
-    """Halving the spacing moves the amplitude miss by < 1e-6 relative."""
-    sc = est.Scenario("free_fall", sr88_10s, "g")
-    d = 3.0e-10
-    vals = []
-    for n in (2**15, 2**16):
-        s_lo, s_hi = sc.make_state(sr88_10s.g - d / 2), sc.make_state(sr88_10s.g + d / 2)
-        grid = orc.grid_for_states(s_lo, s_hi, n_points=n)
-        vals.append(orc.bures_miss(orc.render(s_lo, grid), orc.render(s_hi, grid)))
-    assert abs(vals[1] - vals[0]) / vals[1] < 1e-6
+def test_grid_refinement_convergence(sr88_10s, crosscheck_params):
+    """A 16x finer lattice on the rule-sized grid's span moves the amplitude
+    miss by < 1e-6 relative, at an offset with a miss of ~1e-4 (the middle of
+    the Bures window): free fall, both MZ targets and the 30-s anchor set."""
+    for kind, target, p in [("free_fall", "g", sr88_10s), ("mach_zehnder", "delta_g", sr88_10s),
+                            ("mach_zehnder", "bar_g", sr88_10s), ("free_fall", "g", crosscheck_params[9])]:
+        sc = est.Scenario(kind, p, target)
+        d = math.sqrt(8e-4 / est.closed_qfi(sc))
+        s_lo, s_hi = sc.make_state(sc.value() - d / 2), sc.make_state(sc.value() + d / 2)
+        grid = orc.grid_for_states(s_lo, s_hi)
+        fine = orc.Grid(grid.x_min, grid.x_max, 16 * (grid.n_points - 1) + 1)
+        coarse, refined = (orc.bures_miss(orc.render(s_lo, g), orc.render(s_hi, g)) for g in (grid, fine))
+        assert 1e-5 < refined < 1e-3, (kind, target)
+        assert abs(coarse - refined) / refined < 1e-6, (kind, target)
+
+
+def _oracle_grids(scenario, monkeypatch):
+    """(states, grid) of every grid_for_states call one qfi_numeric run makes."""
+    calls, rule = [], orc.grid_for_states
+
+    def recording(*states):
+        calls.append((states, rule(*states)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(orc, "grid_for_states", recording)
+        orc.qfi_numeric(scenario)
+    return calls
+
+
+def test_grid_is_smallest_power_of_two_render_accepts(crosscheck_params, monkeypatch):
+    """At the oracle's own offsets, on the sample configs and the cross-check
+    sets (free fall and the MZ target), every grid renders both states and is
+    the smallest power of two of points that does, or the 2^10 minimum."""
+    scenarios = [_sample_scenario(name) for name in ("sr88_freefall.cfg", "sr88_mz.cfg")]
+    for i, p in enumerate(crosscheck_params):
+        scenarios += [est.Scenario("free_fall", p, "g"),
+                      est.Scenario("mach_zehnder", p, "delta_g" if i % 2 == 0 else "bar_g")]
+    sizes = set()
+    for scenario in scenarios:
+        calls = _oracle_grids(scenario, monkeypatch)
+        assert calls
+        for states, grid in calls:
+            n = grid.n_points
+            assert n >= 2**10 and n & (n - 1) == 0
+            for state in states:
+                orc.render(state, grid)
+            if n > 2**10:
+                with pytest.raises(orc.GridError, match="too coarse"):
+                    for state in states:
+                        orc.render(state, orc.Grid(grid.x_min, grid.x_max, n // 2))
+            sizes.add(n)
+    assert sizes == {2**10, 2**11, 2**12}
 
 
 # Sample configs for the whole-oracle checks: (config, overrides, the miss
@@ -476,7 +524,7 @@ def _detector_state(params, sign):
 @pytest.mark.parametrize("sign,expected", [(1.0, (1.0, 0.0)), (-1.0, (0.0, 1.0))])
 def test_probabilities_on_detector_states(sr88_10s, sign, expected):
     state = _detector_state(sr88_10s, sign)
-    grid = orc.grid_for_states(state, n_points=2**13)
+    grid = orc.grid_for_states(state)
     psi = orc.render(state, grid)
     got = orc.probabilities_numeric(psi, sr88_10s, "free_fall")
     assert got[0] == pytest.approx(expected[0], abs=1e-8)
