@@ -63,8 +63,8 @@ _UNDERFLOW_Y = 108.0
 _BLOCK = 1 << 14
 # Rendered basis rows stop here: Ai(26) ~ 1e-39, so the rest of a row is 0.
 _RENDER_CUT_Y = 26.0
-# Render chunks: Ai and four derivatives on 12 rows of n points take 480 n bytes (3.9 MB at
-# 2^13, configs/bouncer.cfg), a 4-state family's sums over 2048 points 1.3 MB; Taylor orders <= 4.
+# Render chunks: Ai and four derivatives on 12 rows of n points take 480 n bytes (2.8 MB at
+# 5779, configs/bouncer.cfg), a 4-state family's sums over 2048 points 1.3 MB; Taylor orders <= 4.
 _RENDER_ROWS, _RENDER_COLS, _TAYLOR_MAX = 12, 2048, 4
 # Table intervals and Chebyshev degree: degree 13 already reaches rounding
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
@@ -483,9 +483,9 @@ def airy_ai_prime(y):
 
 
 def airy_zero(n: int) -> float:
-    """n-th negative zero of Ai, 1 <= n <= 1e4, to 1e-10."""
-    if not 1 <= n <= BOUNCER_N_MAX_CAP:
-        raise ValueError(f"airy_zero supports 1 <= n <= {BOUNCER_N_MAX_CAP}")
+    """n-th negative zero of Ai, integral 1 <= n <= 1e4, to 1e-10."""
+    if not 1 <= n <= BOUNCER_N_MAX_CAP or n != int(n):
+        raise ValueError(f"airy_zero supports integral 1 <= n <= {BOUNCER_N_MAX_CAP}, got {n!r}")
     return float(default_engine().zeros(int(n))[-1])
 
 
@@ -668,14 +668,13 @@ def bouncer_qfi_longtime(params: PhysicalParams, n_max: int | None = None,
 
 def bouncer_grid(params: PhysicalParams, projection: BouncerProjection) -> Grid:
     """Grid from the floor to 12 Airy lengths past the highest contributing turning point, on
-    the smallest power of two of points spaced <= 1/16 of the shortest Airy wavelength there."""
+    the fewest points spaced <= 1/16 of the shortest Airy wavelength there."""
     weights = np.abs(projection.coefficients) ** 2
     z_sel = projection.spectrum.zeros[np.any(weights > 1e-16 * weights.max(), axis=0)]
     l_max = max(projection.spectrum.lengths)
     x_max = l_max * (float(np.max(-z_sel)) + 12.0)
     lam_min = 2.0 * math.pi * min(projection.spectrum.lengths) / math.sqrt(np.max(-z_sel))
-    n_resolve = int(math.ceil(x_max / (lam_min / 16.0)))     # intervals of <= lam_min / 16
-    return Grid(0.0, x_max, 1 << n_resolve.bit_length())
+    return Grid(0.0, x_max, math.ceil(x_max / (lam_min / 16.0)) + 1)   # steps <= lam_min / 16
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,8 @@ class ScenarioConfig:
         if bad:
             raise ConfigError(f"{self.scenario} supports methods {', '.join(routes)} "
                               f"(got {sorted(bad)})")
+        if repeated := sorted({m for m in self.methods if self.methods.count(m) > 1}):
+            raise ConfigError(f"--methods lists {', '.join(repeated)} more than once")
         if self.n_max is not None:
             if self.scenario != "bouncer":
                 raise ConfigError(f"bouncer.n_max applies only to the bouncer scenario, "

@@ -8,16 +8,16 @@ Nothing in this module reuses the closed-form overlap or QFI paths
 (``PairMoments``, ``overlap``), so agreement is evidence, not tautology.
 
 Rendering samples each branch on the grid lattice x_k = x_min + k dx, of
-the fewest points (a power of two, at least 2^10) that resolve the
-narrowest width with 16 (``grid_for_states``).  The extended-precision
-phase ledger is evaluated only twice per branch: its phase at the grid's
-first point, phi0 = L(x_min), and the per-step increment theta = b dx,
-both wrapped to (-pi, pi].  Per point the phase phi0 + k theta +
-q (x_k - X)^2 is then formed in float64 (error about k ulp, ~2e-12 rad at
-2^12 points, the most a cross-check set needs).  Every branch shares that
-anchor at k = 0, whatever its window: branches with equal ledgers (the two
-paths of one level) get bit-identical phi0, so their relative phase
-carries none of the ~1e-4 rad longdouble rounding of a 1e15 rad lever arm.
+the fewest points that resolve the narrowest width with 16
+(``grid_for_states``).  The extended-precision phase ledger is evaluated
+only twice per branch: its phase at the grid's first point,
+phi0 = L(x_min), and the per-step increment theta = b dx, both wrapped to
+(-pi, pi].  Per point the phase phi0 + k theta + q (x_k - X)^2 is then
+formed in float64 (error about k ulp, ~1.5e-12 rad at the ~3000 points a
+cross-check set needs at most).  Every branch shares that anchor at
+k = 0, whatever its window: branches with equal ledgers (the two paths of
+one level) get bit-identical phi0, so their relative phase carries none
+of the ~1e-4 rad longdouble rounding of a 1e15 rad lever arm.
 Anchoring each window at its own first point would give each branch its
 own such rounding (at dt = 30 s, oracle vs closed 2e-4 instead of 3e-5).
 Only the points within +-8.5 widths of a branch centre are evaluated; the
@@ -87,8 +87,8 @@ class Grid:
 
 
 def grid_for_states(*states: ClockState) -> Grid:
-    """Grid covering every branch of every state to +-WINDOW_SIGMAS, on the smallest power of
-    two of points, at least 2^10, whose spacing is below sigma_min / 16 (what ``render`` checks)."""
+    """Grid covering every branch of every state to +-WINDOW_SIGMAS, on the fewest points, at
+    most 2^22, whose spacing is below sigma_min / 16 (what ``render`` checks)."""
     lo, hi, sigma_min = math.inf, -math.inf, math.inf
     for state in states:
         for b in state.components:
@@ -96,13 +96,11 @@ def grid_for_states(*states: ClockState) -> Grid:
             lo = min(lo, b.mean_x - WINDOW_SIGMAS * s)
             hi = max(hi, b.mean_x + WINDOW_SIGMAS * s)
             sigma_min = min(sigma_min, s)
-    n = 1 << 10
-    while not (hi - lo) / (n - 1) < sigma_min / 16.0:    # Grid.spacing; NaN reaches the cap
-        n *= 2
-        if n > 2**22:
-            raise GridError(f"states span {hi - lo:g} m against a {sigma_min:g} m width; "
-                            "rendering them on one grid is not feasible")
-    return Grid(lo, hi, n)
+    span, step = hi - lo, sigma_min / 16.0
+    if not 0 < span < (2**22 - 1) * step:                 # an empty or infinite span fails too
+        raise GridError(f"states span {span:g} m against a {sigma_min:g} m width; "
+                        "rendering them on one grid is not feasible")
+    return Grid(lo, hi, math.floor(span / step) + 2)      # n - 1 > span / step: Grid.spacing < step
 
 
 @dataclass(frozen=True)

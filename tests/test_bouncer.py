@@ -105,10 +105,9 @@ def test_airy_zero_ordering_and_range_guard():
     assert np.all(np.diff(zeros) < 0)
     assert np.all(zeros < 0)
     assert np.all(np.abs(bc.airy_ai(zeros)) < 1e-10)
-    with pytest.raises(ValueError):
-        bc.airy_zero(0)
-    with pytest.raises(ValueError):
-        bc.airy_zero(10**4 + 1)
+    for n in (0, 10**4 + 1, 2.5, 2.999):     # refused, not truncated to an integer
+        with pytest.raises(ValueError):
+            bc.airy_zero(n)
 
 
 @pytest.mark.parametrize("count", [1, 2, 17, 454, 512, 1024, 3000])
@@ -765,10 +764,12 @@ def test_bouncer_oracle_regression_pin(bouncer_params):
     channel moves the value ~1e-15 (test_oracle_rounding_noise_floor).
     Computed from the fidelity F, the floor was ~1e-12 and the pin 1e-10;
     the miss form moved the value from 933959.1754951946 (9.1e-12).
-    The render is held to the per-row render by
-    test_render_spectral_matches_per_row_reference.
+    The value moves ~7e-13 with the lattice's point count (finer lattices:
+    test_bouncer_oracle_converged_on_rule_grid), so a change to
+    bouncer_grid's rule re-records it.  The render is held to the per-row
+    render by test_render_spectral_matches_per_row_reference.
     """
-    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1754866797, rel=1e-13)
+    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1754873187, rel=1e-13)
 
 
 @pytest.mark.parametrize("refine", [2, 4])
@@ -788,10 +789,10 @@ def test_bouncer_oracle_converged_on_rule_grid(bouncer_params, monkeypatch, refi
 
 
 @pytest.mark.parametrize("x_plus", [None, 1.2e-4], ids=["bouncer_cfg", "separated"])
-def test_bouncer_grid_is_smallest_power_of_two_resolving_airy(bouncer_params, x_plus):
+def test_bouncer_grid_is_fewest_points_resolving_airy(bouncer_params, x_plus):
     """bouncer_grid spans the floor to 12 Airy lengths past the highest turning
-    point kept (weight above 1e-16 of the largest) on the smallest power of two of
-    points whose spacing is at most 1/16 of the shortest Airy wavelength there."""
+    point kept (weight above 1e-16 of the largest) on the fewest points whose
+    spacing is at most 1/16 of the shortest Airy wavelength there."""
     p = bouncer_params if x_plus is None else bouncer_params.replace(x_plus=x_plus)
     proj = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, proj)
@@ -800,10 +801,8 @@ def test_bouncer_grid_is_smallest_power_of_two_resolving_airy(bouncer_params, x_
     assert grid.x_min == 0.0
     assert grid.x_max == pytest.approx(max(proj.spectrum.lengths) * (z_top + 12.0), rel=1e-15, abs=0)
     step = 2.0 * math.pi * min(proj.spectrum.lengths) / math.sqrt(z_top) / 16.0
-    n = grid.n_points
-    assert n & (n - 1) == 0
     assert grid.spacing <= step * (1.0 + 1e-12)
-    assert orc.Grid(0.0, grid.x_max, n // 2).spacing > step * (1.0 - 1e-12)
+    assert orc.Grid(0.0, grid.x_max, grid.n_points - 1).spacing > step * (1.0 - 1e-12)
 
 
 def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):

@@ -259,9 +259,11 @@ def test_non_finite_sweep_bound_exit_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_bad_method_and_target_exit_2(tmp_path):
+def test_bad_method_and_target_exit_2(tmp_path, capsys):
     cfg = _write_ff_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--methods", "magic"]) == 2
+    assert cli.main(["run", "--config", str(cfg), "--methods", "closed,closed,fi"]) == 2
+    assert "--methods lists closed more than once" in capsys.readouterr().err
     cfg2 = tmp_path / "mz.cfg"
     cfg2.write_text("scenario.name = free_fall\nscenario.target = delta_g\n")
     assert cli.main(["run", "--config", str(cfg2)]) == 2

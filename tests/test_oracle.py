@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -418,29 +419,35 @@ def _oracle_grids(scenario, monkeypatch):
     return calls
 
 
-def test_grid_is_smallest_power_of_two_render_accepts(crosscheck_params, monkeypatch):
+def test_grid_is_fewest_points_render_accepts(crosscheck_params, monkeypatch):
     """At the oracle's own offsets, on the sample configs and the cross-check
-    sets (free fall and the MZ target), every grid renders both states and is
-    the smallest power of two of points that does, or the 2^10 minimum."""
+    sets (free fall and the MZ target), every grid renders both states, and the
+    same span on one point fewer is too coarse for one of them."""
     scenarios = [_sample_scenario(name) for name in ("sr88_freefall.cfg", "sr88_mz.cfg")]
     for i, p in enumerate(crosscheck_params):
         scenarios += [est.Scenario("free_fall", p, "g"),
                       est.Scenario("mach_zehnder", p, "delta_g" if i % 2 == 0 else "bar_g")]
-    sizes = set()
     for scenario in scenarios:
         calls = _oracle_grids(scenario, monkeypatch)
         assert calls
         for states, grid in calls:
-            n = grid.n_points
-            assert n >= 2**10 and n & (n - 1) == 0
             for state in states:
                 orc.render(state, grid)
-            if n > 2**10:
-                with pytest.raises(orc.GridError, match="too coarse"):
-                    for state in states:
-                        orc.render(state, orc.Grid(grid.x_min, grid.x_max, n // 2))
-            sizes.add(n)
-    assert sizes == {2**10, 2**11, 2**12}
+            with pytest.raises(orc.GridError, match="too coarse"):
+                for state in states:
+                    orc.render(state, orc.Grid(grid.x_min, grid.x_max, grid.n_points - 1))
+
+
+def test_grid_refuses_span_past_cap():
+    """Branches 2^18 widths apart need more than 2^22 points at 16 per width,
+    and an infinite centre has no finite span: both are refused."""
+    b = _random_branch(np.random.default_rng(0))
+    s = math.sqrt(b.var_x)
+    near = ga.ClockState((b, replace(b, mean_x=b.mean_x + 2**17 * s)))
+    assert orc.grid_for_states(near).n_points < 2**22
+    for far in (b.mean_x + 2**18 * s, math.inf):
+        with pytest.raises(orc.GridError, match="not feasible"):
+            orc.grid_for_states(ga.ClockState((b, replace(b, mean_x=far))))
 
 
 # Sample configs for the whole-oracle checks: (config, overrides, the miss
