@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g, require_floor_clearance
 from .gaussian import wrap_angle
-from .oracle import Grid, GridWavefunction, bures_miss, richardson_bures_qfi
+from .oracle import Grid, GridWavefunction, OracleError, bures_miss, richardson_bures_qfi
 
 _LD = np.longdouble
 
@@ -605,7 +605,8 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> Bo
     in log space; a basis missing more than 1e-3 of either path's mass
     raises ValueError rather than renormalize the rest to a wrong number.
     The combined coefficients (c+ + e^{i phi} c-)/2 are renormalized to
-    unit total mass (ignoring branch overlap); the factor is reported.
+    unit total mass (ignoring branch overlap); the factor is reported, and
+    one below 1e-6 (the paths cancel) raises ValueError.
     """
     if n_max is None:
         n_max = _auto_n_max(params)
@@ -628,11 +629,8 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> Bo
     total = float(np.sum(np.abs(combined) ** 2))
     renorm = math.sqrt(total)
     if renorm < 1e-6:
-        # Destructive interference of the two path projections: leave the
-        # (near-null) coefficients unscaled rather than dividing by ~0.
-        warnings.warn("combined projection nearly null (destructive phase); "
-                      "coefficients left unnormalized", stacklevel=2)
-        return BouncerProjection(spectrum, c_plus, c_minus, combined, tail, renorm)
+        raise ValueError(f"the two paths cancel at phi = {params.phi!r}: the combined "
+                         f"projection has norm {renorm:.2e} < 1e-6, no state to normalize")
     return BouncerProjection(spectrum, c_plus, c_minus, combined / renorm, tail, renorm)
 
 
@@ -651,10 +649,10 @@ def denergy_dg(params: PhysicalParams, spectrum: BouncerSpectrum) -> np.ndarray:
     return out
 
 
-def bouncer_qfi_longtime(params: PhysicalParams, n_max: int | None = None,
+def bouncer_qfi_longtime(params: PhysicalParams,
                          projection: BouncerProjection | None = None) -> float:
     """Long-time QFI for g: (4 dt^2 / hbar^2) Var(dE/dg) over |c_{i,n}|^2."""
-    proj = projection if projection is not None else bouncer_coefficients(params, n_max)
+    proj = projection if projection is not None else bouncer_coefficients(params)
     weights = np.abs(proj.coefficients) ** 2
     de = denergy_dg(params, proj.spectrum)
     mean = float(np.sum(weights * de))
@@ -782,14 +780,15 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     return [GridWavefunction(grid, ch) for ch in channels]
 
 
-def bouncer_qfi_numeric(params: PhysicalParams, n_max: int | None = None) -> float:
+def bouncer_qfi_numeric(params: PhysicalParams) -> float:
     """Bures QFI (``oracle.bures_miss``) of the state rendered at t = dt (the dt^2 oracle).
 
     An offset d renders the stencil g -+ d/2, g -+ d/4 as one family (see
     ``render_spectral``); its g -+ d/4 pair answers the d/2 call that follows,
-    at the same g values since 0.5 d is exact.
+    at the same g values since 0.5 d is exact.  An offset with d/2 >= g, which
+    the search reaches only from below the fidelity window, raises OracleError.
     """
-    center = bouncer_coefficients(params, n_max)
+    center = bouncer_coefficients(params)
     grid = bouncer_grid(params, center)
     ref = spectral_phase_ref(params, center)
     # Start the offset search where the long-time QFI puts 1 - F at 2e-4.
@@ -798,6 +797,9 @@ def bouncer_qfi_numeric(params: PhysicalParams, n_max: int | None = None) -> flo
     pairs = {}       # offset -> its two states, from the last family rendered
 
     def miss_at(d: float) -> float:
+        if not 0.5 * d < params.g:
+            raise OracleError(f"offset d = {d:g} would step g = {params.g:g} to g - d/2 <= 0: "
+                              "the state's g-dependence is below fidelity resolution")
         if d not in pairs:
             family = [(g, bouncer_coefficients(params.replace(g=g), center.spectrum.n_max))
                       for g in (params.g + d * np.array([-0.5, 0.5, -0.25, 0.25])).tolist()]

@@ -45,7 +45,6 @@ import numpy as np
 
 from . import estimation as est
 from .core import (
-    BOUNCER_N_MAX_CAP,
     ConfigError,
     ParamsError,
     PhysicalParams,
@@ -64,26 +63,24 @@ def _module(name: str):
 
 
 # ROUTES[scenario][method] -> ((column, route), ...), methods in evaluation
-# order.  A route maps (estimation.Scenario, n_max) to a value; it looks its
+# order.  A route maps an estimation.Scenario to a value; it looks its
 # function up through the module at call time, so patched or traced
 # module attributes are honoured, and ``oracle`` and ``bouncer`` are
 # imported only by the routes that use them.
 _INTERFEROMETER_ROUTES = {
-    "closed": (("qfi_closed", lambda sc, n_max: est.closed_qfi(sc)),),
-    "parametric": (("qfi_parametric", lambda sc, n_max: est.qfi_pure_parametric(sc)),),
-    "oracle": (("qfi_oracle", lambda sc, n_max: _module("oracle").qfi_numeric(sc)),),
-    "reduced": (("qfi_reduced", lambda sc, n_max: est.closed_reduced_qfi(sc)),),
-    "fi": (("fi_closed", lambda sc, n_max: est.closed_fi(sc)),
-           ("fi_numeric", lambda sc, n_max: est.fi_numeric(sc))),
+    "closed": (("qfi_closed", lambda sc: est.closed_qfi(sc)),),
+    "parametric": (("qfi_parametric", lambda sc: est.qfi_pure_parametric(sc)),),
+    "oracle": (("qfi_oracle", lambda sc: _module("oracle").qfi_numeric(sc)),),
+    "reduced": (("qfi_reduced", lambda sc: est.closed_reduced_qfi(sc)),),
+    "fi": (("fi_closed", lambda sc: est.closed_fi(sc)),
+           ("fi_numeric", lambda sc: est.fi_numeric(sc))),
 }
 ROUTES = {
     "free_fall": _INTERFEROMETER_ROUTES,
     "mach_zehnder": _INTERFEROMETER_ROUTES,
     "bouncer": {
-        "closed": (("qfi_closed", lambda sc, n_max:
-                    _module("bouncer").bouncer_qfi_longtime(sc.params, n_max)),),
-        "oracle": (("qfi_oracle", lambda sc, n_max:
-                    _module("bouncer").bouncer_qfi_numeric(sc.params, n_max=n_max)),),
+        "closed": (("qfi_closed", lambda sc: _module("bouncer").bouncer_qfi_longtime(sc.params)),),
+        "oracle": (("qfi_oracle", lambda sc: _module("bouncer").bouncer_qfi_numeric(sc.params)),),
     },
 }
 
@@ -133,7 +130,6 @@ class ScenarioConfig:
     methods: tuple[str, ...]
     sweep: SweepSpec | None = None
     out_dir: Path | None = None
-    n_max: int | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in ROUTES:
@@ -148,13 +144,6 @@ class ScenarioConfig:
                               f"(got {sorted(bad)})")
         if repeated := sorted({m for m in self.methods if self.methods.count(m) > 1}):
             raise ConfigError(f"--methods lists {', '.join(repeated)} more than once")
-        if self.n_max is not None:
-            if self.scenario != "bouncer":
-                raise ConfigError(f"bouncer.n_max applies only to the bouncer scenario, "
-                                  f"not {self.scenario}")
-            if not 1 <= self.n_max <= BOUNCER_N_MAX_CAP:
-                raise ConfigError(f"bouncer.n_max needs an integer in [1, {BOUNCER_N_MAX_CAP}], "
-                                  f"got {self.n_max}")
         if self.scenario == "bouncer":
             try:
                 require_bouncer_g(self.params.g)
@@ -181,7 +170,7 @@ def _evaluate_methods(cfg: ScenarioConfig, params: PhysicalParams) -> dict[str, 
             continue
         for column, route in pairs:
             try:
-                value = route(scenario, cfg.n_max)
+                value = route(scenario)
             except Exception as exc:
                 raise NumericalFailure(method, ValueError(f"column {column!r}: {exc}")) from exc
             if not math.isfinite(value):
@@ -201,7 +190,6 @@ def run_single(cfg: ScenarioConfig) -> est.EstimationReport:
             "scenario": cfg.scenario,
             "methods": list(cfg.methods),
             "ablate_time_dilation": cfg.params.ablate_time_dilation,
-            "bouncer_n_max": cfg.n_max if cfg.scenario == "bouncer" else None,
             "regime_ok": regime.satisfied,
             "regime_failing": list(regime.failing()),
         },
@@ -365,16 +353,9 @@ def _build_scenario_config(args) -> ScenarioConfig:
         if args.var not in _SWEEP_VARS:
             raise ConfigError(f"unknown sweep variable {args.var!r} (use: {', '.join(_SWEEP_VARS)})")
         sweep = SweepSpec(args.var, args.start, args.stop, args.points, args.log)
-    n_max = None
-    if "bouncer.n_max" in cfg_map:
-        number = float(cfg_map["bouncer.n_max"])
-        if not number.is_integer():
-            raise ConfigError(f"bouncer.n_max needs an integer >= 1, "
-                              f"got {cfg_map['bouncer.n_max']!r}")
-        n_max = int(number)
     cfg = ScenarioConfig(
         scenario=scenario, target=target, params=params, methods=methods,
-        sweep=sweep, out_dir=Path(args.out) if args.out else None, n_max=n_max,
+        sweep=sweep, out_dir=Path(args.out) if args.out else None,
     )
     if cfg.out_dir is not None:     # an unusable path fails here, before any numerics
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

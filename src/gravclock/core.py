@@ -39,13 +39,13 @@ EARTH_SURFACE_POTENTIAL = -6.25e7  # m^2/s^2, -G M / R at the surface
 EARTH_RADIUS = 6.371e6             # m
 
 # Most bouncer levels (Airy zeros) the program solves for: the cap of the
-# auto-selected n_max, of an explicit bouncer.n_max and of airy_zero.
+# automatic level count and of airy_zero.
 BOUNCER_N_MAX_CAP = 10**4
 
-# Slack on the "much less than" comparisons so a ratio that lands exactly
-# on the threshold (a 1 mm packet on the 1 cm branch separation has
-# sigma/h = 0.1) does not fail on the last ulp of a decimal-literal division.
-_RATIO_GRACE = 1.0 + 1e-9
+# "a << b" means a/b <= 0.1, with slack so a ratio that lands exactly on 0.1
+# (a 1 mm packet on the 1 cm branch separation has sigma/h = 0.1) does not
+# fail on the last ulp of a decimal-literal division.
+_RATIO_MAX = 0.1 * (1.0 + 1e-9)
 
 
 class ParamsError(ValueError):
@@ -81,7 +81,6 @@ class PhysicalParams:
     sigma: float             # initial position-space width, m
     dt: float                # interferometric time, s
     phi: float               # controllable phase shifter, rad
-    ratio_threshold: float = 0.1
     ablate_time_dilation: bool = False
     c: float = C_LIGHT
     hbar: float = HBAR
@@ -112,8 +111,6 @@ class PhysicalParams:
             problems.append("z_i = E_i/(m c^2) must stay below 1e-6")
         if not self.x_plus > self.x_minus:
             problems.append("x_plus must exceed x_minus")
-        if not self.ratio_threshold > 0:
-            problems.append("ratio_threshold must be positive")
         if problems:
             raise ParamsError("; ".join(problems))
 
@@ -246,7 +243,6 @@ def build_params(
     v0: float = EARTH_SURFACE_POTENTIAL,
     vn_plus0: float | None = None,
     vn_minus0: float | None = None,
-    ratio_threshold: float = 0.1,
     ablate_time_dilation: bool = False,
 ) -> PhysicalParams:
     """Build a validated parameter set, deriving what is not supplied.
@@ -276,7 +272,6 @@ def build_params(
         x_plus0=x_plus0, x_minus0=x_minus0,
         v0=v0, vn_plus0=vn_plus0, vn_minus0=vn_minus0,
         sigma=sigma, dt=dt, phi=phi,
-        ratio_threshold=ratio_threshold,
         ablate_time_dilation=ablate_time_dilation,
     )
 
@@ -329,12 +324,10 @@ class RegimeReport:
 def check_regime(params: PhysicalParams) -> RegimeReport:
     """Evaluate every separation-of-scales inequality behind the closed forms.
 
-    "a << b" is operationalized as ``a/b <= params.ratio_threshold``
-    (default 0.1).  Unsatisfied entries are reported, never raised; the
-    z-dependent entries use the raw (un-ablated) ratios since they
-    describe the physics.
+    "a << b" is operationalized as ``a/b <= 0.1``.  Unsatisfied entries
+    are reported, never raised; the z-dependent entries use the raw
+    (un-ablated) ratios since they describe the physics.
     """
-    thr = params.ratio_threshold
     m, g, dt, sigma, hbar = params.m, params.g, params.dt, params.sigma, params.hbar
     z_max = max(params.z0, params.z1)
     big_sigma = params.spread_width
@@ -352,7 +345,7 @@ def check_regime(params: PhysicalParams) -> RegimeReport:
     entries = []
     for name, lhs, rhs in pairs:
         ratio = lhs / rhs if rhs > 0 else math.inf
-        entries.append(RegimeEntry(name, lhs, rhs, ratio, ratio <= thr * _RATIO_GRACE))
+        entries.append(RegimeEntry(name, lhs, rhs, ratio, ratio <= _RATIO_MAX))
     return RegimeReport(tuple(entries), all(e.satisfied for e in entries))
 
 
@@ -380,9 +373,8 @@ SR88_10S = build_params(
 )
 
 
-# Config keys.  A numeric key maps to its build_params keyword and unit
-# (bouncer.n_max, which the CLI reads, to None); the string keys name the
-# scenario and its target.
+# Config keys.  A numeric key maps to its build_params keyword and unit;
+# the string keys name the scenario and its target.
 _NUMERIC_KEYS = {
     "physics.m_kg": ("m", 1.0), "physics.E0_eV": ("e0", EV), "physics.E1_eV": ("e1", EV),
     "physics.g": ("g", 1.0), "physics.g_plus": ("g_plus", 1.0),
@@ -391,7 +383,6 @@ _NUMERIC_KEYS = {
     "geometry.x0_m": ("x0", 1.0), "geometry.x_plus0_m": ("x_plus0", 1.0),
     "geometry.x_minus0_m": ("x_minus0", 1.0), "geometry.sigma_m": ("sigma", 1.0),
     "time.dt_s": ("dt", 1.0), "phase.phi_rad": ("phi", 1.0),
-    "regime.ratio_threshold": ("ratio_threshold", 1.0), "bouncer.n_max": (None, 1.0),
 }
 _STRING_KEYS = {"scenario.name", "scenario.target"}
 
@@ -437,7 +428,7 @@ def params_from_config(cfg: dict[str, str], *, ablate_time_dilation: bool = Fals
     multiplied back.
     """
     values = {name: (float(cfg[key]) if key in cfg else getattr(SR88_10S, name) / unit) * unit
-              for key, (name, unit) in _NUMERIC_KEYS.items() if name is not None}
+              for key, (name, unit) in _NUMERIC_KEYS.items()}
     try:
         return build_params(**values, ablate_time_dilation=ablate_time_dilation)
     except ParamsError as exc:

@@ -93,6 +93,8 @@ def grid_for_states(*states: ClockState) -> Grid:
     for state in states:
         for b in state.components:
             s = math.sqrt(b.var_x)
+            if math.isnan(b.mean_x):
+                raise GridError("a branch centre is not a number")
             lo = min(lo, b.mean_x - WINDOW_SIGMAS * s)
             hi = max(hi, b.mean_x + WINDOW_SIGMAS * s)
             sigma_min = min(sigma_min, s)

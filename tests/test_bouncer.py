@@ -521,12 +521,16 @@ def test_exact_coefficients_vs_quadrature_projection(bouncer_params):
 
 
 def test_destructive_combination_phi_pi(bouncer_params):
+    """Two coincident paths at phi = pi cancel to a combined norm below 1e-6:
+    a ValueError saying so, with no warning.  The near-null coefficients used
+    to come back unnormalized with a warning, and every value built on them
+    was wrong (see ``test_bouncer_near_null_projection_exit_3``)."""
     p = bouncer_params.replace(phi=math.pi,
                                x_minus=bouncer_params.x_plus * (1 - 1e-14))
-    with pytest.warns(UserWarning, match="destructive"):
-        proj = bc.bouncer_coefficients(p, n_max=300)
-    assert proj.renorm < 1e-6
-    assert np.max(np.abs(proj.coefficients)) < 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="paths cancel"):
+            bc.bouncer_coefficients(p)
 
 
 def test_coefficients_raise_on_mass_above_one(bouncer_params):
@@ -786,6 +790,22 @@ def test_bouncer_oracle_converged_on_rule_grid(bouncer_params, monkeypatch, refi
 
     monkeypatch.setattr(bc, "bouncer_grid", finer)
     assert abs(bc.bouncer_qfi_numeric(p) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("dt", [0.0, 1e-7])
+def test_oracle_offset_search_keeps_g_positive(bouncer_params, monkeypatch, dt):
+    """At dt = 0 or 1e-7 s the state's g-dependence is below fidelity
+    resolution, so the offset search grows d until g - d/2 <= 0: an
+    OracleError naming the offset, raised before any state at g <= 0 is
+    built.  It used to surface as the config error "physics.g: the bouncer
+    needs g > 0 (got -0.48)"."""
+    asked = []
+    coefficients = bc.bouncer_coefficients
+    monkeypatch.setattr(bc, "bouncer_coefficients",
+                        lambda p, *args: asked.append(p.g) or coefficients(p, *args))
+    with pytest.raises(orc.OracleError, match=r"offset d = \S+ .*below fidelity resolution"):
+        bc.bouncer_qfi_numeric(bouncer_params.replace(dt=dt))
+    assert min(asked) > 0
 
 
 @pytest.mark.parametrize("x_plus", [None, 1.2e-4], ids=["bouncer_cfg", "separated"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravclock import cli, core, estimation as est
+from gravclock import bouncer as bc, cli, core, estimation as est
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -305,43 +305,20 @@ def test_bouncer_methods_restricted(method, capsys):
     assert "bouncer supports methods closed, oracle" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["2.7", "0", "-3", "1e-3"])
-def test_bouncer_n_max_must_be_positive_integer(tmp_path, capsys, value):
-    """A fractional or non-positive n_max is a config error, not a silently
-    truncated level count (2.7 ran as 2) or a numerical failure (0 exited 3)."""
-    cfg = tmp_path / "b.cfg"
-    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + f"bouncer.n_max = {value}\n")
-    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
-    assert "bouncer.n_max" in capsys.readouterr().err
-
-
-def test_bouncer_n_max_above_cap_exit_2(tmp_path, capsys):
-    """An n_max above the 1e4 cap of the auto-selection and of airy_zero is
-    a config error before any numerics; 10001 used to run and exit 0, and
-    larger values allocated arrays of that length."""
-    cfg = tmp_path / "b.cfg"
-    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + "bouncer.n_max = 10001\n")
-    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bouncer.n_max" in captured.err and "10000" in captured.err
-
-
-def test_bouncer_n_max_integral_float_accepted(tmp_path):
-    cfg = tmp_path / "b.cfg"
-    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + "bouncer.n_max = 5e2\n")
-    args = cli._parser().parse_args(["run", "--config", str(cfg)])
-    assert cli._build_scenario_config(args).n_max == 500
-
-
-@pytest.mark.parametrize("n_max", [2, 120])
-def test_bouncer_truncating_n_max_exit_3(tmp_path, capsys, n_max):
-    """An explicit n_max that truncates the projection is a numerical error
+@pytest.mark.parametrize("n_max,x_plus", [(2, None), (120, None), (None, "2.5")],
+                         ids=["2", "120", "cap"])
+def test_bouncer_truncating_n_max_exit_3(tmp_path, capsys, monkeypatch, n_max, x_plus):
+    """A level count that truncates the projection is a numerical error
     naming the truncation mass, with no report: it used to print a wrong
     qfi_closed and exit 0 (3.5e-19 at n_max = 2, with a warning blaming a
-    destructive phase; 6.77e4 at 120, where the value is 9.34e5)."""
+    destructive phase; 6.77e4 at 120, where the value is 9.34e5).  The
+    count is forced to 2 or 120 here; at x_plus = 2.5 m the automatic count
+    stops at the 1e4 cap."""
+    if n_max is not None:
+        monkeypatch.setattr(bc, "_auto_n_max", lambda params: n_max)
     cfg = tmp_path / "b.cfg"
-    cfg.write_text((CONFIGS / "bouncer.cfg").read_text() + f"bouncer.n_max = {n_max}\n")
+    settings = [] if x_plus is None else [("geometry.x_plus_m", x_plus)]
+    cfg.write_text(_config_with("bouncer.cfg", *settings))
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -379,20 +356,49 @@ def test_bouncer_separated_path_peaks_auto_n_max(tmp_path, capsys):
     """Paths 88 um apart peak ~1000 levels apart (n ~ 160 and ~1170).  The
     automatic n_max used to stop in the gap after the lower path's peak
     (392 levels) and the run exited 3 with truncation mass 1.00, although
-    n_max was left unset."""
-    text = (CONFIGS / "bouncer.cfg").read_text().replace(
-        "geometry.x_plus_m = 3.8e-5", "geometry.x_plus_m = 1.2e-4")
-    reports = []
-    for name, extra in (("auto", ""), ("fixed", "bouncer.n_max = 1400\n")):
-        cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(text + extra)
-        out = tmp_path / name
-        rc = cli.main(["run", "--config", str(cfg), "--methods", "closed", "--out", str(out)])
-        assert rc == 0
-        assert capsys.readouterr().err == ""
-        reports.append(json.loads((out / "report.json").read_text()))
-    auto, fixed = reports
-    assert auto["qfi_closed"] == pytest.approx(fixed["qfi_closed"], rel=1e-7)
+    the level count is automatic."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(_config_with("bouncer.cfg", ("geometry.x_plus_m", "1.2e-4")))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(cfg), "--methods", "closed", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    auto = json.loads((out / "report.json").read_text())["qfi_closed"]
+    p = core.params_from_config(core.load_config(cfg))
+    fixed = bc.bouncer_qfi_longtime(p, projection=bc.bouncer_coefficients(p, 1400))
+    assert auto == pytest.approx(fixed, rel=1e-7)
+
+
+@pytest.mark.parametrize("methods", ["closed", "closed,oracle"])
+def test_bouncer_near_null_projection_exit_3(tmp_path, capsys, methods):
+    """Paths 1e-12 m apart at phi = pi cancel: a numerical error saying so,
+    with no report.  ``closed`` used to exit 0 with qfi_closed 9.3e-7 (the
+    sample gives 9.3e5) from coefficients that were never normalized, and a
+    warning; with ``oracle`` the run exited 3 blaming physics.g."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(_config_with("bouncer.cfg", ("geometry.x_plus_m", "3.2000001e-5"),
+                                ("phase.phi_rad", "3.141592653589793")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["run", "--config", str(cfg), "--methods", methods])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "paths cancel" in captured.err and "physics.g" not in captured.err
+
+
+@pytest.mark.parametrize("dt", ["0", "1e-7"])
+def test_bouncer_oracle_unresolvable_g_exit_3(tmp_path, capsys, dt):
+    """A bouncer whose state barely depends on g (dt = 0 or 1e-7 s) is a
+    numerical error of the oracle's offset search.  It used to exit 3 with
+    the config-error text "physics.g: the bouncer needs g > 0 (got -0.48)"."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(_config_with("bouncer.cfg", ("time.dt_s", dt)))
+    rc = cli.main(["run", "--config", str(cfg), "--methods", "closed,oracle"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fidelity resolution" in captured.err and "physics.g" not in captured.err
 
 
 @pytest.mark.parametrize("g", ["-9.81", "0"])
@@ -451,20 +457,18 @@ def test_free_fall_accepts_nonpositive_g(tmp_path):
         assert cli._build_scenario_config(args).params.g == 0.0
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_nonpositive_ratio_threshold_exit_2(tmp_path, capsys, value):
-    """regime.ratio_threshold = -1 used to exit 0 with every regime entry failing."""
-    cfg = _write_ff_config(tmp_path, **{"regime.ratio_threshold": value})
+@pytest.mark.parametrize("name,line", [("bouncer.cfg", "bouncer.n_max = 500"),
+                                       ("sr88_freefall.cfg", "regime.ratio_threshold = 0.2")],
+                         ids=["bouncer.n_max", "regime.ratio_threshold"])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, name, line):
+    """The bouncer level count is always automatic and "<<" always means a
+    ratio <= 0.1: a config naming either old key is an unknown key, exit 2."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((CONFIGS / name).read_text() + line + "\n")
     assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "ratio_threshold" in captured.err
-
-
-def test_bouncer_key_on_other_scenario_exit_2(tmp_path, capsys):
-    cfg = _write_ff_config(tmp_path, **{"bouncer.n_max": 5})
-    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
-    assert "bouncer.n_max" in capsys.readouterr().err
+    assert f"unknown key {line.split()[0]!r}" in captured.err
 
 
 def test_route_table_owns_scenarios_and_columns():

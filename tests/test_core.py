@@ -54,10 +54,14 @@ def test_regime_sigma_equal_h_fails_exactly_that_entry(sr88_10s):
     assert entry.ratio >= 0.1
 
 
-def test_regime_threshold_configurable(sr88_10s):
-    # Tightening the threshold far enough fails the sigma/h entry (1e-2).
-    report = core.check_regime(sr88_10s.replace(ratio_threshold=5e-3))
-    assert not report.entry("sigma_below_separation").satisfied
+def test_regime_fails_each_ratio_above_one_tenth(sr88_10s):
+    """The three entries above 5e-3 on the baseline (sigma/h 1e-2, diffraction
+    1.05e-2, Taylor offsets 1.5e-2) fail at 0.1 on a 0.5 mm separation, where
+    they read 0.2, 0.21 and 0.375, and they alone."""
+    above = tuple(e.name for e in core.check_regime(sr88_10s).entries if e.ratio > 5e-3)
+    assert above == ("sigma_below_separation", "sigma_above_diffraction", "taylor_offsets_small")
+    close = sr88_10s.replace(x_plus=0.5005, x0=0.50025, x_plus0=0.5005 - 1.5e-4)
+    assert core.check_regime(close).failing() == above
 
 
 def test_regime_ratios_positive_finite(sr88_10s):
@@ -89,13 +93,11 @@ def test_config_roundtrip(tmp_path):
         "geometry.sigma_m = 2e-4\n"
         "time.dt_s = 3.0\n"
         "phase.phi_rad = 0.5\n"
-        "regime.ratio_threshold = 0.2\n"
     )
     p = core.params_from_config(core.load_config(path))
     assert p.m == 2e-25
     assert p.e1 == pytest.approx(1.4 * core.EV, rel=1e-6, abs=0)
     assert p.sigma == 2e-4 and p.dt == 3.0 and p.phi == 0.5
-    assert p.ratio_threshold == 0.2
 
 
 def test_config_unknown_key(tmp_path):
@@ -126,12 +128,6 @@ def test_params_reject_non_finite(sr88_10s):
         sr88_10s.replace(dt=math.nan)
     with pytest.raises(core.ParamsError, match="finite: g$"):
         sr88_10s.replace(g=math.inf)
-
-
-@pytest.mark.parametrize("value", [0.0, -1.0])
-def test_params_reject_nonpositive_ratio_threshold(sr88_10s, value):
-    with pytest.raises(core.ParamsError, match="ratio_threshold must be positive"):
-        sr88_10s.replace(ratio_threshold=value)
 
 
 def test_replace_matches_dataclasses_replace(sr88_10s):

@@ -450,6 +450,19 @@ def test_grid_refuses_span_past_cap():
             orc.grid_for_states(ga.ClockState((b, replace(b, mean_x=far))))
 
 
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_second"])
+def test_grid_refuses_nan_branch(nan_first):
+    """A branch whose centre is NaN is a GridError, in either order.  It used
+    to be dropped from the span (min and max keep the other operand), and
+    render then failed in _branch_window with a bare ValueError.  (A width is
+    positive and finite by GaussianBranch's own check.)"""
+    b = _random_branch(np.random.default_rng(0))
+    branches = (replace(b, mean_x=math.nan), b)
+    state = ga.ClockState(branches if nan_first else branches[::-1])
+    with pytest.raises(orc.GridError, match="not a number"):
+        orc.grid_for_states(state)
+
+
 # Sample configs for the whole-oracle checks: (config, overrides, the miss
 # evaluations its offset search makes, as when the oracle computed F).
 _SAMPLE_ORACLES = {
@@ -487,7 +500,7 @@ def test_oracle_rounding_noise_floor(case, monkeypatch):
     for module in (orc, bc):
         monkeypatch.setattr(module, "richardson_bures_qfi", recording_search)
         monkeypatch.setattr(module, "bures_miss", recording_miss)
-    qfi = cli.ROUTES[scenario.kind]["oracle"][0][1](scenario, None)
+    qfi = cli.ROUTES[scenario.kind]["oracle"][0][1](scenario)
     assert len(asked) == n_asked
     assert search(lambda d: miss(*pairs[d]), *args) == (qfi, True)
     for seed in range(4):
