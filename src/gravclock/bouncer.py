@@ -23,10 +23,11 @@ region and split by one boolean mask per region otherwise (see
 ``AiryEngine``).  The Airy zeros are solved once per count and shared
 read-only, so a sweep solves each level count once.  The grid render
 draws a family of states (the oracle's Bures stencil) from one basis, Ai
-and Ai' of x / l_0 + z_n up to a decay cut past which Ai is below 1e-39;
-each state and level is a Taylor shift of its argument by the Airy ODE
-to the first order whose remainder bound is below 1e-16 (at most 4, else
-families of one; see ``render_spectral`` and ``AiryEngine.ai_rows``).
+and Ai' of x / l_0 + z_n up to a decay cut past which Ai is below 1e-39,
+with phases against the centre projection's band means; each state and
+level is a Taylor shift of its argument by the Airy ODE to the first
+order whose remainder bound is below 1e-16 (at most 4, else families of
+one; see ``render_spectral`` and ``AiryEngine.ai_rows``).
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -70,6 +71,8 @@ _RENDER_ROWS, _RENDER_COLS, _TAYLOR_MAX = 12, 2048, 4
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
 _TABLE_WIDTH = 0.5
 _TABLE_DEGREE = 14
+# The table's extended-precision knots: spacing, and Taylor terms per ODE step.
+_KNOT_STEP, _TAYLOR_TERMS = 0.25, 40
 
 
 class AiryConvergenceError(RuntimeError):
@@ -175,13 +178,13 @@ class AiryEngine:
         return ai, aip
 
     @staticmethod
-    def _taylor_step(y0, f, fp, h, n_terms: int = 40):
+    def _taylor_step(y0, f, fp, h):
         """Advance (Ai, Ai') from y0 to y0 + h via the ODE's Taylor series.
 
         Works elementwise on arrays as well as on scalars.
         """
         coeffs = [f, fp, y0 * f / 2]
-        for n in range(1, n_terms - 2):
+        for n in range(1, _TAYLOR_TERMS - 2):
             coeffs.append((y0 * coeffs[n] + coeffs[n - 1]) / ((n + 1) * (n + 2)))
         val = _LD(0.0)
         der = _LD(0.0)
@@ -191,13 +194,12 @@ class AiryEngine:
             der = der * h + k * coeffs[k]
         return val, der
 
-    def _march(self, y_start: float, y_stop: float, f: _LD, fp: _LD,
-               step: float = 0.25):
+    def _march(self, y_start: float, y_stop: float, f: _LD, fp: _LD):
         """March the ODE from y_start to y_stop, recording knots."""
         knots = [(_LD(y_start), f, fp)]
         y = _LD(y_start)
-        h = _LD(step if y_stop > y_start else -step)
-        n_steps = int(math.ceil(abs(y_stop - y_start) / step))
+        h = _LD(_KNOT_STEP if y_stop > y_start else -_KNOT_STEP)
+        n_steps = int(math.ceil(abs(y_stop - y_start) / _KNOT_STEP))
         for _ in range(n_steps):
             f, fp = self._taylor_step(y, f, fp, h)
             y = y + h
@@ -269,8 +271,8 @@ class AiryEngine:
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """Chebyshev coefficients of Ai and Ai', (degree + 1, intervals) each."""
-        # Knots every 0.25, with extended-precision (Ai, Ai') at each.
-        ys = np.arange(-self.series_cutoff, self.series_cutoff + 0.125, 0.25)
+        # Knots every _KNOT_STEP, with extended-precision (Ai, Ai') at each.
+        ys = np.arange(-self.series_cutoff, self.series_cutoff + 0.5 * _KNOT_STEP, _KNOT_STEP)
         f, fp = self._series(ys)
         knots = list(zip(ys.astype(_LD), f, fp))
         knots += self._march(-self.series_cutoff, -self.neg_cutoff - 0.5, f[0], fp[0])
@@ -675,30 +677,6 @@ def bouncer_grid(params: PhysicalParams, projection: BouncerProjection) -> Grid:
     return Grid(0.0, x_max, math.ceil(x_max / (lam_min / 16.0)) + 1)   # steps <= lam_min / 16
 
 
-@dataclass(frozen=True)
-class SpectralPhaseRef:
-    """Common phase reference for comparing spectral states at nearby g.
-
-    The level constants differ between two parameter values only through
-    the -m g x0 (1+z_i) term; that difference is formed analytically as a
-    single small product, never by subtracting the huge constants.
-    """
-
-    g_ref: float
-    band_ref: np.ndarray      # J, shape (2,)
-
-
-def spectral_phase_ref(params: PhysicalParams,
-                       projection: BouncerProjection) -> SpectralPhaseRef:
-    weights = np.abs(projection.coefficients) ** 2
-    band_ref = np.empty(2)
-    for i in (0, 1):
-        wsum = weights[i].sum()
-        band_ref[i] = float((weights[i] @ projection.spectrum.band[i]) / wsum) \
-            if wsum > 0 else 0.0
-    return SpectralPhaseRef(params.g, band_ref)
-
-
 def _airy_derivatives(stack: np.ndarray, y: np.ndarray) -> None:
     """Fill stack[2:5] with Ai'' = y Ai, Ai''' = Ai + y Ai' and Ai'''' = y^2 Ai + 2 Ai'
     (Airy ODE, DLMF 9.2.1) from Ai in stack[0] and Ai' in stack[1]; y may be stack[4]."""
@@ -711,14 +689,15 @@ def _airy_derivatives(stack: np.ndarray, y: np.ndarray) -> None:
 
 
 def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerProjection]],
-                    t: float, grid: Grid, ref: SpectralPhaseRef) -> list[GridWavefunction]:
+                    t: float, grid: Grid, center: BouncerProjection) -> list[GridWavefunction]:
     """Sample sum_n c_{i,n} e^{-i E_{i,n} t / hbar} psi_{i,n}(x) for each state of
     ``family``, a sequence of (g, projection at that g) on one level count.
 
-    Phases are relative to ``ref`` (per-level constants and band mean), shared
-    by the states compared; the constants' g-variation is restored exactly
-    via the analytic x0 term.  One basis serves every state and level: Ai and
-    Ai' of y = x / l_0 + z_n (l_0 the level-0 length at ``params.g``) up to
+    Phases are relative to each level's constant at ``params.g`` and band mean
+    under ``center`` (the projection at ``params.g``), shared by the states
+    compared; the constants' g-variation is restored exactly via the analytic
+    x0 term.  One basis serves every state and level: Ai and Ai' of
+    y = x / l_0 + z_n (l_0 the level-0 length at ``params.g``) up to
     the decay cut y = 26 (Ai(26) ~ 1e-39), one ``AiryEngine.ai_rows`` call
     per 12-row chunk.  State s, level i is the Taylor sum of Ai(y + Delta),
     Delta = x (1 / l_{s,i} - 1 / l_0), up to the first order J whose bound
@@ -736,9 +715,11 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     lengths = np.array([proj.spectrum.lengths for _, proj in family])
     coeff = np.empty((len(family), 2, 2, rows.size))      # state, level, (re, im), row
     one_plus_z = 1.0 + np.array([[params.z_eff(0)], [params.z_eff(1)]])
+    band_ref = np.array([float((w @ band) / w.sum()) if w.sum() > 0 else 0.0
+                         for w, band in zip(np.abs(center.coefficients) ** 2, center.spectrum.band)])
     for s, (g_value, proj) in enumerate(family):
-        const_shift = -params.m * params.x0 * one_plus_z * (g_value - ref.g_ref)
-        rel_energy = (proj.spectrum.band[:, rows] - ref.band_ref[:, None]) + const_shift
+        const_shift = -params.m * params.x0 * one_plus_z * (g_value - params.g)
+        rel_energy = (proj.spectrum.band[:, rows] - band_ref[:, None]) + const_shift
         phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
         c = proj.coefficients[:, rows] * np.exp(1j * phases) * proj.spectrum.norms[:, rows]
         coeff[s] = np.stack([c.real, c.imag], axis=1)
@@ -786,14 +767,14 @@ def bouncer_qfi_numeric(params: PhysicalParams) -> float:
     An offset d renders the stencil g -+ d/2, g -+ d/4 as one family (see
     ``render_spectral``); its g -+ d/4 pair answers the d/2 call that follows,
     at the same g values since 0.5 d is exact.  An offset with d/2 >= g, which
-    the search reaches only from below the fidelity window, raises OracleError.
+    the search reaches only from below the fidelity window, raises OracleError:
+    at once, before any render, where the long-time QFI is 0 (dt = 0).
     """
     center = bouncer_coefficients(params)
     grid = bouncer_grid(params, center)
-    ref = spectral_phase_ref(params, center)
     # Start the offset search where the long-time QFI puts 1 - F at 2e-4.
     guess = bouncer_qfi_longtime(params, projection=center)
-    delta = 2.0 * math.sqrt(2e-4 / guess) if guess > 0 else None
+    delta = 2.0 * math.sqrt(2e-4 / guess) if guess > 0 else math.inf
     pairs = {}       # offset -> its two states, from the last family rendered
 
     def miss_at(d: float) -> float:
@@ -803,7 +784,7 @@ def bouncer_qfi_numeric(params: PhysicalParams) -> float:
         if d not in pairs:
             family = [(g, bouncer_coefficients(params.replace(g=g), center.spectrum.n_max))
                       for g in (params.g + d * np.array([-0.5, 0.5, -0.25, 0.25])).tolist()]
-            states = render_spectral(params, family, params.dt, grid, ref)
+            states = render_spectral(params, family, params.dt, grid, center)
             pairs.clear()
             pairs.update({d: states[:2], 0.5 * d: states[2:]})
         return bures_miss(*pairs[d])

@@ -17,7 +17,8 @@ plots are reproducible by any external tool; unrequested methods leave
 their cells empty, and every row carries its regime flag.  Every sweep
 point's parameters are built before the first is evaluated, so a value
 that makes an invalid set is a config error (exit 2) and writes no CSV.
-Identical configs produce byte-identical output.
+Identical configs produce byte-identical output.  ``fit`` fits the
+log-log slope of one numeric column, never the regime flags.
 
 A CLI process runs numpy's OpenBLAS on one thread unless
 ``OPENBLAS_NUM_THREADS`` is set, and imports ``oracle`` and ``bouncer``
@@ -36,7 +37,7 @@ from pathlib import Path
 
 # numpy's OpenBLAS starts a worker thread per extra core at import, which
 # spins before it sleeps (~0.06-0.09 s of CPU on two cores).  The CLI's BLAS
-# calls are small: a few hundred elements (fit_scaling, spectral_phase_ref)
+# calls are small: a few hundred elements (fit_scaling, the render's band means)
 # or the bouncer render's (16 x 12)(12 x 2048) products.  So one thread is
 # asked for before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -250,13 +251,14 @@ def read_table(path: Path) -> dict[str, list]:
             raise ConfigError(f"{path} line {lineno}: {len(cells)} cells "
                               f"for {len(header)} columns")
         for name, cell in zip(header, cells):
-            if name == "regime_ok":
-                columns[name].append(cell == "true")
-                continue
             try:
-                columns[name].append(float(cell) if cell else None)
-            except ValueError:
-                raise ConfigError(f"{path} line {lineno}: column {name!r} needs a number, "
+                if name == "regime_ok":
+                    columns[name].append({"true": True, "false": False}[cell])
+                else:
+                    columns[name].append(float(cell) if cell else None)
+            except (KeyError, ValueError):
+                need = "true or false" if name == "regime_ok" else "a number"
+                raise ConfigError(f"{path} line {lineno}: column {name!r} needs {need}, "
                                   f"got {cell!r}") from None
     return columns
 
@@ -288,8 +290,6 @@ def fit_scaling(xs, ys) -> tuple[float, float]:
 
 
 _SLOPE_VAR_TOL = 0.05        # a window is flat when its local slopes vary less
-_SLOPE_CONVERGE_TOL = 1e-3   # asymptotic_dt_slope stops when its slope moves less
-_WINDOW_POINTS, _MAX_EXPANSIONS = 20, 40    # dt values per decade, decades tried
 
 
 def tail_window_fit(xs, ys) -> tuple[float, float, int]:
@@ -310,31 +310,6 @@ def tail_window_fit(xs, ys) -> tuple[float, float, int]:
             slope, stderr = fit_scaling(xs[start:], ys[start:])
             return slope, stderr, start
     raise ValueError(f"no trailing window with slope variation < {_SLOPE_VAR_TOL}")
-
-
-def asymptotic_dt_slope(params: PhysicalParams,
-                        quantity) -> tuple[float, float, tuple[float, float]]:
-    """Slope of log(quantity) vs log(dt) in the self-detected asymptotic window.
-
-    The dt decade is pushed up from [10, 100] s until the local slope is
-    flat and stops drifting between expansions.  Values far outside the
-    validated regime are used knowingly; this probes the closed form's
-    terminal power law, and callers see the regime flags through the
-    sweep interface.
-    """
-    hi = 100.0
-    prev_slope = None
-    for _ in range(_MAX_EXPANSIONS):
-        ts = np.geomspace(hi / 10.0, hi, _WINDOW_POINTS)
-        ys = [quantity(params.replace(dt=float(t))) for t in ts]
-        slope, stderr = fit_scaling(ts, ys)
-        local = np.diff(np.log(ys)) / np.diff(np.log(ts))
-        stable = local.max() - local.min() < _SLOPE_VAR_TOL
-        if stable and prev_slope is not None and abs(slope - prev_slope) < _SLOPE_CONVERGE_TOL:
-            return slope, stderr, (float(ts[0]), float(ts[-1]))
-        prev_slope = slope
-        hi *= 10.0
-    raise ValueError("asymptotic window did not converge; quantity has no terminal power law")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +358,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit(args) -> int:
     table = read_table(Path(args.table))
+    if args.column == "regime_ok":
+        raise ConfigError("column 'regime_ok' holds true/false flags, not values to fit")
     for name in ("swept_value", args.column):
         if name not in table:
             raise ConfigError(f"column {name!r} not in table (have: {', '.join(table)})")

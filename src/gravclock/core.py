@@ -311,12 +311,6 @@ class RegimeReport:
     entries: tuple[RegimeEntry, ...]
     satisfied: bool
 
-    def entry(self, name: str) -> RegimeEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def failing(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries if not e.satisfied)
 

@@ -340,11 +340,6 @@ def _bloch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return np.array(r), np.array(dr)
 
 
-def reduced_bloch_vector(scenario: Scenario):
-    """Bloch-vector function v -> r of the clock-traced state (see ``_bloch``)."""
-    return lambda value: _bloch(scenario.with_value(value))[0]
-
-
 _PURE_FLOOR = 1e-12    # a state with 1 - |r|^2 below it is taken as pure
 
 

@@ -560,8 +560,7 @@ def test_spectral_norm_constant_in_time(bouncer_params):
     p = bouncer_params
     proj = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, proj)
-    ref = bc.spectral_phase_ref(p, proj)
-    norms = [bc.render_spectral(p, [(p.g, proj)], t, grid, ref)[0].norm_sq()
+    norms = [bc.render_spectral(p, [(p.g, proj)], t, grid, proj)[0].norm_sq()
              for t in (0.0, 0.05, 0.31, 1.7)]
     assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-6
 
@@ -580,13 +579,13 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
     unused = np.zeros((2, spec.n_max))
     proj = bc.BouncerProjection(spec, unused, unused, flat, 0.0, 1.0)
     grid = orc.Grid(0.0, max(spec.lengths) * (abs(spec.zeros[-1]) + 12.0), 256)
-    ref = bc.spectral_phase_ref(p, proj)
-    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, ref)[0].channels
+    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, proj)[0].channels
+    band_ref = _band_mean(proj)
     expected = np.zeros_like(rendered)
     with mp.workdps(20):
         for i in (0, 1):
             for n in range(spec.n_max):
-                rel_energy = float(spec.band[i, n] - ref.band_ref[i])
+                rel_energy = float(spec.band[i, n] - band_ref[i])
                 phase = -mp.mpf(rel_energy) * mp.mpf(p.dt) / mp.mpf(p.hbar)
                 amp = complex(mp.expj(phase)) * flat[i, n] * spec.norms[i, n]
                 args = grid.xs() / spec.lengths[i] + spec.zeros[n]
@@ -605,32 +604,41 @@ def _oracle_offset(p, center):
     return 2.0 * math.sqrt(2e-4 / bc.bouncer_qfi_longtime(p, projection=center))
 
 
-def _render_layout(p, family, t, ref):
+def _band_mean(proj):
+    """Each level's band energy averaged over its weights: the phase reference
+    render_spectral takes from the projection at the base g."""
+    weights = np.abs(proj.coefficients) ** 2
+    return [float((w @ band) / w.sum()) for w, band in zip(weights, proj.spectrum.band)]
+
+
+def _render_layout(p, family, t, center):
     """The rows render_spectral keeps (any state and level above 1e-14 of its
-    largest weight) and the coefficient row of every state and level."""
+    largest weight) and the coefficient row of every state and level, phased
+    against center's band means and the level constants at p.g."""
     weights = np.abs(np.array([proj.coefficients for _, proj in family]))
     rows = np.flatnonzero(np.any(weights > 1e-14 * weights.max(axis=2, keepdims=True),
                                  axis=(0, 1)))
     coeff = np.empty((len(family), 2, rows.size), dtype=complex)
     ld = np.longdouble
+    band_ref = _band_mean(center)
     for s, (g, proj) in enumerate(family):
         spec = proj.spectrum
         for i in (0, 1):
-            const_shift = -p.m * p.x0 * (1.0 + p.z_eff(i)) * (g - ref.g_ref)
-            rel_energy = (spec.band[i, rows] - ref.band_ref[i]) + const_shift
+            const_shift = -p.m * p.x0 * (1.0 + p.z_eff(i)) * (g - p.g)
+            rel_energy = (spec.band[i, rows] - band_ref[i]) + const_shift
             phases = wrap_angle(-rel_energy.astype(ld) * ld(t) / ld(p.hbar))
             coeff[s, i] = proj.coefficients[i, rows] * np.exp(1j * phases) * spec.norms[i, rows]
     return rows, coeff
 
 
-def _unwindowed_render(p, family, t, grid, ref):
+def _unwindowed_render(p, family, t, grid, center):
     """render_spectral without the decay cut: Ai and Ai' on every kept row in
     full, the same Taylor shift from the family's base and the same 12-row
     contraction, so the window is the only difference."""
     engine = bc.default_engine()
     xs = grid.xs()
     zeros = family[0][1].spectrum.zeros
-    rows, coeff = _render_layout(p, family, t, ref)
+    rows, coeff = _render_layout(p, family, t, center)
     l_base = bc.gravitational_length(p, 0)
     kappa = 1.0 / np.array([proj.spectrum.lengths for _, proj in family]) - 1.0 / l_base
     order = _taylor_order(np.max(np.abs(kappa)) * grid.x_max,
@@ -660,16 +668,15 @@ def test_windowed_render_matches_unwindowed_reference(bouncer_params):
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center)
-    ref = bc.spectral_phase_ref(p, center)
     d = _oracle_offset(p, center)
     family = [(p.g, center), *_stencil(p, center, (-0.5 * d, 0.5 * d))]
-    rendered = [psi.channels for psi in bc.render_spectral(p, family, p.dt, grid, ref)]
-    expected = _unwindowed_render(p, family, p.dt, grid, ref)
+    rendered = [psi.channels for psi in bc.render_spectral(p, family, p.dt, grid, center)]
+    expected = _unwindowed_render(p, family, p.dt, grid, center)
     for got, want in zip(rendered, expected):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def _per_row_render(p, family, t, grid, ref, bases):
+def _per_row_render(p, family, t, grid, center, bases):
     """render_spectral with no Taylor shift: every row of every state and
     level evaluated directly at that state and level's own length, one
     engine.ai call per row, and summed by one einsum per 12-row chunk.
@@ -678,7 +685,7 @@ def _per_row_render(p, family, t, grid, ref, bases):
     engine = bc.default_engine()
     xs = grid.xs()
     zeros = family[0][1].spectrum.zeros
-    rows, coeff = _render_layout(p, family, t, ref)
+    rows, coeff = _render_layout(p, family, t, center)
     channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
     for s, (_, proj) in enumerate(family):
         for i in (0, 1):
@@ -713,12 +720,11 @@ def test_render_spectral_matches_per_row_reference(bouncer_params):
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center)
-    ref = bc.spectral_phase_ref(p, center)
     d = _oracle_offset(p, center)
     family = [(p.g, center), *_stencil(p, center, (-0.5 * d, 0.5 * d))]
-    rendered = bc.render_spectral(p, family, p.dt, grid, ref)
+    rendered = bc.render_spectral(p, family, p.dt, grid, center)
     bases = np.full((len(family), 2), bc.gravitational_length(p, 0))
-    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, ref, bases),
+    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, center, bases),
                             exact={(0, 0)})
 
 
@@ -729,14 +735,13 @@ def test_render_splits_family_past_taylor_bound(bouncer_params):
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center)
-    ref = bc.spectral_phase_ref(p, center)
     d = 1e-2 * p.g
     family = _stencil(p, center, (-0.5 * d, 0.5 * d))
     lengths = np.array([proj.spectrum.lengths for _, proj in family])
     shift = np.max(np.abs(1.0 / lengths - 1.0 / bc.gravitational_length(p, 0))) * grid.x_max
     assert _taylor_order(shift, bc._RENDER_CUT_Y) is None
-    rendered = bc.render_spectral(p, family, p.dt, grid, ref)
-    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, ref, lengths[:, [0, 0]]),
+    rendered = bc.render_spectral(p, family, p.dt, grid, center)
+    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, center, lengths[:, [0, 0]]),
                             exact={(0, 0), (1, 0)})
 
 
@@ -751,12 +756,11 @@ def test_render_splits_state_whose_levels_fail_taylor_bound(bouncer_params):
     unused = np.zeros((2, spec.n_max))
     proj = bc.BouncerProjection(spec, unused, unused, flat, 0.0, 1.0)
     grid = orc.Grid(0.0, 2000.0 * max(spec.lengths), 2**13)
-    ref = bc.spectral_phase_ref(p, proj)
     lengths = np.array([spec.lengths])
     assert _taylor_order(abs(1.0 / lengths[0, 1] - 1.0 / lengths[0, 0]) * grid.x_max,
                             bc._RENDER_CUT_Y) is None
-    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, ref)
-    _assert_matches_per_row(rendered, _per_row_render(p, [(p.g, proj)], p.dt, grid, ref, lengths),
+    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, proj)
+    _assert_matches_per_row(rendered, _per_row_render(p, [(p.g, proj)], p.dt, grid, proj, lengths),
                             exact={(0, 0), (0, 1)})
 
 
@@ -795,17 +799,21 @@ def test_bouncer_oracle_converged_on_rule_grid(bouncer_params, monkeypatch, refi
 @pytest.mark.parametrize("dt", [0.0, 1e-7])
 def test_oracle_offset_search_keeps_g_positive(bouncer_params, monkeypatch, dt):
     """At dt = 0 or 1e-7 s the state's g-dependence is below fidelity
-    resolution, so the offset search grows d until g - d/2 <= 0: an
-    OracleError naming the offset, raised before any state at g <= 0 is
-    built.  It used to surface as the config error "physics.g: the bouncer
-    needs g > 0 (got -0.48)"."""
-    asked = []
+    resolution, so the first offset has g - d/2 <= 0 (at dt = 0 the
+    long-time QFI is 0 and the search starts at its cap): an OracleError
+    naming the offset, raised before any state is rendered or any at g <= 0
+    is built.  It used to surface as the config error "physics.g: the
+    bouncer needs g > 0 (got -0.48)", and dt = 0 rendered seven families
+    (~4 s) before it."""
+    asked, renders = [], []
     coefficients = bc.bouncer_coefficients
     monkeypatch.setattr(bc, "bouncer_coefficients",
                         lambda p, *args: asked.append(p.g) or coefficients(p, *args))
+    monkeypatch.setattr(bc, "render_spectral", lambda *args: renders.append(args))
     with pytest.raises(orc.OracleError, match=r"offset d = \S+ .*below fidelity resolution"):
         bc.bouncer_qfi_numeric(bouncer_params.replace(dt=dt))
     assert min(asked) > 0
+    assert renders == []
 
 
 @pytest.mark.parametrize("x_plus", [None, 1.2e-4], ids=["bouncer_cfg", "separated"])
@@ -852,7 +860,7 @@ def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
     d = offsets[0]
     assert offsets == [d, 0.5 * d]
     assert [g for g, _ in family] == [p.g - 0.5 * d, p.g + 0.5 * d, p.g - 0.25 * d, p.g + 0.25 * d]
-    kept, _ = _render_layout(p, family, p.dt, bc.spectral_phase_ref(p, bc.bouncer_coefficients(p)))
+    kept, _ = _render_layout(p, family, p.dt, bc.bouncer_coefficients(p))
     assert len(chunks) == math.ceil(kept.size / bc._RENDER_ROWS)
     assert sum(chunks) == kept.size
 

@@ -166,6 +166,29 @@ def test_read_table_rejects_bad_row(tmp_path, row, why):
         cli.read_table(path)
 
 
+@pytest.mark.parametrize("flag", ["True", "1", "", "yes"])
+def test_read_table_refuses_regime_flag_other_than_true_false(tmp_path, flag):
+    """A regime_ok cell is true or false: any other text used to read as false."""
+    path = tmp_path / "t.csv"
+    path.write_text(f"swept_value,qfi_closed,regime_ok\n1,1,true\n2,8,{flag}\n")
+    with pytest.raises(core.ConfigError, match="line 3: column 'regime_ok' needs true or false"):
+        cli.read_table(path)
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_fit_regime_ok_column_exit_2(tmp_path, capsys, tail):
+    """The regime flags are not numbers to fit: it used to print slope = 0.000000, exit 0."""
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed,regime_ok\n"
+                    + "".join(f"{x},{x**3},true\n" for x in range(1, 7)))
+    rc = cli.main(["fit", "--table", str(path), "--column", "regime_ok",
+                   *(["--tail"] if tail else [])])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'regime_ok'" in captured.err
+
+
 def test_fit_reports_regime_failing_rows_on_stderr(tmp_path, capsys):
     path = tmp_path / "t.csv"
     rows = ["swept_value,qfi_closed,regime_ok"]
@@ -705,11 +728,12 @@ def test_tail_window_fit_picks_stable_tail():
 
 
 def test_asymptotic_window_slopes(sr88_10s):
-    slope, err, window = cli.asymptotic_dt_slope(sr88_10s, est.qfi_ff_closed)
-    assert slope == pytest.approx(6.0, abs=0.1)
-    ablated = sr88_10s.replace(ablate_time_dilation=True)
-    slope_a, _e, _w = cli.asymptotic_dt_slope(ablated, est.qfi_ff_closed)
-    assert slope_a == pytest.approx(4.0, abs=0.1)
+    """Over dt in [1e7, 1e8] s the closed QFI grows as dt^6 (5.999986), and
+    as dt^4 (3.99999999) with time dilation ablated."""
+    ts = np.geomspace(1e7, 1e8, 20)
+    for params, power in ((sr88_10s, 6.0), (sr88_10s.replace(ablate_time_dilation=True), 4.0)):
+        slope, _err = cli.fit_scaling(ts, [est.qfi_ff_closed(params.replace(dt=float(t))) for t in ts])
+        assert slope == pytest.approx(power, abs=0.1)
 
 
 def test_example_configs_load():

@@ -50,7 +50,7 @@ def test_regime_sigma_equal_h_fails_exactly_that_entry(sr88_10s):
     report = core.check_regime(bad)
     assert not report.satisfied
     assert report.failing() == ("sigma_below_separation",)
-    entry = report.entry("sigma_below_separation")
+    (entry,) = (e for e in report.entries if e.name == "sigma_below_separation")
     assert entry.ratio >= 0.1
 
 

@@ -240,7 +240,7 @@ def test_reduce_to_qubit_dt_zero(sr88_10s):
     assert est.reduce_to_qubit(ga.make_initial_state(p), p) == (0.0, 0.0)
     sc = est.Scenario("free_fall", p, "g")
     # Both levels in phase: the path qubit is the pure state r = (1, 0).
-    assert est.reduced_bloch_vector(sc)(p.g).tolist() == [1.0, 0.0]
+    assert est._bloch(sc)[0].tolist() == [1.0, 0.0]
 
 
 def test_reduce_to_qubit_global_phase_invariance(sr88_10s):
