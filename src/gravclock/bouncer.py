@@ -19,15 +19,16 @@ The Airy engine is self-contained: one float64 piecewise-Chebyshev table
 of Ai and Ai' on [-15, 12], built once from extended-precision series and
 ODE marching, the DLMF 9.7 asymptotic expansions outside it, and
 evaluation in cache-sized blocks, each taken whole when it lies in one
-region and split by one boolean mask per region otherwise (see
-``AiryEngine``).  The Airy zeros are solved once per count and shared
-read-only, so a sweep solves each level count once.  The grid render
-draws a family of states (the oracle's Bures stencil) from one basis, Ai
-and Ai' of x / l_0 + z_n up to a decay cut past which Ai is below 1e-39,
-with phases against the centre projection's band means; each state and
-level is a Taylor shift of its argument by the Airy ODE to the first
-order whose remainder bound is below 1e-16 (at most 4, else families of
-one; see ``render_spectral`` and ``AiryEngine.ai_rows``).
+region and split by one boolean mask per region otherwise, Ai and Ai'
+together from one region dispatch (see ``AiryEngine``).  The Airy zeros
+are solved once per count and shared read-only, so a sweep solves each
+level count once.  The grid render draws a family of states (the
+oracle's Bures stencil) from one basis, Ai and Ai' of x / l_0 + z_n up
+to a decay cut past which Ai is below 1e-39, with phases against the
+centre projection's band means; each state and level is a Taylor shift
+of its argument by the Airy ODE to the first order whose remainder bound
+is below 1e-16 (at most 4, else families of one; see ``render_spectral``
+and ``AiryEngine.ai_rows``).
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -92,7 +93,7 @@ _U_COEFFS = _u_coefficients(15)
 _V_COEFFS = _U_COEFFS * np.array(
     [(6 * k + 1) / (1.0 - 6 * k) if k else 1.0 for k in range(15)])
 _ALT = (-1.0) ** np.arange(15)
-# DLMF 9.7.5-6: sum_k (-1)^k {u,v}_k zeta^-k for y > 0, indexed by derivative.
+# DLMF 9.7.5-6: sum_k (-1)^k {u,v}_k zeta^-k for y > 0, for Ai then Ai'.
 _POS_SERIES = (_ALT * _U_COEFFS, _ALT * _V_COEFFS)
 # DLMF 9.7.9-10: even and odd halves, sum_k (-1)^k {u,v}_{2k(+1)} zeta^-2k.
 # Twelve terms reach 1e-16 relative from zeta(15) = 38.7 on.
@@ -125,19 +126,19 @@ class AiryEngine:
     coefficient row spread by ``repeat`` over the runs of points that share
     an interval, so the points need not be sorted.
 
-    Outside the table the DLMF 9.7 asymptotic expansions apply, each
-    computing only the function asked for; on the negative axis the cosine
-    and sine of the phase come from one half-angle tangent.  Ai and Ai' are
-    exactly 0 past y = 108.  Arguments are evaluated in fixed blocks of 2^14
-    points, so temporaries stay cache-sized whatever the call size.  A
-    block whose points all lie in one region goes to that region's formula
-    as it stands, in any order.  Any other block (the zeros and the
-    Laplace arguments span several) sends each region's points to that
-    region's formula through one boolean mask per region.  Every formula
-    is elementwise, so a point's value does not depend on the block it
-    came in.  NaN gives NaN.  ``ai_rows`` fills many shifted rows of one
-    ascending base at once, gathering their points region by region into
-    full single-region blocks.
+    Outside the table the DLMF 9.7 asymptotic expansions apply.  Each
+    region's formula gives Ai and Ai' together from one shared prelude;
+    on the negative axis the cosine and sine of the phase come from one
+    half-angle tangent.  Ai and Ai' are exactly 0 past y = 108.  ``ai``
+    returns the pair, evaluated in fixed blocks of 2^14 points, so
+    temporaries stay cache-sized whatever the call size.  A block whose
+    points all lie in one region goes to that region's formula as it
+    stands, in any order.  Any other block (the zeros and the Laplace
+    arguments span several) sends each region's points to that region's
+    formula through one boolean mask per region.  Every formula is
+    elementwise, so a point's value does not depend on the block it came
+    in.  NaN gives NaN.  ``ai_rows`` fills many shifted rows of one
+    ascending base at once, one ``ai`` call per full single-region block.
 
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
@@ -186,8 +187,7 @@ class AiryEngine:
         coeffs = [f, fp, y0 * f / 2]
         for n in range(1, _TAYLOR_TERMS - 2):
             coeffs.append((y0 * coeffs[n] + coeffs[n - 1]) / ((n + 1) * (n + 2)))
-        val = _LD(0.0)
-        der = _LD(0.0)
+        val = der = _LD(0.0)
         for c in reversed(coeffs):
             val = val * h + c
         for k in range(len(coeffs) - 1, 0, -1):
@@ -209,19 +209,20 @@ class AiryEngine:
     # -- asymptotic expansions ----------------------------------------------
 
     @staticmethod
-    def _asym_pos(y: np.ndarray, derivative: bool, log: bool = False) -> np.ndarray:
-        """Ai(y) (or Ai'(y)) for y > pos_cutoff; with log=True, log|Ai(y)|
-        (or log|Ai'(y)|), which stays finite where the value underflows."""
+    def _asym_pos(y: np.ndarray, log: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(Ai(y), Ai'(y)) for y > pos_cutoff; with log=True, (log|Ai(y)|,
+        log|Ai'(y)|), which stay finite where the values underflow."""
         zeta = (2.0 / 3.0) * y * np.sqrt(y)
-        ln = (np.log(_horner(_POS_SERIES[derivative], 1.0 / zeta)) - zeta - _LOG_2_SQRT_PI
-              + (0.25 if derivative else -0.25) * np.log(y))
+        inv, quarter = 1.0 / zeta, 0.25 * np.log(y)
+        ln_ai = np.log(_horner(_POS_SERIES[0], inv)) - zeta - _LOG_2_SQRT_PI - quarter
+        ln_aip = np.log(_horner(_POS_SERIES[1], inv)) - zeta - _LOG_2_SQRT_PI + quarter
         if log:
-            return ln
-        return -np.exp(ln) if derivative else np.exp(ln)
+            return ln_ai, ln_aip
+        return np.exp(ln_ai), -np.exp(ln_aip)
 
     @staticmethod
-    def _asym_neg(y: np.ndarray, derivative: bool) -> np.ndarray:
-        """Ai(y) (or Ai'(y)) for y < -neg_cutoff.
+    def _asym_neg(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Ai(y), Ai'(y)) for y < -neg_cutoff, from one zeta, phase and |y|^(1/4).
 
         cos and sin of the phase theta = zeta - pi/4 come from one tangent,
         tau = tan(theta / 2): cos = (1 - tau^2) / (1 + tau^2) and
@@ -236,9 +237,8 @@ class AiryEngine:
         zeta *= root
         inv = 1.0 / zeta
         inv2 = inv * inv
-        even = _horner(_NEG_EVEN[derivative], inv2)
-        odd = _horner(_NEG_ODD[derivative], inv2)
-        odd *= inv
+        even, even_p = (_horner(coeffs, inv2) for coeffs in _NEG_EVEN)
+        odd, odd_p = (_horner(coeffs, inv2) * inv for coeffs in _NEG_ODD)
         tau = np.subtract(zeta, 0.25 * math.pi, out=zeta)
         tau *= 0.5
         np.tan(tau, out=tau)
@@ -250,35 +250,27 @@ class AiryEngine:
         sin = np.multiply(2.0, tau, out=tau)
         sin *= scale
         quarter = np.sqrt(root, out=root)
-        if derivative:
-            # (sin even - cos odd) quarter / sqrt(pi)
-            sin *= even
-            cos *= odd
-            sin -= cos
-            quarter /= _SQRT_PI
-            sin *= quarter
-            return sin
-        # (cos even + sin odd) / (sqrt(pi) quarter)
-        cos *= even
-        sin *= odd
-        cos += sin
-        quarter *= _SQRT_PI
-        cos /= quarter
-        return cos
+        # Ai = (cos even + sin odd) / (sqrt(pi) quarter), Ai' = (sin even' - cos odd') quarter / sqrt(pi)
+        even *= cos
+        even += np.multiply(odd, sin, out=odd)
+        even /= quarter * _SQRT_PI
+        even_p *= sin
+        even_p -= np.multiply(odd_p, cos, out=odd_p)
+        even_p *= np.divide(quarter, _SQRT_PI, out=quarter)
+        return even, even_p
 
     # -- the table ----------------------------------------------------------
 
     @functools.cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Chebyshev coefficients of Ai and Ai', (degree + 1, intervals) each."""
+    def _table(self) -> np.ndarray:
+        """Chebyshev coefficients of Ai and Ai', shape (degree + 1, 2, intervals)."""
         # Knots every _KNOT_STEP, with extended-precision (Ai, Ai') at each.
         ys = np.arange(-self.series_cutoff, self.series_cutoff + 0.5 * _KNOT_STEP, _KNOT_STEP)
         f, fp = self._series(ys)
         knots = list(zip(ys.astype(_LD), f, fp))
         knots += self._march(-self.series_cutoff, -self.neg_cutoff - 0.5, f[0], fp[0])
         seed_y = self.pos_cutoff + 0.5
-        seed = np.array([seed_y])
-        ai0, aip0 = (_LD(self._asym_pos(seed, derivative)[0]) for derivative in (False, True))
+        ai0, aip0 = (_LD(v[0]) for v in self._asym_pos(np.array([seed_y])))
         knots += self._march(seed_y, self.series_cutoff, ai0, aip0)
         knot_y, knot_f, knot_fp = (np.array(col) for col in zip(*knots))
 
@@ -298,32 +290,34 @@ class AiryEngine:
         weights[[0, d]] = 0.5
         dct = (2.0 / d) * np.cos(np.pi * np.outer(j, j) / d)
         dct *= weights[:, None] * weights[None, :]
-        return tuple((dct.astype(_LD) @ v).astype(float) for v in values)
+        return np.stack([(dct.astype(_LD) @ v).astype(float) for v in values], axis=1)
 
-    def _chebyshev(self, y: np.ndarray, derivative: bool) -> np.ndarray:
-        """Clenshaw sum of each point's own interval series, in any order.
+    def _chebyshev(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Ai, Ai') by one Clenshaw sum of each point's own interval series,
+        in any order, both functions' rows summed together.
 
         Each coefficient row reaches its points by one ``repeat`` over the
         runs of equal interval index: one run per interval for ascending
         input, a few per row for ascending rows laid end to end.
         """
-        coeffs = self._table[derivative]
+        table = self._table
         u = (y + self.neg_cutoff) / _TABLE_WIDTH
-        idx = np.minimum(u.astype(np.intp), coeffs.shape[1] - 1)
+        idx = np.minimum(u.astype(np.intp), table.shape[2] - 1)
         s = 2.0 * (u - idx) - 1.0
         edges = np.flatnonzero(idx[1:] != idx[:-1]) + 1
         bounds = np.concatenate(([0], edges, [idx.size]))
         counts = bounds[1:] - bounds[:-1]
-        runs = coeffs[:, idx[bounds[:-1]]]       # one column per run
+        runs = table[:, :, idx[bounds[:-1]]]     # (degree + 1, 2, one column per run)
         two_s = 2.0 * s
-        b1 = runs[-1].repeat(counts)
-        b2 = np.zeros_like(s)
+        b1 = runs[-1].repeat(counts, axis=1)
+        b2 = np.zeros_like(b1)
         for row in runs[-2:0:-1]:
             # b_k = c_k + 2 s b_{k+1} - b_{k+2}, written over b_{k+2}.
             b2 -= two_s * b1
-            np.subtract(row.repeat(counts), b2, out=b2)
+            np.subtract(row.repeat(counts, axis=1), b2, out=b2)
             b1, b2 = b2, b1
-        return runs[0].repeat(counts) + s * b1 - b2
+        ai, aip = runs[0].repeat(counts, axis=1) + s * b1 - b2
+        return ai, aip
 
     # -- public evaluation ----------------------------------------------------
 
@@ -339,8 +333,8 @@ class AiryEngine:
         return np.array([np.nextafter(-self.neg_cutoff, -np.inf), self.pos_cutoff,
                          _UNDERFLOW_Y, np.inf])
 
-    def _eval(self, y, derivatives: tuple[bool, ...] = (False,)) -> list[np.ndarray]:
-        """Ai (False) and/or Ai' (True) of y, one array per entry of derivatives.
+    def _eval(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """(Ai, Ai') of y, each shaped like y, from one region dispatch per block.
 
         A block whose minimum and maximum lie in one region is evaluated as
         it stands.  Any other block (several regions, or NaN) sends the
@@ -349,31 +343,32 @@ class AiryEngine:
         """
         y = np.asarray(y, dtype=float)
         flat = y.ravel()
-        outs = [np.empty_like(flat) for _ in derivatives]
+        ai, aip = np.empty_like(flat), np.empty_like(flat)
         cuts = self._region_ends()
         branches = (self._asym_neg, self._chebyshev, self._asym_pos,
-                    lambda ys, derivative: 0.0, lambda ys, derivative: np.nan)
+                    lambda ys: (0.0, 0.0), lambda ys: (np.nan, np.nan))
         for start in range(0, flat.size, _BLOCK):
             block = flat[start:start + _BLOCK]
-            parts = [out[start:start + _BLOCK] for out in outs]
+            part, part_p = ai[start:start + _BLOCK], aip[start:start + _BLOCK]
             # min and max are NaN if any point is.
             lo, hi = np.searchsorted(cuts, [block.min(), block.max()]).tolist()
             if lo == hi < 4:
-                for derivative, part in zip(derivatives, parts):
-                    part[:] = branches[lo](block, derivative)
+                part[:], part_p[:] = branches[lo](block)
                 continue
             regions = np.searchsorted(cuts, block)
             for region, branch in enumerate(branches):
                 mask = regions == region
                 if mask.any():
-                    ys = block[mask]
-                    for derivative, part in zip(derivatives, parts):
-                        part[mask] = branch(ys, derivative)
-        return [out.reshape(y.shape) for out in outs]
+                    part[mask], part_p[mask] = branch(block[mask])
+        return ai.reshape(y.shape), aip.reshape(y.shape)
 
-    def ai(self, y) -> np.ndarray | float:
-        out = self._eval(y)[0]
-        return float(out) if np.ndim(y) == 0 else out
+    def ai(self, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, float]:
+        """(Ai(y), Ai'(y)): arrays shaped like y, or floats for a scalar y."""
+        ai, aip = self._eval(y)
+        return (float(ai), float(aip)) if np.ndim(y) == 0 else (ai, aip)
+
+    def ai_prime(self, y) -> np.ndarray | float:
+        return self.ai(y)[1]
 
     def ai_rows(self, base: np.ndarray, offsets: np.ndarray, ends: np.ndarray,
                 out: np.ndarray, out_prime: np.ndarray) -> None:
@@ -382,9 +377,9 @@ class AiryEngine:
 
         base must be ascending, so every row is.  The rows' points are cut
         into regions by ``searchsorted`` and, region by region, copied into
-        one reused 2^14-point buffer; each filled buffer goes through ``ai``
-        and ``ai_prime`` as a single-region block and is copied back, bit for
-        bit what one call per row gives.
+        one reused 2^14-point buffer; each filled buffer goes through one
+        ``ai`` call as a single-region block and is copied back, bit for bit
+        what one call per row gives.
         """
         cuts = self._region_ends()
         bounds = []
@@ -394,13 +389,13 @@ class AiryEngine:
             bounds.append([0, *np.searchsorted(row[:end], cuts, side="right").tolist()])
         buf = np.empty(_BLOCK)
         for region in range(len(cuts)):
-            targets, fill = [], 0            # (out, out_prime) views copied into buf, in order
+            targets, fill = [], 0            # (start in buf, out view, out_prime view)
             for row, prime, bound in zip(out, out_prime, bounds):
                 lo, hi = bound[region], bound[region + 1]
                 while lo < hi:
                     n = min(hi - lo, _BLOCK - fill)
-                    targets.append((row[lo:lo + n], prime[lo:lo + n]))
-                    buf[fill:fill + n] = targets[-1][0]
+                    targets.append((fill, row[lo:lo + n], prime[lo:lo + n]))
+                    buf[fill:fill + n] = row[lo:lo + n]
                     fill += n
                     lo += n
                     if fill == _BLOCK:
@@ -409,30 +404,23 @@ class AiryEngine:
             if fill:
                 self._scatter(buf[:fill], targets)
 
-    def _scatter(self, args: np.ndarray, targets: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Ai and Ai' of args, copied in consecutive pieces into the (Ai, Ai') targets."""
-        cuts = np.cumsum([target.size for target, _ in targets])[:-1]
-        for (target, prime), value, slope in zip(targets, np.split(self.ai(args), cuts),
-                                                 np.split(self.ai_prime(args), cuts)):
-            target[:], prime[:] = value, slope
-
-    def ai_prime(self, y) -> np.ndarray | float:
-        out = self._eval(y, (True,))[0]
-        return float(out) if np.ndim(y) == 0 else out
+    def _scatter(self, args: np.ndarray, targets: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
+        """Ai and Ai' of args, copied into each (start in args, Ai view, Ai' view) target."""
+        values, slopes = self.ai(args)
+        for at, target, prime in targets:
+            target[:], prime[:] = values[at:at + target.size], slopes[at:at + target.size]
 
     def ai_log(self, y) -> tuple[np.ndarray, np.ndarray]:
         """(sign of Ai(y), log|Ai(y)|): from ``ai`` up to pos_cutoff, beyond
         it from the asymptotic sum, finite far past where Ai underflows."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        sign = np.ones_like(y)
-        out = np.empty_like(y)
+        sign, out = np.ones_like(y), np.empty_like(y)
         small = y <= self.pos_cutoff
-        if np.any(small):
-            vals = self.ai(y[small])
-            sign[small] = np.sign(vals)
-            with np.errstate(divide="ignore"):
-                out[small] = np.log(np.abs(vals))
-        out[~small] = self._asym_pos(y[~small], False, log=True)
+        vals = self.ai(y[small])[0]
+        sign[small] = np.sign(vals)
+        with np.errstate(divide="ignore"):
+            out[small] = np.log(np.abs(vals))
+        out[~small] = self._asym_pos(y[~small], log=True)[0]
         return sign, out
 
     # -- zeros ------------------------------------------------------------------
@@ -453,7 +441,7 @@ class AiryEngine:
         z = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / t2**2
                                    + 77125.0 / 82944.0 / t2**3)
         for iteration in range(100):
-            f, fp = self._eval(z, (False, True))
+            f, fp = self._eval(z)
             step = f / fp
             step = np.clip(step, -0.5, 0.5)
             z = z - step
@@ -474,7 +462,7 @@ def airy_ai(y):
     """Ai(y) to 1e-12 absolute for |y| < 1e3."""
     if np.any(np.abs(y) >= 1e3):
         raise ValueError("airy_ai supports |y| < 1e3; use the spectral helpers beyond")
-    return default_engine().ai(y)
+    return default_engine().ai(y)[0]
 
 
 def airy_ai_prime(y):

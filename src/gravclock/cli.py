@@ -245,6 +245,9 @@ def read_table(path: Path) -> dict[str, list]:
         raise ConfigError(f"empty table {path}")
     header = lines[0].split(",")
     columns: dict[str, list] = {name: [] for name in header}
+    if len(columns) < len(header):
+        repeated = next(name for name in header if header.count(name) > 1)
+        raise ConfigError(f"{path}: the header names column {repeated!r} more than once")
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -268,11 +271,13 @@ def read_table(path: Path) -> dict[str, list]:
 # ---------------------------------------------------------------------------
 
 def _log_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """log(x) and log(y), after checking both are positive and finite."""
+    """log(x) and log(y), after checking both are positive and finite and x varies."""
     for what, values in (("swept values", xs), ("values", ys)):
         bad = [i for i, v in enumerate(values) if not (v > 0 and math.isfinite(v))]
         if bad:
             raise ValueError(f"scaling fit needs positive finite {what}; offending rows: {bad}")
+    if min(xs) == max(xs):
+        raise ValueError(f"scaling fit needs swept values that vary; all are {float(xs[0]):g}")
     return np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
 
 

@@ -217,10 +217,10 @@ def test_nan_gives_nan_and_empty_gives_empty():
     engine = bc.AiryEngine()
     engine.ai(np.linspace(-50.0, 50.0, 100_000))   # leaves freed memory behind
     y = np.tile([np.nan, 3.0], 5000)
-    for evaluate in (engine.ai, engine.ai_prime):
-        out = evaluate(y)
+    for derivative in (False, True):
+        out = engine.ai(y)[derivative]
         assert np.all(np.isnan(out[0::2]))
-        assert np.all(out[1::2] == evaluate(3.0))
+        assert np.all(out[1::2] == engine.ai(3.0)[derivative])
     for evaluate in (bc.airy_ai, bc.airy_ai_prime):
         assert evaluate(np.array([])).shape == (0,)
 
@@ -237,7 +237,7 @@ def _region_reference(engine, y, derivative):
         where = np.flatnonzero(mask)
         where = where[np.argsort(y[where], kind="stable")]
         if where.size:
-            out[where] = branch(y[where], derivative)
+            out[where] = branch(y[where])[derivative]
     return out
 
 
@@ -269,9 +269,9 @@ def test_eval_equals_region_by_region_reference(name):
     y = _eval_inputs()[name]
     engine = bc.default_engine()
     with np.errstate(invalid="ignore"):          # -inf has no phase
-        ai, aip = engine._eval(y, (False, True))
+        ai, aip = engine._eval(y)
         ref = [_region_reference(engine, y, d) for d in (False, True)]
-        np.testing.assert_array_equal(engine.ai(y), ref[0])
+        np.testing.assert_array_equal(engine.ai(y)[0], ref[0])
     np.testing.assert_array_equal(ai, ref[0])
     np.testing.assert_array_equal(aip, ref[1])
     assert np.all(np.isnan(ai[np.isnan(y)]))
@@ -304,10 +304,10 @@ def test_ai_shuffled_block_bit_equal_to_sorted(region):
         ys = np.linspace(*_SINGLE_REGIONS[region], bc._BLOCK)
     order = rng.permutation(ys.size)
     engine = bc.default_engine()
-    for derivative, evaluate in ((False, engine.ai), (True, engine.ai_prime)):
+    for derivative in (False, True):
         expected = _region_reference(engine, ys, derivative)
         shuffled = np.empty_like(ys)
-        shuffled[order] = evaluate(ys[order])
+        shuffled[order] = engine.ai(ys[order])[derivative]
         assert np.array_equal(_bits(shuffled), _bits(expected))
 
 
@@ -320,13 +320,13 @@ def test_chebyshev_on_concatenated_rows_equals_per_row():
     rows = [row[row <= engine.pos_cutoff]
             for row in (base + off for off in -engine.neg_cutoff + 0.37 * np.arange(40))]
     for derivative in (False, True):
-        joined = engine._chebyshev(np.concatenate(rows), derivative)
-        per_row = np.concatenate([engine._chebyshev(row, derivative) for row in rows])
+        joined = engine._chebyshev(np.concatenate(rows))[derivative]
+        per_row = np.concatenate([engine._chebyshev(row)[derivative] for row in rows])
         assert np.array_equal(_bits(joined), _bits(per_row))
 
 
 def test_ai_rows_equals_per_row_ai():
-    """ai_rows against one ai and one ai_prime call per row, bit for bit: rows
+    """ai_rows against one ai call per row, bit for bit: rows
     reaching every region (and past y = 108), an empty row, and one running
     to the end."""
     engine = bc.default_engine()
@@ -339,8 +339,9 @@ def test_ai_rows_equals_per_row_ai():
     engine.ai_rows(base, offsets, ends, out, out_prime)
     for row, prime, offset, end in zip(out, out_prime, offsets, ends):
         y = base[:end] + offset
-        assert np.array_equal(_bits(row[:end]), _bits(engine.ai(y)))
-        assert np.array_equal(_bits(prime[:end]), _bits(engine.ai_prime(y)))
+        ai, aip = engine.ai(y)
+        assert np.array_equal(_bits(row[:end]), _bits(ai))
+        assert np.array_equal(_bits(prime[:end]), _bits(aip))
         assert np.all(row[end:] == 0.0) and np.all(prime[end:] == 0.0)
 
 
@@ -379,7 +380,7 @@ def test_taylor_shift_against_mpmath():
     assert _taylor_order(1.001 * delta, y_max) is None
     y = np.linspace(-y_max, bc._RENDER_CUT_Y, 197)
     stack = np.empty((bc._TAYLOR_MAX + 1, y.size))
-    stack[0], stack[1] = engine.ai(y), engine.ai_prime(y)
+    stack[0], stack[1] = engine.ai(y)
     bc._airy_derivatives(stack, y)
     with mp.workdps(25):
         ai_aip = [(mp.airyai(float(v)), mp.airyai(float(v), 1)) for v in y]
@@ -648,7 +649,7 @@ def _unwindowed_render(p, family, t, grid, center):
         sel = slice(start, start + bc._RENDER_ROWS)
         y = xs / l_base + zeros[rows[sel], None]
         stack = np.empty((bc._TAYLOR_MAX + 1, *y.shape))
-        stack[0], stack[1] = engine.ai(y), engine.ai_prime(y)
+        stack[0], stack[1] = engine.ai(y)
         bc._airy_derivatives(stack, y)
         for s in range(len(family)):
             for i in (0, 1):
@@ -695,7 +696,7 @@ def _per_row_render(p, family, t, grid, center, bases):
                 width = int(ends[sel].max())
                 basis = np.zeros((len(ends[sel]), width))
                 for row, z_n, end in zip(basis, zeros[rows[sel]], ends[sel]):
-                    row[:end] = engine.ai(xs[:end] / proj.spectrum.lengths[i] + z_n)
+                    row[:end] = engine.ai(xs[:end] / proj.spectrum.lengths[i] + z_n)[0]
                 c = coeff[s, i, sel]
                 re, im = np.einsum("cm,mn->cn", np.stack([c.real, c.imag]), basis)
                 channels[s, i, :width].real += re
@@ -863,6 +864,38 @@ def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
     kept, _ = _render_layout(p, family, p.dt, bc.bouncer_coefficients(p))
     assert len(chunks) == math.ceil(kept.size / bc._RENDER_ROWS)
     assert sum(chunks) == kept.size
+
+
+def test_render_evaluates_each_packed_block_once(bouncer_params, monkeypatch):
+    """One render on configs/bouncer.cfg: each ai_rows call packs its rows'
+    points region by region into 2^14-point blocks, and each block takes one
+    ``AiryEngine.ai`` call for Ai and Ai' together; ``ai_prime`` is never called."""
+    engine = bc.AiryEngine
+    ai, ai_prime, ai_rows = engine.ai, engine.ai_prime, engine.ai_rows
+    blocks, calls, primes = [], [], []
+
+    def packing_ai_rows(self, base, offsets, ends, *outs):
+        y = np.concatenate([base[:end] + offset for offset, end in zip(offsets, ends)])
+        per_region = [np.count_nonzero(y < -engine.neg_cutoff),
+                      np.count_nonzero((y >= -engine.neg_cutoff) & (y <= engine.pos_cutoff)),
+                      np.count_nonzero((y > engine.pos_cutoff) & (y <= bc._UNDERFLOW_Y)),
+                      np.count_nonzero(y > bc._UNDERFLOW_Y)]
+        blocks.append(sum(math.ceil(n / bc._BLOCK) for n in per_region))
+        return ai_rows(self, base, offsets, ends, *outs)
+
+    def counting_ai(self, y):
+        calls.append(np.size(y))
+        return ai(self, y)
+
+    p = bouncer_params
+    center = bc.bouncer_coefficients(p)
+    monkeypatch.setattr(engine, "ai_rows", packing_ai_rows)
+    monkeypatch.setattr(engine, "ai", counting_ai)
+    monkeypatch.setattr(engine, "ai_prime", lambda self, y: primes.append(y) or ai_prime(self, y))
+    bc.render_spectral(p, [(p.g, center)], p.dt, bc.bouncer_grid(p, center), center)
+    assert blocks and len(calls) == sum(blocks)
+    assert max(calls) == bc._BLOCK
+    assert not primes, f"ai_prime called {len(primes)} times"
 
 
 def test_qfi_longtime_degenerate_distribution(bouncer_params):

@@ -147,6 +147,36 @@ def test_fit_bad_swept_value_exit_3(tmp_path, capsys, xs, bad, tail):
     assert "swept" in captured.err
 
 
+@pytest.mark.parametrize("tail", [False, True])
+def test_fit_constant_swept_value_exit_3(tmp_path, capsys, tail):
+    """Swept values that do not vary give no slope: it used to print
+    "slope = nan +/- nan" with a numpy RuntimeWarning and exit 0."""
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed\n" + "".join(f"2,{y}\n" for y in (3, 5, 7, 11, 13)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["fit", "--table", str(path), "--column", "qfi_closed",
+                       *(["--tail"] if tail else [])])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "swept values that vary" in captured.err
+
+
+def test_fit_repeated_header_column_exit_2(tmp_path, capsys):
+    """A header that names a column twice is a config error naming it: fit
+    used to fail inside numpy ("shapes (3,) and (6,) not aligned"), exit 3."""
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed,qfi_closed\n2,3,3\n3,5,5\n4,7,7\n")
+    with pytest.raises(core.ConfigError, match="column 'qfi_closed' more than once"):
+        cli.read_table(path)
+    rc = cli.main(["fit", "--table", str(path), "--column", "qfi_closed"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'qfi_closed' more than once" in captured.err
+
+
 def test_fit_ragged_row_exit_2(tmp_path, capsys):
     """A row with fewer cells than the header is an error, not truncated."""
     path = tmp_path / "t.csv"

@@ -7,6 +7,7 @@ imported numpy and every gravclock module.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 def _run(code: str, **env) -> str:
     """stdout of ``python -c code`` with src on the path and ``env`` set
     (a value of None removes the variable)."""
+    return _python("-c", code, **env).decode()
+
+
+def _python(*args: str, **env) -> bytes:
+    """stdout bytes of ``python *args`` in the repo root, as for ``_run``;
+    the process must exit 0 with nothing on stderr."""
     full = dict(os.environ)
     full["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        full.get("PYTHONPATH")]))
@@ -28,9 +35,9 @@ def _run(code: str, **env) -> str:
             full.pop(key, None)
         else:
             full[key] = value
-    proc = subprocess.run([sys.executable, "-c", code], env=full, cwd=ROOT,
-                          capture_output=True, text=True, check=True)
-    assert proc.stderr == ""
+    proc = subprocess.run([sys.executable, *args], env=full, cwd=ROOT,
+                          capture_output=True, check=True)
+    assert proc.stderr == b""
     return proc.stdout
 
 
@@ -87,3 +94,17 @@ def test_bouncer_oracle_report_independent_of_blas_threads(tmp_path):
              OPENBLAS_NUM_THREADS=threads)
         reports.append((tmp_path / threads / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_traced_bouncer_oracle_run_matches_untraced(tmp_path):
+    """perfbench's tracer replays a bouncer oracle run through the names it
+    wraps: the same stdout bytes as an untraced run, and a summary that
+    counts the render's Airy points and the engine's calls."""
+    argv = ["run", "--config", "configs/bouncer.cfg", "--methods", "closed,oracle"]
+    traced = _python("perfbench/tracer.py", str(tmp_path / "t.json"), "--", *argv)
+    plain = _python("-c", f"import sys\nfrom gravclock import cli\nsys.exit(cli.main({argv!r}))")
+    assert traced == plain
+    summary = json.loads((tmp_path / "t.json").read_text())
+    assert summary["rc"] == 0
+    assert summary["render_level_points"] > 0
+    assert summary["groups"]["bouncer.airy"]["calls"] > 0
