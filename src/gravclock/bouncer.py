@@ -138,7 +138,7 @@ class AiryEngine:
     formula through one boolean mask per region.  Every formula is
     elementwise, so a point's value does not depend on the block it came
     in.  NaN gives NaN.  ``ai_rows`` fills many shifted rows of one
-    ascending base at once, one ``ai`` call per full single-region block.
+    ascending base at once, one ``ai`` call per region the rows reach.
 
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
@@ -376,39 +376,25 @@ class AiryEngine:
         likewise with Ai', and the rest of both rows with 0.
 
         base must be ascending, so every row is.  The rows' points are cut
-        into regions by ``searchsorted`` and, region by region, copied into
-        one reused 2^14-point buffer; each filled buffer goes through one
-        ``ai`` call as a single-region block and is copied back, bit for bit
-        what one call per row gives.
+        into regions by ``searchsorted``; each region's slices of all rows
+        go through one ``ai`` call as one array and are copied back, bit for
+        bit what one call per row gives.
         """
         cuts = self._region_ends()
-        bounds = []
+        spans = []
         for row, prime, offset, end in zip(out, out_prime, offsets, ends):
             np.add(base[:end], offset, out=row[:end])
             row[end:] = prime[end:] = 0.0
-            bounds.append([0, *np.searchsorted(row[:end], cuts, side="right").tolist()])
-        buf = np.empty(_BLOCK)
-        for region in range(len(cuts)):
-            targets, fill = [], 0            # (start in buf, out view, out_prime view)
-            for row, prime, bound in zip(out, out_prime, bounds):
-                lo, hi = bound[region], bound[region + 1]
-                while lo < hi:
-                    n = min(hi - lo, _BLOCK - fill)
-                    targets.append((fill, row[lo:lo + n], prime[lo:lo + n]))
-                    buf[fill:fill + n] = row[lo:lo + n]
-                    fill += n
-                    lo += n
-                    if fill == _BLOCK:
-                        self._scatter(buf, targets)
-                        targets, fill = [], 0
-            if fill:
-                self._scatter(buf[:fill], targets)
-
-    def _scatter(self, args: np.ndarray, targets: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
-        """Ai and Ai' of args, copied into each (start in args, Ai view, Ai' view) target."""
-        values, slopes = self.ai(args)
-        for at, target, prime in targets:
-            target[:], prime[:] = values[at:at + target.size], slopes[at:at + target.size]
+            bounds = [0, *np.searchsorted(row[:end], cuts, side="right").tolist()]
+            spans.append([(row[lo:hi], prime[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        for region in zip(*spans):
+            args = np.concatenate([row for row, _ in region])
+            if args.size:
+                values, slopes = self.ai(args)
+                at = 0
+                for row, prime in region:
+                    row[:], prime[:] = values[at:at + row.size], slopes[at:at + row.size]
+                    at += row.size
 
     def ai_log(self, y) -> tuple[np.ndarray, np.ndarray]:
         """(sign of Ai(y), log|Ai(y)|): from ``ai`` up to pos_cutoff, beyond

@@ -55,6 +55,7 @@ from .core import (
     read_text,
     require_bouncer_g,
     require_floor_clearance,
+    require_kink_clearance,
 )
 
 
@@ -145,12 +146,14 @@ class ScenarioConfig:
                               f"(got {sorted(bad)})")
         if repeated := sorted({m for m in self.methods if self.methods.count(m) > 1}):
             raise ConfigError(f"--methods lists {', '.join(repeated)} more than once")
-        if self.scenario == "bouncer":
-            try:
+        try:
+            if self.scenario == "bouncer":
                 require_bouncer_g(self.params.g)
                 require_floor_clearance(self.params)
-            except ParamsError as exc:
-                raise ConfigError(str(exc)) from None
+            if self.scenario == "mach_zehnder":
+                require_kink_clearance(self.params)
+        except ParamsError as exc:
+            raise ConfigError(str(exc)) from None
         if self.scenario == "mach_zehnder" and self.sweep is not None \
                 and self.sweep.variable == "g":
             raise ConfigError(
@@ -302,19 +305,20 @@ def tail_window_fit(xs, ys) -> tuple[float, float, int]:
 
     Returns (slope, stderr, start_index).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     n = len(xs)
     if n < 5:
         raise ValueError("tail-window fit needs at least 5 rows")
     lx, ly = _log_rows(xs, ys)
-    local = np.diff(ly) / np.diff(lx)
+    # A local slope across a repeated swept value is NaN: no window holding it is flat.
+    dlx = np.diff(lx)
+    local = np.divide(np.diff(ly), dlx, out=np.full_like(dlx, np.nan), where=dlx != 0)
     for start in range(0, n - 4):
         window = local[start:]
         if window.max() - window.min() < _SLOPE_VAR_TOL:
             slope, stderr = fit_scaling(xs[start:], ys[start:])
             return slope, stderr, start
-    raise ValueError(f"no trailing window with slope variation < {_SLOPE_VAR_TOL}")
+    repeats = "".join(f"; rows {i}, {i + 1} repeat swept value {xs[i]:g}" for i in np.flatnonzero(dlx == 0))
+    raise ValueError(f"no trailing window with slope variation < {_SLOPE_VAR_TOL}{repeats}")
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,16 @@ def require_floor_clearance(params: PhysicalParams) -> None:
                           f"x_minus = {params.x_minus!r}, sigma = {params.sigma!r})")
 
 
+def require_kink_clearance(params: PhysicalParams) -> None:
+    """Refuse a Mach-Zehnder branch within 5 spread widths Sigma of the kink, min |x_pm - x0|
+    <= 5 Sigma.  Sigma divides by 2 m first: a sigma that underflows 2 m sigma gives inf, not 1/0."""
+    clearance = min(abs(params.x_plus - params.x0), abs(params.x_minus - params.x0))
+    width = math.hypot(params.sigma, params.hbar * params.dt / (2.0 * params.m) / params.sigma)
+    if not clearance > 5.0 * width:
+        raise ParamsError("geometry.x0_m, geometry.sigma_m, time.dt_s: a branch straddles the potential kink "
+                          f"(kink clearance min |x_pm - x0| = {clearance!r}, 5 Sigma = {5.0 * width!r})")
+
+
 # ---------------------------------------------------------------------------
 # Regime checker
 # ---------------------------------------------------------------------------

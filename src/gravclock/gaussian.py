@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams
+from .core import PhysicalParams, require_kink_clearance
 
 _LD = np.longdouble
 # Multiplying a float by _LD_ONE promotes it to longdouble exactly, in a
@@ -360,10 +360,10 @@ def evolve_state(state: ClockState, params: PhysicalParams,
 
         L(x) = -dt E_i / hbar - dt m z_i V_MZ(x) / hbar
 
-    on its own side of the kink, and a branch within five widths of the
-    kink is refused.  The tiny momentum implied by the phase slope
-    (-dt E_i g_side / c^2, many orders below the momentum width) is the
-    quoted <p> = 0 at the working order.
+    on its own side of the kink; ``core.require_kink_clearance`` refuses a
+    branch within five spread widths of the kink, at dt = 0 too.  The tiny
+    momentum implied by the phase slope (-dt E_i g_side / c^2, many orders
+    below the momentum width) is the quoted <p> = 0 at the working order.
 
     The map is computed once per level (and kink side), since branches
     differ in nothing else but their centre.  At dt = 0 the state is
@@ -374,9 +374,11 @@ def evolve_state(state: ClockState, params: PhysicalParams,
         raise ValueError(f"unknown scenario {scenario!r}")
     for c in state.components:
         _require_pre_evolution(c, params)
+    trapped = scenario == "mach_zehnder"
+    if trapped:
+        require_kink_clearance(params)
     if params.dt == 0.0:
         return state
-    trapped = scenario == "mach_zehnder"
     maps: dict[tuple, tuple] = {}
     components = []
     for c in state.components:
@@ -384,8 +386,6 @@ def evolve_state(state: ClockState, params: PhysicalParams,
         if key not in maps:
             maps[key] = _evolved_branch_map(params, scenario, *key)
         ledger, fall, var, chirp = maps[key]
-        if trapped and abs(c.mean_x - params.x0) <= 5.0 * math.sqrt(var):
-            raise EvolutionError("branch straddles potential kink")
         components.append(GaussianBranch(c.amplitude, ledger, c.mean_x - fall, var, chirp,
                                          c.internal_level, c.path_label))
     return ClockState(tuple(components))
@@ -399,8 +399,8 @@ class PairMoments:
     """Closed-form integrals over a pair of branches of one internal level.
 
     conj(psi_a) psi_b = C exp(-alpha u^2 + beta u) in the shifted
-    coordinate u = x - (X_a + X_b)/2, so any <P_a psi_a | P_b psi_b> with
-    polynomial factors reduces to Gaussian moments.  The huge, shared
+    coordinate u = x - (X_a + X_b)/2, so <P_a psi_a | P_b psi_b> with P_a,
+    P_b first order reduces to Gaussian moments up to u^2.  The huge, shared
     ledger constants enter only through their term-by-term difference,
     computed in extended precision and wrapped once.
     """
@@ -438,47 +438,28 @@ class PairMoments:
         self.off_b = -0.5 * d     # (x - X_b) = u + off_b
 
     def expect_u(self, coeffs) -> complex:
-        """overlap * E[poly(u)] for poly given by ascending coeffs in u."""
-        mu, s2 = self._mu, self._s2
-        # E[u^k] for the shifted complex Gaussian, k = 0..4.
-        moments = (
-            1.0,
-            mu,
-            mu * mu + s2,
-            mu**3 + 3.0 * mu * s2,
-            mu**4 + 6.0 * mu * mu * s2 + 3.0 * s2 * s2,
-        )
+        """overlap * E[poly(u)] for poly given by ascending coeffs in u, degree <= 2."""
+        # E[u^k] for the shifted complex Gaussian, k = 0..2.
+        moments = (1.0, self._mu, self._mu * self._mu + self._s2)
         if len(coeffs) > len(moments):
-            raise ValueError("pair moments implemented up to degree 4")
+            raise ValueError("pair moments implemented up to degree 2")
         acc = 0.0j
         for c, m_k in zip(coeffs, moments):
             acc += c * m_k
         return self.overlap * acc
 
     def braket(self, poly_a, poly_b) -> complex:
-        """<P_a psi_a | P_b psi_b>, polys about each branch's own center.
+        """<P_a psi_a | P_b psi_b> for first-order P_a = c0 + c1 (x - X_a), P_b
+        likewise about X_b, each given as (c0,) or (c0, c1).
 
-        ``poly_a``/``poly_b`` are ascending coefficients in (x - X_a) and
-        (x - X_b); conjugation of P_a is applied here.
+        Conjugation of P_a is applied here; both are re-expanded in u.
         """
-        pa = _shift_poly([c.conjugate() for c in poly_a], self.off_a)
-        pb = _shift_poly(poly_b, self.off_b)
-        prod = [0j] * (len(pa) + len(pb) - 1)
-        for i, ca in enumerate(pa):
-            for j, cb in enumerate(pb):
-                prod[i + j] += ca * cb
-        return self.expect_u(prod)
-
-
-def _shift_poly(coeffs, off: float) -> list[complex]:
-    """Re-expand sum c_j t^j with t = u + off as a polynomial in u."""
-    out = [0j] * len(coeffs)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for k in range(j + 1):
-            out[k] += c * math.comb(j, k) * off ** (j - k)
-    return out
+        if len(poly_a) > 2 or len(poly_b) > 2:
+            raise ValueError("braket takes polynomials of degree <= 1")
+        a0, a1 = (c.conjugate() for c in (*poly_a, 0j)[:2])
+        b0, b1 = (*poly_b, 0j)[:2]
+        a0, b0 = a0 + a1 * self.off_a, b0 + b1 * self.off_b
+        return self.expect_u((a0 * b0, a0 * b1 + a1 * b0, a1 * b1))
 
 
 def overlap(a: GaussianBranch, b: GaussianBranch) -> complex:

@@ -868,20 +868,21 @@ def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
 
 def test_render_evaluates_each_packed_block_once(bouncer_params, monkeypatch):
     """One render on configs/bouncer.cfg: each ai_rows call packs its rows'
-    points region by region into 2^14-point blocks, and each block takes one
-    ``AiryEngine.ai`` call for Ai and Ai' together; ``ai_prime`` is never called."""
+    points region by region, and each nonempty region takes one
+    ``AiryEngine.ai`` call for Ai and Ai' together, whose sizes sum to the
+    rows' kept points; ``ai_prime`` is never called."""
     engine = bc.AiryEngine
     ai, ai_prime, ai_rows = engine.ai, engine.ai_prime, engine.ai_rows
-    blocks, calls, primes = [], [], []
+    checked, calls, primes = [], [], []
 
     def packing_ai_rows(self, base, offsets, ends, *outs):
         y = np.concatenate([base[:end] + offset for offset, end in zip(offsets, ends)])
-        per_region = [np.count_nonzero(y < -engine.neg_cutoff),
-                      np.count_nonzero((y >= -engine.neg_cutoff) & (y <= engine.pos_cutoff)),
-                      np.count_nonzero((y > engine.pos_cutoff) & (y <= bc._UNDERFLOW_Y)),
-                      np.count_nonzero(y > bc._UNDERFLOW_Y)]
-        blocks.append(sum(math.ceil(n / bc._BLOCK) for n in per_region))
-        return ai_rows(self, base, offsets, ends, *outs)
+        regions = np.unique(np.searchsorted(self._region_ends(), y))
+        calls.clear()
+        ai_rows(self, base, offsets, ends, *outs)
+        assert len(calls) == regions.size
+        assert sum(calls) == int(np.sum(ends))
+        checked.append(len(calls))
 
     def counting_ai(self, y):
         calls.append(np.size(y))
@@ -893,8 +894,7 @@ def test_render_evaluates_each_packed_block_once(bouncer_params, monkeypatch):
     monkeypatch.setattr(engine, "ai", counting_ai)
     monkeypatch.setattr(engine, "ai_prime", lambda self, y: primes.append(y) or ai_prime(self, y))
     bc.render_spectral(p, [(p.g, center)], p.dt, bc.bouncer_grid(p, center), center)
-    assert blocks and len(calls) == sum(blocks)
-    assert max(calls) == bc._BLOCK
+    assert checked and all(checked)
     assert not primes, f"ai_prime called {len(primes)} times"
 
 

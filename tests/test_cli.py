@@ -405,6 +405,40 @@ def test_bouncer_without_floor_clearance_exit_2(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("methods", ["closed", "parametric", "reduced", "fi", "oracle"])
+def test_mz_kink_straddle_exit_2(tmp_path, capsys, monkeypatch, methods):
+    """A Mach-Zehnder branch within 5 spread widths of the potential kink is a
+    config error naming the cause, found before any numerics.  At sigma = 1e-3
+    (5 Sigma = 5.0e-3 against |x_pm - x0| = 5e-3) `closed` used to exit 0 with
+    regime_ok true, and the other methods exited 3 ("branch straddles potential kink")."""
+    calls = []
+    monkeypatch.setattr(cli, "_evaluate_methods", lambda *args: calls.append(args))
+    cfg = tmp_path / "mz.cfg"
+    cfg.write_text(_config_with("sr88_mz.cfg", ("geometry.sigma_m", "1e-3")))
+    rc = cli.main(["run", "--config", str(cfg), "--methods", methods])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "straddles the potential kink" in captured.err
+    assert captured.out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("var,start,stop", [("dt", "5", "400"), ("sigma", "1e-4", "1e-3")])
+def test_mz_sweep_into_kink_straddle_exit_2(tmp_path, capsys, monkeypatch, var, start, stop):
+    """Every sweep point is held to the kink clearance before any row is
+    evaluated: the last point straddles, so no method runs."""
+    calls = []
+    monkeypatch.setattr(cli, "_evaluate_methods", lambda *args: calls.append(args))
+    rc = cli.main(["sweep", "--config", str(CONFIGS / "sr88_mz.cfg"), "--var", var,
+                   "--from", start, "--to", stop, "--points", "3", "--log",
+                   "--methods", "closed", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"sweep --var {var} = {float(stop)!r}" in captured.err
+    assert "straddles the potential kink" in captured.err
+    assert calls == []
+
+
 def test_bouncer_separated_path_peaks_auto_n_max(tmp_path, capsys):
     """Paths 88 um apart peak ~1000 levels apart (n ~ 160 and ~1170).  The
     automatic n_max used to stop in the gap after the lower path's peak
@@ -755,6 +789,39 @@ def test_tail_window_fit_picks_stable_tail():
     slope, _err, start = cli.tail_window_fit(xs, ys)
     assert start > 0
     assert slope == pytest.approx(3.0, abs=0.05)
+
+
+_REPEATED_X = "1,1\n2,8\n2,9\n4,64\n8,512\n16,4096\n32,32768\n"
+
+
+def test_tail_fit_repeated_swept_value_names_rows(tmp_path, capsys):
+    """A local slope across a repeated swept value is undefined, so no window
+    holding it is flat.  This table used to print a numpy divide-by-zero
+    RuntimeWarning before its exit 3; the message now names the rows."""
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed\n" + _REPEATED_X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["fit", "--table", str(path), "--column", "qfi_closed", "--tail"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no trailing window" in captured.err
+    assert "rows 1, 2 repeat swept value 2" in captured.err
+
+
+def test_tail_fit_flat_window_after_repeated_swept_value(tmp_path, capsys):
+    """A flat trailing window past the repeated value still fits, with no warning."""
+    path = tmp_path / "t.csv"
+    path.write_text("swept_value,qfi_closed\n1,1\n1,2\n2,8\n4,64\n8,512\n16,4096\n32,32768\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["fit", "--table", str(path), "--column", "qfi_closed", "--tail"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("slope = 3.000000 +/- ")
+    assert captured.out.endswith(" (tail window from row 2)\n")
+    assert captured.err == ""
 
 
 def test_asymptotic_window_slopes(sr88_10s):

@@ -227,8 +227,31 @@ def test_mz_zero_energy_is_pure_spreading():
 def test_mz_straddle_error(sr88_10s):
     p = sr88_10s.replace(x0=sr88_10s.x_minus + 1e-5)
     branch = ga.make_initial_state(p).branch("minus", 0)
-    with pytest.raises(ga.EvolutionError, match="straddles"):
+    with pytest.raises(core.ParamsError, match="straddles"):
         _evolve(branch, p, "mach_zehnder")
+
+
+def test_mz_straddle_rule_is_core_kink_clearance(sr88_10s):
+    """evolve_state refuses a Mach-Zehnder state exactly where
+    core.require_kink_clearance refuses its parameters, on both sides of the
+    boundary min |x_pm - x0| = 5 Sigma, at dt = 0 as at dt = 10 s."""
+    refused = []
+    for dt in (0.0, 10.0):
+        for sigma in np.linspace(0.99e-3, 1.01e-3, 41):
+            p = sr88_10s.replace(sigma=float(sigma), dt=dt)
+            try:
+                core.require_kink_clearance(p)
+                by_core = False
+            except core.ParamsError:
+                by_core = True
+            try:
+                ga.evolve_state(ga.make_initial_state(p), p, "mach_zehnder")
+                by_map = False
+            except core.ParamsError:
+                by_map = True
+            assert by_core == by_map, (dt, sigma)
+            refused.append(by_core)
+    assert any(refused) and not all(refused)
 
 
 def test_mz_path_phase_difference_extended_precision(sr88_10s):
@@ -284,12 +307,25 @@ def test_braket_matches_numpy_reference(seed):
     a, b = _random_branch(rng), _random_branch(rng)
     pm = ga.PairMoments(a, b)
     scale = 1.0 / math.sqrt(a.var_x)
-    for na, nb in ((3, 3), (1, 3), (3, 1), (2, 3)):
+    for na, nb in ((1, 1), (1, 2), (2, 1), (2, 2)):
         pa = [complex(*rng.standard_normal(2)) * scale**j for j in range(na)]
         pb = [complex(*rng.standard_normal(2)) * scale**j for j in range(nb)]
         got = pm.braket(pa, pb)
         ref = _braket_reference(pm, pa, pb)
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(pm.overlap))
+
+
+def test_pair_moments_refuse_higher_degrees():
+    """braket takes first-order polynomials and expect_u moments up to u^2,
+    the most a product of two first-order polynomials needs."""
+    rng = np.random.default_rng(3)
+    pm = ga.PairMoments(_random_branch(rng), _random_branch(rng))
+    with pytest.raises(ValueError, match="degree <= 1"):
+        pm.braket((1.0, 0.0, 1.0), (1.0,))
+    with pytest.raises(ValueError, match="degree <= 1"):
+        pm.braket((1.0,), (1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="up to degree 2"):
+        pm.expect_u((1.0, 0.0, 0.0, 1.0))
 
 
 @settings(max_examples=50, deadline=None)

@@ -112,8 +112,8 @@ def test_pair_moments_match_grid_quadrature():
     rng = np.random.default_rng(11)
     for _ in range(6):
         a, b = _random_branch(rng), _random_branch(rng)
-        pa = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-        pb = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        pa = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
+        pb = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
         state = ga.ClockState((a, b))
         grid = orc.grid_for_states(state)
         xs = grid.xs()
