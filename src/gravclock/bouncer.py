@@ -16,8 +16,8 @@ time-independent coefficients, so the long-time QFI for g grows only as
 dt^2 times the variance of dE/dg over the level distribution.
 
 The Airy engine is self-contained: one float64 piecewise-Chebyshev table
-of Ai and Ai' on [-15, 12], built once from extended-precision series and
-ODE marching, the DLMF 9.7 asymptotic expansions outside it, and
+of Ai and Ai' on [-15, 12], built once from one extended-precision march
+of the Airy ODE, the DLMF 9.7 asymptotic expansions outside it, and
 evaluation in cache-sized blocks, each taken whole when it lies in one
 region and split by one boolean mask per region otherwise, Ai and Ai'
 together from one region dispatch (see ``AiryEngine``).  The Airy zeros
@@ -48,12 +48,12 @@ import numpy as np
 
 from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g, require_floor_clearance
 from .gaussian import wrap_angle
-from .oracle import Grid, GridWavefunction, OracleError, bures_miss, richardson_bures_qfi
+from .oracle import (Grid, GridWavefunction, OracleError, bures_miss, bures_stencil,
+                     richardson_bures_qfi)
 
 _LD = np.longdouble
 
 AI_ZERO = _LD("0.35502805388781723926006318600418317639797917419917724058332651030081004245")
-AIP_ZERO = _LD("-0.25881940379280679840518356018920396347909113835536239261196040809129874")
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG_2_SQRT_PI = math.log(2.0 * _SQRT_PI)
@@ -72,7 +72,7 @@ _RENDER_ROWS, _RENDER_COLS, _TAYLOR_MAX = 12, 2048, 4
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
 _TABLE_WIDTH = 0.5
 _TABLE_DEGREE = 14
-# The table's extended-precision knots: spacing, and Taylor terms per ODE step.
+# The table's extended-precision knots: march step (y = 0 is a knot), and Taylor terms per step.
 _KNOT_STEP, _TAYLOR_TERMS = 0.25, 40
 
 
@@ -117,14 +117,15 @@ class AiryEngine:
     One float64 table of piecewise Chebyshev interpolants (degree 14 on
     width-1/2 intervals) covers [-neg_cutoff, pos_cutoff] for both Ai and
     Ai'.  It is built once, on first use, from extended-precision values
-    at its nodes: the Maclaurin series on |y| <= series_cutoff, and Taylor
-    marching of the Airy ODE beyond it (leftward from the series on the
-    negative axis; inward from the asymptotic seed on the positive axis,
-    which is the stable direction).  A bare series/asymptotic split cannot
-    reach 1e-12 in that band.  The coefficients come from one DCT-I of the
-    node values, and the points are summed by one Clenshaw pass, each
-    coefficient row spread by ``repeat`` over the runs of points that share
-    an interval, so the points need not be sorted.
+    at its nodes: one Taylor march of the Airy ODE leftward from the
+    asymptotic seed at pos_cutoff + 1/2 (the stable direction for Ai, which
+    grows as the march goes), with every knot scaled so that the one at
+    y = 0 equals Ai(0).  The seed picks the decaying solution and Ai(0) its
+    scale; the seed alone carries the float64 rounding of its exponent
+    zeta = 29.5, and its knot at 0 is off by 1e-15.  The coefficients come
+    from one DCT-I of the node values, and the points are summed by one
+    Clenshaw pass, each coefficient row spread by ``repeat`` over the runs
+    of points that share an interval, so the points need not be sorted.
 
     Outside the table the DLMF 9.7 asymptotic expansions apply.  Each
     region's formula gives Ai and Ai' together from one shared prelude;
@@ -146,37 +147,11 @@ class AiryEngine:
     phase zeta = (2/3) |y|^1.5: to 4e-13 for Ai and 1.3e-11 for Ai' at -1e3.
     """
 
-    series_cutoff = 4.5
+    series_cutoff = 4.5     # no region boundary: perfbench's tracer labels |y| <= 4.5 "series"
     neg_cutoff = 15.0
     pos_cutoff = 12.0
 
     # -- extended-precision node values -------------------------------------
-
-    @staticmethod
-    def _series(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.asarray(y, dtype=_LD)
-        y3 = y * y * y
-        ai = AI_ZERO + AIP_ZERO * y
-        term_a = np.full_like(y, AI_ZERO)        # chain n = 0 mod 3
-        term_b = AIP_ZERO * y                    # chain n = 1 mod 3
-        aip = np.full_like(y, AIP_ZERO)
-        dterm_a = np.full_like(y, AIP_ZERO)      # chain m = 0 mod 3 of Ai'
-        dterm_b = (AI_ZERO / 2) * y * y          # chain m = 2 mod 3 of Ai'
-        aip = aip + dterm_b
-        n_a, n_b = 0, 1
-        m_a, m_b = 0, 2
-        for _ in range(34):
-            term_a = term_a * y3 / ((n_a + 2) * (n_a + 3))
-            n_a += 3
-            term_b = term_b * y3 / ((n_b + 2) * (n_b + 3))
-            n_b += 3
-            ai = ai + term_a + term_b
-            dterm_a = dterm_a * y3 / ((m_a + 1) * (m_a + 3))
-            m_a += 3
-            dterm_b = dterm_b * y3 / ((m_b + 1) * (m_b + 3))
-            m_b += 3
-            aip = aip + dterm_a + dterm_b
-        return ai, aip
 
     @staticmethod
     def _taylor_step(y0, f, fp, h):
@@ -193,18 +168,6 @@ class AiryEngine:
         for k in range(len(coeffs) - 1, 0, -1):
             der = der * h + k * coeffs[k]
         return val, der
-
-    def _march(self, y_start: float, y_stop: float, f: _LD, fp: _LD):
-        """March the ODE from y_start to y_stop, recording knots."""
-        knots = [(_LD(y_start), f, fp)]
-        y = _LD(y_start)
-        h = _LD(_KNOT_STEP if y_stop > y_start else -_KNOT_STEP)
-        n_steps = int(math.ceil(abs(y_stop - y_start) / _KNOT_STEP))
-        for _ in range(n_steps):
-            f, fp = self._taylor_step(y, f, fp, h)
-            y = y + h
-            knots.append((y, f, fp))
-        return knots
 
     # -- asymptotic expansions ----------------------------------------------
 
@@ -264,15 +227,18 @@ class AiryEngine:
     @functools.cached_property
     def _table(self) -> np.ndarray:
         """Chebyshev coefficients of Ai and Ai', shape (degree + 1, 2, intervals)."""
-        # Knots every _KNOT_STEP, with extended-precision (Ai, Ai') at each.
-        ys = np.arange(-self.series_cutoff, self.series_cutoff + 0.5 * _KNOT_STEP, _KNOT_STEP)
-        f, fp = self._series(ys)
-        knots = list(zip(ys.astype(_LD), f, fp))
-        knots += self._march(-self.series_cutoff, -self.neg_cutoff - 0.5, f[0], fp[0])
-        seed_y = self.pos_cutoff + 0.5
-        ai0, aip0 = (_LD(v[0]) for v in self._asym_pos(np.array([seed_y])))
-        knots += self._march(seed_y, self.series_cutoff, ai0, aip0)
+        # Knots every _KNOT_STEP from one leftward march off the asymptotic
+        # seed, scaled so that the knot at y = 0 is Ai(0).
+        y = _LD(self.pos_cutoff + 0.5)
+        f, fp = (_LD(v[0]) for v in self._asym_pos(np.array([float(y)])))
+        knots = [(y, f, fp)]
+        while y > -self.neg_cutoff - 0.5:
+            f, fp = self._taylor_step(y, f, fp, _LD(-_KNOT_STEP))
+            y -= _LD(_KNOT_STEP)
+            knots.append((y, f, fp))
         knot_y, knot_f, knot_fp = (np.array(col) for col in zip(*knots))
+        scale = AI_ZERO / knot_f[knot_y == 0][0]
+        knot_f, knot_fp = knot_f * scale, knot_fp * scale
 
         # Chebyshev extreme points of every interval, one column each.
         n_iv = round((self.pos_cutoff + self.neg_cutoff) / _TABLE_WIDTH)
@@ -738,9 +704,9 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
 def bouncer_qfi_numeric(params: PhysicalParams) -> float:
     """Bures QFI (``oracle.bures_miss``) of the state rendered at t = dt (the dt^2 oracle).
 
-    An offset d renders the stencil g -+ d/2, g -+ d/4 as one family (see
-    ``render_spectral``); its g -+ d/4 pair answers the d/2 call that follows,
-    at the same g values since 0.5 d is exact.  An offset with d/2 >= g, which
+    An offset d renders ``bures_stencil`` at d and at d/2, g -+ d/2 and g -+ d/4,
+    as one family (see ``render_spectral``); its g -+ d/4 pair answers the d/2
+    call that follows.  An offset with d/2 >= g, which
     the search reaches only from below the fidelity window, raises OracleError:
     at once, before any render, where the long-time QFI is 0 (dt = 0).
     """
@@ -757,7 +723,7 @@ def bouncer_qfi_numeric(params: PhysicalParams) -> float:
                               "the state's g-dependence is below fidelity resolution")
         if d not in pairs:
             family = [(g, bouncer_coefficients(params.replace(g=g), center.spectrum.n_max))
-                      for g in (params.g + d * np.array([-0.5, 0.5, -0.25, 0.25])).tolist()]
+                      for g in (*bures_stencil(params.g, d), *bures_stencil(params.g, 0.5 * d))]
             states = render_spectral(params, family, params.dt, grid, center)
             pairs.clear()
             pairs.update({d: states[:2], 0.5 * d: states[2:]})

@@ -191,9 +191,15 @@ def bures_miss(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
     return 0.5 * GridWavefunction(psi_a.grid, diff).norm_sq() / norm_sq_a
 
 
+def bures_stencil(value: float, d: float) -> tuple[float, float]:
+    """The two parameter values an offset d compares: fl(value - d/2), fl(value + d/2)."""
+    return value - 0.5 * d, value + 0.5 * d
+
+
 def richardson_bures_qfi(miss_at, value: float,
                          delta: float | None = None) -> tuple[float, bool]:
-    """Bures QFI at ``value`` from ``miss_at(d)``, the :func:`bures_miss` m at value -+ d/2.
+    """Bures QFI at ``value`` from ``miss_at(d)``, the :func:`bures_miss` m of the states at
+    ``bures_stencil(value, d)``.
 
     One geometric bisection on the offset d, starting at ``delta`` (default
     1e-6 relative), looks for a drop 1 - F = m (2 - m) in [1e-6, 1e-2] that also
@@ -202,7 +208,11 @@ def richardson_bures_qfi(miss_at, value: float,
     An offset whose drop fails that check lies past the quadratic regime,
     typically on a fidelity revival; it becomes the upper bracket, and the
     search restarts from d/2 below it, whose miss it already has.  An accepted
-    pair gives the Richardson combination (4 G(d/2) - G(d)) / 3 of G = 8 m / d^2.
+    pair gives the Richardson combination (4 G(d/2) - G(d)) / 3 of G = 8 m / s^2,
+    s the offset the two stencil values realize, not the nominal d.  A step
+    down from a finite drop to an offset whose stencil values round to one
+    float raises OracleError: the target's float64 spacing cannot resolve
+    the Bures window.
     Weakly coupled parameters legitimately need huge offsets to produce a
     resolvable drop (their phases stay tiny, so the Bures quadratic regime
     extends); only a truly parameter-independent state exhausts the offset
@@ -214,17 +224,27 @@ def richardson_bures_qfi(miss_at, value: float,
     d_small = None   # largest offset known to sit below the window
     d_big = None     # smallest offset known to sit above it or to fail the check
     known = None     # the miss at d when a failed pair already asked for it
+
+    def bures(m: float, x: float) -> float:      # G = 8 m / s^2 at the realized offset s
+        v_lo, v_hi = bures_stencil(value, x)
+        return 8.0 * m / (v_hi - v_lo) ** 2
+
     for _ in range(60):
+        v_lo, v_hi = bures_stencil(value, d)
+        if d_big is not None and not math.isnan(drop) and v_lo == v_hi:     # the states coincide
+            raise OracleError(f"float64 resolution limit: the offset search reached d = {d:.3g}, "
+                              f"where {value:g} -+ d/2 round to one value (float64 spacing "
+                              f"{math.ulp(value):.3g}); the target cannot resolve the Bures window")
         miss, known = (miss_at(d) if known is None else known), None
         drop = miss * (2.0 - miss)
         if lo <= drop <= hi:
             known = miss_at(0.5 * d)
             if 0.2 <= known * (2.0 - known) / drop <= 0.3:
-                return 8.0 * (16.0 * known - miss) / (3.0 * d * d), True
+                return (4.0 * bures(known, 0.5 * d) - bures(miss, d)) / 3.0, True
             d_big, d_small, d = d, None, 0.5 * d
         elif drop < lo:
             if d >= delta_cap:
-                return 8.0 * miss / (d * d), False
+                return bures(miss, d), False
             d_small = d
             d = min(d * 8.0 if d_big is None else math.sqrt(d * d_big), delta_cap)
         else:
@@ -235,7 +255,8 @@ def richardson_bures_qfi(miss_at, value: float,
 
 
 def qfi_numeric(scenario: Scenario, delta: float | None = None) -> float:
-    """Bures QFI from the grid: G = 8 m / d^2, m = 1 - |<psi(v - d/2)|psi(v + d/2)>|.
+    """Bures QFI from the grid: G = 8 m / s^2, m = 1 - |<psi(v - d/2)|psi(v + d/2)>|,
+    s the offset the two rendered values realize.
 
     The offset is auto-tuned and checked by :func:`richardson_bures_qfi`.
     Each miss evaluation (:func:`bures_miss`) renders both perturbed states
@@ -244,8 +265,7 @@ def qfi_numeric(scenario: Scenario, delta: float | None = None) -> float:
     value = scenario.value()
 
     def miss_at(d: float) -> float:
-        s_lo = scenario.make_state(value - 0.5 * d)
-        s_hi = scenario.make_state(value + 0.5 * d)
+        s_lo, s_hi = (scenario.make_state(v) for v in bures_stencil(value, d))
         grid = grid_for_states(s_lo, s_hi)
         return bures_miss(render(s_lo, grid), render(s_hi, grid))
 

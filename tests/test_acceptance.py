@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gravclock import bouncer as bc, cli, core, estimation as est, gaussian as ga, oracle as orc
-from tests.test_bouncer import _ai_integral_representation, _bisect_series_zero
+from tests.test_bouncer import _ai_integral_representation, _bisect_mpmath_zero
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -181,9 +181,9 @@ def test_criterion_8_bouncer_suite(bouncer_params):
         vals = bc.airy_ai(y0 + np.arange(-3, 4) * h)
         resid = max(resid, abs(float(np.dot(weights, vals)) / h**2
                                - y0 * bc.airy_ai(y0)))
-    # First two zeros against the series-bisection oracle.
-    z_err = max(abs(bc.airy_zero(1) - _bisect_series_zero(-3.0, -2.0)),
-                abs(bc.airy_zero(2) - _bisect_series_zero(-5.0, -4.0)))
+    # First two zeros against the mpmath-bisection oracle.
+    z_err = max(abs(bc.airy_zero(1) - _bisect_mpmath_zero(-3.0, -2.0)),
+                abs(bc.airy_zero(2) - _bisect_mpmath_zero(-5.0, -4.0)))
     # Orthonormality of the first 20 eigenfunctions by quadrature.
     p = bouncer_params
     spec = bc.bouncer_spectrum(p, 20)

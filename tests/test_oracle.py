@@ -299,7 +299,11 @@ def _two_stage_bures_reference(miss_at, value, delta=None):
     """The earlier two-stage offset search, kept as a reference: an inner
     bisection for a drop 1 - F = m (2 - m) inside [1e-6, 1e-2], then the d/2
     scaling check, re-searching below every offset that fails it; each
-    amplitude miss m gives G = 8 m / d^2."""
+    amplitude miss m gives G = 8 m / s^2, s = fl(value + d/2) - fl(value - d/2)
+    the offset the two compared values realize."""
+
+    def bures(m, d):
+        return 8.0 * m / ((value + 0.5 * d) - (value - 0.5 * d)) ** 2
 
     def tune(d, too_big):
         lo, hi = 1e-6, 1e-2
@@ -325,10 +329,10 @@ def _two_stage_bures_reference(miss_at, value, delta=None):
     for _ in range(20):
         d, miss, resolved = tune(d, too_big)
         if not resolved:
-            return 8.0 * miss / (d * d), False
+            return bures(miss, d), False
         miss_half = miss_at(0.5 * d)
         if 0.2 <= miss_half * (2.0 - miss_half) / (miss * (2.0 - miss)) <= 0.3:
-            return 8.0 * (16.0 * miss_half - miss) / (3.0 * d * d), True
+            return (4.0 * bures(miss_half, 0.5 * d) - bures(miss, d)) / 3.0, True
         too_big, d = d, 0.5 * d
     raise orc.OracleError("outer search exhausted")
 
@@ -387,6 +391,29 @@ def test_richardson_asks_for_the_two_stage_offsets(name):
 def test_richardson_unplaceable_drop_raises():
     with pytest.raises(orc.OracleError, match="no offset"):
         orc.richardson_bures_qfi(lambda d: math.nan, 1.0)
+
+
+def test_richardson_refuses_offsets_below_float64_spacing():
+    """Every resolvable offset of 1.0 overshoots the window, so the search steps
+    down until 1 -+ d/2 round to 1.0: an OracleError naming the limit, where the
+    search used to run out of offsets with "1-F = 0"."""
+    asked = []
+
+    def miss(d):
+        asked.append(d)
+        lo, hi = orc.bures_stencil(1.0, d)
+        return 0.5 if hi > lo else 0.0
+
+    with pytest.raises(orc.OracleError, match="float64 resolution limit"):
+        orc.richardson_bures_qfi(miss, 1.0)
+    assert min(asked) >= math.ulp(1.0) / 2
+
+
+def test_freefall_oracle_refuses_unresolvable_target():
+    """At dt = 1e5 s the sr88_freefall.cfg Bures window lies below ulp(g)."""
+    scenario = _sample_scenario("sr88_freefall.cfg", {"time.dt_s": "1e5"})
+    with pytest.raises(orc.OracleError, match="float64 resolution limit"):
+        orc.qfi_numeric(scenario)
 
 
 def test_grid_refinement_convergence(sr88_10s, crosscheck_params):
@@ -521,6 +548,14 @@ def test_mz_oracle_matches_closed_form():
     scenario = _sample_scenario("sr88_mz.cfg")
     closed = est.closed_qfi(scenario)
     assert abs(orc.qfi_numeric(scenario) - closed) <= 1e-11 * closed
+
+
+def test_freefall_oracle_matches_parametric():
+    """On configs/sr88_freefall.cfg the accepted offsets realize fl(g + d/2) -
+    fl(g - d/2) = d (1 - 3.1e-6) and d/2 (1 + 8.8e-6); G formed from the nominal
+    d put the oracle 2.56e-5 off the parametric engine."""
+    scenario = _sample_scenario("sr88_freefall.cfg")
+    assert abs(orc.qfi_numeric(scenario) / est.qfi_pure_parametric(scenario) - 1.0) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

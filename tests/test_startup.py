@@ -47,8 +47,14 @@ def test_import_gravclock_loads_no_numpy():
 
 
 def test_airy_ai_still_served_from_the_package():
-    out = _run("import gravclock; print(gravclock.airy_ai(0.0))")
-    assert float(out) == pytest.approx(0.3550280538878172, abs=1e-15)
+    """Ai(0) and Ai'(0) in a fresh process: the table's scale is fixed by Ai(0)
+    alone, so Ai'(0) checks the march that carries the rest of it."""
+    out = _run("import gravclock\n"
+               "from gravclock.bouncer import airy_ai_prime\n"
+               "print(gravclock.airy_ai(0.0), airy_ai_prime(0.0))")
+    ai, aip = map(float, out.split())
+    assert ai == pytest.approx(0.3550280538878172, abs=1e-15)
+    assert aip == pytest.approx(-0.2588194037928068, abs=1e-15)
 
 
 def test_cli_loads_oracle_and_bouncer_only_for_their_routes():
