@@ -28,7 +28,8 @@ to a decay cut past which Ai is below 1e-39, with phases against the
 centre projection's band means; each state and level is a Taylor shift
 of its argument by the Airy ODE to the first order whose remainder bound
 is below 1e-16 (at most 4, else families of one; see ``render_spectral``
-and ``AiryEngine.ai_rows``).
+and ``AiryEngine.ai_rows``), on a lambda/8 lattice whose trapezoid sums take
+Euler-Maclaurin floor terms from each state's derivatives at the floor.
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -65,8 +66,8 @@ _UNDERFLOW_Y = 108.0
 _BLOCK = 1 << 14
 # Rendered basis rows stop here: Ai(26) ~ 1e-39, so the rest of a row is 0.
 _RENDER_CUT_Y = 26.0
-# Render chunks: Ai and four derivatives on 12 rows of n points take 480 n bytes (2.8 MB at
-# 5779, configs/bouncer.cfg), a 4-state family's sums over 2048 points 1.3 MB; Taylor orders <= 4.
+# Render chunks: Ai and four derivatives on 12 rows of n points take 480 n bytes (1.4 MB at
+# 2890, configs/bouncer.cfg), a 4-state family's sums over 2048 points 1.3 MB; Taylor orders <= 4.
 _RENDER_ROWS, _RENDER_COLS, _TAYLOR_MAX = 12, 2048, 4
 # Table intervals and Chebyshev degree: degree 13 already reaches rounding
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
@@ -608,13 +609,14 @@ def bouncer_qfi_longtime(params: PhysicalParams,
 
 def bouncer_grid(params: PhysicalParams, projection: BouncerProjection) -> Grid:
     """Grid from the floor to 12 Airy lengths past the highest contributing turning point, on
-    the fewest points spaced <= 1/16 of the shortest Airy wavelength there."""
+    the fewest points spaced <= 1/8 of the shortest Airy wavelength there (2890 on
+    configs/bouncer.cfg); the trapezoid's O(h^6) floor error is left to the floor terms."""
     weights = np.abs(projection.coefficients) ** 2
     z_sel = projection.spectrum.zeros[np.any(weights > 1e-16 * weights.max(), axis=0)]
     l_max = max(projection.spectrum.lengths)
     x_max = l_max * (float(np.max(-z_sel)) + 12.0)
     lam_min = 2.0 * math.pi * min(projection.spectrum.lengths) / math.sqrt(np.max(-z_sel))
-    return Grid(0.0, x_max, math.ceil(x_max / (lam_min / 16.0)) + 1)   # steps <= lam_min / 16
+    return Grid(0.0, x_max, math.ceil(x_max / (lam_min / 8.0)) + 1)   # steps <= lam_min / 8
 
 
 def _airy_derivatives(stack: np.ndarray, y: np.ndarray) -> None:
@@ -647,6 +649,9 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     Per column block, one matrix product per order j contracts the rows (re,
     im) of every state and level with the chunk's Ai^(j)(y), summed in powers
     of each one's Delta.  Kept rows: any state and level above 1e-14 of its largest.
+    Each state's floor derivatives d^k/dx^k at x = 0, k = 0..7, are
+    l_{s,i}^(-k-1/2) sum_n c_n p_k(z_n) over the same rows and phases, with
+    Ai^(k)(z_n) = p_k(z_n) Ai'(z_n) and N_{i,n} Ai'(z_n) = l_i^(-1/2): no Airy call.
     """
     xs = grid.xs()
     zeros = family[0][1].spectrum.zeros
@@ -654,6 +659,9 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     rows = np.flatnonzero((weights > 1e-14 * weights.max(axis=2, keepdims=True)).any(axis=(0, 1)))
     lengths = np.array([proj.spectrum.lengths for _, proj in family])
     coeff = np.empty((len(family), 2, 2, rows.size))      # state, level, (re, im), row
+    floor = np.empty((len(family), 2, 8), dtype=complex)   # state, level, d^k/dx^k at x = 0
+    z = zeros[rows]     # p_k(z), from Ai^(k+2) = y Ai^(k) + k Ai^(k-1) (DLMF 9.2.1) at Ai = 0
+    floor_p = np.array([0 * z, 0 * z + 1, 0 * z, z, 0 * z + 2, z * z, 6 * z, z**3 + 10])
     one_plus_z = 1.0 + np.array([[params.z_eff(0)], [params.z_eff(1)]])
     band_ref = np.array([float((w @ band) / w.sum()) if w.sum() > 0 else 0.0
                          for w, band in zip(np.abs(center.coefficients) ** 2, center.spectrum.band)])
@@ -661,9 +669,11 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
         const_shift = -params.m * params.x0 * one_plus_z * (g_value - params.g)
         rel_energy = (proj.spectrum.band[:, rows] - band_ref[:, None]) + const_shift
         phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
-        c = proj.coefficients[:, rows] * np.exp(1j * phases) * proj.spectrum.norms[:, rows]
+        c = proj.coefficients[:, rows] * np.exp(1j * phases)
+        floor[s] = (c @ floor_p.T) * lengths[s, :, None] ** (-0.5 - np.arange(8))
+        c = c * proj.spectrum.norms[:, rows]
         coeff[s] = np.stack([c.real, c.imag], axis=1)
-    y_max = max(_RENDER_CUT_Y, -float(zeros[rows].min(initial=0.0)))
+    y_max = max(_RENDER_CUT_Y, -float(z.min(initial=0.0)))
     channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
     basis = np.empty((_TAYLOR_MAX + 1, min(_RENDER_ROWS, rows.size), grid.n_points))
     groups = [(gravitational_length(params, 0), [(s, i) for s in range(len(family)) for i in (0, 1)])]
@@ -698,11 +708,12 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
                 for (s, i), (re, im) in zip(members, sums[0]):
                     channels[s, i, cols].real += re
                     channels[s, i, cols].imag += im
-    return [GridWavefunction(grid, ch) for ch in channels]
+    return [GridWavefunction(grid, ch, d) for ch, d in zip(channels, floor)]
 
 
 def bouncer_qfi_numeric(params: PhysicalParams) -> float:
-    """Bures QFI (``oracle.bures_miss``) of the state rendered at t = dt (the dt^2 oracle).
+    """Bures QFI (``oracle.bures_miss``) of the state rendered at t = dt (the dt^2 oracle),
+    on the lambda/8 ``bouncer_grid`` with Euler-Maclaurin floor terms through h^8.
 
     An offset d renders ``bures_stencil`` at d and at d/2, g -+ d/2 and g -+ d/4,
     as one family (see ``render_spectral``); its g -+ d/4 pair answers the d/2

@@ -105,16 +105,31 @@ def grid_for_states(*states: ClockState) -> Grid:
     return Grid(lo, hi, math.floor(span / step) + 2)      # n - 1 > span / step: Grid.spacing < step
 
 
+# Euler-Maclaurin weights B_2k / (2k)! of h^2k f^(2k-1) at the grid's first point, k = 1..4.
+_EULER_MACLAURIN = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
+
 @dataclass(frozen=True)
 class GridWavefunction:
-    """Two internal-level channels sampled on a common grid."""
+    """Two internal-level channels sampled on a common grid.
+
+    ``floor_derivatives`` (complex, shape (2, 8)), if given, holds each channel's
+    d^k/dx^k, k = 0..7, at the grid's first point (the bouncer's floor, where the
+    trapezoid errs by O(h^6)) of a state decayed at the last.  ``norm_sq`` and
+    ``inner`` then add the Euler-Maclaurin terms (DLMF 2.10.1) through h^8,
+    f^(2k-1) by Leibniz.  The Gaussian windows vanish at both ends and carry none.
+    """
 
     grid: Grid
     channels: np.ndarray      # complex, shape (2, n_points)
+    floor_derivatives: np.ndarray | None = None
 
     def norm_sq(self) -> float:
         f = self.channels.view(float).reshape(2, -1, 2)
-        return self.grid.spacing * _trapezoid(f, f)
+        total = self.grid.spacing * _trapezoid(f, f)
+        if self.floor_derivatives is None:
+            return total
+        return total + _floor_terms(self, self).real
 
     def inner(self, other: "GridWavefunction") -> complex:
         """Trapezoid <self|other> over both level channels, as float sums: <a|a> is real."""
@@ -122,7 +137,20 @@ class GridWavefunction:
             raise GridError("inner product requires a common grid")
         a, b = (w.channels.view(float).reshape(2, -1, 2) for w in (self, other))
         im = _trapezoid(a[..., :1], b[..., 1:]) - _trapezoid(a[..., 1:], b[..., :1])
-        return self.grid.spacing * complex(_trapezoid(a, b), im)
+        total = self.grid.spacing * complex(_trapezoid(a, b), im)
+        if self.floor_derivatives is None:
+            return total
+        return total + _floor_terms(self, other)
+
+
+def _floor_terms(a: GridWavefunction, b: GridWavefunction) -> complex:
+    """sum_k B_2k / (2k)! h^2k f^(2k-1)(x_min), f = sum_i conj(a_i) b_i, k = 1..4."""
+    da, db, h = a.floor_derivatives, b.floor_derivatives, a.grid.spacing
+    total = 0j
+    for k, weight in enumerate(_EULER_MACLAURIN, start=1):
+        f_m = sum(math.comb(2 * k - 1, j) * np.vdot(da[:, j], db[:, 2 * k - 1 - j]) for j in range(2 * k))
+        total += weight * h ** (2 * k) * f_m
+    return complex(total)
 
 
 def _trapezoid(u: np.ndarray, v: np.ndarray) -> float:
@@ -184,11 +212,15 @@ def render(state: ClockState, grid: Grid) -> GridWavefunction:
 
 def bures_miss(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
     """Bures amplitude miss 1 - |<a|b>| / (|a| |b|) as (1/2) |a^ - e^(-i arg<a|b>) b^|^2 of the
-    normalized states: a sum of squares, never negative and exactly 0 for a state against itself."""
+    normalized states: a sum of squares (plus the difference state's floor terms, if any),
+    exactly 0 for a state against itself."""
     # |a^ - u b^|^2 = |a - u (|a| / |b|) b|^2 / |a|^2, u = e^(-i arg<a|b>): one scaled copy of b.
     norm_sq_a, unit = psi_a.norm_sq(), np.exp(-1j * np.angle(psi_a.inner(psi_b)))
-    diff = psi_b.channels * (-unit * math.sqrt(norm_sq_a / psi_b.norm_sq())) + psi_a.channels
-    return 0.5 * GridWavefunction(psi_a.grid, diff).norm_sq() / norm_sq_a
+    scale = -unit * math.sqrt(norm_sq_a / psi_b.norm_sq())
+    diff = psi_b.channels * scale + psi_a.channels
+    floor = (None if psi_a.floor_derivatives is None
+             else psi_b.floor_derivatives * scale + psi_a.floor_derivatives)
+    return 0.5 * GridWavefunction(psi_a.grid, diff, floor).norm_sq() / norm_sq_a
 
 
 def bures_stencil(value: float, d: float) -> tuple[float, float]:

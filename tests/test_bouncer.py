@@ -578,9 +578,11 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
     unused = np.zeros((2, spec.n_max))
     proj = bc.BouncerProjection(spec, unused, unused, flat, 0.0, 1.0)
     grid = orc.Grid(0.0, max(spec.lengths) * (abs(spec.zeros[-1]) + 12.0), 256)
-    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, proj)[0].channels
+    rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, proj)[0]
     band_ref = _band_mean(proj)
-    expected = np.zeros_like(rendered)
+    expected = np.zeros_like(rendered.channels)
+    floor = np.zeros((2, 8), dtype=complex)       # d^k/dx^k at x = 0, k = 0..7
+    floor_scale = np.zeros((2, 8))
     with mp.workdps(20):
         for i in (0, 1):
             for n in range(spec.n_max):
@@ -589,7 +591,36 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
                 amp = complex(mp.expj(phase)) * flat[i, n] * spec.norms[i, n]
                 args = grid.xs() / spec.lengths[i] + spec.zeros[n]
                 expected[i] += amp * np.array([float(mp.airyai(float(y))) for y in args])
-    assert np.max(np.abs(rendered - expected)) <= 1e-12 * np.max(np.abs(expected))
+                ai_k = np.array([float(mp.airyai(float(spec.zeros[n]), derivative=k))
+                                 for k in range(8)])
+                terms = amp * spec.lengths[i] ** -np.arange(8.0)
+                floor[i] += terms * ai_k
+                # |Ai^(k)(z_n)| <= |Ai'(z_n)| (1 + |z_n|)^(k/2): the size of each term
+                floor_scale[i] += np.abs(terms * ai_k[1]) * (1.0 - spec.zeros[n]) ** (np.arange(8) / 2)
+    assert np.max(np.abs(rendered.channels - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.all(np.abs(rendered.floor_derivatives - floor) <= 1e-14 * floor_scale)
+
+
+def test_floor_terms_normalize_an_eigenfunction(bouncer_params):
+    """The ground state N Ai(x / l + z_1) on configs/bouncer.cfg's lambda/8 lattice:
+    the plain trapezoid misses its unit norm by the leading floor term
+    -20 / 30240 (h / l)^6 (3.5e-11; f^(5)(0) = 20 / l^6 for every level), and the
+    Euler-Maclaurin floor terms through h^8, from mpmath derivatives, bring it
+    within 1e-14.  Higher levels leave more: the h^10 term grows with |z_n|
+    (2.3e-13 at the sample packet's dominant level, 8e-13 at its top one)."""
+    p = bouncer_params
+    proj = bc.bouncer_coefficients(p)
+    grid = bc.bouncer_grid(p, proj)
+    spec, h = proj.spectrum, grid.spacing
+    l, z, norm = spec.lengths[0], spec.zeros[0], spec.norms[0, 0]
+    channels = np.zeros((2, grid.n_points), dtype=complex)
+    channels[0] = norm * bc.airy_ai(grid.xs() / l + z)
+    floor = np.zeros((2, 8), dtype=complex)
+    with mp.workdps(30):
+        floor[0] = [norm * l ** -k * float(mp.airyai(float(z), derivative=k)) for k in range(8)]
+    plain = orc.GridWavefunction(grid, channels).norm_sq() - 1.0
+    assert plain == pytest.approx(-20.0 / 30240.0 * (h / l) ** 6, rel=1e-2)
+    assert abs(orc.GridWavefunction(grid, channels, floor).norm_sq() - 1.0) <= 1e-14
 
 
 def _stencil(p, center, offsets):
@@ -771,21 +802,27 @@ def test_bouncer_oracle_regression_pin(bouncer_params):
     channel moves the value ~1e-15 (test_oracle_rounding_noise_floor).
     Computed from the fidelity F, the floor was ~1e-12 and the pin 1e-10;
     the miss form moved the value from 933959.1754951946 (9.1e-12).
-    The value moves ~7e-13 with the lattice's point count (finer lattices:
+    The value moves with the lattice's point count (finer lattices:
     test_bouncer_oracle_converged_on_rule_grid), so a change to
     bouncer_grid's rule re-records it.  The render is held to the per-row
     render by test_render_spectral_matches_per_row_reference.  G formed from
     the offsets fl(g -+ d/2) realize, not the nominal d, moved it from
-    933959.1754873187 (2.5e-10).
+    933959.1754873187 (2.5e-10).  The lambda/8 lattice with Euler-Maclaurin
+    floor terms moved it from 933959.1757203402 (the lambda/16 trapezoid,
+    6.9e-13 above an uncorrected lambda/64 lattice's 933959.1757196998;
+    now 2.9e-13 above it).
     """
-    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1757203402, rel=1e-13)
+    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1757199719, rel=1e-13)
 
 
-@pytest.mark.parametrize("refine", [2, 4])
-def test_bouncer_oracle_converged_on_rule_grid(bouncer_params, monkeypatch, refine):
-    """On configs/bouncer.cfg, lattices 2x and 4x finer than bouncer_grid's on the
-    same span move qfi_oracle by < 1e-12 relative: the rule-sized grid is converged."""
-    p = bouncer_params
+@pytest.mark.parametrize("refine, dt", [(2, None), (4, None), (2, 5.0), (4, 5.0)],
+                         ids=["2", "4", "2-dt5", "4-dt5"])
+def test_bouncer_oracle_converged_on_rule_grid(bouncer_params, monkeypatch, refine, dt):
+    """On configs/bouncer.cfg, and at dt = 5 s, lattices 2x and 4x finer than
+    bouncer_grid's on the same span move qfi_oracle by < 1e-12 relative: the
+    rule-sized grid is converged.  At dt = 5 s the lambda/16 trapezoid without
+    floor terms read -1.1e-12 against a lambda/48 lattice; lambda/8 with them ~4e-13."""
+    p = bouncer_params if dt is None else bouncer_params.replace(dt=dt)
     rule = bc.bouncer_grid
     expected = bc.bouncer_qfi_numeric(p)
 
@@ -821,7 +858,7 @@ def test_oracle_offset_search_keeps_g_positive(bouncer_params, monkeypatch, dt):
 def test_bouncer_grid_is_fewest_points_resolving_airy(bouncer_params, x_plus):
     """bouncer_grid spans the floor to 12 Airy lengths past the highest turning
     point kept (weight above 1e-16 of the largest) on the fewest points whose
-    spacing is at most 1/16 of the shortest Airy wavelength there."""
+    spacing is at most 1/8 of the shortest Airy wavelength there."""
     p = bouncer_params if x_plus is None else bouncer_params.replace(x_plus=x_plus)
     proj = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, proj)
@@ -829,7 +866,7 @@ def test_bouncer_grid_is_fewest_points_resolving_airy(bouncer_params, x_plus):
     z_top = -proj.spectrum.zeros[np.flatnonzero((weights > 1e-16 * weights.max()).any(axis=0))[-1]]
     assert grid.x_min == 0.0
     assert grid.x_max == pytest.approx(max(proj.spectrum.lengths) * (z_top + 12.0), rel=1e-15, abs=0)
-    step = 2.0 * math.pi * min(proj.spectrum.lengths) / math.sqrt(z_top) / 16.0
+    step = 2.0 * math.pi * min(proj.spectrum.lengths) / math.sqrt(z_top) / 8.0
     assert grid.spacing <= step * (1.0 + 1e-12)
     assert orc.Grid(0.0, grid.x_max, grid.n_points - 1).spacing > step * (1.0 - 1e-12)
 

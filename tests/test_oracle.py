@@ -535,7 +535,7 @@ def test_oracle_rounding_noise_floor(case, monkeypatch):
 
         def noisy(psi):
             scale = 1.0 + 2e-16 * rng.standard_normal(psi.channels.shape)
-            return orc.GridWavefunction(psi.grid, psi.channels * scale)
+            return replace(psi, channels=psi.channels * scale)
 
         got, resolved = search(lambda d: miss(*map(noisy, pairs[d])), *args)
         assert resolved
