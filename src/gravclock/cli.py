@@ -92,6 +92,7 @@ CSV_COLUMNS = ("swept_value",
                "regime_ok")
 
 _SWEEP_VARS = ("dt", "sigma", "g")
+MAX_SWEEP_POINTS = 10**6     # a sweep's row count is refused above this
 
 
 class NumericalFailure(RuntimeError):
@@ -111,8 +112,8 @@ class SweepSpec:
     log: bool
 
     def values(self) -> np.ndarray:
-        if self.points < 2:
-            raise ConfigError("sweep needs at least 2 points")
+        if not 2 <= self.points <= MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep needs at least 2 and at most {MAX_SWEEP_POINTS} points")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError("sweep needs finite start and stop")
         if not self.start < self.stop:

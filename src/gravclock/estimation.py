@@ -44,7 +44,6 @@ from .gaussian import (
     PairMoments,
     PhaseLedger,
     evolve_state,
-    make_initial_state,
     split,
     wrap_angle,
 )
@@ -102,7 +101,7 @@ class Scenario:
 
     def make_state(self, value: float | None = None) -> ClockState:
         sc = self if value is None else self.with_value(value)
-        return evolve_state(make_initial_state(sc.params), sc.params, sc.kind)
+        return evolve_state(sc.params, sc.kind)
 
     def tangent(self) -> "Scenario":
         """This scenario with g, g_plus and g_minus as jets along the target:
@@ -120,7 +119,8 @@ class Scenario:
 def qfi_ff_closed(params: PhysicalParams) -> float:
     """Full-state QFI for g in free fall (three-term closed form).
 
-    The middle term carries the clock-gravity coupling and is the sole
+    The middle term, (m dt dz / hbar)^2 (g dt^2 / 6 - h_bar)^2 with h_bar the
+    branch midpoint less x0, carries the clock-gravity coupling and is the sole
     source of the asymptotic dt^6 growth; with the coupling ablated the
     expression degrades gracefully to the dt^4 law (the first and last
     terms combine to (1/4) dt^4 / sigma^2 at long times).
@@ -131,7 +131,7 @@ def qfi_ff_closed(params: PhysicalParams) -> float:
     mt = p.m * p.dt / p.hbar
     sig2 = p.spread_width**2
     first = 0.5 * ((1.0 + z0) ** 2 + (1.0 + z1) ** 2) * mt * mt * (4.0 * sig2 + p.h**2)
-    middle = (mt * dz) ** 2 * (p.g * p.dt**2 / 6.0 + p.h_bar) ** 2
+    middle = (mt * dz) ** 2 * (p.g * p.dt**2 / 6.0 - p.h_bar) ** 2
     last = (zb + 0.75) * p.dt**4 / p.sigma**2
     return first + middle - last
 
@@ -325,8 +325,6 @@ def reduce_to_qubit(state: ClockState, params: PhysicalParams,
     minus-vs-plus relative phase at the z-free trajectory centres (global
     per-level phases, widths and position dependence are dropped).  On a
     state and parameters that carry jets, the gammas are jets."""
-    if len(state.components) != 4:
-        raise ValueError("qubit reduction expects the 4-component interferometer state")
     return tuple(wrap_angle(_level_phase(state, level, params, scenario)) for level in (0, 1))
 
 
@@ -382,12 +380,7 @@ def detection_probabilities(state: ClockState, params: PhysicalParams,
     reference evolution; P_plus + P_minus = 1 exactly by construction.  On
     a state and parameters that carry jets, the probabilities are jets.
     """
-    ref_params = params.replace(e0=0.0, e1=0.0, phi=0.0)
-    initial = make_initial_state(ref_params)
-    # Only the level-0 reference branches are read.
-    ref_state = evolve_state(
-        ClockState((initial.branch("plus", 0), initial.branch("minus", 0))),
-        ref_params, scenario)
+    ref_state = evolve_state(params.replace(e0=0.0, e1=0.0, phi=0.0), scenario)
     ref = _level_phase(ref_state, 0, params, scenario)
     cos_sum = sum((_cos_sin(wrap_angle(_level_phase(state, level, params, scenario, ref)))[0]
                    for level in (0, 1)), 0.0)

@@ -21,14 +21,12 @@ freely falling branch acquires negative mean momentum ``-m g dt (1+z)``
 |mean momentum|.
 
 ``evolve_state`` applies either closed-form map, exact free fall in the
-linearized potential or the trapped Mach-Zehnder arm, to pre-evolution
-branches (width sigma, zero momentum, empty ledger); there is no time
+linearized potential or the trapped Mach-Zehnder arm; there is no time
 stepping anywhere in this module.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -92,10 +90,6 @@ def split(x) -> tuple:
     return (x.v, x.d) if isinstance(x, Jet) else (x, 0.0)
 
 
-class EvolutionError(ValueError):
-    """Raised when an evolution map's preconditions are violated."""
-
-
 class PrecisionError(RuntimeError):
     """Raised where numpy's longdouble is too short for the phase ledger."""
 
@@ -139,11 +133,6 @@ class PhaseLedger:
     slope: float                           # b, rad/m (stored as longdouble)
     x_ref: float                           # m
 
-    @staticmethod
-    def make(terms: dict[str, object], slope, x_ref: float) -> "PhaseLedger":
-        items = tuple((name, _ld(value)) for name, value in terms.items())
-        return PhaseLedger(items, _ld(slope), float(x_ref))
-
     def constant_wrapped(self) -> np.longdouble:
         """Sum of the terms, each reduced mod 2 pi before summation."""
         total = _LD_ZERO
@@ -171,19 +160,10 @@ class PhaseLedger:
         phase difference instead of the absolute phases.
         """
         out = self.diff_constant(other)
-        x_self = _ld(x_self)
-        out = out + other.slope * (x_self - _ld(x_other))
+        x_self = _LD(x_self)
+        out = out + other.slope * (x_self - _LD(x_other))
         out = out + (self.slope - other.slope) * (x_self - self.x_ref)
         return out
-
-
-def _ld(value) -> np.longdouble:
-    """``value`` as a longdouble, converting only what is not one already (or a jet)."""
-    return value if type(value) is _LD or isinstance(value, Jet) else _LD(value)
-
-
-def empty_ledger(x_ref: float) -> PhaseLedger:
-    return PhaseLedger.make({}, 0.0, x_ref)
 
 
 @dataclass(frozen=True)
@@ -230,42 +210,6 @@ class ClockState:
 # ---------------------------------------------------------------------------
 # State construction and evolution
 # ---------------------------------------------------------------------------
-
-def make_initial_state(params: PhysicalParams) -> ClockState:
-    """Equal superposition of the two heights and the two clock levels.
-
-    Amplitudes are 1/2 on the plus path and e^{i phi}/2 on the minus
-    path; the printed amplitudes ignore the branch overlap, which is
-    exponentially small in the validated regime (the exact norm is
-    always available through :func:`state_norm_sq`).
-    """
-    return _initial_state(params.x_plus, params.x_minus, params.x0, params.sigma, params.phi)
-
-
-@functools.lru_cache(maxsize=64)
-def _initial_state(x_plus: float, x_minus: float, x0: float, sigma: float,
-                   phi: float) -> ClockState:
-    # Cached: a four-method sweep row asks for it three times (parametric, FI,
-    # FI reference at phi = 0); a hit costs 0.5 us against 21 us.
-    ledger = empty_ledger(x0)
-    minus_amp = 0.5 * complex(math.cos(phi), math.sin(phi))
-    components = []
-    for path, x_c, amp in (("plus", x_plus, 0.5 + 0.0j), ("minus", x_minus, minus_amp)):
-        for level in (0, 1):
-            components.append(GaussianBranch(
-                amplitude=amp, ledger=ledger, mean_x=x_c,
-                var_x=sigma**2, chirp=0.0,
-                internal_level=level, path_label=path,
-            ))
-    return ClockState(tuple(components))
-
-
-def _require_pre_evolution(branch: GaussianBranch, params: PhysicalParams) -> None:
-    if abs(branch.var_x - params.sigma**2) > 1e-12 * params.sigma**2 \
-            or branch.chirp != 0.0 or branch.ledger.slope != 0 or branch.ledger.terms:
-        raise EvolutionError("evolution maps act on pre-evolution branches "
-                             "(width sigma, zero momentum, empty ledger)")
-
 
 def _spreading(params: PhysicalParams, z: float) -> tuple[float, float]:
     """Evolved variance and chirp for effective mass m/(1-z)."""
@@ -328,9 +272,14 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
     return ledger, 0.5 * g * dt * dt * (1.0 - z * z), var, chirp
 
 
-def evolve_state(state: ClockState, params: PhysicalParams,
-                 scenario: str = "free_fall") -> ClockState:
-    """Apply the scenario's closed-form map to every component.
+def evolve_state(params: PhysicalParams, scenario: str = "free_fall") -> ClockState:
+    """The interferometer state after dt under the scenario's closed-form map.
+
+    It starts as the equal superposition of the two heights and the two
+    clock levels: amplitude 1/2 on the plus path and e^{i phi}/2 on the
+    minus path, width sigma, zero momentum.  The amplitudes ignore the
+    branch overlap, which is exponentially small in the validated regime
+    (the exact norm is always available through :func:`state_norm_sq`).
 
     Free fall is exact evolution in the linearized potential
     V_F = g (x - x0) + V0: internal level i feels effective mass
@@ -366,28 +315,26 @@ def evolve_state(state: ClockState, params: PhysicalParams,
     below the momentum width) is the quoted <p> = 0 at the working order.
 
     The map is computed once per level (and kink side), since branches
-    differ in nothing else but their centre.  At dt = 0 the state is
-    returned as it is.  Slopes given as :class:`Jet` objects carry their
+    differ in nothing else but their centre.  At dt = 0 it is the identity,
+    bit for bit.  Slopes given as :class:`Jet` objects carry their
     derivatives into the means and ledgers (nothing else depends on them).
     """
     if scenario not in ("free_fall", "mach_zehnder"):
         raise ValueError(f"unknown scenario {scenario!r}")
-    for c in state.components:
-        _require_pre_evolution(c, params)
     trapped = scenario == "mach_zehnder"
     if trapped:
         require_kink_clearance(params)
-    if params.dt == 0.0:
-        return state
+    minus_amp = 0.5 * complex(math.cos(params.phi), math.sin(params.phi))
     maps: dict[tuple, tuple] = {}
     components = []
-    for c in state.components:
-        key = (c.internal_level, trapped and c.mean_x > params.x0)
-        if key not in maps:
-            maps[key] = _evolved_branch_map(params, scenario, *key)
-        ledger, fall, var, chirp = maps[key]
-        components.append(GaussianBranch(c.amplitude, ledger, c.mean_x - fall, var, chirp,
-                                         c.internal_level, c.path_label))
+    for path, x_c, amp in (("plus", params.x_plus, 0.5 + 0.0j),
+                           ("minus", params.x_minus, minus_amp)):
+        for level in (0, 1):
+            key = (level, trapped and x_c > params.x0)
+            if key not in maps:
+                maps[key] = _evolved_branch_map(params, scenario, *key)
+            ledger, fall, var, chirp = maps[key]
+            components.append(GaussianBranch(amp, ledger, x_c - fall, var, chirp, level, path))
     return ClockState(tuple(components))
 
 

@@ -47,7 +47,6 @@ from .gaussian import (
     ClockState,
     GaussianBranch,
     evolve_state,
-    make_initial_state,
     wrap_angle,
 )
 
@@ -311,11 +310,7 @@ def qfi_numeric(scenario: Scenario, delta: float | None = None) -> float:
 def detector_wavefunctions(params: PhysicalParams, scenario: str,
                            grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Path-space detector states: clock-free evolved branches interfered."""
-    ref_params = params.replace(e0=0.0, e1=0.0)
-    initial = make_initial_state(ref_params.replace(phi=0.0))
-    # Only the level-0 reference branches are read.
-    ref = evolve_state(ClockState((initial.branch("plus", 0), initial.branch("minus", 0))),
-                       ref_params, scenario)
+    ref = evolve_state(params.replace(e0=0.0, e1=0.0, phi=0.0), scenario)
     plus = np.zeros(grid.n_points, dtype=complex)
     minus = np.zeros(grid.n_points, dtype=complex)
     for out, path in ((plus, "plus"), (minus, "minus")):

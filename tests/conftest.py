@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gravclock import core
+from gravclock import core, gaussian as ga
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -26,6 +27,15 @@ def sr88_100s():
 @pytest.fixture(scope="session")
 def bouncer_params():
     return core.params_from_config(core.load_config(CONFIG_DIR / "bouncer.cfg"))
+
+
+def make_ledger(terms: dict, slope, x_ref: float) -> ga.PhaseLedger:
+    """A phase ledger for a synthetic branch: the terms and the slope as
+    longdoubles (a jet stays a jet), as the evolution maps store them."""
+    def ld(value):
+        return value if isinstance(value, ga.Jet) else np.longdouble(value)
+    return ga.PhaseLedger(tuple((name, ld(v)) for name, v in terms.items()), ld(slope),
+                          float(x_ref))
 
 
 def _variant(**kw):

@@ -118,7 +118,7 @@ def test_criterion_5_probabilities_and_fi(sr88_10s, crosscheck_params):
     sums_exact = []
     worst_grid = 0.0
     for p in (sr88_10s.replace(phi=0.3), crosscheck_params[3]):
-        state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+        state = ga.evolve_state(p, "free_fall")
         p_plus, p_minus = est.detection_probabilities(state, p)
         sums_exact.append(p_plus + p_minus == 1.0)
         psi = orc.render(state, orc.grid_for_states(state))

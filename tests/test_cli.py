@@ -312,6 +312,22 @@ def test_non_finite_sweep_bound_exit_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_sweep_points_over_limit_exit_2(tmp_path, capsys):
+    """A point count past cli.MAX_SWEEP_POINTS is a config error, raised
+    before the values are allocated (10^15 points used to end in numpy's
+    _ArrayMemoryError, exit 1); no CSV is written."""
+    cfg = _write_ff_config(tmp_path)
+    out = tmp_path / "sw"
+    rc = cli.main(["sweep", "--config", str(cfg), "--var", "dt", "--from", "1",
+                   "--to", "10", "--points", "1000000000000000", "--out", str(out)])
+    assert rc == 2
+    assert "at most 1000000 points" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    spec = cli.SweepSpec("dt", 1.0, 10.0, cli.MAX_SWEEP_POINTS + 1, False)
+    with pytest.raises(cli.ConfigError, match="at most"):
+        spec.values()
+
+
 def test_bad_method_and_target_exit_2(tmp_path, capsys):
     cfg = _write_ff_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--methods", "magic"]) == 2

@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import CONFIG_DIR, _variant
+from conftest import CONFIG_DIR, _variant, make_ledger
 from hypothesis import assume, given, settings, strategies as st
 
 from gravclock import core, estimation as est, gaussian as ga, oracle
@@ -35,6 +35,19 @@ def test_qfi_ff_closed_middle_term_vanishes_for_degenerate_clock(sr88_10s):
     expected = (1.0 + z) ** 2 * mt * mt * (4.0 * p.spread_width**2 + p.h**2) \
         - (z + 0.75) * p.dt**4 / p.sigma**2
     assert est.qfi_ff_closed(p) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("h_bar", [100.0, -100.0])
+@pytest.mark.parametrize("dt", [1.0, 3.0])
+def test_qfi_ff_closed_h_bar_sign_matches_parametric(h_bar, dt):
+    """The middle term is (m t dz / hbar)^2 (g dt^2/6 - h_bar)^2, with h_bar the
+    branch midpoint less x0.  At z1 = 5e-7 and h_bar = +-100 m the clock term
+    is visible: with + h_bar the closed form was 1.63e-6 (1 s) and 1.47e-5
+    (3 s) off the parametric engine, with the sign of h_bar."""
+    p = _variant(e1=2.8e4 * core.EV, x0=0.505 - h_bar, dt=dt)
+    assert p.h_bar == pytest.approx(h_bar, rel=1e-12)
+    sc = est.Scenario("free_fall", p, "g")
+    assert est.closed_qfi(sc) == pytest.approx(est.qfi_pure_parametric(sc), rel=1e-10, abs=0)
 
 
 def test_qfi_ff_closed_positive_on_matrix(crosscheck_params):
@@ -131,9 +144,9 @@ class QubitPhaseFamily:
     def make_state(self):
         p = self.params
         return ga.ClockState((
-            ga.GaussianBranch(1 / math.sqrt(2), ga.empty_ledger(p.x0), p.x_plus,
+            ga.GaussianBranch(1 / math.sqrt(2), make_ledger({}, 0.0, p.x0), p.x_plus,
                               p.sigma**2, 0.0, 0, "plus"),
-            ga.GaussianBranch(1 / math.sqrt(2), ga.PhaseLedger.make({"v": self.phase()}, 0.0, p.x0),
+            ga.GaussianBranch(1 / math.sqrt(2), make_ledger({"v": self.phase()}, 0.0, p.x0),
                               p.x_minus, p.sigma**2, 0.0, 0, "minus"),
         ))
 
@@ -220,6 +233,20 @@ def test_engines_evolve_at_most_twice_per_point(sr88_10s, monkeypatch, engine, k
     assert 1 <= len(calls) <= 2
 
 
+@pytest.mark.parametrize("kind,target", [("free_fall", "g"), ("mach_zehnder", "delta_g"),
+                                         ("mach_zehnder", "bar_g")])
+def test_engines_vanish_at_dt_zero(sr88_10s, kind, target):
+    """At dt = 0 the map is the identity, so the state does not depend on the
+    target: the parametric QFI, the numeric FI and the qubit QFI are exactly
+    0.0.  Both levels are in phase there, so the path qubit is pure and
+    reduced_qfi_bloch says it drops the mixed-state term."""
+    sc = est.Scenario(kind, sr88_10s.replace(dt=0.0), target)
+    assert est.qfi_pure_parametric(sc) == 0.0
+    assert est.fi_numeric(sc) == 0.0
+    with pytest.warns(UserWarning, match="taken as pure"):
+        assert est.reduced_qfi_bloch(sc) == 0.0
+
+
 def test_jet_evolution_keeps_the_plain_values(sr88_10s):
     """The tangent run computes every value exactly as the plain one."""
     for kind, target in (("free_fall", "g"), ("mach_zehnder", "delta_g")):
@@ -237,7 +264,7 @@ def test_jet_evolution_keeps_the_plain_values(sr88_10s):
 
 def test_reduce_to_qubit_dt_zero(sr88_10s):
     p = sr88_10s.replace(dt=0.0)
-    assert est.reduce_to_qubit(ga.make_initial_state(p), p) == (0.0, 0.0)
+    assert est.reduce_to_qubit(ga.evolve_state(p), p) == (0.0, 0.0)
     sc = est.Scenario("free_fall", p, "g")
     # Both levels in phase: the path qubit is the pure state r = (1, 0).
     assert est._bloch(sc)[0].tolist() == [1.0, 0.0]
@@ -246,12 +273,12 @@ def test_reduce_to_qubit_dt_zero(sr88_10s):
 def test_reduce_to_qubit_global_phase_invariance(sr88_10s):
     """A constant added to every branch ledger changes nothing observable."""
     p = sr88_10s
-    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    state = ga.evolve_state(p, "free_fall")
     shifted = ga.ClockState(tuple(
         ga.GaussianBranch(
             b.amplitude,
-            ga.PhaseLedger.make(dict(b.ledger.terms) | {"common": 137.5},
-                                b.ledger.slope, b.ledger.x_ref),
+            make_ledger(dict(b.ledger.terms) | {"common": 137.5},
+                        b.ledger.slope, b.ledger.x_ref),
             b.mean_x, b.var_x, b.chirp, b.internal_level, b.path_label)
         for b in state.components))
     q0 = est.reduce_to_qubit(state, p)
@@ -264,7 +291,7 @@ def test_reduce_to_qubit_global_phase_invariance(sr88_10s):
 def test_reduce_to_qubit_interference_phase_extended_precision(sr88_10s):
     """gamma_i matches an independent mpmath evaluation to 1e-10 rad."""
     p = sr88_10s
-    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    state = ga.evolve_state(p, "free_fall")
     gammas = est.reduce_to_qubit(state, p)
     for level, e_i in ((0, p.e0), (1, p.e1)):
         z = mp.mpf(e_i) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2)
@@ -309,7 +336,7 @@ def test_probabilities_bare_interferometer():
     for phi in (0.0, 0.4, 2.0):
         p = core.build_params(m=1e-25, e0=0.0, e1=0.0, g=9.81, x_plus=0.51,
                               x_minus=0.50, x0=0.505, sigma=1e-4, dt=10.0, phi=phi)
-        state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+        state = ga.evolve_state(p, "free_fall")
         got = est.detection_probabilities(state, p)
         assert got[0] == pytest.approx(0.5 * (1 + math.cos(phi)), abs=1e-12)
         assert got[0] + got[1] == 1.0
@@ -322,14 +349,14 @@ def test_probabilities_clock_visibility_loss(sr88_10s):
     pq = p.replace(dt=dt_half)
     for phi in (0.0, 0.7, 1.9):
         pp = pq.replace(phi=phi)
-        state = ga.evolve_state(ga.make_initial_state(pp), pp, "free_fall")
+        state = ga.evolve_state(pp, "free_fall")
         got = est.detection_probabilities(state, pp)
         assert got[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_probabilities_match_two_cosine_form(sr88_10s, crosscheck_params):
     for p in [sr88_10s.replace(phi=0.3), crosscheck_params[7]]:
-        state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+        state = ga.evolve_state(p, "free_fall")
         got = est.detection_probabilities(state, p)
         a = (p.e1 - p.e0) * p.delta_v_ff * p.dt / (2 * p.hbar * p.c**2)
         b = 0.5 * (p.e0 + p.e1) * p.delta_v_ff * p.dt / (p.hbar * p.c**2) + p.phi
@@ -342,7 +369,7 @@ def test_probabilities_mz_form_and_grid(sr88_10s):
     piecewise potential difference, and match the grid projection."""
     from gravclock import oracle as orc
     p = sr88_10s.replace(phi=0.5)
-    state = ga.evolve_state(ga.make_initial_state(p), p, "mach_zehnder")
+    state = ga.evolve_state(p, "mach_zehnder")
     got = est.detection_probabilities(state, p, "mach_zehnder")
     a = (p.e1 - p.e0) * p.delta_v_mz * p.dt / (2 * p.hbar * p.c**2)
     b = 0.5 * (p.e0 + p.e1) * p.delta_v_mz * p.dt / (p.hbar * p.c**2) + p.phi

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_ledger
 from gravclock import core, gaussian as ga
 
 mp.mp.dps = 40
@@ -35,22 +36,22 @@ def _toy_params(z1=3e-7, dt=0.6, **kw):
 
 def test_ledger_diff_term_by_term():
     big = 4.25e16
-    a = ga.PhaseLedger.make({"huge": big, "small": 0.5}, slope=1.0, x_ref=0.0)
-    b = ga.PhaseLedger.make({"huge": big, "small": 0.2}, slope=1.0, x_ref=0.0)
+    a = make_ledger({"huge": big, "small": 0.5}, slope=1.0, x_ref=0.0)
+    b = make_ledger({"huge": big, "small": 0.2}, slope=1.0, x_ref=0.0)
     # The shared huge term cancels exactly, leaving the small difference.
     assert float(a.diff_constant(b)) == pytest.approx(0.3, abs=1e-18)
     assert float(a.diff_at(2.0, b, 1.5)) == pytest.approx(0.3 + 0.5, abs=1e-15)
 
 
 def test_ledger_diff_requires_common_origin():
-    a = ga.PhaseLedger.make({}, 0.0, 0.0)
-    b = ga.PhaseLedger.make({}, 0.0, 1.0)
+    a = make_ledger({}, 0.0, 0.0)
+    b = make_ledger({}, 0.0, 1.0)
     with pytest.raises(ValueError, match="x_ref"):
         a.diff_constant(b)
 
 
 def test_no_rest_mass_term_in_any_ledger(sr88_10s):
-    state = ga.evolve_state(ga.make_initial_state(sr88_10s), sr88_10s, "free_fall")
+    state = ga.evolve_state(sr88_10s, "free_fall")
     for b in state.components:
         names = [name for name, _ in b.ledger.terms]
         assert all("mc2" not in n and "rest_mass" not in n for n in names)
@@ -60,11 +61,11 @@ def test_no_rest_mass_term_in_any_ledger(sr88_10s):
 
 
 # ---------------------------------------------------------------------------
-# Initial state
+# Initial state: the state at dt = 0
 # ---------------------------------------------------------------------------
 
 def test_initial_amplitudes_phi_zero(sr88_10s):
-    state = ga.make_initial_state(sr88_10s)
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
     assert len(state.components) == 4
     for b in state.components:
         assert b.amplitude == pytest.approx(0.5)
@@ -72,41 +73,48 @@ def test_initial_amplitudes_phi_zero(sr88_10s):
 
 
 def test_initial_amplitudes_phi_pi(sr88_10s):
-    state = ga.make_initial_state(sr88_10s.replace(phi=math.pi))
+    state = ga.evolve_state(sr88_10s.replace(phi=math.pi, dt=0.0))
     for b in state.components:
         if b.path_label == "minus":
             assert b.amplitude.real == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_initial_norm_includes_overlap(sr88_10s):
-    assert ga.state_norm_sq(ga.make_initial_state(sr88_10s)) == pytest.approx(1.0, abs=1e-12)
+    assert ga.state_norm_sq(ga.evolve_state(sr88_10s.replace(dt=0.0))) \
+        == pytest.approx(1.0, abs=1e-12)
     # Strongly overlapping geometry: the cross term is visible and signed.
-    p = _toy_params(x_plus=1.5, x_minus=0.5, sigma=0.8)
+    p = _toy_params(x_plus=1.5, x_minus=0.5, sigma=0.8, dt=0.0)
     expected = 1.0 + math.exp(-(1.0) ** 2 / (8 * 0.8**2))
-    assert ga.state_norm_sq(ga.make_initial_state(p)) == pytest.approx(expected, rel=1e-12)
+    assert ga.state_norm_sq(ga.evolve_state(p)) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # Free-fall evolution
 # ---------------------------------------------------------------------------
 
-def _evolve(branch, params, scenario="free_fall"):
-    """Evolution of one branch, through a one-branch state."""
-    return ga.evolve_state(ga.ClockState((branch,)), params, scenario).components[0]
-
-
 def test_freefall_dt_zero_identity(sr88_10s):
-    p = sr88_10s.replace(dt=0.0)
-    state = ga.make_initial_state(p)
-    for b in state.components:
-        assert _evolve(b, p) is b
-        assert _evolve(b, p, "mach_zehnder") is b
+    """At dt = 0 either map alone gives the initial state: amplitudes 1/2 and
+    e^{i phi}/2, the starting centres, width sigma, and zero chirp, slope and
+    ledger terms."""
+    p = sr88_10s.replace(dt=0.0, phi=0.7)
+    for scenario in ("free_fall", "mach_zehnder"):
+        state = ga.evolve_state(p, scenario)
+        assert [(b.path_label, b.internal_level) for b in state.components] \
+            == [("plus", 0), ("plus", 1), ("minus", 0), ("minus", 1)]
+        for b in state.components:
+            plus = b.path_label == "plus"
+            assert b.amplitude == (0.5 if plus else 0.5 * complex(math.cos(0.7), math.sin(0.7)))
+            assert b.mean_x == (p.x_plus if plus else p.x_minus)
+            assert b.var_x == p.sigma**2
+            assert b.chirp == 0.0
+            assert b.ledger.slope == 0.0 and b.ledger.x_ref == p.x0
+            assert [value for _, value in b.ledger.terms] == [0.0] * len(b.ledger.terms)
 
 
 def test_freefall_textbook_at_zero_internal_energy():
     p = core.build_params(m=1e-25, e0=0.0, e1=0.0, g=9.81, x_plus=0.51,
                           x_minus=0.50, x0=0.505, sigma=1e-4, dt=1.0)
-    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    state = ga.evolve_state(p, "free_fall")
     b = state.branch("plus", 0)
     assert abs(p.hbar * float(b.ledger.slope)) == pytest.approx(9.81e-25, rel=1e-12, abs=0)
     assert b.mean_x == pytest.approx(0.51 - 4.905, rel=1e-12)
@@ -115,7 +123,7 @@ def test_freefall_textbook_at_zero_internal_energy():
 
 def test_freefall_momentum_ratio_extended_precision(sr88_10s):
     p = sr88_10s
-    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    state = ga.evolve_state(p, "free_fall")
     ratio = float(state.branch("plus", 1).ledger.slope / state.branch("plus", 0).ledger.slope)
     ref = float(1 + mp.mpf(p.e1) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2))
     assert ratio == pytest.approx(ref, rel=1e-13, abs=0)
@@ -161,8 +169,8 @@ def _propagator_reference(p, branch, xs):
 @pytest.mark.parametrize("z1", [0.0, 3e-7])
 def test_freefall_full_map_vs_propagator_quadrature(z1):
     p = _toy_params(z1=z1)
-    branch = ga.make_initial_state(p).branch("plus", 1)
-    evolved = _evolve(branch, p)
+    branch = ga.evolve_state(p.replace(dt=0.0)).branch("plus", 1)
+    evolved = ga.evolve_state(p).branch("plus", 1)
     xs = evolved.mean_x + np.array([-1.2, -0.4, 0.0, 0.7, 1.5])
     got = ga.wavefunction_values(evolved, xs)
     ref = _propagator_reference(p, branch, xs)
@@ -177,8 +185,8 @@ def test_freefall_full_map_vs_propagator_quadrature(z1):
 def test_freefall_full_map_gouy_phase_value():
     # The dropped constant equals -arctan(eps)/2 with eps = hbar t / (2 m* sigma^2).
     p = _toy_params(z1=0.0)
-    branch = ga.make_initial_state(p).branch("plus", 0)
-    evolved = _evolve(branch, p)
+    branch = ga.evolve_state(p.replace(dt=0.0)).branch("plus", 0)
+    evolved = ga.evolve_state(p).branch("plus", 0)
     xs = np.array([evolved.mean_x + 0.3])
     ratio = _propagator_reference(p, branch, xs)[0] / ga.wavefunction_values(evolved, xs)[0]
     eps = p.hbar * p.dt / (2 * p.m * p.sigma**2)
@@ -189,7 +197,7 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
     """What the full map keeps beyond first order in z: the O(z) momentum
     boost, and the z^2 piece of the cubic action (against mpmath)."""
     p = sr88_10s
-    full = _evolve(ga.make_initial_state(p).branch("plus", 1), p)
+    full = ga.evolve_state(p).branch("plus", 1)
     z = p.z1
     boost = float(p.hbar * full.ledger.slope + _LD(p.m) * p.g * p.dt)
     assert boost == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6, abs=0)
@@ -202,13 +210,6 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
     assert z2_piece == pytest.approx(ref, rel=1e-9, abs=0)
 
 
-def test_evolution_requires_pre_evolution_branch(sr88_10s):
-    p = sr88_10s
-    evolved = _evolve(ga.make_initial_state(p).branch("plus", 0), p)
-    with pytest.raises(ga.EvolutionError):
-        _evolve(evolved, p)
-
-
 # ---------------------------------------------------------------------------
 # Mach-Zehnder evolution
 # ---------------------------------------------------------------------------
@@ -216,19 +217,17 @@ def test_evolution_requires_pre_evolution_branch(sr88_10s):
 def test_mz_zero_energy_is_pure_spreading():
     p = _toy_params(z1=0.0, m=10.0, x_minus=0.5, x_plus=3.0, x0=1.4,
                     sigma=0.05, dt=0.05)
-    branch = ga.make_initial_state(p).branch("plus", 1)
-    out = _evolve(branch, p, "mach_zehnder")
-    assert out.mean_x == branch.mean_x
+    out = ga.evolve_state(p, "mach_zehnder").branch("plus", 1)
+    assert out.mean_x == p.x_plus
     assert float(out.ledger.slope) == 0.0
     assert all(float(value) == 0.0 for _, value in out.ledger.terms)
-    assert out.var_x > branch.var_x and out.chirp > 0
+    assert out.var_x > p.sigma**2 and out.chirp > 0
 
 
 def test_mz_straddle_error(sr88_10s):
     p = sr88_10s.replace(x0=sr88_10s.x_minus + 1e-5)
-    branch = ga.make_initial_state(p).branch("minus", 0)
     with pytest.raises(core.ParamsError, match="straddles"):
-        _evolve(branch, p, "mach_zehnder")
+        ga.evolve_state(p, "mach_zehnder")
 
 
 def test_mz_straddle_rule_is_core_kink_clearance(sr88_10s):
@@ -245,7 +244,7 @@ def test_mz_straddle_rule_is_core_kink_clearance(sr88_10s):
             except core.ParamsError:
                 by_core = True
             try:
-                ga.evolve_state(ga.make_initial_state(p), p, "mach_zehnder")
+                ga.evolve_state(p, "mach_zehnder")
                 by_map = False
             except core.ParamsError:
                 by_map = True
@@ -257,7 +256,7 @@ def test_mz_straddle_rule_is_core_kink_clearance(sr88_10s):
 def test_mz_path_phase_difference_extended_precision(sr88_10s):
     """Ledger difference between arms matches a direct mpmath evaluation."""
     p = sr88_10s
-    state = ga.evolve_state(ga.make_initial_state(p), p, "mach_zehnder")
+    state = ga.evolve_state(p, "mach_zehnder")
     for level, e_i in ((0, p.e0), (1, p.e1)):
         bp, bm = state.branch("plus", level), state.branch("minus", level)
         got = float(bm.ledger.diff_at(p.x_minus, bp.ledger, p.x_plus))
@@ -276,7 +275,7 @@ def _random_branch(rng, level=0, x_ref=0.0):
     sigma = rng.uniform(5e-5, 2e-4)
     return ga.GaussianBranch(
         amplitude=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        ledger=ga.PhaseLedger.make(
+        ledger=make_ledger(
             {"t1": rng.uniform(-3, 3), "t2": rng.uniform(-3, 3)},
             slope=rng.uniform(-5e3, 5e3), x_ref=x_ref),
         mean_x=rng.uniform(-2e-4, 2e-4),
@@ -340,7 +339,7 @@ def test_wrap_angle_scalar_path_matches_array_path(x):
 
 
 def test_overlap_self_is_one(sr88_10s):
-    state = ga.evolve_state(ga.make_initial_state(sr88_10s), sr88_10s, "free_fall")
+    state = ga.evolve_state(sr88_10s, "free_fall")
     for b in state.components:
         assert ga.overlap(b, b) == pytest.approx(1.0, abs=1e-14)
 
@@ -360,14 +359,14 @@ def test_overlap_standard_separation():
 
 
 def test_overlap_levels_orthogonal(sr88_10s):
-    state = ga.evolve_state(ga.make_initial_state(sr88_10s), sr88_10s, "free_fall")
+    state = ga.evolve_state(sr88_10s, "free_fall")
     assert ga.overlap(state.branch("plus", 0), state.branch("plus", 1)) == 0.0
 
 
 def test_pair_moments_refuse_cross_level_pair(sr88_10s):
     """Branches of different levels are orthogonal: callers skip the pair, and
     building its moments raises, as a mismatched ledger x_ref does."""
-    state = ga.evolve_state(ga.make_initial_state(sr88_10s), sr88_10s, "free_fall")
+    state = ga.evolve_state(sr88_10s, "free_fall")
     with pytest.raises(ValueError, match="one internal level"):
         ga.PairMoments(state.branch("plus", 0), state.branch("plus", 1))
 
@@ -385,9 +384,8 @@ def test_overlap_conjugate_symmetry(seed):
 
 def test_unitarity_of_evolution_maps(sr88_10s, crosscheck_params):
     for p in [sr88_10s, *crosscheck_params[:3]]:
-        initial = ga.make_initial_state(p)
         for scenario in ("free_fall", "mach_zehnder"):
-            evolved = ga.evolve_state(initial, p, scenario)
+            evolved = ga.evolve_state(p, scenario)
             assert ga.state_norm_sq(evolved) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from gravclock import bouncer as bc, cli, core, estimation as est, gaussian as ga, oracle as orc
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, make_ledger
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -19,7 +19,7 @@ def _random_branch(rng, level=0, path="plus"):
     sigma = rng.uniform(5e-5, 2e-4)
     return ga.GaussianBranch(
         amplitude=1.0 + 0.0j,
-        ledger=ga.PhaseLedger.make(
+        ledger=make_ledger(
             {"t1": rng.uniform(-3, 3)}, slope=rng.uniform(-4e3, 4e3), x_ref=0.0),
         mean_x=rng.uniform(-2e-4, 2e-4),
         var_x=sigma**2,
@@ -40,7 +40,7 @@ class PhaseFamily:
 
     def make_state(self, value: float) -> ga.ClockState:
         p = self.params
-        ledger = ga.empty_ledger(p.x0)
+        ledger = make_ledger({}, 0.0, p.x0)
         amp = complex(math.cos(value), math.sin(value)) / math.sqrt(2.0)
         return ga.ClockState((
             ga.GaussianBranch(1.0 / math.sqrt(2.0), ledger, p.x_plus,
@@ -62,13 +62,13 @@ class ConstantFamily(PhaseFamily):
 def test_render_single_branch_norm(sr88_10s):
     p = sr88_10s
     state = ga.ClockState((ga.GaussianBranch(
-        1.0, ga.empty_ledger(p.x0), p.x_plus, p.sigma**2, 0.0, 0, "plus"),))
+        1.0, make_ledger({}, 0.0, p.x0), p.x_plus, p.sigma**2, 0.0, 0, "plus"),))
     psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_render_two_separated_branches_norm(sr88_10s):
-    state = ga.make_initial_state(sr88_10s)
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
     psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
@@ -78,13 +78,13 @@ def test_render_norm_matches_closed_form_with_overlap():
     p = core.build_params(m=1.0, e0=0.0, e1=0.0, g=1.0, x_plus=1.5,
                           x_minus=0.5, x0=1.0, sigma=0.8, dt=0.0, phi=0.6)
     p = p.replace(c=100.0, hbar=1.0)
-    state = ga.make_initial_state(p)
+    state = ga.evolve_state(p)
     psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(ga.state_norm_sq(state), abs=1e-8)
 
 
 def test_render_rejects_narrow_or_coarse_grid(sr88_10s):
-    state = ga.make_initial_state(sr88_10s)
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
     with pytest.raises(orc.GridError, match="too narrow"):
         orc.render(state, orc.Grid(sr88_10s.x_minus, sr88_10s.x_plus, 2**12))
     good = orc.grid_for_states(state)
@@ -137,7 +137,7 @@ def _full_lattice(monkeypatch, branch, grid):
 def test_window_matches_full_lattice(sr88_10s, monkeypatch):
     """Outside its +-8.5 sigma window a branch is only the Gaussian tail."""
     p = sr88_10s
-    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    state = ga.evolve_state(p, "free_fall")
     grid = orc.grid_for_states(state)
     tail = math.exp(-8.5**2 / 4.0)
     for b in state.components:
@@ -167,7 +167,7 @@ def test_render_and_detector_share_kernel(sr88_10s):
     """With time dilation ablated the detector pair spans the evolved state,
     so P+ + P- = 1; sampling the two on different phase lattices loses ~1e-6."""
     p = sr88_10s.replace(phi=0.8, ablate_time_dilation=True)
-    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    state = ga.evolve_state(p, "free_fall")
     psi = orc.render(state, orc.grid_for_states(state))
     p_plus, p_minus = orc.probabilities_numeric(psi, p, "free_fall")
     assert p_plus + p_minus == pytest.approx(1.0, abs=1e-8)
@@ -188,7 +188,7 @@ def test_oracle_vs_closed_at_30s_anchor(crosscheck_params):
 
 def test_fidelity_self_unity(sr88_10s):
     """A state against itself misses by exactly 0 (F = 1)."""
-    state = ga.make_initial_state(sr88_10s)
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
     psi = orc.render(state, orc.grid_for_states(state))
     assert orc.bures_miss(psi, psi) == 0.0
 
@@ -196,9 +196,9 @@ def test_fidelity_self_unity(sr88_10s):
 def test_fidelity_disjoint_channels_zero(sr88_10s):
     """Orthogonal level channels: |<a|b>| = 0 (F = 0), so the miss is 1."""
     p = sr88_10s
-    b0 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus,
+    b0 = ga.GaussianBranch(1.0, make_ledger({}, 0.0, p.x0), p.x_plus,
                            p.sigma**2, 0.0, 0, "plus")
-    b1 = ga.GaussianBranch(1.0, ga.empty_ledger(p.x0), p.x_plus,
+    b1 = ga.GaussianBranch(1.0, make_ledger({}, 0.0, p.x0), p.x_plus,
                            p.sigma**2, 0.0, 1, "plus")
     s0, s1 = ga.ClockState((b0,)), ga.ClockState((b1,))
     grid = orc.grid_for_states(s0, s1)
@@ -206,7 +206,7 @@ def test_fidelity_disjoint_channels_zero(sr88_10s):
 
 
 def test_fidelity_grid_mismatch_error(sr88_10s):
-    state = ga.make_initial_state(sr88_10s)
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
     g1 = orc.grid_for_states(state)
     g2 = orc.Grid(g1.x_min, g1.x_max, g1.n_points + 8)
     with pytest.raises(orc.GridError, match="common grid"):
@@ -563,8 +563,7 @@ def test_freefall_oracle_matches_parametric():
 # ---------------------------------------------------------------------------
 
 def _detector_state(params, sign):
-    ref = params.replace(e0=0.0, e1=0.0)
-    state = ga.evolve_state(ga.make_initial_state(ref.replace(phi=0.0)), ref, "free_fall")
+    state = ga.evolve_state(params.replace(e0=0.0, e1=0.0, phi=0.0), "free_fall")
     bp = state.branch("plus", 0)
     bm = state.branch("minus", 0)
     amp = sign / math.sqrt(2.0)
@@ -588,7 +587,7 @@ def test_probabilities_on_detector_states(sr88_10s, sign, expected):
 
 def test_probabilities_evolved_state_vs_closed(sr88_10s):
     p = sr88_10s.replace(phi=0.8)
-    state = ga.evolve_state(ga.make_initial_state(p), p, "free_fall")
+    state = ga.evolve_state(p, "free_fall")
     psi = orc.render(state, orc.grid_for_states(state))
     grid_p = orc.probabilities_numeric(psi, p, "free_fall")
     closed_p = est.detection_probabilities(state, p, "free_fall")
