@@ -48,7 +48,6 @@ from . import estimation as est
 from .core import (
     ConfigError,
     ParamsError,
-    PhysicalParams,
     check_regime,
     load_config,
     params_from_config,
@@ -100,7 +99,6 @@ class NumericalFailure(RuntimeError):
 
     def __init__(self, method: str, cause: Exception) -> None:
         super().__init__(f"method {method!r} failed: {cause}")
-        self.method = method
 
 
 @dataclass(frozen=True)
@@ -127,36 +125,30 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    scenario: str
-    target: str
-    params: PhysicalParams
+    """One run: the scenario (which checks its own kind and target) and what is asked of it."""
+
+    scenario: est.Scenario
     methods: tuple[str, ...]
     sweep: SweepSpec | None = None
     out_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in ROUTES:
-            raise ConfigError(f"unknown scenario {self.scenario!r} (use: {', '.join(ROUTES)})")
-        targets = est.TARGETS[self.scenario]
-        if self.target not in targets:
-            raise ConfigError(f"{self.scenario} estimates {' or '.join(targets)}")
-        routes = ROUTES[self.scenario]
+        kind, params = self.scenario.kind, self.scenario.params
+        routes = ROUTES[kind]
         bad = set(self.methods) - set(routes)
         if bad:
-            raise ConfigError(f"{self.scenario} supports methods {', '.join(routes)} "
-                              f"(got {sorted(bad)})")
+            raise ConfigError(f"{kind} supports methods {', '.join(routes)} (got {sorted(bad)})")
         if repeated := sorted({m for m in self.methods if self.methods.count(m) > 1}):
             raise ConfigError(f"--methods lists {', '.join(repeated)} more than once")
         try:
-            if self.scenario == "bouncer":
-                require_bouncer_g(self.params.g)
-                require_floor_clearance(self.params)
-            if self.scenario == "mach_zehnder":
-                require_kink_clearance(self.params)
+            if kind == "bouncer":
+                require_bouncer_g(params.g)
+                require_floor_clearance(params)
+            if kind == "mach_zehnder":
+                require_kink_clearance(params)
         except ParamsError as exc:
             raise ConfigError(str(exc)) from None
-        if self.scenario == "mach_zehnder" and self.sweep is not None \
-                and self.sweep.variable == "g":
+        if kind == "mach_zehnder" and self.sweep is not None and self.sweep.variable == "g":
             raise ConfigError(
                 "sweep --var g would write identical mach_zehnder rows: the MZ potential "
                 "uses the slopes physics.g_plus/physics.g_minus (targets delta_g/bar_g), "
@@ -167,15 +159,14 @@ class ScenarioConfig:
 # Method evaluation
 # ---------------------------------------------------------------------------
 
-def _evaluate_methods(cfg: ScenarioConfig, params: PhysicalParams) -> dict[str, float | None]:
+def _evaluate_methods(cfg: ScenarioConfig) -> dict[str, float | None]:
     out: dict[str, float | None] = dict.fromkeys(CSV_COLUMNS[1:-1])
-    scenario = est.Scenario(cfg.scenario, params, cfg.target)
-    for method, pairs in ROUTES[cfg.scenario].items():
+    for method, pairs in ROUTES[cfg.scenario.kind].items():
         if method not in cfg.methods:
             continue
         for column, route in pairs:
             try:
-                value = route(scenario)
+                value = route(cfg.scenario)
             except Exception as exc:
                 raise NumericalFailure(method, ValueError(f"column {column!r}: {exc}")) from exc
             if not math.isfinite(value):
@@ -186,15 +177,16 @@ def _evaluate_methods(cfg: ScenarioConfig, params: PhysicalParams) -> dict[str, 
 
 
 def run_single(cfg: ScenarioConfig) -> est.EstimationReport:
-    values = _evaluate_methods(cfg, cfg.params)
-    regime = check_regime(cfg.params)
+    values = _evaluate_methods(cfg)
+    sc = cfg.scenario
+    regime = check_regime(sc.params)
     return est.EstimationReport(
-        parameter_name=cfg.target,
+        parameter_name=sc.target,
         **values,
         method_metadata={
-            "scenario": cfg.scenario,
+            "scenario": sc.kind,
             "methods": list(cfg.methods),
-            "ablate_time_dilation": cfg.params.ablate_time_dilation,
+            "ablate_time_dilation": sc.params.ablate_time_dilation,
             "regime_ok": regime.satisfied,
             "regime_failing": list(regime.failing()),
         },
@@ -217,14 +209,13 @@ def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
     points = []
     for value in cfg.sweep.values().tolist():
         try:
-            params = cfg.params.replace(**{var: value})
-            replace(cfg, params=params)     # the scenario's own checks
+            params = cfg.scenario.params.replace(**{var: value})
+            points.append((value, replace(cfg, scenario=replace(cfg.scenario, params=params))))
         except (ParamsError, ConfigError) as exc:
             raise ConfigError(f"sweep --var {var} = {value!r} gives invalid parameters: "
                               f"{exc}") from exc
-        points.append((value, params))
-    return [SweepRow(value, _evaluate_methods(cfg, params), check_regime(params).satisfied)
-            for value, params in points]
+    return [SweepRow(value, _evaluate_methods(point), check_regime(point.scenario.params).satisfied)
+            for value, point in points]
 
 
 def _fmt(value: float | None) -> str:
@@ -329,9 +320,9 @@ def tail_window_fit(xs, ys) -> tuple[float, float, int]:
 def _build_scenario_config(args) -> ScenarioConfig:
     cfg_map = load_config(args.config)
     params = params_from_config(cfg_map, ablate_time_dilation=args.ablate_time_dilation)
-    scenario = cfg_map.get("scenario.name", "free_fall")
-    # ScenarioConfig rejects an unknown scenario before it reads the target.
-    target = cfg_map.get("scenario.target", est.TARGETS.get(scenario, (None,))[0])
+    kind = cfg_map.get("scenario.name", "free_fall")
+    # Scenario rejects an unknown kind before it reads the target.
+    target = cfg_map.get("scenario.target", est.TARGETS.get(kind, (None,))[0])
     methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods else ("closed",)
     sweep = None
     if getattr(args, "var", None) is not None:
@@ -339,7 +330,7 @@ def _build_scenario_config(args) -> ScenarioConfig:
             raise ConfigError(f"unknown sweep variable {args.var!r} (use: {', '.join(_SWEEP_VARS)})")
         sweep = SweepSpec(args.var, args.start, args.stop, args.points, args.log)
     cfg = ScenarioConfig(
-        scenario=scenario, target=target, params=params, methods=methods,
+        scenario=est.Scenario(kind, params, target), methods=methods,
         sweep=sweep, out_dir=Path(args.out) if args.out else None,
     )
     if cfg.out_dir is not None:     # an unusable path fails here, before any numerics

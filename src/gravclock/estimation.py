@@ -18,6 +18,11 @@ on ``Scenario.tangent()``: its slopes are jets (``gaussian.Jet``), so every
 derivative comes from the evolution maps' own arithmetic.  A phase longdouble
 cannot resolve raises ValueError instead of being wrapped to noise.
 
+Every engine takes a ``Scenario`` (kind, parameters, target) and makes its
+own state; ``Scenario.detector_state`` is the clock-free reference both
+detector routes interfere.  Its constructor is the one check of kind and
+target, a ConfigError in the CLI's words.
+
 Parameter conventions for the two interferometers:
 
 * free fall estimates ``g`` (the slope of the linearized potential);
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams
+from .core import ConfigError, PhysicalParams
 from .gaussian import (
     ClockState,
     GaussianBranch,
@@ -78,11 +83,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.kind not in TARGETS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+            raise ConfigError(f"unknown scenario {self.kind!r} (use: {', '.join(TARGETS)})")
         if self.target not in TARGETS[self.kind]:
-            allowed = ", ".join(TARGETS[self.kind])
-            raise ValueError(
-                f"target {self.target!r} not available for {self.kind!r} (use: {allowed})")
+            raise ConfigError(f"{self.kind} estimates {' or '.join(TARGETS[self.kind])}")
 
     def value(self) -> float:
         return getattr(self.params, self.target)
@@ -102,6 +105,11 @@ class Scenario:
     def make_state(self, value: float | None = None) -> ClockState:
         sc = self if value is None else self.with_value(value)
         return evolve_state(sc.params, sc.kind)
+
+    def detector_state(self) -> ClockState:
+        """The clock-free reference both detector routes interfere: the
+        scenario's map at E0 = E1 = 0 and phi = 0."""
+        return evolve_state(self.params.replace(e0=0.0, e1=0.0, phi=0.0), self.kind)
 
     def tangent(self) -> "Scenario":
         """This scenario with g, g_plus and g_minus as jets along the target:
@@ -284,8 +292,7 @@ def qfi_pure_parametric(scenario: Scenario) -> float:
 # Qubit reduction and the qubit (Bloch-vector) QFI
 # ---------------------------------------------------------------------------
 
-def _level_phase(state: ClockState, level: int, params: PhysicalParams, scenario: str,
-                 ref=_LD(0.0)):
+def _level_phase(state: ClockState, level: int, scenario: Scenario, ref=_LD(0.0)):
     """Level ``level``'s minus-vs-plus phase at the z-free trajectory centres from
     the ledgers, less ``ref`` (a ledger phase of that size), plus the amplitudes'.
 
@@ -294,8 +301,9 @@ def _level_phase(state: ClockState, level: int, params: PhysicalParams, scenario
     are compared at the starts and the fall enters through the slope
     difference alone.  A ValueError where longdouble cannot resolve the phase.
     """
+    params = scenario.params
     bp, bm = state.branch("plus", level), state.branch("minus", level)
-    fall = 0.5 * (_LD_ONE * params.g) * _LD(params.dt) ** 2 if scenario == "free_fall" else 0.0
+    fall = 0.5 * (_LD_ONE * params.g) * _LD(params.dt) ** 2 if scenario.kind == "free_fall" else 0.0
     phase = bm.ledger.diff_at(params.x_minus, bp.ledger, params.x_plus) \
         - (bm.ledger.slope - bp.ledger.slope) * fall
     _require_resolved(split(phase)[0], "level-relative phase")
@@ -319,21 +327,20 @@ def _cos_sin(phase) -> tuple:
     return (Jet(c, -s * d), Jet(s, c * d)) if isinstance(phase, Jet) else (c, s)
 
 
-def reduce_to_qubit(state: ClockState, params: PhysicalParams,
-                    scenario: str = "free_fall") -> tuple[float, float]:
-    """Semiclassical two-path model (gamma_0, gamma_1): gamma_i is level i's
-    minus-vs-plus relative phase at the z-free trajectory centres (global
-    per-level phases, widths and position dependence are dropped).  On a
-    state and parameters that carry jets, the gammas are jets."""
-    return tuple(wrap_angle(_level_phase(state, level, params, scenario)) for level in (0, 1))
+def reduce_to_qubit(scenario: Scenario) -> tuple[float, float]:
+    """Semiclassical two-path model (gamma_0, gamma_1) of the scenario's state:
+    gamma_i is level i's minus-vs-plus relative phase at the z-free trajectory
+    centres (global per-level phases, widths and position dependence are
+    dropped).  On a scenario that carries jets, the gammas are jets."""
+    state = scenario.make_state()
+    return tuple(wrap_angle(_level_phase(state, level, scenario)) for level in (0, 1))
 
 
 def _bloch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vector r of the clock-traced state, the equal mixture of
     (1, e^{i gamma_i}) / sqrt(2), and its derivative dr along the target:
     r = (cos g0 + cos g1, sin g0 + sin g1) / 2."""
-    jet = scenario.tangent()
-    (c0, s0), (c1, s1) = map(_cos_sin, reduce_to_qubit(jet.make_state(), jet.params, jet.kind))
+    (c0, s0), (c1, s1) = map(_cos_sin, reduce_to_qubit(scenario.tangent()))
     r, dr = zip(split(0.5 * (c0 + c1)), split(0.5 * (s0 + s1)))
     return np.array(r), np.array(dr)
 
@@ -365,9 +372,8 @@ def reduced_qfi_bloch(scenario: Scenario) -> float:
 # Detection probabilities and the classical FI
 # ---------------------------------------------------------------------------
 
-def detection_probabilities(state: ClockState, params: PhysicalParams,
-                            scenario: str = "free_fall") -> tuple[float, float]:
-    """Click probabilities of the path-interference detectors.
+def detection_probabilities(scenario: Scenario) -> tuple[float, float]:
+    """Click probabilities of the path-interference detectors on the scenario's state.
 
     The detectors are the clock-free evolved branches interfered with a
     +/- sign, so every phase that does not originate from time dilation
@@ -376,13 +382,13 @@ def detection_probabilities(state: ClockState, params: PhysicalParams,
 
         P_pm = 1/2 +- (cos g0 + cos g1) / 4.
 
-    Computed by term-by-term ledger subtraction against a clock-free
-    reference evolution; P_plus + P_minus = 1 exactly by construction.  On
-    a state and parameters that carry jets, the probabilities are jets.
+    Computed by term-by-term ledger subtraction against the clock-free
+    reference (``Scenario.detector_state``); P_plus + P_minus = 1 exactly by
+    construction.  On a scenario that carries jets, the probabilities are jets.
     """
-    ref_state = evolve_state(params.replace(e0=0.0, e1=0.0, phi=0.0), scenario)
-    ref = _level_phase(ref_state, 0, params, scenario)
-    cos_sum = sum((_cos_sin(wrap_angle(_level_phase(state, level, params, scenario, ref)))[0]
+    state = scenario.make_state()
+    ref = _level_phase(scenario.detector_state(), 0, scenario)
+    cos_sum = sum((_cos_sin(wrap_angle(_level_phase(state, level, scenario, ref)))[0]
                    for level in (0, 1)), 0.0)
     p_plus = 0.5 + 0.25 * cos_sum
     return p_plus, 1.0 - p_plus
@@ -408,18 +414,18 @@ def classical_fi(p, dp) -> float:
 
 def fi_numeric(scenario: Scenario) -> float:
     """Numeric FI of the detection probabilities for the scenario target."""
-    jet = scenario.tangent()
-    p_plus, p_minus = detection_probabilities(jet.make_state(), jet.params, jet.kind)
+    p_plus, p_minus = detection_probabilities(scenario.tangent())
     return classical_fi(*zip(split(p_plus), split(p_minus)))
 
 
-def quadrature_phi(params: PhysicalParams, scenario: str = "free_fall") -> float:
-    """Phase-shifter setting that parks the slow cosine at an extremum.
+def quadrature_phi(scenario: Scenario) -> float:
+    """Phase-shifter setting that parks the scenario's slow cosine at an extremum.
 
     There the measurement's sensitivity comes entirely from the
     time-dilation beat and the numeric FI meets the closed form.
     """
-    dv = params.delta_v_ff if scenario == "free_fall" else params.delta_v_mz
+    params = scenario.params
+    dv = params.delta_v_ff if scenario.kind == "free_fall" else params.delta_v_mz
     slow = params.e_bar_eff * dv * params.dt / (params.hbar * params.c**2)
     return -wrap_angle(_LD(slow))
 

@@ -272,7 +272,7 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
     return ledger, 0.5 * g * dt * dt * (1.0 - z * z), var, chirp
 
 
-def evolve_state(params: PhysicalParams, scenario: str = "free_fall") -> ClockState:
+def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
     """The interferometer state after dt under the scenario's closed-form map.
 
     It starts as the equal superposition of the two heights and the two

@@ -41,14 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams
 from .estimation import Scenario
-from .gaussian import (
-    ClockState,
-    GaussianBranch,
-    evolve_state,
-    wrap_angle,
-)
+from .gaussian import ClockState, GaussianBranch, wrap_angle
 
 _LD = np.longdouble
 
@@ -307,10 +301,9 @@ def qfi_numeric(scenario: Scenario, delta: float | None = None) -> float:
     return qfi
 
 
-def detector_wavefunctions(params: PhysicalParams, scenario: str,
-                           grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Path-space detector states: clock-free evolved branches interfered."""
-    ref = evolve_state(params.replace(e0=0.0, e1=0.0, phi=0.0), scenario)
+def detector_wavefunctions(scenario: Scenario, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Path-space detector states: the branches of ``scenario.detector_state()`` interfered."""
+    ref = scenario.detector_state()
     plus = np.zeros(grid.n_points, dtype=complex)
     minus = np.zeros(grid.n_points, dtype=complex)
     for out, path in ((plus, "plus"), (minus, "minus")):
@@ -321,11 +314,10 @@ def detector_wavefunctions(params: PhysicalParams, scenario: str,
     return d_plus, d_minus
 
 
-def probabilities_numeric(psi: GridWavefunction, params: PhysicalParams,
-                          scenario: str = "free_fall") -> tuple[float, float]:
+def probabilities_numeric(psi: GridWavefunction, scenario: Scenario) -> tuple[float, float]:
     """Detector probabilities by quadrature projection (``inner``), per level channel."""
     zero = np.zeros(psi.grid.n_points, dtype=complex)
     return tuple(sum(abs(GridWavefunction(psi.grid, np.stack(rows)).inner(psi)) ** 2
                      for rows in ((det, zero), (zero, det)))
-                 for det in detector_wavefunctions(params, scenario, psi.grid))
+                 for det in detector_wavefunctions(scenario, psi.grid))
 

@@ -9,15 +9,14 @@ the sweep interface flags row by row).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from gravclock import bouncer as bc, cli, core, estimation as est, gaussian as ga, oracle as orc
-from tests.test_bouncer import _ai_integral_representation, _bisect_mpmath_zero
+from gravclock import bouncer as bc, cli, core, estimation as est, oracle as orc
+from tests.test_bouncer import _bisect_mpmath_zero
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -118,11 +117,12 @@ def test_criterion_5_probabilities_and_fi(sr88_10s, crosscheck_params):
     sums_exact = []
     worst_grid = 0.0
     for p in (sr88_10s.replace(phi=0.3), crosscheck_params[3]):
-        state = ga.evolve_state(p, "free_fall")
-        p_plus, p_minus = est.detection_probabilities(state, p)
+        sc = est.Scenario("free_fall", p, "g")
+        state = sc.make_state()
+        p_plus, p_minus = est.detection_probabilities(sc)
         sums_exact.append(p_plus + p_minus == 1.0)
         psi = orc.render(state, orc.grid_for_states(state))
-        grid_probs = orc.probabilities_numeric(psi, p, "free_fall")
+        grid_probs = orc.probabilities_numeric(psi, sc)
         worst_grid = max(worst_grid, abs(grid_probs[0] - p_plus),
                          abs(grid_probs[1] - p_minus))
     # Analytic two-outcome family: FI = alpha^2 to 1e-6 relative.

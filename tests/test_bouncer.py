@@ -584,15 +584,16 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
     floor = np.zeros((2, 8), dtype=complex)       # d^k/dx^k at x = 0, k = 0..7
     floor_scale = np.zeros((2, 8))
     with mp.workdps(20):
+        # Ai^(k)(z_n) depends on the level n only: one set per n serves both internal levels.
+        ai_ks = [np.array([float(mp.airyai(float(z_n), derivative=k)) for k in range(8)])
+                 for z_n in spec.zeros]
         for i in (0, 1):
-            for n in range(spec.n_max):
+            for n, ai_k in enumerate(ai_ks):
                 rel_energy = float(spec.band[i, n] - band_ref[i])
                 phase = -mp.mpf(rel_energy) * mp.mpf(p.dt) / mp.mpf(p.hbar)
                 amp = complex(mp.expj(phase)) * flat[i, n] * spec.norms[i, n]
                 args = grid.xs() / spec.lengths[i] + spec.zeros[n]
                 expected[i] += amp * np.array([float(mp.airyai(float(y))) for y in args])
-                ai_k = np.array([float(mp.airyai(float(spec.zeros[n]), derivative=k))
-                                 for k in range(8)])
                 terms = amp * spec.lengths[i] ** -np.arange(8.0)
                 floor[i] += terms * ai_k
                 # |Ai^(k)(z_n)| <= |Ai'(z_n)| (1 + |z_n|)^(k/2): the size of each term

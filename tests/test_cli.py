@@ -336,6 +336,30 @@ def test_bad_method_and_target_exit_2(tmp_path, capsys):
     cfg2 = tmp_path / "mz.cfg"
     cfg2.write_text("scenario.name = free_fall\nscenario.target = delta_g\n")
     assert cli.main(["run", "--config", str(cfg2)]) == 2
+    assert "free_fall estimates g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("scenario.name", "pendulum",
+     "unknown scenario 'pendulum' (use: free_fall, mach_zehnder, bouncer)"),
+    ("scenario.target", "g", "mach_zehnder estimates delta_g or bar_g"),
+], ids=["unknown-kind", "mz-target-g"])
+def test_scenario_kind_and_target_refused_exit_2(tmp_path, capsys, monkeypatch, key, value,
+                                                 message):
+    """estimation.Scenario is the one check of kind and target: a config error,
+    exit 2, before any method runs."""
+    calls = []
+    monkeypatch.setattr(cli, "_evaluate_methods", lambda *args: calls.append(args))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_config_with("sr88_mz.cfg", (key, value)))
+    for command in (["run"], ["sweep", "--var", "dt", "--from", "1", "--to", "2", "--points", "2"]):
+        rc = cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_mz_sweep_over_g_exit_2(tmp_path, capsys):
@@ -557,7 +581,7 @@ def test_free_fall_accepts_nonpositive_g(tmp_path):
         cfg = tmp_path / name
         cfg.write_text((CONFIGS / name).read_text().replace("physics.g = 9.81", "physics.g = 0"))
         args = cli._parser().parse_args(["run", "--config", str(cfg)])
-        assert cli._build_scenario_config(args).params.g == 0.0
+        assert cli._build_scenario_config(args).scenario.params.g == 0.0
 
 
 @pytest.mark.parametrize("name,line", [("bouncer.cfg", "bouncer.n_max = 500"),
@@ -576,7 +600,8 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys, name, line):
 
 def test_route_table_owns_scenarios_and_columns():
     """Every scenario has targets, and every route column is a report field
-    and a CSV column."""
+    and a CSV column.  The CLI looks ROUTES up by a kind that only
+    estimation.Scenario checked, so the two tables name the same kinds."""
     assert set(cli.ROUTES) == set(est.TARGETS)
     fields = {f.name for f in dataclasses.fields(est.EstimationReport)}
     for routes in cli.ROUTES.values():

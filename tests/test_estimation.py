@@ -214,7 +214,8 @@ def test_fi_numeric_vs_closed_at_quadrature_long_dt(dt):
     3e4 s and 7.0e-4 at 1e5 s."""
     params = core.params_from_config(core.load_config(CONFIG_DIR / "sr88_freefall.cfg"))
     p = params.replace(dt=dt)
-    sc = est.Scenario("free_fall", p.replace(phi=est.quadrature_phi(p)), "g")
+    phi_q = est.quadrature_phi(est.Scenario("free_fall", p, "g"))
+    sc = est.Scenario("free_fall", p.replace(phi=phi_q), "g")
     assert est.fi_numeric(sc) == pytest.approx(est.closed_fi(sc), rel=1e-6, abs=0)
 
 
@@ -264,16 +265,16 @@ def test_jet_evolution_keeps_the_plain_values(sr88_10s):
 
 def test_reduce_to_qubit_dt_zero(sr88_10s):
     p = sr88_10s.replace(dt=0.0)
-    assert est.reduce_to_qubit(ga.evolve_state(p), p) == (0.0, 0.0)
     sc = est.Scenario("free_fall", p, "g")
+    assert est.reduce_to_qubit(sc) == (0.0, 0.0)
     # Both levels in phase: the path qubit is the pure state r = (1, 0).
     assert est._bloch(sc)[0].tolist() == [1.0, 0.0]
 
 
-def test_reduce_to_qubit_global_phase_invariance(sr88_10s):
+def test_reduce_to_qubit_global_phase_invariance(sr88_10s, monkeypatch):
     """A constant added to every branch ledger changes nothing observable."""
-    p = sr88_10s
-    state = ga.evolve_state(p, "free_fall")
+    sc = est.Scenario("free_fall", sr88_10s, "g")
+    state = sc.make_state()
     shifted = ga.ClockState(tuple(
         ga.GaussianBranch(
             b.amplitude,
@@ -281,18 +282,19 @@ def test_reduce_to_qubit_global_phase_invariance(sr88_10s):
                         b.ledger.slope, b.ledger.x_ref),
             b.mean_x, b.var_x, b.chirp, b.internal_level, b.path_label)
         for b in state.components))
-    q0 = est.reduce_to_qubit(state, p)
-    q1 = est.reduce_to_qubit(shifted, p)
+    q0 = est.reduce_to_qubit(sc)
+    p0 = est.detection_probabilities(sc)
+    # The scenario's state is the shifted one; its detector reference is not.
+    monkeypatch.setattr(est.Scenario, "make_state", lambda self, value=None: shifted)
+    q1 = est.reduce_to_qubit(sc)
     assert q0 == pytest.approx(q1, abs=1e-12)
-    assert est.detection_probabilities(state, p) == pytest.approx(
-        est.detection_probabilities(shifted, p), abs=1e-14)
+    assert p0 == pytest.approx(est.detection_probabilities(sc), abs=1e-14)
 
 
 def test_reduce_to_qubit_interference_phase_extended_precision(sr88_10s):
     """gamma_i matches an independent mpmath evaluation to 1e-10 rad."""
     p = sr88_10s
-    state = ga.evolve_state(p, "free_fall")
-    gammas = est.reduce_to_qubit(state, p)
+    gammas = est.reduce_to_qubit(est.Scenario("free_fall", p, "g"))
     for level, e_i in ((0, p.e0), (1, p.e1)):
         z = mp.mpf(e_i) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2)
         gamma_ref = mp.mpf(p.m) * mp.mpf(p.g) * (1 + z) * mp.mpf(p.dt) \
@@ -336,8 +338,7 @@ def test_probabilities_bare_interferometer():
     for phi in (0.0, 0.4, 2.0):
         p = core.build_params(m=1e-25, e0=0.0, e1=0.0, g=9.81, x_plus=0.51,
                               x_minus=0.50, x0=0.505, sigma=1e-4, dt=10.0, phi=phi)
-        state = ga.evolve_state(p, "free_fall")
-        got = est.detection_probabilities(state, p)
+        got = est.detection_probabilities(est.Scenario("free_fall", p, "g"))
         assert got[0] == pytest.approx(0.5 * (1 + math.cos(phi)), abs=1e-12)
         assert got[0] + got[1] == 1.0
 
@@ -349,15 +350,13 @@ def test_probabilities_clock_visibility_loss(sr88_10s):
     pq = p.replace(dt=dt_half)
     for phi in (0.0, 0.7, 1.9):
         pp = pq.replace(phi=phi)
-        state = ga.evolve_state(pp, "free_fall")
-        got = est.detection_probabilities(state, pp)
+        got = est.detection_probabilities(est.Scenario("free_fall", pp, "g"))
         assert got[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_probabilities_match_two_cosine_form(sr88_10s, crosscheck_params):
     for p in [sr88_10s.replace(phi=0.3), crosscheck_params[7]]:
-        state = ga.evolve_state(p, "free_fall")
-        got = est.detection_probabilities(state, p)
+        got = est.detection_probabilities(est.Scenario("free_fall", p, "g"))
         a = (p.e1 - p.e0) * p.delta_v_ff * p.dt / (2 * p.hbar * p.c**2)
         b = 0.5 * (p.e0 + p.e1) * p.delta_v_ff * p.dt / (p.hbar * p.c**2) + p.phi
         assert got[0] == pytest.approx(0.5 * (1 + math.cos(a) * math.cos(b)), abs=1e-9)
@@ -369,21 +368,22 @@ def test_probabilities_mz_form_and_grid(sr88_10s):
     piecewise potential difference, and match the grid projection."""
     from gravclock import oracle as orc
     p = sr88_10s.replace(phi=0.5)
-    state = ga.evolve_state(p, "mach_zehnder")
-    got = est.detection_probabilities(state, p, "mach_zehnder")
+    sc = est.Scenario("mach_zehnder", p, "delta_g")
+    state = sc.make_state()
+    got = est.detection_probabilities(sc)
     a = (p.e1 - p.e0) * p.delta_v_mz * p.dt / (2 * p.hbar * p.c**2)
     b = 0.5 * (p.e0 + p.e1) * p.delta_v_mz * p.dt / (p.hbar * p.c**2) + p.phi
     assert got[0] == pytest.approx(0.5 * (1 + math.cos(a) * math.cos(b)), abs=1e-9)
     assert got[0] + got[1] == 1.0
     psi = orc.render(state, orc.grid_for_states(state))
-    grid_probs = orc.probabilities_numeric(psi, p, "mach_zehnder")
+    grid_probs = orc.probabilities_numeric(psi, sc)
     assert grid_probs[0] == pytest.approx(got[0], abs=1e-6)
     assert grid_probs[1] == pytest.approx(got[1], abs=1e-6)
 
 
 def test_scenario_validation():
     p = core.SR88_10S
-    with pytest.raises(ValueError, match="not available"):
+    with pytest.raises(ValueError, match="free_fall estimates g"):
         est.Scenario("free_fall", p, "delta_g")
     with pytest.raises(ValueError, match="unknown scenario"):
         est.Scenario("pendulum", p, "g")
@@ -415,12 +415,13 @@ def test_classical_fi_excludes_tiny_outcomes():
 
 
 def test_fi_numeric_vs_closed_at_quadrature(sr88_10s):
-    phi_q = est.quadrature_phi(sr88_10s)
+    phi_q = est.quadrature_phi(est.Scenario("free_fall", sr88_10s, "g"))
     p = sr88_10s.replace(phi=phi_q)
     sc = est.Scenario("free_fall", p, "g")
     assert est.fi_numeric(sc) == pytest.approx(est.fi_ff_closed(p), rel=1e-2)
     for target in ("delta_g", "bar_g"):
-        pm = sr88_10s.replace(phi=est.quadrature_phi(sr88_10s, "mach_zehnder"))
+        phi_mz = est.quadrature_phi(est.Scenario("mach_zehnder", sr88_10s, target))
+        pm = sr88_10s.replace(phi=phi_mz)
         scm = est.Scenario("mach_zehnder", pm, target)
         assert est.fi_numeric(scm) == pytest.approx(est.fi_mz_closed(pm, target), rel=1e-2)
 
@@ -553,7 +554,7 @@ def test_information_chain_and_parametric_property(params):
         assert red <= full * (1 + 1e-6)
         assert est.qfi_pure_parametric(sc) == pytest.approx(full, rel=1e-2)
         assert ga.state_norm_sq(sc.make_state()) == pytest.approx(1.0, abs=1e-9)
-        p_plus, p_minus = est.detection_probabilities(sc.make_state(), params, kind)
+        p_plus, p_minus = est.detection_probabilities(sc)
         assert p_plus + p_minus == 1.0
 
 

@@ -65,7 +65,7 @@ def test_no_rest_mass_term_in_any_ledger(sr88_10s):
 # ---------------------------------------------------------------------------
 
 def test_initial_amplitudes_phi_zero(sr88_10s):
-    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0), "free_fall")
     assert len(state.components) == 4
     for b in state.components:
         assert b.amplitude == pytest.approx(0.5)
@@ -73,19 +73,19 @@ def test_initial_amplitudes_phi_zero(sr88_10s):
 
 
 def test_initial_amplitudes_phi_pi(sr88_10s):
-    state = ga.evolve_state(sr88_10s.replace(phi=math.pi, dt=0.0))
+    state = ga.evolve_state(sr88_10s.replace(phi=math.pi, dt=0.0), "free_fall")
     for b in state.components:
         if b.path_label == "minus":
             assert b.amplitude.real == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_initial_norm_includes_overlap(sr88_10s):
-    assert ga.state_norm_sq(ga.evolve_state(sr88_10s.replace(dt=0.0))) \
+    assert ga.state_norm_sq(ga.evolve_state(sr88_10s.replace(dt=0.0), "free_fall")) \
         == pytest.approx(1.0, abs=1e-12)
     # Strongly overlapping geometry: the cross term is visible and signed.
     p = _toy_params(x_plus=1.5, x_minus=0.5, sigma=0.8, dt=0.0)
     expected = 1.0 + math.exp(-(1.0) ** 2 / (8 * 0.8**2))
-    assert ga.state_norm_sq(ga.evolve_state(p)) == pytest.approx(expected, rel=1e-12)
+    assert ga.state_norm_sq(ga.evolve_state(p, "free_fall")) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +169,8 @@ def _propagator_reference(p, branch, xs):
 @pytest.mark.parametrize("z1", [0.0, 3e-7])
 def test_freefall_full_map_vs_propagator_quadrature(z1):
     p = _toy_params(z1=z1)
-    branch = ga.evolve_state(p.replace(dt=0.0)).branch("plus", 1)
-    evolved = ga.evolve_state(p).branch("plus", 1)
+    branch = ga.evolve_state(p.replace(dt=0.0), "free_fall").branch("plus", 1)
+    evolved = ga.evolve_state(p, "free_fall").branch("plus", 1)
     xs = evolved.mean_x + np.array([-1.2, -0.4, 0.0, 0.7, 1.5])
     got = ga.wavefunction_values(evolved, xs)
     ref = _propagator_reference(p, branch, xs)
@@ -185,8 +185,8 @@ def test_freefall_full_map_vs_propagator_quadrature(z1):
 def test_freefall_full_map_gouy_phase_value():
     # The dropped constant equals -arctan(eps)/2 with eps = hbar t / (2 m* sigma^2).
     p = _toy_params(z1=0.0)
-    branch = ga.evolve_state(p.replace(dt=0.0)).branch("plus", 0)
-    evolved = ga.evolve_state(p).branch("plus", 0)
+    branch = ga.evolve_state(p.replace(dt=0.0), "free_fall").branch("plus", 0)
+    evolved = ga.evolve_state(p, "free_fall").branch("plus", 0)
     xs = np.array([evolved.mean_x + 0.3])
     ratio = _propagator_reference(p, branch, xs)[0] / ga.wavefunction_values(evolved, xs)[0]
     eps = p.hbar * p.dt / (2 * p.m * p.sigma**2)
@@ -197,7 +197,7 @@ def test_freefall_full_vs_approx_differences(sr88_10s):
     """What the full map keeps beyond first order in z: the O(z) momentum
     boost, and the z^2 piece of the cubic action (against mpmath)."""
     p = sr88_10s
-    full = ga.evolve_state(p).branch("plus", 1)
+    full = ga.evolve_state(p, "free_fall").branch("plus", 1)
     z = p.z1
     boost = float(p.hbar * full.ledger.slope + _LD(p.m) * p.g * p.dt)
     assert boost == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6, abs=0)

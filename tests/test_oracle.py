@@ -68,7 +68,7 @@ def test_render_single_branch_norm(sr88_10s):
 
 
 def test_render_two_separated_branches_norm(sr88_10s):
-    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0), "free_fall")
     psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
@@ -78,13 +78,13 @@ def test_render_norm_matches_closed_form_with_overlap():
     p = core.build_params(m=1.0, e0=0.0, e1=0.0, g=1.0, x_plus=1.5,
                           x_minus=0.5, x0=1.0, sigma=0.8, dt=0.0, phi=0.6)
     p = p.replace(c=100.0, hbar=1.0)
-    state = ga.evolve_state(p)
+    state = ga.evolve_state(p, "free_fall")
     psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(ga.state_norm_sq(state), abs=1e-8)
 
 
 def test_render_rejects_narrow_or_coarse_grid(sr88_10s):
-    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0), "free_fall")
     with pytest.raises(orc.GridError, match="too narrow"):
         orc.render(state, orc.Grid(sr88_10s.x_minus, sr88_10s.x_plus, 2**12))
     good = orc.grid_for_states(state)
@@ -169,7 +169,7 @@ def test_render_and_detector_share_kernel(sr88_10s):
     p = sr88_10s.replace(phi=0.8, ablate_time_dilation=True)
     state = ga.evolve_state(p, "free_fall")
     psi = orc.render(state, orc.grid_for_states(state))
-    p_plus, p_minus = orc.probabilities_numeric(psi, p, "free_fall")
+    p_plus, p_minus = orc.probabilities_numeric(psi, est.Scenario("free_fall", p, "g"))
     assert p_plus + p_minus == pytest.approx(1.0, abs=1e-8)
 
 
@@ -188,7 +188,7 @@ def test_oracle_vs_closed_at_30s_anchor(crosscheck_params):
 
 def test_fidelity_self_unity(sr88_10s):
     """A state against itself misses by exactly 0 (F = 1)."""
-    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0), "free_fall")
     psi = orc.render(state, orc.grid_for_states(state))
     assert orc.bures_miss(psi, psi) == 0.0
 
@@ -206,7 +206,7 @@ def test_fidelity_disjoint_channels_zero(sr88_10s):
 
 
 def test_fidelity_grid_mismatch_error(sr88_10s):
-    state = ga.evolve_state(sr88_10s.replace(dt=0.0))
+    state = ga.evolve_state(sr88_10s.replace(dt=0.0), "free_fall")
     g1 = orc.grid_for_states(state)
     g2 = orc.Grid(g1.x_min, g1.x_max, g1.n_points + 8)
     with pytest.raises(orc.GridError, match="common grid"):
@@ -580,17 +580,17 @@ def test_probabilities_on_detector_states(sr88_10s, sign, expected):
     state = _detector_state(sr88_10s, sign)
     grid = orc.grid_for_states(state)
     psi = orc.render(state, grid)
-    got = orc.probabilities_numeric(psi, sr88_10s, "free_fall")
+    got = orc.probabilities_numeric(psi, est.Scenario("free_fall", sr88_10s, "g"))
     assert got[0] == pytest.approx(expected[0], abs=1e-8)
     assert got[1] == pytest.approx(expected[1], abs=1e-8)
 
 
 def test_probabilities_evolved_state_vs_closed(sr88_10s):
-    p = sr88_10s.replace(phi=0.8)
-    state = ga.evolve_state(p, "free_fall")
+    sc = est.Scenario("free_fall", sr88_10s.replace(phi=0.8), "g")
+    state = sc.make_state()
     psi = orc.render(state, orc.grid_for_states(state))
-    grid_p = orc.probabilities_numeric(psi, p, "free_fall")
-    closed_p = est.detection_probabilities(state, p, "free_fall")
+    grid_p = orc.probabilities_numeric(psi, sc)
+    closed_p = est.detection_probabilities(sc)
     assert grid_p[0] == pytest.approx(closed_p[0], abs=1e-6)
     assert grid_p[1] == pytest.approx(closed_p[1], abs=1e-6)
     assert grid_p[0] + grid_p[1] <= 1.0 + 1e-8
