@@ -9,7 +9,9 @@ quantizes each internal level into shifted-Airy eigenfunctions
 
 with ``z_n`` the (negative) Airy zeros and eigenvalues
 
-    E_{i,n} = m (-g (z_n l_i + x0) + V0) (1 + z_i) + E_i.
+    E_{i,n} = -m g (z_n l_i + x0) (1 + z_i) + E_i,
+
+the potential measured from its value at ``x0``.
 
 Projecting the two-height initial superposition on this basis gives
 time-independent coefficients, so the long-time QFI for g grows only as
@@ -445,24 +447,17 @@ def gravitational_length(params: PhysicalParams, level: int) -> float:
 
 @dataclass(frozen=True)
 class BouncerSpectrum:
-    """Eigensystem split as E_{i,n} = level_const_i + band_{i,n}.
+    """Eigensystem of E_{i,n} = band_{i,n} - m g x0 (1 + z_i) + E_i.
 
-    The split matters numerically: the level constant (anchor potential
-    plus internal energy) dwarfs the n-dependent band by many orders, so
-    phase differences between nearby parameter values must never be
-    formed by subtracting full eigenvalues.
+    Only the n-dependent band is stored: the level constant is one phase per
+    internal level, whose g-dependence ``denergy_dg`` and the render add analytically.
     """
 
     n_max: int
     zeros: np.ndarray          # z_n < 0, shape (n_max,)
     lengths: tuple[float, float]
-    level_const: np.ndarray    # J, shape (2,)
     band: np.ndarray           # J, shape (2, n_max): m g (-z_n) l_i (1 + z_i)
     norms: np.ndarray          # m^-1/2 (signed), shape (2, n_max)
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.level_const[:, None] + self.band
 
 
 def bouncer_spectrum(params: PhysicalParams, n_max: int) -> BouncerSpectrum:
@@ -474,17 +469,14 @@ def bouncer_spectrum(params: PhysicalParams, n_max: int) -> BouncerSpectrum:
     zeros = engine.zeros(n_max)
     aip = engine.ai_prime(zeros)
     lengths = (gravitational_length(params, 0), gravitational_length(params, 1))
-    level_const = np.empty(2)
     band = np.empty((2, n_max))
     norms = np.empty((2, n_max))
     for i in (0, 1):
         z_i = params.z_eff(i)
-        e_i = params.e1 if i else params.e0
         l_i = lengths[i]
-        level_const[i] = params.m * (-params.g * params.x0 + params.v0) * (1.0 + z_i) + e_i
         band[i] = params.m * params.g * (-zeros) * l_i * (1.0 + z_i)
         norms[i] = 1.0 / (math.sqrt(l_i) * aip)
-    return BouncerSpectrum(n_max, zeros, lengths, level_const, band, norms)
+    return BouncerSpectrum(n_max, zeros, lengths, band, norms)
 
 
 @dataclass(frozen=True)
@@ -583,7 +575,7 @@ def denergy_dg(params: PhysicalParams, spectrum: BouncerSpectrum) -> np.ndarray:
     d l_i / d g = -l_i / (3 g), so the zero-point term contributes with a
     2/3 factor.
     """
-    out = np.empty_like(spectrum.energies)
+    out = np.empty_like(spectrum.band)
     for i in (0, 1):
         z_i = params.z_eff(i)
         l_i = spectrum.lengths[i]

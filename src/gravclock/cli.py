@@ -321,8 +321,6 @@ def _build_scenario_config(args) -> ScenarioConfig:
     cfg_map = load_config(args.config)
     params = params_from_config(cfg_map, ablate_time_dilation=args.ablate_time_dilation)
     kind = cfg_map.get("scenario.name", "free_fall")
-    # Scenario rejects an unknown kind before it reads the target.
-    target = cfg_map.get("scenario.target", est.TARGETS.get(kind, (None,))[0])
     methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods else ("closed",)
     sweep = None
     if getattr(args, "var", None) is not None:
@@ -330,7 +328,7 @@ def _build_scenario_config(args) -> ScenarioConfig:
             raise ConfigError(f"unknown sweep variable {args.var!r} (use: {', '.join(_SWEEP_VARS)})")
         sweep = SweepSpec(args.var, args.start, args.stop, args.points, args.log)
     cfg = ScenarioConfig(
-        scenario=est.Scenario(kind, params, target), methods=methods,
+        scenario=est.Scenario(kind, params, cfg_map.get("scenario.target")), methods=methods,
         sweep=sweep, out_dir=Path(args.out) if args.out else None,
     )
     if cfg.out_dir is not None:     # an unusable path fails here, before any numerics

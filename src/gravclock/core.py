@@ -12,11 +12,13 @@ Geometry conventions
 positive and a falling packet acquires negative momentum.  The linearized
 potential used in the free-fall scenario is
 
-    V_F(x) = g (x - x0) + V0,         V0 = V_N(x0),
+    V_F(x) = g (x - x0),
 
-and the Mach-Zehnder scenario uses a piecewise linear potential anchored
-at the two Taylor points ``x_plus0``/``x_minus0`` with slopes
-``g_plus``/``g_minus`` and a kink at ``x0``.
+measured from its value at ``x0``: a constant offset shifts each clock
+level's phase by a target-independent constant that no QFI, FI or
+detection probability can see.  The Mach-Zehnder scenario uses a piecewise
+linear potential anchored at the two Taylor points ``x_plus0``/``x_minus0``
+with slopes ``g_plus``/``g_minus`` and a kink at ``x0``.
 
 The ``ablate_time_dilation`` switch zeroes the coupling of the internal
 Hamiltonian to V/c^2 and p^2/c^2 (the ``*_eff`` accessors return 0) while
@@ -35,7 +37,6 @@ from pathlib import Path
 C_LIGHT = 299_792_458.0            # m/s (exact)
 HBAR = 1.054_571_817e-34           # J s
 EV = 1.602_176_634e-19             # J  (exact)
-EARTH_SURFACE_POTENTIAL = -6.25e7  # m^2/s^2, -G M / R at the surface
 EARTH_RADIUS = 6.371e6             # m
 
 # Most bouncer levels (Airy zeros) the program solves for: the cap of the
@@ -75,9 +76,8 @@ class PhysicalParams:
     x0: float                # potential reference point / MZ kink, m
     x_plus0: float           # upper Taylor expansion point, m
     x_minus0: float          # lower Taylor expansion point, m
-    v0: float                # V_N(x0), m^2/s^2
-    vn_plus0: float          # V_N(x_plus0), m^2/s^2
-    vn_minus0: float         # V_N(x_minus0), m^2/s^2
+    vn_plus0: float          # V_N(x_plus0) - V_N(x0), m^2/s^2
+    vn_minus0: float         # V_N(x_minus0) - V_N(x0), m^2/s^2
     sigma: float             # initial position-space width, m
     dt: float                # interferometric time, s
     phi: float               # controllable phase shifter, rad
@@ -240,7 +240,6 @@ def build_params(
     g_minus: float | None = None,
     x_plus0: float | None = None,
     x_minus0: float | None = None,
-    v0: float = EARTH_SURFACE_POTENTIAL,
     vn_plus0: float | None = None,
     vn_minus0: float | None = None,
     ablate_time_dilation: bool = False,
@@ -249,7 +248,8 @@ def build_params(
 
     Taylor points default to the branch heights themselves (h_pm = 0),
     the slopes ``g_pm`` default to the local gradient of a -GM/r profile
-    around ``g``, and the potential anchors are linearized off ``v0``.
+    around ``g``, and the potential anchors are g (x_pm0 - x0), the
+    potential measured from its value at x0.
     """
     if x_plus0 is None:
         x_plus0 = x_plus
@@ -263,14 +263,14 @@ def build_params(
         if g_minus is None:
             g_minus = g + 0.5 * delta_g
     if vn_plus0 is None:
-        vn_plus0 = v0 + g * (x_plus0 - x0)
+        vn_plus0 = g * (x_plus0 - x0)
     if vn_minus0 is None:
-        vn_minus0 = v0 + g * (x_minus0 - x0)
+        vn_minus0 = g * (x_minus0 - x0)
     return PhysicalParams(
         m=m, e0=e0, e1=e1, g=g, g_plus=g_plus, g_minus=g_minus,
         x_plus=x_plus, x_minus=x_minus, x0=x0,
         x_plus0=x_plus0, x_minus0=x_minus0,
-        v0=v0, vn_plus0=vn_plus0, vn_minus0=vn_minus0,
+        vn_plus0=vn_plus0, vn_minus0=vn_minus0,
         sigma=sigma, dt=dt, phi=phi,
         ablate_time_dilation=ablate_time_dilation,
     )
@@ -382,7 +382,7 @@ SR88_10S = build_params(
 _NUMERIC_KEYS = {
     "physics.m_kg": ("m", 1.0), "physics.E0_eV": ("e0", EV), "physics.E1_eV": ("e1", EV),
     "physics.g": ("g", 1.0), "physics.g_plus": ("g_plus", 1.0),
-    "physics.g_minus": ("g_minus", 1.0), "physics.V0_m2s2": ("v0", 1.0),
+    "physics.g_minus": ("g_minus", 1.0),
     "geometry.x_plus_m": ("x_plus", 1.0), "geometry.x_minus_m": ("x_minus", 1.0),
     "geometry.x0_m": ("x0", 1.0), "geometry.x_plus0_m": ("x_plus0", 1.0),
     "geometry.x_minus0_m": ("x_minus0", 1.0), "geometry.sigma_m": ("sigma", 1.0),

@@ -79,11 +79,13 @@ class Scenario:
 
     kind: str
     params: PhysicalParams
-    target: str = "g"
+    target: str | None = None     # None: the kind's first target
 
     def __post_init__(self) -> None:
         if self.kind not in TARGETS:
             raise ConfigError(f"unknown scenario {self.kind!r} (use: {', '.join(TARGETS)})")
+        if self.target is None:
+            object.__setattr__(self, "target", TARGETS[self.kind][0])
         if self.target not in TARGETS[self.kind]:
             raise ConfigError(f"{self.kind} estimates {' or '.join(TARGETS[self.kind])}")
 

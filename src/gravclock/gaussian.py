@@ -9,11 +9,13 @@ superposition, stored as a unit-norm Gaussian
 where ``L(x) = sum(terms) + b (x - x_ref)`` is a *phase ledger*: the
 constant part is kept as labeled extended-precision coefficients so that
 phase differences between components are formed term-by-term before any
-modular reduction (raw constants reach 1e16 rad; only differences are
-observable).  ``q`` is the quadratic chirp that free spreading generates;
-the exact linear-potential evolution is Gaussian-preserving, and the
-chirp is required for the evolved state to be the exact solution rather
-than a minimum-uncertainty lookalike.
+modular reduction (the cubic action reaches 1.5e13 rad at dt = 10 s; only
+differences are observable).  A ledger holds only terms that depend on the
+target or differ between the two paths of one level: a phase that does
+neither shifts one level by a constant no route can see.  ``q`` is the
+quadratic chirp that free spreading generates; the exact linear-potential
+evolution is Gaussian-preserving, and the chirp is required for the evolved
+state to be the exact solution rather than a minimum-uncertainty lookalike.
 
 Sign conventions: x points up, the potential slope g is positive, so a
 freely falling branch acquires negative mean momentum ``-m g dt (1+z)``
@@ -97,7 +99,7 @@ class PrecisionError(RuntimeError):
 def check_extended_precision(eps: float | None = None) -> None:
     """Refuse to reduce ledger phases without a 64-bit longdouble mantissa.
 
-    Ledger phases reach 1e15-1e16 rad, so reducing them mod 2 pi keeps
+    Ledger phases reach 1e13-1e15 rad, so reducing them mod 2 pi keeps
     ~1e-4 rad only with the x87 80-bit format (eps = 2^-63) or better.
     Where ``longdouble`` is plain float64 (eps = 2^-52) the reduced phase
     would be noise; this raises instead.  ``eps`` defaults to the
@@ -232,8 +234,6 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
     z = params.z_eff(level)
     m, g, dt, hb = params.m, params.g, params.dt, params.hbar
     dt_l, hb_l = _LD_ONE * dt, _LD_ONE * hb
-    e_i = params.e1 if level == 1 else params.e0
-    rest_internal = -dt_l * e_i / hb_l
     if scenario == "mach_zehnder":
         var, chirp = _spreading(params, 0.0)
         if above_kink:
@@ -243,9 +243,8 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
         # V_MZ(x) = g_side (x - x_side0) + vn_side, re-anchored at x_ref = x0.
         # The fixed anchor and the slope-dependent constant live in separate
         # ledger terms so parameter differentiation never subtracts a tiny
-        # g-dependent piece from a huge constant.
+        # g-dependent piece from a larger constant.
         terms = {
-            "rest_internal": rest_internal,
             "potential_anchor": -dt_l * m * z * vn_side / hb_l,
             "potential_slope_const": -dt_l * m * z * g_side
             * (_LD_ONE * params.x0 - x_side0) / hb_l,
@@ -258,15 +257,8 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
     # z-orders are stored as separate ledger terms: the clock corrections
     # sit ~10 decades below the leading coefficients, so folding them into
     # one number would push them under the extended-precision ulp.
-    pot = -dt_l * m * params.v0 / hb_l
     cubic = -(m * g_l * g_l * dt_l**3 / (6 * hb_l))
-    terms = {
-        "rest_internal": rest_internal,
-        "potential_const": pot,
-        "potential_const_z": pot * zl,
-        "cubic": cubic,
-        "cubic_z": cubic * (zl - zl * zl),
-    }
+    terms = {"cubic": cubic, "cubic_z": cubic * (zl - zl * zl)}
     slope = -m * g_l * (1 + zl) * dt_l / hb_l
     ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
     return ledger, 0.5 * g * dt * dt * (1.0 - z * z), var, chirp
@@ -282,7 +274,7 @@ def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
     (the exact norm is always available through :func:`state_norm_sq`).
 
     Free fall is exact evolution in the linearized potential
-    V_F = g (x - x0) + V0: internal level i feels effective mass
+    V_F = g (x - x0): internal level i feels effective mass
     m/(1-z_i) and potential m (1+z_i) V_F, so over a time dt
 
         mean_x -> x_c - (g dt^2 / 2)(1 - z_i^2)
@@ -290,12 +282,12 @@ def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
 
     and the phase ledger gains
 
-        rest_internal   = -dt E_i / hbar
-        potential_const = -dt m (1+z_i) V0 / hbar
-        cubic           = -(m g^2 dt^3 / 6 hbar)(1 + z_i - z_i^2)
-        slope           = -m g (1+z_i) dt / hbar
+        cubic = -(m g^2 dt^3 / 6 hbar)(1 + z_i - z_i^2)
+        slope = -m g (1+z_i) dt / hbar
 
-    all with x_ref = x0; hbar * slope is the mean momentum.  The cubic
+    with x_ref = x0; hbar * slope is the mean momentum.  The rest-energy
+    phase -dt E_i / hbar, like the spreading (Gouy) phase, is the same on
+    both paths of a level and independent of g, so the map drops it.  The cubic
     constant is the bracketed classical action term; dimensional analysis
     fixes its prefactor to g^2/6 (the g/3 form sometimes quoted is a
     misprint).  The exact bracket is (1+z)^2(1-z); the z^3 difference from
@@ -305,9 +297,9 @@ def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
     On the trapped Mach-Zehnder arm the potential couples only through
     time dilation.  The trap cancels the gravitational force on the
     center of mass, so each branch stays put and spreads freely; level i
-    only accumulates
+    only accumulates (less the rest-energy phase)
 
-        L(x) = -dt E_i / hbar - dt m z_i V_MZ(x) / hbar
+        L(x) = -dt m z_i V_MZ(x) / hbar
 
     on its own side of the kink; ``core.require_kink_clearance`` refuses a
     branch within five spread widths of the kink, at dt = 0 too.  The tiny

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,23 +106,21 @@ _EULER_MACLAURIN = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 class GridWavefunction:
     """Two internal-level channels sampled on a common grid.
 
-    ``floor_derivatives`` (complex, shape (2, 8)), if given, holds each channel's
-    d^k/dx^k, k = 0..7, at the grid's first point (the bouncer's floor, where the
-    trapezoid errs by O(h^6)) of a state decayed at the last.  ``norm_sq`` and
-    ``inner`` then add the Euler-Maclaurin terms (DLMF 2.10.1) through h^8,
-    f^(2k-1) by Leibniz.  The Gaussian windows vanish at both ends and carry none.
+    ``floor_derivatives`` (complex, shape (2, 8)) holds each channel's d^k/dx^k,
+    k = 0..7, at the grid's first point (the bouncer's floor, where the trapezoid
+    errs by O(h^6)) of a state decayed at the last.  ``norm_sq`` and ``inner`` add
+    the Euler-Maclaurin terms (DLMF 2.10.1) through h^8, f^(2k-1) by Leibniz.  The
+    Gaussian windows vanish at both ends: their derivatives are zeros, and so are
+    their terms.
     """
 
     grid: Grid
     channels: np.ndarray      # complex, shape (2, n_points)
-    floor_derivatives: np.ndarray | None = None
+    floor_derivatives: np.ndarray = field(default_factory=lambda: np.zeros((2, 8), dtype=complex))
 
     def norm_sq(self) -> float:
         f = self.channels.view(float).reshape(2, -1, 2)
-        total = self.grid.spacing * _trapezoid(f, f)
-        if self.floor_derivatives is None:
-            return total
-        return total + _floor_terms(self, self).real
+        return self.grid.spacing * _trapezoid(f, f) + _floor_terms(self, self).real
 
     def inner(self, other: "GridWavefunction") -> complex:
         """Trapezoid <self|other> over both level channels, as float sums: <a|a> is real."""
@@ -130,10 +128,7 @@ class GridWavefunction:
             raise GridError("inner product requires a common grid")
         a, b = (w.channels.view(float).reshape(2, -1, 2) for w in (self, other))
         im = _trapezoid(a[..., :1], b[..., 1:]) - _trapezoid(a[..., 1:], b[..., :1])
-        total = self.grid.spacing * complex(_trapezoid(a, b), im)
-        if self.floor_derivatives is None:
-            return total
-        return total + _floor_terms(self, other)
+        return self.grid.spacing * complex(_trapezoid(a, b), im) + _floor_terms(self, other)
 
 
 def _floor_terms(a: GridWavefunction, b: GridWavefunction) -> complex:
@@ -205,14 +200,13 @@ def render(state: ClockState, grid: Grid) -> GridWavefunction:
 
 def bures_miss(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
     """Bures amplitude miss 1 - |<a|b>| / (|a| |b|) as (1/2) |a^ - e^(-i arg<a|b>) b^|^2 of the
-    normalized states: a sum of squares (plus the difference state's floor terms, if any),
+    normalized states: a sum of squares (plus the difference state's floor terms),
     exactly 0 for a state against itself."""
     # |a^ - u b^|^2 = |a - u (|a| / |b|) b|^2 / |a|^2, u = e^(-i arg<a|b>): one scaled copy of b.
     norm_sq_a, unit = psi_a.norm_sq(), np.exp(-1j * np.angle(psi_a.inner(psi_b)))
     scale = -unit * math.sqrt(norm_sq_a / psi_b.norm_sq())
     diff = psi_b.channels * scale + psi_a.channels
-    floor = (None if psi_a.floor_derivatives is None
-             else psi_b.floor_derivatives * scale + psi_a.floor_derivatives)
+    floor = psi_b.floor_derivatives * scale + psi_a.floor_derivatives
     return 0.5 * GridWavefunction(psi_a.grid, diff, floor).norm_sq() / norm_sq_a
 
 

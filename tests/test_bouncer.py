@@ -484,11 +484,11 @@ def test_eigenfunction_orthonormality_quadrature(bouncer_params):
 def test_energy_spacing_shrinks_like_n_to_minus_third(bouncer_params):
     spec = bc.bouncer_spectrum(bouncer_params, 400)
     n = np.arange(1, 401)
-    spacing = np.diff(spec.energies[0])
+    spacing = np.diff(spec.band[0])
     slope = np.polyfit(np.log(n[50:-1]), np.log(spacing[50:]), 1)[0]
     assert slope == pytest.approx(-1.0 / 3.0, abs=0.01)
-    assert np.all(np.diff(spec.energies[0]) > 0)
-    assert np.all(np.diff(spec.energies[1]) > 0)
+    assert np.all(np.diff(spec.band[0]) > 0)
+    assert np.all(np.diff(spec.band[1]) > 0)
 
 
 # ---------------------------------------------------------------------------

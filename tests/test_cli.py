@@ -585,17 +585,22 @@ def test_free_fall_accepts_nonpositive_g(tmp_path):
 
 
 @pytest.mark.parametrize("name,line", [("bouncer.cfg", "bouncer.n_max = 500"),
-                                       ("sr88_freefall.cfg", "regime.ratio_threshold = 0.2")],
-                         ids=["bouncer.n_max", "regime.ratio_threshold"])
+                                       ("sr88_freefall.cfg", "regime.ratio_threshold = 0.2"),
+                                       ("sr88_mz.cfg", "physics.V0_m2s2 = -6.25e7")],
+                         ids=["bouncer.n_max", "regime.ratio_threshold", "physics.V0_m2s2"])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, name, line):
-    """The bouncer level count is always automatic and "<<" always means a
-    ratio <= 0.1: a config naming either old key is an unknown key, exit 2."""
+    """The bouncer level count is always automatic, "<<" always means a ratio
+    <= 0.1, and a constant potential offset shifts each clock level's phase by
+    a constant no route can see: a config naming any of these old keys is an
+    unknown key, exit 2, in run and in sweep."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text((CONFIGS / name).read_text() + line + "\n")
-    assert cli.main(["run", "--config", str(cfg), "--methods", "closed"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"unknown key {line.split()[0]!r}" in captured.err
+    sweep = ["sweep", "--var", "dt", "--from", "5", "--to", "30", "--points", "3"]
+    for argv in (["run"], sweep):
+        assert cli.main([*argv, "--config", str(cfg), "--methods", "closed"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown key {line.split()[0]!r}" in captured.err
 
 
 def test_route_table_owns_scenarios_and_columns():

@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath as mp
 import pytest
 
+from conftest import CONFIG_DIR
 from gravclock import core
 
 
@@ -140,3 +142,15 @@ def test_replace_matches_dataclasses_replace(sr88_10s):
         sr88_10s.replace(z0=1e-9)     # derived, recomputed from e0
     with pytest.raises(core.ParamsError, match="x_plus must exceed"):
         sr88_10s.replace(x_plus=0.4)
+
+
+def test_delta_v_mz_exact_against_mpmath():
+    """The Mach-Zehnder anchors are the potential measured from its value at x0,
+    g (x_pm0 - x0), so their difference keeps its digits: anchored on a
+    -6.25e7 m^2/s^2 offset it lost 8.5e-8 of its value to cancellation."""
+    p = core.params_from_config(core.load_config(CONFIG_DIR / "sr88_mz.cfg"))
+    f = mp.mpf
+    with mp.workdps(40):
+        exact = f(p.g_plus) * (f(p.x_plus) - f(p.x_plus0)) + f(p.g) * (f(p.x_plus0) - f(p.x0)) \
+            - f(p.g_minus) * (f(p.x_minus) - f(p.x_minus0)) - f(p.g) * (f(p.x_minus0) - f(p.x0))
+        assert abs(p.delta_v_mz / exact - 1) <= 1e-15

@@ -389,6 +389,15 @@ def test_scenario_validation():
         est.Scenario("pendulum", p, "g")
 
 
+def test_scenario_target_defaults_to_the_kinds_first():
+    """A Scenario built without a target estimates its kind's first target, as
+    TARGETS says; the Mach-Zehnder used to default to g and raise ConfigError."""
+    for kind, targets in est.TARGETS.items():
+        assert est.Scenario(kind, core.SR88_10S).target == targets[0]
+    with pytest.raises(core.ConfigError, match="unknown scenario"):
+        est.Scenario("pendulum", core.SR88_10S)
+
+
 def test_classical_fi_analytic_family():
     alpha, lam = 3.7, 1.1
     c, s = math.cos(alpha * lam), math.sin(alpha * lam)
@@ -496,17 +505,18 @@ def test_report_json_field_names(sr88_10s):
 # qfi_pure_parametric and fi_numeric on the sample configs at three drop
 # times, re-recorded when forward-mode tangents replaced the central-difference
 # stencils (MZ delta_g parametric moved 9.35e-6, free-fall FI up to 8.3e-8, the
-# rest less than 1e-9; see CHANGES.md).
+# rest less than 1e-9), and the MZ FI again when the potential anchors lost
+# their constant offset (at most 1.9e-10, toward mpmath; see CHANGES.md).
 _PINS = {
     ('sr88_freefall', 'g', 5.0): (2248870189588729.5, 2.8001575557381958e-06),
     ('sr88_freefall', 'g', 10.0): (8995668258334950.0, 1.1198365935888806e-05),
     ('sr88_freefall', 'g', 30.0): (8.097901433300605e+16, 0.00010056775114163433),
-    ('sr88_mz', 'delta_g', 5.0): (6.145381101315497e-10, 2.8001575547477266e-10),
-    ('sr88_mz', 'delta_g', 10.0): (2.691726879747621e-09, 1.1198365932097141e-09),
-    ('sr88_mz', 'delta_g', 30.0): (4.664868808298509e-08, 1.0056775122814111e-08),
-    ('sr88_mz', 'bar_g', 5.0): (2.0381005062699384e-09, 2.8001575547477266e-10),
-    ('sr88_mz', 'bar_g', 10.0): (9.086699781965442e-09, 1.1198365932097141e-09),
-    ('sr88_mz', 'bar_g', 30.0): (1.7147288269871495e-07, 1.0056775122814111e-08),
+    ('sr88_mz', 'delta_g', 5.0): (6.145381101315497e-10, 2.8001575547326895e-10),
+    ('sr88_mz', 'delta_g', 10.0): (2.691726879747621e-09, 1.119836593185506e-09),
+    ('sr88_mz', 'delta_g', 30.0): (4.664868808298509e-08, 1.0056775120862911e-08),
+    ('sr88_mz', 'bar_g', 5.0): (2.0381005062699384e-09, 2.8001575547326895e-10),
+    ('sr88_mz', 'bar_g', 10.0): (9.086699781965442e-09, 1.119836593185506e-09),
+    ('sr88_mz', 'bar_g', 30.0): (1.7147288269871495e-07, 1.0056775120862911e-08),
 }
 
 
@@ -578,3 +588,69 @@ def test_bouncer_scenario_has_no_interferometer_routes():
                   est.qfi_pure_parametric, est.fi_numeric, oracle.qfi_numeric):
         with pytest.raises(ValueError):
             route(sc)
+
+
+# ---------------------------------------------------------------------------
+# Mach-Zehnder against mpmath with the exact potential difference
+# ---------------------------------------------------------------------------
+
+def _mz_mp(p, target):
+    """mpmath (E0, E1, dt / (hbar c^2), delta_v_mz, d delta_v_mz / d target) of a
+    Mach-Zehnder set, the anchors g (x_pm0 - x0) held fixed.  The derivative is
+    the target's lever: -h_bar_mz for delta_g, delta_h for bar_g."""
+    f = mp.mpf
+    h_plus, h_minus = f(p.x_plus) - f(p.x_plus0), f(p.x_minus) - f(p.x_minus0)
+    dv = f(p.g_plus) * h_plus + f(p.g) * (f(p.x_plus0) - f(p.x0)) \
+        - f(p.g_minus) * h_minus - f(p.g) * (f(p.x_minus0) - f(p.x0))
+    ddv = -(h_plus + h_minus) / 2 if target == "delta_g" else h_plus - h_minus
+    return f(p.e0), f(p.e1), f(p.dt) / (f(p.hbar) * f(p.c) ** 2), dv, ddv
+
+
+def _mz_params(dt):
+    return core.params_from_config(core.load_config(CONFIG_DIR / "sr88_mz.cfg")).replace(dt=dt)
+
+
+@pytest.mark.parametrize("target", ["delta_g", "bar_g"])
+def test_mz_reduced_closed_against_mpmath(target):
+    """qfi_mz_reduced_closed at 10 s within 1e-14 of its mpmath value with the
+    exact potential difference (4.6e-11 off while the anchors carried V0)."""
+    p = _mz_params(10.0)
+    e0, e1, k, dv, lever = _mz_mp(p, target)
+    ref = ((e1 - e0) * lever * k / 2) ** 2 \
+        + ((e0 + e1) / 2 * lever * k) ** 2 * mp.cos((e1 - e0) * dv * k / 2) ** 2
+    got = est.closed_reduced_qfi(est.Scenario("mach_zehnder", p, target))
+    assert abs(got / ref - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("target", ["delta_g", "bar_g"])
+@pytest.mark.parametrize("dt", [5.0, 10.0, 30.0])
+def test_mz_fi_numeric_against_two_cosine_mpmath(target, dt):
+    """fi_numeric within 1e-12 of the two-cosine detector model in mpmath,
+    P_pm = 1/2 +- (cos gamma_0 + cos gamma_1) / 4 with gamma_i = E_i dv dt / (hbar c^2)
+    and the exact potential difference dv (5.7e-12 to 1.9e-10 off with V0)."""
+    p = _mz_params(dt)
+    e0, e1, k, dv, ddv = _mz_mp(p, target)
+    gammas = [e * dv * k for e in (e0, e1)]
+    p_plus = mp.mpf(0.5) + sum(mp.cos(g) for g in gammas) / 4
+    dp = -sum(mp.sin(g) * e * ddv * k for g, e in zip(gammas, (e0, e1))) / 4
+    ref = dp**2 / p_plus + dp**2 / (1 - p_plus)
+    got = est.fi_numeric(est.Scenario("mach_zehnder", p, target))
+    assert abs(got / ref - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("config,target", [("sr88_freefall", "g"), ("sr88_mz", "delta_g"),
+                                           ("sr88_mz", "bar_g")])
+def test_every_ledger_term_is_observable(config, target):
+    """Each ledger term depends on the target or differs between the two paths of
+    its level: a phase that does neither (a rest energy, a constant potential)
+    shifts one level by a constant no route can see.  A term that is zero on both
+    paths (level 0's clock terms at E0 = 0) is no phase at all."""
+    params = core.params_from_config(core.load_config(CONFIG_DIR / f"{config}.cfg"))
+    kind = "free_fall" if target == "g" else "mach_zehnder"
+    state = est.Scenario(kind, params, target).tangent().make_state()
+    for level in (0, 1):
+        plus, minus = (dict(state.branch(path, level).ledger.terms) for path in ("plus", "minus"))
+        assert plus.keys() == minus.keys()
+        for name in plus:
+            (v_p, d_p), (v_m, d_m) = ga.split(plus[name]), ga.split(minus[name])
+            assert d_p != 0 or d_m != 0 or v_p != v_m or v_p == v_m == 0, (level, name)

@@ -23,7 +23,6 @@ def _toy_params(z1=3e-7, dt=0.6, **kw):
     base = dict(
         m=1.0, e0=0.0, e1=z1 * 1.0 * 100.0**2, g=1.7,
         x_plus=3.0, x_minus=0.5, x0=0.3, sigma=0.8, dt=dt, phi=0.0,
-        v0=0.9,
     )
     base.update(kw)
     p = core.build_params(**base)
@@ -55,7 +54,7 @@ def test_no_rest_mass_term_in_any_ledger(sr88_10s):
     for b in state.components:
         names = [name for name, _ in b.ledger.terms]
         assert all("mc2" not in n and "rest_mass" not in n for n in names)
-        assert "rest_internal" in names
+        assert "rest_internal" not in names
         # Each term is reduced mod 2 pi before float evaluation.
         assert abs(float(b.ledger.constant_wrapped())) < 2 * math.pi * (len(names) + 1)
 
@@ -135,15 +134,14 @@ def _propagator_reference(p, branch, xs):
     Independent of the closed-form map: a straight quadrature of
     K(x,t;x') = sqrt(m*/(2 pi i hbar t)) exp{(i/hbar)[m*(x-x')^2/(2t)
     - F t (x+x')/2 - F^2 t^3/(24 m*)]} against the initial packet, with
-    F the potential-energy slope and the constant potential/internal
-    energies folded in afterwards.
+    F the potential-energy slope and the potential's value at x = 0,
+    -m (1+z) g x0, folded in afterwards.  Like the map, it has no
+    rest-energy phase.
     """
     z = p.z_eff(branch.internal_level)
-    e_i = p.e1 if branch.internal_level == 1 else p.e0
     m_eff = mp.mpf(p.m) / (1 - mp.mpf(z))
     force = mp.mpf(p.m) * (1 + mp.mpf(z)) * mp.mpf(p.g)
-    const = mp.mpf(p.m) * (1 + mp.mpf(z)) * (mp.mpf(p.v0) - mp.mpf(p.g) * mp.mpf(p.x0)) \
-        + mp.mpf(e_i)
+    const = -mp.mpf(p.m) * (1 + mp.mpf(z)) * mp.mpf(p.g) * mp.mpf(p.x0)
     t = mp.mpf(p.dt)
     hb = mp.mpf(p.hbar)
     sig = mp.mpf(p.sigma)
