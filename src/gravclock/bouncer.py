@@ -38,6 +38,10 @@ Gaussian projections of Ai come from the two-sided Laplace transform:
         = 2 sqrt(pi) s exp(s^2 w + (2/3) s^6) Ai(w + s^4),
 
 evaluated in log space because the two factors overflow separately.
+The projection reads no dt, so ``bouncer_coefficients`` shares one read-only
+solve per dt-free parameter set and level count: a dt sweep solves one.  The
+module loads ``core`` and numpy only; the three oracle functions import their
+``oracle`` and ``gaussian`` names when called, so the closed route loads neither.
 """
 
 from __future__ import annotations
@@ -50,9 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g, require_floor_clearance
-from .gaussian import wrap_angle
-from .oracle import (Grid, GridWavefunction, OracleError, bures_miss, bures_stencil,
-                     richardson_bures_qfi)
 
 _LD = np.longdouble
 
@@ -476,6 +477,7 @@ def bouncer_spectrum(params: PhysicalParams, n_max: int) -> BouncerSpectrum:
         l_i = lengths[i]
         band[i] = params.m * params.g * (-zeros) * l_i * (1.0 + z_i)
         norms[i] = 1.0 / (math.sqrt(l_i) * aip)
+    band.flags.writeable = norms.flags.writeable = False
     return BouncerSpectrum(n_max, zeros, lengths, band, norms)
 
 
@@ -507,6 +509,12 @@ def _path_projection(params: PhysicalParams, spectrum: BouncerSpectrum,
 def _auto_n_max(params: PhysicalParams) -> int:
     """Smallest n past both paths' peaks where their coefficients die to 1e-8, at most 1e4.
 
+    A path at x has |c_n| ~ exp(s^2 w + (2/3) s^6) |Ai(w + s^4)|, w = z_n + x / l0, s = sigma / l0.
+    Above its peak (w < 0) that is at most the Gaussian exp(-(w / 2s)^2) down to w = -s^4; past
+    it, on the momentum tail, Ai oscillates and |c_n| falls only as exp(s^2 w + (2/3) s^6), so
+    there the larger of the two is the estimate.  For s > 1.96 the tail starts below 1e-8
+    (exp(-s^6 / 3)) and changes no count; s = 0.52 needs 458 levels, the Gaussian alone 224.
+
     Levels are scanned in blocks of 512 zeros, each block in one pass: the
     running peak (carried across blocks) includes level n itself, and the
     first level below 1e-8 of it that also lies past the upper path's peak,
@@ -522,8 +530,13 @@ def _auto_n_max(params: PhysicalParams) -> int:
     for n_lo in range(1, BOUNCER_N_MAX_CAP + 1, block_size):
         n_hi = min(n_lo + block_size - 1, BOUNCER_N_MAX_CAP)
         zeros = engine.zeros(n_hi)[n_lo - 1:]
-        mag = np.maximum(np.exp(-((zeros + params.x_plus / l0) / (2.0 * s)) ** 2),
-                         np.exp(-((zeros + params.x_minus / l0) / (2.0 * s)) ** 2))
+        mag = np.zeros_like(zeros)
+        for x in (params.x_plus, params.x_minus):
+            w = zeros + x / l0
+            expo = -(w / (2.0 * s)) ** 2
+            tail = w < -s**4
+            expo[tail] = np.maximum(expo[tail], s * s * w[tail] + (2.0 / 3.0) * s**6)
+            np.maximum(mag, np.exp(expo), out=mag)
         peak = np.maximum(np.maximum.accumulate(mag), best)
         done = np.flatnonzero((peak > 0) & (mag < 1e-8 * peak) & (zeros < z_top))
         if done.size:
@@ -542,9 +555,15 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> Bo
     The combined coefficients (c+ + e^{i phi} c-)/2 are renormalized to
     unit total mass (ignoring branch overlap); the factor is reported, and
     one below 1e-6 (the paths cancel) raises ValueError.
+    Nothing here reads dt: the solve is keyed on the parameters at dt = 0 and the
+    level count (the last 8 kept) and shared read-only, so a dt sweep solves it once.
     """
-    if n_max is None:
-        n_max = _auto_n_max(params)
+    return _projection(params.replace(dt=0.0), _auto_n_max(params) if n_max is None else n_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _projection(params: PhysicalParams, n_max: int) -> BouncerProjection:
+    """``bouncer_coefficients`` at a given level count."""
     spectrum = bouncer_spectrum(params, n_max)
     c_plus = np.empty((2, n_max))
     c_minus = np.empty((2, n_max))
@@ -558,15 +577,18 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> Bo
     tail = max(abs(1.0 - mass) for mass in masses)
     if not tail <= 1e-3:
         advice = ("no level count up to the cap holds this packet" if n_max == BOUNCER_N_MAX_CAP
-                  else "raise n_max or leave it unset")
+                  else "more levels would hold more of it")
         raise ValueError(f"coefficient truncation mass |1 - mass| = {tail:.2e} > 1e-3 at "
-                         f"n_max = {n_max}; {advice}")
+                         f"{n_max} levels; {advice}")
     total = float(np.sum(np.abs(combined) ** 2))
     renorm = math.sqrt(total)
     if renorm < 1e-6:
         raise ValueError(f"the two paths cancel at phi = {params.phi!r}: the combined "
                          f"projection has norm {renorm:.2e} < 1e-6, no state to normalize")
-    return BouncerProjection(spectrum, c_plus, c_minus, combined / renorm, tail, renorm)
+    coefficients = combined / renorm
+    for array in (c_plus, c_minus, coefficients):
+        array.flags.writeable = False
+    return BouncerProjection(spectrum, c_plus, c_minus, coefficients, tail, renorm)
 
 
 def denergy_dg(params: PhysicalParams, spectrum: BouncerSpectrum) -> np.ndarray:
@@ -603,6 +625,7 @@ def bouncer_grid(params: PhysicalParams, projection: BouncerProjection) -> Grid:
     """Grid from the floor to 12 Airy lengths past the highest contributing turning point, on
     the fewest points spaced <= 1/8 of the shortest Airy wavelength there (2890 on
     configs/bouncer.cfg); the trapezoid's O(h^6) floor error is left to the floor terms."""
+    from .oracle import Grid
     weights = np.abs(projection.coefficients) ** 2
     z_sel = projection.spectrum.zeros[np.any(weights > 1e-16 * weights.max(), axis=0)]
     l_max = max(projection.spectrum.lengths)
@@ -645,6 +668,8 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     l_{s,i}^(-k-1/2) sum_n c_n p_k(z_n) over the same rows and phases, with
     Ai^(k)(z_n) = p_k(z_n) Ai'(z_n) and N_{i,n} Ai'(z_n) = l_i^(-1/2): no Airy call.
     """
+    from .gaussian import wrap_angle
+    from .oracle import GridWavefunction
     xs = grid.xs()
     zeros = family[0][1].spectrum.zeros
     weights = np.abs(np.array([proj.coefficients for _, proj in family]))
@@ -713,6 +738,7 @@ def bouncer_qfi_numeric(params: PhysicalParams) -> float:
     the search reaches only from below the fidelity window, raises OracleError:
     at once, before any render, where the long-time QFI is 0 (dt = 0).
     """
+    from .oracle import OracleError, bures_miss, bures_stencil, richardson_bures_qfi
     center = bouncer_coefficients(params)
     grid = bouncer_grid(params, center)
     # Start the offset search where the long-time QFI puts 1 - F at 2e-4.

@@ -21,13 +21,19 @@ Identical configs produce byte-identical output.  ``fit`` fits the
 log-log slope of one numeric column, never the regime flags.
 
 A CLI process runs numpy's OpenBLAS on one thread unless
-``OPENBLAS_NUM_THREADS`` is set, and imports ``oracle`` and ``bouncer``
-only when a route that needs them runs.
+``OPENBLAS_NUM_THREADS`` is set, and imports only the modules its routes
+use: a bouncer ``closed`` sweep loads ``cli``, ``core`` and ``bouncer``;
+``estimation`` (with ``gaussian``) comes with an interferometer route or a
+``run`` report, ``oracle`` with an oracle route.  A bouncer dt sweep solves
+its dt-free projection once (``bouncer.bouncer_coefficients``).  The
+process entry ``entry`` freezes the heap once ``main`` returns, so
+interpreter shutdown makes no cyclic-GC pass over it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -44,10 +50,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import estimation as est
 from .core import (
     ConfigError,
     ParamsError,
+    Scenario,
     check_regime,
     load_config,
     params_from_config,
@@ -64,17 +70,16 @@ def _module(name: str):
 
 
 # ROUTES[scenario][method] -> ((column, route), ...), methods in evaluation
-# order.  A route maps an estimation.Scenario to a value; it looks its
-# function up through the module at call time, so patched or traced
-# module attributes are honoured, and ``oracle`` and ``bouncer`` are
-# imported only by the routes that use them.
+# order.  A route maps a core.Scenario to a value; it looks its function up
+# through the module at call time, so patched or traced module attributes
+# are honoured, and each module is imported only by the routes that use it.
 _INTERFEROMETER_ROUTES = {
-    "closed": (("qfi_closed", lambda sc: est.closed_qfi(sc)),),
-    "parametric": (("qfi_parametric", lambda sc: est.qfi_pure_parametric(sc)),),
+    "closed": (("qfi_closed", lambda sc: _module("estimation").closed_qfi(sc)),),
+    "parametric": (("qfi_parametric", lambda sc: _module("estimation").qfi_pure_parametric(sc)),),
     "oracle": (("qfi_oracle", lambda sc: _module("oracle").qfi_numeric(sc)),),
-    "reduced": (("qfi_reduced", lambda sc: est.closed_reduced_qfi(sc)),),
-    "fi": (("fi_closed", lambda sc: est.closed_fi(sc)),
-           ("fi_numeric", lambda sc: est.fi_numeric(sc))),
+    "reduced": (("qfi_reduced", lambda sc: _module("estimation").closed_reduced_qfi(sc)),),
+    "fi": (("fi_closed", lambda sc: _module("estimation").closed_fi(sc)),
+           ("fi_numeric", lambda sc: _module("estimation").fi_numeric(sc))),
 }
 ROUTES = {
     "free_fall": _INTERFEROMETER_ROUTES,
@@ -127,7 +132,7 @@ class SweepSpec:
 class ScenarioConfig:
     """One run: the scenario (which checks its own kind and target) and what is asked of it."""
 
-    scenario: est.Scenario
+    scenario: Scenario
     methods: tuple[str, ...]
     sweep: SweepSpec | None = None
     out_dir: Path | None = None
@@ -176,11 +181,11 @@ def _evaluate_methods(cfg: ScenarioConfig) -> dict[str, float | None]:
     return out
 
 
-def run_single(cfg: ScenarioConfig) -> est.EstimationReport:
+def run_single(cfg: ScenarioConfig) -> "estimation.EstimationReport":
     values = _evaluate_methods(cfg)
     sc = cfg.scenario
     regime = check_regime(sc.params)
-    return est.EstimationReport(
+    return _module("estimation").EstimationReport(
         parameter_name=sc.target,
         **values,
         method_metadata={
@@ -328,7 +333,7 @@ def _build_scenario_config(args) -> ScenarioConfig:
             raise ConfigError(f"unknown sweep variable {args.var!r} (use: {', '.join(_SWEEP_VARS)})")
         sweep = SweepSpec(args.var, args.start, args.stop, args.points, args.log)
     cfg = ScenarioConfig(
-        scenario=est.Scenario(kind, params, cfg_map.get("scenario.target")), methods=methods,
+        scenario=Scenario(kind, params, cfg_map.get("scenario.target")), methods=methods,
         sweep=sweep, out_dir=Path(args.out) if args.out else None,
     )
     if cfg.out_dir is not None:     # an unusable path fails here, before any numerics
@@ -435,5 +440,14 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> int:
+    """``main`` for ``python -m gravclock.cli`` and the ``gravclock`` script, then
+    ``gc.freeze()``: shutdown skips the cyclic-GC passes over what numpy and
+    gravclock made, and still runs refcount teardown, atexit and stream flushes."""
+    rc = main()
+    gc.freeze()
+    return rc
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

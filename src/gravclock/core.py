@@ -1,4 +1,5 @@
-"""Scenario parameters, regime checks, the Sr-88 baseline and configuration.
+"""Scenario parameters, the scenario record, regime checks, the Sr-88 baseline
+and configuration.
 
 Everything is SI. The clock is a two-level system with internal energies
 ``E0 <= E1`` riding on an atom of mass ``m``; the dimensionless ratios
@@ -301,6 +302,75 @@ def require_kink_clearance(params: PhysicalParams) -> None:
     if not clearance > 5.0 * width:
         raise ParamsError("geometry.x0_m, geometry.sigma_m, time.dt_s: a branch straddles the potential kink "
                           f"(kink clearance min |x_pm - x0| = {clearance!r}, 5 Sigma = {5.0 * width!r})")
+
+
+# ---------------------------------------------------------------------------
+# Scenarios
+# ---------------------------------------------------------------------------
+
+# Targets each scenario can estimate; the first is the default.
+TARGETS = {
+    "free_fall": ("g",),
+    "mach_zehnder": ("delta_g", "bar_g"),
+    "bouncer": ("g",),
+}
+
+# d(g, g_plus, g_minus) / d(target): with_value's g_pm = bar_g -+ delta_g / 2.
+_DIRECTIONS = {"g": (1.0, 0.0, 0.0), "delta_g": (0.0, -0.5, 0.5), "bar_g": (0.0, 1.0, 1.0)}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A parametrized state family: which interferometer, which parameter.
+    The constructor is the one check of kind and target (a ConfigError); the
+    methods that make states import ``gaussian``, so a bouncer sweep never does."""
+
+    kind: str
+    params: PhysicalParams
+    target: str | None = None     # None: the kind's first target
+
+    def __post_init__(self) -> None:
+        if self.kind not in TARGETS:
+            raise ConfigError(f"unknown scenario {self.kind!r} (use: {', '.join(TARGETS)})")
+        if self.target is None:
+            object.__setattr__(self, "target", TARGETS[self.kind][0])
+        if self.target not in TARGETS[self.kind]:
+            raise ConfigError(f"{self.kind} estimates {' or '.join(TARGETS[self.kind])}")
+
+    def value(self) -> float:
+        return getattr(self.params, self.target)
+
+    def with_value(self, value: float) -> "Scenario":
+        p = self.params
+        if self.target == "g":
+            new = p.replace(g=value)
+        elif self.target == "delta_g":
+            bar = p.bar_g
+            new = p.replace(g_plus=bar - 0.5 * value, g_minus=bar + 0.5 * value)
+        else:
+            delta = p.delta_g
+            new = p.replace(g_plus=value - 0.5 * delta, g_minus=value + 0.5 * delta)
+        return Scenario(self.kind, new, self.target)
+
+    def make_state(self, value: float | None = None):
+        from .gaussian import evolve_state
+        sc = self if value is None else self.with_value(value)
+        return evolve_state(sc.params, sc.kind)
+
+    def detector_state(self):
+        """The clock-free reference both detector routes interfere: the
+        scenario's map at E0 = E1 = 0 and phi = 0."""
+        from .gaussian import evolve_state
+        return evolve_state(self.params.replace(e0=0.0, e1=0.0, phi=0.0), self.kind)
+
+    def tangent(self) -> "Scenario":
+        """This scenario with g, g_plus and g_minus as jets along the target:
+        the states it makes carry their derivatives with respect to it."""
+        from .gaussian import Jet
+        p = self.params
+        slopes = {name: Jet(getattr(p, name), d)
+                  for name, d in zip(("g", "g_plus", "g_minus"), _DIRECTIONS[self.target])}
+        return Scenario(self.kind, p.replace(**slopes), self.target)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ on ``Scenario.tangent()``: its slopes are jets (``gaussian.Jet``), so every
 derivative comes from the evolution maps' own arithmetic.  A phase longdouble
 cannot resolve raises ValueError instead of being wrapped to noise.
 
-Every engine takes a ``Scenario`` (kind, parameters, target) and makes its
-own state; ``Scenario.detector_state`` is the clock-free reference both
-detector routes interfere.  Its constructor is the one check of kind and
-target, a ConfigError in the CLI's words.
+Every engine takes a ``core.Scenario`` (kind, parameters, target; also
+importable from here) and makes its own state; ``Scenario.detector_state``
+is the clock-free reference both detector routes interfere.
 
 Parameter conventions for the two interferometers:
 
@@ -41,85 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PhysicalParams
-from .gaussian import (
-    ClockState,
-    GaussianBranch,
-    Jet,
-    PairMoments,
-    PhaseLedger,
-    evolve_state,
-    split,
-    wrap_angle,
-)
+from .core import PhysicalParams, Scenario    # also looked up here (perfbench/checks.py)
+from .gaussian import ClockState, GaussianBranch, Jet, PairMoments, PhaseLedger, split, wrap_angle
 
 _LD = np.longdouble
 _LD_ONE = _LD(1.0)
 _LD_EPS = float(np.finfo(_LD).eps)
-
-
-# ---------------------------------------------------------------------------
-# Scenarios
-# ---------------------------------------------------------------------------
-
-# Targets each scenario can estimate; the first is the default.
-TARGETS = {
-    "free_fall": ("g",),
-    "mach_zehnder": ("delta_g", "bar_g"),
-    "bouncer": ("g",),
-}
-
-# d(g, g_plus, g_minus) / d(target): with_value's g_pm = bar_g -+ delta_g / 2.
-_DIRECTIONS = {"g": (1.0, 0.0, 0.0), "delta_g": (0.0, -0.5, 0.5), "bar_g": (0.0, 1.0, 1.0)}
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A parametrized state family: which interferometer, which parameter."""
-
-    kind: str
-    params: PhysicalParams
-    target: str | None = None     # None: the kind's first target
-
-    def __post_init__(self) -> None:
-        if self.kind not in TARGETS:
-            raise ConfigError(f"unknown scenario {self.kind!r} (use: {', '.join(TARGETS)})")
-        if self.target is None:
-            object.__setattr__(self, "target", TARGETS[self.kind][0])
-        if self.target not in TARGETS[self.kind]:
-            raise ConfigError(f"{self.kind} estimates {' or '.join(TARGETS[self.kind])}")
-
-    def value(self) -> float:
-        return getattr(self.params, self.target)
-
-    def with_value(self, value: float) -> "Scenario":
-        p = self.params
-        if self.target == "g":
-            new = p.replace(g=value)
-        elif self.target == "delta_g":
-            bar = p.bar_g
-            new = p.replace(g_plus=bar - 0.5 * value, g_minus=bar + 0.5 * value)
-        else:
-            delta = p.delta_g
-            new = p.replace(g_plus=value - 0.5 * delta, g_minus=value + 0.5 * delta)
-        return Scenario(self.kind, new, self.target)
-
-    def make_state(self, value: float | None = None) -> ClockState:
-        sc = self if value is None else self.with_value(value)
-        return evolve_state(sc.params, sc.kind)
-
-    def detector_state(self) -> ClockState:
-        """The clock-free reference both detector routes interfere: the
-        scenario's map at E0 = E1 = 0 and phi = 0."""
-        return evolve_state(self.params.replace(e0=0.0, e1=0.0, phi=0.0), self.kind)
-
-    def tangent(self) -> "Scenario":
-        """This scenario with g, g_plus and g_minus as jets along the target:
-        the states it makes carry their derivatives with respect to it."""
-        p = self.params
-        slopes = {name: Jet(getattr(p, name), d)
-                  for name, d in zip(("g", "g_plus", "g_minus"), _DIRECTIONS[self.target])}
-        return Scenario(self.kind, p.replace(**slopes), self.target)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Scenario
+from .core import Scenario
 from .gaussian import ClockState, GaussianBranch, wrap_angle
 
 _LD = np.longdouble

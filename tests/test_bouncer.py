@@ -121,23 +121,30 @@ def test_zeros_memoised_read_only_and_bit_equal_to_fresh_engine(count):
     assert np.array_equal(fresh.view(np.int64), zeros.view(np.int64))
 
 
-def _auto_n_max_scalar(params):
+def _auto_n_max_scalar(params, momentum_tail=True):
     """The per-level loop that _auto_n_max replaced, kept as its reference
-    (with the stop rule's condition that level n lies past both peaks)."""
+    (with the stop rule's condition that level n lies past both peaks, and
+    the momentum tail's exp(s^2 w + (2/3) s^6) past w = -s^4 unless
+    ``momentum_tail`` is False: the position-only count it used to give)."""
     engine = bc.default_engine()
     cap = core.BOUNCER_N_MAX_CAP
     best = 0.0
     n_lo = 1
+
+    def level_mag(w, s):
+        expo = -(w / (2.0 * s)) ** 2
+        if momentum_tail and w < -s**4:
+            expo = max(expo, s * s * w + (2.0 / 3.0) * s**6)
+        return math.exp(expo)
+
     while n_lo <= cap:
         n_hi = min(n_lo + 511, cap)
         zeros = engine.zeros(n_hi)[n_lo - 1:]
         l0 = bc.gravitational_length(params, 0)
         s = params.sigma / l0
         for n_idx, z_n in zip(range(n_lo, n_hi + 1), zeros):
-            mag = max(
-                math.exp(-((z_n + params.x_plus / l0) / (2.0 * s)) ** 2),
-                math.exp(-((z_n + params.x_minus / l0) / (2.0 * s)) ** 2),
-            )
+            mag = max(level_mag(z_n + params.x_plus / l0, s),
+                      level_mag(z_n + params.x_minus / l0, s))
             best = max(best, mag)
             past_peaks = z_n < -max(params.x_plus, params.x_minus) / l0
             if best > 0 and mag < 1e-8 * best and past_peaks:
@@ -184,6 +191,59 @@ def test_auto_n_max_warns_at_the_cap(bouncer_params):
     with pytest.warns(UserWarning, match="n_max cap"):
         assert bc._auto_n_max(params) == core.BOUNCER_N_MAX_CAP
     assert _auto_n_max_scalar(params) == core.BOUNCER_N_MAX_CAP
+
+
+@pytest.mark.parametrize("sigma,position_only,levels", [(2e-7, 224, 458), (1e-7, 217, 1516)])
+def test_auto_n_max_holds_narrow_packets(bouncer_params, sigma, position_only, levels):
+    """A packet narrower than the Airy length (s = sigma / l0 = 0.52 and 0.26
+    on configs/bouncer.cfg) reaches levels far above its position peak through
+    its momentum width.  The position-only count missed 2.45e-2 and 41.7% of
+    its mass (exit 3); the count with the momentum tail holds all of it."""
+    params = bouncer_params.replace(sigma=sigma)
+    assert _auto_n_max_scalar(params, momentum_tail=False) == position_only
+    assert bc._auto_n_max(params) == _auto_n_max_scalar(params) == levels
+    assert bc.bouncer_coefficients(params).tail < 1e-13
+
+
+@pytest.mark.parametrize("signs", [(0, 0, 0, 0)] + [tuple(int(c) * 2 - 1 for c in f"{k:04b}")
+                                                    for k in range(16)])
+def test_momentum_tail_leaves_the_sample_counts(bouncer_params, signs):
+    """configs/bouncer.cfg (454 levels) and the corners of the +-2% box of g,
+    x+, x- and sigma that perfbench draws from: s ~ 7.8, so the momentum tail
+    starts below 1e-8 (exp(-s^6 / 3)) and the count is the position-only one."""
+    p = bouncer_params
+    params = p.replace(**{name: getattr(p, name) * (1.0 + 0.02 * sign) for name, sign
+                          in zip(("g", "x_plus", "x_minus", "sigma"), signs)})
+    assert bc._auto_n_max(params) == _auto_n_max_scalar(params, momentum_tail=False)
+    if signs == (0, 0, 0, 0):
+        assert bc._auto_n_max(params) == 454
+
+
+def test_projection_arrays_are_read_only(bouncer_params):
+    """bouncer_coefficients shares one solve among its callers: no caller
+    may write into it."""
+    proj = bc.bouncer_coefficients(bouncer_params)
+    for array in (proj.c_plus, proj.c_minus, proj.coefficients, proj.spectrum.band,
+                  proj.spectrum.norms, proj.spectrum.zeros):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.0
+
+
+@pytest.mark.parametrize("dt", [0.0, 0.05, 0.7, 3.0])
+def test_shared_projection_bit_identical_to_uncached_solve(bouncer_params, dt):
+    """configs/bouncer.cfg with time.dt_s changed: the projection is the one
+    solved at the sample's dt, and bit for bit what a solve at this dt gives."""
+    params = bouncer_params.replace(dt=dt)
+    proj = bc.bouncer_coefficients(params)
+    assert proj is bc.bouncer_coefficients(bouncer_params)
+    fresh = bc._projection.__wrapped__(params, bc._auto_n_max(params))
+    assert fresh is not proj
+    for name in ("c_plus", "c_minus", "coefficients"):
+        assert getattr(fresh, name).tobytes() == getattr(proj, name).tobytes()
+    for name in ("zeros", "band", "norms"):
+        assert getattr(fresh.spectrum, name).tobytes() == getattr(proj.spectrum, name).tobytes()
+    assert (fresh.tail, fresh.renorm, fresh.spectrum.lengths, fresh.spectrum.n_max) \
+        == (proj.tail, proj.renorm, proj.spectrum.lengths, proj.spectrum.n_max)
 
 
 def test_engine_accuracy_against_mpmath_grid():
@@ -877,7 +937,7 @@ def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
     g -+ d/4 as one family, fills it with one ai_rows call per 12-row chunk
     of the kept rows, and asks the miss for exactly d, then d/2."""
     families, offsets, chunks = [], [], []
-    render, ai_rows, richardson = bc.render_spectral, bc.AiryEngine.ai_rows, bc.richardson_bures_qfi
+    render, ai_rows, richardson = bc.render_spectral, bc.AiryEngine.ai_rows, orc.richardson_bures_qfi
 
     def counting_render(params, family, *args):
         families.append(family)
@@ -892,7 +952,7 @@ def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
 
     monkeypatch.setattr(bc, "render_spectral", counting_render)
     monkeypatch.setattr(bc.AiryEngine, "ai_rows", counting_ai_rows)
-    monkeypatch.setattr(bc, "richardson_bures_qfi", recording_richardson)
+    monkeypatch.setattr(orc, "richardson_bures_qfi", recording_richardson)   # bouncer looks it up there
     p = bouncer_params
     bc.bouncer_qfi_numeric(p)
     (family,) = families

@@ -346,7 +346,7 @@ def test_bad_method_and_target_exit_2(tmp_path, capsys):
 ], ids=["unknown-kind", "mz-target-g"])
 def test_scenario_kind_and_target_refused_exit_2(tmp_path, capsys, monkeypatch, key, value,
                                                  message):
-    """estimation.Scenario is the one check of kind and target: a config error,
+    """core.Scenario is the one check of kind and target: a config error,
     exit 2, before any method runs."""
     calls = []
     monkeypatch.setattr(cli, "_evaluate_methods", lambda *args: calls.append(args))
@@ -422,6 +422,64 @@ def test_bouncer_truncating_n_max_exit_3(tmp_path, capsys, monkeypatch, n_max, x
     assert captured.out == ""
     assert not (out / "report.json").exists()
     assert not [w for w in caught if "destructive" in str(w.message)]
+
+
+@pytest.mark.parametrize("sigma", ["2e-7", "1e-7"])
+def test_bouncer_narrow_packet_runs(tmp_path, capsys, sigma):
+    """A packet narrower than the Airy length (l0 = 3.84e-7 m on
+    configs/bouncer.cfg), floor clearance held: the automatic count used to
+    ignore its momentum width and exit 3 (truncation mass 2.45e-2 at 224
+    levels for 2e-7, 41.7% at 217 for 1e-7), advising a deleted config key.
+    Now exit 0, silent, with the value of a basis a third larger."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(_config_with("bouncer.cfg", ("geometry.sigma_m", sigma)))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(cfg), "--methods", "closed", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    auto = json.loads((out / "report.json").read_text())["qfi_closed"]
+    p = core.params_from_config(core.load_config(cfg))
+    wider = bc.bouncer_coefficients(p, 4 * bc._auto_n_max(p) // 3)
+    assert auto == pytest.approx(bc.bouncer_qfi_longtime(p, projection=wider), rel=1e-12)
+
+
+def test_bouncer_sigma_sweep_from_narrow_packets(tmp_path, capsys):
+    """A sweep of sigma from 1e-7 m (s = 0.26) to 3e-6 m: every row holds its
+    packet, so the sweep exits 0 with nothing on stderr."""
+    out = tmp_path / "sw"
+    rc = cli.main(["sweep", "--config", str(CONFIGS / "bouncer.cfg"), "--var", "sigma",
+                   "--from", "1e-7", "--to", "3e-6", "--points", "6", "--log",
+                   "--methods", "closed", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert all(v > 0 for v in cli.read_table(out / "sweep.csv")["qfi_closed"])
+
+
+def test_truncation_advice_names_no_config_key(bouncer_params, capsys, monkeypatch):
+    """The level count has no config key (bouncer.n_max is an unknown key), so
+    the message used to advise "raise n_max or leave it unset" in vain."""
+    with pytest.raises(ValueError, match="at 120 levels; more levels would hold more of it"):
+        bc.bouncer_coefficients(bouncer_params, 120)
+    monkeypatch.setattr(bc, "_auto_n_max", lambda params: 120)
+    rc = cli.main(["run", "--config", str(CONFIGS / "bouncer.cfg"), "--methods", "closed"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "at 120 levels; more levels would hold more of it" in err
+    assert "raise n_max" not in err and "bouncer.n_max" not in err
+
+
+@pytest.mark.parametrize("var,start,stop,solves", [("dt", "0.05", "0.5", 1),
+                                                   ("g", "9.6", "10.0", 40)])
+def test_bouncer_sweep_projection_solves(tmp_path, monkeypatch, var, start, stop, solves):
+    """The projection reads no dt: a 40-row dt sweep solves it once, and a
+    40-row g sweep, whose every row is a new state, once per row."""
+    bc._projection.cache_clear()
+    spectra = []
+    spectrum = bc.bouncer_spectrum
+    monkeypatch.setattr(bc, "bouncer_spectrum", lambda *args: spectra.append(args) or spectrum(*args))
+    rc = cli.main(["sweep", "--config", str(CONFIGS / "bouncer.cfg"), "--var", var,
+                   "--from", start, "--to", stop, "--points", "40", "--methods", "closed",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(spectra) == solves
 
 
 def test_bouncer_without_floor_clearance_exit_2(tmp_path, capsys, monkeypatch):
@@ -606,8 +664,8 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys, name, line):
 def test_route_table_owns_scenarios_and_columns():
     """Every scenario has targets, and every route column is a report field
     and a CSV column.  The CLI looks ROUTES up by a kind that only
-    estimation.Scenario checked, so the two tables name the same kinds."""
-    assert set(cli.ROUTES) == set(est.TARGETS)
+    core.Scenario checked, so the two tables name the same kinds."""
+    assert set(cli.ROUTES) == set(core.TARGETS)
     fields = {f.name for f in dataclasses.fields(est.EstimationReport)}
     for routes in cli.ROUTES.values():
         for pairs in routes.values():
@@ -660,7 +718,7 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("forced failure")
 
-    monkeypatch.setattr(cli.est, "qfi_pure_parametric", boom)
+    monkeypatch.setattr(est, "qfi_pure_parametric", boom)   # the route looks it up at call time
     rc = cli.main(["run", "--config", str(cfg), "--methods", "parametric"])
     assert rc == 3
 

@@ -229,7 +229,7 @@ def test_engines_evolve_at_most_twice_per_point(sr88_10s, monkeypatch, engine, k
     reference at the centre and at +-h, +-h/2)."""
     calls = []
     evolve = ga.evolve_state
-    monkeypatch.setattr(est, "evolve_state", lambda *args: calls.append(args) or evolve(*args))
+    monkeypatch.setattr(ga, "evolve_state", lambda *args: calls.append(args) or evolve(*args))
     engine(est.Scenario(kind, sr88_10s, target))
     assert 1 <= len(calls) <= 2
 
@@ -392,7 +392,7 @@ def test_scenario_validation():
 def test_scenario_target_defaults_to_the_kinds_first():
     """A Scenario built without a target estimates its kind's first target, as
     TARGETS says; the Mach-Zehnder used to default to g and raise ConfigError."""
-    for kind, targets in est.TARGETS.items():
+    for kind, targets in core.TARGETS.items():
         assert est.Scenario(kind, core.SR88_10S).target == targets[0]
     with pytest.raises(core.ConfigError, match="unknown scenario"):
         est.Scenario("pendulum", core.SR88_10S)

@@ -524,9 +524,9 @@ def test_oracle_rounding_noise_floor(case, monkeypatch):
         pairs[asked[-1]] = (psi_a, psi_b)
         return miss(psi_a, psi_b)
 
-    for module in (orc, bc):
-        monkeypatch.setattr(module, "richardson_bures_qfi", recording_search)
-        monkeypatch.setattr(module, "bures_miss", recording_miss)
+    # bouncer looks both up in oracle when its oracle runs.
+    monkeypatch.setattr(orc, "richardson_bures_qfi", recording_search)
+    monkeypatch.setattr(orc, "bures_miss", recording_miss)
     qfi = cli.ROUTES[scenario.kind]["oracle"][0][1](scenario)
     assert len(asked) == n_asked
     assert search(lambda d: miss(*pairs[d]), *args) == (qfi, True)

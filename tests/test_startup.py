@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,9 +25,9 @@ def _run(code: str, **env) -> str:
     return _python("-c", code, **env).decode()
 
 
-def _python(*args: str, **env) -> bytes:
-    """stdout bytes of ``python *args`` in the repo root, as for ``_run``;
-    the process must exit 0 with nothing on stderr."""
+def _spawn(*args: str, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in the repo root with src on the path and ``env`` set
+    (a value of None removes the variable), its output captured."""
     full = dict(os.environ)
     full["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        full.get("PYTHONPATH")]))
@@ -35,9 +36,14 @@ def _python(*args: str, **env) -> bytes:
             full.pop(key, None)
         else:
             full[key] = value
-    proc = subprocess.run([sys.executable, *args], env=full, cwd=ROOT,
-                          capture_output=True, check=True)
-    assert proc.stderr == b""
+    return subprocess.run([sys.executable, *args], env=full, cwd=ROOT, capture_output=True)
+
+
+def _python(*args: str, **env) -> bytes:
+    """stdout bytes of ``_spawn(*args, **env)``, which must exit 0 with
+    nothing on stderr."""
+    proc = _spawn(*args, **env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
     return proc.stdout
 
 
@@ -57,19 +63,41 @@ def test_airy_ai_still_served_from_the_package():
     assert aip == pytest.approx(-0.2588194037928068, abs=1e-15)
 
 
-def test_cli_loads_oracle_and_bouncer_only_for_their_routes():
-    out = _run(
-        "import contextlib, io, sys\n"
-        "from gravclock import cli\n"
-        "def run(cfg, methods):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        rc = cli.main(['run', '--config', cfg, '--methods', methods])\n"
-        "    print(rc, [m for m in ('gravclock.oracle', 'gravclock.bouncer') "
-        "if m in sys.modules])\n"
-        "print([m for m in ('gravclock.oracle', 'gravclock.bouncer') if m in sys.modules])\n"
-        "run('configs/sr88_freefall.cfg', 'closed,parametric,reduced,fi')\n"
-        "run('configs/bouncer.cfg', 'closed')\n")
-    assert out.splitlines() == ["[]", "0 []", "0 ['gravclock.oracle', 'gravclock.bouncer']"]
+def _modules_after(argv: list[str] | None) -> list[str]:
+    """The gravclock modules a fresh process holds after ``import gravclock.cli``
+    and, unless argv is None, one ``cli.main(argv)`` that must return 0."""
+    code = ("import contextlib, io, sys\n"
+            "from gravclock import cli\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('gravclock.'))))\n")
+    return _run(code).split()
+
+
+def test_cli_loads_oracle_and_bouncer_only_for_their_routes(tmp_path):
+    """Each op loads only the modules its routes use: a bouncer closed sweep
+    neither estimation nor gaussian nor oracle, a run adds estimation (its
+    report) and with it gaussian, and no closed route loads oracle."""
+    bouncer_sweep = ["sweep", "--config", "configs/bouncer.cfg", "--var", "dt", "--from", "0.1",
+                     "--to", "0.2", "--points", "3", "--methods", "closed", "--out", str(tmp_path)]
+    assert _modules_after(None) == ["gravclock.cli", "gravclock.core"]
+    assert _modules_after(bouncer_sweep) == ["gravclock.bouncer", "gravclock.cli", "gravclock.core"]
+    assert _modules_after(["run", "--config", "configs/bouncer.cfg", "--methods", "closed"]) == [
+        "gravclock.bouncer", "gravclock.cli", "gravclock.core", "gravclock.estimation",
+        "gravclock.gaussian"]
+    assert _modules_after(["run", "--config", "configs/sr88_freefall.cfg",
+                           "--methods", "closed,parametric,reduced,fi"]) == [
+        "gravclock.cli", "gravclock.core", "gravclock.estimation", "gravclock.gaussian"]
+
+
+def test_bouncer_import_loads_no_oracle_estimation_or_gaussian():
+    """perfbench's set-up probe imports gravclock.bouncer (through
+    gravclock.airy_ai): it loads core and nothing the closed route does not use."""
+    out = _run("import sys, gravclock.bouncer\n"
+               "print(' '.join(sorted(m for m in sys.modules if m.startswith('gravclock.'))))")
+    assert out.split() == ["gravclock.bouncer", "gravclock.core"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
@@ -114,3 +142,41 @@ def test_traced_bouncer_oracle_run_matches_untraced(tmp_path):
     assert summary["rc"] == 0
     assert summary["render_level_points"] > 0
     assert summary["groups"]["bouncer.airy"]["calls"] > 0
+
+
+_FAST = "closed,parametric,reduced,fi"
+_ENTRY_CASES = {
+    "freefall-run": (["run", "--config", "configs/sr88_freefall.cfg", "--methods", _FAST], 0),
+    "mz-sweep": (["sweep", "--config", "configs/sr88_mz.cfg", "--var", "dt", "--from", "5",
+                  "--to", "30", "--points", "4", "--log", "--methods", _FAST], 0),
+    "bouncer-run": (["run", "--config", "configs/bouncer.cfg", "--methods", "closed"], 0),
+    "exit-2": (["run", "--config", "configs/bouncer.cfg", "--methods", "parametric"], 2),
+    "exit-3": (["run", "--config", "{g_1e30}", "--methods", "fi"], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENTRY_CASES))
+def test_process_entry_matches_in_process_main(case, tmp_path):
+    """``python -m gravclock.cli`` and the console script's target (which
+    freeze the heap at exit) give the stdout, stderr, output files and exit
+    code of ``cli.main`` called in the process."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert '[project.scripts]\ngravclock = "gravclock.cli:entry"\n' in pyproject
+    cfg = tmp_path / "g_1e30.cfg"
+    lines = (ROOT / "configs/sr88_freefall.cfg").read_text().splitlines(keepends=True)
+    cfg.write_text("".join("physics.g = 1e30\n" if line.startswith("physics.g ") else line
+                           for line in lines))
+    argv, rc = _ENTRY_CASES[case]
+    argv = [arg.format(g_1e30=cfg) for arg in argv] + ["--out", str(tmp_path / "out")]
+    outcomes = []
+    for launch in (["-m", "gravclock.cli"],
+                   ["-c", "import sys\nfrom gravclock.cli import entry\nsys.exit(entry())"],
+                   ["-c", "import sys\nfrom gravclock import cli\nsys.exit(cli.main(sys.argv[1:]))"]):
+        proc = _spawn(*launch, *argv)
+        out = tmp_path / "out"
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+    assert outcomes[0][0] == rc
+    assert bool(outcomes[0][3]) == (rc == 0)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
