@@ -17,8 +17,10 @@ plots are reproducible by any external tool; unrequested methods leave
 their cells empty, and every row carries its regime flag.  Every sweep
 point's parameters are built before the first is evaluated, so a value
 that makes an invalid set is a config error (exit 2) and writes no CSV.
-Identical configs produce byte-identical output.  ``fit`` fits the
-log-log slope of one numeric column, never the regime flags.
+The jet routes (parametric, fi) then evaluate all rows in one array pass
+(``core.Scenario.column``), each row bit for bit its one-row value; ``run``
+is the one-row case.  Identical configs produce byte-identical output.
+``fit`` fits the log-log slope of one numeric column, never the regime flags.
 
 A CLI process runs numpy's OpenBLAS on one thread unless
 ``OPENBLAS_NUM_THREADS`` is set, and imports only the modules its routes
@@ -33,6 +35,7 @@ interpreter shutdown makes no cyclic-GC pass over it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import math
@@ -73,6 +76,8 @@ def _module(name: str):
 # order.  A route maps a core.Scenario to a value; it looks its function up
 # through the module at call time, so patched or traced module attributes
 # are honoured, and each module is imported only by the routes that use it.
+# The jet routes (_COLUMN_ROUTES) also map a column scenario
+# (core.Scenario.column) to one value per row.
 _INTERFEROMETER_ROUTES = {
     "closed": (("qfi_closed", lambda sc: _module("estimation").closed_qfi(sc)),),
     "parametric": (("qfi_parametric", lambda sc: _module("estimation").qfi_pure_parametric(sc)),),
@@ -94,6 +99,8 @@ CSV_COLUMNS = ("swept_value",
                *dict.fromkeys(column for routes in ROUTES.values()
                               for pairs in routes.values() for column, _ in pairs),
                "regime_ok")
+
+_COLUMN_ROUTES = frozenset({"qfi_parametric", "fi_numeric"})
 
 _SWEEP_VARS = ("dt", "sigma", "g")
 MAX_SWEEP_POINTS = 10**6     # a sweep's row count is refused above this
@@ -164,26 +171,42 @@ class ScenarioConfig:
 # Method evaluation
 # ---------------------------------------------------------------------------
 
-def _evaluate_methods(cfg: ScenarioConfig) -> dict[str, float | None]:
-    out: dict[str, float | None] = dict.fromkeys(CSV_COLUMNS[1:-1])
-    for method, pairs in ROUTES[cfg.scenario.kind].items():
-        if method not in cfg.methods:
-            continue
-        for column, route in pairs:
+def _evaluate_methods(cfg: ScenarioConfig, var: str, values: np.ndarray,
+                      rows: list[Scenario]) -> list[dict[str, float | None]]:
+    """Each row's requested columns; ``rows`` are ``cfg.scenario`` at ``var`` =
+    each of ``values``, each built and checked.  Each jet route runs once, on
+    the column of all rows (numpy's warnings silenced: each value is checked
+    below); the other routes run row by row.  A column pass that raises is
+    redone row by row, so the failure raised is the one met first with rows in
+    order and routes in order within a row; a sweep's message names its row."""
+    routes = [(method, column, route) for method, pairs in ROUTES[cfg.scenario.kind].items()
+              if method in cfg.methods for column, route in pairs]
+    passes = {}
+    for _, column, route in routes:
+        if column in _COLUMN_ROUTES:
+            with contextlib.suppress(Exception), np.errstate(all="ignore"):   # else row by row
+                passes[column] = np.broadcast_to(route(cfg.scenario.column(var, values)),
+                                                 len(rows)).tolist()
+    outs = []
+    for k, (value, row) in enumerate(zip(values.tolist(), rows)):
+        out: dict[str, float | None] = dict.fromkeys(CSV_COLUMNS[1:-1])
+        for method, column, route in routes:
+            where = f"column {column!r}" + (f" at {var} = {value!r}" if cfg.sweep else "")
             try:
-                value = route(cfg.scenario)
+                out[column] = passes[column][k] if column in passes else route(row)
             except Exception as exc:
-                raise NumericalFailure(method, ValueError(f"column {column!r}: {exc}")) from exc
-            if not math.isfinite(value):
+                raise NumericalFailure(method, ValueError(f"{where}: {exc}")) from exc
+            if not math.isfinite(out[column]):
                 raise NumericalFailure(method, ValueError(
-                    f"column {column!r} is {value}, not a finite number"))
-            out[column] = value
-    return out
+                    f"{where} is {out[column]}, not a finite number"))
+        outs.append(out)
+    return outs
 
 
 def run_single(cfg: ScenarioConfig) -> "estimation.EstimationReport":
-    values = _evaluate_methods(cfg)
+    """The one-row case of a sweep: ``cfg.scenario`` as a column of one dt."""
     sc = cfg.scenario
+    values = _evaluate_methods(cfg, "dt", np.array([sc.params.dt]), [sc])[0]
     regime = check_regime(sc.params)
     return _module("estimation").EstimationReport(
         parameter_name=sc.target,
@@ -206,21 +229,22 @@ class SweepRow:
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
-    """Evaluate the sweep points in order, one row each, on this thread; every
-    point's parameters are built and checked first, so an invalid one fails
-    before any numerics."""
+    """One row per sweep point, in sweep order.  Every point's parameters are
+    built and checked first, so an invalid one fails before any numerics; then
+    ``_evaluate_methods`` evaluates all rows, the jet routes in one array pass."""
     assert cfg.sweep is not None
-    var = cfg.sweep.variable
-    points = []
-    for value in cfg.sweep.values().tolist():
+    var, values = cfg.sweep.variable, cfg.sweep.values()
+    rows = []
+    for value in values.tolist():
         try:
             params = cfg.scenario.params.replace(**{var: value})
-            points.append((value, replace(cfg, scenario=replace(cfg.scenario, params=params))))
+            rows.append(replace(cfg, scenario=replace(cfg.scenario, params=params)).scenario)
         except (ParamsError, ConfigError) as exc:
             raise ConfigError(f"sweep --var {var} = {value!r} gives invalid parameters: "
                               f"{exc}") from exc
-    return [SweepRow(value, _evaluate_methods(point), check_regime(point.scenario.params).satisfied)
-            for value, point in points]
+    outs = _evaluate_methods(cfg, var, values, rows)
+    return [SweepRow(value, out, check_regime(row.params).satisfied)
+            for value, out, row in zip(values.tolist(), outs, rows)]
 
 
 def _fmt(value: float | None) -> str:

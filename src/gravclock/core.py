@@ -88,11 +88,13 @@ class PhysicalParams:
     z0: float = dataclasses.field(init=False, default=0.0)
     z1: float = dataclasses.field(init=False, default=0.0)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, check: bool = True) -> None:
         # z_i is derived only from a usable m c^2; the checks below name a bad m.
         mc2 = self.m * self.c**2
         object.__setattr__(self, "z0", self.e0 / mc2 if mc2 > 0 else 0.0)
         object.__setattr__(self, "z1", self.e1 / mc2 if mc2 > 0 else 0.0)
+        if not check:
+            return
         problems = []
         values = _float_fields(self)
         if not all(map(math.isfinite, values)):
@@ -205,18 +207,20 @@ class PhysicalParams:
     def delta_g(self) -> float:
         return self.g_minus - self.g_plus
 
-    def replace(self, **changes) -> "PhysicalParams":
+    def replace(self, *, check: bool = True, **changes) -> "PhysicalParams":
         """A copy with ``changes`` applied, validated like a new set.
 
         Same result as ``dataclasses.replace`` at a quarter of the cost:
         the fields are copied as a dict and only ``__post_init__`` runs.
+        ``check=False`` derives z_i but skips the checks: for jets, and for
+        arrays of sweep rows each checked on its own (``Scenario.column``).
         """
         unknown = changes.keys() - _INIT_FIELDS
         if unknown:
             raise TypeError(f"replace() got unknown or derived fields: {sorted(unknown)}")
         new = object.__new__(PhysicalParams)
         vars(new).update(vars(self), **changes)
-        new.__post_init__()
+        new.__post_init__(check)
         return new
 
 
@@ -361,7 +365,7 @@ class Scenario:
         """The clock-free reference both detector routes interfere: the
         scenario's map at E0 = E1 = 0 and phi = 0."""
         from .gaussian import evolve_state
-        return evolve_state(self.params.replace(e0=0.0, e1=0.0, phi=0.0), self.kind)
+        return evolve_state(self.params.replace(e0=0.0, e1=0.0, phi=0.0, check=False), self.kind)
 
     def tangent(self) -> "Scenario":
         """This scenario with g, g_plus and g_minus as jets along the target:
@@ -370,7 +374,12 @@ class Scenario:
         p = self.params
         slopes = {name: Jet(getattr(p, name), d)
                   for name, d in zip(("g", "g_plus", "g_minus"), _DIRECTIONS[self.target])}
-        return Scenario(self.kind, p.replace(**slopes), self.target)
+        return Scenario(self.kind, p.replace(check=False, **slopes), self.target)
+
+    def column(self, name: str, values) -> "Scenario":
+        """A sweep's rows as one scenario whose ``name`` (dt, sigma or g) is the
+        array ``values``, unchecked: the caller built each row on its own first."""
+        return Scenario(self.kind, self.params.replace(check=False, **{name: values}), self.target)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ checked against each other:
 These two and the classical FI (``classical_fi``) evaluate one state, made
 on ``Scenario.tangent()``: its slopes are jets (``gaussian.Jet``), so every
 derivative comes from the evolution maps' own arithmetic.  A phase longdouble
-cannot resolve raises ValueError instead of being wrapped to noise.
+cannot resolve raises ValueError instead of being wrapped to noise.  On a
+column scenario (``Scenario.column``) ``qfi_pure_parametric`` and
+``fi_numeric`` return one value per sweep row, checked row by row.
 
 Every engine takes a ``core.Scenario`` (kind, parameters, target; also
 importable from here) and makes its own state; ``Scenario.detector_state``
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalParams, Scenario    # also looked up here (perfbench/checks.py)
-from .gaussian import ClockState, GaussianBranch, Jet, PairMoments, PhaseLedger, split, wrap_angle
+from .gaussian import (ClockState, GaussianBranch, Jet, PairMoments, PhaseLedger, as_float, py, split,
+                       wrap_angle)
 
 _LD = np.longdouble
 _LD_ONE = _LD(1.0)
@@ -191,15 +194,15 @@ def qfi_pure_parametric(scenario: Scenario) -> float:
         b = GaussianBranch(jet.amplitude, ledger, mean, jet.var_x, jet.chirp,
                            jet.internal_level, jet.path_label)
         comps.append(b)
-        c1s.append(b.amplitude * (dmean * (1.0 / (2.0 * b.var_x) - 2j * b.chirp)
-                                  + 1j * float(dslope)))
+        c1s.append(b.amplitude * (py(dmean) * (1.0 / (2.0 * b.var_x) - 2j * py(b.chirp))
+                                  + 1j * py(as_float(dslope))))
         # Constant phase derivative, including the slope pivot about the centre.
         addends = [d for *_, d in terms] + [dslope * (_LD(mean) - ledger.x_ref)]
         phase0.append(sum(addends, _LD(0.0)))
-        sizes.append(float(sum(map(abs, addends), _LD(0.0))))
+        sizes.append(as_float(sum(map(abs, addends), _LD(0.0))))
     weights = [abs(b.amplitude) ** 2 for b in comps]
     gauge = sum((w * p0 for w, p0 in zip(weights, phase0)), _LD(0.0)) / sum(weights)
-    polys = [(b.amplitude * 1j * float(p0 - gauge), c1) for b, p0, c1 in zip(comps, phase0, c1s)]
+    polys = [(b.amplitude * 1j * py(as_float(p0 - gauge)), c1) for b, p0, c1 in zip(comps, phase0, c1s)]
 
     s_dd = 0.0j
     s_pd = 0.0j
@@ -210,9 +213,9 @@ def qfi_pure_parametric(scenario: Scenario) -> float:
             pm = PairMoments(bj, bk)
             s_dd += pm.braket(polys[j], polys[k])
             s_pd += pm.braket([bj.amplitude], polys[k])
-    qfi = 4.0 * (s_dd.real - abs(s_pd) ** 2)
-    if qfi > 0:
-        _require_resolved(max(sizes) / math.sqrt(qfi), "phase-derivative addends per CR width")
+    qfi = as_float(4.0 * (np.asarray(s_dd, dtype=complex).real - abs(s_pd) ** 2))
+    cr_width = np.sqrt(np.where(qfi > 0, qfi, np.inf))    # no check where qfi <= 0
+    _require_resolved(np.maximum.reduce(sizes) / cr_width, "phase-derivative addends per CR width")
     return qfi
 
 
@@ -242,16 +245,22 @@ _PHASE_ULP_MAX = 1e-3    # rad: the coarsest longdouble ulp a phase may have
 
 
 def _require_resolved(phase, what: str) -> None:
-    """ValueError where the longdouble ulp of ``phase`` (rad) exceeds _PHASE_ULP_MAX."""
-    if abs(phase) * _LD_EPS > _PHASE_ULP_MAX:
-        raise ValueError(f"{what} {float(phase):.3g} rad is beyond longdouble resolution "
-                         f"(ulp {abs(float(phase)) * _LD_EPS:.3g} rad > {_PHASE_ULP_MAX:g} rad)")
+    """ValueError where the longdouble ulp of ``phase`` (rad; of any row of an
+    array) exceeds _PHASE_ULP_MAX.  The message gives the first such row's phase."""
+    if np.any(too_coarse := np.abs(phase) * _LD_EPS > _PHASE_ULP_MAX):
+        phase = float(np.asarray(phase)[too_coarse][0])
+        raise ValueError(f"{what} {phase:.3g} rad is beyond longdouble resolution "
+                         f"(ulp {abs(phase) * _LD_EPS:.3g} rad > {_PHASE_ULP_MAX:g} rad)")
+
+
+# math.cos and math.sin on each element: numpy's own may round differently on another CPU.
+_COS, _SIN = np.frompyfunc(math.cos, 1, 1), np.frompyfunc(math.sin, 1, 1)
 
 
 def _cos_sin(phase) -> tuple:
-    """(cos, sin) of a float, or of a jet with their derivatives."""
+    """(cos, sin) of a float or array, or of a jet with their derivatives."""
     value, d = split(phase)
-    c, s = math.cos(value), math.sin(value)
+    c, s = as_float(_COS(value)), as_float(_SIN(value))
     return (Jet(c, -s * d), Jet(s, c * d)) if isinstance(phase, Jet) else (c, s)
 
 
@@ -324,20 +333,21 @@ def detection_probabilities(scenario: Scenario) -> tuple[float, float]:
 
 def classical_fi(p, dp) -> float:
     """FI sum_k dp_k^2 / p_k of a finite outcome distribution p with
-    derivative dp.  Outcomes below 1e-15 are excluded, with a warning unless
+    derivative dp; p_k and dp_k may be arrays, one element per row, giving
+    one FI per row.  Outcomes below 1e-15 are excluded, with a warning unless
     they are exactly impossible and stay so (P- under ablation)."""
-    p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
+    p, dp = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(dp, dtype=float))
     if np.any(p < 0):
         raise ValueError("outcome distribution has a negative probability")
-    if abs(p.sum() - 1.0) > 1e-8:
+    if np.any(np.abs(p.sum(axis=0) - 1.0) > 1e-8):
         raise ValueError("outcome distribution does not sum to 1")
     keep = p >= 1e-15
     reported = ~keep & ((p != 0.0) | (dp != 0.0))
-    if np.any(reported):
-        warnings.warn(
-            f"classical FI excluded outcomes below 1e-15: {np.where(reported)[0].tolist()}",
-            stacklevel=2)
-    return float(np.sum(dp[keep] ** 2 / p[keep]))
+    for outcomes in dict.fromkeys(str(np.flatnonzero(row).tolist())
+                                  for row in reported.reshape(len(p), -1).T if row.any()):
+        warnings.warn(f"classical FI excluded outcomes below 1e-15: {outcomes}", stacklevel=2)
+    fi = np.where(keep, dp**2 / np.where(keep, p, 1.0), 0.0).sum(axis=0)
+    return fi if fi.ndim else float(fi)
 
 
 def fi_numeric(scenario: Scenario) -> float:

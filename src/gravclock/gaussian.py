@@ -52,7 +52,7 @@ class Jet:
     *Evaluating Derivatives*, 2nd ed., SIAM 2008): ``evolve_state`` on
     parameters whose slopes g, g_plus and g_minus are jets gives a state
     whose means and ledgers are jets, each value computed exactly as without
-    them.  ``float(jet)`` is the value, for ``PhysicalParams``' checks.
+    them.  Values and derivatives may be arrays, one element per sweep row.
     """
 
     __slots__ = ("v", "d")
@@ -60,9 +60,6 @@ class Jet:
 
     def __init__(self, v, d) -> None:
         self.v, self.d = v, d
-
-    def __float__(self) -> float:
-        return float(self.v)
 
     def __neg__(self) -> "Jet":
         return Jet(-self.v, -self.d)
@@ -92,6 +89,17 @@ def split(x) -> tuple:
     return (x.v, x.d) if isinstance(x, Jet) else (x, 0.0)
 
 
+def py(x):
+    """x with Python's scalar arithmetic: an array becomes an object array of Python
+    floats or complexes.  numpy's own complex, ``**`` and abs loops round otherwise."""
+    return x.astype(object) if isinstance(x, np.ndarray) else x
+
+
+def as_float(x):
+    """float(x), element by element for an array."""
+    return x.astype(float) if isinstance(x, np.ndarray) else float(x)
+
+
 class PrecisionError(RuntimeError):
     """Raised where numpy's longdouble is too short for the phase ledger."""
 
@@ -119,7 +127,7 @@ check_extended_precision()
 def wrap_angle(value) -> np.ndarray | float:
     """Reduce an extended-precision phase to (-pi, pi] in float64 (a jet's value)."""
     if isinstance(value, Jet):
-        return Jet(wrap_angle(value.v), float(value.d))
+        return Jet(wrap_angle(value.v), as_float(value.d))
     if isinstance(value, (float, _LD)):
         return float((value + PI_LD) % TWO_PI_LD - PI_LD)
     reduced = np.mod(np.asarray(value, dtype=_LD) + PI_LD, TWO_PI_LD) - PI_LD
@@ -186,7 +194,7 @@ class GaussianBranch:
     path_label: str         # "plus" | "minus"
 
     def __post_init__(self) -> None:
-        if not (self.var_x > 0 and math.isfinite(self.var_x)):
+        if not np.all((self.var_x > 0) & np.isfinite(self.var_x)):   # every row's
             raise ValueError("var_x must be positive and finite")
         if not (math.isfinite(self.amplitude.real) and math.isfinite(self.amplitude.imag)):
             raise ValueError("amplitude must be finite")
@@ -216,9 +224,10 @@ class ClockState:
 def _spreading(params: PhysicalParams, z: float) -> tuple[float, float]:
     """Evolved variance and chirp for effective mass m/(1-z)."""
     m_eff = params.m / (1.0 - z)
-    eps = params.hbar * params.dt / (2.0 * m_eff * params.sigma**2)
-    var = params.sigma**2 * (1.0 + eps * eps)
-    chirp = params.hbar * params.dt / (8.0 * m_eff * params.sigma**2 * var)
+    sigma2 = as_float(py(params.sigma) ** 2)
+    eps = params.hbar * params.dt / (2.0 * m_eff * sigma2)
+    var = sigma2 * (1.0 + eps * eps)
+    chirp = params.hbar * params.dt / (8.0 * m_eff * sigma2 * var)
     return var, chirp
 
 
@@ -310,11 +319,14 @@ def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
     differ in nothing else but their centre.  At dt = 0 it is the identity,
     bit for bit.  Slopes given as :class:`Jet` objects carry their
     derivatives into the means and ledgers (nothing else depends on them).
+    On a column (``core.Scenario.column``: dt, sigma or g an array of sweep
+    rows) every map is computed for all rows at once, each row's element
+    exactly its one-row value; the rows' kink clearance was checked one by one.
     """
     if scenario not in ("free_fall", "mach_zehnder"):
         raise ValueError(f"unknown scenario {scenario!r}")
     trapped = scenario == "mach_zehnder"
-    if trapped:
+    if trapped and np.ndim(params.dt) == np.ndim(params.sigma) == 0:
         require_kink_clearance(params)
     minus_amp = 0.5 * complex(math.cos(params.phi), math.sin(params.phi))
     maps: dict[tuple, tuple] = {}
@@ -341,7 +353,8 @@ class PairMoments:
     coordinate u = x - (X_a + X_b)/2, so <P_a psi_a | P_b psi_b> with P_a,
     P_b first order reduces to Gaussian moments up to u^2.  The huge, shared
     ledger constants enter only through their term-by-term difference,
-    computed in extended precision and wrapped once.
+    computed in extended precision and wrapped once.  Branches whose fields
+    are arrays give array moments, complex ones in Python's arithmetic (``py``).
     """
 
     __slots__ = ("overlap", "_mu", "_s2", "off_a", "off_b")
@@ -353,28 +366,25 @@ class PairMoments:
         x_mid = 0.5 * (a.mean_x + b.mean_x)
         inv4a = 1.0 / (4.0 * a.var_x)
         inv4b = 1.0 / (4.0 * b.var_x)
-        alpha = (inv4a + inv4b) + 1j * (a.chirp - b.chirp)
+        alpha = (inv4a + inv4b) + 1j * py(a.chirp - b.chirp)
         dslope = b.ledger.slope - a.ledger.slope
-        db = float(dslope)
-        beta = d * (inv4b - inv4a) + 1j * (db - (a.chirp + b.chirp) * d)
+        db = as_float(dslope)
+        beta = d * (inv4b - inv4a) + 1j * py(db - (a.chirp + b.chirp) * d)
         gamma_re = -0.25 * d * d * (inv4a + inv4b)
         gamma_im_small = 0.25 * d * d * (b.chirp - a.chirp)
         # Term-by-term ledger difference in extended precision.
         big_phase = b.ledger.diff_constant(a.ledger) \
             + dslope * (_LD_ONE * x_mid - a.ledger.x_ref)
         lam = wrap_angle(big_phase)
-        norm_a = (2.0 * math.pi * a.var_x) ** -0.25
-        norm_b = (2.0 * math.pi * b.var_x) ** -0.25
-        z_int = np.sqrt(np.pi / alpha) * np.exp(beta * beta / (4.0 * alpha))
-        self.overlap = complex(
-            norm_a * norm_b
-            * np.exp(gamma_re + 1j * (gamma_im_small + lam))
-            * z_int
-        )
-        self._mu = complex(beta / (2.0 * alpha))
-        self._s2 = complex(1.0 / (2.0 * alpha))
-        self.off_a = 0.5 * d      # (x - X_a) = u + off_a
-        self.off_b = -0.5 * d     # (x - X_b) = u + off_b
+        norm_a = py(2.0 * math.pi * a.var_x) ** -0.25
+        norm_b = py(2.0 * math.pi * b.var_x) ** -0.25
+        z_int = _complex_ufunc(np.sqrt, np.pi / alpha) * _complex_ufunc(np.exp, beta * beta / (4.0 * alpha))
+        self.overlap = norm_a * norm_b \
+            * _complex_ufunc(np.exp, gamma_re + 1j * py(gamma_im_small + lam)) * z_int
+        self._mu = beta / (2.0 * alpha)
+        self._s2 = 1.0 / (2.0 * alpha)
+        self.off_a = py(0.5 * d)      # (x - X_a) = u + off_a
+        self.off_b = py(-0.5 * d)     # (x - X_b) = u + off_b
 
     def expect_u(self, coeffs) -> complex:
         """overlap * E[poly(u)] for poly given by ascending coeffs in u, degree <= 2."""
@@ -399,6 +409,11 @@ class PairMoments:
         b0, b1 = (*poly_b, 0j)[:2]
         a0, b0 = a0 + a1 * self.off_a, b0 + b1 * self.off_b
         return self.expect_u((a0 * b0, a0 * b1 + a1 * b0, a1 * b1))
+
+
+def _complex_ufunc(f, z):
+    """f (np.sqrt or np.exp, whose loops round as the scalars do) of z as Python complexes."""
+    return py(f(z.astype(complex))) if isinstance(z, np.ndarray) else complex(f(z))
 
 
 def overlap(a: GaussianBranch, b: GaussianBranch) -> complex:

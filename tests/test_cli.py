@@ -391,6 +391,91 @@ def test_sweep_rows_in_point_order(tmp_path):
     assert [r.swept_value for r in rows] == cfg.sweep.values().tolist()
 
 
+_ANALYTIC = "closed,parametric,reduced,fi"
+
+
+@pytest.mark.parametrize("name,target,var,start,stop,log,ablate", [
+    ("sr88_freefall.cfg", "g", "dt", "0.5", "200", True, False),
+    ("sr88_freefall.cfg", "g", "sigma", "2e-5", "4e-4", True, False),
+    ("sr88_freefall.cfg", "g", "g", "-20", "50", False, False),
+    ("sr88_freefall.cfg", "g", "dt", "0.5", "200", True, True),
+    *(("sr88_mz.cfg", target, var, start, stop, True, False)
+      for target in ("delta_g", "bar_g")
+      for var, start, stop in (("dt", "0.5", "100"), ("sigma", "2e-5", "4e-4"))),
+], ids=["ff-dt", "ff-sigma", "ff-g", "ff-dt-ablated", "mzd-dt", "mzd-sigma", "mzb-dt", "mzb-sigma"])
+def test_sweep_rows_equal_one_row_runs(tmp_path, name, target, var, start, stop, log, ablate):
+    """Batch size does not change a value: the jet routes evaluate a sweep's
+    rows in one array pass, and every analytic cell of each row equals, bit for
+    bit as a parsed float, the same field of ``run`` at that row's value (a
+    one-row pass) and the jet engine on that row's plain scalars."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_config_with(name, ("scenario.target", target)))
+    flags = ["--methods", _ANALYTIC, *(["--ablate-time-dilation"] if ablate else [])]
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg), "--var", var, "--from", start, "--to", stop,
+                     "--points", "21", *(["--log"] if log else []), "--out", str(out), *flags]) == 0
+    table = cli.read_table(out / "sweep.csv")
+    run = cli._build_scenario_config(cli._parser().parse_args(["run", "--config", str(cfg), *flags]))
+    engines = {"qfi_parametric": est.qfi_pure_parametric, "fi_numeric": est.fi_numeric}
+    for k, value in enumerate(table["swept_value"]):
+        sc = dataclasses.replace(run.scenario, params=run.scenario.params.replace(**{var: value}))
+        report = cli.run_single(dataclasses.replace(run, scenario=sc))
+        for column in ("qfi_closed", "qfi_parametric", "qfi_reduced", "fi_closed", "fi_numeric"):
+            assert (k, column, table[column][k]) == (k, column, getattr(report, column))
+        for column, engine in engines.items():
+            assert (k, column, table[column][k]) == (k, column, engine(sc))
+
+
+@pytest.mark.parametrize("methods", ["fi", _ANALYTIC])
+def test_sweep_unresolvable_interior_row_exit_3(tmp_path, capsys, methods):
+    """Rows 1-3 of this g sweep have a level-relative phase longdouble cannot
+    resolve, row 0 does not: the sweep exits 3 and writes no CSV, and the
+    message names the method, the column and the first such row's value."""
+    values = np.linspace(9.81, 2e16, 4).tolist()
+    out = tmp_path / "sw"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["sweep", "--config", str(CONFIGS / "sr88_freefall.cfg"), "--var", "g",
+                       "--from", "9.81", "--to", "2e16", "--points", "4", "--methods", methods,
+                       "--out", str(out)])
+    assert rc == 3
+    assert not (out / "sweep.csv").exists()
+    assert capsys.readouterr().err.startswith(
+        f"numerical error: method 'fi' failed: column 'fi_numeric' at g = {values[1]!r}: "
+        "level-relative phase ")
+    assert caught == []
+
+
+@pytest.mark.parametrize("key,value,methods,message", [
+    ("physics.m_kg", "1e300", _ANALYTIC, "method 'closed' failed: column 'qfi_closed' at dt = 5.0 "
+     "is nan"),
+    ("physics.m_kg", "1e300", "fi,parametric", "method 'parametric' failed: column "
+     "'qfi_parametric' at dt = 5.0 is nan"),
+    ("physics.g", "1e30", _ANALYTIC, "method 'fi' failed: column 'fi_numeric' at dt = 5.0: "
+     "level-relative phase 4.74e+37 rad"),
+    ("physics.g", "1e30", "parametric", None),
+])
+def test_edge_value_sweeps_keep_exit_codes(tmp_path, capsys, key, value, methods, message):
+    """Python's float ``**`` raises OverflowError where numpy's returns inf, so
+    the array pass keeps Python's arithmetic where they differ: these sweeps
+    exit as their rows did one by one (3 naming the first row, or 0), and no
+    numpy RuntimeWarning about the arrays reaches stderr."""
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(_config_with("sr88_freefall.cfg", (key, value)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["sweep", "--config", str(cfg), "--var", "dt", "--from", "5", "--to", "30",
+                       "--points", "3", "--methods", methods, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert caught == []
+    if message is None:
+        assert (rc, err) == (0, "")
+    else:
+        assert rc == 3
+        assert err.startswith(f"numerical error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("method", ["parametric", "reduced", "fi"])
 def test_bouncer_methods_restricted(method, capsys):
     assert cli.main(["run", "--config", str(CONFIGS / "bouncer.cfg"),
