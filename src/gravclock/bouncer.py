@@ -23,8 +23,8 @@ of the Airy ODE, the DLMF 9.7 asymptotic expansions outside it, and
 evaluation in cache-sized blocks, each taken whole when it lies in one
 region and split by one boolean mask per region otherwise, Ai and Ai'
 together from one region dispatch (see ``AiryEngine``).  The Airy zeros
-are solved once per count and shared read-only, so a sweep solves each
-level count once.  The grid render draws a family of states (the
+are solved once per count and shared read-only, a sweep's counts in one
+Newton pass.  The grid render draws a family of states (the
 oracle's Bures stencil) from one basis, Ai and Ai' of x / l_0 + z_n up
 to a decay cut past which Ai is below 1e-39, with phases against the
 centre projection's band means; each state and level is a Taylor shift
@@ -39,9 +39,9 @@ Gaussian projections of Ai come from the two-sided Laplace transform:
 
 evaluated in log space because the two factors overflow separately.
 The projection reads no dt, so ``bouncer_coefficients`` shares one read-only
-solve per dt-free parameter set and level count: a dt sweep solves one.  The
-module loads ``core`` and numpy only; the three oracle functions import their
-``oracle`` and ``gaussian`` names when called, so the closed route loads neither.
+solve per dt-free set and level count (a dt sweep solves one); a g or sigma
+sweep counts all rows' levels in one scan and solves each count's rows at once.
+The module loads ``core`` and numpy; oracle functions import the rest when called.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ _TABLE_WIDTH = 0.5
 _TABLE_DEGREE = 14
 # The table's extended-precision knots: march step (y = 0 is a knot), and Taylor terms per step.
 _KNOT_STEP, _TAYLOR_TERMS = 0.25, 40
+# Rows of a g or sigma column solved together: at most 64 x 4 path lines of n_max levels.
+_ROW_BLOCK = 64
 
 
 class AiryConvergenceError(RuntimeError):
@@ -176,15 +178,15 @@ class AiryEngine:
     # -- asymptotic expansions ----------------------------------------------
 
     @staticmethod
-    def _asym_pos(y: np.ndarray, log: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(Ai(y), Ai'(y)) for y > pos_cutoff; with log=True, (log|Ai(y)|,
-        log|Ai'(y)|), which stay finite where the values underflow."""
+    def _asym_pos(y: np.ndarray, log: bool = False) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+        """(Ai(y), Ai'(y)) for y > pos_cutoff; with log=True, log|Ai(y)| alone,
+        which stays finite where Ai underflows."""
         zeta = (2.0 / 3.0) * y * np.sqrt(y)
         inv, quarter = 1.0 / zeta, 0.25 * np.log(y)
         ln_ai = np.log(_horner(_POS_SERIES[0], inv)) - zeta - _LOG_2_SQRT_PI - quarter
-        ln_aip = np.log(_horner(_POS_SERIES[1], inv)) - zeta - _LOG_2_SQRT_PI + quarter
         if log:
-            return ln_ai, ln_aip
+            return ln_ai
+        ln_aip = np.log(_horner(_POS_SERIES[1], inv)) - zeta - _LOG_2_SQRT_PI + quarter
         return np.exp(ln_ai), -np.exp(ln_aip)
 
     @staticmethod
@@ -376,37 +378,46 @@ class AiryEngine:
         sign[small] = np.sign(vals)
         with np.errstate(divide="ignore"):
             out[small] = np.log(np.abs(vals))
-        out[~small] = self._asym_pos(y[~small], log=True)[0]
+        out[~small] = self._asym_pos(y[~small], log=True)
         return sign, out
 
     # -- zeros ------------------------------------------------------------------
 
-    @functools.lru_cache(maxsize=64)
-    def zeros(self, n_max: int) -> np.ndarray:
-        """First n_max negative zeros of Ai via safeguarded Newton.
+    def zeros(self, n_max: int, *more: int) -> np.ndarray:
+        """First n_max negative zeros of Ai via safeguarded Newton; the counts in
+        ``more`` are solved in the same pass and kept for later calls.
 
-        The zeros depend on the count alone, so each count is solved once
-        per engine and the read-only array is shared.  A count is never
-        served by slicing a longer solve: Newton stops on a criterion over
-        the whole array, so ``zeros(m)[:n]`` and ``zeros(n)`` can differ in
-        their last bits.
+        The zeros depend on the count alone, so each count is solved once per
+        engine (the last 128 kept) and the read-only array is shared.  A count is
+        never served by slicing a longer solve: Newton stops on a criterion over
+        the whole array, so ``zeros(m)[:n]`` and ``zeros(n)`` can differ in their
+        last bits.  In a joint pass each count keeps its own stopping test.
         """
-        n = np.arange(1, n_max + 1, dtype=float)
-        t = 3.0 * math.pi * (4.0 * n - 1.0) / 8.0
-        t2 = t * t
-        z = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / t2**2
-                                   + 77125.0 / 82944.0 / t2**3)
+        solved = vars(self).setdefault("_solved_zeros", {})
+        live = {}
+        for count in (n_max, *more):
+            if count not in solved:
+                t = 3.0 * math.pi * (4.0 * np.arange(1, count + 1, dtype=float) - 1.0) / 8.0
+                t2 = t * t
+                live[count] = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / t2**2
+                                                     + 77125.0 / 82944.0 / t2**3)
         for iteration in range(100):
-            f, fp = self._eval(z)
-            step = f / fp
-            step = np.clip(step, -0.5, 0.5)
-            z = z - step
-            if np.max(np.abs(step)) < 1e-13 * np.max(np.abs(z)):
+            if not live:
                 break
-        else:
+            f, fp = self._eval(np.concatenate(list(live.values())))
+            steps = np.clip(f / fp, -0.5, 0.5)
+            for count, z in list(live.items()):
+                step, steps = steps[:count], steps[count:]
+                live[count] = z = z - step
+                if np.max(np.abs(step)) < 1e-13 * np.max(np.abs(z)):
+                    z.flags.writeable = False
+                    solved[count] = live.pop(count)
+        if live:
             raise AiryConvergenceError("Airy zero Newton did not converge in 100 iterations")
-        z.flags.writeable = False
-        return z
+        zeros = solved[n_max]
+        while len(solved) > 128:
+            del solved[next(iter(solved))]
+        return zeros
 
 
 @functools.cache
@@ -461,14 +472,14 @@ class BouncerSpectrum:
     norms: np.ndarray          # m^-1/2 (signed), shape (2, n_max)
 
 
-def bouncer_spectrum(params: PhysicalParams, n_max: int) -> BouncerSpectrum:
-    """Discrete eigensystem of the floored linear potential."""
+def bouncer_spectrum(params: PhysicalParams, n_max: int, aip: np.ndarray | None = None) -> BouncerSpectrum:
+    """Discrete eigensystem of the floored linear potential (``aip``: Ai'(z_n), if known)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     require_floor_clearance(params)
     engine = default_engine()
     zeros = engine.zeros(n_max)
-    aip = engine.ai_prime(zeros)
+    aip = engine.ai_prime(zeros) if aip is None else aip
     lengths = (gravitational_length(params, 0), gravitational_length(params, 1))
     band = np.empty((2, n_max))
     norms = np.empty((2, n_max))
@@ -491,23 +502,21 @@ class BouncerProjection:
     renorm: float              # norm of the raw coefficient vector
 
 
-def _path_projection(params: PhysicalParams, spectrum: BouncerSpectrum,
-                     level: int, x_center: float) -> np.ndarray:
-    """<psi_{level,n} | Gaussian at x_center> from the Laplace-transform
-    closed form of the module docstring, in log space."""
-    l_i = spectrum.lengths[level]
-    s = params.sigma / l_i
-    w = spectrum.zeros + x_center / l_i
-    base = l_i * np.abs(spectrum.norms[level]) * (2.0 * math.pi * params.sigma**2) ** -0.25
-    ai_sign, ln_ai = default_engine().ai_log(w + s**4)
-    ln_c = np.log(2.0 * _SQRT_PI * s * base) + s * s * w + (2.0 / 3.0) * s**6 + ln_ai
-    with np.errstate(over="ignore"):
-        mag = np.exp(ln_c)
-    return np.sign(spectrum.norms[level]) * ai_sign * mag
+def _swept(params: PhysicalParams) -> str | None:
+    """The field of a column (``core.Scenario.column``) that the projection reads: g or sigma."""
+    return next((name for name in ("g", "sigma") if np.ndim(getattr(params, name))), None)
 
 
-def _auto_n_max(params: PhysicalParams) -> int:
-    """Smallest n past both paths' peaks where their coefficients die to 1e-8, at most 1e4.
+def _rows(params: PhysicalParams) -> list[PhysicalParams]:
+    """The scalar sets of a g or sigma column, in order; [params] for any other set."""
+    name = _swept(params)
+    return [params] if name is None else [params.replace(check=False, **{name: v})
+                                          for v in getattr(params, name).tolist()]
+
+
+def _auto_n_max(params: PhysicalParams) -> int | list[int]:
+    """Smallest n past both paths' peaks where their coefficients die to 1e-8, at most 1e4
+    (on a g or sigma column, one per row).
 
     A path at x has |c_n| ~ exp(s^2 w + (2/3) s^6) |Ai(w + s^4)|, w = z_n + x / l0, s = sigma / l0.
     Above its peak (w < 0) that is at most the Gaussian exp(-(w / 2s)^2) down to w = -s^4; past
@@ -515,38 +524,45 @@ def _auto_n_max(params: PhysicalParams) -> int:
     there the larger of the two is the estimate.  For s > 1.96 the tail starts below 1e-8
     (exp(-s^6 / 3)) and changes no count; s = 0.52 needs 458 levels, the Gaussian alone 224.
 
-    Levels are scanned in blocks of 512 zeros, each block in one pass: the
-    running peak (carried across blocks) includes level n itself, and the
-    first level below 1e-8 of it that also lies past the upper path's peak,
-    z_n < -max(x+, x-) / l0, is the answer.  Without that second condition
-    two well-separated paths stop the scan in the gap between their peaks.
-    """
+    Levels are scanned in blocks of 512 zeros, each in one pass over all rows (each row's
+    l0, s, s^4 and s^6 Python floats): the running peak (carried across blocks) includes
+    level n itself, and the first level below 1e-8 of it that also lies past the upper path's
+    peak, z_n < -max(x+, x-) / l0, is the answer.  Without that second condition two
+    well-separated paths stop the scan in the gap between their peaks."""
     engine = default_engine()
-    l0 = gravitational_length(params, 0)
-    s = params.sigma / l0
+    rows = _rows(params)
+    lengths = [gravitational_length(p, 0) for p in rows]
+    s = [p.sigma / l0 for p, l0 in zip(rows, lengths)]
+    l0, s, s4, c6 = (np.array(v)[:, None] for v in
+                     (lengths, s, [x**4 for x in s], [(2.0 / 3.0) * x**6 for x in s]))
     z_top = -max(params.x_plus, params.x_minus) / l0
-    best = 0.0
+    counts = np.zeros(len(rows), dtype=int)
+    best = np.zeros_like(l0)
     block_size = 512
     for n_lo in range(1, BOUNCER_N_MAX_CAP + 1, block_size):
         n_hi = min(n_lo + block_size - 1, BOUNCER_N_MAX_CAP)
         zeros = engine.zeros(n_hi)[n_lo - 1:]
-        mag = np.zeros_like(zeros)
+        mag = np.zeros((len(rows), zeros.size))
         for x in (params.x_plus, params.x_minus):
             w = zeros + x / l0
             expo = -(w / (2.0 * s)) ** 2
-            tail = w < -s**4
-            expo[tail] = np.maximum(expo[tail], s * s * w[tail] + (2.0 / 3.0) * s**6)
+            np.maximum(expo, s * s * w + c6, out=expo, where=w < -s4)
             np.maximum(mag, np.exp(expo), out=mag)
-        peak = np.maximum(np.maximum.accumulate(mag), best)
-        done = np.flatnonzero((peak > 0) & (mag < 1e-8 * peak) & (zeros < z_top))
-        if done.size:
-            return n_lo + int(done[0])
-        best = float(peak[-1])
-    warnings.warn("coefficient auto-selection hit the n_max cap of 1e4", stacklevel=3)
-    return BOUNCER_N_MAX_CAP
+        peak = np.maximum(np.maximum.accumulate(mag, axis=1), best)
+        done = (peak > 0) & (mag < 1e-8 * peak) & (zeros < z_top)
+        found = done.any(axis=1) & (counts == 0)
+        counts[found] = n_lo + done[found].argmax(axis=1)
+        if counts.all():
+            break
+        best = peak[:, -1:]
+    else:
+        warnings.warn("coefficient auto-selection hit the n_max cap of 1e4", stacklevel=3)
+        counts[counts == 0] = BOUNCER_N_MAX_CAP
+    return counts.tolist() if _swept(params) else int(counts[0])
 
 
-def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> BouncerProjection:
+def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None
+                         ) -> BouncerProjection | list[BouncerProjection]:
     """Projection of the two-height superposition on the bouncer basis.
 
     Each path's coefficients come from the Laplace-transform closed form
@@ -557,38 +573,68 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None) -> Bo
     one below 1e-6 (the paths cancel) raises ValueError.
     Nothing here reads dt: the solve is keyed on the parameters at dt = 0 and the
     level count (the last 8 kept) and shared read-only, so a dt sweep solves it once.
+    A g or sigma column gives one projection per row, uncached: one level-count scan
+    covers every row, and the rows that share a count are solved together.
     """
-    return _projection(params.replace(dt=0.0), _auto_n_max(params) if n_max is None else n_max)
+    counts = _auto_n_max(params) if n_max is None else n_max
+    if _swept(params) is None:
+        return _projection(params.replace(dt=0.0), counts)
+    rows = _rows(params)
+    counts = np.broadcast_to(counts, len(rows)).tolist()
+    default_engine().zeros(*dict.fromkeys(counts))      # every count's zeros in one Newton pass
+    solved = {n: iter(_projections([p for p, c in zip(rows, counts) if c == n], n))
+              for n in dict.fromkeys(counts)}
+    return [next(solved[n]) for n in counts]
 
 
 @functools.lru_cache(maxsize=8)
 def _projection(params: PhysicalParams, n_max: int) -> BouncerProjection:
     """``bouncer_coefficients`` at a given level count."""
-    spectrum = bouncer_spectrum(params, n_max)
-    c_plus = np.empty((2, n_max))
-    c_minus = np.empty((2, n_max))
-    for i in (0, 1):
-        c_plus[i] = _path_projection(params, spectrum, i, params.x_plus)
-        c_minus[i] = _path_projection(params, spectrum, i, params.x_minus)
-    phase = complex(math.cos(params.phi), math.sin(params.phi))
-    combined = 0.5 * (c_plus + phase * c_minus)
-    masses = [float(np.sum(c * c)) for c in (c_plus[0], c_plus[1], c_minus[0], c_minus[1])]
-    # Two-sided: a mass above 1 (infinite, at the level cap) is no better than one below.
-    tail = max(abs(1.0 - mass) for mass in masses)
-    if not tail <= 1e-3:
-        advice = ("no level count up to the cap holds this packet" if n_max == BOUNCER_N_MAX_CAP
-                  else "more levels would hold more of it")
-        raise ValueError(f"coefficient truncation mass |1 - mass| = {tail:.2e} > 1e-3 at "
-                         f"{n_max} levels; {advice}")
-    total = float(np.sum(np.abs(combined) ** 2))
-    renorm = math.sqrt(total)
-    if renorm < 1e-6:
-        raise ValueError(f"the two paths cancel at phi = {params.phi!r}: the combined "
-                         f"projection has norm {renorm:.2e} < 1e-6, no state to normalize")
-    coefficients = combined / renorm
-    for array in (c_plus, c_minus, coefficients):
-        array.flags.writeable = False
-    return BouncerProjection(spectrum, c_plus, c_minus, coefficients, tail, renorm)
+    return _projections([params], n_max)[0]
+
+
+def _projections(rows: list[PhysicalParams], n_max: int) -> list[BouncerProjection]:
+    """Each row's projection at ``n_max`` levels, bit for bit its own solve: one Ai'(z_n)
+    for all spectra, one ``ai_log`` call for every row's four <psi_{i,n} | Gaussian at x>.
+
+    Only per-level arrays are stacked: each (row, path, level) line's l_i, s = sigma / l_i,
+    s^4, s^6, x / l_i and (2 pi sigma^2)^(-1/4) are Python floats (numpy's ``**`` rounds
+    otherwise), each mass is a sum along one line, and rows are checked in order.
+    """
+    engine = default_engine()
+    aip = engine.ai_prime(engine.zeros(n_max))
+    spectra = [bouncer_spectrum(p, n_max, aip) for p in rows]
+    lines = [(l_i, p.sigma / l_i, (p.sigma / l_i) ** 4, (p.sigma / l_i) ** 6, x / l_i,
+              (2.0 * math.pi * p.sigma**2) ** -0.25)
+             for p, sp in zip(rows, spectra) for x in (p.x_plus, p.x_minus) for l_i in sp.lengths]
+    l_i, s, s4, s6, shift, quarter = (np.array(v)[:, None] for v in zip(*lines))
+    norms = np.stack([sp.norms for sp in spectra for _ in (0, 1)]).reshape(-1, n_max)
+    w = spectra[0].zeros + shift
+    ai_sign, ln_ai = engine.ai_log(w + s4)
+    ln_c = np.log(2.0 * _SQRT_PI * s * (l_i * np.abs(norms) * quarter)) + s * s * w \
+        + (2.0 / 3.0) * s6 + ln_ai
+    with np.errstate(over="ignore"):
+        paths = (np.sign(norms) * ai_sign * np.exp(ln_c)).reshape(len(rows), 2, 2, n_max)
+    paths.flags.writeable = False
+    out = []
+    for p, sp, (c_plus, c_minus), masses in zip(rows, spectra, paths,
+                                                np.sum(paths * paths, axis=-1).tolist()):
+        # Two-sided: a mass above 1 (infinite, at the level cap) is no better than one below.
+        tail = max(abs(1.0 - mass) for mass in (*masses[0], *masses[1]))
+        if not tail <= 1e-3:
+            advice = ("no level count up to the cap holds this packet" if n_max == BOUNCER_N_MAX_CAP
+                      else "more levels would hold more of it")
+            raise ValueError(f"coefficient truncation mass |1 - mass| = {tail:.2e} > 1e-3 at "
+                             f"{n_max} levels; {advice}")
+        combined = 0.5 * (c_plus + complex(math.cos(p.phi), math.sin(p.phi)) * c_minus)
+        renorm = math.sqrt(float(np.sum(np.abs(combined) ** 2)))
+        if renorm < 1e-6:
+            raise ValueError(f"the two paths cancel at phi = {p.phi!r}: the combined "
+                             f"projection has norm {renorm:.2e} < 1e-6, no state to normalize")
+        coefficients = combined / renorm
+        coefficients.flags.writeable = False
+        out.append(BouncerProjection(sp, c_plus, c_minus, coefficients, tail, renorm))
+    return out
 
 
 def denergy_dg(params: PhysicalParams, spectrum: BouncerSpectrum) -> np.ndarray:
@@ -606,15 +652,28 @@ def denergy_dg(params: PhysicalParams, spectrum: BouncerSpectrum) -> np.ndarray:
     return out
 
 
-def bouncer_qfi_longtime(params: PhysicalParams,
-                         projection: BouncerProjection | None = None) -> float:
-    """Long-time QFI for g: (4 dt^2 / hbar^2) Var(dE/dg) over |c_{i,n}|^2."""
-    proj = projection if projection is not None else bouncer_coefficients(params)
-    weights = np.abs(proj.coefficients) ** 2
-    de = denergy_dg(params, proj.spectrum)
-    mean = float(np.sum(weights * de))
-    var = float(np.sum(weights * de * de)) - mean * mean
-    return 4.0 * params.dt**2 / params.hbar**2 * max(var, 0.0)
+def bouncer_qfi_longtime(params: PhysicalParams, projection: BouncerProjection | None = None
+                         ) -> float | list[float]:
+    """Long-time QFI for g: (4 dt^2 / hbar^2) Var(dE/dg) over |c_{i,n}|^2.
+
+    On a column (``core.Scenario.column``) it gives one value per row, each bit for
+    bit its one-row value: a dt column has one projection and one variance, and a g
+    or sigma column is solved ``_ROW_BLOCK`` rows at a time by ``bouncer_coefficients``.
+    """
+    name = _swept(params)
+    variances = []
+    for lo in range(0, getattr(params, name).size if name else 1, _ROW_BLOCK):
+        block = params.replace(check=False, **{name: getattr(params, name)[lo:lo + _ROW_BLOCK]}) \
+            if name else params
+        projections = projection if projection is not None else bouncer_coefficients(block)
+        for proj in projections if name else [projections]:
+            weights = np.abs(proj.coefficients) ** 2
+            de = denergy_dg(params, proj.spectrum)
+            mean = float(np.sum(weights * de))
+            variances.append(float(np.sum(weights * de * de)) - mean * mean)
+    dts, variances = (a.tolist() for a in np.broadcast_arrays(params.dt, variances))
+    values = [4.0 * dt**2 / params.hbar**2 * max(var, 0.0) for dt, var in zip(dts, variances)]
+    return values if name or np.ndim(params.dt) else values[0]
 
 
 # ---------------------------------------------------------------------------

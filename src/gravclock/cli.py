@@ -17,9 +17,9 @@ plots are reproducible by any external tool; unrequested methods leave
 their cells empty, and every row carries its regime flag.  Every sweep
 point's parameters are built before the first is evaluated, so a value
 that makes an invalid set is a config error (exit 2) and writes no CSV.
-The jet routes (parametric, fi) then evaluate all rows in one array pass
-(``core.Scenario.column``), each row bit for bit its one-row value; ``run``
-is the one-row case.  Identical configs produce byte-identical output.
+The column routes (parametric, fi; the bouncer's closed) then evaluate all
+rows in one pass (``core.Scenario.column``), each row bit for bit its one-row
+value; ``run`` is the one-row case.  Identical configs give identical bytes.
 ``fit`` fits the log-log slope of one numeric column, never the regime flags.
 
 A CLI process runs numpy's OpenBLAS on one thread unless
@@ -27,7 +27,7 @@ A CLI process runs numpy's OpenBLAS on one thread unless
 use: a bouncer ``closed`` sweep loads ``cli``, ``core`` and ``bouncer``;
 ``estimation`` (with ``gaussian``) comes with an interferometer route or a
 ``run`` report, ``oracle`` with an oracle route.  A bouncer dt sweep solves
-its dt-free projection once (``bouncer.bouncer_coefficients``).  The
+its dt-free projection once, a g or sigma sweep once per level count.  The
 process entry ``entry`` freezes the heap once ``main`` returns, so
 interpreter shutdown makes no cyclic-GC pass over it.
 """
@@ -76,8 +76,8 @@ def _module(name: str):
 # order.  A route maps a core.Scenario to a value; it looks its function up
 # through the module at call time, so patched or traced module attributes
 # are honoured, and each module is imported only by the routes that use it.
-# The jet routes (_COLUMN_ROUTES) also map a column scenario
-# (core.Scenario.column) to one value per row.
+# The column routes (_COLUMN_ROUTES: the jet routes, and the bouncer's closed
+# form) also map a column scenario (core.Scenario.column) to one value per row.
 _INTERFEROMETER_ROUTES = {
     "closed": (("qfi_closed", lambda sc: _module("estimation").closed_qfi(sc)),),
     "parametric": (("qfi_parametric", lambda sc: _module("estimation").qfi_pure_parametric(sc)),),
@@ -100,7 +100,8 @@ CSV_COLUMNS = ("swept_value",
                               for pairs in routes.values() for column, _ in pairs),
                "regime_ok")
 
-_COLUMN_ROUTES = frozenset({"qfi_parametric", "fi_numeric"})
+_COLUMN_ROUTES = {"free_fall": {"qfi_parametric", "fi_numeric"},
+                  "mach_zehnder": {"qfi_parametric", "fi_numeric"}, "bouncer": {"qfi_closed"}}
 
 _SWEEP_VARS = ("dt", "sigma", "g")
 MAX_SWEEP_POINTS = 10**6     # a sweep's row count is refused above this
@@ -174,7 +175,7 @@ class ScenarioConfig:
 def _evaluate_methods(cfg: ScenarioConfig, var: str, values: np.ndarray,
                       rows: list[Scenario]) -> list[dict[str, float | None]]:
     """Each row's requested columns; ``rows`` are ``cfg.scenario`` at ``var`` =
-    each of ``values``, each built and checked.  Each jet route runs once, on
+    each of ``values``, each built and checked.  Each column route runs once, on
     the column of all rows (numpy's warnings silenced: each value is checked
     below); the other routes run row by row.  A column pass that raises is
     redone row by row, so the failure raised is the one met first with rows in
@@ -183,7 +184,7 @@ def _evaluate_methods(cfg: ScenarioConfig, var: str, values: np.ndarray,
               if method in cfg.methods for column, route in pairs]
     passes = {}
     for _, column, route in routes:
-        if column in _COLUMN_ROUTES:
+        if column in _COLUMN_ROUTES[cfg.scenario.kind]:
             with contextlib.suppress(Exception), np.errstate(all="ignore"):   # else row by row
                 passes[column] = np.broadcast_to(route(cfg.scenario.column(var, values)),
                                                  len(rows)).tolist()

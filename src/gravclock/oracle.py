@@ -210,6 +210,13 @@ def bures_miss(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
     return 0.5 * GridWavefunction(psi_a.grid, diff, floor).norm_sq() / norm_sq_a
 
 
+# The largest |G(d/2)/G(d) - 1| an accepted Richardson pair may show.  Where
+# the oracle agrees with the closed forms it is at most 5.2e-4 (free fall at
+# 1 s; 4.3e-4 over every perfbench oracle draw of seeds 1-20); at dt = 100 s
+# on configs/sr88_freefall.cfg it is 3.6e-2, and the value was 6.04e-2 off.
+PAIR_RESIDUAL_MAX = 1e-2
+
+
 def bures_stencil(value: float, d: float) -> tuple[float, float]:
     """The two parameter values an offset d compares: fl(value - d/2), fl(value + d/2)."""
     return value - 0.5 * d, value + 0.5 * d
@@ -228,7 +235,9 @@ def richardson_bures_qfi(miss_at, value: float,
     typically on a fidelity revival; it becomes the upper bracket, and the
     search restarts from d/2 below it, whose miss it already has.  An accepted
     pair gives the Richardson combination (4 G(d/2) - G(d)) / 3 of G = 8 m / s^2,
-    s the offset the two stencil values realize, not the nominal d.  A step
+    s the offset the two stencil values realize, not the nominal d.  A pair
+    whose |G(d/2)/G(d) - 1| exceeds ``PAIR_RESIDUAL_MAX`` raises OracleError
+    naming it: the two offsets do not agree on G.  A step
     down from a finite drop to an offset whose stencil values round to one
     float raises OracleError: the target's float64 spacing cannot resolve
     the Bures window.
@@ -259,7 +268,13 @@ def richardson_bures_qfi(miss_at, value: float,
         if lo <= drop <= hi:
             known = miss_at(0.5 * d)
             if 0.2 <= known * (2.0 - known) / drop <= 0.3:
-                return (4.0 * bures(known, 0.5 * d) - bures(miss, d)) / 3.0, True
+                half, full = bures(known, 0.5 * d), bures(miss, d)
+                if not abs(half / full - 1.0) <= PAIR_RESIDUAL_MAX:
+                    raise OracleError(
+                        f"offsets d = {d:.3g} and d/2 disagree: |G(d/2)/G(d) - 1| = "
+                        f"{abs(half / full - 1.0):.2e} > {PAIR_RESIDUAL_MAX:.0e}, so the Bures "
+                        "expansion does not hold at the accepted pair")
+                return (4.0 * half - full) / 3.0, True
             d_big, d_small, d = d, None, 0.5 * d
         elif drop < lo:
             if d >= delta_cap:

@@ -121,6 +121,71 @@ def test_zeros_memoised_read_only_and_bit_equal_to_fresh_engine(count):
     assert np.array_equal(fresh.view(np.int64), zeros.view(np.int64))
 
 
+def test_zeros_of_one_newton_pass_equal_each_count_alone():
+    """Counts solved together keep their own stopping tests: each array is bit
+    for bit the solve of that count alone (Newton's iteration counts differ from
+    count to count, so none is a slice of another)."""
+    counts = [1, 2, 17, 249, 450, 451, 454, 459, 512, 1516, 3000]
+    joint = bc.AiryEngine()
+    first = joint.zeros(*counts[::-1])
+    assert first is joint.zeros(counts[-1])
+    for count in counts:
+        alone = bc.AiryEngine().zeros(count)
+        assert joint.zeros(count).tobytes() == alone.tobytes()
+        assert not joint.zeros(count).flags.writeable
+
+
+@pytest.mark.parametrize("name,values", [("sigma", np.geomspace(1e-7, 3e-6, 30)),
+                                         ("g", np.linspace(9.6, 10.0, 40))])
+def test_auto_n_max_column_equals_each_row(bouncer_params, name, values):
+    """One scan of a column counts each row's levels as a scan of that row alone
+    (the sigma column reaches 1516 levels, three blocks of 512 zeros)."""
+    column = bc._auto_n_max(bouncer_params.replace(check=False, **{name: values}))
+    rows = [bc._auto_n_max(bouncer_params.replace(**{name: v})) for v in values.tolist()]
+    assert column == rows
+    assert max(rows) > 1024 if name == "sigma" else len(set(rows)) == 10
+
+
+def _projection_scalar(params, n_max):
+    """The per-path solve that ``_projections`` replaced, kept as its reference:
+    one ``ai_log`` call per (level, path), every scalar a Python float."""
+    spectrum = bc.bouncer_spectrum(params, n_max)
+    paths = []
+    for x in (params.x_plus, params.x_minus):
+        for level in (0, 1):
+            l_i = spectrum.lengths[level]
+            s = params.sigma / l_i
+            w = spectrum.zeros + x / l_i
+            base = l_i * np.abs(spectrum.norms[level]) * (2.0 * math.pi * params.sigma**2) ** -0.25
+            ai_sign, ln_ai = bc.default_engine().ai_log(w + s**4)
+            ln_c = np.log(2.0 * math.sqrt(math.pi) * s * base) + s * s * w \
+                + (2.0 / 3.0) * s**6 + ln_ai
+            paths.append(np.sign(spectrum.norms[level]) * ai_sign * np.exp(ln_c))
+    c_plus, c_minus = np.array(paths[:2]), np.array(paths[2:])
+    combined = 0.5 * (c_plus + complex(math.cos(params.phi), math.sin(params.phi)) * c_minus)
+    tail = max(abs(1.0 - float(np.sum(c * c))) for c in paths)
+    renorm = math.sqrt(float(np.sum(np.abs(combined) ** 2)))
+    return c_plus, c_minus, combined / renorm, tail, renorm
+
+
+@pytest.mark.parametrize("name,values", [("sigma", np.geomspace(2e-7, 3e-6, 40)),
+                                         ("g", np.linspace(9.6, 10.0, 40)),
+                                         ("g", np.geomspace(1.0, 1e3, 150))])
+def test_column_projections_equal_each_row_solve(bouncer_params, name, values):
+    """Rows solved together (grouped by level count, 64 at a time) give bit for
+    bit the projection of the per-path reference on that row alone: numpy's
+    ``**`` (x**4, x**6, x**-0.25) and einsum round otherwise in ~5% of lines,
+    which the QFI can hide."""
+    projections = bc.bouncer_coefficients(bouncer_params.replace(check=False, **{name: values}))
+    for value, proj in zip(values.tolist(), projections):
+        row = bouncer_params.replace(**{name: value})
+        c_plus, c_minus, coefficients, tail, renorm = _projection_scalar(row, bc._auto_n_max(row))
+        assert proj.c_plus.tobytes() == c_plus.tobytes()
+        assert proj.c_minus.tobytes() == c_minus.tobytes()
+        assert proj.coefficients.tobytes() == coefficients.tobytes()
+        assert (proj.tail, proj.renorm) == (tail, renorm)
+
+
 def _auto_n_max_scalar(params, momentum_tail=True):
     """The per-level loop that _auto_n_max replaced, kept as its reference
     (with the stop rule's condition that level n lies past both peaks, and

@@ -567,6 +567,100 @@ def test_bouncer_sweep_projection_solves(tmp_path, monkeypatch, var, start, stop
     assert len(spectra) == solves
 
 
+def test_bouncer_closed_oracle_run_solves_its_centre_once(monkeypatch, capsys):
+    """``run`` is a one-row column of dt: the closed form solves the centre
+    projection into ``_projection``'s cache, and the oracle finds it there."""
+    bc._projection.cache_clear()
+    solved_at = []
+    spectrum = bc.bouncer_spectrum
+    monkeypatch.setattr(bc, "bouncer_spectrum",
+                        lambda *args: solved_at.append(args[0].g) or spectrum(*args))
+    assert cli.main(["run", "--config", str(CONFIGS / "bouncer.cfg"),
+                     "--methods", "closed,oracle"]) == 0
+    p = core.params_from_config(core.load_config(CONFIGS / "bouncer.cfg"))
+    assert solved_at.count(p.g) == 1 and len(solved_at) > 1
+
+
+@pytest.mark.parametrize("var,start,stop,log", [("dt", "0.05", "0.5", True),
+                                               ("g", "9.6", "10.0", False),
+                                               ("sigma", "2e-7", "3e-6", True)])
+def test_bouncer_sweep_rows_equal_one_row_runs(tmp_path, var, start, stop, log):
+    """Batch size does not change a bouncer value: the closed form evaluates a
+    sweep's rows in one pass (one projection for a dt sweep; for g and sigma
+    one level-count scan and one solve per count), and every qfi_closed cell
+    equals, bit for bit as a parsed float, ``run`` at that row's value.  The
+    sigma sweep runs through narrow packets, whose level count changes from
+    row to row (458 levels at 2e-7 m, 249 near 7e-7 m, 454 at 3e-6 m)."""
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(CONFIGS / "bouncer.cfg"), "--var", var,
+                     "--from", start, "--to", stop, "--points", "24", *(["--log"] if log else []),
+                     "--methods", "closed", "--out", str(out)]) == 0
+    table = cli.read_table(out / "sweep.csv")
+    p = core.params_from_config(core.load_config(CONFIGS / "bouncer.cfg"))
+    if var == "sigma":
+        counts = {bc._auto_n_max(p.replace(sigma=v)) for v in table["swept_value"]}
+        assert len(counts) > 10
+    run = cli._build_scenario_config(cli._parser().parse_args(
+        ["run", "--config", str(CONFIGS / "bouncer.cfg"), "--methods", "closed"]))
+    for k, value in enumerate(table["swept_value"]):
+        sc = dataclasses.replace(run.scenario, params=run.scenario.params.replace(**{var: value}))
+        report = cli.run_single(dataclasses.replace(run, scenario=sc))
+        assert (k, table["qfi_closed"][k]) == (k, report.qfi_closed)
+
+
+def test_bouncer_g_sweep_solves_each_level_count_once(tmp_path, monkeypatch):
+    """A 40-row g sweep of configs/bouncer.cfg spans 10 level counts (450-459):
+    one Newton pass solves their zeros, and each count takes one Ai'(z_n) and
+    one ``ai_log`` call for the four path projections of all its rows."""
+    calls = {"ai_prime": [], "ai_log": [], "zeros": []}
+    for name in calls:
+        method = getattr(bc.AiryEngine, name)
+        monkeypatch.setattr(bc.AiryEngine, name, lambda self, *args, _m=method, _n=name:
+                            calls[_n].append(args) or _m(self, *args))
+    p = core.params_from_config(core.load_config(CONFIGS / "bouncer.cfg"))
+    per_row = bc._auto_n_max(p.replace(check=False, g=np.linspace(9.6, 10.0, 40)))
+    counts = sorted(set(per_row))
+    assert counts == list(range(450, 460))
+    for key in calls:
+        calls[key].clear()
+    bc._projection.cache_clear()
+    rc = cli.main(["sweep", "--config", str(CONFIGS / "bouncer.cfg"), "--var", "g",
+                   "--from", "9.6", "--to", "10.0", "--points", "40", "--methods", "closed",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert [args for args in calls["zeros"] if len(args) > 1] == [tuple(counts)]
+    assert sorted(args[0].size for args in calls["ai_prime"]) == counts
+    assert sorted(args[0].size for args in calls["ai_log"]) == sorted(
+        4 * n * per_row.count(n) for n in counts)
+
+
+def test_bouncer_sweep_failing_row_in_the_column_pass(tmp_path, capsys, monkeypatch):
+    """Level counts capped at 250: rows 0-3 of this sigma sweep still hold their
+    mass, row 4 (sigma = 2.17e-6 m, 381 levels wanted) misses 1.24e-2 of it.
+    The column pass fails and the rows are redone one by one: exit 3, no CSV,
+    and the message a row-by-row pass gives, naming the method, the column and
+    row 4's value.  No numpy RuntimeWarning is raised, only the cap warning."""
+    monkeypatch.setattr(bc, "BOUNCER_N_MAX_CAP", 250)
+    argv = ["sweep", "--config", str(CONFIGS / "bouncer.cfg"), "--var", "sigma", "--from", "6e-7",
+            "--to", "3e-6", "--points", "6", "--log", "--methods", "closed"]
+    values = np.geomspace(6e-7, 3e-6, 6).tolist()
+    errs = []
+    for routes in (cli._COLUMN_ROUTES, {**cli._COLUMN_ROUTES, "bouncer": set()}):
+        monkeypatch.setattr(cli, "_COLUMN_ROUTES", routes)
+        out = tmp_path / f"sw{len(errs)}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([*argv, "--out", str(out)]) == 3
+        assert not (out / "sweep.csv").exists()
+        assert {w.category for w in caught} == {UserWarning}
+        assert all("n_max cap" in str(w.message) for w in caught)
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        f"numerical error: method 'closed' failed: column 'qfi_closed' at sigma = {values[4]!r}: "
+        "coefficient truncation mass |1 - mass| = 1.24e-02 > 1e-3 at 250 levels; no level count "
+        "up to the cap holds this packet\n")
+
+
 def test_bouncer_without_floor_clearance_exit_2(tmp_path, capsys, monkeypatch):
     """A packet within 3 widths of the floor (x_pm < 3 sigma) is a config
     error naming the cause, found before any numerics.  sigma = 1e30 or
@@ -669,6 +763,21 @@ def test_bouncer_oracle_unresolvable_g_exit_3(tmp_path, capsys, dt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fidelity resolution" in captured.err and "physics.g" not in captured.err
+
+
+def test_freefall_oracle_disagreeing_offsets_exit_3(tmp_path, capsys):
+    """At dt = 100 s on sr88_freefall.cfg the oracle's accepted offsets give G
+    3.6e-2 apart: a numerical error naming that residual, with no report.  It
+    used to print qfi_oracle 6.04e-2 above qfi_closed and exit 0."""
+    cfg = tmp_path / "ff.cfg"
+    cfg.write_text(_config_with("sr88_freefall.cfg", ("time.dt_s", "100")))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(cfg), "--methods", "closed,oracle", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert "method 'oracle' failed: column 'qfi_oracle': offsets d = " in captured.err
+    assert "|G(d/2)/G(d) - 1| = 3.58e-02 > 1e-02" in captured.err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("g", ["-9.81", "0"])

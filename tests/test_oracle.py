@@ -416,6 +416,35 @@ def test_freefall_oracle_refuses_unresolvable_target():
         orc.qfi_numeric(scenario)
 
 
+@pytest.mark.parametrize("ratio,accepted", [(0.25, True), (0.252, True), (0.2528, False),
+                                            (0.2478, True), (0.2465, False), (0.21, False),
+                                            (0.29, False)])
+def test_richardson_refuses_a_pair_whose_offsets_disagree(ratio, accepted):
+    """A pair inside the 0.2-0.3 drop check may still give G(d/2) and G(d) up to
+    20% apart: past |G(d/2)/G(d) - 1| = 1e-2 the search raises OracleError
+    naming the residual.  Here the first offset's drop is 1e-3 and d/2's is
+    ``ratio`` of it, so the residual is about |4 ratio - 1|: 7.8e-3 at 0.252,
+    1.1e-2 at 0.2528, 9.0e-3 at 0.2478 and 1.4e-2 at 0.2465."""
+    def miss(d):
+        drop = 1e-3 if d == 1e-6 else ratio * 1e-3
+        return 1.0 - math.sqrt(1.0 - drop)
+
+    if accepted:
+        assert orc.richardson_bures_qfi(miss, 0.0)[1]
+    else:
+        with pytest.raises(orc.OracleError, match=r"\|G\(d/2\)/G\(d\) - 1\| = .* > 1e-02"):
+            orc.richardson_bures_qfi(miss, 0.0)
+
+
+def test_freefall_oracle_refuses_disagreeing_offsets_at_100s():
+    """At dt = 100 s on sr88_freefall.cfg the accepted pair's G(d/2) and G(d)
+    differ by 3.6e-2, and the value they gave was 6.04e-2 above the closed
+    form, with exit 0; now an OracleError names the residual."""
+    scenario = _sample_scenario("sr88_freefall.cfg", {"time.dt_s": "100"})
+    with pytest.raises(orc.OracleError, match=r"\|G\(d/2\)/G\(d\) - 1\| = 3\.58e-02 > 1e-02"):
+        orc.qfi_numeric(scenario)
+
+
 def test_grid_refinement_convergence(sr88_10s, crosscheck_params):
     """A 16x finer lattice on the rule-sized grid's span moves the amplitude
     miss by < 1e-6 relative, at an offset with a miss of ~1e-4 (the middle of
