@@ -22,10 +22,10 @@ of Ai and Ai' on [-15, 12], built once from one extended-precision march
 of the Airy ODE, the DLMF 9.7 asymptotic expansions outside it, and
 evaluation in cache-sized blocks, each taken whole when it lies in one
 region and split by one boolean mask per region otherwise, Ai and Ai'
-together from one region dispatch (see ``AiryEngine``).  The Airy zeros
-are solved once per count and shared read-only, a sweep's counts in one
-Newton pass.  The grid render draws a family of states (the
-oracle's Bures stencil) from one basis, Ai and Ai' of x / l_0 + z_n up
+together from one region dispatch (see ``AiryEngine``).  Every level
+count's Airy zeros are a read-only prefix of one table.  The grid render
+draws a family of states (the oracle's Bures stencil) from one basis,
+Ai and Ai' of x / l_0 + z_n up
 to a decay cut past which Ai is below 1e-39, with phases against the
 centre projection's band means; each state and level is a Taylor shift
 of its argument by the Airy ODE to the first order whose remainder bound
@@ -38,9 +38,8 @@ Gaussian projections of Ai come from the two-sided Laplace transform:
         = 2 sqrt(pi) s exp(s^2 w + (2/3) s^6) Ai(w + s^4),
 
 evaluated in log space because the two factors overflow separately.
-The projection reads no dt, so ``bouncer_coefficients`` shares one read-only
-solve per dt-free set and level count (a dt sweep solves one); a g or sigma
-sweep counts all rows' levels in one scan and solves each count's rows at once.
+The projection reads no dt, so a dt sweep solves one; a g or sigma sweep counts
+all rows' levels in one scan and solves each count's rows at once.
 The module loads ``core`` and numpy; oracle functions import the rest when called.
 """
 
@@ -383,41 +382,31 @@ class AiryEngine:
 
     # -- zeros ------------------------------------------------------------------
 
-    def zeros(self, n_max: int, *more: int) -> np.ndarray:
-        """First n_max negative zeros of Ai via safeguarded Newton; the counts in
-        ``more`` are solved in the same pass and kept for later calls.
+    def zeros(self, n_max: int) -> np.ndarray:
+        """First n_max negative zeros of Ai: a read-only prefix of one table per engine,
+        solved again from the first zero when a longer prefix is asked for.
 
-        The zeros depend on the count alone, so each count is solved once per
-        engine (the last 128 kept) and the read-only array is shared.  A count is
-        never served by slicing a longer solve: Newton stops on a criterion over
-        the whole array, so ``zeros(m)[:n]`` and ``zeros(n)`` can differ in their
-        last bits.  In a joint pass each count keeps its own stopping test.
+        Safeguarded Newton from the DLMF 9.9 asymptotic start stops once every step
+        is below 1e-13 of its zero.  Each zero's iterates depend on its own start
+        alone, so a prefix is bit for bit the solve of that count.
         """
-        solved = vars(self).setdefault("_solved_zeros", {})
-        live = {}
-        for count in (n_max, *more):
-            if count not in solved:
-                t = 3.0 * math.pi * (4.0 * np.arange(1, count + 1, dtype=float) - 1.0) / 8.0
-                t2 = t * t
-                live[count] = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / t2**2
-                                                     + 77125.0 / 82944.0 / t2**3)
-        for iteration in range(100):
-            if not live:
-                break
-            f, fp = self._eval(np.concatenate(list(live.values())))
-            steps = np.clip(f / fp, -0.5, 0.5)
-            for count, z in list(live.items()):
-                step, steps = steps[:count], steps[count:]
-                live[count] = z = z - step
-                if np.max(np.abs(step)) < 1e-13 * np.max(np.abs(z)):
-                    z.flags.writeable = False
-                    solved[count] = live.pop(count)
-        if live:
-            raise AiryConvergenceError("Airy zero Newton did not converge in 100 iterations")
-        zeros = solved[n_max]
-        while len(solved) > 128:
-            del solved[next(iter(solved))]
-        return zeros
+        table = vars(self).get("_zero_table", ())
+        if len(table) < n_max:
+            t = 3.0 * math.pi * (4.0 * np.arange(1, n_max + 1, dtype=float) - 1.0) / 8.0
+            t2 = t * t
+            table = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / t2**2
+                                           + 77125.0 / 82944.0 / t2**3)
+            for iteration in range(100):
+                f, fp = self._eval(table)
+                step = np.clip(f / fp, -0.5, 0.5)
+                table = table - step
+                if np.all(np.abs(step) < 1e-13 * np.abs(table)):
+                    break
+            else:
+                raise AiryConvergenceError("Airy zero Newton did not converge in 100 iterations")
+            table.flags.writeable = False
+            self._zero_table = table
+        return table[:n_max]
 
 
 @functools.cache
@@ -571,26 +560,16 @@ def bouncer_coefficients(params: PhysicalParams, n_max: int | None = None
     The combined coefficients (c+ + e^{i phi} c-)/2 are renormalized to
     unit total mass (ignoring branch overlap); the factor is reported, and
     one below 1e-6 (the paths cancel) raises ValueError.
-    Nothing here reads dt: the solve is keyed on the parameters at dt = 0 and the
-    level count (the last 8 kept) and shared read-only, so a dt sweep solves it once.
-    A g or sigma column gives one projection per row, uncached: one level-count scan
-    covers every row, and the rows that share a count are solved together.
+    Nothing here reads dt, so a dt column is one set and gives one projection.
+    A g or sigma column gives one per row: one level-count scan covers every
+    row, and the rows that share a count are solved together.
     """
-    counts = _auto_n_max(params) if n_max is None else n_max
-    if _swept(params) is None:
-        return _projection(params.replace(dt=0.0), counts)
     rows = _rows(params)
-    counts = np.broadcast_to(counts, len(rows)).tolist()
-    default_engine().zeros(*dict.fromkeys(counts))      # every count's zeros in one Newton pass
+    counts = np.broadcast_to(_auto_n_max(params) if n_max is None else n_max, len(rows)).tolist()
     solved = {n: iter(_projections([p for p, c in zip(rows, counts) if c == n], n))
               for n in dict.fromkeys(counts)}
-    return [next(solved[n]) for n in counts]
-
-
-@functools.lru_cache(maxsize=8)
-def _projection(params: PhysicalParams, n_max: int) -> BouncerProjection:
-    """``bouncer_coefficients`` at a given level count."""
-    return _projections([params], n_max)[0]
+    out = [next(solved[n]) for n in counts]
+    return out if _swept(params) else out[0]
 
 
 def _projections(rows: list[PhysicalParams], n_max: int) -> list[BouncerProjection]:

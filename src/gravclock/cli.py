@@ -26,8 +26,8 @@ A CLI process runs numpy's OpenBLAS on one thread unless
 ``OPENBLAS_NUM_THREADS`` is set, and imports only the modules its routes
 use: a bouncer ``closed`` sweep loads ``cli``, ``core`` and ``bouncer``;
 ``estimation`` (with ``gaussian``) comes with an interferometer route or a
-``run`` report, ``oracle`` with an oracle route.  A bouncer dt sweep solves
-its dt-free projection once, a g or sigma sweep once per level count.  The
+``run`` report, ``oracle`` with an oracle route.  A bouncer op solves its Airy
+zeros once, a dt sweep its projection once too (it reads no dt).  The
 process entry ``entry`` freezes the heap once ``main`` returns, so
 interpreter shutdown makes no cyclic-GC pass over it.
 """

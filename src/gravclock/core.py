@@ -19,7 +19,7 @@ measured from its value at ``x0``: a constant offset shifts each clock
 level's phase by a target-independent constant that no QFI, FI or
 detection probability can see.  The Mach-Zehnder scenario uses a piecewise
 linear potential anchored at the two Taylor points ``x_plus0``/``x_minus0``
-with slopes ``g_plus``/``g_minus`` and a kink at ``x0``.
+(where it is g (x_pm0 - x0)) with slopes ``g_plus``/``g_minus`` and a kink at ``x0``.
 
 The ``ablate_time_dilation`` switch zeroes the coupling of the internal
 Hamiltonian to V/c^2 and p^2/c^2 (the ``*_eff`` accessors return 0) while
@@ -63,7 +63,7 @@ class PhysicalParams:
     """All scenario constants in SI, with derived ratios precomputed.
 
     Use :func:`build_params` instead of the raw constructor; it fills in
-    the potential anchors and validates.
+    the Taylor points and slopes and validates.
     """
 
     m: float                 # atom mass, kg
@@ -77,8 +77,6 @@ class PhysicalParams:
     x0: float                # potential reference point / MZ kink, m
     x_plus0: float           # upper Taylor expansion point, m
     x_minus0: float          # lower Taylor expansion point, m
-    vn_plus0: float          # V_N(x_plus0) - V_N(x0), m^2/s^2
-    vn_minus0: float         # V_N(x_minus0) - V_N(x0), m^2/s^2
     sigma: float             # initial position-space width, m
     dt: float                # interferometric time, s
     phi: float               # controllable phase shifter, rad
@@ -195,8 +193,8 @@ class PhysicalParams:
     @property
     def delta_v_mz(self) -> float:
         """V_MZ(x_plus) - V_MZ(x_minus) for the piecewise potential."""
-        upper = self.g_plus * self.h_plus + self.vn_plus0
-        lower = self.g_minus * self.h_minus + self.vn_minus0
+        upper = self.g_plus * self.h_plus + self.g * (self.x_plus0 - self.x0)
+        lower = self.g_minus * self.h_minus + self.g * (self.x_minus0 - self.x0)
         return upper - lower
 
     @property
@@ -245,16 +243,13 @@ def build_params(
     g_minus: float | None = None,
     x_plus0: float | None = None,
     x_minus0: float | None = None,
-    vn_plus0: float | None = None,
-    vn_minus0: float | None = None,
     ablate_time_dilation: bool = False,
 ) -> PhysicalParams:
     """Build a validated parameter set, deriving what is not supplied.
 
     Taylor points default to the branch heights themselves (h_pm = 0),
-    the slopes ``g_pm`` default to the local gradient of a -GM/r profile
-    around ``g``, and the potential anchors are g (x_pm0 - x0), the
-    potential measured from its value at x0.
+    and the slopes ``g_pm`` default to the local gradient of a -GM/r profile
+    around ``g``.
     """
     if x_plus0 is None:
         x_plus0 = x_plus
@@ -267,15 +262,10 @@ def build_params(
             g_plus = g - 0.5 * delta_g
         if g_minus is None:
             g_minus = g + 0.5 * delta_g
-    if vn_plus0 is None:
-        vn_plus0 = g * (x_plus0 - x0)
-    if vn_minus0 is None:
-        vn_minus0 = g * (x_minus0 - x0)
     return PhysicalParams(
         m=m, e0=e0, e1=e1, g=g, g_plus=g_plus, g_minus=g_minus,
         x_plus=x_plus, x_minus=x_minus, x0=x0,
         x_plus0=x_plus0, x_minus0=x_minus0,
-        vn_plus0=vn_plus0, vn_minus0=vn_minus0,
         sigma=sigma, dt=dt, phi=phi,
         ablate_time_dilation=ablate_time_dilation,
     )

@@ -246,15 +246,15 @@ def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
     if scenario == "mach_zehnder":
         var, chirp = _spreading(params, 0.0)
         if above_kink:
-            g_side, x_side0, vn_side = params.g_plus, params.x_plus0, params.vn_plus0
+            g_side, x_side0 = params.g_plus, params.x_plus0
         else:
-            g_side, x_side0, vn_side = params.g_minus, params.x_minus0, params.vn_minus0
-        # V_MZ(x) = g_side (x - x_side0) + vn_side, re-anchored at x_ref = x0.
+            g_side, x_side0 = params.g_minus, params.x_minus0
+        # V_MZ(x) = g_side (x - x_side0) + g (x_side0 - x0), re-anchored at x_ref = x0.
         # The fixed anchor and the slope-dependent constant live in separate
         # ledger terms so parameter differentiation never subtracts a tiny
         # g-dependent piece from a larger constant.
         terms = {
-            "potential_anchor": -dt_l * m * z * vn_side / hb_l,
+            "potential_anchor": -dt_l * m * z * (g * (x_side0 - params.x0)) / hb_l,
             "potential_slope_const": -dt_l * m * z * g_side
             * (_LD_ONE * params.x0 - x_side0) / hb_l,
         }

@@ -108,31 +108,43 @@ def test_airy_zero_ordering_and_range_guard():
             bc.airy_zero(n)
 
 
-@pytest.mark.parametrize("count", [1, 2, 17, 454, 512, 1024, 3000])
-def test_zeros_memoised_read_only_and_bit_equal_to_fresh_engine(count):
+@pytest.fixture(scope="module")
+def zero_table():
+    """The first 1e4 negative zeros of Ai, one engine's table."""
+    return bc.AiryEngine().zeros(core.BOUNCER_N_MAX_CAP)
+
+
+@pytest.mark.parametrize("count", [1, 2, 17, 454, 512, 1024, 3000, 8679])
+def test_zeros_memoised_read_only_and_bit_equal_to_fresh_engine(zero_table, count):
+    """zeros(count) is a read-only prefix of its engine's one table, and a fresh
+    engine's solve of that count alone is bit for bit the prefix of a 1e4-zero
+    table: each zero's Newton iterates depend on its own start, and the
+    elementwise stopping test takes 3 steps at every count (z_1 needs 3).  A test
+    over the whole array, max|step| < 1e-13 max|z|, would stop counts from 8680
+    on after 2 steps, up to 4.2e-16 relative away from these values."""
+    fresh = bc.AiryEngine().zeros(count)
+    assert fresh.tobytes() == zero_table[:count].tobytes()
     engine = bc.default_engine()
     zeros = engine.zeros(count)
-    assert engine.zeros(count) is zeros
-    assert not zeros.flags.writeable
-    with pytest.raises(ValueError):
-        zeros[0] = 0.0
-    fresh = bc.AiryEngine().zeros(count)
-    assert fresh is not zeros
-    assert np.array_equal(fresh.view(np.int64), zeros.view(np.int64))
+    assert np.shares_memory(zeros, engine.zeros(1))
+    for array in (fresh, zeros):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_zeros_of_one_newton_pass_equal_each_count_alone():
-    """Counts solved together keep their own stopping tests: each array is bit
-    for bit the solve of that count alone (Newton's iteration counts differ from
-    count to count, so none is a slice of another)."""
+    """One engine serves every count from one table: a longer count solves it
+    again from the first zero, a shorter one is its prefix, and each is bit for
+    bit that count solved alone by a fresh engine."""
     counts = [1, 2, 17, 249, 450, 451, 454, 459, 512, 1516, 3000]
-    joint = bc.AiryEngine()
-    first = joint.zeros(*counts[::-1])
-    assert first is joint.zeros(counts[-1])
+    engine = bc.AiryEngine()
     for count in counts:
-        alone = bc.AiryEngine().zeros(count)
-        assert joint.zeros(count).tobytes() == alone.tobytes()
-        assert not joint.zeros(count).flags.writeable
+        assert engine.zeros(count).size == count
+    for count in counts[::-1]:
+        zeros = engine.zeros(count)
+        assert np.shares_memory(zeros, engine.zeros(counts[-1]))
+        assert zeros.tobytes() == bc.AiryEngine().zeros(count).tobytes()
+        assert not zeros.flags.writeable
 
 
 @pytest.mark.parametrize("name,values", [("sigma", np.geomspace(1e-7, 3e-6, 30)),
@@ -285,8 +297,8 @@ def test_momentum_tail_leaves_the_sample_counts(bouncer_params, signs):
 
 
 def test_projection_arrays_are_read_only(bouncer_params):
-    """bouncer_coefficients shares one solve among its callers: no caller
-    may write into it."""
+    """A dt column's rows share one projection, and every spectrum's zeros are
+    a view of its engine's one table: no caller may write into them."""
     proj = bc.bouncer_coefficients(bouncer_params)
     for array in (proj.c_plus, proj.c_minus, proj.coefficients, proj.spectrum.band,
                   proj.spectrum.norms, proj.spectrum.zeros):
@@ -296,19 +308,23 @@ def test_projection_arrays_are_read_only(bouncer_params):
 
 @pytest.mark.parametrize("dt", [0.0, 0.05, 0.7, 3.0])
 def test_shared_projection_bit_identical_to_uncached_solve(bouncer_params, dt):
-    """configs/bouncer.cfg with time.dt_s changed: the projection is the one
-    solved at the sample's dt, and bit for bit what a solve at this dt gives."""
+    """configs/bouncer.cfg with time.dt_s changed: the projection reads no dt, so a
+    dt column (``core.Scenario.column``) is one set with one projection, bit for bit
+    the solve at this dt alone and the per-path reference's."""
     params = bouncer_params.replace(dt=dt)
+    shared = bc.bouncer_coefficients(bouncer_params.replace(check=False, dt=np.array([0.0, 0.05, 0.7, 3.0])))
     proj = bc.bouncer_coefficients(params)
-    assert proj is bc.bouncer_coefficients(bouncer_params)
-    fresh = bc._projection.__wrapped__(params, bc._auto_n_max(params))
-    assert fresh is not proj
+    assert isinstance(shared, bc.BouncerProjection) and shared is not proj
     for name in ("c_plus", "c_minus", "coefficients"):
-        assert getattr(fresh, name).tobytes() == getattr(proj, name).tobytes()
+        assert getattr(shared, name).tobytes() == getattr(proj, name).tobytes()
     for name in ("zeros", "band", "norms"):
-        assert getattr(fresh.spectrum, name).tobytes() == getattr(proj.spectrum, name).tobytes()
-    assert (fresh.tail, fresh.renorm, fresh.spectrum.lengths, fresh.spectrum.n_max) \
+        assert getattr(shared.spectrum, name).tobytes() == getattr(proj.spectrum, name).tobytes()
+    assert (shared.tail, shared.renorm, shared.spectrum.lengths, shared.spectrum.n_max) \
         == (proj.tail, proj.renorm, proj.spectrum.lengths, proj.spectrum.n_max)
+    c_plus, c_minus, coefficients, tail, renorm = _projection_scalar(params, proj.spectrum.n_max)
+    assert (proj.c_plus.tobytes(), proj.c_minus.tobytes(), proj.coefficients.tobytes()) \
+        == (c_plus.tobytes(), c_minus.tobytes(), coefficients.tobytes())
+    assert (proj.tail, proj.renorm) == (tail, renorm)
 
 
 def test_engine_accuracy_against_mpmath_grid():

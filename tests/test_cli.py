@@ -554,9 +554,8 @@ def test_truncation_advice_names_no_config_key(bouncer_params, capsys, monkeypat
 @pytest.mark.parametrize("var,start,stop,solves", [("dt", "0.05", "0.5", 1),
                                                    ("g", "9.6", "10.0", 40)])
 def test_bouncer_sweep_projection_solves(tmp_path, monkeypatch, var, start, stop, solves):
-    """The projection reads no dt: a 40-row dt sweep solves it once, and a
-    40-row g sweep, whose every row is a new state, once per row."""
-    bc._projection.cache_clear()
+    """The projection reads no dt: a 40-row dt sweep is one column set and makes
+    one spectrum, and a 40-row g sweep, whose every row is a new state, one per row."""
     spectra = []
     spectrum = bc.bouncer_spectrum
     monkeypatch.setattr(bc, "bouncer_spectrum", lambda *args: spectra.append(args) or spectrum(*args))
@@ -565,20 +564,6 @@ def test_bouncer_sweep_projection_solves(tmp_path, monkeypatch, var, start, stop
                    "--out", str(tmp_path)])
     assert rc == 0
     assert len(spectra) == solves
-
-
-def test_bouncer_closed_oracle_run_solves_its_centre_once(monkeypatch, capsys):
-    """``run`` is a one-row column of dt: the closed form solves the centre
-    projection into ``_projection``'s cache, and the oracle finds it there."""
-    bc._projection.cache_clear()
-    solved_at = []
-    spectrum = bc.bouncer_spectrum
-    monkeypatch.setattr(bc, "bouncer_spectrum",
-                        lambda *args: solved_at.append(args[0].g) or spectrum(*args))
-    assert cli.main(["run", "--config", str(CONFIGS / "bouncer.cfg"),
-                     "--methods", "closed,oracle"]) == 0
-    p = core.params_from_config(core.load_config(CONFIGS / "bouncer.cfg"))
-    assert solved_at.count(p.g) == 1 and len(solved_at) > 1
 
 
 @pytest.mark.parametrize("var,start,stop,log", [("dt", "0.05", "0.5", True),
@@ -609,10 +594,10 @@ def test_bouncer_sweep_rows_equal_one_row_runs(tmp_path, var, start, stop, log):
 
 
 def test_bouncer_g_sweep_solves_each_level_count_once(tmp_path, monkeypatch):
-    """A 40-row g sweep of configs/bouncer.cfg spans 10 level counts (450-459):
-    one Newton pass solves their zeros, and each count takes one Ai'(z_n) and
-    one ``ai_log`` call for the four path projections of all its rows."""
-    calls = {"ai_prime": [], "ai_log": [], "zeros": []}
+    """A 40-row g sweep of configs/bouncer.cfg spans 10 level counts (450-459),
+    each a prefix of one table of zeros: each count takes one Ai'(z_n) and one
+    ``ai_log`` call for the four path projections of all its rows."""
+    calls = {"ai_prime": [], "ai_log": []}
     for name in calls:
         method = getattr(bc.AiryEngine, name)
         monkeypatch.setattr(bc.AiryEngine, name, lambda self, *args, _m=method, _n=name:
@@ -623,12 +608,10 @@ def test_bouncer_g_sweep_solves_each_level_count_once(tmp_path, monkeypatch):
     assert counts == list(range(450, 460))
     for key in calls:
         calls[key].clear()
-    bc._projection.cache_clear()
     rc = cli.main(["sweep", "--config", str(CONFIGS / "bouncer.cfg"), "--var", "g",
                    "--from", "9.6", "--to", "10.0", "--points", "40", "--methods", "closed",
                    "--out", str(tmp_path)])
     assert rc == 0
-    assert [args for args in calls["zeros"] if len(args) > 1] == [tuple(counts)]
     assert sorted(args[0].size for args in calls["ai_prime"]) == counts
     assert sorted(args[0].size for args in calls["ai_log"]) == sorted(
         4 * n * per_row.count(n) for n in counts)

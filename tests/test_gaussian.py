@@ -258,8 +258,8 @@ def test_mz_path_phase_difference_extended_precision(sr88_10s):
     for level, e_i in ((0, p.e0), (1, p.e1)):
         bp, bm = state.branch("plus", level), state.branch("minus", level)
         got = float(bm.ledger.diff_at(p.x_minus, bp.ledger, p.x_plus))
-        v_p = mp.mpf(p.g_plus) * mp.mpf(p.h_plus) + mp.mpf(p.vn_plus0)
-        v_m = mp.mpf(p.g_minus) * mp.mpf(p.h_minus) + mp.mpf(p.vn_minus0)
+        v_p = mp.mpf(p.g_plus) * mp.mpf(p.h_plus) + mp.mpf(p.g) * (mp.mpf(p.x_plus0) - mp.mpf(p.x0))
+        v_m = mp.mpf(p.g_minus) * mp.mpf(p.h_minus) + mp.mpf(p.g) * (mp.mpf(p.x_minus0) - mp.mpf(p.x0))
         z = mp.mpf(e_i) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2)
         ref = float(-mp.mpf(p.dt) * mp.mpf(p.m) * z * (v_m - v_p) / mp.mpf(p.hbar))
         assert got == pytest.approx(ref, abs=1e-10)

@@ -100,6 +100,44 @@ def test_bouncer_import_loads_no_oracle_estimation_or_gaussian():
     assert out.split() == ["gravclock.bouncer", "gravclock.core"]
 
 
+# Counts the ``zeros`` calls that run Newton (make at least one ``_eval`` pass).
+_COUNT_NEWTON_RUNS = """\
+import contextlib, io, sys
+from gravclock import bouncer as bc, cli
+runs = []
+zeros, evaluate = bc.AiryEngine.zeros, bc.AiryEngine._eval
+
+def counted_zeros(self, *counts):
+    runs.append(0)
+    return zeros(self, *counts)
+
+def counted_eval(self, y):
+    if sys._getframe(1).f_code.co_name == "zeros":
+        runs[-1] += 1
+    return evaluate(self, y)
+
+bc.AiryEngine.zeros, bc.AiryEngine._eval = counted_zeros, counted_eval
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(sum(1 for steps in runs if steps))
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--methods", "closed"],
+    ["run", "--methods", "closed,oracle"],
+    ["sweep", "--var", "dt", "--from", "0.05", "--to", "0.5", "--points", "40", "--methods", "closed"],
+    ["sweep", "--var", "g", "--from", "9.6", "--to", "10.0", "--points", "40", "--methods", "closed"],
+], ids=["closed", "closed,oracle", "dt-sweep", "g-sweep"])
+def test_bouncer_op_runs_the_zeros_newton_once(tmp_path, args):
+    """Every level count a bouncer op uses (the level-count scan's blocks of 512,
+    the projections' 450-459, the oracle's stencil) is a prefix of one table of
+    zeros, so the op's process runs Newton once.  Each op used to run it twice:
+    zeros(512) for the scan, then again for the counts it projects on."""
+    argv = [args[0], "--config", "configs/bouncer.cfg", *args[1:], "--out", str(tmp_path)]
+    assert _python("-c", _COUNT_NEWTON_RUNS, *argv).split() == [b"1"]
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_cli_starts_no_blas_threads():
     code = ("import os, gravclock.cli\n"
