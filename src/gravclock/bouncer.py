@@ -18,7 +18,7 @@ time-independent coefficients, so the long-time QFI for g grows only as
 dt^2 times the variance of dE/dg over the level distribution.
 
 The Airy engine is self-contained: one float64 piecewise-Chebyshev table
-of Ai and Ai' on [-15, 12], built once from one extended-precision march
+of Ai and Ai' on [-15, 12], built once from one float64 march
 of the Airy ODE, the DLMF 9.7 asymptotic expansions outside it, and
 evaluation in cache-sized blocks, each taken whole when it lies in one
 region and split by one boolean mask per region otherwise, Ai and Ai'
@@ -54,9 +54,7 @@ import numpy as np
 
 from .core import BOUNCER_N_MAX_CAP, PhysicalParams, require_bouncer_g, require_floor_clearance
 
-_LD = np.longdouble
-
-AI_ZERO = _LD("0.35502805388781723926006318600418317639797917419917724058332651030081004245")
+AI_ZERO = 0.3550280538878172    # Ai(0), DLMF 9.2.3
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG_2_SQRT_PI = math.log(2.0 * _SQRT_PI)
@@ -121,7 +119,7 @@ class AiryEngine:
 
     One float64 table of piecewise Chebyshev interpolants (degree 14 on
     width-1/2 intervals) covers [-neg_cutoff, pos_cutoff] for both Ai and
-    Ai'.  It is built once, on first use, from extended-precision values
+    Ai'.  It is built once, on first use, from float64 values
     at its nodes: one Taylor march of the Airy ODE leftward from the
     asymptotic seed at pos_cutoff + 1/2 (the stable direction for Ai, which
     grows as the march goes), with every knot scaled so that the one at
@@ -156,7 +154,7 @@ class AiryEngine:
     neg_cutoff = 15.0
     pos_cutoff = 12.0
 
-    # -- extended-precision node values -------------------------------------
+    # -- node values ----------------------------------------------------------
 
     @staticmethod
     def _taylor_step(y0, f, fp, h):
@@ -167,7 +165,7 @@ class AiryEngine:
         coeffs = [f, fp, y0 * f / 2]
         for n in range(1, _TAYLOR_TERMS - 2):
             coeffs.append((y0 * coeffs[n] + coeffs[n - 1]) / ((n + 1) * (n + 2)))
-        val = der = _LD(0.0)
+        val = der = 0.0
         for c in reversed(coeffs):
             val = val * h + c
         for k in range(len(coeffs) - 1, 0, -1):
@@ -234,12 +232,12 @@ class AiryEngine:
         """Chebyshev coefficients of Ai and Ai', shape (degree + 1, 2, intervals)."""
         # Knots every _KNOT_STEP from one leftward march off the asymptotic
         # seed, scaled so that the knot at y = 0 is Ai(0).
-        y = _LD(self.pos_cutoff + 0.5)
-        f, fp = (_LD(v[0]) for v in self._asym_pos(np.array([float(y)])))
+        y = self.pos_cutoff + 0.5
+        f, fp = (float(v[0]) for v in self._asym_pos(np.array([y])))
         knots = [(y, f, fp)]
         while y > -self.neg_cutoff - 0.5:
-            f, fp = self._taylor_step(y, f, fp, _LD(-_KNOT_STEP))
-            y -= _LD(_KNOT_STEP)
+            f, fp = self._taylor_step(y, f, fp, -_KNOT_STEP)
+            y -= _KNOT_STEP
             knots.append((y, f, fp))
         knot_y, knot_f, knot_fp = (np.array(col) for col in zip(*knots))
         scale = AI_ZERO / knot_f[knot_y == 0][0]
@@ -251,8 +249,8 @@ class AiryEngine:
         j = np.arange(d + 1)
         cheb_x = np.cos(np.pi * j / d)
         centers = -self.neg_cutoff + _TABLE_WIDTH * (np.arange(n_iv) + 0.5)
-        nodes = centers.astype(_LD) + _LD(0.5 * _TABLE_WIDTH) * cheb_x.astype(_LD)[:, None]
-        near = np.abs(knot_y.astype(float)[:, None, None] - nodes.astype(float)).argmin(axis=0)
+        nodes = centers + 0.5 * _TABLE_WIDTH * cheb_x[:, None]
+        near = np.abs(knot_y[:, None, None] - nodes).argmin(axis=0)
         values = self._taylor_step(knot_y[near], knot_f[near], knot_fp[near],
                                    nodes - knot_y[near])
 
@@ -261,7 +259,7 @@ class AiryEngine:
         weights[[0, d]] = 0.5
         dct = (2.0 / d) * np.cos(np.pi * np.outer(j, j) / d)
         dct *= weights[:, None] * weights[None, :]
-        return np.stack([(dct.astype(_LD) @ v).astype(float) for v in values], axis=1)
+        return np.stack([dct @ v for v in values], axis=1)
 
     def _chebyshev(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Ai, Ai') by one Clenshaw sum of each point's own interval series,
@@ -690,8 +688,11 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
 
     Phases are relative to each level's constant at ``params.g`` and band mean
     under ``center`` (the projection at ``params.g``), shared by the states
-    compared; the constants' g-variation is restored exactly via the analytic
-    x0 term.  One basis serves every state and level: Ai and Ai' of
+    compared, in two parts wrapped one by one: the centre band less that
+    mean, common to every state (so its rounding cancels to first order in
+    the offset), and an exact O(offset) part, band_c ((g_s / g)^(2/3) - 1)
+    (the band scales as g^(2/3)) plus the level constant's analytic x0
+    term.  One basis serves every state and level: Ai and Ai' of
     y = x / l_0 + z_n (l_0 the level-0 length at ``params.g``) up to
     the decay cut y = 26 (Ai(26) ~ 1e-39), one ``AiryEngine.ai_rows`` call
     per 12-row chunk.  State s, level i is the Taylor sum of Ai(y + Delta),
@@ -720,11 +721,14 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     one_plus_z = 1.0 + np.array([[params.z_eff(0)], [params.z_eff(1)]])
     band_ref = np.array([float((w @ band) / w.sum()) if w.sum() > 0 else 0.0
                          for w, band in zip(np.abs(center.coefficients) ** 2, center.spectrum.band)])
+    rate = -t / params.hbar
+    band_c = center.spectrum.band[:, rows]
+    common = wrap_angle((band_c - band_ref[:, None]) * rate)
     for s, (g_value, proj) in enumerate(family):
-        const_shift = -params.m * params.x0 * one_plus_z * (g_value - params.g)
-        rel_energy = (proj.spectrum.band[:, rows] - band_ref[:, None]) + const_shift
-        phases = wrap_angle(-rel_energy.astype(_LD) * _LD(t) / _LD(params.hbar))
-        c = proj.coefficients[:, rows] * np.exp(1j * phases)
+        offset = g_value - params.g        # exact (Sterbenz) for g_value in [g/2, 2g]
+        scaling = math.expm1(math.log1p(offset / params.g) * (2.0 / 3.0))
+        shift = band_c * scaling - params.m * params.x0 * one_plus_z * offset
+        c = proj.coefficients[:, rows] * np.exp(1j * (common + wrap_angle(shift * rate)))
         floor[s] = (c @ floor_p.T) * lengths[s, :, None] ** (-0.5 - np.arange(8))
         c = c * proj.spectrum.norms[:, rows]
         coeff[s] = np.stack([c.real, c.imag], axis=1)

@@ -309,8 +309,9 @@ TARGETS = {
     "bouncer": ("g",),
 }
 
-# d(g, g_plus, g_minus) / d(target): with_value's g_pm = bar_g -+ delta_g / 2.
+# d(g, g_plus, g_minus) / d(target), with g_pm = bar_g -+ delta_g / 2.
 _DIRECTIONS = {"g": (1.0, 0.0, 0.0), "delta_g": (0.0, -0.5, 0.5), "bar_g": (0.0, 1.0, 1.0)}
+_SLOPES = ("g", "g_plus", "g_minus")
 
 
 @dataclass(frozen=True)
@@ -334,22 +335,16 @@ class Scenario:
     def value(self) -> float:
         return getattr(self.params, self.target)
 
-    def with_value(self, value: float) -> "Scenario":
+    def make_state(self, offset: float | None = None):
+        """The scenario's state; with ``offset``, the state at the target value plus
+        ``offset``, never rounded to a float: each slope the target moves is
+        Diff(Diff(value, its share of the offset), 0) (see ``gaussian.Diff``)."""
+        from .gaussian import Diff, evolve_state
         p = self.params
-        if self.target == "g":
-            new = p.replace(g=value)
-        elif self.target == "delta_g":
-            bar = p.bar_g
-            new = p.replace(g_plus=bar - 0.5 * value, g_minus=bar + 0.5 * value)
-        else:
-            delta = p.delta_g
-            new = p.replace(g_plus=value - 0.5 * delta, g_minus=value + 0.5 * delta)
-        return Scenario(self.kind, new, self.target)
-
-    def make_state(self, value: float | None = None):
-        from .gaussian import evolve_state
-        sc = self if value is None else self.with_value(value)
-        return evolve_state(sc.params, sc.kind)
+        if offset is not None:
+            p = p.replace(check=False, **{name: Diff(Diff(getattr(p, name), d * offset), 0.0)
+                                          for name, d in zip(_SLOPES, _DIRECTIONS[self.target]) if d})
+        return evolve_state(p, self.kind)
 
     def detector_state(self):
         """The clock-free reference both detector routes interfere: the
@@ -362,8 +357,7 @@ class Scenario:
         the states it makes carry their derivatives with respect to it."""
         from .gaussian import Jet
         p = self.params
-        slopes = {name: Jet(getattr(p, name), d)
-                  for name, d in zip(("g", "g_plus", "g_minus"), _DIRECTIONS[self.target])}
+        slopes = {name: Jet(getattr(p, name), d) for name, d in zip(_SLOPES, _DIRECTIONS[self.target])}
         return Scenario(self.kind, p.replace(check=False, **slopes), self.target)
 
     def column(self, name: str, values) -> "Scenario":

@@ -6,7 +6,7 @@ checked against each other:
 * closed forms (``qfi_ff_closed`` & friends), transcribed once from the
   analytic results and never tuned;
 * a parametric pure-state engine (``qfi_pure_parametric``) that takes the
-  exact derivatives of the Gaussian branch means and ledger coefficients
+  exact derivatives of the Gaussian branch means, phases and slopes
   and assembles ``G = 4 (<d psi|d psi> - |<psi|d psi>|^2)`` from
   closed-form pair moments -- no grids, no wrapped-phase differentiation;
 * a qubit engine (``qubit_qfi``) for the clock-traced state, a path
@@ -15,14 +15,16 @@ checked against each other:
 
 These two and the classical FI (``classical_fi``) evaluate one state, made
 on ``Scenario.tangent()``: its slopes are jets (``gaussian.Jet``), so every
-derivative comes from the evolution maps' own arithmetic.  A phase longdouble
-cannot resolve raises ValueError instead of being wrapped to noise.  On a
-column scenario (``Scenario.column``) ``qfi_pure_parametric`` and
-``fi_numeric`` return one value per sweep row, checked row by row.
+derivative comes from the evolution maps' own arithmetic.  Every phase they
+subtract or wrap is a float64 exact difference from the state's clock-free
+frame (``gaussian.Frame``); one float64 cannot resolve raises ValueError
+instead of being wrapped to noise.  On a column scenario
+(``Scenario.column``) ``qfi_pure_parametric`` and ``fi_numeric`` return one
+value per sweep row, checked row by row.
 
 Every engine takes a ``core.Scenario`` (kind, parameters, target; also
-importable from here) and makes its own state; ``Scenario.detector_state``
-is the clock-free reference both detector routes interfere.
+importable from here) and makes its own state.  The path detectors
+interfere the clock-free reference, which is every state's frame.
 
 Parameter conventions for the two interferometers:
 
@@ -43,12 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalParams, Scenario    # also looked up here (perfbench/checks.py)
-from .gaussian import (ClockState, GaussianBranch, Jet, PairMoments, PhaseLedger, as_float, py, split,
-                       wrap_angle)
-
-_LD = np.longdouble
-_LD_ONE = _LD(1.0)
-_LD_EPS = float(np.finfo(_LD).eps)
+from .gaussian import ClockState, GaussianBranch, Jet, PairMoments, as_float, py, split, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -178,31 +175,32 @@ def closed_fi(scenario: Scenario) -> float:
 def qfi_pure_parametric(scenario: Scenario) -> float:
     """Pure-state QFI of the scenario family by parameter differentiation.
 
-    One state is made on ``scenario.tangent()``: each branch's mean and
-    ledger carry their exact derivatives (amplitudes, widths and chirps are
-    parameter-free).  The controllable phase enters as a parameter-independent
-    amplitude, so the result is invariant in it.  A branch's phase derivative
-    is a longdouble sum; its addends' rounding over one Cramer-Rao width
-    1/sqrt(G) of the target must be a resolvable phase.
+    One state is made on ``scenario.tangent()``: each branch's mean, phase
+    and slope, and the frame, carry their exact derivatives (amplitudes,
+    widths and chirps are parameter-free).  The controllable phase enters as
+    a parameter-independent amplitude, so the result is invariant in it.  A
+    branch's phase derivative at its centre, at fixed lab x, is the frame's
+    z-free part (the cubic action's, the same on all four branches: a gauge,
+    dropped before any sum) plus three addends of its own; their rounding
+    over one Cramer-Rao width 1/sqrt(G) of the target must be a resolvable phase.
     """
+    state = scenario.tangent().make_state()
+    dorigin, drho = split(state.frame.origin)[1], split(state.frame.slope)[1]
     comps, c1s, phase0, sizes = [], [], [], []
-    for jet in scenario.tangent().make_state().components:
-        mean, dmean = split(jet.mean_x)
-        slope, dslope = split(jet.ledger.slope)
-        terms = [(name, *split(t)) for name, t in jet.ledger.terms]
-        ledger = PhaseLedger(tuple((name, v) for name, v, _ in terms), slope, jet.ledger.x_ref)
-        b = GaussianBranch(jet.amplitude, ledger, mean, jet.var_x, jet.chirp,
+    for jet in state.components:
+        (mean, dmean), (phase, dphase), (slope, dslope) = map(split, (jet.mean_x, jet.phase, jet.slope))
+        b = GaussianBranch(jet.amplitude, phase, slope, mean, jet.var_x, jet.chirp,
                            jet.internal_level, jet.path_label)
         comps.append(b)
-        c1s.append(b.amplitude * (py(dmean) * (1.0 / (2.0 * b.var_x) - 2j * py(b.chirp))
-                                  + 1j * py(as_float(dslope))))
-        # Constant phase derivative, including the slope pivot about the centre.
-        addends = [d for *_, d in terms] + [dslope * (_LD(mean) - ledger.x_ref)]
-        phase0.append(sum(addends, _LD(0.0)))
-        sizes.append(as_float(sum(map(abs, addends), _LD(0.0))))
+        # Lab mean origin + x and lab slope rho + slope; the frame origin moves, x stays.
+        c1s.append(b.amplitude * (py(dorigin + dmean) * (1.0 / (2.0 * b.var_x) - 2j * py(b.chirp))
+                                  + 1j * py(drho + dslope)))
+        addends = (dphase, (drho + dslope) * mean, -slope * dorigin)
+        phase0.append(sum(addends))
+        sizes.append(sum(map(abs, addends)))
     weights = [abs(b.amplitude) ** 2 for b in comps]
-    gauge = sum((w * p0 for w, p0 in zip(weights, phase0)), _LD(0.0)) / sum(weights)
-    polys = [(b.amplitude * 1j * py(as_float(p0 - gauge)), c1) for b, p0, c1 in zip(comps, phase0, c1s)]
+    gauge = sum(w * p0 for w, p0 in zip(weights, phase0)) / sum(weights)
+    polys = [(b.amplitude * 1j * py(p0 - gauge), c1) for b, p0, c1 in zip(comps, phase0, c1s)]
 
     s_dd = 0.0j
     s_pd = 0.0j
@@ -223,34 +221,34 @@ def qfi_pure_parametric(scenario: Scenario) -> float:
 # Qubit reduction and the qubit (Bloch-vector) QFI
 # ---------------------------------------------------------------------------
 
-def _level_phase(state: ClockState, level: int, scenario: Scenario, ref=_LD(0.0)):
-    """Level ``level``'s minus-vs-plus phase at the z-free trajectory centres from
-    the ledgers, less ``ref`` (a ledger phase of that size), plus the amplitudes'.
+def _level_phase(state: ClockState, level: int, scenario: Scenario):
+    """Level ``level``'s minus-vs-plus phase at the z-free trajectory centres,
+    less the frame's (-rho h, the same on both levels), plus the amplitudes'.
 
-    The centres are the starts less the common fall g dt^2/2 (none on the
-    Mach-Zehnder), which dwarfs the separation at long times: so the ledgers
-    are compared at the starts and the fall enters through the slope
-    difference alone.  A ValueError where longdouble cannot resolve the phase.
+    The z-free centres are the starts in the frame, which falls with them;
+    the branches' exact differences give an O(z) phase, the slopes
+    multiplying the separation rather than the lever arms.  A ValueError
+    where float64 cannot resolve it.
     """
     params = scenario.params
     bp, bm = state.branch("plus", level), state.branch("minus", level)
-    fall = 0.5 * (_LD_ONE * params.g) * _LD(params.dt) ** 2 if scenario.kind == "free_fall" else 0.0
-    phase = bm.ledger.diff_at(params.x_minus, bp.ledger, params.x_plus) \
-        - (bm.ledger.slope - bp.ledger.slope) * fall
+    phase = (bm.phase - bp.phase) + bm.slope * (params.x_minus - params.x_plus) \
+        + (bm.slope - bp.slope) * (params.x_plus - params.x0)
     _require_resolved(split(phase)[0], "level-relative phase")
-    return phase - ref + _LD(cmath.phase(bm.amplitude) - cmath.phase(bp.amplitude))
+    return phase + (cmath.phase(bm.amplitude) - cmath.phase(bp.amplitude))
 
 
-_PHASE_ULP_MAX = 1e-3    # rad: the coarsest longdouble ulp a phase may have
+_PHASE_ULP_MAX = 1e-3    # rad: the coarsest float64 ulp a phase may have
+_EPS = float(np.finfo(float).eps)
 
 
 def _require_resolved(phase, what: str) -> None:
-    """ValueError where the longdouble ulp of ``phase`` (rad; of any row of an
+    """ValueError where the float64 ulp of ``phase`` (rad; of any row of an
     array) exceeds _PHASE_ULP_MAX.  The message gives the first such row's phase."""
-    if np.any(too_coarse := np.abs(phase) * _LD_EPS > _PHASE_ULP_MAX):
+    if np.any(too_coarse := np.abs(phase) * _EPS > _PHASE_ULP_MAX):
         phase = float(np.asarray(phase)[too_coarse][0])
-        raise ValueError(f"{what} {phase:.3g} rad is beyond longdouble resolution "
-                         f"(ulp {abs(phase) * _LD_EPS:.3g} rad > {_PHASE_ULP_MAX:g} rad)")
+        raise ValueError(f"{what} {phase:.3g} rad is beyond float64 resolution "
+                         f"(ulp {abs(phase) * _EPS:.3g} rad > {_PHASE_ULP_MAX:g} rad)")
 
 
 # math.cos and math.sin on each element: numpy's own may round differently on another CPU.
@@ -268,9 +266,11 @@ def reduce_to_qubit(scenario: Scenario) -> tuple[float, float]:
     """Semiclassical two-path model (gamma_0, gamma_1) of the scenario's state:
     gamma_i is level i's minus-vs-plus relative phase at the z-free trajectory
     centres (global per-level phases, widths and position dependence are
-    dropped).  On a scenario that carries jets, the gammas are jets."""
+    dropped).  Each is the frame's path phase, one float for both levels, plus
+    the level's exact difference.  On a scenario that carries jets, the gammas are jets."""
     state = scenario.make_state()
-    return tuple(wrap_angle(_level_phase(state, level, scenario)) for level in (0, 1))
+    path = wrap_angle(state.frame.slope * (scenario.params.x_minus - scenario.params.x_plus))
+    return tuple(path + wrap_angle(_level_phase(state, level, scenario)) for level in (0, 1))
 
 
 def _bloch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -319,13 +319,13 @@ def detection_probabilities(scenario: Scenario) -> tuple[float, float]:
 
         P_pm = 1/2 +- (cos g0 + cos g1) / 4.
 
-    Computed by term-by-term ledger subtraction against the clock-free
-    reference (``Scenario.detector_state``); P_plus + P_minus = 1 exactly by
-    construction.  On a scenario that carries jets, the probabilities are jets.
+    The clock-free reference is the state's frame, so the detector-frame
+    phase is the level's exact difference from it; P_plus + P_minus = 1
+    exactly by construction.  On a scenario that carries jets, the
+    probabilities are jets.
     """
     state = scenario.make_state()
-    ref = _level_phase(scenario.detector_state(), 0, scenario)
-    cos_sum = sum((_cos_sin(wrap_angle(_level_phase(state, level, scenario, ref)))[0]
+    cos_sum = sum((_cos_sin(wrap_angle(_level_phase(state, level, scenario)))[0]
                    for level in (0, 1)), 0.0)
     p_plus = 0.5 + 0.25 * cos_sum
     return p_plus, 1.0 - p_plus
@@ -335,13 +335,14 @@ def classical_fi(p, dp) -> float:
     """FI sum_k dp_k^2 / p_k of a finite outcome distribution p with
     derivative dp; p_k and dp_k may be arrays, one element per row, giving
     one FI per row.  Outcomes below 1e-15 are excluded, with a warning unless
-    they are exactly impossible and stay so (P- under ablation)."""
+    they are exactly impossible and stay so (P- under ablation); a NaN outcome
+    is kept, so its FI is NaN."""
     p, dp = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(dp, dtype=float))
     if np.any(p < 0):
         raise ValueError("outcome distribution has a negative probability")
     if np.any(np.abs(p.sum(axis=0) - 1.0) > 1e-8):
         raise ValueError("outcome distribution does not sum to 1")
-    keep = p >= 1e-15
+    keep = ~(p < 1e-15)
     reported = ~keep & ((p != 0.0) | (dp != 0.0))
     for outcomes in dict.fromkeys(str(np.flatnonzero(row).tolist())
                                   for row in reported.reshape(len(p), -1).T if row.any()):
@@ -365,7 +366,7 @@ def quadrature_phi(scenario: Scenario) -> float:
     params = scenario.params
     dv = params.delta_v_ff if scenario.kind == "free_fall" else params.delta_v_mz
     slow = params.e_bar_eff * dv * params.dt / (params.hbar * params.c**2)
-    return -wrap_angle(_LD(slow))
+    return -wrap_angle(slow)
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,24 @@ A branch is one arm x internal-level component of the interferometric
 superposition, stored as a unit-norm Gaussian
 
     psi(x) = (2 pi S^2)^(-1/4) exp(-(x-X)^2 / (4 S^2))
-             * exp(i [ L(x) + q (x - X)^2 ]),
+             * exp(i [ R(x) + phase + slope x + q (x - X)^2 ]),
 
-where ``L(x) = sum(terms) + b (x - x_ref)`` is a *phase ledger*: the
-constant part is kept as labeled extended-precision coefficients so that
-phase differences between components are formed term-by-term before any
-modular reduction (the cubic action reaches 1.5e13 rad at dt = 10 s; only
-differences are observable).  A ledger holds only terms that depend on the
-target or differ between the two paths of one level: a phase that does
-neither shifts one level by a constant no route can see.  ``q`` is the
-quadratic chirp that free spreading generates; the exact linear-potential
-evolution is Gaussian-preserving, and the chirp is required for the evolved
-state to be the exact solution rather than a minimum-uncertainty lookalike.
+in the *frame* of its state (``Frame``), the scenario's clock-free map at
+its target value: x is measured from where that map carries the potential's
+anchor x0, and R(x), its phase, is one function for every branch.  The
+maps run on ``Diff`` numbers, so ``phase`` and ``slope`` are the branch's
+exact difference from R, the clock's part (~1e3 rad at dt = 10 s, against
+a cubic action of 1.5e13 rad): a route that compares branches of one state
+never needs R, and every phase it subtracts or wraps is a float64
+difference.  ``q`` is the quadratic chirp that free spreading generates;
+the exact linear-potential evolution is Gaussian-preserving, and the chirp
+is required for the evolved state to be the exact solution rather than a
+minimum-uncertainty lookalike.
 
 Sign conventions: x points up, the potential slope g is positive, so a
 freely falling branch acquires negative mean momentum ``-m g dt (1+z)``
-(the ledger slope times hbar).  Quoted magnitudes elsewhere refer to
-|mean momentum|.
+(hbar times the frame's slope plus the branch's).  Quoted magnitudes
+elsewhere refer to |mean momentum|.
 
 ``evolve_state`` applies either closed-form map, exact free fall in the
 linearized potential or the trapped Mach-Zehnder arm; there is no time
@@ -36,24 +37,11 @@ import numpy as np
 
 from .core import PhysicalParams, require_kink_clearance
 
-_LD = np.longdouble
-# Multiplying a float by _LD_ONE promotes it to longdouble exactly, in a
-# tenth of the time of the np.longdouble constructor.
-_LD_ONE = _LD(1.0)
-_LD_ZERO = _LD(0.0)
-TWO_PI_LD = _LD("6.283185307179586476925286766559005768")
-PI_LD = _LD("3.141592653589793238462643383279502884")
+_TWO_PI = 2.0 * math.pi
 
 
-class Jet:
-    """A value and its derivative along one direction of parameter space.
-
-    Arithmetic on jets is forward-mode differentiation (Griewank & Walther,
-    *Evaluating Derivatives*, 2nd ed., SIAM 2008): ``evolve_state`` on
-    parameters whose slopes g, g_plus and g_minus are jets gives a state
-    whose means and ledgers are jets, each value computed exactly as without
-    them.  Values and derivatives may be arrays, one element per sweep row.
-    """
+class _Pair:
+    """A number of two parts, ``v`` and ``d``: the arithmetic a jet and a Diff share."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None    # numpy scalars defer to the reflected operators
@@ -61,25 +49,72 @@ class Jet:
     def __init__(self, v, d) -> None:
         self.v, self.d = v, d
 
-    def __neg__(self) -> "Jet":
-        return Jet(-self.v, -self.d)
+    def __neg__(self):
+        return type(self)(-self.v, -self.d)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):    # by a number
+        return type(self)(self.v / other, self.d / other)
+
+
+class Jet(_Pair):
+    """A value and its derivative along one direction of parameter space.
+
+    Arithmetic on jets is forward-mode differentiation (Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008): ``evolve_state`` on
+    parameters whose slopes g, g_plus and g_minus are jets gives a state
+    whose means, phases and frame are jets, each value computed exactly as
+    without them.  Values and derivatives may be arrays, one element per
+    sweep row.  A jet combined with a ``Diff`` goes inside it.
+    """
+
+    __slots__ = ()
 
     def __add__(self, other) -> "Jet":
+        if isinstance(other, Diff):
+            return NotImplemented
         v, d = split(other)
         return Jet(self.v + v, self.d + d)
 
-    def __sub__(self, other) -> "Jet":
-        return self + -other
-
-    def __rsub__(self, other) -> "Jet":
-        return -self + other
-
     def __mul__(self, other) -> "Jet":
+        if isinstance(other, Diff):
+            return NotImplemented
         v, d = split(other)
         return Jet(self.v * v, self.d * v + self.v * d)
 
-    def __truediv__(self, other) -> "Jet":    # by a number, not a jet
-        return Jet(self.v / other, self.d / other)
+    __radd__, __rmul__ = __add__, __mul__
+
+
+class Diff(_Pair):
+    """A value as its reference part ``v`` and its exact difference ``d`` from it.
+
+    The product keeps the d d' term, so the polynomial evolution maps (degree
+    <= 2 in g, g_pm and z) give every difference to float64 relative accuracy,
+    however large the reference part (carrying exact differences is the
+    standard replacement for extended precision: Dekker, Numer. Math. 18, 224
+    (1971)).  ``evolve_state`` seeds z as Diff(0, z): the reference is the
+    clock-free map.  The grid oracle seeds g as Diff(Diff(g, offset), 0), so
+    an output is Diff(Diff(at the target, offset's part), Diff(clock's part,
+    cross term)), four floats, each shared where it can be: by every branch,
+    by both levels, by both states.  Parts may be jets or arrays.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other) -> "Diff":
+        if isinstance(other, Diff):
+            return Diff(self.v + other.v, self.d + other.d)
+        return Diff(self.v + other, self.d)
+
+    def __mul__(self, other) -> "Diff":
+        if isinstance(other, Diff):
+            return Diff(self.v * other.v, self.v * other.d + self.d * other.v + self.d * other.d)
+        return Diff(self.v * other, self.d * other)
 
     __radd__, __rmul__ = __add__, __mul__
 
@@ -87,6 +122,18 @@ class Jet:
 def split(x) -> tuple:
     """(value, derivative) of a jet; (x, 0.0) of anything else."""
     return (x.v, x.d) if isinstance(x, Jet) else (x, 0.0)
+
+
+def _ref_and_diff(x: Diff) -> tuple:
+    """(reference, difference) of a map output: its innermost reference part,
+    and the rest with its parts kept apart (a Diff, where an offset's
+    clock-free part is one of them)."""
+    return (x.v.v, Diff(x.v.d, x.d)) if isinstance(x.v, Diff) else (x.v, x.d)
+
+
+def _total(x):
+    """The value a Diff stands for, its parts summed; anything else as it is."""
+    return _total(x.v) + _total(x.d) if isinstance(x, Diff) else x
 
 
 def py(x):
@@ -100,80 +147,25 @@ def as_float(x):
     return x.astype(float) if isinstance(x, np.ndarray) else float(x)
 
 
-class PrecisionError(RuntimeError):
-    """Raised where numpy's longdouble is too short for the phase ledger."""
-
-
-def check_extended_precision(eps: float | None = None) -> None:
-    """Refuse to reduce ledger phases without a 64-bit longdouble mantissa.
-
-    Ledger phases reach 1e13-1e15 rad, so reducing them mod 2 pi keeps
-    ~1e-4 rad only with the x87 80-bit format (eps = 2^-63) or better.
-    Where ``longdouble`` is plain float64 (eps = 2^-52) the reduced phase
-    would be noise; this raises instead.  ``eps`` defaults to the
-    platform's ``np.finfo(np.longdouble).eps``.  Run once at import.
-    """
-    if eps is None:
-        eps = float(np.finfo(_LD).eps)
-    if eps > 2.0**-63:
-        raise PrecisionError(
-            f"numpy longdouble has eps {eps:.3g} > 2^-63; the extended-precision "
-            "phase ledger needs the 80-bit x87 format or wider")
-
-
-check_extended_precision()
-
-
-def wrap_angle(value) -> np.ndarray | float:
-    """Reduce an extended-precision phase to (-pi, pi] in float64 (a jet's value)."""
+def wrap_angle(value):
+    """A phase reduced mod 2 pi to [-pi, pi), element by element for an array;
+    a jet's value; each part of a Diff on its own, so a large reference part
+    loses nothing of the exact difference beside it."""
     if isinstance(value, Jet):
-        return Jet(wrap_angle(value.v), as_float(value.d))
-    if isinstance(value, (float, _LD)):
-        return float((value + PI_LD) % TWO_PI_LD - PI_LD)
-    reduced = np.mod(np.asarray(value, dtype=_LD) + PI_LD, TWO_PI_LD) - PI_LD
-    out = np.asarray(reduced, dtype=float)
-    return float(out) if out.ndim == 0 else out
+        return Jet(wrap_angle(value.v), value.d)
+    if isinstance(value, Diff):
+        return wrap_angle(value.v) + wrap_angle(value.d)
+    return (value + math.pi) % _TWO_PI - math.pi
 
 
 @dataclass(frozen=True)
-class PhaseLedger:
-    """Labeled decomposition of a branch phase, L(x) = sum(terms) + b (x - x_ref)."""
+class Frame:
+    """A state's clock-free reference: lab position = ``origin`` + x, and phase
+    R(x) = ``phase`` + ``slope`` x, shared by every branch (jets on a tangent)."""
 
-    terms: tuple[tuple[str, float], ...]   # (name, coefficient in rad); longdouble-valued
-    slope: float                           # b, rad/m (stored as longdouble)
-    x_ref: float                           # m
-
-    def constant_wrapped(self) -> np.longdouble:
-        """Sum of the terms, each reduced mod 2 pi before summation."""
-        total = _LD_ZERO
-        for _, value in self.terms:
-            total = total + value % TWO_PI_LD
-        return total
-
-    def diff_constant(self, other: "PhaseLedger") -> np.longdouble:
-        """Term-by-term difference of the constants (exact where terms match)."""
-        if self.x_ref != other.x_ref:
-            raise ValueError("ledger difference requires identical x_ref")
-        mine = dict(self.terms)
-        theirs = dict(other.terms)
-        total = _LD_ZERO
-        for name in sorted(mine.keys() | theirs.keys()):
-            total = total + (mine.get(name, _LD_ZERO) - theirs.get(name, _LD_ZERO))
-        return total
-
-    def diff_at(self, x_self: float, other: "PhaseLedger", x_other: float) -> np.longdouble:
-        """self(x_self) - other(x_other), constants subtracted term-by-term.
-
-        The slope contribution is regrouped so that equal slopes multiply
-        the (small) evaluation-point difference rather than the large
-        lever arms separately; rounding then scales with the physical
-        phase difference instead of the absolute phases.
-        """
-        out = self.diff_constant(other)
-        x_self = _LD(x_self)
-        out = out + other.slope * (x_self - _LD(x_other))
-        out = out + (self.slope - other.slope) * (x_self - self.x_ref)
-        return out
+    origin: float    # m: where x = 0 lies in the lab, x0 less the reference's fall
+    phase: float     # rad
+    slope: float     # rad/m
 
 
 @dataclass(frozen=True)
@@ -183,11 +175,13 @@ class GaussianBranch:
     ``amplitude`` is the superposition coefficient; the wavefunction
     itself is unit-norm by construction, so the component's contribution
     to the total norm is |amplitude| (up to cross-branch overlaps).
+    Positions and phases are relative to the state's ``Frame``.
     """
 
     amplitude: complex
-    ledger: PhaseLedger
-    mean_x: float           # m  (the mean momentum is hbar * ledger.slope)
+    phase: float            # rad: phase less the frame's, at x = 0
+    slope: float            # rad/m: phase gradient less the frame's
+    mean_x: float           # m, from the frame's origin
     var_x: float            # m^2
     chirp: float            # rad/m^2, quadratic phase about mean_x
     internal_level: int     # 0 | 1
@@ -209,6 +203,7 @@ class ClockState:
     """Superposition of Gaussian branches over the two internal levels."""
 
     components: tuple[GaussianBranch, ...]
+    frame: Frame = Frame(0.0, 0.0, 0.0)
 
     def branch(self, path: str, level: int) -> GaussianBranch:
         for b in self.components:
@@ -233,44 +228,35 @@ def _spreading(params: PhysicalParams, z: float) -> tuple[float, float]:
 
 def _evolved_branch_map(params: PhysicalParams, scenario: str, level: int,
                         above_kink: bool) -> tuple:
-    """(ledger, fall distance, var_x, chirp) of an evolved branch.
+    """(fall, phase at the fallen x0, slope, var_x, chirp) of an evolved branch,
+    the first three (reference, difference) pairs: the clock-free map at the
+    target value, and the rest (``_ref_and_diff``).
 
     They depend only on the branch's level and, on the Mach-Zehnder, on
     its side of the kink, so branches that share those share the map.
-    Ledger terms promote each float to longdouble exactly inside the
-    arithmetic instead of calling the (slow) longdouble constructor.
     """
-    z = params.z_eff(level)
+    z = Diff(0.0, params.z_eff(level))
     m, g, dt, hb = params.m, params.g, params.dt, params.hbar
-    dt_l, hb_l = _LD_ONE * dt, _LD_ONE * hb
     if scenario == "mach_zehnder":
         var, chirp = _spreading(params, 0.0)
         if above_kink:
             g_side, x_side0 = params.g_plus, params.x_plus0
         else:
             g_side, x_side0 = params.g_minus, params.x_minus0
-        # V_MZ(x) = g_side (x - x_side0) + g (x_side0 - x0), re-anchored at x_ref = x0.
-        # The fixed anchor and the slope-dependent constant live in separate
-        # ledger terms so parameter differentiation never subtracts a tiny
-        # g-dependent piece from a larger constant.
-        terms = {
-            "potential_anchor": -dt_l * m * z * (g * (x_side0 - params.x0)) / hb_l,
-            "potential_slope_const": -dt_l * m * z * g_side
-            * (_LD_ONE * params.x0 - x_side0) / hb_l,
-        }
-        slope = -dt_l * m * z * g_side / hb_l
-        ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
-        return ledger, 0.0, var, chirp
-    var, chirp = _spreading(params, z)
-    zl, g_l = _LD_ONE * z, _LD_ONE * g
-    # z-orders are stored as separate ledger terms: the clock corrections
-    # sit ~10 decades below the leading coefficients, so folding them into
-    # one number would push them under the extended-precision ulp.
-    cubic = -(m * g_l * g_l * dt_l**3 / (6 * hb_l))
-    terms = {"cubic": cubic, "cubic_z": cubic * (zl - zl * zl)}
-    slope = -m * g_l * (1 + zl) * dt_l / hb_l
-    ledger = PhaseLedger(tuple(terms.items()), slope, float(params.x0))
-    return ledger, 0.5 * g * dt * dt * (1.0 - z * z), var, chirp
+        # V_MZ(x) = g_side (x - x_side0) + g (x_side0 - x0), re-anchored at x0.
+        # The fixed anchor and the slope-dependent constant are separate
+        # products, so differentiation never subtracts a tiny g-dependent
+        # piece from a larger constant.
+        lever = -dt * m * z / hb
+        slope = lever * g_side
+        phase = lever * (g * (x_side0 - params.x0)) + slope * (params.x0 - x_side0)
+        return (0.0, 0.0), _ref_and_diff(phase), _ref_and_diff(slope), var, chirp
+    var, chirp = _spreading(params, params.z_eff(level))
+    fall = _ref_and_diff(0.5 * g * dt * dt * (1 - z * z))
+    cubic = -(m * g * g * (dt * dt * dt) / (6 * hb)) * (1 + z - z * z)
+    slope = -m * g * (1 + z) * dt / hb
+    # The lab phase cubic + slope (x - x0), at the reference's fallen x0.
+    return fall, _ref_and_diff(cubic - slope * fall[0]), _ref_and_diff(slope), var, chirp
 
 
 def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
@@ -289,19 +275,19 @@ def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
         mean_x -> x_c - (g dt^2 / 2)(1 - z_i^2)
         S_i^2  -> sigma^2 + (hbar dt (1 - z_i) / (2 m sigma))^2
 
-    and the phase ledger gains
+    and the lab phase is
 
-        cubic = -(m g^2 dt^3 / 6 hbar)(1 + z_i - z_i^2)
-        slope = -m g (1+z_i) dt / hbar
+        L_i(x) = -(m g^2 dt^3 / 6 hbar)(1 + z_i - z_i^2) - (m g (1+z_i) dt / hbar)(x - x0),
 
-    with x_ref = x0; hbar * slope is the mean momentum.  The rest-energy
+    whose gradient times hbar is the mean momentum.  The rest-energy
     phase -dt E_i / hbar, like the spreading (Gouy) phase, is the same on
     both paths of a level and independent of g, so the map drops it.  The cubic
     constant is the bracketed classical action term; dimensional analysis
     fixes its prefactor to g^2/6 (the g/3 form sometimes quoted is a
     misprint).  The exact bracket is (1+z)^2(1-z); the z^3 difference from
     the truncated form used here is far below double precision for any
-    physical z.
+    physical z.  The frame is this map at z = 0: it falls g dt^2 / 2 and
+    carries the z-free phase, and each branch keeps the exact rest.
 
     On the trapped Mach-Zehnder arm the potential couples only through
     time dilation.  The trap cancels the gravitational force on the
@@ -310,15 +296,17 @@ def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
 
         L(x) = -dt m z_i V_MZ(x) / hbar
 
-    on its own side of the kink; ``core.require_kink_clearance`` refuses a
-    branch within five spread widths of the kink, at dt = 0 too.  The tiny
-    momentum implied by the phase slope (-dt E_i g_side / c^2, many orders
-    below the momentum width) is the quoted <p> = 0 at the working order.
+    on its own side of the kink, all of it the branch's (the frame is
+    trivial); ``core.require_kink_clearance`` refuses a branch within five
+    spread widths of the kink, at dt = 0 too.  The tiny momentum implied by
+    the phase slope (-dt E_i g_side / c^2, many orders below the momentum
+    width) is the quoted <p> = 0 at the working order.
 
     The map is computed once per level (and kink side), since branches
-    differ in nothing else but their centre.  At dt = 0 it is the identity,
-    bit for bit.  Slopes given as :class:`Jet` objects carry their
-    derivatives into the means and ledgers (nothing else depends on them).
+    differ in nothing else but their centre.  At dt = 0 it is the identity
+    (each mean x_c - x0 in the frame), bit for bit.  Slopes given as :class:`Jet` objects carry their
+    derivatives into the means, phases and frame (nothing else depends on
+    them); slopes given as :class:`Diff` objects carry an offset exactly.
     On a column (``core.Scenario.column``: dt, sigma or g an array of sweep
     rows) every map is computed for all rows at once, each row's element
     exactly its one-row value; the rows' kink clearance was checked one by one.
@@ -337,9 +325,11 @@ def evolve_state(params: PhysicalParams, scenario: str) -> ClockState:
             key = (level, trapped and x_c > params.x0)
             if key not in maps:
                 maps[key] = _evolved_branch_map(params, scenario, *key)
-            ledger, fall, var, chirp = maps[key]
-            components.append(GaussianBranch(amp, ledger, x_c - fall, var, chirp, level, path))
-    return ClockState(tuple(components))
+            (fall_ref, fall), (phase_ref, phase), (slope_ref, slope), var, chirp = maps[key]
+            components.append(GaussianBranch(amp, phase, slope, (x_c - params.x0) - _total(fall),
+                                             var, chirp, level, path))
+    # Every map's reference part is the same z-free value at the target.
+    return ClockState(tuple(components), Frame(params.x0 - fall_ref, phase_ref, slope_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +341,27 @@ class PairMoments:
 
     conj(psi_a) psi_b = C exp(-alpha u^2 + beta u) in the shifted
     coordinate u = x - (X_a + X_b)/2, so <P_a psi_a | P_b psi_b> with P_a,
-    P_b first order reduces to Gaussian moments up to u^2.  The huge, shared
-    ledger constants enter only through their term-by-term difference,
-    computed in extended precision and wrapped once.  Branches whose fields
-    are arrays give array moments, complex ones in Python's arithmetic (``py``).
+    P_b first order reduces to Gaussian moments up to u^2.  The frame's
+    phase cancels; the branches' exact phase differences enter, wrapped
+    once.  Branches whose fields are arrays give array moments, complex
+    ones in Python's arithmetic (``py``).
     """
 
     __slots__ = ("overlap", "_mu", "_s2", "off_a", "off_b")
 
     def __init__(self, a: GaussianBranch, b: GaussianBranch) -> None:
-        if a.internal_level != b.internal_level or a.ledger.x_ref != b.ledger.x_ref:
-            raise ValueError("pair moments require one internal level and a common ledger x_ref")
+        if a.internal_level != b.internal_level:
+            raise ValueError("pair moments require one internal level")
         d = b.mean_x - a.mean_x
         x_mid = 0.5 * (a.mean_x + b.mean_x)
         inv4a = 1.0 / (4.0 * a.var_x)
         inv4b = 1.0 / (4.0 * b.var_x)
         alpha = (inv4a + inv4b) + 1j * py(a.chirp - b.chirp)
-        dslope = b.ledger.slope - a.ledger.slope
-        db = as_float(dslope)
-        beta = d * (inv4b - inv4a) + 1j * py(db - (a.chirp + b.chirp) * d)
+        dslope = b.slope - a.slope
+        beta = d * (inv4b - inv4a) + 1j * py(dslope - (a.chirp + b.chirp) * d)
         gamma_re = -0.25 * d * d * (inv4a + inv4b)
         gamma_im_small = 0.25 * d * d * (b.chirp - a.chirp)
-        # Term-by-term ledger difference in extended precision.
-        big_phase = b.ledger.diff_constant(a.ledger) \
-            + dslope * (_LD_ONE * x_mid - a.ledger.x_ref)
-        lam = wrap_angle(big_phase)
+        lam = wrap_angle((b.phase - a.phase) + dslope * x_mid)
         norm_a = py(2.0 * math.pi * a.var_x) ** -0.25
         norm_b = py(2.0 * math.pi * b.var_x) ** -0.25
         z_int = _complex_ufunc(np.sqrt, np.pi / alpha) * _complex_ufunc(np.exp, beta * beta / (4.0 * alpha))
@@ -417,37 +403,35 @@ def _complex_ufunc(f, z):
 
 
 def overlap(a: GaussianBranch, b: GaussianBranch) -> complex:
-    """<a|b> of the unit-norm branch wavefunctions (amplitudes excluded).
+    """<a|b> of the unit-norm branch wavefunctions of one state (amplitudes excluded).
 
     Zero across internal levels; includes envelope separation, linear
-    and quadratic phases, and the extended-precision ledger difference.
+    and quadratic phases, and the branches' phase difference.
     """
     return PairMoments(a, b).overlap if a.internal_level == b.internal_level else 0j
 
 
 def state_norm_sq(state: ClockState) -> float:
     """Exact squared norm, amplitude-weighted with all cross overlaps."""
-    total = 0.0j
+    total_sq = 0.0j
     comps = state.components
     for j, a in enumerate(comps):
-        total += abs(a.amplitude) ** 2
+        total_sq += abs(a.amplitude) ** 2
         for b in comps[j + 1:]:
-            total += 2.0 * (np.conj(a.amplitude) * b.amplitude * overlap(a, b)).real
-    return float(total.real)
+            total_sq += 2.0 * (np.conj(a.amplitude) * b.amplitude * overlap(a, b)).real
+    return float(total_sq.real)
 
 
 def wavefunction_values(branch: GaussianBranch, x: np.ndarray) -> np.ndarray:
-    """Sample the unit-norm branch wavefunction on an array of positions.
+    """Sample the unit-norm branch wavefunction on an array of positions in its
+    frame, less the frame's phase R(x).
 
-    The per-point phase is assembled in extended precision (each ledger
-    term reduced mod 2 pi separately) and wrapped before exponentiation.
+    The branch's phase is wrapped (a Diff's parts one by one) before
+    exponentiation.
     """
     x = np.asarray(x, dtype=float)
-    const = branch.ledger.constant_wrapped()
-    xl = x.astype(_LD)
-    phase_ld = const + _LD(branch.ledger.slope) * (xl - _LD(branch.ledger.x_ref))
     dx = x - branch.mean_x
-    phase = wrap_angle(np.mod(phase_ld, TWO_PI_LD)) + branch.chirp * dx * dx
+    phase = wrap_angle(branch.phase + branch.slope * x) + branch.chirp * dx * dx
     envelope = (2.0 * math.pi * branch.var_x) ** -0.25 \
         * np.exp(-dx * dx / (4.0 * branch.var_x))
     return envelope * np.exp(1j * phase)

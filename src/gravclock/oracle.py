@@ -7,23 +7,27 @@ two nearby parameter values (1 - |<a|b>| ~ G d^2 / 8 for unit states).
 Nothing in this module reuses the closed-form overlap or QFI paths
 (``PairMoments``, ``overlap``), so agreement is evidence, not tautology.
 
+Both compared states are rendered in their common frame (``gaussian.Frame``)
+times e^(-i R(x)), the conjugate of the clock-free reference's phase, which
+leaves every <a_i|b_i> unchanged.  What is left is each branch's exact
+difference from R, three floats (the states carry their offset exactly,
+``Scenario.make_state``): the clock's part at the target, the offset's
+clock-free part and their O(d z) cross term.
+
 Rendering samples each branch on the grid lattice x_k = x_min + k dx, of
-the fewest points that resolve the narrowest width with 16
-(``grid_for_states``).  The extended-precision phase ledger is evaluated
-only twice per branch: its phase at the grid's first point,
-phi0 = L(x_min), and the per-step increment theta = b dx, both wrapped to
-(-pi, pi].  Per point the phase phi0 + k theta + q (x_k - X)^2 is then
-formed in float64 (error about k ulp, ~1.5e-12 rad at the ~3000 points a
-cross-check set needs at most).  Every branch shares that anchor at
-k = 0, whatever its window: branches with equal ledgers (the two paths of
-one level) get bit-identical phi0, so their relative phase carries none
-of the ~1e-4 rad longdouble rounding of a 1e15 rad lever arm.
-Anchoring each window at its own first point would give each branch its
-own such rounding (at dt = 30 s, oracle vs closed 2e-4 instead of 3e-5).
-Only the points within +-8.5 widths of a branch centre are evaluated; the
-envelope there is e^(-8.5^2/4) ~ 1.4e-8 of its peak, and the rest of the
-grid stays exactly zero.  ``gaussian.wavefunction_values`` stays the
-arbitrary-x reference sampler; the renderer does not use it.
+the fewest points that resolve the narrowest width with ``POINTS_PER_SIGMA``
+(``grid_for_states``).  A branch's phase is evaluated only twice, each
+part wrapped on its own: at the grid's first point, phi0, and per step,
+theta = slope dx.  Per point the phase phi0 + k theta + q (x_k - X)^2 is
+then formed in float64 (error about k ulp, ~1.5e-12 rad at the ~3000
+points a cross-check set needs at most).  Every branch shares that anchor
+at k = 0, whatever its window, so a part two branches or both states share
+(the clock's part of a free-fall level) is the same float in each and its
+rounding cancels in every inner product.  Only the points within
++-``WINDOW_SIGMAS`` widths of a branch centre are evaluated; the envelope
+there is e^(-8.5^2/4) ~ 1.4e-8 of its peak, and the rest of the grid stays
+exactly zero.  ``gaussian.wavefunction_values`` stays the arbitrary-x
+reference sampler; the renderer does not use it.
 
 The amplitude miss 1 - |<a|b>| / (|a| |b|) is a trapezoid sum of squares
 over both level channels, never a subtraction from 1.  The QFI comes from
@@ -44,11 +48,13 @@ import numpy as np
 from .core import Scenario
 from .gaussian import ClockState, GaussianBranch, wrap_angle
 
-_LD = np.longdouble
-
 # Half-width of a branch's evaluation window, in widths (see the module
 # docstring); grid_for_states pads by the same amount.
 WINDOW_SIGMAS = 8.5
+# What render demands of a grid: it reaches REACH_SIGMAS widths beyond every
+# branch centre, with a spacing below the smallest width / POINTS_PER_SIGMA.
+REACH_SIGMAS = 8.0
+POINTS_PER_SIGMA = 16.0
 
 
 class GridError(ValueError):
@@ -81,7 +87,7 @@ class Grid:
 
 def grid_for_states(*states: ClockState) -> Grid:
     """Grid covering every branch of every state to +-WINDOW_SIGMAS, on the fewest points, at
-    most 2^22, whose spacing is below sigma_min / 16 (what ``render`` checks)."""
+    most 2^22, whose spacing is below sigma_min / POINTS_PER_SIGMA (what ``render`` checks)."""
     lo, hi, sigma_min = math.inf, -math.inf, math.inf
     for state in states:
         for b in state.components:
@@ -91,7 +97,7 @@ def grid_for_states(*states: ClockState) -> Grid:
             lo = min(lo, b.mean_x - WINDOW_SIGMAS * s)
             hi = max(hi, b.mean_x + WINDOW_SIGMAS * s)
             sigma_min = min(sigma_min, s)
-    span, step = hi - lo, sigma_min / 16.0
+    span, step = hi - lo, sigma_min / POINTS_PER_SIGMA
     if not 0 < span < (2**22 - 1) * step:                 # an empty or infinite span fails too
         raise GridError(f"states span {span:g} m against a {sigma_min:g} m width; "
                         "rendering them on one grid is not feasible")
@@ -162,11 +168,8 @@ def _branch_window(branch: GaussianBranch, grid: Grid) -> tuple[slice, np.ndarra
     hi = (branch.mean_x + WINDOW_SIGMAS * s - grid.x_min) / step
     k_lo = 0 if lo <= 0 else math.ceil(lo)
     k_hi = grid.n_points - 1 if hi >= grid.n_points - 1 else math.floor(hi)
-    ledger = branch.ledger
-    slope = _LD(ledger.slope)
-    phi0 = wrap_angle(ledger.constant_wrapped()
-                      + slope * (_LD(grid.x_min) - _LD(ledger.x_ref)))
-    theta = wrap_angle(slope * _LD(step))
+    phi0 = wrap_angle(branch.phase + branch.slope * grid.x_min)
+    theta = wrap_angle(branch.slope * step)
     k = np.arange(k_lo, k_hi + 1, dtype=float)
     dx = (grid.x_min - branch.mean_x) + k * step
     dx2 = dx * dx
@@ -179,18 +182,18 @@ def render(state: ClockState, grid: Grid) -> GridWavefunction:
     """Sample every branch onto the grid (amplitude-weighted, per level).
 
     Refuses grids that are too narrow or too coarse for the state: the
-    grid must reach 8 widths beyond every branch center and resolve the
-    smallest width with 16 points.
+    grid must reach REACH_SIGMAS widths beyond every branch center and
+    resolve the smallest width with POINTS_PER_SIGMA points.
     """
     for b in state.components:
         s = math.sqrt(b.var_x)
-        if b.mean_x - 8.0 * s < grid.x_min or b.mean_x + 8.0 * s > grid.x_max:
+        if b.mean_x - REACH_SIGMAS * s < grid.x_min or b.mean_x + REACH_SIGMAS * s > grid.x_max:
             raise GridError(
                 f"grid [{grid.x_min:g}, {grid.x_max:g}] too narrow; need "
-                f"[{b.mean_x - 8.0 * s:g}, {b.mean_x + 8.0 * s:g}]")
-        if grid.spacing >= s / 16.0:
+                f"[{b.mean_x - REACH_SIGMAS * s:g}, {b.mean_x + REACH_SIGMAS * s:g}]")
+        if grid.spacing >= s / POINTS_PER_SIGMA:
             raise GridError(
-                f"grid spacing {grid.spacing:g} too coarse; need < {s / 16.0:g}")
+                f"grid spacing {grid.spacing:g} too coarse; need < {s / POINTS_PER_SIGMA:g}")
     channels = np.zeros((2, grid.n_points), dtype=complex)
     for b in state.components:
         window, values = _branch_window(b, grid)
@@ -218,14 +221,16 @@ PAIR_RESIDUAL_MAX = 1e-2
 
 
 def bures_stencil(value: float, d: float) -> tuple[float, float]:
-    """The two parameter values an offset d compares: fl(value - d/2), fl(value + d/2)."""
+    """The two parameter values an offset d compares: fl(value - d/2), fl(value + d/2);
+    exactly -d/2 and d/2 about a value of 0."""
     return value - 0.5 * d, value + 0.5 * d
 
 
 def richardson_bures_qfi(miss_at, value: float,
                          delta: float | None = None) -> tuple[float, bool]:
     """Bures QFI at ``value`` from ``miss_at(d)``, the :func:`bures_miss` m of the states at
-    ``bures_stencil(value, d)``.
+    ``bures_stencil(value, d)``.  A caller that carries its offsets exactly
+    passes ``value`` 0 and its own starting ``delta``.
 
     One geometric bisection on the offset d, starting at ``delta`` (default
     1e-6 relative), looks for a drop 1 - F = m (2 - m) in [1e-6, 1e-2] that also
@@ -289,21 +294,22 @@ def richardson_bures_qfi(miss_at, value: float,
 
 
 def qfi_numeric(scenario: Scenario, delta: float | None = None) -> float:
-    """Bures QFI from the grid: G = 8 m / s^2, m = 1 - |<psi(v - d/2)|psi(v + d/2)>|,
-    s the offset the two rendered values realize.
+    """Bures QFI from the grid: G = 8 m / d^2, m = 1 - |<psi(v - d/2)|psi(v + d/2)>|.
 
-    The offset is auto-tuned and checked by :func:`richardson_bures_qfi`.
-    Each miss evaluation (:func:`bures_miss`) renders both perturbed states
-    on one shared grid.
+    The offset is auto-tuned and checked by :func:`richardson_bures_qfi`,
+    from ``delta`` (default 1e-6 max(|v|, 1)).  The states carry the offset
+    exactly (``Scenario.make_state``), so they realize d itself.  Each miss
+    evaluation (:func:`bures_miss`) renders both states on one shared grid.
     """
-    value = scenario.value()
+    if delta is None:
+        delta = 1e-6 * max(abs(scenario.value()), 1.0)
 
     def miss_at(d: float) -> float:
-        s_lo, s_hi = (scenario.make_state(v) for v in bures_stencil(value, d))
+        s_lo, s_hi = (scenario.make_state(offset) for offset in bures_stencil(0.0, d))
         grid = grid_for_states(s_lo, s_hi)
         return bures_miss(render(s_lo, grid), render(s_hi, grid))
 
-    qfi, resolved = richardson_bures_qfi(miss_at, value, delta)
+    qfi, resolved = richardson_bures_qfi(miss_at, 0.0, delta)
     if not resolved:
         warnings.warn("parameter sensitivity below fidelity resolution; "
                       "returning the below-window Bures estimate", stacklevel=2)

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from gravclock import core, gaussian as ga
+from gravclock import core
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -29,15 +28,6 @@ def bouncer_params():
     return core.params_from_config(core.load_config(CONFIG_DIR / "bouncer.cfg"))
 
 
-def make_ledger(terms: dict, slope, x_ref: float) -> ga.PhaseLedger:
-    """A phase ledger for a synthetic branch: the terms and the slope as
-    longdoubles (a jet stays a jet), as the evolution maps store them."""
-    def ld(value):
-        return value if isinstance(value, ga.Jet) else np.longdouble(value)
-    return ga.PhaseLedger(tuple((name, ld(v)) for name, v in terms.items()), ld(slope),
-                          float(x_ref))
-
-
 def _variant(**kw):
     base = dict(
         m=1e-25, e0=0.0, e1=2.8 * core.EV, g=9.81,
@@ -54,8 +44,8 @@ def crosscheck_matrix() -> list[core.PhysicalParams]:
 
     Variations cover mass, clock gap, drop time, geometry (including a
     nonzero potential-reference offset and asymmetric Taylor points) and
-    the controllable phase.  Drop times stay at or below ~30 s so the
-    cubic action phases remain well inside extended-precision wrapping.
+    the controllable phase.  Drop times stay at or below ~30 s, inside the
+    regime the closed forms assume.
     """
     sets = [
         _variant(),

@@ -707,7 +707,8 @@ def test_spectral_norm_constant_in_time(bouncer_params):
 
 def test_render_spectral_against_mpmath_sum(bouncer_params):
     """The rendered state against sum_n c_n e^{-i E_n t / hbar} N_n Ai(x / l + z_n),
-    summed with mpmath Ai on the same float64 arguments.
+    summed with mpmath Ai on the same float64 arguments, the phases included:
+    each float64 phase is within its rounding, 4e-16 of its size, of mpmath's.
 
     The sample packet's weight sits hundreds of levels up, so its own
     first 20 coefficients are nearly zero; equal-weight coefficients with
@@ -731,7 +732,10 @@ def test_render_spectral_against_mpmath_sum(bouncer_params):
         for i in (0, 1):
             for n, ai_k in enumerate(ai_ks):
                 rel_energy = float(spec.band[i, n] - band_ref[i])
-                phase = -mp.mpf(rel_energy) * mp.mpf(p.dt) / mp.mpf(p.hbar)
+                exact = -mp.mpf(rel_energy) * mp.mpf(p.dt) / mp.mpf(p.hbar)
+                phase = wrap_angle(rel_energy * (-p.dt / p.hbar))
+                assert abs(mp.fmod(exact - phase + mp.pi, 2 * mp.pi) - mp.pi) \
+                    <= 4e-16 * abs(exact) + 1e-15
                 amp = complex(mp.expj(phase)) * flat[i, n] * spec.norms[i, n]
                 args = grid.xs() / spec.lengths[i] + spec.zeros[n]
                 expected[i] += amp * np.array([float(mp.airyai(float(y))) for y in args])
@@ -786,20 +790,21 @@ def _band_mean(proj):
 def _render_layout(p, family, t, center):
     """The rows render_spectral keeps (any state and level above 1e-14 of its
     largest weight) and the coefficient row of every state and level, phased
-    against center's band means and the level constants at p.g."""
+    against center's band means and the level constants at p.g: center's band
+    less its mean, and the exact change of the band (it scales as g^(2/3)) and
+    of the level constant, each wrapped on its own."""
     weights = np.abs(np.array([proj.coefficients for _, proj in family]))
     rows = np.flatnonzero(np.any(weights > 1e-14 * weights.max(axis=2, keepdims=True),
                                  axis=(0, 1)))
     coeff = np.empty((len(family), 2, rows.size), dtype=complex)
-    ld = np.longdouble
     band_ref = _band_mean(center)
     for s, (g, proj) in enumerate(family):
-        spec = proj.spectrum
+        scaling = math.expm1(math.log1p((g - p.g) / p.g) * (2.0 / 3.0))
         for i in (0, 1):
-            const_shift = -p.m * p.x0 * (1.0 + p.z_eff(i)) * (g - p.g)
-            rel_energy = (spec.band[i, rows] - band_ref[i]) + const_shift
-            phases = wrap_angle(-rel_energy.astype(ld) * ld(t) / ld(p.hbar))
-            coeff[s, i] = proj.coefficients[i, rows] * np.exp(1j * phases) * spec.norms[i, rows]
+            band = center.spectrum.band[i, rows]
+            shift = band * scaling - p.m * p.x0 * (1.0 + p.z_eff(i)) * (g - p.g)
+            phases = wrap_angle((band - band_ref[i]) * (-t / p.hbar)) + wrap_angle(shift * (-t / p.hbar))
+            coeff[s, i] = proj.coefficients[i, rows] * np.exp(1j * phases) * proj.spectrum.norms[i, rows]
     return rows, coeff
 
 
@@ -952,9 +957,12 @@ def test_bouncer_oracle_regression_pin(bouncer_params):
     933959.1754873187 (2.5e-10).  The lambda/8 lattice with Euler-Maclaurin
     floor terms moved it from 933959.1757203402 (the lambda/16 trapezoid,
     6.9e-13 above an uncorrected lambda/64 lattice's 933959.1757196998;
-    now 2.9e-13 above it).
+    now 2.9e-13 above it).  Band phases rendered as a part common to the
+    family and an exact O(offset) part moved it from 933959.1757199719
+    (1.4e-10): the pair's phase differences carried each state's float64
+    band rounding, up to 5.2e-11 rad, and now carry 2.5e-16 rad.
     """
-    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.1757199719, rel=1e-13)
+    assert bc.bouncer_qfi_numeric(bouncer_params) == pytest.approx(933959.175850703, rel=1e-13)
 
 
 @pytest.mark.parametrize("refine, dt", [(2, None), (4, None), (2, 5.0), (4, 5.0)],

@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import CONFIG_DIR, _variant, make_ledger
+from conftest import CONFIG_DIR, _variant
 from hypothesis import assume, given, settings, strategies as st
 
 from gravclock import core, estimation as est, gaussian as ga, oracle
@@ -130,7 +130,7 @@ def test_fi_mz_crossed_levers(sr88_10s):
 
 class QubitPhaseFamily:
     """(|x+> + e^{i v}|x->)/sqrt(2) on well-separated packets: QFI = 1.  It
-    supplies its own tangent: the phase v = 0.9 is a ledger jet (v, 1)."""
+    supplies its own tangent: the phase v = 0.9 is a branch-phase jet (v, 1)."""
 
     def __init__(self, params):
         self.params = params
@@ -139,15 +139,14 @@ class QubitPhaseFamily:
         return self
 
     def phase(self):
-        return ga.Jet(np.longdouble(0.9), np.longdouble(1.0))
+        return ga.Jet(0.9, 1.0)
 
     def make_state(self):
         p = self.params
         return ga.ClockState((
-            ga.GaussianBranch(1 / math.sqrt(2), make_ledger({}, 0.0, p.x0), p.x_plus,
-                              p.sigma**2, 0.0, 0, "plus"),
-            ga.GaussianBranch(1 / math.sqrt(2), make_ledger({"v": self.phase()}, 0.0, p.x0),
-                              p.x_minus, p.sigma**2, 0.0, 0, "minus"),
+            ga.GaussianBranch(1 / math.sqrt(2), 0.0, 0.0, p.x_plus, p.sigma**2, 0.0, 0, "plus"),
+            ga.GaussianBranch(1 / math.sqrt(2), self.phase(), 0.0, p.x_minus,
+                              p.sigma**2, 0.0, 0, "minus"),
         ))
 
 
@@ -191,7 +190,7 @@ def test_parametric_invariant_under_phase_shifter(sr88_10s):
                                        for dt in (5.0, 10.0, 30.0)])
 def test_parametric_vs_closed_mz_sample_exact(target, dt):
     """On sr88_mz.cfg the tangents meet the closed form to rounding.  The
-    central-difference stencil was 9.35e-6 off on delta_g: with_value forms
+    central-difference stencil was 9.35e-6 off on delta_g: it formed
     g_pm = bar_g -+ delta_g / 2 in float64, so the step the map saw was
     3.5e-6 shorter than the one the stencil divided by."""
     params = core.params_from_config(core.load_config(CONFIG_DIR / "sr88_mz.cfg"))
@@ -252,11 +251,12 @@ def test_jet_evolution_keeps_the_plain_values(sr88_10s):
     """The tangent run computes every value exactly as the plain one."""
     for kind, target in (("free_fall", "g"), ("mach_zehnder", "delta_g")):
         sc = est.Scenario(kind, sr88_10s, target)
-        for plain, jet in zip(sc.make_state().components, sc.tangent().make_state().components):
-            assert ga.split(jet.mean_x)[0] == plain.mean_x
-            assert ga.split(jet.ledger.slope)[0] == plain.ledger.slope
-            assert [ga.split(t)[0] for _, t in jet.ledger.terms] \
-                == [t for _, t in plain.ledger.terms]
+        plain, jet = sc.make_state(), sc.tangent().make_state()
+        for field in ("origin", "phase", "slope"):
+            assert ga.split(getattr(jet.frame, field))[0] == getattr(plain.frame, field)
+        for b, b_jet in zip(plain.components, jet.components):
+            for field in ("mean_x", "phase", "slope"):
+                assert ga.split(getattr(b_jet, field))[0] == getattr(b, field)
 
 
 @pytest.mark.parametrize("kind,target,var,lo,hi", [
@@ -289,37 +289,37 @@ def test_reduce_to_qubit_dt_zero(sr88_10s):
 
 
 def test_reduce_to_qubit_global_phase_invariance(sr88_10s, monkeypatch):
-    """A constant added to every branch ledger changes nothing observable."""
+    """A constant added to every branch phase changes nothing observable."""
     sc = est.Scenario("free_fall", sr88_10s, "g")
     state = sc.make_state()
     shifted = ga.ClockState(tuple(
-        ga.GaussianBranch(
-            b.amplitude,
-            make_ledger(dict(b.ledger.terms) | {"common": 137.5},
-                        b.ledger.slope, b.ledger.x_ref),
-            b.mean_x, b.var_x, b.chirp, b.internal_level, b.path_label)
-        for b in state.components))
+        ga.GaussianBranch(b.amplitude, b.phase + 137.5, b.slope, b.mean_x, b.var_x, b.chirp,
+                          b.internal_level, b.path_label)
+        for b in state.components), state.frame)
     q0 = est.reduce_to_qubit(sc)
     p0 = est.detection_probabilities(sc)
-    # The scenario's state is the shifted one; its detector reference is not.
-    monkeypatch.setattr(est.Scenario, "make_state", lambda self, value=None: shifted)
+    monkeypatch.setattr(est.Scenario, "make_state", lambda self, offset=None: shifted)
     q1 = est.reduce_to_qubit(sc)
     assert q0 == pytest.approx(q1, abs=1e-12)
     assert p0 == pytest.approx(est.detection_probabilities(sc), abs=1e-14)
 
 
 def test_reduce_to_qubit_interference_phase_extended_precision(sr88_10s):
-    """gamma_i matches an independent mpmath evaluation to 1e-10 rad."""
+    """gamma_1 - gamma_0 matches an independent mpmath evaluation to 1e-10 rad:
+    each gamma_i is the frame's path phase, m g dt h / hbar = 9.3e8 rad, one
+    float for both levels, plus the level's exact difference.  Each gamma_i
+    alone is off by that float's rounding, 1.6e-7 rad, which rotates the Bloch
+    vector and its derivative together and so changes no QFI."""
     p = sr88_10s
     gammas = est.reduce_to_qubit(est.Scenario("free_fall", p, "g"))
+    refs = []
     for level, e_i in ((0, p.e0), (1, p.e1)):
         z = mp.mpf(e_i) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2)
-        gamma_ref = mp.mpf(p.m) * mp.mpf(p.g) * (1 + z) * mp.mpf(p.dt) \
-            * mp.mpf(p.h) / mp.mpf(p.hbar)
-        gamma_ref = float(mp.fmod(gamma_ref + mp.pi, 2 * mp.pi) - mp.pi)
-        got = gammas[level]
-        delta = (got - gamma_ref + math.pi) % (2 * math.pi) - math.pi
-        assert abs(delta) < 1e-10
+        refs.append(mp.mpf(p.m) * mp.mpf(p.g) * (1 + z) * mp.mpf(p.dt) * mp.mpf(p.h) / mp.mpf(p.hbar))
+    for got, ref, tol in ((gammas[0], refs[0], 3e-7), (gammas[1], refs[1], 3e-7),
+                          (gammas[1] - gammas[0], refs[1] - refs[0], 1e-10)):
+        delta = float(mp.fmod(mp.mpf(got) - ref + mp.pi, 2 * mp.pi) - mp.pi)
+        assert abs(delta) < tol
 
 
 def test_qubit_parameter_independent_zero():
@@ -521,19 +521,21 @@ def test_report_json_field_names(sr88_10s):
 
 # qfi_pure_parametric and fi_numeric on the sample configs at three drop
 # times, re-recorded when forward-mode tangents replaced the central-difference
-# stencils (MZ delta_g parametric moved 9.35e-6, free-fall FI up to 8.3e-8, the
-# rest less than 1e-9), and the MZ FI again when the potential anchors lost
-# their constant offset (at most 1.9e-10, toward mpmath; see CHANGES.md).
+# stencils, when the MZ anchors lost their constant offset, and when every
+# phase became a float64 exact difference from the clock-free frame: the
+# free-fall parametric QFI moved at most 4.4e-11 and the free-fall FI at most
+# 6.7e-10, both toward the closed form and mpmath; the MZ values at most 4e-15
+# (see CHANGES.md).
 _PINS = {
-    ('sr88_freefall', 'g', 5.0): (2248870189588729.5, 2.8001575557381958e-06),
-    ('sr88_freefall', 'g', 10.0): (8995668258334950.0, 1.1198365935888806e-05),
-    ('sr88_freefall', 'g', 30.0): (8.097901433300605e+16, 0.00010056775114163433),
-    ('sr88_mz', 'delta_g', 5.0): (6.145381101315497e-10, 2.8001575547326895e-10),
-    ('sr88_mz', 'delta_g', 10.0): (2.691726879747621e-09, 1.119836593185506e-09),
-    ('sr88_mz', 'delta_g', 30.0): (4.664868808298509e-08, 1.0056775120862911e-08),
-    ('sr88_mz', 'bar_g', 5.0): (2.0381005062699384e-09, 2.8001575547326895e-10),
-    ('sr88_mz', 'bar_g', 10.0): (9.086699781965442e-09, 1.119836593185506e-09),
-    ('sr88_mz', 'bar_g', 30.0): (1.7147288269871495e-07, 1.0056775120862911e-08),
+    ('sr88_freefall', 'g', 5.0): (2248870189586434.5, 2.800157554731977e-06),
+    ('sr88_freefall', 'g', 10.0): (8995668258351352.0, 1.1198365931861112e-05),
+    ('sr88_freefall', 'g', 30.0): (8.097901432947408e+16, 0.00010056775120863417),
+    ('sr88_mz', 'delta_g', 5.0): (6.145381101315485e-10, 2.8001575547326114e-10),
+    ('sr88_mz', 'delta_g', 10.0): (2.691726879747616e-09, 1.1198365931854966e-09),
+    ('sr88_mz', 'delta_g', 30.0): (4.664868808298508e-08, 1.0056775120862822e-08),
+    ('sr88_mz', 'bar_g', 5.0): (2.038100506269933e-09, 2.800157554732561e-10),
+    ('sr88_mz', 'bar_g', 10.0): (9.08669978196542e-09, 1.119836593185476e-09),
+    ('sr88_mz', 'bar_g', 30.0): (1.714728826987149e-07, 1.00567751208627e-08),
 }
 
 
@@ -658,16 +660,18 @@ def test_mz_fi_numeric_against_two_cosine_mpmath(target, dt):
 @pytest.mark.parametrize("config,target", [("sr88_freefall", "g"), ("sr88_mz", "delta_g"),
                                            ("sr88_mz", "bar_g")])
 def test_every_ledger_term_is_observable(config, target):
-    """Each ledger term depends on the target or differs between the two paths of
-    its level: a phase that does neither (a rest energy, a constant potential)
-    shifts one level by a constant no route can see.  A term that is zero on both
-    paths (level 0's clock terms at E0 = 0) is no phase at all."""
+    """Each branch's phase and slope, and the frame's, depend on the target or
+    differ between the two paths of its level: a phase that does neither (a
+    rest energy, a constant potential) shifts one level by a constant no route
+    can see.  One that is zero on both paths (level 0's clock part at E0 = 0)
+    is no phase at all."""
     params = core.params_from_config(core.load_config(CONFIG_DIR / f"{config}.cfg"))
     kind = "free_fall" if target == "g" else "mach_zehnder"
     state = est.Scenario(kind, params, target).tangent().make_state()
-    for level in (0, 1):
-        plus, minus = (dict(state.branch(path, level).ledger.terms) for path in ("plus", "minus"))
-        assert plus.keys() == minus.keys()
-        for name in plus:
-            (v_p, d_p), (v_m, d_m) = ga.split(plus[name]), ga.split(minus[name])
+    for name in ("phase", "slope"):
+        value, d = ga.split(getattr(state.frame, name))
+        assert d != 0 or value == 0, name
+        for level in (0, 1):
+            plus, minus = (getattr(state.branch(path, level), name) for path in ("plus", "minus"))
+            (v_p, d_p), (v_m, d_m) = ga.split(plus), ga.split(minus)
             assert d_p != 0 or d_m != 0 or v_p != v_m or v_p == v_m == 0, (level, name)

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_ledger
 from gravclock import core, gaussian as ga
 
 mp.mp.dps = 40
-
-_LD = np.longdouble
 
 
 def _toy_params(z1=3e-7, dt=0.6, **kw):
@@ -30,33 +28,48 @@ def _toy_params(z1=3e-7, dt=0.6, **kw):
 
 
 # ---------------------------------------------------------------------------
-# Phase ledger
+# Difference-carrying values
 # ---------------------------------------------------------------------------
 
 def test_ledger_diff_term_by_term():
+    """Phases are carried as Diffs of a shared reference part and an exact
+    difference: a shared huge part cancels exactly, leaving the small
+    difference, which one float64 sum would lose to ulp(4.25e16) = 8 rad."""
     big = 4.25e16
-    a = make_ledger({"huge": big, "small": 0.5}, slope=1.0, x_ref=0.0)
-    b = make_ledger({"huge": big, "small": 0.2}, slope=1.0, x_ref=0.0)
-    # The shared huge term cancels exactly, leaving the small difference.
-    assert float(a.diff_constant(b)) == pytest.approx(0.3, abs=1e-18)
-    assert float(a.diff_at(2.0, b, 1.5)) == pytest.approx(0.3 + 0.5, abs=1e-15)
+    a, b = ga.Diff(big, 0.5), ga.Diff(big, 0.2)
+    gap = a - b
+    assert gap.v == 0.0 and gap.d == pytest.approx(0.3, abs=1e-16)
+    assert (a.v + a.d) - (b.v + b.d) != pytest.approx(0.3, abs=0.1)
+    # Wrapped part by part, a Diff keeps its difference to float64 accuracy.
+    assert ga.wrap_angle(ga.Diff(2 * math.pi * 2**20, 0.3)) == pytest.approx(0.3, abs=1e-9)
 
 
-def test_ledger_diff_requires_common_origin():
-    a = make_ledger({}, 0.0, 0.0)
-    b = make_ledger({}, 0.0, 1.0)
-    with pytest.raises(ValueError, match="x_ref"):
-        a.diff_constant(b)
+_finite = st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) > 1e-60)   # no underflow
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite, _finite, _finite, _finite)
+def test_diff_product_keeps_exact_difference(a, da, b, db):
+    """The product's difference, a db + da b + da db, is (a + da)(b + db) - a b to
+    within 3 ulp of its addends (checked against exact rationals): no
+    cancellation against the reference product a b, however large."""
+    prod = ga.Diff(a, da) * ga.Diff(b, db)
+    assert prod.v == a * b
+    exact = (Fraction(a) + Fraction(da)) * (Fraction(b) + Fraction(db)) - Fraction(a) * Fraction(b)
+    scale = abs(a * db) + abs(da * b) + abs(da * db)
+    assert abs(Fraction(prod.d) - exact) <= 3 * np.finfo(float).eps * Fraction(scale)
+    total = ga.Diff(a, da) + ga.Diff(b, db) * 2.0
+    assert (total.v, total.d) == (a + 2.0 * b, da + 2.0 * db)
 
 
 def test_no_rest_mass_term_in_any_ledger(sr88_10s):
+    """A branch keeps only its exact difference from the clock-free frame: no
+    rest-energy phase (m c^2 dt / hbar ~ 8.5e26 rad at 10 s) and not the
+    frame's cubic action (1.5e13 rad), which every branch shares."""
     state = ga.evolve_state(sr88_10s, "free_fall")
+    assert abs(state.frame.phase) > 1e13
     for b in state.components:
-        names = [name for name, _ in b.ledger.terms]
-        assert all("mc2" not in n and "rest_mass" not in n for n in names)
-        assert "rest_internal" not in names
-        # Each term is reduced mod 2 pi before float evaluation.
-        assert abs(float(b.ledger.constant_wrapped())) < 2 * math.pi * (len(names) + 1)
+        assert abs(b.phase) < 1e4 and abs(b.slope) < 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +79,10 @@ def test_no_rest_mass_term_in_any_ledger(sr88_10s):
 def test_initial_amplitudes_phi_zero(sr88_10s):
     state = ga.evolve_state(sr88_10s.replace(dt=0.0), "free_fall")
     assert len(state.components) == 4
+    assert state.frame == ga.Frame(sr88_10s.x0, 0.0, 0.0)
     for b in state.components:
         assert b.amplitude == pytest.approx(0.5)
-        assert b.ledger.slope == 0.0 and b.var_x == sr88_10s.sigma**2
+        assert b.slope == 0.0 and b.var_x == sr88_10s.sigma**2
 
 
 def test_initial_amplitudes_phi_pi(sr88_10s):
@@ -93,21 +107,21 @@ def test_initial_norm_includes_overlap(sr88_10s):
 
 def test_freefall_dt_zero_identity(sr88_10s):
     """At dt = 0 either map alone gives the initial state: amplitudes 1/2 and
-    e^{i phi}/2, the starting centres, width sigma, and zero chirp, slope and
-    ledger terms."""
+    e^{i phi}/2, the starting centres (from the frame's origin x0), width
+    sigma, and zero chirp, phase and slope, in a frame that has not moved."""
     p = sr88_10s.replace(dt=0.0, phi=0.7)
     for scenario in ("free_fall", "mach_zehnder"):
         state = ga.evolve_state(p, scenario)
         assert [(b.path_label, b.internal_level) for b in state.components] \
             == [("plus", 0), ("plus", 1), ("minus", 0), ("minus", 1)]
+        assert state.frame == ga.Frame(p.x0, 0.0, 0.0)
         for b in state.components:
             plus = b.path_label == "plus"
             assert b.amplitude == (0.5 if plus else 0.5 * complex(math.cos(0.7), math.sin(0.7)))
-            assert b.mean_x == (p.x_plus if plus else p.x_minus)
+            assert b.mean_x == (p.x_plus if plus else p.x_minus) - p.x0
             assert b.var_x == p.sigma**2
             assert b.chirp == 0.0
-            assert b.ledger.slope == 0.0 and b.ledger.x_ref == p.x0
-            assert [value for _, value in b.ledger.terms] == [0.0] * len(b.ledger.terms)
+            assert b.phase == 0.0 and b.slope == 0.0
 
 
 def test_freefall_textbook_at_zero_internal_energy():
@@ -115,20 +129,23 @@ def test_freefall_textbook_at_zero_internal_energy():
                           x_minus=0.50, x0=0.505, sigma=1e-4, dt=1.0)
     state = ga.evolve_state(p, "free_fall")
     b = state.branch("plus", 0)
-    assert abs(p.hbar * float(b.ledger.slope)) == pytest.approx(9.81e-25, rel=1e-12, abs=0)
-    assert b.mean_x == pytest.approx(0.51 - 4.905, rel=1e-12)
+    assert abs(p.hbar * (state.frame.slope + b.slope)) == pytest.approx(9.81e-25, rel=1e-12, abs=0)
+    assert state.frame.origin + b.mean_x == pytest.approx(0.51 - 4.905, rel=1e-12)
     assert b.var_x == pytest.approx(1e-8 + (p.hbar / (2e-25 * 1e-4)) ** 2, rel=1e-12, abs=0)
 
 
 def test_freefall_momentum_ratio_extended_precision(sr88_10s):
+    """The levels' momenta are in the ratio 1 + z_1 : 1 + z_0 (z_0 = 0 here); the
+    clock's part z_i is carried as an exact difference, to float64 accuracy."""
     p = sr88_10s
     state = ga.evolve_state(p, "free_fall")
-    ratio = float(state.branch("plus", 1).ledger.slope / state.branch("plus", 0).ledger.slope)
-    ref = float(1 + mp.mpf(p.e1) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2))
-    assert ratio == pytest.approx(ref, rel=1e-13, abs=0)
+    assert state.branch("plus", 0).slope == 0.0
+    ratio = state.branch("plus", 1).slope / state.frame.slope
+    ref = float(mp.mpf(p.e1) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2))
+    assert ratio == pytest.approx(ref, rel=1e-14, abs=0)
 
 
-def _propagator_reference(p, branch, xs):
+def _propagator_reference(p, level, x_c, xs):
     """Evolve the initial Gaussian with the linear-potential kernel (mpmath).
 
     Independent of the closed-form map: a straight quadrature of
@@ -138,14 +155,14 @@ def _propagator_reference(p, branch, xs):
     -m (1+z) g x0, folded in afterwards.  Like the map, it has no
     rest-energy phase.
     """
-    z = p.z_eff(branch.internal_level)
+    z = p.z_eff(level)
     m_eff = mp.mpf(p.m) / (1 - mp.mpf(z))
     force = mp.mpf(p.m) * (1 + mp.mpf(z)) * mp.mpf(p.g)
     const = -mp.mpf(p.m) * (1 + mp.mpf(z)) * mp.mpf(p.g) * mp.mpf(p.x0)
     t = mp.mpf(p.dt)
     hb = mp.mpf(p.hbar)
     sig = mp.mpf(p.sigma)
-    x_c = mp.mpf(branch.mean_x)
+    x_c = mp.mpf(x_c)
     norm0 = (2 * mp.pi * sig**2) ** mp.mpf("-0.25")
     pref = mp.sqrt(m_eff / (2 * mp.pi * mp.mpc(0, 1) * hb * t))
 
@@ -164,14 +181,22 @@ def _propagator_reference(p, branch, xs):
     return np.array(out)
 
 
+def _lab_values(state, branch, xs):
+    """The branch wavefunction at lab positions xs: sampled in its frame, with
+    the frame's phase put back."""
+    frame = state.frame
+    x = np.asarray(xs) - frame.origin
+    return ga.wavefunction_values(branch, x) * np.exp(1j * (frame.phase + frame.slope * x))
+
+
 @pytest.mark.parametrize("z1", [0.0, 3e-7])
 def test_freefall_full_map_vs_propagator_quadrature(z1):
     p = _toy_params(z1=z1)
-    branch = ga.evolve_state(p.replace(dt=0.0), "free_fall").branch("plus", 1)
-    evolved = ga.evolve_state(p, "free_fall").branch("plus", 1)
-    xs = evolved.mean_x + np.array([-1.2, -0.4, 0.0, 0.7, 1.5])
-    got = ga.wavefunction_values(evolved, xs)
-    ref = _propagator_reference(p, branch, xs)
+    state = ga.evolve_state(p, "free_fall")
+    evolved = state.branch("plus", 1)
+    xs = state.frame.origin + evolved.mean_x + np.array([-1.2, -0.4, 0.0, 0.7, 1.5])
+    got = _lab_values(state, evolved, xs)
+    ref = _propagator_reference(p, 1, p.x_plus, xs)
     # The map drops the constant spreading (Gouy) phase, so compare up to
     # one global phase: the ratio must be constant and unimodular.
     ratio = ref / got
@@ -183,29 +208,32 @@ def test_freefall_full_map_vs_propagator_quadrature(z1):
 def test_freefall_full_map_gouy_phase_value():
     # The dropped constant equals -arctan(eps)/2 with eps = hbar t / (2 m* sigma^2).
     p = _toy_params(z1=0.0)
-    branch = ga.evolve_state(p.replace(dt=0.0), "free_fall").branch("plus", 0)
-    evolved = ga.evolve_state(p, "free_fall").branch("plus", 0)
-    xs = np.array([evolved.mean_x + 0.3])
-    ratio = _propagator_reference(p, branch, xs)[0] / ga.wavefunction_values(evolved, xs)[0]
+    state = ga.evolve_state(p, "free_fall")
+    evolved = state.branch("plus", 0)
+    xs = np.array([state.frame.origin + evolved.mean_x + 0.3])
+    ratio = _propagator_reference(p, 0, p.x_plus, xs)[0] / _lab_values(state, evolved, xs)[0]
     eps = p.hbar * p.dt / (2 * p.m * p.sigma**2)
     assert cmath.phase(ratio) == pytest.approx(-0.5 * math.atan(eps), abs=1e-9)
 
 
 def test_freefall_full_vs_approx_differences(sr88_10s):
     """What the full map keeps beyond first order in z: the O(z) momentum
-    boost, and the z^2 piece of the cubic action (against mpmath)."""
+    boost, and the z^2 pieces of the cubic action and of the fall (against
+    mpmath).  In the frame, which falls g dt^2 / 2 with the z-free phase, a
+    branch's phase is (m g^2 dt^3 / 6 hbar)(2 z + z^2) and its centre sits
+    (g dt^2 / 2) z^2 above its start; at z = 3e-7 a map without the z^2
+    terms misses the phase by 1.5e-7."""
     p = sr88_10s
     full = ga.evolve_state(p, "free_fall").branch("plus", 1)
-    z = p.z1
-    boost = float(p.hbar * full.ledger.slope + _LD(p.m) * p.g * p.dt)
-    assert boost == pytest.approx(-p.m * p.g * p.dt * z, rel=1e-6, abs=0)
-    # The ledger keeps z orders as separate terms, so the z^2 piece of
-    # cubic_z = cubic (z - z^2) is isolated in extended precision.
-    terms = dict(full.ledger.terms)
-    z2_piece = float(terms["cubic_z"] - terms["cubic"] * _LD(z))
-    ref = float(mp.mpf(p.m) * mp.mpf(p.g) ** 2 * mp.mpf(p.dt) ** 3
-                / (6 * mp.mpf(p.hbar)) * mp.mpf(z) ** 2)
-    assert z2_piece == pytest.approx(ref, rel=1e-9, abs=0)
+    assert p.hbar * full.slope == pytest.approx(-p.m * p.g * p.dt * p.z1, rel=1e-14, abs=0)
+    p = _toy_params(z1=3e-7)
+    full = ga.evolve_state(p, "free_fall").branch("plus", 1)
+    z = mp.mpf(p.e1) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2)
+    g, dt = mp.mpf(p.g), mp.mpf(p.dt)
+    phase = mp.mpf(p.m) * g**2 * dt**3 / (6 * mp.mpf(p.hbar)) * (2 * z + z**2)
+    assert full.phase == pytest.approx(float(phase), rel=1e-13, abs=0)
+    fall = ga._evolved_branch_map(p, "free_fall", 1, False)[0][1]
+    assert -fall == pytest.approx(float(g * dt**2 / 2 * z**2), rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +244,8 @@ def test_mz_zero_energy_is_pure_spreading():
     p = _toy_params(z1=0.0, m=10.0, x_minus=0.5, x_plus=3.0, x0=1.4,
                     sigma=0.05, dt=0.05)
     out = ga.evolve_state(p, "mach_zehnder").branch("plus", 1)
-    assert out.mean_x == p.x_plus
-    assert float(out.ledger.slope) == 0.0
-    assert all(float(value) == 0.0 for _, value in out.ledger.terms)
+    assert out.mean_x == p.x_plus - p.x0
+    assert out.slope == 0.0 and out.phase == 0.0
     assert out.var_x > p.sigma**2 and out.chirp > 0
 
 
@@ -252,12 +279,14 @@ def test_mz_straddle_rule_is_core_kink_clearance(sr88_10s):
 
 
 def test_mz_path_phase_difference_extended_precision(sr88_10s):
-    """Ledger difference between arms matches a direct mpmath evaluation."""
+    """The phase difference between arms at their starts matches a direct
+    mpmath evaluation; the frame is trivial, so it is all the branches'."""
     p = sr88_10s
     state = ga.evolve_state(p, "mach_zehnder")
+    assert state.frame == ga.Frame(p.x0, 0.0, 0.0)
     for level, e_i in ((0, p.e0), (1, p.e1)):
         bp, bm = state.branch("plus", level), state.branch("minus", level)
-        got = float(bm.ledger.diff_at(p.x_minus, bp.ledger, p.x_plus))
+        got = (bm.phase + bm.slope * (p.x_minus - p.x0)) - (bp.phase + bp.slope * (p.x_plus - p.x0))
         v_p = mp.mpf(p.g_plus) * mp.mpf(p.h_plus) + mp.mpf(p.g) * (mp.mpf(p.x_plus0) - mp.mpf(p.x0))
         v_m = mp.mpf(p.g_minus) * mp.mpf(p.h_minus) + mp.mpf(p.g) * (mp.mpf(p.x_minus0) - mp.mpf(p.x0))
         z = mp.mpf(e_i) / (mp.mpf(p.m) * mp.mpf(p.c) ** 2)
@@ -269,13 +298,12 @@ def test_mz_path_phase_difference_extended_precision(sr88_10s):
 # Overlaps
 # ---------------------------------------------------------------------------
 
-def _random_branch(rng, level=0, x_ref=0.0):
+def _random_branch(rng, level=0):
     sigma = rng.uniform(5e-5, 2e-4)
     return ga.GaussianBranch(
         amplitude=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        ledger=make_ledger(
-            {"t1": rng.uniform(-3, 3), "t2": rng.uniform(-3, 3)},
-            slope=rng.uniform(-5e3, 5e3), x_ref=x_ref),
+        phase=rng.uniform(-6, 6),
+        slope=rng.uniform(-5e3, 5e3),
         mean_x=rng.uniform(-2e-4, 2e-4),
         var_x=sigma**2,
         chirp=rng.uniform(-1e7, 1e7),
@@ -328,10 +356,11 @@ def test_pair_moments_refuse_higher_degrees():
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1e17, 1e17, allow_nan=False))
 def test_wrap_angle_scalar_path_matches_array_path(x):
-    for value in (x, _LD(x) * _LD("1.0000000001")):
+    for value in (x, x * 1.0000000001):
         fast = ga.wrap_angle(value)
-        via_array = float(ga.wrap_angle(np.array([value], dtype=_LD))[0])
+        via_array = float(ga.wrap_angle(np.array([value]))[0])
         assert type(fast) is float
+        assert -math.pi <= fast < math.pi
         assert math.copysign(1.0, fast) == math.copysign(1.0, via_array)
         assert fast == via_array
 
@@ -347,10 +376,10 @@ def test_overlap_standard_separation():
     a = _random_branch(rng)
     sep = 1.7e-4
     b = ga.GaussianBranch(
-        amplitude=1.0, ledger=a.ledger, mean_x=a.mean_x + sep,
+        amplitude=1.0, phase=a.phase, slope=a.slope, mean_x=a.mean_x + sep,
         var_x=a.var_x, chirp=0.0, internal_level=0, path_label="minus")
     a0 = ga.GaussianBranch(
-        amplitude=1.0, ledger=a.ledger, mean_x=a.mean_x,
+        amplitude=1.0, phase=a.phase, slope=a.slope, mean_x=a.mean_x,
         var_x=a.var_x, chirp=0.0, internal_level=0, path_label="plus")
     got = ga.overlap(a0, b)
     assert got == pytest.approx(math.exp(-sep**2 / (8 * a.var_x)), rel=1e-12, abs=0)
@@ -363,7 +392,7 @@ def test_overlap_levels_orthogonal(sr88_10s):
 
 def test_pair_moments_refuse_cross_level_pair(sr88_10s):
     """Branches of different levels are orthogonal: callers skip the pair, and
-    building its moments raises, as a mismatched ledger x_ref does."""
+    building its moments raises."""
     state = ga.evolve_state(sr88_10s, "free_fall")
     with pytest.raises(ValueError, match="one internal level"):
         ga.PairMoments(state.branch("plus", 0), state.branch("plus", 1))
@@ -385,15 +414,3 @@ def test_unitarity_of_evolution_maps(sr88_10s, crosscheck_params):
         for scenario in ("free_fall", "mach_zehnder"):
             evolved = ga.evolve_state(p, scenario)
             assert ga.state_norm_sq(evolved) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_extended_precision_guard(monkeypatch):
-    ga.check_extended_precision(2.0**-63)
-    ga.check_extended_precision(2.0**-112)
-    with pytest.raises(ga.PrecisionError, match="2\\^-63"):
-        ga.check_extended_precision(2.0**-52)
-    if np.finfo(np.longdouble).eps <= 2.0**-63:
-        ga.check_extended_precision()
-    monkeypatch.setattr(ga, "_LD", np.float64)
-    with pytest.raises(ga.PrecisionError):
-        ga.check_extended_precision()

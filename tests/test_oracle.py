@@ -10,7 +10,7 @@ import pytest
 
 from gravclock import bouncer as bc, cli, core, estimation as est, gaussian as ga, oracle as orc
 
-from conftest import CONFIG_DIR, make_ledger
+from conftest import CONFIG_DIR
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -19,8 +19,8 @@ def _random_branch(rng, level=0, path="plus"):
     sigma = rng.uniform(5e-5, 2e-4)
     return ga.GaussianBranch(
         amplitude=1.0 + 0.0j,
-        ledger=make_ledger(
-            {"t1": rng.uniform(-3, 3)}, slope=rng.uniform(-4e3, 4e3), x_ref=0.0),
+        phase=rng.uniform(-3, 3),
+        slope=rng.uniform(-4e3, 4e3),
         mean_x=rng.uniform(-2e-4, 2e-4),
         var_x=sigma**2,
         chirp=rng.uniform(-1e7, 1e7),
@@ -38,21 +38,21 @@ class PhaseFamily:
     def value(self) -> float:
         return self.params.phi
 
-    def make_state(self, value: float) -> ga.ClockState:
+    def make_state(self, offset: float | None = None) -> ga.ClockState:
         p = self.params
-        ledger = make_ledger({}, 0.0, p.x0)
+        value = self.value() + (offset or 0.0)
         amp = complex(math.cos(value), math.sin(value)) / math.sqrt(2.0)
         return ga.ClockState((
-            ga.GaussianBranch(1.0 / math.sqrt(2.0), ledger, p.x_plus,
+            ga.GaussianBranch(1.0 / math.sqrt(2.0), 0.0, 0.0, p.x_plus,
                               p.sigma**2, 0.0, 0, "plus"),
-            ga.GaussianBranch(amp, ledger, p.x_minus,
+            ga.GaussianBranch(amp, 0.0, 0.0, p.x_minus,
                               p.sigma**2, 0.0, 0, "minus"),
         ))
 
 
 class ConstantFamily(PhaseFamily):
-    def make_state(self, value: float) -> ga.ClockState:
-        return super().make_state(0.0)
+    def make_state(self, offset: float | None = None) -> ga.ClockState:
+        return super().make_state()
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +61,7 @@ class ConstantFamily(PhaseFamily):
 
 def test_render_single_branch_norm(sr88_10s):
     p = sr88_10s
-    state = ga.ClockState((ga.GaussianBranch(
-        1.0, make_ledger({}, 0.0, p.x0), p.x_plus, p.sigma**2, 0.0, 0, "plus"),))
+    state = ga.ClockState((ga.GaussianBranch(1.0, 0.0, 0.0, p.x_plus, p.sigma**2, 0.0, 0, "plus"),))
     psi = orc.render(state, orc.grid_for_states(state))
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
@@ -153,7 +152,7 @@ def test_window_matches_full_lattice(sr88_10s, monkeypatch):
 
 
 def test_kernel_matches_reference_sampler(monkeypatch):
-    """On short lever arms the lattice phase equals the per-point ledger."""
+    """On short lever arms the lattice phase equals the per-point phase."""
     rng = np.random.default_rng(5)
     for _ in range(6):
         b = _random_branch(rng)
@@ -174,8 +173,8 @@ def test_render_and_detector_share_kernel(sr88_10s):
 
 
 def test_oracle_vs_closed_at_30s_anchor(crosscheck_params):
-    """Branches ~4.6 km down: the ledger phase has ~1e15 rad lever arms, and
-    a per-branch phase anchor would leave ~1e-4 rad of rounding in each."""
+    """Branches ~4.6 km down: the lab phase has ~1e15 rad lever arms, which the
+    frame takes off before anything is rendered."""
     p = crosscheck_params[9]
     closed = est.qfi_ff_closed(p)
     got = orc.qfi_numeric(est.Scenario("free_fall", p, "g"))
@@ -196,10 +195,8 @@ def test_fidelity_self_unity(sr88_10s):
 def test_fidelity_disjoint_channels_zero(sr88_10s):
     """Orthogonal level channels: |<a|b>| = 0 (F = 0), so the miss is 1."""
     p = sr88_10s
-    b0 = ga.GaussianBranch(1.0, make_ledger({}, 0.0, p.x0), p.x_plus,
-                           p.sigma**2, 0.0, 0, "plus")
-    b1 = ga.GaussianBranch(1.0, make_ledger({}, 0.0, p.x0), p.x_plus,
-                           p.sigma**2, 0.0, 1, "plus")
+    b0 = ga.GaussianBranch(1.0, 0.0, 0.0, p.x_plus, p.sigma**2, 0.0, 0, "plus")
+    b1 = ga.GaussianBranch(1.0, 0.0, 0.0, p.x_plus, p.sigma**2, 0.0, 1, "plus")
     s0, s1 = ga.ClockState((b0,)), ga.ClockState((b1,))
     grid = orc.grid_for_states(s0, s1)
     assert orc.bures_miss(orc.render(s0, grid), orc.render(s1, grid)) == pytest.approx(1.0, abs=1e-10)
@@ -218,7 +215,7 @@ def test_bures_expansion_against_closed_qfi(sr88_10s):
     sc = est.Scenario("free_fall", sr88_10s, "g")
     g_closed = est.qfi_ff_closed(sr88_10s)
     d = 2.0e-10
-    s_lo, s_hi = sc.make_state(sr88_10s.g - d / 2), sc.make_state(sr88_10s.g + d / 2)
+    s_lo, s_hi = sc.make_state(-d / 2), sc.make_state(d / 2)
     grid = orc.grid_for_states(s_lo, s_hi)
     miss = orc.bures_miss(orc.render(s_lo, grid), orc.render(s_hi, grid))
     assert miss == pytest.approx(g_closed * d * d / 8.0, rel=1e-3)
@@ -409,13 +406,6 @@ def test_richardson_refuses_offsets_below_float64_spacing():
     assert min(asked) >= math.ulp(1.0) / 2
 
 
-def test_freefall_oracle_refuses_unresolvable_target():
-    """At dt = 1e5 s the sr88_freefall.cfg Bures window lies below ulp(g)."""
-    scenario = _sample_scenario("sr88_freefall.cfg", {"time.dt_s": "1e5"})
-    with pytest.raises(orc.OracleError, match="float64 resolution limit"):
-        orc.qfi_numeric(scenario)
-
-
 @pytest.mark.parametrize("ratio,accepted", [(0.25, True), (0.252, True), (0.2528, False),
                                             (0.2478, True), (0.2465, False), (0.21, False),
                                             (0.29, False)])
@@ -436,13 +426,18 @@ def test_richardson_refuses_a_pair_whose_offsets_disagree(ratio, accepted):
             orc.richardson_bures_qfi(miss, 0.0)
 
 
-def test_freefall_oracle_refuses_disagreeing_offsets_at_100s():
-    """At dt = 100 s on sr88_freefall.cfg the accepted pair's G(d/2) and G(d)
-    differ by 3.6e-2, and the value they gave was 6.04e-2 above the closed
-    form, with exit 0; now an OracleError names the residual."""
-    scenario = _sample_scenario("sr88_freefall.cfg", {"time.dt_s": "100"})
-    with pytest.raises(orc.OracleError, match=r"\|G\(d/2\)/G\(d\) - 1\| = 3\.58e-02 > 1e-02"):
-        orc.qfi_numeric(scenario)
+@pytest.mark.parametrize("dt", ["10", "30", "100", "1000", "1e4", "1e5"])
+def test_freefall_oracle_meets_closed_form_at_long_dt(dt):
+    """Rendered as exact differences from the frame, with the offset carried
+    exactly, the free-fall oracle on sr88_freefall.cfg is within 1e-6 of
+    qfi_closed (itself within 1e-10 of the exact QFI) out to 1e5 s.  With
+    the longdouble phase ledger it was -2.2e-9 off at 10 s and +8.2e-6 at
+    30 s, exit 3 at 1e2 s (its offsets disagreed by 3.6e-2), +1.11e-3 with
+    exit 0 at 1e3 s, and at 1e4 and 1e5 s the Bures window lay below ulp(g).
+    With the offset's part and the clock's in one float it was 4.9e-6 off at
+    1e5 s: that float, ~1e9 rad, rounded differently on the two levels."""
+    scenario = _sample_scenario("sr88_freefall.cfg", {"time.dt_s": dt})
+    assert abs(orc.qfi_numeric(scenario) / est.closed_qfi(scenario) - 1.0) <= 1e-6
 
 
 def test_grid_refinement_convergence(sr88_10s, crosscheck_params):
@@ -453,7 +448,7 @@ def test_grid_refinement_convergence(sr88_10s, crosscheck_params):
                             ("mach_zehnder", "bar_g", sr88_10s), ("free_fall", "g", crosscheck_params[9])]:
         sc = est.Scenario(kind, p, target)
         d = math.sqrt(8e-4 / est.closed_qfi(sc))
-        s_lo, s_hi = sc.make_state(sc.value() - d / 2), sc.make_state(sc.value() + d / 2)
+        s_lo, s_hi = sc.make_state(-d / 2), sc.make_state(d / 2)
         grid = orc.grid_for_states(s_lo, s_hi)
         fine = orc.Grid(grid.x_min, grid.x_max, 16 * (grid.n_points - 1) + 1)
         coarse, refined = (orc.bures_miss(orc.render(s_lo, g), orc.render(s_hi, g)) for g in (grid, fine))
@@ -597,11 +592,11 @@ def _detector_state(params, sign):
     bm = state.branch("minus", 0)
     amp = sign / math.sqrt(2.0)
     return ga.ClockState((
-        ga.GaussianBranch(1 / math.sqrt(2), bp.ledger, bp.mean_x,
+        ga.GaussianBranch(1 / math.sqrt(2), bp.phase, bp.slope, bp.mean_x,
                           bp.var_x, bp.chirp, 0, "plus"),
-        ga.GaussianBranch(amp, bm.ledger, bm.mean_x,
+        ga.GaussianBranch(amp, bm.phase, bm.slope, bm.mean_x,
                           bm.var_x, bm.chirp, 0, "minus"),
-    ))
+    ), state.frame)
 
 
 @pytest.mark.parametrize("sign,expected", [(1.0, (1.0, 0.0)), (-1.0, (0.0, 1.0))])

@@ -218,3 +218,19 @@ def test_process_entry_matches_in_process_main(case, tmp_path):
     assert outcomes[0][0] == rc
     assert bool(outcomes[0][3]) == (rc == 0)
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_runs_where_longdouble_is_float64():
+    """With numpy's longdouble made float64 before gravclock loads, as on
+    platforms without the x87 80-bit format, the package imports and the
+    free-fall parametric, FI and oracle routes give the values they give here."""
+    from gravclock import core, estimation as est, oracle
+    cfg = core.load_config(ROOT / "configs" / "sr88_freefall.cfg")
+    sc = est.Scenario("free_fall", core.params_from_config(cfg), "g")
+    here = [est.qfi_pure_parametric(sc), est.fi_numeric(sc), oracle.qfi_numeric(sc)]
+    code = ("import numpy; numpy.longdouble, numpy.clongdouble = numpy.float64, numpy.complex128\n"
+            "from gravclock import core, estimation as est, oracle\n"
+            "cfg = core.load_config('configs/sr88_freefall.cfg')\n"
+            "sc = est.Scenario('free_fall', core.params_from_config(cfg), 'g')\n"
+            "print(repr([est.qfi_pure_parametric(sc), est.fi_numeric(sc), oracle.qfi_numeric(sc)]))")
+    assert _run(code).strip() == repr(here)

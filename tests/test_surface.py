@@ -1,4 +1,5 @@
-"""Every public function in ``src/`` has a caller there, or a stated reason.
+"""Every public function in ``src/`` has a caller there, or a stated reason;
+and no module there names an extended-precision type.
 
 A function that no CLI path calls and only tests use either moves into
 ``tests/`` as a reference or is deleted.  This scan keeps that rule: it
@@ -18,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gravclock"
 ALLOWED_WITHOUT_CALLER = {
     "bouncer.airy_ai_prime": "public Airy contract in the README",
     "bouncer.airy_zero": "public Airy contract in the README",
+    "core.bar_g": "Scenario.value reads it by the target's name",
     "gaussian.wavefunction_values": "perfbench's tracer wraps it by name; the reference sampler",
     "gaussian.state_norm_sq": "the closed-form norm reference",
     "estimation.reduced_qfi_bloch": "the only non-closed check on qfi_reduced until a grid route",
@@ -57,3 +59,17 @@ def _uncalled_public_functions() -> set[str]:
 
 def test_every_public_function_has_a_caller_or_a_reason():
     assert _uncalled_public_functions() == set(ALLOWED_WITHOUT_CALLER)
+
+
+# numpy's extended-precision types: float64 is the one precision of src/.
+_EXTENDED = {"longdouble", "clongdouble", "float128", "float96"}
+
+
+def test_no_module_names_an_extended_precision_type():
+    """Every phase a route subtracts or wraps is a float64 exact difference, so
+    no module names an extended type: as a name, an attribute, an import or a
+    string constant (a dtype given by name)."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        assert not (set(_names(tree)) | strings) & _EXTENDED, path.name
