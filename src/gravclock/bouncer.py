@@ -24,14 +24,14 @@ evaluation in cache-sized blocks, each taken whole when it lies in one
 region and split by one boolean mask per region otherwise, Ai and Ai'
 together from one region dispatch (see ``AiryEngine``).  Every level
 count's Airy zeros are a read-only prefix of one table.  The grid render
-draws a family of states (the oracle's Bures stencil) from one basis,
-Ai and Ai' of x / l_0 + z_n up
-to a decay cut past which Ai is below 1e-39, with phases against the
-centre projection's band means; each state and level is a Taylor shift
-of its argument by the Airy ODE to the first order whose remainder bound
-is below 1e-16 (at most 4, else families of one; see ``render_spectral``
-and ``AiryEngine.ai_rows``), on a lambda/8 lattice whose trapezoid sums take
-Euler-Maclaurin floor terms from each state's derivatives at the floor.
+draws a family of states (the oracle's Bures stencil) from one Airy
+lattice on the grid's step, with phases against the centre projection's
+band means: each row x / l_0 + z_n is a Taylor shift of the lattice, summed
+over rows by ``numpy.fft`` correlations, and each state and level a Taylor
+shift by its own length, both by the Airy ODE to the first order whose
+remainder bound is below 1e-16 (see ``render_spectral``), on a lambda/8 grid
+whose trapezoid sums take Euler-Maclaurin floor terms from each state's
+derivatives at the floor.
 Gaussian projections of Ai come from the two-sided Laplace transform:
 
     Int Ai(u) exp(-(u - w)^2 / (4 s^2)) du
@@ -46,6 +46,7 @@ The module loads ``core`` and numpy; oracle functions import the rest when calle
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,11 +65,8 @@ _LOG_2_SQRT_PI = math.log(2.0 * _SQRT_PI)
 _UNDERFLOW_Y = 108.0
 # Points per evaluation block: each temporary is at most 128 kB.
 _BLOCK = 1 << 14
-# Rendered basis rows stop here: Ai(26) ~ 1e-39, so the rest of a row is 0.
-_RENDER_CUT_Y = 26.0
-# Render chunks: Ai and four derivatives on 12 rows of n points take 480 n bytes (1.4 MB at
-# 2890, configs/bouncer.cfg), a 4-state family's sums over 2048 points 1.3 MB; Taylor orders <= 4.
-_RENDER_ROWS, _RENDER_COLS, _TAYLOR_MAX = 12, 2048, 4
+# The render's Taylor order in the states' lengths is at most 4 (else the family splits).
+_TAYLOR_MAX = 4
 # Table intervals and Chebyshev degree: degree 13 already reaches rounding
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
 _TABLE_WIDTH = 0.5
@@ -141,8 +139,7 @@ class AiryEngine:
     arguments span several) sends each region's points to that region's
     formula through one boolean mask per region.  Every formula is
     elementwise, so a point's value does not depend on the block it came
-    in.  NaN gives NaN.  ``ai_rows`` fills many shifted rows of one
-    ascending base at once, one ``ai`` call per region the rows reach.
+    in.  NaN gives NaN.
 
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
@@ -338,32 +335,6 @@ class AiryEngine:
 
     def ai_prime(self, y) -> np.ndarray | float:
         return self.ai(y)[1]
-
-    def ai_rows(self, base: np.ndarray, offsets: np.ndarray, ends: np.ndarray,
-                out: np.ndarray, out_prime: np.ndarray) -> None:
-        """Fill out[j, :ends[j]] with Ai(base[:ends[j]] + offsets[j]), out_prime
-        likewise with Ai', and the rest of both rows with 0.
-
-        base must be ascending, so every row is.  The rows' points are cut
-        into regions by ``searchsorted``; each region's slices of all rows
-        go through one ``ai`` call as one array and are copied back, bit for
-        bit what one call per row gives.
-        """
-        cuts = self._region_ends()
-        spans = []
-        for row, prime, offset, end in zip(out, out_prime, offsets, ends):
-            np.add(base[:end], offset, out=row[:end])
-            row[end:] = prime[end:] = 0.0
-            bounds = [0, *np.searchsorted(row[:end], cuts, side="right").tolist()]
-            spans.append([(row[lo:hi], prime[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-        for region in zip(*spans):
-            args = np.concatenate([row for row, _ in region])
-            if args.size:
-                values, slopes = self.ai(args)
-                at = 0
-                for row, prime in region:
-                    row[:], prime[:] = values[at:at + row.size], slopes[at:at + row.size]
-                    at += row.size
 
     def ai_log(self, y) -> tuple[np.ndarray, np.ndarray]:
         """(sign of Ai(y), log|Ai(y)|): from ``ai`` up to pos_cutoff, beyond
@@ -670,21 +641,35 @@ def bouncer_grid(params: PhysicalParams, projection: BouncerProjection) -> Grid:
     return Grid(0.0, x_max, math.ceil(x_max / (lam_min / 8.0)) + 1)   # steps <= lam_min / 8
 
 
-def _airy_derivatives(stack: np.ndarray, y: np.ndarray) -> None:
-    """Fill stack[2:5] with Ai'' = y Ai, Ai''' = Ai + y Ai' and Ai'''' = y^2 Ai + 2 Ai'
-    (Airy ODE, DLMF 9.2.1) from Ai in stack[0] and Ai' in stack[1]; y may be stack[4]."""
-    np.multiply(y, stack[1], out=stack[3])
-    stack[3] += stack[0]
-    np.multiply(y, stack[0], out=stack[2])
-    np.multiply(y, stack[2], out=stack[4])
-    stack[4] += stack[1]
-    stack[4] += stack[1]
+def _taylor_order(a: float) -> int:
+    """The first order J with a^(J+1) / (J+1)! < 1e-16, compared in logs: no power overflows."""
+    log_a = math.log(a) if a > 0 else -math.inf
+    return next(j for j in itertools.count() if (j + 1) * log_a - math.lgamma(j + 2) < math.log(1e-16))
+
+
+def _airy_derivative_rows(y: np.ndarray, count: int) -> np.ndarray:
+    """Ai^(q)(y), q < count (at least Ai and Ai'), one row each: Ai and Ai' from one
+    ``AiryEngine.ai`` call, the rest by Ai^(q+2) = y Ai^(q) + q Ai^(q-1) (DLMF 9.2.1)."""
+    rows = np.empty((max(count, 2), y.size))
+    rows[0], rows[1] = default_engine().ai(y)
+    for q in range(rows.shape[0] - 2):
+        np.multiply(y, rows[q], out=rows[q + 2])
+        if q:
+            rows[q + 2] += q * rows[q - 1]
+    return rows
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer >= n: a length numpy's FFT splits into small factors."""
+    return min(2 ** ((n - 1) // (3**b * 5**c)).bit_length() * 3**b * 5**c
+               for b in range(n.bit_length()) for c in range(n.bit_length()))
 
 
 def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerProjection]],
                     t: float, grid: Grid, center: BouncerProjection) -> list[GridWavefunction]:
     """Sample sum_n c_{i,n} e^{-i E_{i,n} t / hbar} psi_{i,n}(x) for each state of
-    ``family``, a sequence of (g, projection at that g) on one level count.
+    ``family``, a sequence of (g, projection at that g) on one level count, on a
+    grid from the floor.
 
     Phases are relative to each level's constant at ``params.g`` and band mean
     under ``center`` (the projection at ``params.g``), shared by the states
@@ -692,17 +677,23 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     mean, common to every state (so its rounding cancels to first order in
     the offset), and an exact O(offset) part, band_c ((g_s / g)^(2/3) - 1)
     (the band scales as g^(2/3)) plus the level constant's analytic x0
-    term.  One basis serves every state and level: Ai and Ai' of
-    y = x / l_0 + z_n (l_0 the level-0 length at ``params.g``) up to
-    the decay cut y = 26 (Ai(26) ~ 1e-39), one ``AiryEngine.ai_rows`` call
-    per 12-row chunk.  State s, level i is the Taylor sum of Ai(y + Delta),
-    Delta = x (1 / l_{s,i} - 1 / l_0), up to the first order J whose bound
-    (max|Delta| sqrt(1 + max|y|))^(J+1) / (J+1)! is below 1e-16 (J = 4 at the
-    oracle's offsets; Delta = 0 is exact).  Past J = 4 a family is split into
-    families of one, each from its own level 0, and a state into its levels.
-    Per column block, one matrix product per order j contracts the rows (re,
-    im) of every state and level with the chunk's Ai^(j)(y), summed in powers
-    of each one's Delta.  Kept rows: any state and level above 1e-14 of its largest.
+    term.  Kept rows: any state and level above 1e-14 of its largest.
+    One lattice serves every state and level: Ai^(q) at Y_p = p h, h = grid
+    spacing / l_0 (l_0 the level-0 length at ``params.g``), from the top kept
+    zero to the grid's end, by one ``AiryEngine.ai`` call and the Airy ODE.
+    With z_n = m_n h + r_n, |r_n| <= h/2, Ai^(j)(x_k / l_0 + z_n) is
+    sum_q r_n^q / q! Ai^(j+q)(Y_{k + m_n}), so each sum over rows,
+    sum_n c_n Ai^(j)(x_k / l_0 + z_n), is a sum over q of lattice row j + q
+    correlated with the coefficients c_n r_n^q / q! placed at m_n: ``numpy.fft``
+    products on the smallest 5-smooth length that wraps no sum around, one
+    coefficient row (re or im of a state and level) at a time.
+    State s, level i is the Taylor sum of Ai(y + Delta), Delta = x (1 / l_{s,i}
+    - 1 / l_0), over those sums.  Each Taylor sum stops at the first order J
+    whose remainder bound (a sqrt(1 + max|y|))^(J+1) / (J+1)! is below 1e-16,
+    max|y| over the lattice, a = h/2 for the rows (J = 13 on the oracle's
+    grid) and max|Delta| for the states (J = 4 at the oracle's offsets; Delta
+    = 0 is exact).  Past J = 4 a family is split into families of one, each
+    from its own level 0, and a state into its levels.
     Each state's floor derivatives d^k/dx^k at x = 0, k = 0..7, are
     l_{s,i}^(-k-1/2) sum_n c_n p_k(z_n) over the same rows and phases, with
     Ai^(k)(z_n) = p_k(z_n) Ai'(z_n) and N_{i,n} Ai'(z_n) = l_i^(-1/2): no Airy call.
@@ -732,41 +723,45 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
         floor[s] = (c @ floor_p.T) * lengths[s, :, None] ** (-0.5 - np.arange(8))
         c = c * proj.spectrum.norms[:, rows]
         coeff[s] = np.stack([c.real, c.imag], axis=1)
-    y_max = max(_RENDER_CUT_Y, -float(z.min(initial=0.0)))
     channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
-    basis = np.empty((_TAYLOR_MAX + 1, min(_RENDER_ROWS, rows.size), grid.n_points))
+    parts = channels.view(float).reshape(len(family), 2, grid.n_points, 2)    # (re, im) last
     groups = [(gravitational_length(params, 0), [(s, i) for s in range(len(family)) for i in (0, 1)])]
     while groups:
         l_base, members = groups.pop()
         s_idx, i_idx = np.array(members).T
+        h = grid.spacing / l_base
+        m = np.rint(z / h)                  # z_n = m_n h + r_n, |r_n| <= h/2
+        lo, hi = m.min(), m.max()
+        lattice = np.arange(lo, hi + grid.n_points) * h
+        root = math.sqrt(1.0 + max(-lattice[0], lattice[-1]))
         kappa = 1.0 / lengths[s_idx, i_idx] - 1.0 / l_base
-        a = float(np.max(np.abs(kappa))) * grid.x_max * math.sqrt(1.0 + y_max)
-        order = next((j for j in range(_TAYLOR_MAX + 1)        # remainder bound below 1e-16
-                      if a ** (j + 1) / math.factorial(j + 1) < 1e-16), None)
-        if order is None:        # split a family into states, a state into levels
+        order = _taylor_order(float(np.max(np.abs(kappa))) * grid.x_max * root)
+        if order > _TAYLOR_MAX:        # split a family into states, a state into levels
             states = set(s_idx.tolist())
             groups += ([(lengths[s, 0], [(s, 0), (s, 1)]) for s in states] if len(states) > 1
                        else [(lengths[s, i], [(s, i)]) for s, i in members])
             continue
+        depth = _taylor_order(0.5 * h * root)
+        n_fft = _fft_length(lattice.size)
+        spectra = np.fft.rfft(_airy_derivative_rows(lattice, order + depth + 1), n_fft)
+        # Rows on one lattice point (m is monotone) add up.  Placed at hi - m_n, a row meets
+        # Ai^(j+q)(Y_{k + m_n}) at convolution index k + hi - lo, below n_fft for every k.
+        starts = np.flatnonzero(np.diff(m, prepend=np.nan))
+        at = (hi - m[starts]).astype(np.intp)
+        taylor = np.cumprod([0 * z + 1, *((z - m * h) / q for q in range(1, depth + 1))], axis=0)
         cmat = coeff[s_idx, i_idx].reshape(-1, rows.size)       # (member, re/im) x row
-        scaled = xs / l_base
-        ends = np.searchsorted(scaled, _RENDER_CUT_Y - zeros[rows], side="right")
-        for start in range(0, rows.size, _RENDER_ROWS):
-            sel = slice(start, start + _RENDER_ROWS)
-            width = int(ends[sel].max())
-            stack = basis[:, :len(ends[sel]), :width]
-            default_engine().ai_rows(scaled, zeros[rows[sel]], ends[sel], stack[0], stack[1])
-            _airy_derivatives(stack, np.add(scaled[:width], zeros[rows[sel], None], out=stack[4]))
-            # Real coefficients times the real basis, never copied to complex.
-            for lo in range(0, width, _RENDER_COLS):
-                cols = slice(lo, min(lo + _RENDER_COLS, width))
-                sums = (cmat[:, sel] @ stack[:order + 1, :, cols]).reshape(order + 1, kappa.size, 2, -1)
-                delta = (kappa[:, None] * xs[cols])[:, None, :]
-                for j in range(order, 0, -1):    # Horner: sums[0] += sum_j delta^j / j! sums[j]
-                    sums[j - 1] += delta / j * sums[j]
-                for (s, i), (re, im) in zip(members, sums[0]):
-                    channels[s, i, cols].real += re
-                    channels[s, i, cols].imag += im
+        delta = kappa[:, None] * xs
+        for line, c in enumerate(cmat):        # one coefficient row at a time keeps the peak low
+            placed = np.zeros((depth + 1, n_fft))
+            placed[:, at] = np.add.reduceat(c * taylor, starts, axis=1)
+            placed = np.fft.rfft(placed)
+            sums_f = placed[0] * spectra[:order + 1]
+            for q in range(1, depth + 1):
+                sums_f += placed[q] * spectra[q:q + order + 1]
+            sums = np.fft.irfft(sums_f, n_fft)[:, int(hi - lo):int(hi - lo) + grid.n_points]
+            for j in range(order, 0, -1):    # Horner: sums[0] += sum_j delta^j / j! sums[j]
+                sums[j - 1] += delta[line // 2] / j * sums[j]
+            parts[(*members[line // 2], slice(None), line % 2)] += sums[0]
     return [GridWavefunction(grid, ch, d) for ch, d in zip(channels, floor)]
 
 
@@ -774,11 +769,12 @@ def bouncer_qfi_numeric(params: PhysicalParams) -> float:
     """Bures QFI (``oracle.bures_miss``) of the state rendered at t = dt (the dt^2 oracle),
     on the lambda/8 ``bouncer_grid`` with Euler-Maclaurin floor terms through h^8.
 
-    An offset d renders ``bures_stencil`` at d and at d/2, g -+ d/2 and g -+ d/4,
-    as one family (see ``render_spectral``); its g -+ d/4 pair answers the d/2
-    call that follows.  An offset with d/2 >= g, which
-    the search reaches only from below the fidelity window, raises OracleError:
-    at once, before any render, where the long-time QFI is 0 (dt = 0).
+    An offset d projects ``bures_stencil`` at d and at d/2, g -+ d/2 and g -+ d/4,
+    as one g column at the centre's level count and renders them as one family
+    (``render_spectral``); its g -+ d/4 pair answers the d/2 call that follows.
+    An offset with d/2 >= g, which the search reaches only from below the
+    fidelity window, raises OracleError: at once, before any render, where the
+    long-time QFI is 0 (dt = 0).
     """
     from .oracle import OracleError, bures_miss, bures_stencil, richardson_bures_qfi
     center = bouncer_coefficients(params)
@@ -793,8 +789,9 @@ def bouncer_qfi_numeric(params: PhysicalParams) -> float:
             raise OracleError(f"offset d = {d:g} would step g = {params.g:g} to g - d/2 <= 0: "
                               "the state's g-dependence is below fidelity resolution")
         if d not in pairs:
-            family = [(g, bouncer_coefficients(params.replace(g=g), center.spectrum.n_max))
-                      for g in (*bures_stencil(params.g, d), *bures_stencil(params.g, 0.5 * d))]
+            gs = (*bures_stencil(params.g, d), *bures_stencil(params.g, 0.5 * d))
+            column = params.replace(check=False, g=np.array(gs))
+            family = list(zip(gs, bouncer_coefficients(column, center.spectrum.n_max)))
             states = render_spectral(params, family, params.dt, grid, center)
             pairs.clear()
             pairs.update({d: states[:2], 0.5 * d: states[2:]})

@@ -46,8 +46,8 @@ from pathlib import Path
 
 # numpy's OpenBLAS starts a worker thread per extra core at import, which
 # spins before it sleeps (~0.06-0.09 s of CPU on two cores).  The CLI's BLAS
-# calls are small: a few hundred elements (fit_scaling, the render's band means)
-# or the bouncer render's (16 x 12)(12 x 2048) products.  So one thread is
+# calls are small, a few hundred elements (fit_scaling, the render's band means),
+# and the bouncer render's sums are FFT correlations, no BLAS.  So one thread is
 # asked for before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

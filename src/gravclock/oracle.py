@@ -218,6 +218,7 @@ def bures_miss(psi_a: GridWavefunction, psi_b: GridWavefunction) -> float:
 # 1 s; 4.3e-4 over every perfbench oracle draw of seeds 1-20); at dt = 100 s
 # on configs/sr88_freefall.cfg it is 3.6e-2, and the value was 6.04e-2 off.
 PAIR_RESIDUAL_MAX = 1e-2
+OFFSET_BUDGET = 60 + math.ceil((1074 + 1024) / 3)   # steps of 8 = 2^3 over 2^-1074..2^1024, 60 more
 
 
 def bures_stencil(value: float, d: float) -> tuple[float, float]:
@@ -234,7 +235,8 @@ def richardson_bures_qfi(miss_at, value: float,
 
     One geometric bisection on the offset d, starting at ``delta`` (default
     1e-6 relative), looks for a drop 1 - F = m (2 - m) in [1e-6, 1e-2] that also
-    shows the Bures scaling: the drop at d/2, asked for right after d (a caller
+    shows the Bures scaling, among at most ``OFFSET_BUDGET`` offsets (float64's
+    whole range in steps of 8): the drop at d/2, asked for right after d (a caller
     may render both stencils at once), must be a quarter of it (0.2 to 0.3).
     An offset whose drop fails that check lies past the quadratic regime,
     typically on a fidelity revival; it becomes the upper bracket, and the
@@ -262,7 +264,7 @@ def richardson_bures_qfi(miss_at, value: float,
         v_lo, v_hi = bures_stencil(value, x)
         return 8.0 * m / (v_hi - v_lo) ** 2
 
-    for _ in range(60):
+    for _ in range(OFFSET_BUDGET):
         v_lo, v_hi = bures_stencil(value, d)
         if d_big is not None and not math.isnan(drop) and v_lo == v_hi:     # the states coincide
             raise OracleError(f"float64 resolution limit: the offset search reached d = {d:.3g}, "
@@ -289,7 +291,7 @@ def richardson_bures_qfi(miss_at, value: float,
         else:
             d_big = d
             d = d / 8.0 if d_small is None else math.sqrt(d * d_small)
-    raise OracleError(f"no offset among 60 put 1-F in [{lo:g}, {hi:g}] with the Bures "
+    raise OracleError(f"no offset among {OFFSET_BUDGET} put 1-F in [{lo:g}, {hi:g}] with the Bures "
                       f"d^2 scaling; the last gave 1-F = {drop:g}")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -464,26 +465,6 @@ def test_chebyshev_on_concatenated_rows_equals_per_row():
         assert np.array_equal(_bits(joined), _bits(per_row))
 
 
-def test_ai_rows_equals_per_row_ai():
-    """ai_rows against one ai call per row, bit for bit: rows
-    reaching every region (and past y = 108), an empty row, and one running
-    to the end."""
-    engine = bc.default_engine()
-    base = np.linspace(0.0, 300.0, 20_001)
-    offsets = -np.linspace(0.5, 180.0, 70)
-    ends = np.searchsorted(base, 130.0 - offsets, side="right")
-    ends[3], ends[-1] = 0, base.size
-    out = np.full((offsets.size, base.size), np.nan)
-    out_prime = np.full_like(out, np.nan)
-    engine.ai_rows(base, offsets, ends, out, out_prime)
-    for row, prime, offset, end in zip(out, out_prime, offsets, ends):
-        y = base[:end] + offset
-        ai, aip = engine.ai(y)
-        assert np.array_equal(_bits(row[:end]), _bits(ai))
-        assert np.array_equal(_bits(prime[:end]), _bits(aip))
-        assert np.all(row[end:] == 0.0) and np.all(prime[end:] == 0.0)
-
-
 def test_public_airy_contract_past_170_against_mpmath():
     """airy_ai holds 1e-12 and airy_ai_prime 2e-11 on (-1e3, -170), where the
     rounding of the phase zeta = (2/3) |y|^1.5 grows the error of Ai' to
@@ -498,29 +479,27 @@ def test_public_airy_contract_past_170_against_mpmath():
 
 
 def _taylor_order(shift, y_max):
-    """The render's order rule: the first J <= 4 whose remainder bound
-    (shift sqrt(1 + y_max))^(J+1) / (J+1)! is below 1e-16, else None (split)."""
+    """The render's order rule: the first J whose remainder bound
+    (shift sqrt(1 + y_max))^(J+1) / (J+1)! is below 1e-16."""
     a = shift * math.sqrt(1.0 + y_max)
-    return next((j for j in range(bc._TAYLOR_MAX + 1)
-                 if a ** (j + 1) / math.factorial(j + 1) < 1e-16), None)
+    return next(j for j in range(200) if a ** (j + 1) / math.factorial(j + 1) < 1e-16)
 
 
 def test_taylor_shift_against_mpmath():
-    """The render's shift kernel on rows with |y| up to 170.  Each derivative
-    row is within 1e-13 (1 + |y|)^(j/2) of Ai^(j) = p_j(y) Ai + q_j(y) Ai'
-    built from mpmath Ai and Ai' by the recurrence p_{j+1} = p_j' + y q_j,
-    q_{j+1} = p_j + q_j', and the rows' Taylor sum at the largest shift the
-    order-4 bound admits is within 1e-13 of mpmath Ai(y + delta) on the same
+    """The render's shift kernel on rows with |y| up to 170, through the
+    order 4 + 13 that the oracle's grid asks for.  Against Ai^(j) = p_j(y) Ai
+    + q_j(y) Ai' built from mpmath Ai and Ai' by the recurrence
+    p_{j+1} = p_j' + y q_j, q_{j+1} = p_j + q_j', each derivative row is within
+    1e-13 (1 + |y|)^(j/2) for j <= 4 and within 1e-13 (1 + max|y|)^(j/2), the
+    scale the remainder bound takes for it, for every j (5.7e-14 measured).
+    The render's rule (``bc._taylor_order``) and this one agree on both
+    orders, and the rows' Taylor sum at the largest shift the order-4 bound
+    admits (the states' lengths) and the order-13 one (the rows' offsets
+    from the lattice) is within 1e-13 of mpmath Ai(y + delta) on the same
     float arguments, for both signs of delta."""
-    engine = bc.default_engine()
     y_max = 170.0
-    delta = (1e-16 * math.factorial(5)) ** 0.2 / math.sqrt(1.0 + y_max) * (1.0 - 1e-9)
-    assert _taylor_order(delta, y_max) == bc._TAYLOR_MAX
-    assert _taylor_order(1.001 * delta, y_max) is None
-    y = np.linspace(-y_max, bc._RENDER_CUT_Y, 197)
-    stack = np.empty((bc._TAYLOR_MAX + 1, y.size))
-    stack[0], stack[1] = engine.ai(y)
-    bc._airy_derivatives(stack, y)
+    y = np.linspace(-y_max, 26.0, 197)
+    stack = bc._airy_derivative_rows(y, 18)
     with mp.workdps(25):
         ai_aip = [(mp.airyai(float(v)), mp.airyai(float(v), 1)) for v in y]
     poly = np.polynomial.Polynomial
@@ -528,13 +507,21 @@ def test_taylor_shift_against_mpmath():
     for j, row in enumerate(stack):
         expected = np.array([float(mp.mpf(p_j(v)) * a + mp.mpf(q_j(v)) * b)
                              for v, (a, b) in zip(y, ai_aip)])
-        assert np.all(np.abs(row - expected) <= 1e-13 * (1.0 + np.abs(y)) ** (j / 2)), j
+        scale = 1.0 + (np.abs(y) if j <= bc._TAYLOR_MAX else y_max)
+        assert np.all(np.abs(row - expected) <= 1e-13 * scale ** (j / 2)), j
         p_j, q_j = p_j.deriv() + poly([0.0, 1.0]) * q_j, p_j + q_j.deriv()
-    for shift in (delta, -delta):
-        with mp.workdps(25):
-            expected = np.array([float(mp.airyai(mp.mpf(float(v)) + mp.mpf(shift))) for v in y])
-        shifted = sum(shift**j / math.factorial(j) * stack[j] for j in range(bc._TAYLOR_MAX + 1))
-        assert np.max(np.abs(shifted - expected)) <= 1e-13
+    for order in (bc._TAYLOR_MAX, 13):
+        bound = (1e-16 * math.factorial(order + 1)) ** (1.0 / (order + 1))
+        delta = bound / math.sqrt(1.0 + y_max) * (1.0 - 1e-9)
+        assert _taylor_order(delta, y_max) == order
+        assert _taylor_order(1.001 * delta, y_max) == order + 1
+        assert bc._taylor_order(bound * (1.0 - 1e-9)) == order
+        assert bc._taylor_order(1.001 * bound) == order + 1
+        for shift in (delta, -delta):
+            with mp.workdps(25):
+                expected = np.array([float(mp.airyai(mp.mpf(float(v)) + mp.mpf(shift))) for v in y])
+            shifted = sum(shift**j / math.factorial(j) * stack[j] for j in range(order + 1))
+            assert np.max(np.abs(shifted - expected)) <= 1e-13, order
 
 
 def _half_angle_poles() -> np.ndarray:
@@ -808,57 +795,14 @@ def _render_layout(p, family, t, center):
     return rows, coeff
 
 
-def _unwindowed_render(p, family, t, grid, center):
-    """render_spectral without the decay cut: Ai and Ai' on every kept row in
-    full, the same Taylor shift from the family's base and the same 12-row
-    contraction, so the window is the only difference."""
-    engine = bc.default_engine()
-    xs = grid.xs()
-    zeros = family[0][1].spectrum.zeros
-    rows, coeff = _render_layout(p, family, t, center)
-    l_base = bc.gravitational_length(p, 0)
-    kappa = 1.0 / np.array([proj.spectrum.lengths for _, proj in family]) - 1.0 / l_base
-    order = _taylor_order(np.max(np.abs(kappa)) * grid.x_max,
-                             max(bc._RENDER_CUT_Y, -zeros[rows].min()))
-    channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
-    for start in range(0, rows.size, bc._RENDER_ROWS):
-        sel = slice(start, start + bc._RENDER_ROWS)
-        y = xs / l_base + zeros[rows[sel], None]
-        stack = np.empty((bc._TAYLOR_MAX + 1, *y.shape))
-        stack[0], stack[1] = engine.ai(y)
-        bc._airy_derivatives(stack, y)
-        for s in range(len(family)):
-            for i in (0, 1):
-                c = coeff[s, i, sel]
-                sums = np.einsum("cm,jmn->jcn", np.stack([c.real, c.imag]), stack[:order + 1])
-                for j in range(order, 0, -1):
-                    sums[j - 1] += kappa[s, i] * xs / j * sums[j]
-                re, im = sums[0]
-                channels[s, i].real += re
-                channels[s, i].imag += im
-    return channels
+# Ai(26) ~ 1e-39: the per-row reference stops each row there.
+_DECAY_Y = 26.0
 
 
-def test_windowed_render_matches_unwindowed_reference(bouncer_params):
-    """Cutting each basis row at y = 26 changes the state by nothing visible,
-    for the base g and the oracle's stencil g -+ d/2 rendered as one family."""
-    p = bouncer_params
-    center = bc.bouncer_coefficients(p)
-    grid = bc.bouncer_grid(p, center)
-    d = _oracle_offset(p, center)
-    family = [(p.g, center), *_stencil(p, center, (-0.5 * d, 0.5 * d))]
-    rendered = [psi.channels for psi in bc.render_spectral(p, family, p.dt, grid, center)]
-    expected = _unwindowed_render(p, family, p.dt, grid, center)
-    for got, want in zip(rendered, expected):
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
-def _per_row_render(p, family, t, grid, center, bases):
-    """render_spectral with no Taylor shift: every row of every state and
-    level evaluated directly at that state and level's own length, one
-    engine.ai call per row, and summed by one einsum per 12-row chunk.
-    Rows (s, i) stop at the decay cut of the length bases[s, i]: the
-    family's base, or the base a split renders them from."""
+def _per_row_render(p, family, t, grid, center):
+    """render_spectral with no lattice and no Taylor shift: every row of every
+    state and level evaluated directly at that state and level's own length,
+    one engine.ai call per row up to y = 26, and summed row by row."""
     engine = bc.default_engine()
     xs = grid.xs()
     zeros = family[0][1].spectrum.zeros
@@ -866,49 +810,50 @@ def _per_row_render(p, family, t, grid, center, bases):
     channels = np.zeros((len(family), 2, grid.n_points), dtype=complex)
     for s, (_, proj) in enumerate(family):
         for i in (0, 1):
-            ends = np.searchsorted(xs / bases[s, i], bc._RENDER_CUT_Y - zeros[rows], side="right")
-            for start in range(0, rows.size, bc._RENDER_ROWS):
-                sel = slice(start, start + bc._RENDER_ROWS)
-                width = int(ends[sel].max())
-                basis = np.zeros((len(ends[sel]), width))
-                for row, z_n, end in zip(basis, zeros[rows[sel]], ends[sel]):
-                    row[:end] = engine.ai(xs[:end] / proj.spectrum.lengths[i] + z_n)[0]
-                c = coeff[s, i, sel]
-                re, im = np.einsum("cm,mn->cn", np.stack([c.real, c.imag]), basis)
-                channels[s, i, :width].real += re
-                channels[s, i, :width].imag += im
+            scaled = xs / proj.spectrum.lengths[i]
+            for c, z_n in zip(coeff[s, i], zeros[rows]):
+                end = np.searchsorted(scaled, _DECAY_Y - z_n, side="right")
+                channels[s, i, :end] += c * engine.ai(scaled[:end] + z_n)[0]
     return channels
 
 
-def _assert_matches_per_row(rendered, expected, exact):
-    """Within 2e-15 of the largest value on the (state, level) pairs in exact
-    (unshifted: the same basis, summed by a matrix product in another order;
-    measured <= 4.9e-16), within 5e-13 on the others (Taylor-shifted)."""
+def _assert_matches_per_row(rendered, expected):
+    """Every state and level within 5e-13 of its largest value: the lattice's
+    arguments (m_n + k) h + r_n differ from fl(x_k / l + z_n) by rounding,
+    which the engine's phase rounding at |y| ~ 150 turns into ~1e-13."""
     for s, i in np.ndindex(expected.shape[:2]):
         got, want = rendered[s].channels[i], expected[s, i]
-        tol = 2e-15 if (s, i) in exact else 5e-13
-        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (s, i)
+        assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want)), (s, i)
 
 
-def test_render_spectral_matches_per_row_reference(bouncer_params):
+def _count_airy_calls(monkeypatch):
+    """Record the size of every AiryEngine.ai call; fail on any ai_prime call."""
+    sizes, ai = [], bc.AiryEngine.ai
+    monkeypatch.setattr(bc.AiryEngine, "ai", lambda self, y: sizes.append(np.size(y)) or ai(self, y))
+    monkeypatch.setattr(bc.AiryEngine, "ai_prime", lambda self, y: pytest.fail("ai_prime called"))
+    return sizes
+
+
+def test_render_spectral_matches_per_row_reference(bouncer_params, monkeypatch):
     """On the oracle's grid, the base g and the oracle's stencil g -+ d/2 as
-    one family: level 0 at the base (no shift) is within 2e-15 of the per-row
-    render, and every shifted state and level within 5e-13 of it."""
+    one family, rendered from one lattice (one ai call): every state and
+    level is within 5e-13 of the per-row render (8.6e-14 measured)."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center)
     d = _oracle_offset(p, center)
     family = [(p.g, center), *_stencil(p, center, (-0.5 * d, 0.5 * d))]
+    sizes = _count_airy_calls(monkeypatch)
     rendered = bc.render_spectral(p, family, p.dt, grid, center)
-    bases = np.full((len(family), 2), bc.gravitational_length(p, 0))
-    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, center, bases),
-                            exact={(0, 0)})
+    assert len(sizes) == 1
+    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, center))
 
 
-def test_render_splits_family_past_taylor_bound(bouncer_params):
-    """At d = 1e-2 g the shifts fail the order-4 bound, so the family is
-    rendered as families of one, each from its own level 0: level 0 within
-    2e-15, level 1 (shifted from level 0) within 5e-13."""
+def test_render_splits_family_past_taylor_bound(bouncer_params, monkeypatch):
+    """At d = 1e-2 g the shifts fail the order-4 bound (already at max|y| = 26,
+    below the lattice's), so the family is rendered as families of one, each
+    from its own level 0 on its own lattice: two ai calls, every state and
+    level within 5e-13 of the per-row render (7.9e-14 measured)."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
     grid = bc.bouncer_grid(p, center)
@@ -916,29 +861,51 @@ def test_render_splits_family_past_taylor_bound(bouncer_params):
     family = _stencil(p, center, (-0.5 * d, 0.5 * d))
     lengths = np.array([proj.spectrum.lengths for _, proj in family])
     shift = np.max(np.abs(1.0 / lengths - 1.0 / bc.gravitational_length(p, 0))) * grid.x_max
-    assert _taylor_order(shift, bc._RENDER_CUT_Y) is None
+    assert _taylor_order(shift, _DECAY_Y) > bc._TAYLOR_MAX
+    sizes = _count_airy_calls(monkeypatch)
     rendered = bc.render_spectral(p, family, p.dt, grid, center)
-    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, center, lengths[:, [0, 0]]),
-                            exact={(0, 0), (1, 0)})
+    assert len(sizes) == 2
+    _assert_matches_per_row(rendered, _per_row_render(p, family, p.dt, grid, center))
 
 
-def test_render_splits_state_whose_levels_fail_taylor_bound(bouncer_params):
+def test_render_splits_state_whose_levels_fail_taylor_bound(bouncer_params, monkeypatch):
     """A clock at z_1 = 9e-7 on a grid reaching 2000 Airy lengths: the two
     levels' shift fails the bound even in a family of one, so each level is
-    rendered from its own length, both within 2e-15 of the per-row render.
-    Twenty equal-weight levels keep the rows short."""
+    rendered from its own length and lattice (two ai calls), both within 5e-13
+    of the per-row render.  Twenty equal-weight levels keep the rows short."""
     p = bouncer_params.replace(e1=9e-7 * bouncer_params.m * core.C_LIGHT**2)
     spec = bc.bouncer_spectrum(p, 20)
     flat = np.exp(0.7j * np.arange(2 * spec.n_max)).reshape(2, -1) / math.sqrt(2 * spec.n_max)
     unused = np.zeros((2, spec.n_max))
     proj = bc.BouncerProjection(spec, unused, unused, flat, 0.0, 1.0)
     grid = orc.Grid(0.0, 2000.0 * max(spec.lengths), 2**13)
-    lengths = np.array([spec.lengths])
-    assert _taylor_order(abs(1.0 / lengths[0, 1] - 1.0 / lengths[0, 0]) * grid.x_max,
-                            bc._RENDER_CUT_Y) is None
+    assert _taylor_order(abs(1.0 / spec.lengths[1] - 1.0 / spec.lengths[0]) * grid.x_max,
+                         _DECAY_Y) > bc._TAYLOR_MAX
+    sizes = _count_airy_calls(monkeypatch)
     rendered = bc.render_spectral(p, [(p.g, proj)], p.dt, grid, proj)
-    _assert_matches_per_row(rendered, _per_row_render(p, [(p.g, proj)], p.dt, grid, proj, lengths),
-                            exact={(0, 0), (0, 1)})
+    assert len(sizes) == 2
+    _assert_matches_per_row(rendered, _per_row_render(p, [(p.g, proj)], p.dt, grid, proj))
+
+
+def test_render_on_the_oracle_grid_against_mpmath_sum(bouncer_params):
+    """The sample packet at the base g on the oracle's own grid (2890 points,
+    every kept level): level 0 at 16 seeded grid points against
+    sum_n c_n N_n Ai(x / l_0 + z_n), with the render's float64 phases and
+    arguments summed by mpmath Ai, within 1e-13 of the channel's largest
+    value (4.5e-14 measured; the per-row render read 2.8e-14)."""
+    p = bouncer_params
+    center = bc.bouncer_coefficients(p)
+    grid = bc.bouncer_grid(p, center)
+    rows, coeff = _render_layout(p, [(p.g, center)], p.dt, center)
+    rendered = bc.render_spectral(p, [(p.g, center)], p.dt, grid, center)[0].channels[0]
+    ks = np.sort(np.random.default_rng(3).choice(grid.n_points, 16, replace=False))
+    scaled = grid.xs()[ks] / center.spectrum.lengths[0]
+    zeros = center.spectrum.zeros[rows]
+    with mp.workdps(20):
+        expected = np.array([complex(mp.fsum(mp.mpc(c) * mp.airyai(float(x + z_n))
+                                             for c, z_n in zip(coeff[0, 0], zeros)))
+                             for x in scaled])
+    assert np.max(np.abs(rendered[ks] - expected)) <= 1e-13 * np.max(np.abs(rendered))
 
 
 def test_bouncer_oracle_regression_pin(bouncer_params):
@@ -1023,24 +990,18 @@ def test_bouncer_grid_is_fewest_points_resolving_airy(bouncer_params, x_plus):
 
 def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
     """One oracle run on configs/bouncer.cfg renders the stencil g -+ d/2,
-    g -+ d/4 as one family, fills it with one ai_rows call per 12-row chunk
-    of the kept rows, and asks the miss for exactly d, then d/2."""
-    families, offsets, chunks = [], [], []
-    render, ai_rows, richardson = bc.render_spectral, bc.AiryEngine.ai_rows, orc.richardson_bures_qfi
+    g -+ d/4 as one family and asks the miss for exactly d, then d/2."""
+    families, offsets = [], []
+    render, richardson = bc.render_spectral, orc.richardson_bures_qfi
 
     def counting_render(params, family, *args):
         families.append(family)
         return render(params, family, *args)
 
-    def counting_ai_rows(self, *args):
-        chunks.append(args[1].size)
-        return ai_rows(self, *args)
-
     def recording_richardson(miss_at, value, delta):
         return richardson(lambda d: offsets.append(d) or miss_at(d), value, delta)
 
     monkeypatch.setattr(bc, "render_spectral", counting_render)
-    monkeypatch.setattr(bc.AiryEngine, "ai_rows", counting_ai_rows)
     monkeypatch.setattr(orc, "richardson_bures_qfi", recording_richardson)   # bouncer looks it up there
     p = bouncer_params
     bc.bouncer_qfi_numeric(p)
@@ -1048,41 +1009,66 @@ def test_bouncer_oracle_renders_one_family(bouncer_params, monkeypatch):
     d = offsets[0]
     assert offsets == [d, 0.5 * d]
     assert [g for g, _ in family] == [p.g - 0.5 * d, p.g + 0.5 * d, p.g - 0.25 * d, p.g + 0.25 * d]
-    kept, _ = _render_layout(p, family, p.dt, bc.bouncer_coefficients(p))
-    assert len(chunks) == math.ceil(kept.size / bc._RENDER_ROWS)
-    assert sum(chunks) == kept.size
 
 
-def test_render_evaluates_each_packed_block_once(bouncer_params, monkeypatch):
-    """One render on configs/bouncer.cfg: each ai_rows call packs its rows'
-    points region by region, and each nonempty region takes one
-    ``AiryEngine.ai`` call for Ai and Ai' together, whose sizes sum to the
-    rows' kept points; ``ai_prime`` is never called."""
-    engine = bc.AiryEngine
-    ai, ai_prime, ai_rows = engine.ai, engine.ai_prime, engine.ai_rows
-    checked, calls, primes = [], [], []
+def test_oracle_family_projection_equals_each_row(bouncer_params, monkeypatch):
+    """The oracle projects its stencil by one bouncer_coefficients call on a g
+    column at the centre's level count: every state's projection is byte for
+    byte the one-row call at its g."""
+    families, render = [], bc.render_spectral
 
-    def packing_ai_rows(self, base, offsets, ends, *outs):
-        y = np.concatenate([base[:end] + offset for offset, end in zip(offsets, ends)])
-        regions = np.unique(np.searchsorted(self._region_ends(), y))
-        calls.clear()
-        ai_rows(self, base, offsets, ends, *outs)
-        assert len(calls) == regions.size
-        assert sum(calls) == int(np.sum(ends))
-        checked.append(len(calls))
+    def recording_render(params, family, *args):
+        families.append(family)
+        return render(params, family, *args)
 
-    def counting_ai(self, y):
-        calls.append(np.size(y))
-        return ai(self, y)
+    monkeypatch.setattr(bc, "render_spectral", recording_render)
+    p = bouncer_params
+    bc.bouncer_qfi_numeric(p)
+    n_max = bc.bouncer_coefficients(p).spectrum.n_max
+    for g, proj in (state for family in families for state in family):
+        single = bc.bouncer_coefficients(p.replace(g=g), n_max)
+        for got, want in ((proj.coefficients, single.coefficients), (proj.c_plus, single.c_plus),
+                          (proj.c_minus, single.c_minus), (proj.spectrum.norms, single.spectrum.norms),
+                          (proj.spectrum.band, single.spectrum.band)):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert (proj.tail, proj.renorm, proj.spectrum.lengths) == (single.tail, single.renorm,
+                                                                   single.spectrum.lengths)
 
+
+def test_render_makes_one_airy_call_per_group(bouncer_params, monkeypatch):
+    """One render of the oracle's family on configs/bouncer.cfg makes one
+    ``AiryEngine.ai`` call, for Ai and Ai' together, on at most
+    n_points + (z_1 - z_top) / h + 2 lattice points (z_1 and z_top the first
+    and last kept zeros, h the grid step in level-0 lengths), and no
+    ``ai_prime`` call: 5565 points, against 925,350 per-row points before."""
     p = bouncer_params
     center = bc.bouncer_coefficients(p)
-    monkeypatch.setattr(engine, "ai_rows", packing_ai_rows)
-    monkeypatch.setattr(engine, "ai", counting_ai)
-    monkeypatch.setattr(engine, "ai_prime", lambda self, y: primes.append(y) or ai_prime(self, y))
-    bc.render_spectral(p, [(p.g, center)], p.dt, bc.bouncer_grid(p, center), center)
-    assert checked and all(checked)
-    assert not primes, f"ai_prime called {len(primes)} times"
+    grid = bc.bouncer_grid(p, center)
+    d = _oracle_offset(p, center)
+    family = _stencil(p, center, (-0.5 * d, 0.5 * d, -0.25 * d, 0.25 * d))
+    rows, _ = _render_layout(p, family, p.dt, center)
+    zeros = center.spectrum.zeros[rows]
+    sizes = _count_airy_calls(monkeypatch)
+    bc.render_spectral(p, family, p.dt, grid, center)
+    h = grid.spacing / bc.gravitational_length(p, 0)
+    assert len(sizes) == 1
+    assert sizes[0] <= grid.n_points + (zeros[0] - zeros[-1]) / h + 2
+
+
+def test_bouncer_oracle_memory_peak(bouncer_params):
+    """One bouncer_qfi_numeric on configs/bouncer.cfg peaks at <= 7 MB of
+    traced allocations, after a warm run has built the Airy table and zeros:
+    the render correlates one coefficient row at a time (3.6 MB measured;
+    two rows, 5.4 MB; all 16 at once, 11.5 MB; the per-row render, 5.45 MB)."""
+    p = bouncer_params
+    bc.bouncer_qfi_numeric(p)
+    tracemalloc.start()
+    try:
+        bc.bouncer_qfi_numeric(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6
 
 
 def test_qfi_longtime_degenerate_distribution(bouncer_params):

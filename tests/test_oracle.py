@@ -440,6 +440,16 @@ def test_freefall_oracle_meets_closed_form_at_long_dt(dt):
     assert abs(orc.qfi_numeric(scenario) / est.closed_qfi(scenario) - 1.0) <= 1e-6
 
 
+def test_freefall_oracle_reaches_an_astronomical_qfi():
+    """sr88_freefall.cfg at physics.m_kg = 1e30 resolves (qfi_closed 9.0e125,
+    qfi_parametric agreeing), but its Bures window lies near d ~ 3e-65.  A
+    budget of 60 offsets, stepping down by 8 from 9.8e-6, stopped at 6.5e-60
+    with OracleError "no offset among 60"; the budget now spans float64's
+    offset range, and the oracle meets qfi_closed within 1e-6."""
+    scenario = _sample_scenario("sr88_freefall.cfg", {"physics.m_kg": "1e30"})
+    assert abs(orc.qfi_numeric(scenario) / est.closed_qfi(scenario) - 1.0) <= 1e-6
+
+
 def test_grid_refinement_convergence(sr88_10s, crosscheck_params):
     """A 16x finer lattice on the rule-sized grid's span moves the amplitude
     miss by < 1e-6 relative, at an offset with a miss of ~1e-4 (the middle of
