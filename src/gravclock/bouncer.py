@@ -20,12 +20,11 @@ dt^2 times the variance of dE/dg over the level distribution.
 The Airy engine is self-contained: one float64 piecewise-Chebyshev table
 of Ai and Ai' on [-15, 12], built once from one float64 march
 of the Airy ODE, the DLMF 9.7 asymptotic expansions outside it, and
-evaluation in cache-sized blocks, each taken whole when it lies in one
-region and split by one boolean mask per region otherwise, Ai and Ai'
-together from one region dispatch (see ``AiryEngine``).  Every level
-count's Airy zeros are a read-only prefix of one table.  The grid render
-draws a family of states (the oracle's Bures stencil) from one Airy
-lattice on the grid's step, with phases against the centre projection's
+evaluation in cache-sized blocks, each split by one boolean mask per
+region, Ai and Ai' together from one region dispatch (see ``AiryEngine``).
+Every level count's Airy zeros are a read-only prefix of one table.  The
+grid render draws a family of states (the oracle's Bures stencil) from one
+Airy lattice on the grid's step, with phases against the centre projection's
 band means: each row x / l_0 + z_n is a Taylor shift of the lattice, summed
 over rows by ``numpy.fft`` correlations, and each state and level a Taylor
 shift by its own length, both by the Airy ODE to the first order whose
@@ -71,7 +70,7 @@ _TAYLOR_MAX = 4
 # error (~1e-15) on width-1/2 intervals at y = -15; 14 leaves a margin.
 _TABLE_WIDTH = 0.5
 _TABLE_DEGREE = 14
-# The table's extended-precision knots: march step (y = 0 is a knot), and Taylor terms per step.
+# The table's knots: march step (y = 0 is a knot), and Taylor terms per step.
 _KNOT_STEP, _TAYLOR_TERMS = 0.25, 40
 # Rows of a g or sigma column solved together: at most 64 x 4 path lines of n_max levels.
 _ROW_BLOCK = 64
@@ -133,13 +132,10 @@ class AiryEngine:
     on the negative axis the cosine and sine of the phase come from one
     half-angle tangent.  Ai and Ai' are exactly 0 past y = 108.  ``ai``
     returns the pair, evaluated in fixed blocks of 2^14 points, so
-    temporaries stay cache-sized whatever the call size.  A block whose
-    points all lie in one region goes to that region's formula as it
-    stands, in any order.  Any other block (the zeros and the Laplace
-    arguments span several) sends each region's points to that region's
-    formula through one boolean mask per region.  Every formula is
-    elementwise, so a point's value does not depend on the block it came
-    in.  NaN gives NaN.
+    temporaries stay cache-sized whatever the call size.  Each block sends
+    each region's points to that region's formula through one boolean mask
+    per region.  Every formula is elementwise, so a point's value does not
+    depend on the block it came in.  NaN gives NaN.
 
     Against mpmath over [-170, 40] the absolute error is below 6e-14 for
     Ai and 8e-13 for Ai' (the tests gate 1e-12 and 2e-11).  It is ~1e-15
@@ -191,36 +187,22 @@ class AiryEngine:
         tau = tan(theta / 2): cos = (1 - tau^2) / (1 + tau^2) and
         sin = 2 tau / (1 + tau^2).  numpy's float64 tan is vectorised where
         cos and sin may fall back to scalar libm, and both identities are
-        well conditioned in tau, up to |tau| ~ 1e16 at the poles.  Each
-        temporary is reused in place once its value is spent.
+        well conditioned in tau, up to |tau| ~ 1e16 at the poles.
         """
         t = -y
         root = np.sqrt(t)
-        zeta = (2.0 / 3.0) * t
-        zeta *= root
+        zeta = (2.0 / 3.0) * t * root
         inv = 1.0 / zeta
         inv2 = inv * inv
         even, even_p = (_horner(coeffs, inv2) for coeffs in _NEG_EVEN)
         odd, odd_p = (_horner(coeffs, inv2) * inv for coeffs in _NEG_ODD)
-        tau = np.subtract(zeta, 0.25 * math.pi, out=zeta)
-        tau *= 0.5
-        np.tan(tau, out=tau)
-        tau2 = np.multiply(tau, tau, out=inv2)
-        scale = np.add(1.0, tau2, out=inv)
-        np.divide(1.0, scale, out=scale)
-        cos = np.subtract(1.0, tau2, out=tau2)
-        cos *= scale
-        sin = np.multiply(2.0, tau, out=tau)
-        sin *= scale
-        quarter = np.sqrt(root, out=root)
-        # Ai = (cos even + sin odd) / (sqrt(pi) quarter), Ai' = (sin even' - cos odd') quarter / sqrt(pi)
-        even *= cos
-        even += np.multiply(odd, sin, out=odd)
-        even /= quarter * _SQRT_PI
-        even_p *= sin
-        even_p -= np.multiply(odd_p, cos, out=odd_p)
-        even_p *= np.divide(quarter, _SQRT_PI, out=quarter)
-        return even, even_p
+        tau = np.tan(0.5 * (zeta - 0.25 * math.pi))
+        tau2 = tau * tau
+        scale = 1.0 / (1.0 + tau2)
+        cos, sin = (1.0 - tau2) * scale, 2.0 * tau * scale
+        quarter = np.sqrt(root)
+        return ((even * cos + odd * sin) / (quarter * _SQRT_PI),
+                (even_p * sin - odd_p * cos) * (quarter / _SQRT_PI))
 
     # -- the table ----------------------------------------------------------
 
@@ -300,13 +282,9 @@ class AiryEngine:
                          _UNDERFLOW_Y, np.inf])
 
     def _eval(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """(Ai, Ai') of y, each shaped like y, from one region dispatch per block.
-
-        A block whose minimum and maximum lie in one region is evaluated as
-        it stands.  Any other block (several regions, or NaN) sends the
-        points of each region present to that region's formula through one
-        boolean mask per region.
-        """
+        """(Ai, Ai') of y, each shaped like y, from one region dispatch per block:
+        the points of each region present (NaN is a region of its own) go to
+        that region's formula through one boolean mask per region."""
         y = np.asarray(y, dtype=float)
         flat = y.ravel()
         ai, aip = np.empty_like(flat), np.empty_like(flat)
@@ -316,11 +294,6 @@ class AiryEngine:
         for start in range(0, flat.size, _BLOCK):
             block = flat[start:start + _BLOCK]
             part, part_p = ai[start:start + _BLOCK], aip[start:start + _BLOCK]
-            # min and max are NaN if any point is.
-            lo, hi = np.searchsorted(cuts, [block.min(), block.max()]).tolist()
-            if lo == hi < 4:
-                part[:], part_p[:] = branches[lo](block)
-                continue
             regions = np.searchsorted(cuts, block)
             for region, branch in enumerate(branches):
                 mask = regions == region
@@ -677,7 +650,8 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     mean, common to every state (so its rounding cancels to first order in
     the offset), and an exact O(offset) part, band_c ((g_s / g)^(2/3) - 1)
     (the band scales as g^(2/3)) plus the level constant's analytic x0
-    term.  Kept rows: any state and level above 1e-14 of its largest.
+    term.  Kept rows: any state and level above 1e-14 of its largest (a
+    family with none, every coefficient 0, raises ValueError).
     One lattice serves every state and level: Ai^(q) at Y_p = p h, h = grid
     spacing / l_0 (l_0 the level-0 length at ``params.g``), from the top kept
     zero to the grid's end, by one ``AiryEngine.ai`` call and the Airy ODE.
@@ -704,6 +678,8 @@ def render_spectral(params: PhysicalParams, family: list[tuple[float, BouncerPro
     zeros = family[0][1].spectrum.zeros
     weights = np.abs(np.array([proj.coefficients for _, proj in family]))
     rows = np.flatnonzero((weights > 1e-14 * weights.max(axis=2, keepdims=True)).any(axis=(0, 1)))
+    if not rows.size:
+        raise ValueError("render_spectral: no state of the family has a nonzero coefficient")
     lengths = np.array([proj.spectrum.lengths for _, proj in family])
     coeff = np.empty((len(family), 2, 2, rows.size))      # state, level, (re, im), row
     floor = np.empty((len(family), 2, 8), dtype=complex)   # state, level, d^k/dx^k at x = 0

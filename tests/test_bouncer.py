@@ -1055,6 +1055,19 @@ def test_render_makes_one_airy_call_per_group(bouncer_params, monkeypatch):
     assert sizes[0] <= grid.n_points + (zeros[0] - zeros[-1]) / h + 2
 
 
+def test_render_refuses_a_family_with_no_kept_row(bouncer_params):
+    """A family whose every coefficient is 0 keeps no row: a ValueError naming
+    the cause, raised before any Airy call (it used to fail inside numpy with
+    "zero-size array to reduction operation minimum which has no identity")."""
+    p = bouncer_params
+    spec = bc.bouncer_spectrum(p, 20)
+    zero = np.zeros((2, spec.n_max))
+    empty = bc.BouncerProjection(spec, zero, zero, zero.astype(complex), 0.0, 1.0)
+    grid = orc.Grid(0.0, 1e-5, 64)
+    with pytest.raises(ValueError, match="no state of the family has a nonzero coefficient"):
+        bc.render_spectral(p, [(p.g, empty)], p.dt, grid, empty)
+
+
 def test_bouncer_oracle_memory_peak(bouncer_params):
     """One bouncer_qfi_numeric on configs/bouncer.cfg peaks at <= 7 MB of
     traced allocations, after a warm run has built the Airy table and zeros:

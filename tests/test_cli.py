@@ -751,20 +751,80 @@ def test_bouncer_oracle_unresolvable_g_exit_3(tmp_path, capsys, dt):
     assert "fidelity resolution" in captured.err and "physics.g" not in captured.err
 
 
-@pytest.mark.parametrize("dt", ["100", "1000"])
-def test_freefall_oracle_long_dt_exit_0(tmp_path, capsys, dt):
-    """At dt = 100 s and 1000 s on sr88_freefall.cfg the oracle's report is
-    within 1e-6 of qfi_closed, exit 0.  With the longdouble phase ledger,
-    100 s exited 3 (its accepted offsets gave G 3.6e-2 apart, the value
-    6.04e-2 above qfi_closed) and 1000 s printed a value 1.11e-3 above it
-    with exit 0."""
-    cfg = tmp_path / "ff.cfg"
-    cfg.write_text(_config_with("sr88_freefall.cfg", ("time.dt_s", dt)))
+_ALL = "closed,parametric,oracle,reduced,fi"
+_SWEEP_TABLE = str(Path(__file__).resolve().parent / "golden" / "sr88_freefall_dt_sweep.csv")
+
+
+def _analytic_zero(report):
+    return all(report[k] == 0.0 for k in ("qfi_closed", "qfi_parametric", "qfi_reduced",
+                                          "fi_closed", "fi_numeric"))
+
+
+def _oracle_within(rel):
+    return lambda report: abs(report["qfi_oracle"] / report["qfi_closed"] - 1.0) <= rel
+
+
+_SILENT_CASES = {
+    # Each sample config with every method its scenario has.
+    **{cfg.stem: (cfg.name, (), ["run", "--methods",
+                                 "closed,oracle" if cfg.name == "bouncer.cfg" else _ALL], None)
+       for cfg in sorted(CONFIGS.glob("*.cfg"))},
+    "mz-bar_g": ("sr88_mz.cfg", (("scenario.target", "bar_g"),), ["run", "--methods", _ALL], None),
+    "freefall-ablated": ("sr88_freefall.cfg", (), ["run", "--methods", "fi",
+                                                   "--ablate-time-dilation"], None),
+    "mz-ablated": ("sr88_mz.cfg", (), ["run", "--methods", "fi", "--ablate-time-dilation"], None),
+    # At dt = 0 the evolution map is the identity, so no state depends on the target.
+    "freefall-dt-0": ("sr88_freefall.cfg", (("time.dt_s", "0"),), ["run", "--methods", _ANALYTIC],
+                      _analytic_zero),
+    "mz-dt-0": ("sr88_mz.cfg", (("time.dt_s", "0"),), ["run", "--methods", _ANALYTIC],
+                _analytic_zero),
+    # Paths 88 um apart: a second, ~9.7k-point lattice (gap to the long-time form ~3.5e-3).
+    "bouncer-separated": ("bouncer.cfg", (("geometry.x_plus_m", "1.2e-4"),),
+                          ["run", "--methods", "closed,oracle"], _oracle_within(2e-2)),
+    # With the longdouble phase ledger, 100 s exited 3 (its accepted offsets gave G
+    # 3.6e-2 apart, the value 6.04e-2 above qfi_closed) and 1000 s printed a value
+    # 1.11e-3 above it with exit 0.
+    "freefall-dt-100": ("sr88_freefall.cfg", (("time.dt_s", "100"),),
+                        ["run", "--methods", "closed,oracle"], _oracle_within(1e-6)),
+    "freefall-dt-1000": ("sr88_freefall.cfg", (("time.dt_s", "1000"),),
+                         ["run", "--methods", "closed,oracle"], _oracle_within(1e-6)),
+    "freefall-dt-sweep": ("sr88_freefall.cfg", (), ["sweep", "--var", "dt", "--from", "5", "--to",
+                                                    "30", "--points", "20", "--log", "--methods",
+                                                    _ANALYTIC], None),
+    "bouncer-dt-sweep": ("bouncer.cfg", (), ["sweep", "--var", "dt", "--from", "0.05", "--to", "0.5",
+                                             "--points", "40", "--log", "--methods", "closed"], None),
+    "bouncer-g-sweep": ("bouncer.cfg", (), ["sweep", "--var", "g", "--from", "9.6", "--to", "10.0",
+                                            "--points", "40", "--methods", "closed"], None),
+    "bouncer-sigma-sweep": ("bouncer.cfg", (), ["sweep", "--var", "sigma", "--from", "2e-7", "--to",
+                                                "3e-6", "--points", "20", "--log", "--methods",
+                                                "closed"], None),
+    # The free-fall dt sweep's table, the bytes of the sweep above (test_golden.py).
+    "fit": (None, (), ["fit", "--table", _SWEEP_TABLE, "--column", "qfi_closed"], None),
+    "fit-tail": (None, (), ["fit", "--table", _SWEEP_TABLE, "--column", "qfi_closed", "--tail"],
+                 None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SILENT_CASES))
+def test_exits_0_silently(tmp_path, capsys, case):
+    """Each sample config with every method its scenario has, the ablated FI,
+    the MZ's second target, the sample sweeps and fits of the free-fall sweep
+    exit 0 with nothing on stderr and no warning raised.  Some reports must
+    also hold a value: every analytic QFI and FI is exactly 0 at dt = 0; the
+    oracle is within 2e-2 of the long-time form on the separated bouncer, and
+    within 1e-6 of qfi_closed for free fall at 100 s and 1000 s."""
+    name, settings, argv, holds = _SILENT_CASES[case]
     out = tmp_path / "out"
-    rc = cli.main(["run", "--config", str(cfg), "--methods", "closed,oracle", "--out", str(out)])
-    assert (rc, capsys.readouterr().err) == (0, "")
-    report = json.loads((out / "report.json").read_text())
-    assert abs(report["qfi_oracle"] / report["qfi_closed"] - 1.0) <= 1e-6
+    if name is not None:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_with(name, *settings))
+        argv = [*argv, "--config", str(cfg), "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert (rc, capsys.readouterr().err, caught) == (0, "", [])
+    if holds is not None:
+        assert holds(json.loads((out / "report.json").read_text()))
 
 
 @pytest.mark.parametrize("g", ["-9.81", "0"])

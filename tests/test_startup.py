@@ -155,31 +155,43 @@ def test_library_import_sets_no_blas_threads():
     assert _run(code, OPENBLAS_NUM_THREADS=None).split() == ["None"]
 
 
-def test_bouncer_oracle_report_independent_of_blas_threads(tmp_path):
-    """The bouncer oracle's render contracts its Airy basis by BLAS matrix
-    products; its report must be the same bytes on one BLAS thread or two."""
+_ALL = "closed,parametric,oracle,reduced,fi"
+_RUNS = {"bouncer": ["run", "--config", "configs/bouncer.cfg", "--methods", "closed,oracle"],
+         "freefall": ["run", "--config", "configs/sr88_freefall.cfg", "--methods", _ALL]}
+
+
+@pytest.mark.parametrize("case", list(_RUNS))
+def test_report_independent_of_blas_threads(tmp_path, case):
+    """The CLI pins one BLAS thread only when none is set, so a report must be
+    the same bytes on one BLAS thread or two: the Bures misses and grid norms
+    are einsum sums, and the bouncer render's sums are FFT correlations
+    (pocketfft, one thread) and elementwise products."""
     reports = []
     for threads in ("1", "2"):
-        argv = ["run", "--config", "configs/bouncer.cfg", "--methods", "closed,oracle",
-                "--out", str(tmp_path / threads)]
+        argv = [*_RUNS[case], "--out", str(tmp_path / threads)]
         _run(f"import sys\nfrom gravclock import cli\nsys.exit(cli.main({argv!r}))",
              OPENBLAS_NUM_THREADS=threads)
         reports.append((tmp_path / threads / "report.json").read_bytes())
     assert reports[0] == reports[1]
 
 
-def test_traced_bouncer_oracle_run_matches_untraced(tmp_path):
-    """perfbench's tracer replays a bouncer oracle run through the names it
-    wraps: the same stdout bytes as an untraced run, and a summary that
-    counts the render's Airy points and the engine's calls."""
-    argv = ["run", "--config", "configs/bouncer.cfg", "--methods", "closed,oracle"]
+@pytest.mark.parametrize("case,group,points", [("bouncer", "bouncer.airy", (1, 20000)),
+                                               ("freefall", "oracle.render", (0, 1))],
+                         ids=list(_RUNS))
+def test_traced_run_matches_untraced(tmp_path, case, group, points):
+    """perfbench's tracer replays a run through the names it wraps: the same
+    stdout bytes as an untraced run, and a summary that counts the traced
+    group's calls and the bouncer render's Airy points (5565 on
+    configs/bouncer.cfg, one lattice per family; 925,350 when the render
+    evaluated every row)."""
+    argv = _RUNS[case]
     traced = _python("perfbench/tracer.py", str(tmp_path / "t.json"), "--", *argv)
     plain = _python("-c", f"import sys\nfrom gravclock import cli\nsys.exit(cli.main({argv!r}))")
     assert traced == plain
     summary = json.loads((tmp_path / "t.json").read_text())
     assert summary["rc"] == 0
-    assert summary["render_level_points"] > 0
-    assert summary["groups"]["bouncer.airy"]["calls"] > 0
+    assert points[0] <= summary["render_level_points"] < points[1]
+    assert summary["groups"][group]["calls"] > 0
 
 
 _FAST = "closed,parametric,reduced,fi"
